@@ -594,7 +594,9 @@ def _load_config(path) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI; ``config`` values replace the subcommands' defaults, so
+    flags given explicitly still win."""
     parser = argparse.ArgumentParser(
         prog="qsvt",
         description="Singular value thresholding on a simulated quantum register",
@@ -652,35 +654,17 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--t-bits", type=int, default=None)
     pl.add_argument("--m-bits", type=int, default=8)
     pl.add_argument("--shots", type=int, default=None)
+    for p in (ex, sw, al, pl):
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def _merge_config(args) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    loaded = _load_config(args.config)
-    parser_defaults = build_parser()
-    for key, value in loaded.items():
-        if not hasattr(args, key):
-            continue
-        # only fill values the user left at their parser default
-        if getattr(args, key) == _default_for(parser_defaults, args.command, key):
-            setattr(args, key, value)
-
-
-def _default_for(parser: argparse.ArgumentParser, command: str, key: str):
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    sub = sub_actions[0].choices[command]
-    for action in sub._actions:
-        if action.dest == key:
-            return action.default
-    return None
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
     try:
-        _merge_config(args)
+        path = pre.parse_known_args(argv)[0].config
+        args = build_parser(_load_config(path) if path else None).parse_args(argv)
         if args.command == "example":
             return cmd_example(args)
         if args.command == "sweep":

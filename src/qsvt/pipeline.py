@@ -123,12 +123,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     codes = np.array([oracle.code_for(c) for c in encoding.labels])
     y_codes = codes / (1 << ncfg.m_bits)
     y_exact = np.asarray(profile.y)
-    triple_amps = np.array(
-        [
-            np.vdot(spectral.to_state(spec, np.eye(spec.rank)[k]), b_state)
-            for k in range(spec.rank)
-        ]
-    ) * np.sqrt(n1 * p_sim)
+    # triple k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
+    grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
+    triple_amps = (spec.u.conj() * (grid @ spec.v)).sum(axis=0) * np.sqrt(n1 * p_sim)
 
     p_shots = None
     if cfg.shots:

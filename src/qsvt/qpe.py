@@ -89,11 +89,18 @@ def choose_t0(eigenvalues, t_bits: int) -> PhaseEstimationConfig:
 
 
 def encode(eigenvalues, cfg: PhaseEstimationConfig) -> EigenEncoding:
-    """Assign labels under cfg; rejects collisions after rounding."""
+    """Assign labels under cfg; rejects collisions after rounding and a
+    positive eigenvalue that rounds to label 0 (it would decode to 0)."""
     lam = np.asarray(eigenvalues, dtype=float)
     labels = _labels_for(lam, cfg.t0, cfg.t_bits)
     if np.any(labels < 0) or np.any(labels >= cfg.T):
         raise ValidationError("eigenvalue label out of register range")
+    if np.any(labels == 0):
+        small = float(lam[labels == 0].max())
+        raise ValidationError(
+            f"eigenvalue {small:.6g} rounds to label 0 at t_bits={cfg.t_bits}:"
+            " too fine for the eigenvalue register; raise t_bits"
+        )
     if len(np.unique(labels)) != len(labels):
         raise ValidationError("eigenvalue collision after rounding to t_bits precision")
     return EigenEncoding(tuple(lam), tuple(int(c) for c in labels), cfg.t_bits, cfg.t0)
@@ -164,6 +171,7 @@ def phase_estimate(
         sim.apply_unitary(state, h, [q])
     conditional_evolution(state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a)
     iqft(state, layout.reg_C)
+    sim.check_norm(state)
     return state
 
 
@@ -180,4 +188,5 @@ def phase_estimate_inverse(
     h = sim.hadamard()
     for q in layout.reg_C:
         sim.apply_unitary(state, h, [q])
+    sim.check_norm(state)
     return state

@@ -76,6 +76,13 @@ class NewtonConfig:
         if self.divergence_guard <= 1:
             raise ValidationError("divergence guard must exceed 1")
 
+    def max_ratio(self) -> float:
+        """Largest sigma/tau whose first update from ``initial`` stays
+        within the guard: (r^2/2)(1-y0)^3 + 3y0/2 - 1/2 <= guard.  That is
+        4 at the defaults, the edge of the tested basin."""
+        y0 = FixedPointCode.from_float(self.initial, self.m_bits).value
+        return math.sqrt(2 * (self.divergence_guard + 0.5 - 1.5 * y0) / (1 - y0) ** 3)
+
 
 @dataclass(frozen=True)
 class RotationConfig:
@@ -163,7 +170,7 @@ def newton_iterate(cfg: NewtonConfig, tau: float, sigma_sq: float) -> NewtonResu
 
 @dataclass(frozen=True)
 class SigmaTauOracle:
-    """Permutation oracle on (L, C): |l>|c> -> |l XOR y(lam(c))>|c>.
+    """XOR oracle on (L, C): |l>|c> -> |l XOR y(lam(c))>|c>.
 
     Labels outside the encoding are untouched (y = 0).  XOR of a
     function of C makes the oracle self-inverse.
@@ -177,21 +184,12 @@ class SigmaTauOracle:
     def code_for(self, label: int) -> int:
         return self.y_codes.get(label, 0)
 
-    def permutation(self) -> np.ndarray:
-        t, m = self.t_bits, self.m_bits
-        labels = np.arange(1 << (m + t), dtype=np.int64)
-        c_part = labels & ((1 << t) - 1)
-        l_part = labels >> t
-        y_arr = np.zeros(1 << t, dtype=np.int64)
-        for c, code in self.y_codes.items():
-            y_arr[c] = code
-        return ((l_part ^ y_arr[c_part]) << t) | c_part
-
     def apply(self, state: QuantumState, layout: RegisterLayout) -> QuantumState:
         if len(layout.reg_L) != self.m_bits or len(layout.reg_C) != self.t_bits:
             raise ValidationError("oracle widths do not match layout")
-        qubits = [*layout.reg_L, *layout.reg_C]
-        return sim.apply_basis_oracle(state, qubits, self.permutation())
+        sim.apply_basis_oracle(state, layout.reg_L, layout.reg_C, self.y_codes)
+        sim.check_norm(state)
+        return state
 
 
 def build_sigma_tau_oracle(
@@ -209,10 +207,11 @@ def build_sigma_tau_oracle(
         decoded = encoding.decode(label)
         result = newton_iterate(cfg, tau, decoded)
         if not result.converged:
-            ratio = math.sqrt(decoded) / tau
+            ratio, limit = math.sqrt(decoded) / tau, cfg.max_ratio()
             failures.append(
                 f"label {label} (sigma^2={decoded:.6g}, sigma/tau={ratio:.3f}): "
-                f"no convergence in {result.iterations} iterations"
+                f"no convergence in {result.iterations} iterations; smallest admissible"
+                f" tau is sigma/{limit:.3f} = {math.sqrt(decoded) / limit:.6g}"
             )
             continue
         codes[label] = result.code.raw
@@ -244,6 +243,7 @@ def ry_cascade(
     for j, q in enumerate(layout.reg_L, start=1):
         gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
         sim.apply_controlled(state, gate, q, 1, [layout.ancilla])
+    sim.check_norm(state)
     return state
 
 

@@ -7,9 +7,15 @@ Conventions used throughout the package:
   ``(x >> (n - 1 - q)) & 1``.
 * Within a register (a ``range`` of qubit indices) the first qubit is
   the most significant bit of the register's value.
-* Operations mutate the passed state in place and return it.  A state
-  has a single writer at a time; independent states may be driven from
-  different threads freely.
+* Operations mutate the flat amplitudes in place through reshape views
+  split at register edges: a gate on qubits lo..lo+k-1 sees
+  ``(2**lo, 2**k, rest)``, a control is one more split axis indexed by
+  its value, and the one kernel writes ``u @ view`` back once.  The
+  circuit only uses contiguous ascending targets; others go through the
+  kernel on a transposed copy.  A state has a single writer at a time.
+* ``apply_unitary`` and ``apply_controlled`` reject a non-unitary matrix.
+  Gates do not check the norm: each stage of the circuit calls
+  :func:`check_norm` once when it ends.
 """
 from __future__ import annotations
 
@@ -80,10 +86,7 @@ class QuantumState:
         return QuantumState(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
+        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
 
 
 def new_state(layout: RegisterLayout, max_qubits: int = MAX_QUBITS) -> QuantumState:
@@ -96,17 +99,11 @@ def new_state(layout: RegisterLayout, max_qubits: int = MAX_QUBITS) -> QuantumSt
     return QuantumState(n, amp)
 
 
-def _check_norm(state: QuantumState) -> None:
+def check_norm(state: QuantumState) -> None:
+    """Stage-boundary guard: the state must still have unit norm."""
     n = state.norm()
     if abs(n - 1.0) > NORM_TOL:
         raise NormalizationError(f"state norm drifted to {n!r}")
-
-
-def _require_unitary(matrix: np.ndarray) -> None:
-    dim = matrix.shape[0]
-    err = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
-    if err > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
 
 
 def _require_targets(state: QuantumState, targets: list[int], dim: int) -> None:
@@ -118,26 +115,76 @@ def _require_targets(state: QuantumState, targets: list[int], dim: int) -> None:
         raise ValidationError(f"matrix dim {dim} does not match {len(targets)} targets")
 
 
-def _apply_on_axes(tensor: np.ndarray, matrix: np.ndarray, axes: list[int]) -> None:
-    k = len(axes)
-    moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    out = (matrix @ moved.reshape(1 << k, -1)).reshape(shape)
-    moved[...] = out
+def _gate(state: QuantumState, matrix, qubits: list[int], controls: int) -> np.ndarray:
+    """``matrix`` as a complex unitary on ``qubits`` less ``controls``."""
+    u = np.asarray(matrix, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or len(u) < 2:
+        raise ValidationError("gate matrix must be square and act on a qubit")
+    _require_targets(state, qubits, u.shape[0] << controls)
+    dev = u.conj().T @ u
+    dev.reshape(-1)[:: len(u) + 1] -= 1.0
+    err = np.abs(dev).max()
+    if err > UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
+    return u
+
+
+def _split(n: int, registers) -> tuple[list[int], list[int]]:
+    """Shape that cuts qubits 0..n-1 at the edges of the given disjoint,
+    non-empty ``(lo, hi)`` qubit ranges, and the axis of each range."""
+    edges = sorted({0, n}.union(*registers))
+    shape = [1 << (b - a) for a, b in zip(edges, edges[1:])]
+    return shape, [edges.index(lo) for lo, _ in registers]
+
+
+def _contiguous(qubits: list[int]) -> bool:
+    return qubits == list(range(qubits[0], qubits[0] + len(qubits)))
+
+
+def _gathered(state: QuantumState, qubits: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A flat copy of the amplitudes with ``qubits`` moved to the front in
+    order, and the transposed view of the state to write it back through."""
+    n = state.n_qubits
+    order = qubits + [q for q in range(n) if q not in qubits]
+    view = state.amplitudes.reshape((2,) * n).transpose(order)
+    return view.reshape(-1), view
+
+
+def _kernel(amps: np.ndarray, n: int, u: np.ndarray, lo: int, control=None, value=1) -> None:
+    """amps <- u on qubits lo..lo+k-1 where ``control`` reads ``value``."""
+    controlled = [] if control is None else [(control, control + 1)]
+    shape, axes = _split(n, [(lo, lo + len(u).bit_length() - 1)] + controlled)
+    index = [slice(None)] * len(shape)
+    if controlled:
+        index[axes[1]] = value
+    view = amps.reshape(shape)[tuple(index)]
+    axis = axes[0] - (control is not None and control < lo)
+    if axis == view.ndim - 1:
+        view[...] = view @ u.T
+    else:
+        view = view.swapaxes(axis, -2)
+        view[...] = u @ view
+
+
+def _apply(state: QuantumState, matrix, targets, control=None, value=1) -> QuantumState:
+    """Validate the gate and run the kernel: in place on contiguous
+    ascending targets, else on a copy with the qubits moved to the front."""
+    targets = list(targets)
+    front = targets + ([] if control is None else [control])
+    u = _gate(state, matrix, front, len(front) - len(targets))
+    if _contiguous(targets):
+        _kernel(state.amplitudes, state.n_qubits, u, targets[0], control, value)
+        return state
+    flat, view = _gathered(state, front)
+    _kernel(flat, state.n_qubits, u, 0, None if control is None else len(targets), value)
+    view[...] = flat.reshape(view.shape)
+    return state
 
 
 def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
     """Apply ``matrix`` on ``targets`` (first target = most significant
     bit of the gate's label) and identity elsewhere."""
-    u = np.asarray(matrix, dtype=complex)
-    targets = list(targets)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("gate matrix must be square")
-    _require_targets(state, targets, u.shape[0])
-    _require_unitary(u)
-    _apply_on_axes(state._tensor(), u, targets)
-    _check_norm(state)
-    return state
+    return _apply(state, matrix, targets)
 
 
 def apply_controlled(
@@ -149,113 +196,78 @@ def apply_controlled(
 ) -> QuantumState:
     """Apply ``matrix`` on ``targets`` only where ``control_qubit``
     equals ``control_value``."""
-    u = np.asarray(matrix, dtype=complex)
     targets = list(targets)
     if control_qubit in targets:
         raise ValidationError("control qubit overlaps targets")
     if control_value not in (0, 1):
         raise ValidationError("control value must be 0 or 1")
-    _require_targets(state, targets + [control_qubit], 2 * u.shape[0])
-    _require_unitary(u)
-    tensor = state._tensor()
-    index = [slice(None)] * state.n_qubits
-    index[control_qubit] = control_value
-    sub = tensor[tuple(index)]
-    remapped = [t - (t > control_qubit) for t in targets]
-    _apply_on_axes(sub, u, remapped)
-    _check_norm(state)
-    return state
+    return _apply(state, matrix, targets, control_qubit, control_value)
 
 
-def complete_permutation(mapping: dict[int, int], width: int) -> np.ndarray:
-    """Complete a partial injective label map to a full permutation.
+def _register(state: QuantumState, reg) -> tuple[int, int]:
+    """(first qubit, width) of a non-empty contiguous ascending register."""
+    reg = list(reg)
+    _require_targets(state, reg, 1 << len(reg))
+    if not reg or not _contiguous(reg):
+        raise ValidationError("register must be non-empty contiguous ascending qubits")
+    return reg[0], len(reg)
 
-    Canonical completion: unmapped labels keep their value when that
-    value is still free, otherwise they take the smallest free target,
-    in ascending label order.
+
+def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState:
+    """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on registers L and C.
+
+    ``codes`` maps C labels to L codes; labels it omits leave L as it
+    is.  The oracle is self-inverse.  Each nonzero code is one gather
+    along the L axis of the slice C = c, so nothing the size of the
+    state is allocated.
     """
-    size = 1 << width
-    perm = np.full(size, -1, dtype=np.int64)
-    used = set()
-    for src, dst in mapping.items():
-        if not (0 <= src < size and 0 <= dst < size):
-            raise ValidationError("label map entry out of range")
-        if dst in used:
-            raise ValidationError("label map is not injective")
-        perm[src] = dst
-        used.add(dst)
-    free = sorted(set(range(size)) - used)
-    free_set = set(free)
-    cursor = 0
-    for src in range(size):
-        if perm[src] >= 0:
-            continue
-        if src in free_set:
-            perm[src] = src
-            free_set.remove(src)
-        else:
-            while free[cursor] not in free_set:
-                cursor += 1
-            perm[src] = free[cursor]
-            free_set.remove(free[cursor])
-    return perm
-
-
-def apply_basis_oracle(state: QuantumState, qubits, mapping) -> QuantumState:
-    """Permute basis labels of the given register set.
-
-    ``mapping`` is either a partial injective dict (completed
-    canonically, see :func:`complete_permutation`) or a full
-    permutation array of length ``2**len(qubits)``.
-    """
-    qubits = list(qubits)
-    w = len(qubits)
-    _require_targets(state, qubits, 1 << w)
-    if isinstance(mapping, dict):
-        perm = complete_permutation(mapping, w)
-    else:
-        perm = np.asarray(mapping, dtype=np.int64)
-        if perm.shape != (1 << w,) or len(np.unique(perm)) != 1 << w:
-            raise ValidationError("oracle map is not a permutation")
-    n = state.n_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    label = np.zeros_like(idx)
-    for i, q in enumerate(qubits):
-        label |= ((idx >> (n - 1 - q)) & 1) << (w - 1 - i)
-    new_label = perm[label]
-    out = idx
-    for i, q in enumerate(qubits):
-        pos = n - 1 - q
-        bit = (new_label >> (w - 1 - i)) & 1
-        out = (out & ~(1 << pos)) | (bit << pos)
-    new_amp = np.empty_like(state.amplitudes)
-    new_amp[out] = state.amplitudes
-    state.amplitudes = new_amp
-    _check_norm(state)
+    (l_lo, m), (c_lo, t) = _register(state, reg_L), _register(state, reg_C)
+    _require_targets(state, [*reg_L, *reg_C], 1 << (m + t))
+    bad = [(c, y) for c, y in codes.items() if not (0 <= c < 1 << t and 0 <= y < 1 << m)]
+    if bad:
+        raise ValidationError(f"oracle label/code out of range: {bad}")
+    shape, (l_axis, c_axis) = _split(state.n_qubits, [(l_lo, l_lo + m), (c_lo, c_lo + t)])
+    view = state.amplitudes.reshape(shape)
+    index = [slice(None)] * len(shape)
+    for c, y in codes.items():
+        if y:
+            index[c_axis] = c
+            block = view[tuple(index)]
+            block[...] = np.take(block, np.arange(1 << m) ^ y, axis=l_axis - (c_axis < l_axis))
     return state
 
 
 def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
     """Load a unit vector into one register; all other qubits must be 0."""
-    reg = list(reg)
-    w = len(reg)
+    lo, w = _register(state, reg)
     vec = np.asarray(amplitudes, dtype=complex)
     if vec.shape != (1 << w,):
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
     if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
         raise ValidationError("register content must have unit norm")
-    tensor = state._tensor()
-    moved = np.moveaxis(tensor, reg, range(w))
-    shape = moved.shape
-    flat = moved.reshape(1 << w, -1)
-    off_mass = float(np.sum(np.abs(flat[:, 1:]) ** 2))
-    if off_mass > 1e-12:
+    view = state.amplitudes.reshape(1 << lo, 1 << w, -1)
+    on = view[0, :, 0]
+    if state.norm() ** 2 - np.vdot(on, on).real > 1e-12:
         raise ValidationError("other registers are not in |0>")
-    new = np.zeros_like(flat)
-    new[:, 0] = vec
-    moved[...] = new.reshape(shape)
-    _check_norm(state)
+    state.amplitudes.fill(0.0)
+    view[0, :, 0] = vec
+    check_norm(state)
     return state
+
+
+def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
+    """Mass of each label of qubits lo..lo+w-1, without a temporary."""
+    x = amps.view(np.float64).reshape(1 << lo, 1 << w, -1)
+    return np.einsum("awr,awr->w", x, x)
+
+
+def register_mass(state: QuantumState, qubits) -> np.ndarray:
+    """Probability of each label of the given register set."""
+    qubits = list(qubits)
+    _require_targets(state, qubits, 1 << len(qubits))
+    if qubits and _contiguous(qubits):
+        return _mass(state.amplitudes, qubits[0], len(qubits))
+    return _mass(_gathered(state, qubits)[0], 0, len(qubits))
 
 
 def post_select(
@@ -270,18 +282,14 @@ def post_select(
     if value not in (0, 1):
         raise ValidationError("measurement value must be 0 or 1")
     _require_targets(state, [qubit], 2)
-    tensor = state._tensor()
-    index = [slice(None)] * state.n_qubits
-    index[qubit] = value
-    prob = float(np.sum(np.abs(tensor[tuple(index)]) ** 2))
+    prob = float(_mass(state.amplitudes, qubit, 1)[value])
     if prob < floor:
         raise FullyThresholdedError(
             f"outcome probability {prob:.3e} below floor {floor:.3e}"
         )
-    index[qubit] = 1 - value
-    tensor[tuple(index)] = 0.0
+    state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1 - value] = 0.0
     state.amplitudes /= np.sqrt(prob)
-    _check_norm(state)
+    check_norm(state)
     return state, prob
 
 
@@ -290,12 +298,3 @@ def overlap(a: QuantumState, b: QuantumState) -> complex:
     if a.n_qubits != b.n_qubits:
         raise ValidationError("states have different dimensions")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def register_mass(state: QuantumState, qubits) -> np.ndarray:
-    """Probability of each label of the given register set."""
-    qubits = list(qubits)
-    w = len(qubits)
-    moved = np.moveaxis(state._tensor(), qubits, range(w))
-    flat = moved.reshape(1 << w, -1)
-    return np.sum(np.abs(flat) ** 2, axis=1)

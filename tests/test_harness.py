@@ -228,6 +228,23 @@ def test_config_file_defaults_and_cli_override(tmp_path, capsys):
     assert "reporting mode" in out  # config tau=0.4 is not the reference run
 
 
+def test_config_file_explicit_flag_wins(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tau=0.4\n")
+    rc = harness.main(["example", "--config", str(cfgfile), "--tau", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("PASS") == 3
+
+
+def test_cmd_example_outside_newton_basin_names_admissible_tau(capsys):
+    rc = harness.main(["example", "--tau", "0.4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "sigma/tau=5.000" in err
+    assert "smallest admissible tau is sigma/4.000 = 0.5" in err
+
+
 def test_wall_time_blank_by_default(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert harness.main(["sweep", "--n", "2", "--out", str(out)]) == 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import pipeline, spectral
-from qsvt.errors import ConvergenceError, FullyThresholdedError
+from qsvt import pipeline, qpe, sim, spectral
+from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 from qsvt.rotation import NewtonConfig
 
@@ -214,3 +214,20 @@ def test_fully_thresholded_rejected_before_simulation():
     a0 = random_lowrank(2, 2, 1, seed=33, sigma=(1.0,))
     with pytest.raises(FullyThresholdedError):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.5))
+
+
+def test_eigenvalue_rounding_to_label_zero_is_a_resolution_error(monkeypatch):
+    # sigma = (7.96, 1.056, 0.194): labels (255, 4, 0) at t_bits 8
+    a0 = random_lowrank(8, 8, 3, 1)
+    sigma = spectral.decompose(a0).sigma
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated before the resolution check")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    with pytest.raises(ValidationError, match="label 0 at t_bits=8"):
+        qpe.choose_t0(sigma**2, 8)
+    with pytest.raises(ValidationError, match="label 0 at t_bits=8"):
+        pipeline.run_pipeline(
+            pipeline.PipelineConfig(a0=a0, tau=0.3 * sigma[0], t_bits=8, m_bits=8)
+        )

@@ -160,11 +160,59 @@ def test_oracle_self_inverse():
     assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
+def permutation_reference(state, layout, oracle):
+    """Reference oracle: the full (L, C) label permutation
+    l, c -> l XOR y(c), c, scattered through state-sized index arrays."""
+    t, m, n = oracle.t_bits, oracle.m_bits, state.n_qubits
+    y = np.zeros(1 << t, dtype=np.int64)
+    for c, code in oracle.y_codes.items():
+        y[c] = code
+    labels = np.arange(1 << (m + t), dtype=np.int64)
+    c_part = labels & ((1 << t) - 1)
+    perm = (((labels >> t) ^ y[c_part]) << t) | c_part
+    qubits = [*layout.reg_L, *layout.reg_C]
+    w = len(qubits)
+    idx = np.arange(1 << n, dtype=np.int64)
+    label = np.zeros_like(idx)
+    for i, q in enumerate(qubits):
+        label |= ((idx >> (n - 1 - q)) & 1) << (w - 1 - i)
+    new_label = perm[label]
+    out = idx
+    for i, q in enumerate(qubits):
+        pos = n - 1 - q
+        out = (out & ~(1 << pos)) | (((new_label >> (w - 1 - i)) & 1) << pos)
+    new_amp = np.empty_like(state.amplitudes)
+    new_amp[out] = state.amplitudes
+    return new_amp
+
+
+def test_oracle_matches_permutation_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    enc, _ = reference_encoding()
+    built = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
+    drawn = rotation.SigmaTauOracle(3, 4, {c: int(rng.integers(8)) for c in (0, 3, 9, 15)}, {})
+    for oracle, layout in ((built, sim.RegisterLayout.standard(3, 3, 2)),
+                           (drawn, sim.RegisterLayout.standard(3, 4, 2)),
+                           (drawn, sim.RegisterLayout(8, range(0, 3), range(3, 7), range(7, 8)))):
+        for _ in range(3):
+            size = 1 << layout.n_qubits
+            amp = rng.normal(size=size) + 1j * rng.normal(size=size)
+            state = sim.QuantumState(layout.n_qubits, amp / np.linalg.norm(amp))
+            expected = permutation_reference(state, layout, oracle)
+            oracle.apply(state, layout)
+            assert np.array_equal(state.amplitudes, expected)
+
+
 def test_oracle_build_aborts_on_nonconvergent_label():
     cfg = qpe.choose_t0([25.0, 1.0], 5)
     enc = qpe.encode([25.0, 1.0], cfg)
     with pytest.raises(ConvergenceError, match="label 25"):
         rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.0)
+    # the message names the edge of the basin, and the label converges there
+    assert rotation.NewtonConfig().max_ratio() == 4.0
+    with pytest.raises(ConvergenceError, match=r"smallest admissible tau is sigma/4\.000 = 1\.25$"):
+        rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.0)
+    assert rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.25)
 
 
 def test_ry_cascade_zero_register_keeps_ancilla_zero():

@@ -139,54 +139,74 @@ def test_apply_controlled_rejects_overlap():
 
 
 def test_basis_oracle_identity():
-    state = random_state(3, 4)
+    # zero codes, and no codes at all, leave every amplitude as it is
+    state = random_state(5, 4)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, [0, 1, 2], {i: i for i in range(8)})
-    assert np.allclose(state.amplitudes, before)
+    sim.apply_basis_oracle(state, [1, 2], [3, 4], {c: 0 for c in range(4)})
+    sim.apply_basis_oracle(state, [1, 2], [3, 4], {})
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_partial_map_on_register_c():
-    # (2|100> + |001>)/sqrt(5) -> (2|110> + |100>)/sqrt(5)
+    # L = qubits 0-1, C = qubit 2, code 10 on C = 1:
+    # (2|01>|1> + |01>|0>)/sqrt(5) -> (2|11>|1> + |01>|0>)/sqrt(5)
     amp = np.zeros(8, dtype=complex)
-    amp[4] = 2 / np.sqrt(5)
-    amp[1] = 1 / np.sqrt(5)
+    amp[0b011] = 2 / np.sqrt(5)
+    amp[0b010] = 1 / np.sqrt(5)
     state = sim.QuantumState(3, amp)
-    sim.apply_basis_oracle(state, [0, 1, 2], {4: 6, 1: 4})
+    sim.apply_basis_oracle(state, [0, 1], [2], {1: 0b10})
     expected = np.zeros(8, dtype=complex)
-    expected[6] = 2 / np.sqrt(5)
-    expected[4] = 1 / np.sqrt(5)
-    assert np.allclose(state.amplitudes, expected)
+    expected[0b111] = 2 / np.sqrt(5)
+    expected[0b010] = 1 / np.sqrt(5)
+    assert np.array_equal(state.amplitudes, expected)
 
 
 def test_basis_oracle_inverse_composition():
+    # XOR of a function of C is its own inverse, bit for bit
     rng = np.random.default_rng(5)
-    perm = rng.permutation(16)
-    inverse = np.argsort(perm)
-    state = random_state(4, 6)
+    codes = {c: int(rng.integers(8)) for c in range(8)}
+    state = random_state(7, 6)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, [0, 1, 2, 3], perm)
-    sim.apply_basis_oracle(state, [0, 1, 2, 3], inverse)
-    assert np.abs(state.amplitudes - before).max() < 1e-12
+    sim.apply_basis_oracle(state, [1, 2, 3], [4, 5, 6], codes)
+    assert not np.array_equal(state.amplitudes, before)
+    sim.apply_basis_oracle(state, [1, 2, 3], [4, 5, 6], codes)
+    assert np.array_equal(state.amplitudes, before)
 
 
-def test_basis_oracle_rejects_non_injective():
-    state = random_state(2, 7)
-    with pytest.raises(ValidationError, match="injective"):
-        sim.apply_basis_oracle(state, [0, 1], {0: 2, 1: 2})
+def test_basis_oracle_rejects_out_of_range_code():
+    state = random_state(4, 7)
+    with pytest.raises(ValidationError, match="out of range"):
+        sim.apply_basis_oracle(state, [0, 1], [2, 3], {0: 4})  # code wider than L
+    with pytest.raises(ValidationError, match="out of range"):
+        sim.apply_basis_oracle(state, [0, 1], [2, 3], {4: 1})  # label wider than C
+    with pytest.raises(ValidationError, match="out of range"):
+        sim.apply_basis_oracle(state, [0, 1], [2, 3], {1: -1})
+    with pytest.raises(ValidationError, match="contiguous"):
+        sim.apply_basis_oracle(state, [0, 2], [3], {1: 1})
 
 
 def test_basis_oracle_on_register_subset():
-    # permuting register C must not touch other registers' content
-    state = random_state(4, 8)
-    mass_before = sim.register_mass(state, [0, 1])
-    sim.apply_basis_oracle(state, [2, 3], {0: 3, 3: 0})
-    assert np.allclose(sim.register_mass(state, [0, 1]), mass_before)
+    # C = qubits 0-1 ahead of L = qubits 3-4, spectators 2 and 5: only L
+    # moves, within each C slice
+    state = random_state(6, 8)
+    before = state.amplitudes.reshape(4, 2, 4, 2).copy()
+    codes = {0: 3, 2: 1, 3: 2}
+    sim.apply_basis_oracle(state, [3, 4], [0, 1], codes)
+    after = state.amplitudes.reshape(4, 2, 4, 2)
+    for c in range(4):
+        moved = np.arange(4) ^ codes.get(c, 0)
+        assert np.array_equal(after[c], before[c][:, moved])
+    assert np.allclose(sim.register_mass(state, [0, 1, 2, 5]),
+                       np.sum(np.abs(before) ** 2, axis=2).reshape(-1))
 
 
-def test_complete_permutation_fixes_free_labels():
-    perm = sim.complete_permutation({4: 6, 1: 4}, 3)
-    assert list(perm) == [0, 4, 2, 3, 6, 5, 1, 7]
-    assert sorted(perm) == list(range(8))
+def test_basis_oracle_unlisted_labels_keep_l():
+    state = random_state(5, 9)
+    before = state.amplitudes.reshape(2, 4, 4).copy()  # (a, L, C)
+    sim.apply_basis_oracle(state, [1, 2], [3, 4], {1: 2})
+    after = state.amplitudes.reshape(2, 4, 4)
+    assert np.array_equal(after[:, :, [0, 2, 3]], before[:, :, [0, 2, 3]])
+    assert np.array_equal(after[:, :, 1], before[:, [2, 3, 0, 1], 1])
 
 
 def test_post_select_deterministic_outcome():
@@ -253,7 +273,8 @@ def test_norm_preserved_over_random_gate_sequences():
             c, t = rng.choice(5, size=2, replace=False)
             sim.apply_controlled(state, sim.hadamard(), int(c), 1, [int(t)])
         else:
-            sim.apply_basis_oracle(state, [0, 1, 2, 3, 4], rng.permutation(32))
+            codes = {c: int(rng.integers(4)) for c in range(8)}
+            sim.apply_basis_oracle(state, [0, 1], [2, 3, 4], codes)
     assert abs(state.norm() - 1.0) < 1e-10
 
 
@@ -280,3 +301,64 @@ def test_controlled_identity_is_noop():
         before = state.amplitudes.copy()
         sim.apply_controlled(state, np.eye(2), 0, 1, [3])
         assert np.allclose(state.amplitudes, before, atol=1e-14)
+
+
+def dense_reference(n, u, targets, control=None, value=1):
+    """The gate as a 2^n x 2^n matrix: a Kronecker product with the
+    (controlled) gate on the front qubits, conjugated by the qubit
+    permutation that brings control and targets to the front."""
+    front = list(targets)
+    if control is not None:
+        proj = np.diag([1.0 - value, float(value)])
+        u = np.kron(proj, u) + np.kron(np.eye(2) - proj, np.eye(len(u)))
+        front = [control] + front
+    op = np.kron(u, np.eye(1 << (n - len(front))))
+    order = front + [q for q in range(n) if q not in front]
+    x = np.arange(1 << n)
+    moved = sum(((x >> (n - 1 - q)) & 1) << (n - 1 - i) for i, q in enumerate(order))
+    perm = np.zeros((1 << n, 1 << n))
+    perm[moved, x] = 1.0
+    return perm.T @ op @ perm
+
+
+def random_unitary(k, rng):
+    z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_gate_kernel_matches_dense_kronecker_reference():
+    rng = np.random.default_rng(15)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        controlled = n > 1 and bool(rng.integers(2))
+        k = int(rng.integers(1, min(3, n - controlled) + 1))
+        if rng.integers(2):
+            lo = int(rng.integers(n - k + 1))
+            qubits = list(range(lo, lo + k))
+            free = [q for q in range(n) if q not in qubits]
+            control = int(rng.choice(free)) if controlled and free else None
+        else:
+            picked = [int(q) for q in rng.permutation(n)[: k + controlled]]
+            qubits, control = picked[:k], (picked[k] if controlled else None)
+        value = int(rng.integers(2))
+        u = random_unitary(k, rng)
+        state = random_state(n, 1000 + trial)
+        expected = dense_reference(n, u, qubits, control, value) @ state.amplitudes
+        if control is None:
+            sim.apply_unitary(state, u, qubits)
+        else:
+            sim.apply_controlled(state, u, control, value, qubits)
+        assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, qubits, control, value)
+        contiguous = qubits == list(range(qubits[0], qubits[0] + k))
+        if control is None:
+            seen.add((contiguous, None))
+        else:
+            where = ("before" if control < min(qubits) else
+                     "after" if control > max(qubits) else "between")
+            seen.add((contiguous, where, value))
+    wanted = {(c, None) for c in (True, False)}
+    wanted |= {(True, w, v) for w in ("before", "after") for v in (0, 1)}
+    wanted |= {(False, w, v) for w in ("before", "between", "after") for v in (0, 1)}
+    assert wanted <= seen, wanted - seen
