@@ -12,12 +12,14 @@ y_k = (1 - tau/sigma_k)_+:
     G'(a) = sum sigma_k^2 y_k^2 cos(y_k a) / sqrt(N1 * N2)
 
 Sums use compensated (fsum) accumulation so large-rank profiles do not
-lose precision.
+lose precision.  N1, N2, sqrt(N1 * N2) and the per-component
+coefficients are computed once per profile; components with y_k = 0 are
+skipped, as they add exact zeros to every sum.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +34,20 @@ _GOLDEN_TOL = 1e-8
 class SpectrumProfile:
     """Singular values (strictly descending) with their shrinkage
     fractions; the first fraction must be positive and strictly larger
-    than the second."""
+    than the second.
+
+    N1, N2, scale = sqrt(N1 * N2) and ``terms``, the coefficients
+    (y, s^2, s^2 y, s^2 y^2) of each component with y > 0, are derived
+    once at construction."""
 
     sigma: tuple[float, ...]
     y: tuple[float, ...]
+    n1: float = field(init=False, repr=False, compare=False)
+    n2: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    terms: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
@@ -50,6 +62,13 @@ class SpectrumProfile:
             raise FullyThresholdedError("largest singular value is thresholded out")
         if len(self.y) > 1 and self.y[0] <= self.y[1]:
             raise ValidationError("first shrinkage gap must be strict")
+        pairs = zip(self.sigma, self.y)
+        terms = tuple((v, s * s, s * s * v, s * s * v * v) for s, v in pairs if v > 0)
+        n1 = math.fsum(s * s for s in self.sigma)
+        n2 = math.fsum(s2y2 for _, _, _, s2y2 in terms)
+        derived = {"n1": n1, "n2": n2, "scale": math.sqrt(n1 * n2), "terms": terms}
+        for name, value in derived.items():  # frozen: set once, here
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
@@ -57,51 +76,38 @@ class SpectrumProfile:
         check_threshold(tau, sig[0])
         return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
 
-    @property
-    def n1(self) -> float:
-        return math.fsum(s * s for s in self.sigma)
 
-    @property
-    def n2(self) -> float:
-        return math.fsum(s * s * v * v for s, v in zip(self.sigma, self.y))
+def _fidelity(profile: SpectrumProfile, alpha: float) -> tuple[float, float, float]:
+    """(N_alpha, the numerator of F and G, F) from one sine per component."""
+    if profile.n2 <= 0:
+        raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
+    sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]
+    nalpha = math.fsum([s2 * sn**2 for s2, _, sn in sines])
+    if nalpha <= 0:
+        raise ValidationError("zero post-selection probability at this alpha")
+    num = math.fsum([c * sn for _, c, sn in sines])
+    return nalpha, num, num / math.sqrt(profile.n2 * nalpha)
 
 
 def probability(profile: SpectrumProfile, alpha: float) -> float:
     """Post-selection success probability P(alpha)."""
-    num = math.fsum(
-        s * s * math.sin(v * alpha) ** 2 for s, v in zip(profile.sigma, profile.y)
-    )
+    num = math.fsum([s2 * math.sin(v * alpha) ** 2 for v, s2, _, _ in profile.terms])
     return num / profile.n1
 
 
 def fidelity_analytic(profile: SpectrumProfile, alpha: float) -> float:
     """Overlap of the rotated output with the exact threshold target."""
-    n2 = profile.n2
-    if n2 <= 0:
-        raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
-    nalpha = math.fsum(
-        s * s * math.sin(v * alpha) ** 2 for s, v in zip(profile.sigma, profile.y)
-    )
-    if nalpha <= 0:
-        raise ValidationError("zero post-selection probability at this alpha")
-    num = math.fsum(
-        s * s * v * math.sin(v * alpha) for s, v in zip(profile.sigma, profile.y)
-    )
-    return num / math.sqrt(n2 * nalpha)
+    return _fidelity(profile, alpha)[2]
 
 
 def g_objective(profile: SpectrumProfile, alpha: float) -> float:
-    num = math.fsum(
-        s * s * v * math.sin(v * alpha) for s, v in zip(profile.sigma, profile.y)
-    )
-    return num / math.sqrt(profile.n1 * profile.n2)
+    num = math.fsum([c * math.sin(v * alpha) for v, _, c, _ in profile.terms])
+    return num / profile.scale
 
 
 def g_derivative(profile: SpectrumProfile, alpha: float) -> float:
-    num = math.fsum(
-        s * s * v * v * math.cos(v * alpha) for s, v in zip(profile.sigma, profile.y)
-    )
-    return num / math.sqrt(profile.n1 * profile.n2)
+    num = math.fsum([c * math.cos(v * alpha) for v, _, _, c in profile.terms])
+    return num / profile.scale
 
 
 @dataclass(frozen=True)
@@ -118,43 +124,53 @@ class AlphaSolution:
 
 
 def _solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
-    return AlphaSolution(
-        method=method,
-        alpha=alpha,
-        P=probability(profile, alpha),
-        F=fidelity_analytic(profile, alpha),
-        G=g_objective(profile, alpha),
-    )
+    nalpha, num, f = _fidelity(profile, alpha)
+    return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
+
+
+def _moment(profile: SpectrumProfile, power: int) -> float:
+    return math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
+
+
+def _intuitive(profile: SpectrumProfile) -> float:
+    return math.pi / (2.0 * profile.y[0])
+
+
+def _taylor2(profile: SpectrumProfile) -> float:
+    denom = _moment(profile, 4)
+    if denom <= 0:
+        raise ValidationError("degenerate denominator in the order-2 solution")
+    return math.sqrt(2.0 * profile.n2 / denom)
+
+
+def _taylor4(profile: SpectrumProfile) -> float:
+    a = _moment(profile, 6) / 24.0
+    b = _moment(profile, 4) / 2.0
+    if a <= 0:
+        raise ValidationError("degenerate leading coefficient in the order-4 solution")
+    disc = b * b - 4.0 * a * profile.n2
+    if disc < 0:
+        raise ValidationError(
+            "negative discriminant in the order-4 solution; fall back to taylor2"
+        )
+    return math.sqrt((b - math.sqrt(disc)) / (2.0 * a))
 
 
 def alpha_intuitive(profile: SpectrumProfile) -> AlphaSolution:
     """Closed form pi / (2 y_1): puts the dominant component on the
     sine peak.  Needs only the largest singular value."""
-    return _solution(profile, "intuitive", math.pi / (2.0 * profile.y[0]))
+    return _solution(profile, "intuitive", _intuitive(profile))
 
 
 def alpha_taylor2(profile: SpectrumProfile) -> AlphaSolution:
     """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
-    denom = math.fsum(s * s * v**4 for s, v in zip(profile.sigma, profile.y))
-    if denom <= 0:
-        raise ValidationError("degenerate denominator in the order-2 solution")
-    return _solution(profile, "taylor2", math.sqrt(2.0 * profile.n2 / denom))
+    return _solution(profile, "taylor2", _taylor2(profile))
 
 
 def alpha_taylor4(profile: SpectrumProfile) -> AlphaSolution:
     """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
     with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
-    a = math.fsum(s * s * v**6 for s, v in zip(profile.sigma, profile.y)) / 24.0
-    b = math.fsum(s * s * v**4 for s, v in zip(profile.sigma, profile.y)) / 2.0
-    c = profile.n2
-    if a <= 0:
-        raise ValidationError("degenerate leading coefficient in the order-4 solution")
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        raise ValidationError(
-            "negative discriminant in the order-4 solution; fall back to taylor2"
-        )
-    return _solution(profile, "taylor4", math.sqrt((b - math.sqrt(disc)) / (2.0 * a)))
+    return _solution(profile, "taylor4", _taylor4(profile))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
@@ -186,13 +202,12 @@ def alpha_numeric(profile: SpectrumProfile) -> AlphaSolution:
     grid = np.linspace(0.0, hi, _GRID_POINTS + 1)[1:]
     sig = np.asarray(profile.sigma)
     yv = np.asarray(profile.y)
-    scale = math.sqrt(profile.n1 * profile.n2)
-    gvals = ((sig**2 * yv) @ np.sin(np.outer(yv, grid))) / scale
+    gvals = ((sig**2 * yv) @ np.sin(np.outer(yv, grid))) / profile.scale
     cell = grid[1] - grid[0]
     candidates = [float(grid[int(np.argmax(gvals))])]
-    for closed in (alpha_intuitive, alpha_taylor2, alpha_taylor4):
+    for closed in (_intuitive, _taylor2, _taylor4):
         try:
-            candidates.append(closed(profile).alpha)
+            candidates.append(closed(profile))
         except (ValidationError, FullyThresholdedError):
             continue
     best = None

@@ -62,13 +62,6 @@ class SimulationResult:
         return self.pe_exact and self.y_repr_exact
 
 
-def _auto_t_bits(eigenvalues: np.ndarray) -> int:
-    rounded = np.rint(eigenvalues)
-    if np.all(np.abs(eigenvalues - rounded) <= 1e-9 * np.maximum(1.0, eigenvalues)):
-        return max(1, int(rounded.max()).bit_length())
-    return 6
-
-
 def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1."""
@@ -86,8 +79,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             warnings.warn(note, stacklevel=2)
 
     lam = spec.sigma.astype(float) ** 2
-    t_bits = cfg.t_bits if cfg.t_bits is not None else _auto_t_bits(lam)
-    pe_cfg = qpe.choose_t0(lam, t_bits)
+    pe_cfg = qpe.choose_t0(lam, cfg.t_bits)
+    t_bits = pe_cfg.t_bits
     encoding = qpe.encode(lam, pe_cfg)
     ncfg = cfg.newton or rotation.NewtonConfig(m_bits=cfg.m_bits)
     if ncfg.m_bits != cfg.m_bits:

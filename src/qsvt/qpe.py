@@ -59,13 +59,15 @@ def _labels_for(eigenvalues: np.ndarray, t0: float, t_bits: int) -> np.ndarray:
     return np.rint(eigenvalues * t0 * (1 << t_bits) / (2.0 * np.pi)).astype(int)
 
 
-def choose_t0(eigenvalues, t_bits: int) -> PhaseEstimationConfig:
+def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     """Pick the evolution step for a spectrum.
 
     Integer eigenvalues below 2**t_bits get t0 = 2 pi / 2**t_bits and
     label c = lam exactly.  Anything else is scaled so the largest
     eigenvalue lands on the top label, with the exactness flag computed
-    from whether every label is integral.
+    from whether every label is integral.  Without t_bits, an integral
+    spectrum gets the bit length of its largest value (so it encodes
+    exactly) and any other spectrum gets 6 bits.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -74,9 +76,11 @@ def choose_t0(eigenvalues, t_bits: int) -> PhaseEstimationConfig:
         raise ValidationError("eigenvalues must be positive")
     if len(np.unique(lam)) != len(lam):
         raise ValidationError("eigenvalues must be distinct")
-    T = 1 << t_bits
     rounded = np.rint(lam)
     integral = np.all(np.abs(lam - rounded) <= ENCODING_TOL * np.maximum(1.0, lam))
+    if t_bits is None:
+        t_bits = max(1, int(rounded.max()).bit_length()) if integral else 6
+    T = 1 << t_bits
     if integral and rounded.max() < T:
         cfg = PhaseEstimationConfig(t_bits, 2.0 * np.pi / T, True)
     else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
+from qsvt import harness
 from qsvt.errors import FullyThresholdedError, ValidationError
 
 REFERENCE = alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], 0.5)
@@ -225,16 +226,140 @@ def test_derivative_positive_at_origin_for_all_profiles():
         assert alpha_mod.g_derivative(profile, 0.0) > 0
 
 
+def sweep_corpus_profiles(seed):
+    """The profiles of the default sweep corpus, as the sweep builds them."""
+    seen = []
+    real = alpha_mod.resolve_alpha
+
+    def capture(profile, method):
+        seen.append(profile)
+        return real(profile, method)
+
+    cfg = harness.SweepConfig(methods=("intuitive",), seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alpha_mod, "resolve_alpha", capture)
+        for index in range(cfg.n_instances):
+            harness.run_sweep_instance(cfg, index)
+    assert len(seen) == cfg.n_instances
+    return seen
+
+
 def test_numeric_dominates_closed_forms():
-    for seed in range(25):
-        profile = random_profile(4000 + seed)
+    # exact: the closed forms are seeded into the search and scored by
+    # the same g_objective that scores every other candidate
+    profiles = [random_profile(4000 + seed) for seed in range(25)]
+    profiles += sweep_corpus_profiles(0) + sweep_corpus_profiles(5)
+    for i, profile in enumerate(profiles):
         num = alpha_mod.alpha_numeric(profile)
         for method in ("intuitive", "taylor2", "taylor4"):
             try:
                 closed = alpha_mod._METHODS[method](profile)
             except (ValidationError, FullyThresholdedError):
                 continue
-            assert num.G >= closed.G - 1e-9, (seed, method)
+            assert num.G >= closed.G, (i, method)
+
+
+def reference_sums(profile, alpha):
+    """N1, N2 and the sums of P, F/G and G' as zip/fsum formulas over
+    every component, thresholded-out ones included."""
+    pairs = list(zip(profile.sigma, profile.y))
+    return (
+        math.fsum(s * s for s in profile.sigma),
+        math.fsum(s * s * v * v for s, v in pairs),
+        math.fsum(s * s * math.sin(v * alpha) ** 2 for s, v in pairs),
+        math.fsum(s * s * v * math.sin(v * alpha) for s, v in pairs),
+        math.fsum(s * s * v * v * math.cos(v * alpha) for s, v in pairs),
+    )
+
+
+def reference_pfg(profile, alpha):
+    """(P, F, G, G') from the reference sums."""
+    n1, n2, nalpha, num, dnum = reference_sums(profile, alpha)
+    scale = math.sqrt(n1 * n2)
+    return nalpha / n1, num / math.sqrt(n2 * nalpha), num / scale, dnum / scale
+
+
+def reference_closed_forms(profile):
+    """The closed-form alphas; taylor4 is absent when its discriminant
+    is negative."""
+    pairs = list(zip(profile.sigma, profile.y))
+    n2 = math.fsum(s * s * v * v for s, v in pairs)
+    m4 = math.fsum(s * s * v**4 for s, v in pairs)
+    m6 = math.fsum(s * s * v**6 for s, v in pairs)
+    out = {"intuitive": math.pi / (2.0 * profile.y[0]), "taylor2": math.sqrt(2.0 * n2 / m4)}
+    a, b = m6 / 24.0, m4 / 2.0
+    disc = b * b - 4.0 * a * n2
+    if disc >= 0:
+        out["taylor4"] = math.sqrt((b - math.sqrt(disc)) / (2.0 * a))
+    return out
+
+
+def reference_numeric(profile):
+    """Grid argmax and closed forms as seeds, each refined by the
+    module's golden section on the reference G."""
+    n1, n2 = reference_sums(profile, 0.0)[:2]
+    grid = np.linspace(0.0, math.pi / profile.y[0], alpha_mod._GRID_POINTS + 1)[1:]
+    sig, yv = np.asarray(profile.sigma), np.asarray(profile.y)
+    gvals = ((sig**2 * yv) @ np.sin(np.outer(yv, grid))) / math.sqrt(n1 * n2)
+    cell = grid[1] - grid[0]
+
+    def g(a):
+        return reference_sums(profile, a)[3] / math.sqrt(n1 * n2)
+
+    best = None
+    seeds = [float(grid[int(np.argmax(gvals))])] + list(reference_closed_forms(profile).values())
+    for seed in seeds:
+        refined = alpha_mod._golden_max(g, max(seed - cell, 1e-12), seed + cell)
+        for a in (refined, seed):
+            if best is None or g(a) > best[1]:
+                best = (a, g(a))
+    return best[0]
+
+
+def reference_profiles():
+    """Rank 1-6 profiles, many with thresholded-out (y = 0) components,
+    plus the default sweep corpus at seed 0."""
+    rng = np.random.default_rng(43)
+    profiles = []
+    for _ in range(150):
+        r = int(rng.integers(1, 7))
+        sigma = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(20.0), r)))[::-1]
+        for i in range(1, r):
+            sigma[i] = min(sigma[i], sigma[i - 1] * (1 - 1e-3))
+        tau = float(rng.uniform(0.02, 0.95) * sigma[0])
+        profiles.append(alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau))
+    profiles += sweep_corpus_profiles(0)
+    ranks = {len(p.sigma) for p in profiles}
+    n_cut = sum(0.0 in p.y for p in profiles)
+    assert ranks == set(range(1, 7)) and 100 <= n_cut <= len(profiles) - 50
+    return profiles
+
+
+def test_theory_matches_zip_fsum_reference_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for profile in reference_profiles():
+        assert (profile.n1, profile.n2) == reference_sums(profile, 0.0)[:2]
+        for a in map(float, rng.uniform(1e-3, 2 * math.pi / profile.y[0], 3)):
+            got = (
+                alpha_mod.probability(profile, a),
+                alpha_mod.fidelity_analytic(profile, a),
+                alpha_mod.g_objective(profile, a),
+                alpha_mod.g_derivative(profile, a),
+            )
+            assert got == reference_pfg(profile, a), (profile, a)
+
+
+def test_resolve_alpha_matches_reference_bit_for_bit():
+    for profile in reference_profiles():
+        want = reference_closed_forms(profile)
+        want["numeric"] = reference_numeric(profile)
+        for method in ("intuitive", "taylor2", "taylor4", "numeric"):
+            sol, note = alpha_mod.resolve_alpha(profile, method)
+            fallback = method not in want
+            alpha = want["taylor2" if fallback else method]
+            assert (sol.method, bool(note)) == ("taylor2" if fallback else method, fallback)
+            assert sol.alpha == alpha, (profile, method)
+            assert (sol.P, sol.F, sol.G) == reference_pfg(profile, alpha)[:3], (profile, method)
 
 
 def test_p_and_f_scale_invariant():

@@ -217,7 +217,7 @@ def test_emit_plot_deterministic(tmp_path):
 
 def test_config_file_defaults_and_cli_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tau=0.4\nseed=7\n")
+    cfgfile.write_text("tau=0.6\nseed=7\n")
     rc = harness.main(["example", "--config", str(cfgfile), "--tau", "0.5"])
     out = capsys.readouterr().out
     assert rc == 0  # CLI tau=0.5 wins, reference assertions hold
@@ -225,7 +225,7 @@ def test_config_file_defaults_and_cli_override(tmp_path, capsys):
     rc = harness.main(["example", "--config", str(cfgfile)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "reporting mode" in out  # config tau=0.4 is not the reference run
+    assert "reporting mode" in out  # config tau=0.6 is not the reference run
 
 
 def test_config_file_explicit_flag_wins(tmp_path, capsys):

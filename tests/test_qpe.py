@@ -44,6 +44,19 @@ def test_choose_t0_inexact_scaled_to_fit():
     assert enc.labels == (31, 10)  # nearest integers of lam * 31 / 3.7
 
 
+def test_choose_t0_automatic_t_bits():
+    # integral spectra get the bit length of the largest value and encode exactly
+    for lam, bits in (([1.0], 1), ([4.0, 1.0], 3), ([7.0, 2.0], 3), ([8.0, 3.0], 4),
+                      ([25.0, 1.0], 5), ([4.0 + 1e-10, 1.0], 3)):
+        cfg = qpe.choose_t0(lam)
+        assert (cfg.t_bits, cfg.exact) == (bits, True)
+        assert cfg == qpe.choose_t0(lam, bits)
+    # any other spectrum gets 6 bits
+    for lam in ([3.7, 1.2], [4.0 + 1e-6, 1.0], [0.5]):
+        cfg = qpe.choose_t0(lam)
+        assert cfg == qpe.choose_t0(lam, 6)
+
+
 def test_choose_t0_rejects_label_collision():
     with pytest.raises(ValidationError, match="collision"):
         qpe.choose_t0([5.0, 5.05], 2)
