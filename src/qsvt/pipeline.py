@@ -69,7 +69,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     spectral.check_threshold(cfg.tau, float(spec.sigma[0]))
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
-    note = ""
+    note, solution = "", None
     if cfg.alpha is not None:
         alpha_value, method = float(cfg.alpha), "explicit"
     else:
@@ -101,8 +101,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     # inexact encodings leave real leakage on L/C; report it instead of
     # treating it as a pass mismatch
     residual_tol = rotation.UNCOMPUTE_TOL if pe_cfg.exact else np.inf
-    rotation.uncompute(state, layout, oracle, pe_cfg, a_pad, tolerance=residual_tol)
-    residual = rotation.uncompute_residual(state, layout)
+    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad, tolerance=residual_tol)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
     dim_b = 1 << b_bits
@@ -128,8 +127,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     return SimulationResult(
         p_sim=float(p_sim),
         f_sim=f_sim,
-        p_analytic=alpha_mod.probability(profile, alpha_value),
-        f_analytic=alpha_mod.fidelity_analytic(profile, alpha_value),
+        # a resolved alpha carries P and F by the same formulas
+        p_analytic=solution.P if solution else alpha_mod.probability(profile, alpha_value),
+        f_analytic=solution.F if solution else alpha_mod.fidelity_analytic(profile, alpha_value),
         alpha=alpha_value,
         alpha_method=method,
         alpha_note=note,

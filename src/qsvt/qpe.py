@@ -12,6 +12,7 @@ cheaper than one control per label.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,14 @@ def encode(eigenvalues, cfg: PhaseEstimationConfig) -> EigenEncoding:
     return EigenEncoding(tuple(lam), tuple(int(c) for c in labels), cfg.t_bits, cfg.t0)
 
 
+@functools.lru_cache(maxsize=8)
 def _dft_matrix(width: int) -> np.ndarray:
+    """The 2^width-point DFT, built once per width and shared read-only."""
     size = 1 << width
     j = np.arange(size)
-    return np.exp(2j * np.pi / size * np.outer(j, j)) / np.sqrt(size)
+    dft = np.exp(2j * np.pi / size * np.outer(j, j)) / np.sqrt(size)
+    dft.flags.writeable = False
+    return dft
 
 
 def qft(state: QuantumState, qubits) -> QuantumState:

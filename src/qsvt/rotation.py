@@ -12,14 +12,13 @@ Fixed-point codes are m-bit binary fractions value = raw / 2**m in
 The Newton iterator instead truncates each step toward zero: an
 iterate that overshoots past 1 is clamped to the top code, and only a
 downward-biased rounding lets it walk back off the clamp to the fixed
-point (nearest-rounding re-rounds to the clamp forever).  All Newton
-arithmetic is exact rational, so two runs agree bit for bit.
+point (nearest-rounding re-rounds to the clamp forever).  With exact integer
+arithmetic over a power-of-two denominator, two runs agree bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -50,15 +49,12 @@ class FixedPointCode:
     def value(self) -> float:
         return self.raw / (1 << self.m_bits)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.raw, 1 << self.m_bits)
-
     @classmethod
     def from_float(cls, x: float, m_bits: int) -> "FixedPointCode":
         """Nearest code, ties toward +inf, clamped into [0, 1 - 2**-m]."""
         scale = 1 << m_bits
-        raw = math.floor(Fraction(x) * scale + Fraction(1, 2))
-        return cls(m_bits, min(max(raw, 0), scale - 1))
+        p, q = x.as_integer_ratio()  # floor(x scale + 1/2), exactly
+        return cls(m_bits, min(max((2 * p * scale + q) // (2 * q), 0), scale - 1))
 
 
 @dataclass(frozen=True)
@@ -103,18 +99,19 @@ class RotationConfig:
             raise ValidationError("d_bits must be at least 1")
 
 
-def cubic_map(y: Fraction, tau: Fraction, sigma_sq: Fraction) -> Fraction:
-    """One unrounded update: -(s^2/(2 t^2))(y-1)^3 + (3/2)y - 1/2."""
-    return (
-        -(sigma_sq / (2 * tau * tau)) * (y - 1) ** 3
-        + Fraction(3, 2) * y
-        - Fraction(1, 2)
-    )
+def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
+    """(k, c) = (q a^2 4^m, p b^2) for tau = a/b, sigma_sq = p/q: 2^m times the
+    update at y = raw/2^m is k (3 raw - 2^m) - c (raw - 2^m)^3 over 2k."""
+    a, b = tau.as_integer_ratio()
+    p, q = sigma_sq.as_integer_ratio()
+    return (q * a * a) << (2 * m_bits), p * b * b
 
 
-def _truncate(value: Fraction, m_bits: int) -> int:
-    scale = 1 << m_bits
-    return min(max(math.floor(value * scale), 0), scale - 1)
+def _step(raw: int, top: int, k: int, c: int) -> tuple[int, int]:
+    """Numerator over 2k of the update at raw/top; next code, floored into [0, top)."""
+    e = raw - top
+    numerator = k * (3 * raw - top) - c * e * e * e
+    return numerator, min(max(numerator // (2 * k), 0), top - 1)
 
 
 def newton_step(y: FixedPointCode, tau: float, sigma_sq: float) -> FixedPointCode:
@@ -122,8 +119,8 @@ def newton_step(y: FixedPointCode, tau: float, sigma_sq: float) -> FixedPointCod
     into [0, 1 - 2**-m].  Excursion guarding lives in newton_iterate."""
     if not tau > 0:
         raise ValidationError("tau must be positive")
-    value = cubic_map(y.as_fraction(), Fraction(tau), Fraction(sigma_sq))
-    return FixedPointCode(y.m_bits, _truncate(value, y.m_bits))
+    k, c = _cubic(tau, sigma_sq, y.m_bits)
+    return FixedPointCode(y.m_bits, _step(y.raw, 1 << y.m_bits, k, c)[1])
 
 
 class NewtonResult(NamedTuple):
@@ -140,32 +137,34 @@ def newton_iterate(cfg: NewtonConfig, tau: float, sigma_sq: float) -> NewtonResu
     alternates (grid-straddled fixed point; the lower code is taken).
     The guard trips when an unclamped iterate exceeds
     cfg.divergence_guard in magnitude, which from initial 1/2 happens
-    exactly when sigma/tau > 4 at the default guard of 1.25.
+    exactly when sigma/tau > 4 at the default guard of 1.25.  It runs
+    in exact integer arithmetic over a power-of-two denominator.
     """
+    return _iterate(cfg, tau, sigma_sq, FixedPointCode.from_float(cfg.initial, cfg.m_bits).raw)
+
+
+def _iterate(cfg: NewtonConfig, tau: float, sigma_sq: float, raw: int) -> NewtonResult:
     if not tau > 0:
         raise ValidationError("tau must be positive")
     if not sigma_sq > 0:
         raise ValidationError("sigma_sq must be positive")
-    m = cfg.m_bits
+    m, top = cfg.m_bits, 1 << cfg.m_bits
     if math.sqrt(sigma_sq) <= tau:
         return NewtonResult(FixedPointCode(m, 0), 0, True)
-    tau_f = Fraction(tau)
-    sig_f = Fraction(sigma_sq)
-    guard = Fraction(cfg.divergence_guard)
-    y = FixedPointCode.from_float(cfg.initial, m)
+    k, c = _cubic(tau, sigma_sq, m)
+    ng, dg = cfg.divergence_guard.as_integer_ratio()
+    bound = 2 * k * top * ng  # |numerator / (2k top)| > ng/dg trips the guard
     prev_raw: int | None = None
     for i in range(1, cfg.max_iterations + 1):
-        value = cubic_map(y.as_fraction(), tau_f, sig_f)
-        if abs(value) > guard:
-            return NewtonResult(y, i, False)
-        raw = _truncate(value, m)
-        if raw == y.raw:
-            return NewtonResult(FixedPointCode(m, raw), i, True)
-        if prev_raw is not None and raw == prev_raw and abs(raw - y.raw) == 1:
-            return NewtonResult(FixedPointCode(m, min(raw, y.raw)), i, True)
-        prev_raw = y.raw
-        y = FixedPointCode(m, raw)
-    return NewtonResult(y, cfg.max_iterations, False)
+        numerator, new = _step(raw, top, k, c)
+        if abs(numerator) * dg > bound:
+            return NewtonResult(FixedPointCode(m, raw), i, False)
+        if new == raw:
+            return NewtonResult(FixedPointCode(m, new), i, True)
+        if new == prev_raw and abs(new - raw) == 1:
+            return NewtonResult(FixedPointCode(m, min(new, raw)), i, True)
+        prev_raw, raw = raw, new
+    return NewtonResult(FixedPointCode(m, raw), cfg.max_iterations, False)
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,10 @@ def build_sigma_tau_oracle(
     codes: dict[int, int] = {}
     iters: dict[int, int] = {}
     failures: list[str] = []
-    for lam, label in zip(encoding.eigenvalues, encoding.labels):
+    initial = FixedPointCode.from_float(cfg.initial, cfg.m_bits).raw
+    for label in encoding.labels:
         decoded = encoding.decode(label)
-        result = newton_iterate(cfg, tau, decoded)
+        result = _iterate(cfg, tau, decoded, initial)
         if not result.converged:
             ratio, limit = math.sqrt(decoded) / tau, cfg.max_ratio()
             failures.append(
@@ -254,14 +254,14 @@ def uncompute(
     pe_cfg: PhaseEstimationConfig,
     a: np.ndarray,
     tolerance: float = UNCOMPUTE_TOL,
-) -> QuantumState:
+) -> tuple[QuantumState, float]:
     """Reverse the oracle and phase estimation, restoring L and C to 0.
 
-    Residual mass on L/C above ``tolerance`` signals a config mismatch
-    between the forward and reverse passes and raises.  Inexact
-    eigenvalue encodings leave genuine residual (the rotation entangles
-    leaked labels); callers in that regime pass a lax tolerance and
-    report the residual instead.
+    Returns the state and the residual mass on L/C (uncompute_residual);
+    above ``tolerance`` it signals a config mismatch between the forward
+    and reverse passes and raises.  Inexact eigenvalue encodings leave
+    genuine residual (the rotation entangles leaked labels); callers in
+    that regime pass a lax tolerance and report the residual instead.
     """
     oracle.apply(state, layout)
     phase_estimate_inverse(state, pe_cfg, layout, a)
@@ -270,7 +270,7 @@ def uncompute(
         raise UncomputeResidualError(
             f"registers L/C hold residual mass {residual:.3e} after uncompute"
         )
-    return state
+    return state, residual
 
 
 def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:

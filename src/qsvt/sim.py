@@ -19,6 +19,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,12 +130,13 @@ def _gate(state: QuantumState, matrix, qubits: list[int], controls: int) -> np.n
     return u
 
 
-def _split(n: int, registers) -> tuple[list[int], list[int]]:
+@functools.lru_cache(maxsize=256)
+def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shape that cuts qubits 0..n-1 at the edges of the given disjoint,
     non-empty ``(lo, hi)`` qubit ranges, and the axis of each range."""
     edges = sorted({0, n}.union(*registers))
-    shape = [1 << (b - a) for a, b in zip(edges, edges[1:])]
-    return shape, [edges.index(lo) for lo, _ in registers]
+    shape = tuple(1 << (b - a) for a, b in zip(edges, edges[1:]))
+    return shape, tuple(edges.index(lo) for lo, _ in registers)
 
 
 def _contiguous(qubits: list[int]) -> bool:
@@ -152,8 +154,8 @@ def _gathered(state: QuantumState, qubits: list[int]) -> tuple[np.ndarray, np.nd
 
 def _kernel(amps: np.ndarray, n: int, u: np.ndarray, lo: int, control=None, value=1) -> None:
     """amps <- u on qubits lo..lo+k-1 where ``control`` reads ``value``."""
-    controlled = [] if control is None else [(control, control + 1)]
-    shape, axes = _split(n, [(lo, lo + len(u).bit_length() - 1)] + controlled)
+    controlled = () if control is None else ((control, control + 1),)
+    shape, axes = _split(n, ((lo, lo + len(u).bit_length() - 1),) + controlled)
     index = [slice(None)] * len(shape)
     if controlled:
         index[axes[1]] = value
@@ -226,7 +228,7 @@ def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState
     bad = [(c, y) for c, y in codes.items() if not (0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
         raise ValidationError(f"oracle label/code out of range: {bad}")
-    shape, (l_axis, c_axis) = _split(state.n_qubits, [(l_lo, l_lo + m), (c_lo, c_lo + t)])
+    shape, (l_axis, c_axis) = _split(state.n_qubits, ((l_lo, l_lo + m), (c_lo, c_lo + t)))
     view = state.amplitudes.reshape(shape)
     index = [slice(None)] * len(shape)
     for c, y in codes.items():

@@ -2,6 +2,7 @@
 vectorized quantum-state embeddings, and exact Hermitian exponentials."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,9 @@ def decompose(a0, tol: float = RANK_TOL) -> SpectralData:
 
 
 def check_threshold(tau: float, sigma_max: float) -> None:
-    """Threshold contract: 0 < tau < sigma_1."""
+    """Threshold contract: tau is a real number with 0 < tau < sigma_1."""
+    if not isinstance(tau, (float, numbers.Real)):  # float first: the common case is cheap
+        raise ValidationError(f"threshold must be a real number, got {tau!r}")
     if not tau > 0:
         raise ValidationError(f"threshold must be positive, got {tau!r}")
     if tau >= sigma_max:
@@ -154,12 +157,12 @@ def load_matrix_text(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValidationError("matrix file must start with a 'p q' line")
-        p, q = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([float(x) for x in line.split()])
-    a = np.array(rows, dtype=float)
+        try:
+            p, q = int(header[0]), int(header[1])
+            rows = [[float(x) for x in line.split()] for line in fh if line.strip()]
+            a = np.array(rows, dtype=float)
+        except ValueError as exc:
+            raise ValidationError(f"malformed matrix file: {exc}") from None
     if a.shape != (p, q):
         raise ValidationError(f"matrix body {a.shape} does not match header ({p}, {q})")
     return a

@@ -55,6 +55,39 @@ def test_cmd_example_rejects_zero_tau(capsys):
     assert "positive" in err
 
 
+MATRIX_FILES = {
+    "small.txt": "2 3\n1 0 0\n0 0.5 0\n",
+    "header_not_int.txt": "2 x\n1 0 0\n0 0.5 0\n",
+    "header_one_field.txt": "2\n1 0 0\n0 0.5 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pipeline", "--matrix", "small.txt"], 2),  # no --tau
+        (["pipeline", "--matrix", "header_not_int.txt", "--tau", "0.1"], 2),
+        (["pipeline", "--matrix", "header_one_field.txt", "--tau", "0.1"], 2),
+        # sigma_1/tau = 10 lies outside the Newton basin
+        (["pipeline", "--matrix", "small.txt", "--tau", "0.1"], 3),
+        (["alpha", "--sigma", "2,1"], 2),  # no --tau
+        (["alpha", "--tau", "0.5"], 2),
+        (["alpha", "--sigma", "2,1", "--matrix", "small.txt", "--tau", "0.5"], 2),
+        (["sweep", "--tau-frac", "1.5", "--n", "2"], 2),
+        (["sweep", "--shape", "3", "--n", "2"], 2),
+    ],
+)
+def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
+    for name, text in MATRIX_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    rc = harness.main(argv)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith("error:")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cmd_sweep_byte_identical_reruns(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

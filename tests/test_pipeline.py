@@ -38,6 +38,14 @@ def test_reference_agreement_in_exact_regime():
     assert res.residual_mass < 1e-9
 
 
+def test_analytic_p_and_f_are_the_resolved_solutions():
+    for method in ("intuitive", "taylor2", "taylor4", "numeric"):
+        res = run_reference(alpha_method=method)
+        profile = alpha_mod.SpectrumProfile.from_sigma_tau(res.sigma, 0.5)
+        assert res.p_analytic == alpha_mod.probability(profile, res.alpha)
+        assert res.f_analytic == alpha_mod.fidelity_analytic(profile, res.alpha)
+
+
 def test_rank_one_peak():
     a0 = random_lowrank(2, 2, 1, seed=20, sigma=(2.0,))
     res = pipeline.run_pipeline(
@@ -214,6 +222,11 @@ def test_fully_thresholded_rejected_before_simulation():
     a0 = random_lowrank(2, 2, 1, seed=33, sigma=(1.0,))
     with pytest.raises(FullyThresholdedError):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.5))
+
+
+def test_missing_tau_rejected_before_simulation():
+    with pytest.raises(ValidationError, match="real number"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix(), tau=None))
 
 
 def test_eigenvalue_rounding_to_label_zero_is_a_resolution_error(monkeypatch):

@@ -92,6 +92,17 @@ def test_iqft_inverts_qft_on_random_states():
         assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
+def test_dft_matrix_is_shared_and_read_only():
+    dft = qpe._dft_matrix(3)
+    assert qpe._dft_matrix(3) is dft
+    assert not dft.flags.writeable
+    with pytest.raises(ValueError):
+        dft[0, 0] = 0.0
+    state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
+    qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
+    assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
+
+
 def test_conditional_evolution_tiny_t0_is_identity():
     data, layout, a_pad = reference_setup()
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,14 @@ def test_fixed_point_code_value_and_rounding():
     # nearest with ties toward +inf
     assert rotation.FixedPointCode.from_float(5.5 / 16, 4).raw == 6
     assert rotation.FixedPointCode.from_float(0.999, 4).raw == 15  # clamped top
+    # against floor(x 2^m + 1/2) in exact rationals, ties and clamps included
+    rng = np.random.default_rng(5)
+    for m in range(1, 13):
+        scale = 1 << m
+        ties = [(k + 0.5) / scale for k in range(-2, scale + 1)]
+        for x in [*ties, *rng.uniform(-0.1, 1.1, 40).tolist()]:
+            exact = math.floor(Fraction(x) * scale + Fraction(1, 2))
+            assert rotation.FixedPointCode.from_float(x, m).raw == min(max(exact, 0), scale - 1)
 
 
 def test_newton_step_fixed_point_identity():
@@ -30,20 +40,86 @@ def test_newton_step_fixed_point_identity():
     assert rotation.newton_step(y, 0.5, 1.0).raw == y.raw
 
 
+def cubic_map(y: Fraction, tau: Fraction, sigma_sq: Fraction) -> Fraction:
+    """Reference update in exact rationals: -(s^2/(2 t^2))(y-1)^3 + (3/2)y - 1/2."""
+    return (
+        -(sigma_sq / (2 * tau * tau)) * (y - 1) ** 3
+        + Fraction(3, 2) * y
+        - Fraction(1, 2)
+    )
+
+
+def truncate_reference(value: Fraction, m_bits: int) -> int:
+    scale = 1 << m_bits
+    return min(max(math.floor(value * scale), 0), scale - 1)
+
+
+def newton_iterate_reference(cfg, tau, sigma_sq, exits):
+    """The Newton iteration in Fraction arithmetic: (raw, iterations,
+    converged).  Counts in ``exits`` how it ended and how often a step
+    was clamped."""
+    m = cfg.m_bits
+    if math.sqrt(sigma_sq) <= tau:
+        exits["thresholded"] += 1
+        return 0, 0, True
+    tau_f, sig_f, guard = Fraction(tau), Fraction(sigma_sq), Fraction(cfg.divergence_guard)
+    raw = code_of(cfg.initial, m).raw
+    prev = None
+    for i in range(1, cfg.max_iterations + 1):
+        value = cubic_map(Fraction(raw, 1 << m), tau_f, sig_f)
+        if abs(value) > guard:
+            exits["guard"] += 1
+            return raw, i, False
+        new = truncate_reference(value, m)
+        if new != math.floor(value * (1 << m)):
+            exits["clamp"] += 1
+        if new == raw:
+            exits["fixed"] += 1
+            return new, i, True
+        if new == prev and abs(new - raw) == 1:
+            exits["pair"] += 1
+            return min(new, raw), i, True
+        prev, raw = raw, new
+    exits["max_iterations"] += 1
+    return raw, cfg.max_iterations, False
+
+
 def test_newton_step_overshoot_clamps_to_top_code():
     # cubic value from y=1/2 at sigma=2, tau=1/2 is
     # -(4/0.5)(-0.125) + 0.75 - 0.5 = 1.25, clamped to 1 - 2^-m
     y = code_of(0.5, 8)
     out = rotation.newton_step(y, 0.5, 4.0)
     assert out.raw == 255
-    value = rotation.cubic_map(y.as_fraction(), *map(_frac, (0.5, 4.0)))
-    assert float(value) == pytest.approx(1.25)
+    value = cubic_map(Fraction(y.raw, 256), Fraction(0.5), Fraction(4.0))
+    assert value == Fraction(5, 4)
 
 
-def _frac(x):
-    from fractions import Fraction
-
-    return Fraction(x)
+def test_integer_newton_matches_fraction_reference():
+    exits = Counter()
+    configs = (
+        {},
+        {"initial": 0.3, "divergence_guard": 1.6},
+        {"initial": 0.75, "max_iterations": 3},
+    )
+    for m in range(1, 11):
+        for extra in configs:
+            cfg = rotation.NewtonConfig(m_bits=m, **extra)
+            for tau in (0.1, 0.37, 0.93, 1.7):
+                for ratio in np.linspace(0.2, 4.6, 23):
+                    sigma_sq = float((ratio * tau) ** 2)
+                    res = rotation.newton_iterate(cfg, tau, sigma_sq)
+                    expected = newton_iterate_reference(cfg, tau, sigma_sq, exits)
+                    assert (res.code.raw, res.iterations, res.converged) == expected
+        for tau in (0.37, 1.7):
+            for ratio in (0.6, 1.3, 2.9, 4.4):
+                sigma_sq = float((ratio * tau) ** 2)
+                for raw in range(1 << m):
+                    y = rotation.FixedPointCode(m, raw)
+                    expected = cubic_map(Fraction(raw, 1 << m), Fraction(tau), Fraction(sigma_sq))
+                    got = rotation.newton_step(y, tau, sigma_sq)
+                    assert got.raw == truncate_reference(expected, m)
+    for kind in ("thresholded", "guard", "clamp", "fixed", "pair", "max_iterations"):
+        assert exits[kind] > 0, kind
 
 
 def test_newton_step_threshold_boundary_fixed_point_zero():
@@ -203,6 +279,14 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
             assert np.array_equal(state.amplitudes, expected)
 
 
+def test_oracle_codes_on_the_circuit_large_spectrum():
+    lam = [3.1**2, 2.2**2, 1.3**2]
+    enc = qpe.encode(lam, qpe.choose_t0(lam, 8))
+    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 0.93)
+    assert oracle.y_codes == {255: 179, 128: 147, 45: 73}
+    assert oracle.iterations == {255: 8, 128: 3, 45: 4}
+
+
 def test_oracle_build_aborts_on_nonconvergent_label():
     cfg = qpe.choose_t0([25.0, 1.0], 5)
     enc = qpe.encode([25.0, 1.0], cfg)
@@ -320,8 +404,10 @@ def reference_forward_state():
 
 def test_uncompute_clears_l_and_c():
     _, layout, state, oracle, pe_cfg, a_pad, _ = reference_forward_state()
-    rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
-    assert rotation.uncompute_residual(state, layout) < 1e-9
+    out, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
+    assert out is state
+    assert residual == rotation.uncompute_residual(state, layout)
+    assert residual < 1e-9
 
 
 def test_uncompute_leaves_ancilla_entangled_with_b_only():
@@ -350,3 +436,8 @@ def test_uncompute_detects_mismatched_tau():
     )
     with pytest.raises(UncomputeResidualError):
         rotation.uncompute(state, layout, wrong, pe_cfg, a_pad)
+    # with the check relaxed, the returned residual is the mass off |0>
+    _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
+    _, residual = rotation.uncompute(state, layout, wrong, pe_cfg, a_pad, tolerance=np.inf)
+    assert residual > 1e-3
+    assert residual == rotation.uncompute_residual(state, layout)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ def test_classical_svt_rejects_tau_out_of_range():
         spectral.classical_svt(data, -0.1)
     with pytest.raises(FullyThresholdedError):
         spectral.classical_svt(data, 2.5)
+
+
+def test_check_threshold_rejects_a_tau_that_is_not_a_real_number():
+    for tau in (None, "0.5", 0.5j, [0.5]):
+        with pytest.raises(ValidationError, match="real number"):
+            spectral.check_threshold(tau, 2.0)
+    for tau in (0.5, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        spectral.check_threshold(tau, 2.0)
 
 
 def test_shrunk_values_match_elementwise_max():
@@ -196,3 +206,12 @@ def test_matrix_text_rejects_shape_mismatch(tmp_path):
     path.write_text("2 2\n1 2\n")
     with pytest.raises(ValidationError):
         spectral.load_matrix_text(path)
+
+
+def test_matrix_text_rejects_malformed_files(tmp_path):
+    path = tmp_path / "bad.txt"
+    # a header that is not two integers, a non-numeric entry, a ragged body
+    for text in ("2 x\n1 2\n3 4\n", "2\n1 2\n3 4\n", "2 2\n1 a\n3 4\n", "2 2\n1 2\n3\n"):
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            spectral.load_matrix_text(path)
