@@ -9,23 +9,18 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import alpha as alpha_mod
 from . import pipeline as pipeline_mod
 from . import spectral
-from .errors import (
-    ConvergenceError,
-    FullyThresholdedError,
-    NormalizationError,
-    QsvtError,
-    UncomputeResidualError,
-    ValidationError,
-)
+from .errors import FullyThresholdedError, QsvtError, ValidationError
 
 MATRIX_FORMAT_HELP = """\
 Matrix file format (plain text):
@@ -58,6 +53,12 @@ CSV_COLUMNS = [
     "wall_time_s",
     "error",
 ]
+
+ALPHA_METHODS = ("intuitive", "taylor2", "taylor4", "numeric")
+
+# the default sweep corpus: p, q and the rank are drawn from these, ends included
+SWEEP_DIM_RANGE = (2, 6)
+SWEEP_RANK_RANGE = (1, 4)
 
 _PALETTE = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad"]
 
@@ -106,9 +107,6 @@ def example_matrix(seed=7) -> np.ndarray:
 @dataclass
 class SweepConfig:
     n_instances: int = 120
-    p_range: tuple[int, int] = (2, 6)
-    q_range: tuple[int, int] = (2, 6)
-    rank_range: tuple[int, int] = (1, 4)
     tau: float | None = None
     tau_frac: float = 0.3
     methods: tuple[str, ...] = ("intuitive", "taylor2")
@@ -127,10 +125,10 @@ class SweepConfig:
             raise ValidationError("n_instances must be at least 1")
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
-        if self.simulate and (self.t_bits > 8 or self.rank_range[1] > 8):
+        if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
         for m in self.methods:
-            if m not in ("intuitive", "taylor2", "taylor4", "numeric"):
+            if m not in ALPHA_METHODS:
                 raise ValidationError(f"unknown alpha method {m!r}")
 
 
@@ -165,29 +163,7 @@ class ExperimentRecord:
                 return format(x, ".12g")
             return str(x)
 
-        return [
-            fmt(v)
-            for v in (
-                self.instance,
-                self.seed,
-                self.p,
-                self.q,
-                self.r,
-                self.tau,
-                self.alpha_method,
-                self.alpha,
-                self.p_analytic,
-                self.f_analytic,
-                self.p_sim,
-                self.f_sim,
-                self.newton_iterations,
-                self.t_bits,
-                self.m_bits,
-                self.exact,
-                self.wall_time_s,
-                self.error,
-            )
-        ]
+        return [fmt(getattr(self, f.name)) for f in fields(self)]
 
 
 def _instance_seed(cfg: SweepConfig, index: int) -> int:
@@ -202,13 +178,13 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     if cfg.shape is not None:
         p, q = cfg.shape
     else:
-        p = int(rng.integers(cfg.p_range[0], cfg.p_range[1] + 1))
-        q = int(rng.integers(cfg.q_range[0], cfg.q_range[1] + 1))
+        p = int(rng.integers(SWEEP_DIM_RANGE[0], SWEEP_DIM_RANGE[1] + 1))
+        q = int(rng.integers(SWEEP_DIM_RANGE[0], SWEEP_DIM_RANGE[1] + 1))
     if cfg.rank is not None:
         r = cfg.rank
     else:
-        hi = min(p, q, cfg.rank_range[1])
-        lo = min(cfg.rank_range[0], hi)
+        hi = min(p, q, SWEEP_RANK_RANGE[1])
+        lo = min(SWEEP_RANK_RANGE[0], hi)
         r = int(rng.integers(lo, hi + 1))
     records = []
     try:
@@ -256,20 +232,15 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     return records
 
 
-def _sweep_worker(payload: tuple[SweepConfig, int]) -> list[ExperimentRecord]:
-    cfg, index = payload
-    return run_sweep_instance(cfg, index)
-
-
 def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     """Execute every instance (optionally in a worker pool) and return
     records sorted by instance id and method order."""
-    payloads = [(cfg, i) for i in range(cfg.n_instances)]
+    indices = range(cfg.n_instances)
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_sweep_worker, payloads))
+            chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
     else:
-        chunks = [run_sweep_instance(cfg, i) for i in range(cfg.n_instances)]
+        chunks = [run_sweep_instance(cfg, i) for i in indices]
     records = [rec for chunk in chunks for rec in chunk]
     order = {m: i for i, m in enumerate(cfg.methods)}
     records.sort(key=lambda rec: (rec.instance, order.get(rec.alpha_method, 99)))
@@ -396,24 +367,25 @@ def emit_plot(records: list[ExperimentRecord], path) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def cmd_example(args) -> int:
-    a0 = example_matrix(args.seed)
-    try:
-        result = pipeline_mod.run_pipeline(
-            pipeline_mod.PipelineConfig(
-                a0=a0,
-                tau=args.tau,
-                t_bits=args.t_bits,
-                m_bits=args.m_bits,
-                alpha=args.alpha,
-                alpha_method=args.alpha_method,
-                shots=args.shots,
-                seed=args.seed,
-            )
+def _run(args, a0: np.ndarray) -> pipeline_mod.SimulationResult:
+    """One circuit run of ``a0`` with the flags that ``example`` and
+    ``pipeline`` share."""
+    return pipeline_mod.run_pipeline(
+        pipeline_mod.PipelineConfig(
+            a0=a0,
+            tau=args.tau,
+            t_bits=args.t_bits,
+            m_bits=args.m_bits,
+            alpha=args.alpha,
+            alpha_method=args.alpha_method,
+            shots=args.shots,
+            seed=args.seed,
         )
-    except QsvtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    )
+
+
+def cmd_example(args) -> int:
+    result = _run(args, example_matrix(args.seed))
     unnorm = np.abs(result.triple_amplitudes)
     print(f"alpha          = {result.alpha:.6f} ({result.alpha_method})")
     print(f"P (simulated)  = {result.p_sim:.6f}   P (analytic) = {result.p_analytic:.6f}")
@@ -483,7 +455,7 @@ def cmd_sweep(args) -> int:
     if summary["n_errors"]:
         print(f"{summary['n_errors']} record(s) carry per-instance errors")
     if args.plot:
-        plot_path = args.out.replace(".csv", ".svg") if args.plot == "auto" else args.plot
+        plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
         emit_plot(records, plot_path)
         print(f"wrote plot to {plot_path}")
     return 0
@@ -500,7 +472,7 @@ def cmd_alpha(args) -> int:
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(sigma, args.tau)
     print(f"sigma = {np.array2string(np.asarray(sigma), precision=6)}  tau = {args.tau}")
     print(f"{'method':<10} {'alpha':>12} {'P':>10} {'F':>10} {'G':>10}")
-    for method in ("intuitive", "taylor2", "taylor4", "numeric"):
+    for method in ALPHA_METHODS:
         solution, note = alpha_mod.resolve_alpha(profile, method)
         suffix = f"  [{note}]" if note else ""
         print(
@@ -511,21 +483,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    a0 = spectral.load_matrix_text(args.matrix)
-    result = pipeline_mod.run_pipeline(
-        pipeline_mod.PipelineConfig(
-            a0=a0,
-            tau=args.tau,
-            t_bits=args.t_bits,
-            m_bits=args.m_bits,
-            alpha=args.alpha,
-            alpha_method=args.alpha_method,
-            shots=args.shots,
-            seed=args.seed,
-        )
-    )
-    spec = spectral.decompose(a0)
-    report = pipeline_mod.verify_against_classical(result, spec, args.tau)
+    result = _run(args, spectral.load_matrix_text(args.matrix))
+    report = pipeline_mod.verify_against_classical(result, result.spec, args.tau)
     print(f"alpha = {result.alpha:.8f} ({result.alpha_method})")
     print(f"P_sim = {result.p_sim:.10f}   P_analytic = {result.p_analytic:.10f}")
     print(f"F_sim = {result.f_sim:.10f}   F_analytic = {result.f_analytic:.10f}")
@@ -557,17 +516,12 @@ def _parse_shape(text):
 def _parse_sigma(text):
     if text is None:
         return None
-    if isinstance(text, tuple):
-        return text
     return tuple(float(x) for x in text.split(","))
 
 
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, (ConvergenceError, UncomputeResidualError, NormalizationError)):
-        return 3
-    if isinstance(exc, (ValidationError, FullyThresholdedError)):
-        return 2
-    return 3
+def _exit_code(exc: QsvtError) -> int:
+    """2 for invalid input, 3 for a numerical guard."""
+    return 2 if isinstance(exc, (ValidationError, FullyThresholdedError)) else 3
 
 
 _CONFIGURABLE = {
@@ -615,23 +569,26 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tau_default=None):
+    def common(p, cmd, tau_default=None):
+        p.set_defaults(func=cmd)
         p.add_argument("--config", help="key=value defaults file; CLI flags override")
         p.add_argument("--tau", type=float, default=tau_default)
         p.add_argument("--seed", type=int, default=7)
 
+    def run_flags(p, t_bits, m_bits, alpha_help=None):
+        """The circuit-run flags of ``example`` and ``pipeline``."""
+        p.add_argument("--alpha", type=float, default=None, help=alpha_help)
+        p.add_argument("--alpha-method", default="intuitive", choices=ALPHA_METHODS)
+        p.add_argument("--t-bits", type=int, default=t_bits)
+        p.add_argument("--m-bits", type=int, default=m_bits)
+        p.add_argument("--shots", type=int, default=None)
+
     ex = sub.add_parser("example", help="run the 2x3 sigma=(2,1) reference instance")
-    common(ex, tau_default=0.5)
-    ex.add_argument("--alpha", type=float, default=None,
-                    help="explicit alpha (reporting mode, no assertions)")
-    ex.add_argument("--alpha-method", default="intuitive",
-                    choices=["intuitive", "taylor2", "taylor4", "numeric"])
-    ex.add_argument("--t-bits", type=int, default=3)
-    ex.add_argument("--m-bits", type=int, default=2)
-    ex.add_argument("--shots", type=int, default=None)
+    common(ex, cmd_example, tau_default=0.5)
+    run_flags(ex, 3, 2, alpha_help="explicit alpha (reporting mode, no assertions)")
 
     sw = sub.add_parser("sweep", help="randomized low-rank instance sweep")
-    common(sw)
+    common(sw, cmd_sweep)
     sw.add_argument("--n", type=int, default=120)
     sw.add_argument("--tau-frac", type=float, default=0.3,
                     help="tau as a fraction of sigma_1 (ignored when --tau is set)")
@@ -651,19 +608,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                     help="emit an SVG next to the CSV (or at the given path)")
 
     al = sub.add_parser("alpha", help="alpha-method comparison table")
-    common(al)
+    common(al, cmd_alpha)
     al.add_argument("--sigma", default=None, help="singular values (CSV)")
     al.add_argument("--matrix", default=None, help="matrix file (see format below)")
 
     pl = sub.add_parser("pipeline", help="single run from a matrix file")
-    common(pl)
+    common(pl, cmd_pipeline)
     pl.add_argument("--matrix", required=True)
-    pl.add_argument("--alpha", type=float, default=None)
-    pl.add_argument("--alpha-method", default="intuitive",
-                    choices=["intuitive", "taylor2", "taylor4", "numeric"])
-    pl.add_argument("--t-bits", type=int, default=None)
-    pl.add_argument("--m-bits", type=int, default=8)
-    pl.add_argument("--shots", type=int, default=None)
+    run_flags(pl, None, 8)
     for p in (ex, sw, al, pl):
         p.set_defaults(**(config or {}))
     return parser
@@ -675,15 +627,7 @@ def main(argv=None) -> int:
     try:
         path = pre.parse_known_args(argv)[0].config
         args = build_parser(_load_config(path) if path else None).parse_args(argv)
-        if args.command == "example":
-            return cmd_example(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "alpha":
-            return cmd_alpha(args)
-        if args.command == "pipeline":
-            return cmd_pipeline(args)
-        return 2
+        return args.func(args)
     except QsvtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -25,7 +25,6 @@ class PipelineConfig:
     alpha: float | None = None
     alpha_method: str = "intuitive"
     newton: rotation.NewtonConfig | None = None
-    svd_tol: float = spectral.RANK_TOL
     shots: int | None = None
     seed: int = 0
 
@@ -41,7 +40,7 @@ class SimulationResult:
     alpha_note: str
     n1: float
     n_alpha: float
-    sigma: np.ndarray
+    spec: spectral.SpectralData  # the decomposition the run used
     y_exact: np.ndarray
     y_codes: np.ndarray
     labels: np.ndarray
@@ -61,12 +60,15 @@ class SimulationResult:
         representable shrinkage fractions."""
         return self.pe_exact and self.y_repr_exact
 
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.spec.sigma
+
 
 def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1."""
-    spec = spectral.decompose(np.asarray(cfg.a0), cfg.svd_tol)
-    spectral.check_threshold(cfg.tau, float(spec.sigma[0]))
+    spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
     note, solution = "", None
@@ -135,7 +137,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         alpha_note=note,
         n1=n1,
         n_alpha=float(n1 * p_sim),
-        sigma=spec.sigma.copy(),
+        spec=spec,
         y_exact=y_exact,
         y_codes=y_codes,
         labels=np.asarray(encoding.labels),

@@ -10,9 +10,10 @@ Conventions used throughout the package:
 * Operations mutate the flat amplitudes in place through reshape views
   split at register edges: a gate on qubits lo..lo+k-1 sees
   ``(2**lo, 2**k, rest)``, a control is one more split axis indexed by
-  its value, and the one kernel writes ``u @ view`` back once.  The
-  circuit only uses contiguous ascending targets; others go through the
-  kernel on a transposed copy.  A state has a single writer at a time.
+  its value, and the one kernel writes ``u @ view`` back once.  Gate
+  targets and registers are contiguous ascending qubits; anything else
+  raises ``ValidationError`` before the state is touched.  A state has
+  a single writer at a time.
 * ``apply_unitary`` and ``apply_controlled`` reject a non-unitary matrix.
   Gates do not check the norm: each stage of the circuit calls
   :func:`check_norm` once when it ends.
@@ -90,11 +91,12 @@ class QuantumState:
         return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
 
 
-def new_state(layout: RegisterLayout, max_qubits: int = MAX_QUBITS) -> QuantumState:
-    """All-zeros basis state for the given layout."""
+def new_state(layout: RegisterLayout) -> QuantumState:
+    """All-zeros basis state for the given layout, of at most
+    ``MAX_QUBITS`` qubits."""
     n = layout.n_qubits
-    if n > max_qubits:
-        raise ValidationError(f"qubit budget exceeded: {n} > {max_qubits}")
+    if n > MAX_QUBITS:
+        raise ValidationError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = 1.0
     return QuantumState(n, amp)
@@ -143,43 +145,27 @@ def _contiguous(qubits: list[int]) -> bool:
     return qubits == list(range(qubits[0], qubits[0] + len(qubits)))
 
 
-def _gathered(state: QuantumState, qubits: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A flat copy of the amplitudes with ``qubits`` moved to the front in
-    order, and the transposed view of the state to write it back through."""
-    n = state.n_qubits
-    order = qubits + [q for q in range(n) if q not in qubits]
-    view = state.amplitudes.reshape((2,) * n).transpose(order)
-    return view.reshape(-1), view
-
-
-def _kernel(amps: np.ndarray, n: int, u: np.ndarray, lo: int, control=None, value=1) -> None:
-    """amps <- u on qubits lo..lo+k-1 where ``control`` reads ``value``."""
+def _apply(state: QuantumState, matrix, targets, control=None, value=1) -> QuantumState:
+    """Validate the gate, then the kernel: amplitudes <- u on contiguous
+    ascending targets lo..lo+k-1 where ``control`` reads ``value``."""
+    targets = list(targets)
+    front = targets + ([] if control is None else [control])
+    u = _gate(state, matrix, front, len(front) - len(targets))
+    if not _contiguous(targets):
+        raise ValidationError("target qubits must be contiguous ascending")
+    lo = targets[0]
     controlled = () if control is None else ((control, control + 1),)
-    shape, axes = _split(n, ((lo, lo + len(u).bit_length() - 1),) + controlled)
+    shape, axes = _split(state.n_qubits, ((lo, lo + len(targets)),) + controlled)
     index = [slice(None)] * len(shape)
     if controlled:
         index[axes[1]] = value
-    view = amps.reshape(shape)[tuple(index)]
+    view = state.amplitudes.reshape(shape)[tuple(index)]
     axis = axes[0] - (control is not None and control < lo)
     if axis == view.ndim - 1:
         view[...] = view @ u.T
     else:
         view = view.swapaxes(axis, -2)
         view[...] = u @ view
-
-
-def _apply(state: QuantumState, matrix, targets, control=None, value=1) -> QuantumState:
-    """Validate the gate and run the kernel: in place on contiguous
-    ascending targets, else on a copy with the qubits moved to the front."""
-    targets = list(targets)
-    front = targets + ([] if control is None else [control])
-    u = _gate(state, matrix, front, len(front) - len(targets))
-    if _contiguous(targets):
-        _kernel(state.amplitudes, state.n_qubits, u, targets[0], control, value)
-        return state
-    flat, view = _gathered(state, front)
-    _kernel(flat, state.n_qubits, u, 0, None if control is None else len(targets), value)
-    view[...] = flat.reshape(view.shape)
     return state
 
 
@@ -264,30 +250,24 @@ def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
 
 
 def register_mass(state: QuantumState, qubits) -> np.ndarray:
-    """Probability of each label of the given register set."""
-    qubits = list(qubits)
-    _require_targets(state, qubits, 1 << len(qubits))
-    if qubits and _contiguous(qubits):
-        return _mass(state.amplitudes, qubits[0], len(qubits))
-    return _mass(_gathered(state, qubits)[0], 0, len(qubits))
+    """Probability of each label of a contiguous ascending register."""
+    return _mass(state.amplitudes, *_register(state, qubits))
 
 
-def post_select(
-    state: QuantumState, qubit: int, value: int, floor: float = POST_SELECT_FLOOR
-) -> tuple[QuantumState, float]:
+def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumState, float]:
     """Condition on ``qubit`` reading ``value``.
 
     Returns the renormalized conditional state and the pre-measurement
-    probability of that outcome.  Probability below ``floor`` signals a
-    fully thresholded spectrum and raises.
+    probability of that outcome.  Probability below ``POST_SELECT_FLOOR``
+    signals a fully thresholded spectrum and raises.
     """
     if value not in (0, 1):
         raise ValidationError("measurement value must be 0 or 1")
     _require_targets(state, [qubit], 2)
     prob = float(_mass(state.amplitudes, qubit, 1)[value])
-    if prob < floor:
+    if prob < POST_SELECT_FLOOR:
         raise FullyThresholdedError(
-            f"outcome probability {prob:.3e} below floor {floor:.3e}"
+            f"outcome probability {prob:.3e} below floor {POST_SELECT_FLOOR:.3e}"
         )
     state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1 - value] = 0.0
     state.amplitudes /= np.sqrt(prob)

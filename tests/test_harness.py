@@ -1,3 +1,4 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -75,6 +76,8 @@ MATRIX_FILES = {
         (["alpha", "--sigma", "2,1", "--matrix", "small.txt", "--tau", "0.5"], 2),
         (["sweep", "--tau-frac", "1.5", "--n", "2"], 2),
         (["sweep", "--shape", "3", "--n", "2"], 2),
+        # the simulate cap: rank <= 8
+        (["sweep", "--simulate", "--shape", "9,9", "--rank", "9", "--n", "2"], 2),
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -107,6 +110,17 @@ def test_cmd_sweep_csv_schema(tmp_path, capsys):
     assert lines[1].startswith("#corpus=")
     assert lines[2] == ",".join(harness.CSV_COLUMNS)
     assert len(lines) == 3 + 3 * 2  # two methods per instance
+    # each row is the record's fields in declaration order
+    names = [f.name for f in dataclasses.fields(harness.ExperimentRecord)]
+    assert [c.lower() for c in harness.CSV_COLUMNS] == names
+
+
+def test_cmd_sweep_plot_next_to_a_non_csv_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert harness.main(["sweep", "--n", "2", "--out", "s.txt", "--plot"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "s.txt").read_text().startswith("#schema=1")
+    assert (tmp_path / "s.svg").read_text().startswith("<svg")
 
 
 def test_cmd_sweep_reference_spectrum_matches_example(tmp_path, capsys):
@@ -238,13 +252,17 @@ def test_cmd_alpha_fully_thresholded_errors(capsys):
     assert "error" in captured.err
 
 
-def test_cmd_pipeline_from_matrix_file(tmp_path, capsys):
+def test_cmd_pipeline_from_matrix_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a0.txt"
     spectral.save_matrix_text(path, harness.example_matrix())
+    calls = []
+    decompose = spectral.decompose
+    monkeypatch.setattr(spectral, "decompose", lambda *a: calls.append(a) or decompose(*a))
     rc = harness.main(["pipeline", "--matrix", str(path), "--tau", "0.5",
                        "--t-bits", "3", "--m-bits", "2"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert len(calls) == 1  # the run and the classical recheck share one SVD
     assert "P_sim = 0.95" in out
     assert "delta" in out
 

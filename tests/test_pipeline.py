@@ -46,6 +46,16 @@ def test_analytic_p_and_f_are_the_resolved_solutions():
         assert res.f_analytic == alpha_mod.fidelity_analytic(profile, res.alpha)
 
 
+def test_result_keeps_the_decomposition_it_ran_on():
+    res = run_reference()
+    fresh = spectral.decompose(example_matrix())
+    for name in ("sigma", "u", "v"):
+        assert np.array_equal(getattr(res.spec, name), getattr(fresh, name))
+    assert np.array_equal(res.sigma, fresh.sigma)
+    kept = pipeline.verify_against_classical(res, res.spec, 0.5)
+    assert kept == pipeline.verify_against_classical(res, fresh, 0.5)
+
+
 def test_rank_one_peak():
     a0 = random_lowrank(2, 2, 1, seed=20, sigma=(2.0,))
     res = pipeline.run_pipeline(

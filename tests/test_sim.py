@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_new_state_seven_qubit_layout_with_folded_l():
 def test_new_state_qubit_budget():
     layout = sim.RegisterLayout.standard(12, 12, 4)
     with pytest.raises(ValidationError, match="budget"):
-        sim.new_state(layout, max_qubits=26)
+        sim.new_state(layout)
 
 
 def test_layout_rejects_overlap_and_gaps():
@@ -86,8 +88,10 @@ def test_load_register_requires_other_registers_cleared():
 def test_apply_unitary_identity_noop():
     state = random_state(4, 1)
     before = state.amplitudes.copy()
-    sim.apply_unitary(state, np.eye(4), [1, 3])
+    sim.apply_unitary(state, np.eye(4), [1, 2])
     assert np.allclose(state.amplitudes, before, atol=1e-14)
+    with pytest.raises(ValidationError, match="contiguous"):
+        sim.apply_unitary(state, np.eye(4), [1, 3])
 
 
 def test_apply_unitary_pauli_x_single_qubit():
@@ -196,8 +200,10 @@ def test_basis_oracle_on_register_subset():
     for c in range(4):
         moved = np.arange(4) ^ codes.get(c, 0)
         assert np.array_equal(after[c], before[c][:, moved])
-    assert np.allclose(sim.register_mass(state, [0, 1, 2, 5]),
+    assert np.allclose(np.sum(np.abs(after) ** 2, axis=2).reshape(-1),
                        np.sum(np.abs(before) ** 2, axis=2).reshape(-1))
+    with pytest.raises(ValidationError, match="contiguous"):
+        sim.register_mass(state, [0, 1, 2, 5])
 
 
 def test_basis_oracle_unlisted_labels_keep_l():
@@ -345,13 +351,21 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         value = int(rng.integers(2))
         u = random_unitary(k, rng)
         state = random_state(n, 1000 + trial)
-        expected = dense_reference(n, u, qubits, control, value) @ state.amplitudes
-        if control is None:
-            sim.apply_unitary(state, u, qubits)
-        else:
-            sim.apply_controlled(state, u, control, value, qubits)
-        assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, qubits, control, value)
+        before = state.amplitudes.copy()
         contiguous = qubits == list(range(qubits[0], qubits[0] + k))
+        if control is None:
+            apply = functools.partial(sim.apply_unitary, state, u, qubits)
+        else:
+            apply = functools.partial(sim.apply_controlled, state, u, control, value, qubits)
+        if contiguous:
+            apply()
+            expected = dense_reference(n, u, qubits, control, value) @ before
+            assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, qubits, control, value)
+        else:
+            # the one kernel takes contiguous ascending targets only
+            with pytest.raises(ValidationError, match="contiguous"):
+                apply()
+            assert np.array_equal(state.amplitudes, before), (n, qubits, control, value)
         if control is None:
             seen.add((contiguous, None))
         else:
