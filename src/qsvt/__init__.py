@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import PipelineConfig, SimulationResult, run_pipeline, verify_against_classical
-from .qpe import EigenEncoding, PhaseEstimationConfig, choose_t0, encode
+from .qpe import PhaseEstimationConfig, choose_t0
 from .rotation import FixedPointCode, NewtonConfig, RotationConfig, newton_iterate, newton_step
 from .sim import QuantumState, RegisterLayout, new_state, overlap, post_select
 from .spectral import SpectralData, classical_svt, decompose, gram, herm_exp, to_state

@@ -123,7 +123,9 @@ class AlphaSolution:
             raise ValidationError("G = sqrt(P) * F self-consistency check failed")
 
 
-def _solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
+def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
+    """P, F and G at ``alpha``, recorded under ``method``: the one
+    constructor of a solution, for the four rules and an explicit alpha."""
     nalpha, num, f = _fidelity(profile, alpha)
     return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
 
@@ -159,18 +161,18 @@ def _taylor4(profile: SpectrumProfile) -> float:
 def alpha_intuitive(profile: SpectrumProfile) -> AlphaSolution:
     """Closed form pi / (2 y_1): puts the dominant component on the
     sine peak.  Needs only the largest singular value."""
-    return _solution(profile, "intuitive", _intuitive(profile))
+    return solution(profile, "intuitive", _intuitive(profile))
 
 
 def alpha_taylor2(profile: SpectrumProfile) -> AlphaSolution:
     """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
-    return _solution(profile, "taylor2", _taylor2(profile))
+    return solution(profile, "taylor2", _taylor2(profile))
 
 
 def alpha_taylor4(profile: SpectrumProfile) -> AlphaSolution:
     """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
     with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
-    return _solution(profile, "taylor4", _taylor4(profile))
+    return solution(profile, "taylor4", _taylor4(profile))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
@@ -219,7 +221,7 @@ def alpha_numeric(profile: SpectrumProfile) -> AlphaSolution:
             g = g_objective(profile, alpha)
             if best is None or g > best[1]:
                 best = (alpha, g)
-    return _solution(profile, "numeric", best[0])
+    return solution(profile, "numeric", best[0])
 
 
 _METHODS = {

@@ -121,8 +121,9 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_instances < 1:
-            raise ValidationError("n_instances must be at least 1")
+        for name in ("n_instances", "t_bits", "m_bits", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
         if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
@@ -233,11 +234,15 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
-    """Execute every instance (optionally in a worker pool) and return
-    records sorted by instance id and method order."""
+    """Execute every instance (in a worker pool when ``jobs`` > 1) and
+    return records sorted by instance id and method order.
+
+    The pool starts all its workers at once, so it gets at most one
+    worker per instance and per CPU."""
     indices = range(cfg.n_instances)
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, cfg.n_instances, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
     else:
         chunks = [run_sweep_instance(cfg, i) for i in indices]
@@ -507,16 +512,20 @@ def cmd_pipeline(args) -> int:
 def _parse_shape(text):
     if text is None:
         return None
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError("shape must be P,Q")
-    return (parts[0], parts[1])
+    try:
+        p, q = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"shape must be P,Q with integers, got {text!r}") from None
+    return (p, q)
 
 
 def _parse_sigma(text):
     if text is None:
         return None
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"sigma must be comma-separated numbers, got {text!r}") from None
 
 
 def _exit_code(exc: QsvtError) -> int:

@@ -4,6 +4,7 @@ the simulated output against the classical threshold operator and the
 closed-form probability/fidelity."""
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,8 +26,14 @@ class PipelineConfig:
     alpha: float | None = None
     alpha_method: str = "intuitive"
     newton: rotation.NewtonConfig | None = None
-    shots: int | None = None
+    shots: int | None = None  # None or 0: no sampling
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.shots is not None and not (
+            isinstance(self.shots, numbers.Integral) and self.shots >= 0
+        ):
+            raise ValidationError(f"shots must be a non-negative integer, got {self.shots!r}")
 
 
 @dataclass
@@ -67,31 +74,33 @@ class SimulationResult:
 
 def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
-    ancilla on 1."""
+    ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
+    oracle, rotation, layout) is built and checked before the state."""
     spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
-    note, solution = "", None
+    note = ""
     if cfg.alpha is not None:
-        alpha_value, method = float(cfg.alpha), "explicit"
+        method, rot_cfg = "explicit", rotation.RotationConfig(float(cfg.alpha))
+        solution = alpha_mod.solution(profile, method, rot_cfg.alpha)
     else:
-        solution, note = alpha_mod.resolve_alpha(profile, cfg.alpha_method)
-        alpha_value, method = solution.alpha, cfg.alpha_method
+        method = cfg.alpha_method
+        solution, note = alpha_mod.resolve_alpha(profile, method)
+        rot_cfg = rotation.RotationConfig(solution.alpha)
         if note:
             warnings.warn(note, stacklevel=2)
 
-    lam = spec.sigma.astype(float) ** 2
-    pe_cfg = qpe.choose_t0(lam, cfg.t_bits)
-    t_bits = pe_cfg.t_bits
-    encoding = qpe.encode(lam, pe_cfg)
+    pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
     ncfg = cfg.newton or rotation.NewtonConfig(m_bits=cfg.m_bits)
     if ncfg.m_bits != cfg.m_bits:
         raise ValidationError("newton config m_bits disagrees with pipeline m_bits")
-    oracle = rotation.build_sigma_tau_oracle(encoding, ncfg, cfg.tau)
+    oracle = rotation.build_sigma_tau_oracle(pe_cfg, ncfg, cfg.tau)
+    # sigma_1 has the largest code and its label always holds mass
+    rot_cfg.check_single_lobe(max(oracle.y_codes.values()), ncfg.m_bits)
 
     du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
     b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
-    layout = sim.RegisterLayout.standard(ncfg.m_bits, t_bits, b_bits)
+    layout = sim.RegisterLayout.standard(ncfg.m_bits, pe_cfg.t_bits, b_bits)
     a_pad = np.zeros((du, du), dtype=complex)
     a_pad[: spec.p, : spec.p] = spectral.gram(spec)
 
@@ -99,7 +108,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
     qpe.phase_estimate(state, pe_cfg, layout, a_pad)
     oracle.apply(state, layout)
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha_value, ncfg.m_bits))
+    rotation.ry_cascade(state, layout, rot_cfg)
     # inexact encodings leave real leakage on L/C; report it instead of
     # treating it as a pass mismatch
     residual_tol = rotation.UNCOMPUTE_TOL if pe_cfg.exact else np.inf
@@ -114,7 +123,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     f_sim = float(abs(np.vdot(target, b_state)))
 
     n1 = float(np.sum(spec.sigma**2))
-    codes = np.array([oracle.code_for(c) for c in encoding.labels])
+    codes = np.array([oracle.code_for(c) for c in pe_cfg.labels])
     y_codes = codes / (1 << ncfg.m_bits)
     y_exact = np.asarray(profile.y)
     # triple k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
@@ -124,15 +133,15 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     p_shots = None
     if cfg.shots:
         rng = np.random.default_rng(cfg.seed)
-        p_shots = float(rng.binomial(cfg.shots, p_sim)) / cfg.shots
+        # p_sim is a sum of squares and can round to just above 1
+        p_shots = float(rng.binomial(cfg.shots, min(p_sim, 1.0))) / cfg.shots
 
     return SimulationResult(
         p_sim=float(p_sim),
         f_sim=f_sim,
-        # a resolved alpha carries P and F by the same formulas
-        p_analytic=solution.P if solution else alpha_mod.probability(profile, alpha_value),
-        f_analytic=solution.F if solution else alpha_mod.fidelity_analytic(profile, alpha_value),
-        alpha=alpha_value,
+        p_analytic=solution.P,
+        f_analytic=solution.F,
+        alpha=rot_cfg.alpha,
         alpha_method=method,
         alpha_note=note,
         n1=n1,
@@ -140,14 +149,14 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         spec=spec,
         y_exact=y_exact,
         y_codes=y_codes,
-        labels=np.asarray(encoding.labels),
+        labels=np.asarray(pe_cfg.labels),
         triple_amplitudes=triple_amps,
         b_state=b_state,
         residual_mass=residual,
         pe_exact=pe_cfg.exact,
         y_repr_exact=bool(np.all(np.abs(y_codes - y_exact) <= EXACT_Y_TOL)),
         newton_iterations=max(oracle.iterations.values(), default=0),
-        t_bits=t_bits,
+        t_bits=pe_cfg.t_bits,
         m_bits=ncfg.m_bits,
         p_shots=p_shots,
     )

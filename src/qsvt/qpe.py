@@ -1,11 +1,12 @@
 """Quantum Fourier transform, conditional Hamiltonian evolution, and the
 full phase-estimation unitary with its exact inverse.
 
-Eigenvalue encoding: a configuration fixes an evolution time-step
-``t0``.  The register label for eigenvalue ``lam`` is
-``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``, decoded by
-``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution applies
-``exp(i A c t0)`` on the subspace where register C holds ``c``,
+Eigenvalue encoding: :func:`choose_t0` fixes an evolution time-step
+``t0`` and the register label of every eigenvalue, and it is the one
+place where labels are computed and checked.  The label for eigenvalue
+``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``,
+decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution
+applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
 realized as one controlled power ``exp(i A 2^w t0)`` per register
 qubit (bit weight ``2^w``), which is equivalent and exponentially
 cheaper than one control per label.
@@ -28,9 +29,14 @@ CLEARED_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhaseEstimationConfig:
+    """Register width, evolution step and, in the spectrum's order, the
+    eigenvalue labels that :func:`choose_t0` computed and checked;
+    ``exact`` when every eigenvalue sits on its label."""
+
     t_bits: int
     t0: float
     exact: bool
+    labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.t_bits < 1:
@@ -38,37 +44,22 @@ class PhaseEstimationConfig:
         if not self.t0 > 0:
             raise ValidationError("t0 must be positive")
 
-    @property
-    def T(self) -> int:
-        return 1 << self.t_bits
-
-
-@dataclass(frozen=True)
-class EigenEncoding:
-    """Map from eigenvalues to C-register integer labels, with decode."""
-
-    eigenvalues: tuple[float, ...]
-    labels: tuple[int, ...]
-    t_bits: int
-    t0: float
-
     def decode(self, label: int) -> float:
+        """The eigenvalue that ``label`` stands for."""
         return label * 2.0 * np.pi / (self.t0 * (1 << self.t_bits))
 
 
-def _labels_for(eigenvalues: np.ndarray, t0: float, t_bits: int) -> np.ndarray:
-    return np.rint(eigenvalues * t0 * (1 << t_bits) / (2.0 * np.pi)).astype(int)
-
-
 def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
-    """Pick the evolution step for a spectrum.
+    """Pick the evolution step for a spectrum and label its eigenvalues.
 
     Integer eigenvalues below 2**t_bits get t0 = 2 pi / 2**t_bits and
     label c = lam exactly.  Anything else is scaled so the largest
     eigenvalue lands on the top label, with the exactness flag computed
     from whether every label is integral.  Without t_bits, an integral
     spectrum gets the bit length of its largest value (so it encodes
-    exactly) and any other spectrum gets 6 bits.
+    exactly) and any other spectrum gets 6 bits.  A positive eigenvalue
+    that rounds to label 0 (it would decode to 0) and two eigenvalues
+    that round to one label are rejected.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -82,33 +73,21 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     if t_bits is None:
         t_bits = max(1, int(rounded.max()).bit_length()) if integral else 6
     T = 1 << t_bits
-    if integral and rounded.max() < T:
-        cfg = PhaseEstimationConfig(t_bits, 2.0 * np.pi / T, True)
-    else:
-        t0 = 2.0 * np.pi * (1.0 - 2.0**-t_bits) / lam.max()
-        raw = lam * t0 * T / (2.0 * np.pi)
-        exact = bool(np.all(np.abs(raw - np.rint(raw)) <= ENCODING_TOL) and raw.max() < T)
-        cfg = PhaseEstimationConfig(t_bits, t0, exact)
-    encode(lam, cfg)  # validates label injectivity
-    return cfg
-
-
-def encode(eigenvalues, cfg: PhaseEstimationConfig) -> EigenEncoding:
-    """Assign labels under cfg; rejects collisions after rounding and a
-    positive eigenvalue that rounds to label 0 (it would decode to 0)."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    labels = _labels_for(lam, cfg.t0, cfg.t_bits)
-    if np.any(labels < 0) or np.any(labels >= cfg.T):
-        raise ValidationError("eigenvalue label out of register range")
+    fits = bool(integral and rounded.max() < T)
+    t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / lam.max()
+    raw = lam * t0 * T / (2.0 * np.pi)
+    labels = np.rint(raw).astype(int)
+    exact = fits or bool(np.all(np.abs(raw - labels) <= ENCODING_TOL) and raw.max() < T)
+    cfg = PhaseEstimationConfig(t_bits, t0, exact, tuple(int(c) for c in labels))
     if np.any(labels == 0):
         small = float(lam[labels == 0].max())
         raise ValidationError(
-            f"eigenvalue {small:.6g} rounds to label 0 at t_bits={cfg.t_bits}:"
+            f"eigenvalue {small:.6g} rounds to label 0 at t_bits={t_bits}:"
             " too fine for the eigenvalue register; raise t_bits"
         )
     if len(np.unique(labels)) != len(labels):
         raise ValidationError("eigenvalue collision after rounding to t_bits precision")
-    return EigenEncoding(tuple(lam), tuple(int(c) for c in labels), cfg.t_bits, cfg.t0)
+    return cfg
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import sim
 from .errors import ConvergenceError, UncomputeResidualError, ValidationError
-from .qpe import EigenEncoding, PhaseEstimationConfig, phase_estimate_inverse
+from .qpe import PhaseEstimationConfig, phase_estimate_inverse
 from .sim import QuantumState, RegisterLayout
 
 UNCOMPUTE_TOL = 1e-9
@@ -82,21 +82,28 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class RotationConfig:
-    """alpha in radians; d_bits = width of the theta expansion (= m_bits).
+    """alpha in radians, finite and positive; theta has as many bits as
+    register L, whose width the layout owns.
 
     The cascade requires theta * alpha <= pi on every occupied L value
-    (single sine lobe); that is checked against the actual register
-    content when the cascade is applied.
+    (single sine lobe); :meth:`check_single_lobe` tests one code.
     """
 
     alpha: float
-    d_bits: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha!r}")
         if not self.alpha > 0:
             raise ValidationError("alpha must be positive")
-        if self.d_bits < 1:
-            raise ValidationError("d_bits must be at least 1")
+
+    def check_single_lobe(self, raw: int, m_bits: int) -> None:
+        """Reject theta * alpha > pi for theta = raw / 2**m_bits."""
+        if raw / (1 << m_bits) * self.alpha > np.pi + 1e-9:
+            raise ValidationError(
+                "alpha * theta exceeds pi on an occupied L value (sine no longer"
+                " single-lobed)"
+            )
 
 
 def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
@@ -192,9 +199,9 @@ class SigmaTauOracle:
 
 
 def build_sigma_tau_oracle(
-    encoding: EigenEncoding, cfg: NewtonConfig, tau: float
+    pe_cfg: PhaseEstimationConfig, cfg: NewtonConfig, tau: float
 ) -> SigmaTauOracle:
-    """Run the Newton iteration for every encoded label.
+    """Run the Newton iteration for every eigenvalue label of ``pe_cfg``.
 
     Any label that fails to converge aborts the build with a per-label
     diagnostic; non-convergence is never silently written.
@@ -203,8 +210,8 @@ def build_sigma_tau_oracle(
     iters: dict[int, int] = {}
     failures: list[str] = []
     initial = FixedPointCode.from_float(cfg.initial, cfg.m_bits).raw
-    for label in encoding.labels:
-        decoded = encoding.decode(label)
+    for label in pe_cfg.labels:
+        decoded = pe_cfg.decode(label)
         result = _iterate(cfg, tau, decoded, initial)
         if not result.converged:
             ratio, limit = math.sqrt(decoded) / tau, cfg.max_ratio()
@@ -218,7 +225,7 @@ def build_sigma_tau_oracle(
         iters[label] = result.iterations
     if failures:
         raise ConvergenceError("; ".join(failures))
-    return SigmaTauOracle(cfg.m_bits, encoding.t_bits, codes, iters)
+    return SigmaTauOracle(cfg.m_bits, pe_cfg.t_bits, codes, iters)
 
 
 def ry_cascade(
@@ -227,19 +234,13 @@ def ry_cascade(
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
     as d rotations ry(2^(1-j) alpha) each controlled on one L qubit."""
-    if cfg.d_bits != len(layout.reg_L):
-        raise ValidationError("d_bits must equal the width of register L")
     anc_mass = sim.register_mass(state, [layout.ancilla])
     if anc_mass[1] > 1e-12:
         raise ValidationError("ancilla not cleared")
     l_mass = sim.register_mass(state, layout.reg_L)
     occupied = np.flatnonzero(l_mass > OCCUPIED_TOL)
-    scale = 1 << cfg.d_bits
-    if occupied.size and occupied.max() / scale * cfg.alpha > np.pi + 1e-9:
-        raise ValidationError(
-            "alpha * theta exceeds pi on an occupied L value (sine no longer"
-            " single-lobed)"
-        )
+    if occupied.size:
+        cfg.check_single_lobe(int(occupied.max()), len(layout.reg_L))
     for j, q in enumerate(layout.reg_L, start=1):
         gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
         sim.apply_controlled(state, gate, q, 1, [layout.ancilla])

@@ -25,7 +25,6 @@ class SpectralData:
     v: np.ndarray
     p: int
     q: int
-    tol: float
 
     def __post_init__(self) -> None:
         r = len(self.sigma)
@@ -45,8 +44,10 @@ class SpectralData:
         return len(self.sigma)
 
 
-def decompose(a0, tol: float = RANK_TOL) -> SpectralData:
-    """SVD with rank truncation at ``tol * sigma_1``.
+def decompose(a0) -> SpectralData:
+    """SVD with rank truncation at ``RANK_TOL * sigma_1``, the one rank
+    tolerance of the package; the rank-truncated reconstruction must
+    match the input to the same relative tolerance.
 
     Near-equal retained singular values (relative gap below 1e-9) are
     rejected: the alpha theory assumes a strict spectrum and singular
@@ -60,7 +61,7 @@ def decompose(a0, tol: float = RANK_TOL) -> SpectralData:
     if not np.any(a != 0):
         raise ValidationError("input matrix is zero")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     sig = s[:r].copy()
     gaps = (sig[:-1] - sig[1:]) / sig[0]
     if np.any(gaps < DEGENERACY_TOL):
@@ -73,10 +74,9 @@ def decompose(a0, tol: float = RANK_TOL) -> SpectralData:
         v=vh[:r].conj().T.copy(),
         p=a.shape[0],
         q=a.shape[1],
-        tol=tol,
     )
     recon = (data.u * data.sigma) @ data.v.conj().T
-    if np.linalg.norm(a - recon) > max(tol, 1e-12) * np.linalg.norm(a) + 1e-12:
+    if np.linalg.norm(a - recon) > RANK_TOL * np.linalg.norm(a) + 1e-12:
         raise ValidationError("rank-truncated reconstruction out of tolerance")
     return data
 

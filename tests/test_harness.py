@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -78,6 +80,14 @@ MATRIX_FILES = {
         (["sweep", "--shape", "3", "--n", "2"], 2),
         # the simulate cap: rank <= 8
         (["sweep", "--simulate", "--shape", "9,9", "--rank", "9", "--n", "2"], 2),
+        (["example", "--alpha", "-1"], 2),
+        (["example", "--shots", "-5"], 2),
+        (["alpha", "--sigma", "2,x", "--tau", "0.5"], 2),
+        (["sweep", "--shape", "3,x", "--n", "1"], 2),
+        (["sweep", "--n", "2", "--t-bits", "0", "--simulate"], 2),
+        (["sweep", "--n", "2", "--m-bits", "0"], 2),
+        (["sweep", "--n", "2", "--jobs", "0"], 2),
+        (["sweep", "--n", "2", "--jobs", "-3"], 2),
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -89,6 +99,38 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     assert rc == code
     assert err.startswith("error:")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = harness.run_sweep(harness.SweepConfig(n_instances=6))
+    for n, jobs, workers in ((3, 1000, 3), (6, 1000, 4), (6, 2, 2)):
+        records = harness.run_sweep(harness.SweepConfig(n_instances=n, jobs=jobs))
+        assert records == serial[: 2 * n]
+        assert started[-1] == workers
+    # one instance or one CPU runs in this process, with no pool
+    harness.run_sweep(harness.SweepConfig(n_instances=1, jobs=1000))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    harness.run_sweep(harness.SweepConfig(n_instances=6, jobs=1000))
+    assert started == [3, 4, 2]
 
 
 def test_cmd_sweep_byte_identical_reruns(tmp_path, capsys):

@@ -44,6 +44,11 @@ def test_analytic_p_and_f_are_the_resolved_solutions():
         profile = alpha_mod.SpectrumProfile.from_sigma_tau(res.sigma, 0.5)
         assert res.p_analytic == alpha_mod.probability(profile, res.alpha)
         assert res.f_analytic == alpha_mod.fidelity_analytic(profile, res.alpha)
+    # an explicit alpha goes through the same constructor
+    res = run_reference(alpha=1.9403)
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau(res.sigma, 0.5)
+    assert res.p_analytic == alpha_mod.probability(profile, 1.9403)
+    assert res.f_analytic == alpha_mod.fidelity_analytic(profile, 1.9403)
 
 
 def test_result_keeps_the_decomposition_it_ran_on():
@@ -254,3 +259,33 @@ def test_eigenvalue_rounding_to_label_zero_is_a_resolution_error(monkeypatch):
         pipeline.run_pipeline(
             pipeline.PipelineConfig(a0=a0, tau=0.3 * sigma[0], t_bits=8, m_bits=8)
         )
+
+
+def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated before the input check")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    # alpha = 100 puts sigma_1's code 0.75 far past the first sine lobe
+    for alpha, match in ((-1.0, "positive"), (0.0, "positive"), (np.nan, "finite"),
+                         (np.inf, "finite"), (100.0, "single-lobed")):
+        with pytest.raises(ValidationError, match=match):
+            run_reference(alpha=alpha)
+    for shots in (-5, 2.5, "10"):
+        with pytest.raises(ValidationError, match="shots"):
+            run_reference(shots=shots)
+
+
+def test_shots_sample_a_probability_that_rounds_above_one():
+    # rank one with y = 1/2 exact at m = 2 and alpha = pi: the ancilla is
+    # rotated fully onto |1>, and the sum of squares lands just above 1
+    a0 = random_lowrank(3, 4, 1, 0)
+    tau = 0.5 * spectral.decompose(a0).sigma[0]
+    res = pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=3, m_bits=2, shots=10)
+    )
+    assert res.p_sim > 1.0
+    assert res.p_shots == 1.0
+    assert pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=3, m_bits=2, shots=0)
+    ).p_shots is None

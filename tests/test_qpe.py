@@ -25,23 +25,21 @@ def test_choose_t0_integer_eigenvalues():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     assert cfg.exact
     assert cfg.t0 == pytest.approx(2 * np.pi / 8)
-    enc = qpe.encode([4.0, 1.0], cfg)
-    assert enc.labels == (4, 1)  # 100 and 001
+    assert cfg.labels == (4, 1)  # 100 and 001
 
 
 def test_choose_t0_single_unit_eigenvalue():
     cfg = qpe.choose_t0([1.0], 1)
     assert cfg.exact
     assert cfg.t0 == pytest.approx(np.pi)
-    assert qpe.encode([1.0], cfg).labels == (1,)
+    assert cfg.labels == (1,)
 
 
 def test_choose_t0_inexact_scaled_to_fit():
     cfg = qpe.choose_t0([3.7, 1.2], 5)
     assert not cfg.exact
     assert cfg.t0 == pytest.approx(2 * np.pi * (1 - 2.0**-5) / 3.7)
-    enc = qpe.encode([3.7, 1.2], cfg)
-    assert enc.labels == (31, 10)  # nearest integers of lam * 31 / 3.7
+    assert cfg.labels == (31, 10)  # nearest integers of lam * 31 / 3.7
 
 
 def test_choose_t0_automatic_t_bits():
@@ -64,9 +62,14 @@ def test_choose_t0_rejects_label_collision():
 
 def test_encoding_decode_roundtrip():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
-    enc = qpe.encode([4.0, 1.0], cfg)
-    for lam, label in zip(enc.eigenvalues, enc.labels):
-        assert enc.decode(label) == pytest.approx(lam, abs=1e-9)
+    for lam, label in zip([4.0, 1.0], cfg.labels):
+        assert cfg.decode(label) == pytest.approx(lam, abs=1e-9)
+
+
+def test_choose_t0_labels_on_the_circuit_large_spectrum():
+    cfg = qpe.choose_t0([3.1**2, 2.2**2, 1.3**2], 8)
+    assert cfg.labels == (255, 128, 45)
+    assert not cfg.exact
 
 
 def test_qft_zero_state_uniform():
@@ -223,7 +226,7 @@ def test_c_distribution_independent_of_v_factor():
         other = spectral.decompose(random_lowrank(2, 3, 2, seed=seed, sigma=(2.0, 1.0)))
         # same u/sigma structure, different right vectors
         hybrid = spectral.SpectralData(
-            sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q, tol=data.tol
+            sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q
         )
         state = loaded_state(hybrid, layout)
         qpe.phase_estimate(state, cfg, layout, a_pad)

@@ -190,19 +190,18 @@ def test_newton_matches_brute_force_within_one_ulp():
 
 
 def reference_encoding(t_bits=3):
-    cfg = qpe.choose_t0([4.0, 1.0], t_bits)
-    return qpe.encode([4.0, 1.0], cfg), cfg
+    return qpe.choose_t0([4.0, 1.0], t_bits)
 
 
 def test_oracle_reference_codes():
-    enc, _ = reference_encoding()
+    enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
     assert oracle.code_for(4) == 6  # |110> in register L
     assert oracle.code_for(1) == 4  # |100>
 
 
 def test_oracle_writes_codes_into_register_l():
-    enc, _ = reference_encoding()
+    enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
     layout = sim.RegisterLayout.standard(3, 3, 1)
     state = sim.new_state(layout)
@@ -216,15 +215,14 @@ def test_oracle_writes_codes_into_register_l():
 
 
 def test_oracle_thresholded_label_leaves_l_zero():
-    cfg = qpe.choose_t0([4.0, 1.0], 3)
-    enc = qpe.encode([4.0, 1.0], cfg)
+    enc = qpe.choose_t0([4.0, 1.0], 3)
     oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 1.5)
     assert oracle.code_for(1) == 0  # sigma = 1 <= tau = 1.5
     assert oracle.code_for(4) == 2  # 2^3 (1 - 1.5/2) = 2
 
 
 def test_oracle_self_inverse():
-    enc, _ = reference_encoding()
+    enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
     layout = sim.RegisterLayout.standard(3, 3, 1)
     rng = np.random.default_rng(31)
@@ -264,7 +262,7 @@ def permutation_reference(state, layout, oracle):
 
 def test_oracle_matches_permutation_reference_bit_for_bit():
     rng = np.random.default_rng(32)
-    enc, _ = reference_encoding()
+    enc = reference_encoding()
     built = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
     drawn = rotation.SigmaTauOracle(3, 4, {c: int(rng.integers(8)) for c in (0, 3, 9, 15)}, {})
     for oracle, layout in ((built, sim.RegisterLayout.standard(3, 3, 2)),
@@ -281,15 +279,14 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
 
 def test_oracle_codes_on_the_circuit_large_spectrum():
     lam = [3.1**2, 2.2**2, 1.3**2]
-    enc = qpe.encode(lam, qpe.choose_t0(lam, 8))
+    enc = qpe.choose_t0(lam, 8)
     oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 0.93)
     assert oracle.y_codes == {255: 179, 128: 147, 45: 73}
     assert oracle.iterations == {255: 8, 128: 3, 45: 4}
 
 
 def test_oracle_build_aborts_on_nonconvergent_label():
-    cfg = qpe.choose_t0([25.0, 1.0], 5)
-    enc = qpe.encode([25.0, 1.0], cfg)
+    enc = qpe.choose_t0([25.0, 1.0], 5)
     with pytest.raises(ConvergenceError, match="label 25"):
         rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.0)
     # the message names the edge of the basin, and the label converges there
@@ -302,7 +299,7 @@ def test_oracle_build_aborts_on_nonconvergent_label():
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
     layout = sim.RegisterLayout.standard(3, 1, 1)
     state = sim.new_state(layout)
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(2.0944, 3))
+    rotation.ry_cascade(state, layout, rotation.RotationConfig(2.0944))
     assert sim.register_mass(state, [layout.ancilla])[1] == 0.0
 
 
@@ -318,12 +315,12 @@ def test_ry_cascade_reference_amplitudes():
     alpha = 2.0944
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha, 2))
+    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
     anc = sim.register_mass(state, [layout.ancilla])
     assert np.sqrt(anc[1]) == pytest.approx(np.sin(0.75 * alpha), abs=1e-12)
 
     state = _state_with_l_code(layout, 2)  # theta = 0.5
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha, 2))
+    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
     anc = sim.register_mass(state, [layout.ancilla])
     assert np.sqrt(anc[1]) == pytest.approx(0.8660, abs=1e-4)
 
@@ -333,14 +330,25 @@ def test_ry_cascade_requires_cleared_ancilla():
     state = sim.new_state(layout)
     sim.apply_unitary(state, sim.pauli_x(), [layout.ancilla])
     with pytest.raises(ValidationError, match="ancilla"):
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0, 2))
+        rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0))
 
 
 def test_ry_cascade_rejects_alpha_beyond_single_lobe():
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75
     with pytest.raises(ValidationError, match="single-lobed"):
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(4.4, 2))
+        rotation.ry_cascade(state, layout, rotation.RotationConfig(4.4))
+
+
+def test_rotation_config_requires_finite_positive_alpha():
+    for alpha, match in ((0.0, "positive"), (-1.0, "positive"), (np.nan, "finite"),
+                         (np.inf, "finite"), (-np.inf, "finite")):
+        with pytest.raises(ValidationError, match=match):
+            rotation.RotationConfig(alpha)
+    cfg = rotation.RotationConfig(4.4)
+    cfg.check_single_lobe(2, 2)  # 0.5 * 4.4 <= pi
+    with pytest.raises(ValidationError, match="single-lobed"):
+        cfg.check_single_lobe(3, 2)  # 0.75 * 4.4 > pi
 
 
 def _controlled_ry_product(alpha, d):
@@ -382,14 +390,14 @@ def test_ry_cascade_matches_gate_product_on_cleared_ancilla():
         amp = np.zeros(1 << layout.n_qubits, dtype=complex)
         amp[label << 1] = 1.0  # ancilla 0, B fixed at |0>
         state.amplitudes = amp
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha, d))
+        rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
         assert np.abs(state.amplitudes[::2] - op[:, label]).max() < 1e-12
 
 
 def reference_forward_state():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
-    enc, pe_cfg = reference_encoding()
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=2), 0.5)
+    pe_cfg = reference_encoding()
+    oracle = rotation.build_sigma_tau_oracle(pe_cfg, rotation.NewtonConfig(m_bits=2), 0.5)
     layout = sim.RegisterLayout.standard(2, 3, 3)
     a_pad = np.zeros((2, 2), dtype=complex)
     a_pad[:2, :2] = spectral.gram(data)
@@ -398,7 +406,7 @@ def reference_forward_state():
     qpe.phase_estimate(state, pe_cfg, layout, a_pad)
     oracle.apply(state, layout)
     alpha = np.pi / (2 * 0.75)
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha, 2))
+    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
     return data, layout, state, oracle, pe_cfg, a_pad, alpha
 
 
@@ -430,7 +438,7 @@ def test_uncompute_detects_mismatched_tau():
     # sigma/tau = 8 is outside the default Newton basin, so the wrong
     # oracle is built from an initial value inside its basin.
     _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
-    enc, _ = reference_encoding()
+    enc = reference_encoding()
     wrong = rotation.build_sigma_tau_oracle(
         enc, rotation.NewtonConfig(m_bits=2, initial=0.75), 0.25
     )
