@@ -559,11 +559,14 @@ def _load_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValidationError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
             if key not in _CONFIGURABLE:
                 raise ValidationError(f"unknown config key: {key!r}")
-            out[key] = _CONFIGURABLE[key](value.strip())
+            try:
+                out[key] = _CONFIGURABLE[key](value)
+            except ValueError:
+                raise ValidationError(f"config value {key}={value!r} does not parse") from None
     return out
 
 

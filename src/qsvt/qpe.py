@@ -6,10 +6,15 @@ Eigenvalue encoding: :func:`choose_t0` fixes an evolution time-step
 place where labels are computed and checked.  The label for eigenvalue
 ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``,
 decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution
-applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
+E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
 realized as one controlled power ``exp(i A 2^w t0)`` per register
 qubit (bit weight ``2^w``), which is equivalent and exponentially
 cheaper than one control per label.
+
+Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
+E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
+on a cleared C, QFT|0> = H^t|0>, and <0|QFT^-1 = <0|H^t on the C = 0
+projection, the only part of the state that the run reads.
 """
 from __future__ import annotations
 
@@ -39,8 +44,7 @@ class PhaseEstimationConfig:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.t_bits < 1:
-            raise ValidationError("t_bits must be at least 1")
+        sim.check_width("t_bits", self.t_bits)
         if not self.t0 > 0:
             raise ValidationError("t0 must be positive")
 
@@ -57,9 +61,9 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     eigenvalue lands on the top label, with the exactness flag computed
     from whether every label is integral.  Without t_bits, an integral
     spectrum gets the bit length of its largest value (so it encodes
-    exactly) and any other spectrum gets 6 bits.  A positive eigenvalue
-    that rounds to label 0 (it would decode to 0) and two eigenvalues
-    that round to one label are rejected.
+    exactly) and any other spectrum gets 6 bits.  A width outside
+    1..MAX_QUBITS, a positive eigenvalue that rounds to label 0 (it would
+    decode to 0) and two eigenvalues that round to one label are rejected.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -72,6 +76,7 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     integral = np.all(np.abs(lam - rounded) <= ENCODING_TOL * np.maximum(1.0, lam))
     if t_bits is None:
         t_bits = max(1, int(rounded.max()).bit_length()) if integral else 6
+    sim.check_width("t_bits", t_bits)
     T = 1 << t_bits
     fits = bool(integral and rounded.max() < T)
     t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / lam.max()
@@ -146,35 +151,28 @@ def _u_factor_qubits(layout: RegisterLayout, a: np.ndarray) -> list[int]:
     return list(layout.reg_B)[:k]
 
 
-def phase_estimate(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
-) -> QuantumState:
-    """Write eigenvalue labels of ``a`` into register C."""
+def _phase_estimate(state, cfg, layout, a, inverse: bool) -> QuantumState:
     a = np.asarray(a, dtype=complex)
-    mass = sim.register_mass(state, layout.reg_C)
-    if mass[1:].sum() > CLEARED_TOL:
-        raise ValidationError("register C not cleared")
-    h = sim.hadamard()
-    for q in layout.reg_C:
-        sim.apply_unitary(state, h, [q])
-    conditional_evolution(state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a)
+    qft(state, layout.reg_C)
+    conditional_evolution(state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a, inverse)
     iqft(state, layout.reg_C)
     sim.check_norm(state)
     return state
 
 
+def phase_estimate(
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
+) -> QuantumState:
+    """Write eigenvalue labels of ``a`` into register C as QFT, E, QFT^-1;
+    C must be cleared, where the QFT equals the circuit's Hadamard layer."""
+    mass = sim.register_mass(state, layout.reg_C)
+    if mass[1:].sum() > CLEARED_TOL:
+        raise ValidationError("register C not cleared")
+    return _phase_estimate(state, cfg, layout, a, inverse=False)
+
+
 def phase_estimate_inverse(
     state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
 ) -> QuantumState:
-    """Exact adjoint of :func:`phase_estimate`: reversed gate sequence
-    with conjugated phases."""
-    a = np.asarray(a, dtype=complex)
-    qft(state, layout.reg_C)
-    conditional_evolution(
-        state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a, inverse=True
-    )
-    h = sim.hadamard()
-    for q in layout.reg_C:
-        sim.apply_unitary(state, h, [q])
-    sim.check_norm(state)
-    return state
+    """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
+    return _phase_estimate(state, cfg, layout, a, inverse=True)

@@ -29,7 +29,6 @@ from .qpe import PhaseEstimationConfig, phase_estimate_inverse
 from .sim import QuantumState, RegisterLayout
 
 UNCOMPUTE_TOL = 1e-9
-OCCUPIED_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,7 @@ class NewtonConfig:
     divergence_guard: float = 1.25
 
     def __post_init__(self) -> None:
+        sim.check_width("m_bits", self.m_bits)
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
         if not 0 <= self.initial < 1:
@@ -85,8 +85,9 @@ class RotationConfig:
     """alpha in radians, finite and positive; theta has as many bits as
     register L, whose width the layout owns.
 
-    The cascade requires theta * alpha <= pi on every occupied L value
-    (single sine lobe); :meth:`check_single_lobe` tests one code.
+    The cascade is exact for any theta; the alpha theory's single-lobe
+    rule, theta * alpha <= pi on every occupied L value, is checked once
+    in the run's set-up by :meth:`check_single_lobe`.
     """
 
     alpha: float
@@ -233,14 +234,11 @@ def ry_cascade(
 ) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
-    as d rotations ry(2^(1-j) alpha) each controlled on one L qubit."""
+    as d rotations ry(2^(1-j) alpha) each controlled on one L qubit.
+    Exact for every theta; the single-lobe rule is a set-up check."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
     if anc_mass[1] > 1e-12:
         raise ValidationError("ancilla not cleared")
-    l_mass = sim.register_mass(state, layout.reg_L)
-    occupied = np.flatnonzero(l_mass > OCCUPIED_TOL)
-    if occupied.size:
-        cfg.check_single_lobe(int(occupied.max()), len(layout.reg_L))
     for j, q in enumerate(layout.reg_L, start=1):
         gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
         sim.apply_controlled(state, gate, q, 1, [layout.ancilla])

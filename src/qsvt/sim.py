@@ -33,6 +33,12 @@ UNITARY_TOL = 1e-10
 POST_SELECT_FLOOR = 1e-12
 
 
+def check_width(name: str, bits: int) -> None:
+    """Reject a register width outside 1..MAX_QUBITS, before 2**bits is formed."""
+    if not 1 <= bits <= MAX_QUBITS:
+        raise ValidationError(f"{name} must lie in 1..{MAX_QUBITS}, got {bits}")
+
+
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 

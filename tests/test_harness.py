@@ -62,6 +62,7 @@ MATRIX_FILES = {
     "small.txt": "2 3\n1 0 0\n0 0.5 0\n",
     "header_not_int.txt": "2 x\n1 0 0\n0 0.5 0\n",
     "header_one_field.txt": "2\n1 0 0\n0 0.5 0\n",
+    "tau_not_float.cfg": "tau=abc\n",
 }
 
 
@@ -88,6 +89,12 @@ MATRIX_FILES = {
         (["sweep", "--n", "2", "--m-bits", "0"], 2),
         (["sweep", "--n", "2", "--jobs", "0"], 2),
         (["sweep", "--n", "2", "--jobs", "-3"], 2),
+        # register widths are checked before 2**width is formed
+        (["example", "--t-bits", "-1"], 2),
+        (["example", "--m-bits", "-1"], 2),
+        (["example", "--t-bits", "2000"], 2),
+        (["example", "--m-bits", "2000"], 2),
+        (["example", "--config", "tau_not_float.cfg"], 2),
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -99,6 +106,13 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     assert rc == code
     assert err.startswith("error:")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_config_value_that_does_not_parse_names_key_and_value(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# defaults\nt-bits = 3.5\n")
+    assert harness.main(["example", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: config value t_bits='3.5' does not parse\n"
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):

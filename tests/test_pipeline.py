@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def test_reference_agreement_in_exact_regime():
     assert abs(res.p_sim - res.p_analytic) < 1e-9
     assert abs(res.f_sim - res.f_analytic) < 1e-9
     assert res.residual_mass < 1e-9
+
+
+def test_reference_run_passes_over_the_state(monkeypatch):
+    # every counted function reads or writes the whole state once per call
+    counts = collections.Counter()
+    for name in ("check_norm", "register_mass", "apply_unitary", "apply_controlled",
+                 "apply_basis_oracle"):
+        def counted(*args, _real=getattr(sim, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(sim, name, counted)
+    run_reference()
+    # QFT and QFT^-1 per phase estimation, no Hadamard layers on C, and
+    # no pass over L in the cascade
+    assert counts == {"check_norm": 7, "register_mass": 3, "apply_unitary": 4,
+                      "apply_controlled": 8, "apply_basis_oracle": 2}
 
 
 def test_analytic_p_and_f_are_the_resolved_solutions():

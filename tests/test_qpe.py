@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qsvt import qpe, sim, spectral
+from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ValidationError
-from qsvt.harness import random_lowrank
+from qsvt.harness import example_matrix, random_lowrank
 
 
 def reference_setup(m_bits=1, t_bits=3):
@@ -232,3 +232,75 @@ def test_c_distribution_independent_of_v_factor():
         qpe.phase_estimate(state, cfg, layout, a_pad)
         masses.append(sim.register_mass(state, layout.reg_C))
     assert np.abs(masses[0] - masses[1]).max() < 1e-12
+
+
+def hadamard_phase_estimate(state, cfg, layout, a):
+    """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
+    for q in layout.reg_C:
+        sim.apply_unitary(state, sim.hadamard(), [q])
+    qpe.conditional_evolution(state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a)
+    qpe.iqft(state, layout.reg_C)
+    return state
+
+
+def hadamard_phase_estimate_inverse(state, cfg, layout, a):
+    """Adjoint of :func:`hadamard_phase_estimate`: QFT, E^-1, Hadamards."""
+    qpe.qft(state, layout.reg_C)
+    qpe.conditional_evolution(
+        state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a, inverse=True
+    )
+    for q in layout.reg_C:
+        sim.apply_unitary(state, sim.hadamard(), [q])
+    return state
+
+
+def _by_c(amplitudes, layout):
+    """View indexed (ancilla and L, C, B); qubit 0 is the top bit."""
+    return amplitudes.reshape(1 << (1 + len(layout.reg_L)), 1 << len(layout.reg_C), -1)
+
+
+def _random_state(rng, layout, clear_c):
+    n = layout.n_qubits
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    if clear_c:
+        _by_c(amp, layout)[:, 1:, :] = 0.0
+    return sim.QuantumState(n, amp / np.linalg.norm(amp))
+
+
+def test_qft_phase_estimation_matches_the_hadamard_layer():
+    _, _, a_pad = reference_setup()
+    rng = np.random.default_rng(23)
+    for t_bits in range(1, 6):
+        layout = sim.RegisterLayout.standard(2, t_bits, 3)
+        cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
+        for _ in range(3):
+            state = _random_state(rng, layout, clear_c=True)
+            reference = hadamard_phase_estimate(state.copy(), cfg, layout, a_pad)
+            qpe.phase_estimate(state, cfg, layout, a_pad)
+            assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
+            # the adjoints agree on C = 0 for any input, cleared or not
+            state = _random_state(rng, layout, clear_c=False)
+            reference = hadamard_phase_estimate_inverse(state.copy(), cfg, layout, a_pad)
+            qpe.phase_estimate_inverse(state, cfg, layout, a_pad)
+            diff = _by_c(state.amplitudes - reference.amplitudes, layout)
+            assert np.abs(diff[:, 0, :]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
+        dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
+    ],
+    ids=["paper", "inexact"],
+)
+def test_run_matches_the_hadamard_layer_circuit(monkeypatch, cfg):
+    run = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    monkeypatch.setattr(qpe, "phase_estimate", hadamard_phase_estimate)
+    monkeypatch.setattr(rotation, "phase_estimate_inverse", hadamard_phase_estimate_inverse)
+    reference = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    assert run.exact == reference.exact == (cfg["tau"] == 0.5)
+    if not run.exact:
+        assert run.residual_mass > 1e-2
+    for name in ("p_sim", "f_sim", "residual_mass", "triple_amplitudes", "b_state"):
+        assert np.abs(getattr(run, name) - getattr(reference, name)).max() < 1e-12, name

@@ -333,11 +333,13 @@ def test_ry_cascade_requires_cleared_ancilla():
         rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0))
 
 
-def test_ry_cascade_rejects_alpha_beyond_single_lobe():
+def test_ry_cascade_is_exact_beyond_single_lobe():
+    # the single-lobe rule is a set-up check of the run, not of the cascade
     layout = sim.RegisterLayout.standard(2, 1, 1)
-    state = _state_with_l_code(layout, 3)  # theta = 0.75
-    with pytest.raises(ValidationError, match="single-lobed"):
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(4.4))
+    state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
+    rotation.ry_cascade(state, layout, rotation.RotationConfig(4.4))
+    amp = state.amplitudes.reshape(2, 4, -1)[1, 3, 0]  # ancilla 1, L = 11, C = B = 0
+    assert amp == pytest.approx(np.sin(0.75 * 4.4), abs=1e-12)
 
 
 def test_rotation_config_requires_finite_positive_alpha():
