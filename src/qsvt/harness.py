@@ -453,7 +453,8 @@ def cmd_sweep(args) -> int:
             + ("comparable" if summary["p_comparable"] else "DEVIATES")
         )
         print(
-            f"median F margin (intuitive - taylor2) = {summary['f_median_margin']:.6f}"
+            f"median F margin (intuitive - taylor2) = "
+            f"{round(summary['f_median_margin'], 6) + 0.0:.6f}"
             f" (floor -0.005): "
             + ("intuitive not worse" if summary["f_not_worse"] else "DEVIATES")
         )
@@ -487,15 +488,21 @@ def cmd_alpha(args) -> int:
     return 0
 
 
+def _tiny(x: float) -> str:
+    """``x`` as ``%.3e``, or ``< 1e-12`` for round-off, whose digits
+    differ between correct builds."""
+    return "< 1e-12" if abs(x) < 1e-12 else f"{x:.3e}"
+
+
 def cmd_pipeline(args) -> int:
     result = _run(args, spectral.load_matrix_text(args.matrix))
     report = pipeline_mod.verify_against_classical(result, result.spec, args.tau)
     print(f"alpha = {result.alpha:.8f} ({result.alpha_method})")
     print(f"P_sim = {result.p_sim:.10f}   P_analytic = {result.p_analytic:.10f}")
     print(f"F_sim = {result.f_sim:.10f}   F_analytic = {result.f_analytic:.10f}")
-    print(f"uncompute residual = {result.residual_mass:.3e}, exact = {result.exact}")
+    print(f"uncompute residual = {_tiny(result.residual_mass)}, exact = {result.exact}")
     print(f"fidelity recheck via threshold matrix: {report.f_recomputed:.10f}"
-          f" (delta {report.delta:.3e})")
+          f" (delta {_tiny(report.delta)})")
     if result.p_shots is not None:
         print(f"P ({args.shots} shots) = {result.p_shots:.6f}")
     print(f"{'k':>3} {'sigma':>10} {'y':>8} {'y_code':>8} {'target':>9} "

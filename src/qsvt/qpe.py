@@ -6,10 +6,10 @@ Eigenvalue encoding: :func:`choose_t0` fixes an evolution time-step
 place where labels are computed and checked.  The label for eigenvalue
 ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``,
 decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution
-E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
-realized as one controlled power ``exp(i A 2^w t0)`` per register
-qubit (bit weight ``2^w``), which is equivalent and exponentially
-cheaper than one control per label.
+E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``:
+one uniformly controlled gate on C whose stack of ``T`` evolutions is
+built from the ``t`` bit-weight powers ``exp(i A 2^w t0)`` by doubling,
+so E is one pass over the state and ``t`` matrix exponentials.
 
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
@@ -124,21 +124,19 @@ def conditional_evolution(
     a: np.ndarray,
     inverse: bool = False,
 ) -> QuantumState:
-    """For each C label c, evolve the u-factor of B by exp(i A c t0)."""
-    reg_C = list(reg_C)
-    reg_B_left = list(reg_B_left)
+    """For each C label c, evolve the u-factor of B by exp(i A c t0), as
+    one uniformly controlled gate on C."""
     a = np.asarray(a, dtype=complex)
     if a.shape[0] != (1 << len(reg_B_left)):
         raise ValidationError(
             f"Hamiltonian dim {a.shape[0]} does not match the controlled sub-factor"
         )
     sign = -1.0 if inverse else 1.0
-    t = len(reg_C)
-    for i, q in enumerate(reg_C):
-        weight = 1 << (t - 1 - i)
-        u = herm_exp(a, sign * weight * cfg.t0)
-        sim.apply_controlled(state, u, q, 1, reg_B_left)
-    return state
+    stack = np.eye(len(a), dtype=complex)[None]
+    for w in range(len(reg_C)):
+        # labels 2^w..2^(w+1)-1 are the labels below 2^w times U_(2^w)
+        stack = np.concatenate([stack, stack @ herm_exp(a, sign * (1 << w) * cfg.t0)])
+    return sim.apply_controlled(state, stack, reg_C, reg_B_left)
 
 
 def _u_factor_qubits(layout: RegisterLayout, a: np.ndarray) -> list[int]:

@@ -3,9 +3,10 @@
 The controlled-rotation subroutine splits in two: a basis-state oracle
 that writes the m-bit shrinkage fraction y = (1 - tau/sigma)_+ of each
 eigenvalue label into register L (computed by a cubic Newton iteration,
-XOR-written so the oracle is self-inverse), and a cascade of d
-single-qubit Y rotations that turns the L content theta = 0.t1...td
-into an ancilla amplitude sin(theta * alpha).
+XOR-written so the oracle is self-inverse), and the paper's cascade of
+d controlled Y rotations that turns the L content theta = 0.t1...td
+into an ancilla amplitude sin(theta * alpha), applied as one Y rotation
+per L label in a single uniformly controlled gate.
 
 Fixed-point codes are m-bit binary fractions value = raw / 2**m in
 [0, 1).  General float-to-code conversion rounds to nearest, ties up.
@@ -234,14 +235,16 @@ def ry_cascade(
 ) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
-    as d rotations ry(2^(1-j) alpha) each controlled on one L qubit.
-    Exact for every theta; the single-lobe rule is a set-up check."""
+    as one ry(2 theta a) per L label, controlled by L in one pass (the
+    paper's d rotations ry(2^(1-j) a), each controlled on one L qubit,
+    multiply to it).  Exact for every theta; the single-lobe rule is a
+    set-up check."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
     if anc_mass[1] > 1e-12:
         raise ValidationError("ancilla not cleared")
-    for j, q in enumerate(layout.reg_L, start=1):
-        gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
-        sim.apply_controlled(state, gate, q, 1, [layout.ancilla])
+    d = len(layout.reg_L)
+    angles = 2.0 * cfg.alpha * np.arange(1 << d) / (1 << d)
+    sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
     sim.check_norm(state)
     return state
 

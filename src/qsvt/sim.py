@@ -9,14 +9,17 @@ Conventions used throughout the package:
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes in place through reshape views
   split at register edges: a gate on qubits lo..lo+k-1 sees
-  ``(2**lo, 2**k, rest)``, a control is one more split axis indexed by
-  its value, and the one kernel writes ``u @ view`` back once.  Gate
-  targets and registers are contiguous ascending qubits; anything else
-  raises ``ValidationError`` before the state is touched.  A state has
-  a single writer at a time.
-* ``apply_unitary`` and ``apply_controlled`` reject a non-unitary matrix.
-  Gates do not check the norm: each stage of the circuit calls
-  :func:`check_norm` once when it ends.
+  ``(2**lo, 2**k, rest)``.  A control is a register too, one more split
+  axis, and its label indexes a stack of matrices: the one kernel
+  writes ``stack @ view`` back once, so a controlled stage is one pass
+  (an uncontrolled gate is a one-matrix stack).  Gate targets, controls
+  and registers are contiguous ascending qubits; anything else raises
+  ``ValidationError`` before the state is touched.  A state has a
+  single writer at a time.
+* ``apply_unitary`` and ``apply_controlled`` reject a non-unitary
+  matrix, with one batched check per stack.  Gates do not check the
+  norm: each stage of the circuit calls :func:`check_norm` once when
+  it ends.
 """
 from __future__ import annotations
 
@@ -39,18 +42,11 @@ def check_width(name: str, bits: int) -> None:
         raise ValidationError(f"{name} must lie in 1..{MAX_QUBITS}, got {bits}")
 
 
-def hadamard() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
-def pauli_x() -> np.ndarray:
-    return np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def ry(angle: float) -> np.ndarray:
-    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def ry(angle) -> np.ndarray:
+    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>.  An array
+    of angles gives the stack of their rotations."""
+    c, s = np.cos(np.asarray(angle) / 2.0), np.sin(np.asarray(angle) / 2.0)
+    return np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -124,20 +120,6 @@ def _require_targets(state: QuantumState, targets: list[int], dim: int) -> None:
         raise ValidationError(f"matrix dim {dim} does not match {len(targets)} targets")
 
 
-def _gate(state: QuantumState, matrix, qubits: list[int], controls: int) -> np.ndarray:
-    """``matrix`` as a complex unitary on ``qubits`` less ``controls``."""
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or len(u) < 2:
-        raise ValidationError("gate matrix must be square and act on a qubit")
-    _require_targets(state, qubits, u.shape[0] << controls)
-    dev = u.conj().T @ u
-    dev.reshape(-1)[:: len(u) + 1] -= 1.0
-    err = np.abs(dev).max()
-    if err > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
-    return u
-
-
 @functools.lru_cache(maxsize=256)
 def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shape that cuts qubits 0..n-1 at the edges of the given disjoint,
@@ -147,55 +129,63 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return shape, tuple(edges.index(lo) for lo, _ in registers)
 
 
-def _contiguous(qubits: list[int]) -> bool:
-    return qubits == list(range(qubits[0], qubits[0] + len(qubits)))
+def _contiguous(qubits) -> bool:
+    return list(qubits) == list(range(qubits[0], qubits[0] + len(qubits)))
 
 
-def _apply(state: QuantumState, matrix, targets, control=None, value=1) -> QuantumState:
-    """Validate the gate, then the kernel: amplitudes <- u on contiguous
-    ascending targets lo..lo+k-1 where ``control`` reads ``value``."""
-    targets = list(targets)
-    front = targets + ([] if control is None else [control])
-    u = _gate(state, matrix, front, len(front) - len(targets))
-    if not _contiguous(targets):
-        raise ValidationError("target qubits must be contiguous ascending")
-    lo = targets[0]
-    controlled = () if control is None else ((control, control + 1),)
-    shape, axes = _split(state.n_qubits, ((lo, lo + len(targets)),) + controlled)
-    index = [slice(None)] * len(shape)
-    if controlled:
-        index[axes[1]] = value
-    view = state.amplitudes.reshape(shape)[tuple(index)]
-    axis = axes[0] - (control is not None and control < lo)
-    if axis == view.ndim - 1:
-        view[...] = view @ u.T
-    else:
-        view = view.swapaxes(axis, -2)
-        view[...] = u @ view
+@functools.lru_cache(maxsize=256)
+def _gate_view(n: int, targets: tuple, control: tuple) -> tuple[tuple, tuple, bool]:
+    """The shape and axis order that view the amplitudes as (..., control,
+    targets, rest), or as (..., control, rest, targets) when the targets
+    end at the last qubit, and whether they do.  With no control, a unit
+    axis stands in for it (one label)."""
+    if not targets or not all(_contiguous(r) for r in (targets, control) if r):
+        raise ValidationError("target and control qubits must be contiguous ascending")
+    shape, axes = _split(n, tuple((r[0], r[-1] + 1) for r in (targets, control) if r))
+    # two leading unit axes: the absent control and a spare batch axis
+    t_axis, c_axis, ndim = axes[0] + 2, (axes[1] + 2 if control else 0), len(shape) + 2
+    last = t_axis == ndim - 1
+    rest = [a for a in range(ndim) if a not in (c_axis, t_axis)]
+    inner = [rest[-1], t_axis] if last else [t_axis, rest[-1]]
+    return (1, 1) + shape, tuple(rest[:-1] + [c_axis] + inner), last
+
+
+def _apply(state: QuantumState, matrices, targets, control=()) -> QuantumState:
+    """Validate, then the kernel: ``matrices[x]`` on contiguous ascending
+    targets wherever the contiguous control register reads x, as one
+    ``stack @ view`` written back once."""
+    targets, control = tuple(targets), tuple(control)
+    stack = np.asarray(matrices, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
+    if len(stack) != 1 << len(control):
+        raise ValidationError(f"{len(stack)} matrices for a {len(control)}-qubit control")
+    if set(control) & set(targets):
+        raise ValidationError("control qubits overlap targets")
+    _require_targets(state, [*targets, *control], stack.shape[1] << len(control))
+    shape, order, last = _gate_view(state.n_qubits, targets, control)
+    dev = stack.conj().transpose(0, 2, 1) @ stack
+    dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
+    err = np.abs(dev).max()
+    del dev  # before the state-sized temporary below, not beside it
+    if err > UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
+    view = state.amplitudes.reshape(shape).transpose(order)
+    view[...] = view @ stack.transpose(0, 2, 1) if last else stack @ view
     return state
 
 
 def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
     """Apply ``matrix`` on ``targets`` (first target = most significant
     bit of the gate's label) and identity elsewhere."""
-    return _apply(state, matrix, targets)
+    return _apply(state, np.asarray(matrix, dtype=complex)[None], targets)
 
 
-def apply_controlled(
-    state: QuantumState,
-    matrix: np.ndarray,
-    control_qubit: int,
-    control_value: int,
-    targets,
-) -> QuantumState:
-    """Apply ``matrix`` on ``targets`` only where ``control_qubit``
-    equals ``control_value``."""
-    targets = list(targets)
-    if control_qubit in targets:
-        raise ValidationError("control qubit overlaps targets")
-    if control_value not in (0, 1):
-        raise ValidationError("control value must be 0 or 1")
-    return _apply(state, matrix, targets, control_qubit, control_value)
+def apply_controlled(state: QuantumState, matrices, control, targets) -> QuantumState:
+    """Uniformly controlled gate: ``matrices[x]`` acts on ``targets``
+    wherever the ``control`` register reads x, so ``len(matrices)`` is
+    ``2**len(control)``.  A one-qubit control on value 1 is ``[I, U]``."""
+    return _apply(state, matrices, targets, control)
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:

@@ -323,6 +323,35 @@ def test_cmd_pipeline_from_matrix_file(tmp_path, monkeypatch, capsys):
     assert "delta" in out
 
 
+@pytest.mark.parametrize(
+    "sigma, tau", [((2.0, 1.0), "0.5"), ((3.0, 2.0, 1.0), "0.9")], ids=["diag21", "diag321"]
+)
+def test_cmd_pipeline_prints_round_off_as_below_1e_12(tmp_path, capsys, sigma, tau):
+    # exact-regime residual and recheck delta are round-off, whose digits
+    # depend on the order of the arithmetic; stdout must not carry them
+    path = tmp_path / "diag.txt"
+    spectral.save_matrix_text(path, np.diag(sigma))
+    outs = []
+    for _ in range(2):
+        assert harness.main(["pipeline", "--matrix", str(path), "--tau", tau]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "uncompute residual = < 1e-12, exact = " in outs[0]
+    assert "(delta < 1e-12)" in outs[0]
+    assert harness._tiny(2.5e-12) == "2.500e-12"
+
+
+def test_cmd_sweep_margin_never_prints_negative_zero(tmp_path, monkeypatch, capsys):
+    summary = harness.sweep_summary
+    monkeypatch.setattr(
+        harness, "sweep_summary", lambda *a: {**summary(*a), "f_median_margin": -1e-17}
+    )
+    assert harness.main(["sweep", "--n", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "median F margin (intuitive - taylor2) = 0.000000 (floor" in out
+    assert "-0.000000" not in out
+
+
 def test_emit_plot_structure(tmp_path):
     records = harness.run_sweep(harness.SweepConfig(n_instances=4, seed=2))
     path = tmp_path / "plot.svg"

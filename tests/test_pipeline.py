@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import pipeline, qpe, sim, spectral
+from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 from qsvt.rotation import NewtonConfig
+
+from gates import bitwise_conditional_evolution, bitwise_ry_cascade
 
 
 def run_reference(**overrides):
@@ -53,7 +55,33 @@ def test_reference_run_passes_over_the_state(monkeypatch):
     # QFT and QFT^-1 per phase estimation, no Hadamard layers on C, and
     # no pass over L in the cascade
     assert counts == {"check_norm": 7, "register_mass": 3, "apply_unitary": 4,
-                      "apply_controlled": 8, "apply_basis_oracle": 2}
+                      "apply_controlled": 3, "apply_basis_oracle": 2}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
+        dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
+    ],
+    ids=["paper", "inexact"],
+)
+def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
+    # the controlled evolution and the cascade spelled as one
+    # single-qubit-controlled gate per control bit, as the paper draws them
+    run = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    monkeypatch.setattr(qpe, "conditional_evolution", bitwise_conditional_evolution)
+    monkeypatch.setattr(rotation, "ry_cascade", bitwise_ry_cascade)
+    calls = collections.Counter()
+    apply_controlled = sim.apply_controlled
+    monkeypatch.setattr(
+        sim, "apply_controlled", lambda *a: calls.update(["gate"]) or apply_controlled(*a)
+    )
+    reference = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    assert calls["gate"] == 2 * cfg["t_bits"] + cfg["m_bits"]
+    assert run.exact == reference.exact == (cfg["tau"] == 0.5)
+    for name in ("p_sim", "f_sim", "residual_mass", "triple_amplitudes", "b_state"):
+        assert np.abs(getattr(run, name) - getattr(reference, name)).max() < 1e-12, name
 
 
 def test_analytic_p_and_f_are_the_resolved_solutions():

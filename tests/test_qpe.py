@@ -5,6 +5,8 @@ from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
+from gates import bitwise_conditional_evolution, hadamard, pauli_x
+
 
 def reference_setup(m_bits=1, t_bits=3):
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
@@ -111,7 +113,7 @@ def test_conditional_evolution_tiny_t0_is_identity():
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)
     state = loaded_state(data, layout)
     for q in layout.reg_C:
-        sim.apply_unitary(state, sim.hadamard(), [q])
+        sim.apply_unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
     qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
     assert np.abs(state.amplitudes - before).max() < 1e-10
@@ -123,7 +125,7 @@ def test_conditional_evolution_phases_on_label_one():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
     last_c = list(layout.reg_C)[-1]
-    sim.apply_unitary(state, sim.pauli_x(), [last_c])  # C = 001
+    sim.apply_unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
     qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
     for k, lam in enumerate((4.0, 1.0)):
@@ -152,7 +154,7 @@ def test_conditional_evolution_eigencomponent_pure_phase():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout, weights=[1.0, 0.0])  # u_1 x v_1 only
     for q in layout.reg_C:
-        sim.apply_unitary(state, sim.hadamard(), [q])
+        sim.apply_unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
     qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
@@ -182,7 +184,7 @@ def test_phase_estimate_requires_cleared_c():
     data, layout, a_pad = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    sim.apply_unitary(state, sim.pauli_x(), [list(layout.reg_C)[0]])
+    sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     with pytest.raises(ValidationError, match="not cleared"):
         qpe.phase_estimate(state, cfg, layout, a_pad)
 
@@ -234,10 +236,30 @@ def test_c_distribution_independent_of_v_factor():
     assert np.abs(masses[0] - masses[1]).max() < 1e-12
 
 
+def test_conditional_evolution_matches_the_bitwise_controlled_gates():
+    # one uniformly controlled gate on C against one controlled power per
+    # C qubit, both directions, on random states
+    _, _, a_pad = reference_setup()
+    rng = np.random.default_rng(24)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for a in (a_pad, z + z.conj().T):
+        for t_bits in range(1, 7):
+            layout = sim.RegisterLayout.standard(1, t_bits, 3)
+            cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
+            reg_b = qpe._u_factor_qubits(layout, a)
+            for inverse in (False, True):
+                state = _random_state(rng, layout, clear_c=False)
+                reference = bitwise_conditional_evolution(
+                    state.copy(), cfg, layout.reg_C, reg_b, a, inverse
+                )
+                qpe.conditional_evolution(state, cfg, layout.reg_C, reg_b, a, inverse)
+                assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
+
+
 def hadamard_phase_estimate(state, cfg, layout, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
     for q in layout.reg_C:
-        sim.apply_unitary(state, sim.hadamard(), [q])
+        sim.apply_unitary(state, hadamard(), [q])
     qpe.conditional_evolution(state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a)
     qpe.iqft(state, layout.reg_C)
     return state
@@ -250,7 +272,7 @@ def hadamard_phase_estimate_inverse(state, cfg, layout, a):
         state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a, inverse=True
     )
     for q in layout.reg_C:
-        sim.apply_unitary(state, sim.hadamard(), [q])
+        sim.apply_unitary(state, hadamard(), [q])
     return state
 
 

@@ -9,6 +9,8 @@ from qsvt import qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, UncomputeResidualError, ValidationError
 from qsvt.harness import random_lowrank
 
+from gates import bitwise_ry_cascade, controlled_on_one, pauli_x
+
 
 def code_of(value, m):
     return rotation.FixedPointCode.from_float(value, m)
@@ -206,7 +208,7 @@ def test_oracle_writes_codes_into_register_l():
     layout = sim.RegisterLayout.standard(3, 3, 1)
     state = sim.new_state(layout)
     # occupy C = 100 (label 4) with B = |0>
-    sim.apply_unitary(state, sim.pauli_x(), [list(layout.reg_C)[0]])
+    sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     oracle.apply(state, layout)
     mass_l = sim.register_mass(state, layout.reg_L)
     assert mass_l[6] == pytest.approx(1.0)
@@ -307,7 +309,7 @@ def _state_with_l_code(layout, raw):
     state = sim.new_state(layout)
     for i, q in enumerate(layout.reg_L):
         if (raw >> (len(layout.reg_L) - 1 - i)) & 1:
-            sim.apply_unitary(state, sim.pauli_x(), [q])
+            sim.apply_unitary(state, pauli_x(), [q])
     return state
 
 
@@ -328,7 +330,7 @@ def test_ry_cascade_reference_amplitudes():
 def test_ry_cascade_requires_cleared_ancilla():
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = sim.new_state(layout)
-    sim.apply_unitary(state, sim.pauli_x(), [layout.ancilla])
+    sim.apply_unitary(state, pauli_x(), [layout.ancilla])
     with pytest.raises(ValidationError, match="ancilla"):
         rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0))
 
@@ -363,7 +365,7 @@ def _controlled_ry_product(alpha, d):
         gate = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
             st = sim.QuantumState(n, np.eye(dim, dtype=complex)[col])
-            sim.apply_controlled(st, sim.ry(2.0 ** (1 - j) * alpha), j, 1, [0])
+            sim.apply_controlled(st, controlled_on_one(sim.ry(2.0 ** (1 - j) * alpha)), [j], [0])
             gate[:, col] = st.amplitudes
         op = gate @ op
     return op
@@ -394,6 +396,23 @@ def test_ry_cascade_matches_gate_product_on_cleared_ancilla():
         state.amplitudes = amp
         rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
         assert np.abs(state.amplitudes[::2] - op[:, label]).max() < 1e-12
+
+
+def test_ry_cascade_matches_the_bitwise_controlled_rotations():
+    # one uniformly controlled ry against the paper's one rotation per L
+    # qubit, on random states with the ancilla cleared
+    rng = np.random.default_rng(41)
+    for m_bits in range(1, 8):
+        layout = sim.RegisterLayout.standard(m_bits, 2, 2)
+        n = layout.n_qubits
+        for alpha in rng.uniform(0.5, 4.4, size=3):
+            amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amp[1 << (n - 1) :] = 0.0  # ancilla (qubit 0) reads 0
+            state = sim.QuantumState(n, amp / np.linalg.norm(amp))
+            cfg = rotation.RotationConfig(float(alpha))
+            reference = bitwise_ry_cascade(state.copy(), layout, cfg)
+            rotation.ry_cascade(state, layout, cfg)
+            assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
 def reference_forward_state():

@@ -6,6 +6,8 @@ import pytest
 from qsvt import sim
 from qsvt.errors import FullyThresholdedError, ValidationError
 
+from gates import controlled_on_one, hadamard, pauli_x
+
 
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
@@ -78,7 +80,7 @@ def test_load_register_rejects_bad_input():
 def test_load_register_requires_other_registers_cleared():
     layout = sim.RegisterLayout.standard(1, 1, 2)
     state = sim.new_state(layout)
-    sim.apply_unitary(state, sim.pauli_x(), [layout.ancilla])
+    sim.apply_unitary(state, pauli_x(), [layout.ancilla])
     vec = np.zeros(4)
     vec[0] = 1.0
     with pytest.raises(ValidationError, match=r"not in \|0>"):
@@ -97,14 +99,14 @@ def test_apply_unitary_identity_noop():
 def test_apply_unitary_pauli_x_single_qubit():
     layout = sim.RegisterLayout(0, range(0, 0), range(0, 0), range(1, 2))
     state = sim.new_state(layout)
-    sim.apply_unitary(state, sim.pauli_x(), [0])
+    sim.apply_unitary(state, pauli_x(), [0])
     # qubit 0 is the most significant bit: |10> is index 2
     assert np.allclose(state.amplitudes, [0, 0, 1, 0])
 
 
 def test_apply_unitary_hadamard_on_zero():
     state = sim.QuantumState(1, np.array([1.0, 0.0], dtype=complex))
-    sim.apply_unitary(state, sim.hadamard(), [0])
+    sim.apply_unitary(state, hadamard(), [0])
     assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
@@ -118,20 +120,20 @@ def test_apply_unitary_rejects_non_unitary():
 
 def test_apply_controlled_inactive_control():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
-    sim.apply_controlled(state, sim.pauli_x(), 0, 1, [1])
+    sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
     assert np.allclose(state.amplitudes, [1, 0, 0, 0])
 
 
 def test_apply_controlled_cnot():
     state = sim.QuantumState(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    sim.apply_controlled(state, sim.pauli_x(), 0, 1, [1])
+    sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
     assert np.allclose(state.amplitudes, [0, 0, 0, 1])  # |11>
 
 
 def test_apply_controlled_ry_pi_makes_bell_state():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
-    sim.apply_unitary(state, sim.hadamard(), [0])
-    sim.apply_controlled(state, sim.ry(np.pi), 0, 1, [1])
+    sim.apply_unitary(state, hadamard(), [0])
+    sim.apply_controlled(state, controlled_on_one(sim.ry(np.pi)), [0], [1])
     expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
@@ -139,7 +141,7 @@ def test_apply_controlled_ry_pi_makes_bell_state():
 def test_apply_controlled_rejects_overlap():
     state = random_state(2, 3)
     with pytest.raises(ValidationError, match="overlap"):
-        sim.apply_controlled(state, sim.pauli_x(), 1, 1, [1])
+        sim.apply_controlled(state, controlled_on_one(pauli_x()), [1], [1])
 
 
 def test_basis_oracle_identity():
@@ -277,7 +279,7 @@ def test_norm_preserved_over_random_gate_sequences():
             sim.apply_unitary(state, sim.ry(float(rng.uniform(0, np.pi))), [q])
         elif kind == 1:
             c, t = rng.choice(5, size=2, replace=False)
-            sim.apply_controlled(state, sim.hadamard(), int(c), 1, [int(t)])
+            sim.apply_controlled(state, controlled_on_one(hadamard()), [int(c)], [int(t)])
         else:
             codes = {c: int(rng.integers(4)) for c in range(8)}
             sim.apply_basis_oracle(state, [0, 1], [2, 3, 4], codes)
@@ -305,20 +307,21 @@ def test_controlled_identity_is_noop():
     for seed in range(3):
         state = random_state(4, 300 + seed)
         before = state.amplitudes.copy()
-        sim.apply_controlled(state, np.eye(2), 0, 1, [3])
+        sim.apply_controlled(state, controlled_on_one(np.eye(2)), [0], [3])
         assert np.allclose(state.amplitudes, before, atol=1e-14)
 
 
-def dense_reference(n, u, targets, control=None, value=1):
-    """The gate as a 2^n x 2^n matrix: a Kronecker product with the
-    (controlled) gate on the front qubits, conjugated by the qubit
-    permutation that brings control and targets to the front."""
-    front = list(targets)
-    if control is not None:
-        proj = np.diag([1.0 - value, float(value)])
-        u = np.kron(proj, u) + np.kron(np.eye(2) - proj, np.eye(len(u)))
-        front = [control] + front
-    op = np.kron(u, np.eye(1 << (n - len(front))))
+def dense_reference(n, stack, targets, control=()):
+    """The gate as a 2^n x 2^n matrix: a Kronecker product with the block
+    diagonal of the stack (one block per control label) on the front
+    qubits, conjugated by the qubit permutation that brings control and
+    targets to the front."""
+    front = list(control) + list(targets)
+    d = len(stack[0])
+    block = np.zeros((len(stack) * d, len(stack) * d), dtype=complex)
+    for x, u in enumerate(stack):
+        block[x * d : (x + 1) * d, x * d : (x + 1) * d] = u
+    op = np.kron(block, np.eye(1 << (n - len(front))))
     order = front + [q for q in range(n) if q not in front]
     x = np.arange(1 << n)
     moved = sum(((x >> (n - 1 - q)) & 1) << (n - 1 - i) for i, q in enumerate(order))
@@ -333,46 +336,84 @@ def random_unitary(k, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _placement(n, k, w, rng):
+    """Targets and control: two contiguous blocks in either order with a
+    random gap, or the first k and next w qubits of a permutation."""
+    if rng.integers(2):
+        start = int(rng.integers(n - k - w + 1))
+        gap = int(rng.integers(n - k - w - start + 1))
+        control_first = bool(rng.integers(2))
+        first, second = (w, k) if control_first else (k, w)
+        blocks = [list(range(start, start + first)),
+                  list(range(start + first + gap, start + first + gap + second))]
+        return blocks[::-1] if control_first else blocks
+    picked = [int(q) for q in rng.permutation(n)[: k + w]]
+    return picked[:k], picked[k:]
+
+
 def test_gate_kernel_matches_dense_kronecker_reference():
     rng = np.random.default_rng(15)
     seen = set()
-    for trial in range(300):
-        n = int(rng.integers(1, 7))
-        controlled = n > 1 and bool(rng.integers(2))
-        k = int(rng.integers(1, min(3, n - controlled) + 1))
-        if rng.integers(2):
-            lo = int(rng.integers(n - k + 1))
-            qubits = list(range(lo, lo + k))
-            free = [q for q in range(n) if q not in qubits]
-            control = int(rng.choice(free)) if controlled and free else None
+    for trial in range(600):
+        n = int(rng.integers(1, 8))
+        w = int(rng.integers(min(3, n - 1) + 1))  # control width; 0 is apply_unitary
+        k = int(rng.integers(1, min(3, n - w) + 1))
+        targets, control = _placement(n, k, w, rng)
+        value = None
+        if w == 1 and rng.integers(2):
+            # a one-qubit control reading `value`: [U, I] for 0, [I, U] for 1
+            value, u = int(rng.integers(2)), random_unitary(k, rng)
+            stack = [u, np.eye(1 << k)] if value == 0 else [np.eye(1 << k), u]
         else:
-            picked = [int(q) for q in rng.permutation(n)[: k + controlled]]
-            qubits, control = picked[:k], (picked[k] if controlled else None)
-        value = int(rng.integers(2))
-        u = random_unitary(k, rng)
+            stack = [random_unitary(k, rng) for _ in range(1 << w)]
         state = random_state(n, 1000 + trial)
         before = state.amplitudes.copy()
-        contiguous = qubits == list(range(qubits[0], qubits[0] + k))
-        if control is None:
-            apply = functools.partial(sim.apply_unitary, state, u, qubits)
+        contiguous = all(r == list(range(r[0], r[0] + len(r))) for r in (targets, control) if r)
+        if w == 0:
+            apply = functools.partial(sim.apply_unitary, state, stack[0], targets)
         else:
-            apply = functools.partial(sim.apply_controlled, state, u, control, value, qubits)
+            apply = functools.partial(sim.apply_controlled, state, stack, control, targets)
+        case = (n, targets, control, value)
         if contiguous:
             apply()
-            expected = dense_reference(n, u, qubits, control, value) @ before
-            assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, qubits, control, value)
+            expected = dense_reference(n, stack, targets, control) @ before
+            assert np.abs(state.amplitudes - expected).max() < 1e-12, case
         else:
-            # the one kernel takes contiguous ascending targets only
+            # the one kernel takes contiguous ascending registers only
             with pytest.raises(ValidationError, match="contiguous"):
                 apply()
-            assert np.array_equal(state.amplitudes, before), (n, qubits, control, value)
-        if control is None:
-            seen.add((contiguous, None))
-        else:
-            where = ("before" if control < min(qubits) else
-                     "after" if control > max(qubits) else "between")
-            seen.add((contiguous, where, value))
-    wanted = {(c, None) for c in (True, False)}
-    wanted |= {(True, w, v) for w in ("before", "after") for v in (0, 1)}
-    wanted |= {(False, w, v) for w in ("before", "between", "after") for v in (0, 1)}
+            assert np.array_equal(state.amplitudes, before), case
+        where = (None if w == 0 else "before" if max(control) < min(targets) else
+                 "after" if min(control) > max(targets) else "between")
+        seen.add((contiguous, w, where))
+        if contiguous and targets[-1] == n - 1:
+            seen.add(("ends at the last qubit", w > 0))
+        if value is not None and contiguous:
+            seen.add(("value", value, where))
+    wanted = {(c, 0, None) for c in (True, False)}
+    wanted |= {(True, w, p) for w in (1, 2, 3) for p in ("before", "after")}
+    wanted |= {(False, w, p) for w in (1, 2) for p in ("before", "between", "after")}
+    wanted |= {("ends at the last qubit", c) for c in (True, False)}
+    wanted |= {("value", v, p) for v in (0, 1) for p in ("before", "after")}
     assert wanted <= seen, wanted - seen
+
+
+def test_controlled_gate_rejects_bad_stacks_and_controls():
+    rng = np.random.default_rng(16)
+    stack = [random_unitary(1, rng) for _ in range(4)]
+    skewed = [*stack[:2], np.array([[1, 1], [0, 1]]), stack[3]]
+    bad = [
+        ((stack[:3], [0, 1], [2]), "3 matrices for a 2-qubit control"),
+        ((stack, [0], [2]), "4 matrices for a 1-qubit control"),
+        ((skewed, [0, 1], [2]), "unitary"),
+        ((stack, [1, 2], [2]), "overlap"),
+        ((stack, [0, 2], [3]), "contiguous"),
+        ((stack, [1, 0], [3]), "contiguous"),
+        ((stack[0], [0], [2]), "square"),
+    ]
+    for args, match in bad:
+        state = random_state(4, 17)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValidationError, match=match):
+            sim.apply_controlled(state, *args)
+        assert np.array_equal(state.amplitudes, before), match
