@@ -6,10 +6,10 @@ Eigenvalue encoding: :func:`choose_t0` fixes an evolution time-step
 place where labels are computed and checked.  The label for eigenvalue
 ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``,
 decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution
-E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``:
-one uniformly controlled gate on C whose stack of ``T`` evolutions is
-built from the ``t`` bit-weight powers ``exp(i A 2^w t0)`` by doubling,
-so E is one pass over the state and ``t`` matrix exponentials.
+E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
+as a uniformly controlled gate on each run of C qubits (one run unless
+its stack would outgrow an eighth of the state), the stack built by
+doubling from ``t`` matrix exponentials, the powers ``exp(i A 2^w t0)``.
 
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
@@ -107,12 +107,10 @@ def _dft_matrix(width: int) -> np.ndarray:
 
 def qft(state: QuantumState, qubits) -> QuantumState:
     """Forward transform: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
-    qubits = list(qubits)
     return sim.apply_unitary(state, _dft_matrix(len(qubits)), qubits)
 
 
 def iqft(state: QuantumState, qubits) -> QuantumState:
-    qubits = list(qubits)
     return sim.apply_unitary(state, _dft_matrix(len(qubits)).conj().T, qubits)
 
 
@@ -125,18 +123,20 @@ def conditional_evolution(
     inverse: bool = False,
 ) -> QuantumState:
     """For each C label c, evolve the u-factor of B by exp(i A c t0), as
-    one uniformly controlled gate on C."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] != (1 << len(reg_B_left)):
-        raise ValidationError(
-            f"Hamiltonian dim {a.shape[0]} does not match the controlled sub-factor"
-        )
-    sign = -1.0 if inverse else 1.0
-    stack = np.eye(len(a), dtype=complex)[None]
-    for w in range(len(reg_C)):
-        # labels 2^w..2^(w+1)-1 are the labels below 2^w times U_(2^w)
-        stack = np.concatenate([stack, stack @ herm_exp(a, sign * (1 << w) * cfg.t0)])
-    return sim.apply_controlled(state, stack, reg_C, reg_B_left)
+    one uniformly controlled gate per run of C qubits: all of C, unless
+    its stack would outgrow an eighth of the state (a tall input)."""
+    t0, t, dim = -cfg.t0 if inverse else cfg.t0, len(reg_C), len(a)
+    width = min(t, max(1, state.n_qubits - 3 - 2 * len(reg_B_left)))
+    for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
+        run = reg_C[max(0, t - w0 - width) : t - w0]
+        stack = np.empty(((1 << len(run)) - 1, dim, dim), dtype=complex)  # label y at y - 1
+        for j in range(len(run)):  # label 2^j + y is label y times label 2^j
+            x = (1 << j) - 1
+            stack[x] = herm_exp(a, (1 << (w0 + j)) * t0)
+            np.matmul(stack[:x], stack[x], out=stack[x + 1 : 2 * x + 1])
+        sim.apply_controlled(state, stack, run, reg_B_left, powers=True)
+        del stack  # before the next run's exponentials, not beside them
+    return state
 
 
 def _u_factor_qubits(layout: RegisterLayout, a: np.ndarray) -> list[int]:

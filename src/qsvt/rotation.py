@@ -3,10 +3,9 @@
 The controlled-rotation subroutine splits in two: a basis-state oracle
 that writes the m-bit shrinkage fraction y = (1 - tau/sigma)_+ of each
 eigenvalue label into register L (computed by a cubic Newton iteration,
-XOR-written so the oracle is self-inverse), and the paper's cascade of
-d controlled Y rotations that turns the L content theta = 0.t1...td
-into an ancilla amplitude sin(theta * alpha), applied as one Y rotation
-per L label in a single uniformly controlled gate.
+XOR-written so the oracle is self-inverse), and a Y rotation controlled
+by L that turns the L content theta = 0.t1...td into an ancilla
+amplitude sin(theta * alpha).
 
 Fixed-point codes are m-bit binary fractions value = raw / 2**m in
 [0, 1).  General float-to-code conversion rounds to nearest, ties up.
@@ -235,15 +234,13 @@ def ry_cascade(
 ) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
-    as one ry(2 theta a) per L label, controlled by L in one pass (the
-    paper's d rotations ry(2^(1-j) a), each controlled on one L qubit,
-    multiply to it).  Exact for every theta; the single-lobe rule is a
-    set-up check."""
+    as one ry(2 theta a) per L label in one controlled pass (the product
+    of the paper's ry(2^(1-j) a) on each L qubit j).  Exact for every
+    theta; the single-lobe rule is a set-up check."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
     if anc_mass[1] > 1e-12:
         raise ValidationError("ancilla not cleared")
-    d = len(layout.reg_L)
-    angles = 2.0 * cfg.alpha * np.arange(1 << d) / (1 << d)
+    angles = np.linspace(0.0, 2.0 * cfg.alpha, 1 << len(layout.reg_L), endpoint=False)
     sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
     sim.check_norm(state)
     return state

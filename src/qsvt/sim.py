@@ -9,17 +9,15 @@ Conventions used throughout the package:
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes in place through reshape views
   split at register edges: a gate on qubits lo..lo+k-1 sees
-  ``(2**lo, 2**k, rest)``.  A control is a register too, one more split
-  axis, and its label indexes a stack of matrices: the one kernel
-  writes ``stack @ view`` back once, so a controlled stage is one pass
-  (an uncontrolled gate is a one-matrix stack).  Gate targets, controls
-  and registers are contiguous ascending qubits; anything else raises
-  ``ValidationError`` before the state is touched.  A state has a
-  single writer at a time.
-* ``apply_unitary`` and ``apply_controlled`` reject a non-unitary
-  matrix, with one batched check per stack.  Gates do not check the
-  norm: each stage of the circuit calls :func:`check_norm` once when
-  it ends.
+  ``(2**lo, 2**k, rest)``.  A control is a register, one more split axis
+  whose label indexes a stack of matrices; the one kernel writes
+  ``stack @ view`` back once (an uncontrolled gate is a one-matrix
+  stack).  Targets, controls and registers are contiguous ascending
+  qubits, or ``ValidationError`` is raised before the state is touched.
+  A state has a single writer at a time.
+* Gates reject a non-unitary matrix, one batched check per call (a
+  stack of powers is checked by its factors).  They do not check the
+  norm: each stage calls :func:`check_norm` once when it ends.
 """
 from __future__ import annotations
 
@@ -150,27 +148,29 @@ def _gate_view(n: int, targets: tuple, control: tuple) -> tuple[tuple, tuple, bo
     return (1, 1) + shape, tuple(rest[:-1] + [c_axis] + inner), last
 
 
-def _apply(state: QuantumState, matrices, targets, control=()) -> QuantumState:
-    """Validate, then the kernel: ``matrices[x]`` on contiguous ascending
-    targets wherever the contiguous control register reads x, as one
-    ``stack @ view`` written back once."""
-    targets, control = tuple(targets), tuple(control)
+def _apply(state: QuantumState, matrices, targets, control=(), powers=False) -> QuantumState:
+    """Validate, then the kernel: ``matrices[x - powers]`` on contiguous
+    ascending targets wherever the contiguous control register reads x
+    (from 1 with ``powers``), as one ``stack @ view`` written back once."""
+    targets, control, lo = tuple(targets), tuple(control), int(powers)
     stack = np.asarray(matrices, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
-    if len(stack) != 1 << len(control):
+    if len(stack) != (1 << len(control)) - lo:
         raise ValidationError(f"{len(stack)} matrices for a {len(control)}-qubit control")
     if set(control) & set(targets):
         raise ValidationError("control qubits overlap targets")
     _require_targets(state, [*targets, *control], stack.shape[1] << len(control))
     shape, order, last = _gate_view(state.n_qubits, targets, control)
-    dev = stack.conj().transpose(0, 2, 1) @ stack
+    # a stack of powers is the products of its members at labels 2^j
+    factors = stack[[(1 << j) - 1 for j in range(len(control))]] if powers else stack
+    dev = factors.conj().transpose(0, 2, 1) @ factors
     dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
     err = np.abs(dev).max()
-    del dev  # before the state-sized temporary below, not beside it
+    del factors, dev  # before the state-sized temporary below, not beside it
     if err > UNITARY_TOL:
         raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
-    view = state.amplitudes.reshape(shape).transpose(order)
+    view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
     view[...] = view @ stack.transpose(0, 2, 1) if last else stack @ view
     return state
 
@@ -181,11 +181,15 @@ def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumSt
     return _apply(state, np.asarray(matrix, dtype=complex)[None], targets)
 
 
-def apply_controlled(state: QuantumState, matrices, control, targets) -> QuantumState:
+def apply_controlled(
+    state: QuantumState, matrices, control, targets, powers: bool = False
+) -> QuantumState:
     """Uniformly controlled gate: ``matrices[x]`` acts on ``targets``
-    wherever the ``control`` register reads x, so ``len(matrices)`` is
-    ``2**len(control)``.  A one-qubit control on value 1 is ``[I, U]``."""
-    return _apply(state, matrices, targets, control)
+    wherever the ``control`` register reads x (``[I, U]`` is U controlled
+    on 1).  With ``powers``, ``matrices`` are U^1..U^(2^c - 1), each the
+    product of the members at the labels 2^j its bits select: label 0 is
+    left alone, and only those members are checked for unitarity."""
+    return _apply(state, matrices, targets, control, powers)
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:

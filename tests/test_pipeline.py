@@ -63,8 +63,10 @@ def test_reference_run_passes_over_the_state(monkeypatch):
     [
         dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
         dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
+        # u-factor 16 wide: C is cut into runs of 2, 2 and 1 qubits
+        dict(a0=random_lowrank(16, 2, 1, seed=5, sigma=(2.0,)), tau=0.5, t_bits=5, m_bits=2),
     ],
-    ids=["paper", "inexact"],
+    ids=["paper", "inexact", "tall"],
 )
 def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
     # the controlled evolution and the cascade spelled as one

@@ -256,6 +256,48 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
                 assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
+def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
+    # an 8x8 u-factor beside one L qubit: the stack of all of C would
+    # outgrow the state, so C is cut into runs (least significant first)
+    # whose stacks stay within an eighth of the state, and the runs still
+    # match one controlled power per C qubit
+    rng = np.random.default_rng(25)
+    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    a = z + z.conj().T
+    apply_controlled, calls = sim.apply_controlled, []
+
+    def spy(state, matrices, control, targets, **kwargs):
+        calls.append(len(control))
+        assert np.asarray(matrices).size * 8 <= state.amplitudes.size or len(control) == 1
+        return apply_controlled(state, matrices, control, targets, **kwargs)
+
+    runs = {3: [1, 1, 1], 5: [1] * 5, 6: [2, 2, 2], 7: [3, 3, 1], 8: [4, 4]}
+    for t_bits, widths in runs.items():
+        layout = sim.RegisterLayout.standard(1, t_bits, 3)
+        cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
+        for inverse in (False, True):
+            state = _random_state(rng, layout, clear_c=False)
+            reference = bitwise_conditional_evolution(
+                state.copy(), cfg, layout.reg_C, layout.reg_B, a, inverse
+            )
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "apply_controlled", spy)
+                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
+            assert calls == widths
+            assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
+        # a u-factor register that does not fit A is rejected by the gate
+        before = state.amplitudes.copy()
+        with pytest.raises(ValidationError, match="does not match"):
+            qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B[:2], a)
+        # the exponentials are checked, as the stack of their products is not
+        with monkeypatch.context() as patch:
+            patch.setattr(qpe, "herm_exp", lambda a, t: 1.5 * np.eye(len(a)))
+            with pytest.raises(ValidationError, match="unitary"):
+                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
+        assert np.array_equal(state.amplitudes, before)
+
+
 def hadamard_phase_estimate(state, cfg, layout, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
     for q in layout.reg_C:

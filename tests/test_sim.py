@@ -359,8 +359,12 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         w = int(rng.integers(min(3, n - 1) + 1))  # control width; 0 is apply_unitary
         k = int(rng.integers(1, min(3, n - w) + 1))
         targets, control = _placement(n, k, w, rng)
-        value = None
-        if w == 1 and rng.integers(2):
+        value, powers = None, w > 0 and bool(rng.integers(2))
+        if powers:
+            # powers u^0..u^(2^w - 1) of one unitary, passed without u^0 = I
+            u = random_unitary(k, rng)
+            stack = [np.linalg.matrix_power(u, x) for x in range(1 << w)]
+        elif w == 1 and rng.integers(2):
             # a one-qubit control reading `value`: [U, I] for 0, [I, U] for 1
             value, u = int(rng.integers(2)), random_unitary(k, rng)
             stack = [u, np.eye(1 << k)] if value == 0 else [np.eye(1 << k), u]
@@ -372,8 +376,10 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         if w == 0:
             apply = functools.partial(sim.apply_unitary, state, stack[0], targets)
         else:
-            apply = functools.partial(sim.apply_controlled, state, stack, control, targets)
-        case = (n, targets, control, value)
+            apply = functools.partial(
+                sim.apply_controlled, state, stack[powers:], control, targets, powers
+            )
+        case = (n, targets, control, value, powers)
         if contiguous:
             apply()
             expected = dense_reference(n, stack, targets, control) @ before
@@ -390,11 +396,14 @@ def test_gate_kernel_matches_dense_kronecker_reference():
             seen.add(("ends at the last qubit", w > 0))
         if value is not None and contiguous:
             seen.add(("value", value, where))
+        if powers and contiguous:
+            seen.add(("powers", w, where))
     wanted = {(c, 0, None) for c in (True, False)}
     wanted |= {(True, w, p) for w in (1, 2, 3) for p in ("before", "after")}
     wanted |= {(False, w, p) for w in (1, 2) for p in ("before", "between", "after")}
     wanted |= {("ends at the last qubit", c) for c in (True, False)}
     wanted |= {("value", v, p) for v in (0, 1) for p in ("before", "after")}
+    wanted |= {("powers", w, p) for w in (1, 2, 3) for p in ("before", "after")}
     assert wanted <= seen, wanted - seen
 
 
@@ -405,7 +414,9 @@ def test_controlled_gate_rejects_bad_stacks_and_controls():
     bad = [
         ((stack[:3], [0, 1], [2]), "3 matrices for a 2-qubit control"),
         ((stack, [0], [2]), "4 matrices for a 1-qubit control"),
+        ((stack, [0, 1], [2], True), "4 matrices for a 2-qubit control"),
         ((skewed, [0, 1], [2]), "unitary"),
+        ((skewed[1:], [0, 1], [2], True), "unitary"),  # a factor of a stack of powers
         ((stack, [1, 2], [2]), "overlap"),
         ((stack, [0, 2], [3]), "contiguous"),
         ((stack, [1, 0], [3]), "contiguous"),
