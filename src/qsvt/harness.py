@@ -131,6 +131,22 @@ class SweepConfig:
         for m in self.methods:
             if m not in ALPHA_METHODS:
                 raise ValidationError(f"unknown alpha method {m!r}")
+        # input that every instance would fail is rejected here, not per record
+        if self.shape is not None and min(self.shape) < 1:
+            raise ValidationError(f"shape must be positive, got {self.shape}")
+        max_rank = min(self.shape) if self.shape is not None else SWEEP_DIM_RANGE[1]
+        if self.rank is not None and not 1 <= self.rank <= max_rank:
+            raise ValidationError(f"rank must lie in 1..{max_rank}, got {self.rank}")
+        if self.sigma is not None:
+            s = np.asarray(self.sigma, dtype=float)
+            if not (np.all(np.isfinite(s)) and np.all(s > 0) and np.all(np.diff(s) < 0)):
+                raise ValidationError(
+                    f"sigma must be finite, positive, strictly descending: {self.sigma}"
+                )
+            if self.rank is not None and len(s) != self.rank:
+                raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
+        if self.tau is not None:
+            spectral.check_threshold(self.tau, self.sigma[0] if self.sigma else np.inf)
 
 
 @dataclass
@@ -469,8 +485,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_alpha(args) -> int:
     if (args.sigma is None) == (args.matrix is None):
-        print("error: provide exactly one of --sigma or --matrix", file=sys.stderr)
-        return 2
+        raise ValidationError("provide exactly one of --sigma or --matrix")
     if args.sigma is not None:
         sigma = np.asarray(_parse_sigma(args.sigma), dtype=float)
     else:

@@ -140,13 +140,9 @@ def conditional_evolution(
 
 
 def _u_factor_qubits(layout: RegisterLayout, a: np.ndarray) -> list[int]:
-    dim = a.shape[0]
-    if dim & (dim - 1):
-        raise ValidationError("Hamiltonian dimension must be a power of two")
-    k = dim.bit_length() - 1
-    if k > len(layout.reg_B):
-        raise ValidationError("Hamiltonian larger than register B")
-    return list(layout.reg_B)[:k]
+    """The leading log2(dim A) qubits of B; an A that does not fit them
+    (dim not a power of two, or beyond B) is rejected by the gate."""
+    return list(layout.reg_B)[: a.shape[0].bit_length() - 1]
 
 
 def _phase_estimate(state, cfg, layout, a, inverse: bool) -> QuantumState:

@@ -12,8 +12,10 @@ Conventions used throughout the package:
   ``(2**lo, 2**k, rest)``.  A control is a register, one more split axis
   whose label indexes a stack of matrices; the one kernel writes
   ``stack @ view`` back once (an uncontrolled gate is a one-matrix
-  stack).  Targets, controls and registers are contiguous ascending
-  qubits, or ``ValidationError`` is raised before the state is touched.
+  stack).  Targets, controls and registers are non-empty, disjoint,
+  contiguous ascending qubits of the state, or ``ValidationError`` is
+  raised before the state is touched.  One cached function, ``_split``,
+  checks them, once per distinct register set rather than per call.
   A state has a single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
   stack of powers is checked by its factors).  They do not check the
@@ -109,61 +111,55 @@ def check_norm(state: QuantumState) -> None:
         raise NormalizationError(f"state norm drifted to {n!r}")
 
 
-def _require_targets(state: QuantumState, targets: list[int], dim: int) -> None:
-    if len(set(targets)) != len(targets):
-        raise ValidationError("target qubits must be distinct")
-    if any(t < 0 or t >= state.n_qubits for t in targets):
-        raise ValidationError("target qubit out of range")
-    if dim != (1 << len(targets)):
-        raise ValidationError(f"matrix dim {dim} does not match {len(targets)} targets")
-
-
 @functools.lru_cache(maxsize=256)
 def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Shape that cuts qubits 0..n-1 at the edges of the given disjoint,
-    non-empty ``(lo, hi)`` qubit ranges, and the axis of each range."""
-    edges = sorted({0, n}.union(*registers))
+    """The one register check: each register, a tuple of qubits, is
+    non-empty, distinct, contiguous ascending and in 0..n-1, and no two
+    share a qubit.  Returns the shape that cuts qubits 0..n-1 at the
+    registers' edges and the axis of each register.  Cached, so a
+    register set is checked once; a failed check is not cached."""
+    for reg in registers:
+        if not (reg and reg == tuple(range(reg[0], reg[-1] + 1)) and 0 <= reg[0] <= reg[-1] < n):
+            raise ValidationError(f"register {reg} must be non-empty, distinct, contiguous"
+                                  f" ascending qubits in 0..{n - 1}")
+    if len(set().union(*registers)) != sum(map(len, registers)):
+        raise ValidationError(f"registers overlap: {registers}")
+    edges = sorted({0, n}.union(*((r[0], r[-1] + 1) for r in registers)))
     shape = tuple(1 << (b - a) for a, b in zip(edges, edges[1:]))
-    return shape, tuple(edges.index(lo) for lo, _ in registers)
-
-
-def _contiguous(qubits) -> bool:
-    return list(qubits) == list(range(qubits[0], qubits[0] + len(qubits)))
+    return shape, tuple(edges.index(r[0]) for r in registers)
 
 
 @functools.lru_cache(maxsize=256)
-def _gate_view(n: int, targets: tuple, control: tuple) -> tuple[tuple, tuple, bool]:
+def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, bool]:
     """The shape and axis order that view the amplitudes as (..., control,
     targets, rest), or as (..., control, rest, targets) when the targets
-    end at the last qubit, and whether they do.  With no control, a unit
+    end at the last qubit, and whether they do.  ``registers`` is
+    ``(targets,)`` or ``(targets, control)``; with no control, a unit
     axis stands in for it (one label)."""
-    if not targets or not all(_contiguous(r) for r in (targets, control) if r):
-        raise ValidationError("target and control qubits must be contiguous ascending")
-    shape, axes = _split(n, tuple((r[0], r[-1] + 1) for r in (targets, control) if r))
+    shape, axes = _split(n, registers)
     # two leading unit axes: the absent control and a spare batch axis
-    t_axis, c_axis, ndim = axes[0] + 2, (axes[1] + 2 if control else 0), len(shape) + 2
+    t_axis, c_axis, ndim = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0), len(shape) + 2
     last = t_axis == ndim - 1
     rest = [a for a in range(ndim) if a not in (c_axis, t_axis)]
     inner = [rest[-1], t_axis] if last else [t_axis, rest[-1]]
     return (1, 1) + shape, tuple(rest[:-1] + [c_axis] + inner), last
 
 
-def _apply(state: QuantumState, matrices, targets, control=(), powers=False) -> QuantumState:
-    """Validate, then the kernel: ``matrices[x - powers]`` on contiguous
-    ascending targets wherever the contiguous control register reads x
-    (from 1 with ``powers``), as one ``stack @ view`` written back once."""
-    targets, control, lo = tuple(targets), tuple(control), int(powers)
+def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
+    """The kernel: ``matrices[x - powers]`` on the targets wherever the
+    control register reads x (from 1 with ``powers``), as one
+    ``stack @ view`` written back once."""
+    shape, order, last = _gate_view(state.n_qubits, registers)
+    targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
     stack = np.asarray(matrices, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
-    if len(stack) != (1 << len(control)) - lo:
-        raise ValidationError(f"{len(stack)} matrices for a {len(control)}-qubit control")
-    if set(control) & set(targets):
-        raise ValidationError("control qubits overlap targets")
-    _require_targets(state, [*targets, *control], stack.shape[1] << len(control))
-    shape, order, last = _gate_view(state.n_qubits, targets, control)
+    if len(stack) != (1 << width) - lo:
+        raise ValidationError(f"{len(stack)} matrices for a {width}-qubit control")
+    if stack.shape[1] != 1 << len(targets):
+        raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
     # a stack of powers is the products of its members at labels 2^j
-    factors = stack[[(1 << j) - 1 for j in range(len(control))]] if powers else stack
+    factors = stack[[(1 << j) - 1 for j in range(width)]] if powers else stack
     dev = factors.conj().transpose(0, 2, 1) @ factors
     dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
     err = np.abs(dev).max()
@@ -178,7 +174,7 @@ def _apply(state: QuantumState, matrices, targets, control=(), powers=False) -> 
 def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
     """Apply ``matrix`` on ``targets`` (first target = most significant
     bit of the gate's label) and identity elsewhere."""
-    return _apply(state, np.asarray(matrix, dtype=complex)[None], targets)
+    return _apply(state, np.asarray(matrix, dtype=complex)[None], (tuple(targets),))
 
 
 def apply_controlled(
@@ -189,15 +185,13 @@ def apply_controlled(
     on 1).  With ``powers``, ``matrices`` are U^1..U^(2^c - 1), each the
     product of the members at the labels 2^j its bits select: label 0 is
     left alone, and only those members are checked for unitarity."""
-    return _apply(state, matrices, targets, control, powers)
+    return _apply(state, matrices, (tuple(targets), tuple(control)), powers)
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:
-    """(first qubit, width) of a non-empty contiguous ascending register."""
-    reg = list(reg)
-    _require_targets(state, reg, 1 << len(reg))
-    if not reg or not _contiguous(reg):
-        raise ValidationError("register must be non-empty contiguous ascending qubits")
+    """(first qubit, width) of a register that passes :func:`_split`."""
+    reg = tuple(reg)
+    _split(state.n_qubits, (reg,))
     return reg[0], len(reg)
 
 
@@ -209,12 +203,11 @@ def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState
     along the L axis of the slice C = c, so nothing the size of the
     state is allocated.
     """
-    (l_lo, m), (c_lo, t) = _register(state, reg_L), _register(state, reg_C)
-    _require_targets(state, [*reg_L, *reg_C], 1 << (m + t))
+    shape, (l_axis, c_axis) = _split(state.n_qubits, (tuple(reg_L), tuple(reg_C)))
+    m, t = len(reg_L), len(reg_C)
     bad = [(c, y) for c, y in codes.items() if not (0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
         raise ValidationError(f"oracle label/code out of range: {bad}")
-    shape, (l_axis, c_axis) = _split(state.n_qubits, ((l_lo, l_lo + m), (c_lo, c_lo + t)))
     view = state.amplitudes.reshape(shape)
     index = [slice(None)] * len(shape)
     for c, y in codes.items():
@@ -263,8 +256,7 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     """
     if value not in (0, 1):
         raise ValidationError("measurement value must be 0 or 1")
-    _require_targets(state, [qubit], 2)
-    prob = float(_mass(state.amplitudes, qubit, 1)[value])
+    prob = float(_mass(state.amplitudes, *_register(state, [qubit]))[value])
     if prob < POST_SELECT_FLOOR:
         raise FullyThresholdedError(
             f"outcome probability {prob:.3e} below floor {POST_SELECT_FLOOR:.3e}"

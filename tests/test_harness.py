@@ -95,6 +95,19 @@ MATRIX_FILES = {
         (["example", "--t-bits", "2000"], 2),
         (["example", "--m-bits", "2000"], 2),
         (["example", "--config", "tau_not_float.cfg"], 2),
+        # sweep input that every instance would fail is rejected up front
+        (["sweep", "--tau", "-1", "--n", "2"], 2),
+        (["sweep", "--tau", "0", "--n", "2"], 2),
+        (["sweep", "--tau", "nan", "--n", "2"], 2),
+        (["sweep", "--shape", "0,3", "--n", "2"], 2),
+        (["sweep", "--shape", "3,3", "--rank", "5", "--n", "2"], 2),
+        (["sweep", "--rank", "0", "--n", "2"], 2),
+        (["sweep", "--rank", "7", "--n", "2"], 2),  # above the corpus's largest dim
+        (["sweep", "--sigma", "1,2", "--rank", "2", "--n", "2"], 2),
+        (["sweep", "--sigma", "2,-1", "--rank", "2", "--n", "2"], 2),
+        (["sweep", "--sigma", "nan,1", "--rank", "2", "--n", "2"], 2),
+        (["sweep", "--sigma", "3,2,1", "--rank", "2", "--n", "2"], 2),
+        (["sweep", "--sigma", "2,1", "--tau", "3", "--rank", "2", "--n", "2"], 2),
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -106,6 +119,12 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     assert rc == code
     assert err.startswith("error:")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
+    harness.SweepConfig(rank=harness.SWEEP_DIM_RANGE[1])
+    harness.SweepConfig(shape=(2, 3), rank=2, sigma=(2.0, 1.0), tau=1.5)
+    harness.SweepConfig(shape=(1, 1), rank=1, sigma=(2.0,))
 
 
 def test_config_value_that_does_not_parse_names_key_and_value(tmp_path, capsys):

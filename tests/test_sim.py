@@ -269,6 +269,59 @@ def test_overlap_dimension_mismatch():
         sim.overlap(a, b)
 
 
+# registers that no entry point takes on a 6-qubit state
+BAD_REGISTERS = {
+    "duplicate": [1, 1],
+    "negative": [-1, 0],
+    "beyond n": [5, 6],
+    "gap": [1, 3],
+    "descending": [2, 1],
+    "empty": [],
+}
+
+
+def _calls_on(reg):
+    """Each entry point with ``reg`` in one register argument; the other
+    register, where there is one, is qubit 4, which no bad register uses."""
+    dim = 1 << len(reg)
+    return {
+        "apply_unitary": lambda s: sim.apply_unitary(s, np.eye(dim), reg),
+        "apply_controlled targets": lambda s: sim.apply_controlled(s, [np.eye(dim)] * 2, [4], reg),
+        "apply_controlled control": lambda s: sim.apply_controlled(s, [np.eye(2)] * dim, reg, [4]),
+        "apply_basis_oracle L": lambda s: sim.apply_basis_oracle(s, reg, [4], {}),
+        "apply_basis_oracle C": lambda s: sim.apply_basis_oracle(s, [4], reg, {}),
+        "register_mass": lambda s: sim.register_mass(s, reg),
+        "load_register": lambda s: sim.load_register(s, reg, np.eye(dim)[0]),
+    }
+
+
+REGISTER_CASES = [
+    (f"{entry} / {kind}", call, "non-empty, distinct, contiguous")
+    for kind, reg in BAD_REGISTERS.items()
+    for entry, call in _calls_on(reg).items()
+] + [
+    ("post_select / negative", lambda s: sim.post_select(s, -1, 1), "in 0..5"),
+    ("post_select / beyond n", lambda s: sim.post_select(s, 6, 1), "in 0..5"),
+    ("apply_controlled / overlap",
+     lambda s: sim.apply_controlled(s, [np.eye(4)] * 4, [1, 2], [2, 3]), "overlap"),
+    ("apply_basis_oracle / overlap",
+     lambda s: sim.apply_basis_oracle(s, [1, 2], [2, 3], {}), "overlap"),
+]
+
+
+@pytest.mark.parametrize("call, match", [c[1:] for c in REGISTER_CASES],
+                         ids=[c[0] for c in REGISTER_CASES])
+def test_register_check_rejects_bad_registers_at_every_entry_point(call, match):
+    # the one register check raises before the state is touched, and a
+    # failed check is not cached: the same bad call raises again
+    state = random_state(6, 40)
+    before = state.amplitudes.tobytes()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=match):
+            call(state)
+        assert state.amplitudes.tobytes() == before
+
+
 def test_norm_preserved_over_random_gate_sequences():
     rng = np.random.default_rng(13)
     state = random_state(5, 13)
