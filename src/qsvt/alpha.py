@@ -10,6 +10,11 @@ y_k = (1 - tau/sigma_k)_+:
                                                      N2 = sum sigma_k^2 y_k^2
     G(a) = sum sigma_k^2 y_k sin(y_k a) / sqrt(N1 * N2)
     G'(a) = sum sigma_k^2 y_k^2 cos(y_k a) / sqrt(N1 * N2)
+    G''(a) = -sum sigma_k^2 y_k^3 sin(y_k a) / sqrt(N1 * N2)
+
+On (0, pi / y_1] every y_k a lies in (0, pi], so G'' < 0: G is strictly
+concave there and, as G'(0) > 0, peaks at pi / y_1 or at the root of G',
+which the numeric rule finds by safeguarded Newton steps.
 
 Sums use compensated (fsum) accumulation so large-rank profiles do not
 lose precision.  N1, N2, sqrt(N1 * N2) and the per-component
@@ -26,8 +31,8 @@ import numpy as np
 from .errors import FullyThresholdedError, ValidationError
 from .spectral import check_threshold
 
-_GRID_POINTS = 1 << 12
-_GOLDEN_TOL = 1e-8
+# Newton on G' stops once its step is this many ulps of alpha or fewer
+_STEP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -175,53 +180,54 @@ def alpha_taylor4(profile: SpectrumProfile) -> AlphaSolution:
     return solution(profile, "taylor4", _taylor4(profile))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _g_curvature(profile: SpectrumProfile, alpha: float) -> float:
+    num = math.fsum([-(c * v) * math.sin(v * alpha) for v, _, _, c in profile.terms])
+    return num / profile.scale
+
+
+def _peak(profile: SpectrumProfile) -> float:
+    """pi / y_1 if G' >= 0 there, else the root of G' by Newton steps from
+    the intuitive alpha, bisecting the sign bracket [lo, up] when a step
+    leaves it."""
+    lo, up = 0.0, math.pi / profile.y[0]
+    if g_derivative(profile, up) >= 0:
+        return up
+    alpha = _intuitive(profile)
+    while True:
+        slope = g_derivative(profile, alpha)
+        step = slope / -_g_curvature(profile, alpha)
+        tol = _STEP_ULPS * math.ulp(alpha)
+        # tested before the bracket: at the root a zero step would leave
+        # the open bracket and bisect down to the ulp
+        if abs(step) <= tol:
+            return alpha + step
+        if slope > 0:
+            lo = alpha
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+            up = alpha
+        alpha += step
+        if not lo < alpha < up:
+            alpha = 0.5 * (lo + up)
+        if up - lo <= tol:
+            return alpha
 
 
 def alpha_numeric(profile: SpectrumProfile) -> AlphaSolution:
-    """Bracketed maximizer of G over (0, pi / y_1].
+    """Maximizer of G over (0, pi / y_1], or a closed form that scores higher.
 
-    A dense grid (2^12 points) is refined by golden sections to within
-    1e-8; the closed-form candidates are seeded into the search so the
-    result never scores below any of them.
+    There G''(alpha) = -sum s^2 y^3 sin(y alpha) / sqrt(N1 N2) < 0, as every
+    y alpha lies in (0, pi]: G is strictly concave and, with G'(0) > 0,
+    peaks at pi / y_1 or at the one root of G'.  The closed forms are scored
+    by the same ``g_objective``, so the result never scores below them.
     """
-    hi = math.pi / profile.y[0]
-    grid = np.linspace(0.0, hi, _GRID_POINTS + 1)[1:]
-    sig = np.asarray(profile.sigma)
-    yv = np.asarray(profile.y)
-    gvals = ((sig**2 * yv) @ np.sin(np.outer(yv, grid))) / profile.scale
-    cell = grid[1] - grid[0]
-    candidates = [float(grid[int(np.argmax(gvals))])]
+    candidates = [_peak(profile)]
     for closed in (_intuitive, _taylor2, _taylor4):
         try:
             candidates.append(closed(profile))
         except (ValidationError, FullyThresholdedError):
             continue
-    best = None
-    for seed in candidates:
-        refined = _golden_max(
-            lambda a: g_objective(profile, a), max(seed - cell, 1e-12), seed + cell
-        )
-        for alpha in (refined, seed):
-            g = g_objective(profile, alpha)
-            if best is None or g > best[1]:
-                best = (alpha, g)
-    return solution(profile, "numeric", best[0])
+    best = max(candidates, key=lambda alpha: g_objective(profile, alpha))
+    return solution(profile, "numeric", best)
 
 
 _METHODS = {

@@ -79,7 +79,9 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
         values = _separate(values)
     else:
         values = np.asarray(sigma, dtype=float)
-        if values.shape != (r,) or np.any(values <= 0) or np.any(np.diff(values) >= 0):
+        if values.shape != (r,):
+            raise ValidationError(f"{values.size} injected sigma values for rank {r}")
+        if np.any(values <= 0) or np.any(np.diff(values) >= 0):
             raise ValidationError("injected sigma must be positive, strictly descending")
     u = _orthogonal(rng, p)[:, :r]
     v = _orthogonal(rng, q)[:, :r]
@@ -145,6 +147,8 @@ class SweepConfig:
                 )
             if self.rank is not None and len(s) != self.rank:
                 raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
+            if len(s) > max_rank:
+                raise ValidationError(f"{len(s)} sigma values above the largest rank {max_rank}")
         if self.tau is not None:
             spectral.check_threshold(self.tau, self.sigma[0] if self.sigma else np.inf)
 
@@ -199,6 +203,8 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
         q = int(rng.integers(SWEEP_DIM_RANGE[0], SWEEP_DIM_RANGE[1] + 1))
     if cfg.rank is not None:
         r = cfg.rank
+    elif cfg.sigma is not None:
+        r = len(cfg.sigma)
     else:
         hi = min(p, q, SWEEP_RANK_RANGE[1])
         lo = min(SWEEP_RANK_RANGE[0], hi)

@@ -196,7 +196,7 @@ def test_profile_rejects_all_thresholded_y():
 def test_alpha_numeric_rank_one_finds_peak():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([3.0], 1.0)
     sol = alpha_mod.alpha_numeric(profile)
-    assert sol.alpha == pytest.approx(np.pi / (2 * profile.y[0]), abs=1e-6)
+    assert sol.alpha == pytest.approx(np.pi / (2 * profile.y[0]), abs=1e-12)
 
 
 def test_alpha_numeric_beats_intuitive_on_reference():
@@ -208,9 +208,19 @@ def test_alpha_numeric_first_order_condition():
     for seed in range(8):
         profile = random_profile(1000 + seed)
         sol = alpha_mod.alpha_numeric(profile)
-        edge = np.pi / profile.y[0]
-        at_edge = abs(sol.alpha - edge) < 1e-6
-        assert at_edge or abs(alpha_mod.g_derivative(profile, sol.alpha)) < 1e-5
+        at_edge = sol.alpha == math.pi / profile.y[0]
+        assert at_edge or abs(alpha_mod.g_derivative(profile, sol.alpha)) < 1e-12
+
+
+def test_alpha_numeric_stops_at_the_edge_while_g_still_rises():
+    # many small shrinkage fractions keep G' > 0 at pi / y_1, where the
+    # concave bracket ends
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau(
+        [1.0] + list(np.linspace(0.93, 0.92, 30)), 0.9
+    )
+    edge = math.pi / profile.y[0]
+    assert alpha_mod.g_derivative(profile, edge) > 0
+    assert alpha_mod.alpha_numeric(profile).alpha == edge
 
 
 def test_derivative_matches_central_differences():
@@ -306,11 +316,33 @@ def reference_closed_forms(profile):
     return out
 
 
+GRID_POINTS = 1 << 12
+
+
+def golden_max(f, lo, hi, tol=1e-8):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
 def reference_numeric(profile):
-    """Grid argmax and closed forms as seeds, each refined by the
-    module's golden section on the reference G."""
+    """The quality bar for the numeric rule: the argmax of G on a 2^12
+    grid and the closed forms as seeds, each refined by a golden-section
+    search on the reference G to within 1e-8."""
     n1, n2 = reference_sums(profile, 0.0)[:2]
-    grid = np.linspace(0.0, math.pi / profile.y[0], alpha_mod._GRID_POINTS + 1)[1:]
+    grid = np.linspace(0.0, math.pi / profile.y[0], GRID_POINTS + 1)[1:]
     sig, yv = np.asarray(profile.sigma), np.asarray(profile.y)
     gvals = ((sig**2 * yv) @ np.sin(np.outer(yv, grid))) / math.sqrt(n1 * n2)
     cell = grid[1] - grid[0]
@@ -321,7 +353,7 @@ def reference_numeric(profile):
     best = None
     seeds = [float(grid[int(np.argmax(gvals))])] + list(reference_closed_forms(profile).values())
     for seed in seeds:
-        refined = alpha_mod._golden_max(g, max(seed - cell, 1e-12), seed + cell)
+        refined = golden_max(g, max(seed - cell, 1e-12), seed + cell)
         for a in (refined, seed):
             if best is None or g(a) > best[1]:
                 best = (a, g(a))
@@ -364,14 +396,42 @@ def test_theory_matches_zip_fsum_reference_bit_for_bit():
 def test_resolve_alpha_matches_reference_bit_for_bit():
     for profile in reference_profiles():
         want = reference_closed_forms(profile)
-        want["numeric"] = reference_numeric(profile)
-        for method in ("intuitive", "taylor2", "taylor4", "numeric"):
+        for method in ("intuitive", "taylor2", "taylor4"):
             sol, note = alpha_mod.resolve_alpha(profile, method)
             fallback = method not in want
             alpha = want["taylor2" if fallback else method]
             assert (sol.method, bool(note)) == ("taylor2" if fallback else method, fallback)
             assert sol.alpha == alpha, (profile, method)
             assert (sol.P, sol.F, sol.G) == reference_pfg(profile, alpha)[:3], (profile, method)
+
+
+def test_numeric_meets_the_grid_and_golden_bar():
+    for profile in reference_profiles() + sweep_corpus_profiles(5):
+        bar = reference_numeric(profile)
+        assert 0 < bar <= math.pi / profile.y[0]
+        sol, note = alpha_mod.resolve_alpha(profile, "numeric")
+        assert (sol.method, note) == ("numeric", "")
+        assert sol.G >= reference_pfg(profile, bar)[2] - 1e-15, profile
+        assert abs(sol.alpha - bar) <= 1e-6, profile
+        assert (sol.P, sol.F, sol.G) == reference_pfg(profile, sol.alpha)[:3], profile
+
+
+def test_numeric_cost_is_a_few_derivative_evaluations():
+    # no grid, no bisection loop: the edge test plus a handful of Newton steps
+    calls = []
+    real = alpha_mod.g_derivative
+
+    def counting(profile, alpha):
+        calls.append(alpha)
+        return real(profile, alpha)
+
+    profiles = reference_profiles() + sweep_corpus_profiles(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alpha_mod, "g_derivative", counting)
+        for profile in profiles:
+            calls.clear()
+            alpha_mod.alpha_numeric(profile)
+            assert 1 <= len(calls) <= 8, (profile, len(calls))
 
 
 def test_p_and_f_scale_invariant():

@@ -108,6 +108,7 @@ MATRIX_FILES = {
         (["sweep", "--sigma", "nan,1", "--rank", "2", "--n", "2"], 2),
         (["sweep", "--sigma", "3,2,1", "--rank", "2", "--n", "2"], 2),
         (["sweep", "--sigma", "2,1", "--tau", "3", "--rank", "2", "--n", "2"], 2),
+        (["sweep", "--sigma", "7,6,5,4,3,2,1", "--n", "2"], 2),  # no instance has rank 7
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -125,6 +126,17 @@ def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
     harness.SweepConfig(rank=harness.SWEEP_DIM_RANGE[1])
     harness.SweepConfig(shape=(2, 3), rank=2, sigma=(2.0, 1.0), tau=1.5)
     harness.SweepConfig(shape=(1, 1), rank=1, sigma=(2.0,))
+
+
+def test_sweep_sigma_without_rank_sets_the_rank():
+    records = harness.run_sweep(
+        harness.SweepConfig(n_instances=10, sigma=(2.0, 1.0), methods=("intuitive",))
+    )
+    assert len(records) == 10
+    assert [rec.error for rec in records] == [""] * 10
+    assert {rec.r for rec in records} == {2}
+    with pytest.raises(ValidationError, match="3 injected sigma values for rank 2"):
+        harness.random_lowrank(3, 3, 2, 0, sigma=(3.0, 2.0, 1.0))
 
 
 def test_config_value_that_does_not_parse_names_key_and_value(tmp_path, capsys):
