@@ -196,16 +196,14 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     captured in the error column instead of aborting the sweep."""
     iseed = _instance_seed(cfg, index)
     rng = np.random.default_rng([iseed, 0])
+    r = cfg.rank if cfg.sigma is None else len(cfg.sigma)  # equal when both are set
     if cfg.shape is not None:
         p, q = cfg.shape
-    else:
-        p = int(rng.integers(SWEEP_DIM_RANGE[0], SWEEP_DIM_RANGE[1] + 1))
-        q = int(rng.integers(SWEEP_DIM_RANGE[0], SWEEP_DIM_RANGE[1] + 1))
-    if cfg.rank is not None:
-        r = cfg.rank
-    elif cfg.sigma is not None:
-        r = len(cfg.sigma)
-    else:
+    else:  # a fixed rank draws only shapes that can hold it
+        lo = max(SWEEP_DIM_RANGE[0], r or 0)
+        p = int(rng.integers(lo, SWEEP_DIM_RANGE[1] + 1))
+        q = int(rng.integers(lo, SWEEP_DIM_RANGE[1] + 1))
+    if r is None:
         hi = min(p, q, SWEEP_RANK_RANGE[1])
         lo = min(SWEEP_RANK_RANGE[0], hi)
         r = int(rng.integers(lo, hi + 1))

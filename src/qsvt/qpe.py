@@ -10,6 +10,9 @@ E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
 as a uniformly controlled gate on each run of C qubits (one run unless
 its stack would outgrow an eighth of the state), the stack built by
 doubling from ``t`` matrix exponentials, the powers ``exp(i A 2^w t0)``.
+The exponentials share one eigendecomposition of A per run (cached by
+A's content), and the DFT pair on C is built once per width and checked
+once for unitarity.
 
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
@@ -105,13 +108,22 @@ def _dft_matrix(width: int) -> np.ndarray:
     return dft
 
 
+@functools.lru_cache(maxsize=8)
+def _idft_matrix(width: int) -> np.ndarray:
+    """The inverse of :func:`_dft_matrix`, built once per width and
+    shared read-only."""
+    idft = _dft_matrix(width).conj().T
+    idft.flags.writeable = False
+    return idft
+
+
 def qft(state: QuantumState, qubits) -> QuantumState:
     """Forward transform: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
     return sim.apply_unitary(state, _dft_matrix(len(qubits)), qubits)
 
 
 def iqft(state: QuantumState, qubits) -> QuantumState:
-    return sim.apply_unitary(state, _dft_matrix(len(qubits)).conj().T, qubits)
+    return sim.apply_unitary(state, _idft_matrix(len(qubits)), qubits)
 
 
 def conditional_evolution(

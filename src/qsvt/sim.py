@@ -18,8 +18,10 @@ Conventions used throughout the package:
   checks them, once per distinct register set rather than per call.
   A state has a single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
-  stack of powers is checked by its factors).  They do not check the
-  norm: each stage calls :func:`check_norm` once when it ends.
+  stack of powers is checked by its factors), except that a read-only
+  stack, a shared constant such as the DFT, is checked once per
+  content.  Gates do not check the norm: each stage calls
+  :func:`check_norm` once when it ends.
 """
 from __future__ import annotations
 
@@ -145,6 +147,25 @@ def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, bool]:
     return (1, 1) + shape, tuple(rest[:-1] + [c_axis] + inner), last
 
 
+def _check_unitary(stack: np.ndarray, width: int, powers: bool) -> None:
+    """Reject a stack with a non-unitary member, in one batched check.  A
+    stack of powers is the products of its members at labels 2^j, so
+    only those are checked."""
+    factors = stack[[(1 << j) - 1 for j in range(width)]] if powers else stack
+    dev = factors.conj().transpose(0, 2, 1) @ factors
+    dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
+    err = np.abs(dev).max()
+    if not err <= UNITARY_TOL:  # NaN fails too
+        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
+
+
+@functools.lru_cache(maxsize=8)
+def _check_constant(shape: tuple, width: int, powers: bool, data: bytes) -> None:
+    """:func:`_check_unitary` of a read-only stack, cached by content;
+    a failed check is not cached."""
+    _check_unitary(np.frombuffer(data, dtype=complex).reshape(shape), width, powers)
+
+
 def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
     """The kernel: ``matrices[x - powers]`` on the targets wherever the
     control register reads x (from 1 with ``powers``), as one
@@ -158,14 +179,10 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
         raise ValidationError(f"{len(stack)} matrices for a {width}-qubit control")
     if stack.shape[1] != 1 << len(targets):
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
-    # a stack of powers is the products of its members at labels 2^j
-    factors = stack[[(1 << j) - 1 for j in range(width)]] if powers else stack
-    dev = factors.conj().transpose(0, 2, 1) @ factors
-    dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
-    err = np.abs(dev).max()
-    del factors, dev  # before the state-sized temporary below, not beside it
-    if err > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
+    if stack.flags.writeable:
+        _check_unitary(stack, width, powers)
+    else:  # a shared constant, such as the DFT: checked once per content
+        _check_constant(stack.shape, width, powers, stack.tobytes())
     view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
     view[...] = view @ stack.transpose(0, 2, 1) if last else stack @ view
     return state
@@ -266,9 +283,3 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     check_norm(state)
     return state, prob
 
-
-def overlap(a: QuantumState, b: QuantumState) -> complex:
-    """Inner product <a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise ValidationError("states have different dimensions")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -2,6 +2,7 @@
 vectorized quantum-state embeddings, and exact Hermitian exponentials."""
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -139,14 +140,29 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+@functools.lru_cache(maxsize=1)
+def _eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian check and eigenpairs, read-only, of the complex matrix
+    with these bytes.  Cached by content, so the exponentials of one A
+    share one ``eigh`` and a matrix changed in place is decomposed
+    again; a failed check is not cached."""
+    m = np.frombuffer(data, dtype=complex).reshape(shape)
+    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:  # NaN fails too
+        raise ValidationError("matrix is not Hermitian")
+    eigvals, eigvecs = np.linalg.eigh(m)
+    eigvals.flags.writeable = eigvecs.flags.writeable = False
+    return eigvals, eigvecs
+
+
 def herm_exp(a, t: float) -> np.ndarray:
-    """exp(i * a * t) from an exact eigendecomposition of Hermitian a."""
+    """exp(i * a * t) from an exact eigendecomposition of Hermitian a.
+    Calls on the same matrix content share one check and one ``eigh``
+    (the last matrix is remembered), so the t exponentials of a phase
+    estimation cost one decomposition."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        raise ValidationError("matrix is not Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(m)
+    eigvals, eigvecs = _eigh(m.shape, m.tobytes())
     return (eigvecs * np.exp(1j * eigvals * t)) @ eigvecs.conj().T
 
 
@@ -169,6 +185,8 @@ def load_matrix_text(path) -> np.ndarray:
 
 
 def save_matrix_text(path, a) -> None:
+    """Write ``a`` in the format :func:`load_matrix_text` reads, with 17
+    significant digits, so a real matrix reads back exactly."""
     a = np.asarray(a)
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")

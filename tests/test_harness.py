@@ -139,6 +139,15 @@ def test_sweep_sigma_without_rank_sets_the_rank():
         harness.random_lowrank(3, 3, 2, 0, sigma=(3.0, 2.0, 1.0))
 
 
+def test_sweep_fixed_rank_draws_shapes_that_hold_it():
+    for fixed in ({"rank": 5}, {"sigma": (5.0, 4.0, 3.0, 2.0, 1.0)}):
+        records = harness.run_sweep(harness.SweepConfig(n_instances=10, **fixed))
+        assert len(records) == 20
+        assert [rec.error for rec in records] == [""] * 20
+        assert {rec.r for rec in records} == {5}
+        assert min(min(rec.p, rec.q) for rec in records) >= 5
+
+
 def test_config_value_that_does_not_parse_names_key_and_value(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("# defaults\nt-bits = 3.5\n")

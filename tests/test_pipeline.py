@@ -26,6 +26,17 @@ def test_reference_instance_probability_fidelity():
     assert res.alpha == pytest.approx(2.0944, abs=1e-4)
 
 
+def test_reference_run_decomposes_a_once(monkeypatch):
+    eigh, herm_exp = np.linalg.eigh, qpe.herm_exp
+    calls = collections.Counter()
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.update(["eigh"]) or eigh(m))
+    monkeypatch.setattr(qpe, "herm_exp", lambda a, t: calls.update(["herm_exp"]) or herm_exp(a, t))
+    spectral._eigh.cache_clear()
+    run_reference()
+    # t exponentials in each direction, one eigendecomposition of A
+    assert calls == {"eigh": 1, "herm_exp": 6}
+
+
 def test_reference_instance_triple_amplitudes():
     res = run_reference()
     unnorm = np.abs(res.triple_amplitudes)

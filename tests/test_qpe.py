@@ -108,6 +108,25 @@ def test_dft_matrix_is_shared_and_read_only():
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
 
 
+def test_dft_pair_is_checked_once_per_width(monkeypatch):
+    checked = []
+    check = sim._check_unitary
+    monkeypatch.setattr(sim, "_check_unitary", lambda m, *a: checked.append(m.shape) or check(m, *a))
+    sim._check_constant.cache_clear()
+    state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
+    for _ in range(2):
+        qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
+    assert checked == [(1, 8, 8)] * 2  # the DFT and its inverse, once each
+    assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
+    idft = qpe._idft_matrix(3)
+    assert qpe._idft_matrix(3) is idft and not idft.flags.writeable
+    assert np.array_equal(idft, qpe._dft_matrix(3).conj().T)
+    # a writable matrix, such as a user gate, is checked on every call
+    for _ in range(2):
+        sim.apply_unitary(state, hadamard(), [0])
+    assert checked == [(1, 8, 8)] * 2 + [(1, 2, 2)] * 2
+
+
 def test_conditional_evolution_tiny_t0_is_identity():
     data, layout, a_pad = reference_setup()
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)
@@ -130,7 +149,7 @@ def test_conditional_evolution_phases_on_label_one():
     qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
     for k, lam in enumerate((4.0, 1.0)):
         basis = spectral.to_state(data, np.eye(2)[k])
-        full_before = sim.overlap(before, before)  # keep norm sanity
+        full_before = before.norm()  # keep norm sanity
         amp_before = np.vdot(
             _embed(layout, 1, basis), before.amplitudes
         )

@@ -118,6 +118,23 @@ def test_apply_unitary_rejects_non_unitary():
         sim.apply_unitary(state, np.eye(4), [1, 1])
 
 
+def test_read_only_non_unitary_is_rejected_on_every_call():
+    state = random_state(2, 2)
+    before = state.amplitudes.copy()
+    for m in (np.array([[1, 1], [0, 1]], dtype=complex), np.full((2, 2), np.nan + 0j)):
+        m.flags.writeable = False
+        stack = np.stack([np.eye(2, dtype=complex), m])
+        stack.flags.writeable = False
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValidationError, match="unitary"):
+                sim.apply_unitary(state, m, [0])
+            with pytest.raises(ValidationError, match="unitary"):
+                sim.apply_controlled(state, stack, [0], [1])
+        with pytest.raises(ValidationError, match="unitary"):
+            sim.apply_unitary(state, m.copy(), [0])  # writable
+    assert np.array_equal(state.amplitudes, before)
+
+
 def test_apply_controlled_inactive_control():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
     sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
@@ -249,24 +266,6 @@ def test_post_select_floor_error():
     state = sim.QuantumState(1, amp)
     with pytest.raises(FullyThresholdedError):
         sim.post_select(state, 0, 1)
-
-
-def test_overlap_self_is_one():
-    state = random_state(3, 10)
-    assert sim.overlap(state, state) == pytest.approx(1.0)
-
-
-def test_overlap_orthogonal_basis_states():
-    a = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
-    b = sim.QuantumState(2, np.array([0, 1, 0, 0], dtype=complex))
-    assert sim.overlap(a, b) == 0
-
-
-def test_overlap_dimension_mismatch():
-    a = random_state(2, 11)
-    b = random_state(3, 12)
-    with pytest.raises(ValidationError):
-        sim.overlap(a, b)
 
 
 # registers that no entry point takes on a 6-qubit state

@@ -174,8 +174,28 @@ def test_herm_exp_scalar_phases():
 
 
 def test_herm_exp_rejects_non_hermitian():
-    with pytest.raises(ValidationError, match="Hermitian"):
-        spectral.herm_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    for a in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValidationError, match="Hermitian"):
+                spectral.herm_exp(np.array(a), 1.0)
+
+
+def test_herm_exp_decomposes_each_matrix_content_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    spectral._eigh.cache_clear()
+    a = np.diag([4.0, 1.0])
+    for t in (0.5, 1.0, 2.0):
+        w, v = eigh(a.astype(complex))
+        assert np.array_equal(spectral.herm_exp(a, t), (v * np.exp(1j * w * t)) @ v.conj().T)
+    assert len(calls) == 1
+    eigvals, eigvecs = spectral._eigh(a.shape, a.astype(complex).tobytes())
+    assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+    # a matrix changed in place is a new content: decomposed again
+    a[0, 0] = 2.0
+    assert np.allclose(spectral.herm_exp(a, 1.0), np.diag(np.exp(1j * np.array([2.0, 1.0]))))
+    assert len(calls) == 2
 
 
 def test_herm_exp_group_property():
