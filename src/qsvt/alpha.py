@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FullyThresholdedError, ValidationError
-from .spectral import check_threshold
+from .spectral import check_sigma, check_threshold
 
 # Newton on G' stops once its step is this many ulps of alpha or fewer
 _STEP_ULPS = 4
@@ -57,10 +57,7 @@ class SpectrumProfile:
     def __post_init__(self) -> None:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
             raise ValidationError("sigma and y must be equal-length and non-empty")
-        if any(s <= 0 for s in self.sigma):
-            raise ValidationError("sigma must be positive")
-        if any(a <= b for a, b in zip(self.sigma, self.sigma[1:])):
-            raise ValidationError("sigma must be strictly descending")
+        check_sigma(self.sigma)
         if any(not 0 <= v < 1 for v in self.y):
             raise ValidationError("shrinkage fractions must lie in [0, 1)")
         if self.y[0] <= 0:
@@ -77,8 +74,8 @@ class SpectrumProfile:
 
     @classmethod
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
-        sig = tuple(float(s) for s in np.asarray(sigma, dtype=float))
-        check_threshold(tau, sig[0])
+        sig = tuple(np.asarray(sigma, dtype=float).tolist())
+        check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
         return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
 
 

@@ -81,8 +81,7 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
         values = np.asarray(sigma, dtype=float)
         if values.shape != (r,):
             raise ValidationError(f"{values.size} injected sigma values for rank {r}")
-        if np.any(values <= 0) or np.any(np.diff(values) >= 0):
-            raise ValidationError("injected sigma must be positive, strictly descending")
+        spectral.check_sigma(values.tolist())
     u = _orthogonal(rng, p)[:, :r]
     v = _orthogonal(rng, q)[:, :r]
     return (u * values) @ v.T
@@ -90,7 +89,7 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     q, rmat = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(rmat))
+    return q * np.sign(rmat.diagonal())
 
 
 def _separate(values: np.ndarray, min_gap: float = 1e-6) -> np.ndarray:
@@ -140,11 +139,8 @@ class SweepConfig:
         if self.rank is not None and not 1 <= self.rank <= max_rank:
             raise ValidationError(f"rank must lie in 1..{max_rank}, got {self.rank}")
         if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=float)
-            if not (np.all(np.isfinite(s)) and np.all(s > 0) and np.all(np.diff(s) < 0)):
-                raise ValidationError(
-                    f"sigma must be finite, positive, strictly descending: {self.sigma}"
-                )
+            s = np.asarray(self.sigma, dtype=float).tolist()
+            spectral.check_sigma(s)
             if self.rank is not None and len(s) != self.rank:
                 raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
             if len(s) > max_rank:

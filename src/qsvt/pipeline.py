@@ -123,9 +123,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     f_sim = float(abs(np.vdot(target, b_state)))
 
     n1 = float(np.sum(spec.sigma**2))
-    codes = np.array([oracle.code_for(c) for c in pe_cfg.labels])
-    y_codes = codes / (1 << ncfg.m_bits)
-    y_exact = np.asarray(profile.y)
+    scale = 1 << ncfg.m_bits
+    y_codes = [oracle.code_for(c) / scale for c in pe_cfg.labels]
     # triple k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
     grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
     triple_amps = (spec.u.conj() * (grid @ spec.v)).sum(axis=0) * np.sqrt(n1 * p_sim)
@@ -147,14 +146,14 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         n1=n1,
         n_alpha=float(n1 * p_sim),
         spec=spec,
-        y_exact=y_exact,
-        y_codes=y_codes,
+        y_exact=np.asarray(profile.y),
+        y_codes=np.array(y_codes),
         labels=np.asarray(pe_cfg.labels),
         triple_amplitudes=triple_amps,
         b_state=b_state,
         residual_mass=residual,
         pe_exact=pe_cfg.exact,
-        y_repr_exact=bool(np.all(np.abs(y_codes - y_exact) <= EXACT_Y_TOL)),
+        y_repr_exact=all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),
         newton_iterations=max(oracle.iterations.values(), default=0),
         t_bits=pe_cfg.t_bits,
         m_bits=ncfg.m_bits,

@@ -14,6 +14,11 @@ The exponentials share one eigendecomposition of A per run (cached by
 A's content), and the DFT pair on C is built once per width and checked
 once for unitarity.
 
+Rank-sized work (the eigenvalues, their labels and the checks on them)
+runs on Python floats and ints, converted once with ``tolist()``; the
+DFTs, the evolution stack and the state stay in NumPy.  ``round``
+rounds half to even, as ``np.rint`` does, so the labels are the same.
+
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
 on a cleared C, QFT|0> = H^t|0>, and <0|QFT^-1 = <0|H^t on the C = 0
@@ -22,6 +27,7 @@ projection, the only part of the state that the run reads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,38 +70,41 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     eigenvalue lands on the top label, with the exactness flag computed
     from whether every label is integral.  Without t_bits, an integral
     spectrum gets the bit length of its largest value (so it encodes
-    exactly) and any other spectrum gets 6 bits.  A width outside
-    1..MAX_QUBITS, a positive eigenvalue that rounds to label 0 (it would
-    decode to 0) and two eigenvalues that round to one label are rejected.
+    exactly) and any other spectrum gets 6 bits.  Eigenvalues that are
+    not finite, positive and distinct, a width outside 1..MAX_QUBITS, a
+    positive eigenvalue that rounds to label 0 (it would decode to 0) and
+    two eigenvalues that round to one label are rejected.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
         raise ValidationError("eigenvalues must be a non-empty vector")
-    if np.any(lam <= 0):
-        raise ValidationError("eigenvalues must be positive")
-    if len(np.unique(lam)) != len(lam):
+    lam = lam.tolist()
+    if not all(math.isfinite(x) and x > 0 for x in lam):
+        raise ValidationError(f"eigenvalues must be finite and positive, got {lam}")
+    if len(set(lam)) != len(lam):
         raise ValidationError("eigenvalues must be distinct")
-    rounded = np.rint(lam)
-    integral = np.all(np.abs(lam - rounded) <= ENCODING_TOL * np.maximum(1.0, lam))
+    rounded = [round(x) for x in lam]  # half to even, as np.rint
+    integral = all(abs(x - c) <= ENCODING_TOL * max(1.0, x) for x, c in zip(lam, rounded))
     if t_bits is None:
-        t_bits = max(1, int(rounded.max()).bit_length()) if integral else 6
+        t_bits = max(1, max(rounded).bit_length()) if integral else 6
     sim.check_width("t_bits", t_bits)
     T = 1 << t_bits
-    fits = bool(integral and rounded.max() < T)
-    t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / lam.max()
-    raw = lam * t0 * T / (2.0 * np.pi)
-    labels = np.rint(raw).astype(int)
-    exact = fits or bool(np.all(np.abs(raw - labels) <= ENCODING_TOL) and raw.max() < T)
-    cfg = PhaseEstimationConfig(t_bits, t0, exact, tuple(int(c) for c in labels))
-    if np.any(labels == 0):
-        small = float(lam[labels == 0].max())
+    fits = integral and max(rounded) < T
+    t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / max(lam)
+    raw = [x * t0 * T / (2.0 * np.pi) for x in lam]
+    labels = [round(x) for x in raw]
+    exact = fits or (
+        all(abs(x - c) <= ENCODING_TOL for x, c in zip(raw, labels)) and max(raw) < T
+    )
+    if 0 in labels:
+        small = max(x for x, c in zip(lam, labels) if c == 0)
         raise ValidationError(
             f"eigenvalue {small:.6g} rounds to label 0 at t_bits={t_bits}:"
             " too fine for the eigenvalue register; raise t_bits"
         )
-    if len(np.unique(labels)) != len(labels):
+    if len(set(labels)) != len(labels):
         raise ValidationError("eigenvalue collision after rounding to t_bits precision")
-    return cfg
+    return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 
 @functools.lru_cache(maxsize=8)

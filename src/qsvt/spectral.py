@@ -1,9 +1,19 @@
 """Classical spectral side: SVD, Gram matrix, the threshold operator,
-vectorized quantum-state embeddings, and exact Hermitian exponentials."""
+vectorized quantum-state embeddings, and exact Hermitian exponentials.
+
+Work whose size is the rank r (singular values, weights and the checks
+on them) runs on Python floats, each array converted once with
+``tolist()``: for a handful of values a NumPy call costs more in
+dispatch than in arithmetic.  Matrices and states stay in NumPy.  The
+Python expressions do the same IEEE operations in the same order, so
+results are bit-identical to the NumPy forms.
+"""
 from __future__ import annotations
 
 import functools
+import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +38,28 @@ class SpectralData:
     q: int
 
     def __post_init__(self) -> None:
+        check_sigma(np.asarray(self.sigma, dtype=float).tolist())
         r = len(self.sigma)
-        if r == 0 or self.sigma[-1] <= 0:
-            raise ValidationError("sigma must be positive and non-empty")
-        if np.any(np.diff(self.sigma) >= 0):
-            raise ValidationError("sigma must be strictly descending")
         if self.u.shape != (self.p, r) or self.v.shape != (self.q, r):
             raise ValidationError("u/v shapes do not match (p, q, rank)")
+        eye = np.eye(r)
         for name, m in (("u", self.u), ("v", self.v)):
-            err = np.abs(m.conj().T @ m - np.eye(r)).max()
+            err = np.abs(m.conj().T @ m - eye).max()
             if err > ORTHO_TOL:
                 raise ValidationError(f"{name} columns not orthonormal ({err:.3e})")
 
     @property
     def rank(self) -> int:
         return len(self.sigma)
+
+
+def check_sigma(sigma: Sequence[float]) -> None:
+    """Singular-value contract on Python floats: non-empty, finite,
+    positive and strictly descending.  Written so that NaN fails."""
+    if not sigma or not all(math.isfinite(s) and s > 0 for s in sigma):
+        raise ValidationError(f"sigma must be non-empty, finite and positive, got {sigma}")
+    if not all(a > b for a, b in zip(sigma, sigma[1:])):
+        raise ValidationError(f"sigma must be strictly descending, got {sigma}")
 
 
 def decompose(a0) -> SpectralData:
@@ -57,20 +74,20 @@ def decompose(a0) -> SpectralData:
     a = np.asarray(a0)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("input must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("input matrix has non-finite entries")
-    if not np.any(a != 0):
+    if not a.any():
         raise ValidationError("input matrix is zero")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > RANK_TOL * s[0]))
-    sig = s[:r].copy()
-    gaps = (sig[:-1] - sig[1:]) / sig[0]
-    if np.any(gaps < DEGENERACY_TOL):
-        raise DegenerateSpectrumError(
-            f"near-equal singular values (min relative gap {gaps.min():.3e})"
-        )
+    values = s.tolist()
+    cut = RANK_TOL * values[0]
+    r = sum(v > cut for v in values)
+    sig = values[:r]
+    gap = min(((hi - lo) / sig[0] for hi, lo in zip(sig, sig[1:])), default=math.inf)
+    if gap < DEGENERACY_TOL:
+        raise DegenerateSpectrumError(f"near-equal singular values (min relative gap {gap:.3e})")
     data = SpectralData(
-        sigma=sig,
+        sigma=s[:r].copy(),
         u=u[:, :r].copy(),
         v=vh[:r].conj().T.copy(),
         p=a.shape[0],
@@ -129,9 +146,10 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != spec.sigma.shape:
         raise ValidationError("one weight per singular triple required")
-    if np.any(w < 0):
-        raise ValidationError("weights must be non-negative")
-    if not np.any(w > 0):
+    ws = w.tolist()
+    if not all(math.isfinite(x) and x >= 0 for x in ws):
+        raise ValidationError(f"weights must be finite and non-negative, got {ws}")
+    if not any(x > 0 for x in ws):
         raise ValidationError("at least one weight must be positive")
     du, dv = pad_dim(spec.p), pad_dim(spec.q)
     grid = np.zeros((du, dv), dtype=complex)

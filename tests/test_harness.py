@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -33,6 +34,12 @@ def test_random_lowrank_sigma_injection():
 def test_random_lowrank_rejects_bad_rank():
     with pytest.raises(ValidationError):
         harness.random_lowrank(2, 2, 3, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)])
+def test_random_lowrank_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValidationError, match="^sigma must be non-empty, finite"):
+        harness.random_lowrank(2, 3, 2, 0, sigma=sigma)
 
 
 def test_cmd_example_passes(capsys):
@@ -84,6 +91,8 @@ MATRIX_FILES = {
         (["example", "--alpha", "-1"], 2),
         (["example", "--shots", "-5"], 2),
         (["alpha", "--sigma", "2,x", "--tau", "0.5"], 2),
+        (["alpha", "--sigma", "nan,1", "--tau", "0.5"], 2),
+        (["alpha", "--sigma", "inf,1", "--tau", "0.5"], 2),
         (["sweep", "--shape", "3,x", "--n", "1"], 2),
         (["sweep", "--n", "2", "--t-bits", "0", "--simulate"], 2),
         (["sweep", "--n", "2", "--m-bits", "0"], 2),
@@ -126,6 +135,12 @@ def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
     harness.SweepConfig(rank=harness.SWEEP_DIM_RANGE[1])
     harness.SweepConfig(shape=(2, 3), rank=2, sigma=(2.0, 1.0), tau=1.5)
     harness.SweepConfig(shape=(1, 1), rank=1, sigma=(2.0,))
+
+
+def test_sweep_config_rejects_an_empty_sigma():
+    # every record would fail with "rank 0 invalid for shape"
+    with pytest.raises(ValidationError, match="^sigma must be non-empty"):
+        harness.SweepConfig(n_instances=3, sigma=())
 
 
 def test_sweep_sigma_without_rank_sets_the_rank():

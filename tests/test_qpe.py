@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,26 @@ def test_choose_t0_automatic_t_bits():
 def test_choose_t0_rejects_label_collision():
     with pytest.raises(ValidationError, match="collision"):
         qpe.choose_t0([5.0, 5.05], 2)
+
+
+@pytest.mark.parametrize("t_bits", range(1, 6))
+def test_choose_t0_integer_eigenvalues_are_their_own_labels(t_bits):
+    top = (1 << t_bits) - 1
+    spectra = [(a,) for a in range(1, top + 1)]
+    spectra += itertools.permutations(range(1, top + 1), 2)
+    for lam in spectra:
+        cfg = qpe.choose_t0([float(x) for x in lam], t_bits)
+        assert cfg.t0 == 2 * np.pi / (1 << t_bits)
+        assert cfg.labels == lam
+        assert cfg.exact
+
+
+@pytest.mark.parametrize("t_bits", [3, None])
+@pytest.mark.parametrize("lam", [[math.nan, 1.0], [math.inf, 1.0], [4.0, math.nan], [4.0, -math.inf]])
+def test_choose_t0_rejects_non_finite_eigenvalues(lam, t_bits):
+    # never a ValueError or OverflowError from rounding NaN or inf
+    with pytest.raises(ValidationError, match="^eigenvalues must be finite and positive"):
+        qpe.choose_t0(lam, t_bits)
 
 
 def test_encoding_decode_roundtrip():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,21 @@ def test_to_state_rejects_zero_weights():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     with pytest.raises(ValidationError):
         spectral.to_state(data, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [math.inf, 1.0], [2.0, math.nan]])
+def test_non_finite_sigma_and_weights_are_rejected(values):
+    data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
+    with pytest.raises(ValidationError, match="^sigma must be non-empty, finite"):
+        spectral.SpectralData(sigma=np.array(values), u=data.u, v=data.v, p=2, q=3)
+    with pytest.raises(ValidationError, match="^weights must be finite"):
+        spectral.to_state(data, values)
+
+
+def test_decompose_rejects_an_overflowing_spectrum():
+    # the SVD's sigma_1 overflows to inf, so no value passes the rank cut
+    with pytest.raises(ValidationError, match="^sigma must be non-empty"):
+        spectral.decompose(np.full((2, 2), 1e308))
 
 
 def test_partial_trace_roundtrip_reproduces_gram():
