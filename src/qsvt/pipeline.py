@@ -25,7 +25,6 @@ class PipelineConfig:
     m_bits: int = 8
     alpha: float | None = None
     alpha_method: str = "intuitive"
-    newton: rotation.NewtonConfig | None = None
     shots: int | None = None  # None or 0: no sampling
     seed: int = 0
 
@@ -91,16 +90,16 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             warnings.warn(note, stacklevel=2)
 
     pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
-    ncfg = cfg.newton or rotation.NewtonConfig(m_bits=cfg.m_bits)
-    if ncfg.m_bits != cfg.m_bits:
-        raise ValidationError("newton config m_bits disagrees with pipeline m_bits")
+    ncfg = rotation.NewtonConfig(m_bits=cfg.m_bits)
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, ncfg, cfg.tau)
     # sigma_1 has the largest code and its label always holds mass
-    rot_cfg.check_single_lobe(max(oracle.y_codes.values()), ncfg.m_bits)
+    rot_cfg.check_single_lobe(max(oracle.y_codes.values()), cfg.m_bits)
 
     du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
+    if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
+        raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
     b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
-    layout = sim.RegisterLayout.standard(ncfg.m_bits, pe_cfg.t_bits, b_bits)
+    layout = sim.RegisterLayout.standard(cfg.m_bits, pe_cfg.t_bits, b_bits)
     a_pad = np.zeros((du, du), dtype=complex)
     a_pad[: spec.p, : spec.p] = spectral.gram(spec)
 
@@ -123,7 +122,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     f_sim = float(abs(np.vdot(target, b_state)))
 
     n1 = float(np.sum(spec.sigma**2))
-    scale = 1 << ncfg.m_bits
+    scale = 1 << cfg.m_bits
     y_codes = [oracle.code_for(c) / scale for c in pe_cfg.labels]
     # triple k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
     grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
@@ -156,7 +155,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         y_repr_exact=all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),
         newton_iterations=max(oracle.iterations.values(), default=0),
         t_bits=pe_cfg.t_bits,
-        m_bits=ncfg.m_bits,
+        m_bits=cfg.m_bits,
         p_shots=p_shots,
     )
 

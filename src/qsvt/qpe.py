@@ -2,21 +2,21 @@
 full phase-estimation unitary with its exact inverse.
 
 Eigenvalue encoding: :func:`choose_t0` fixes an evolution time-step
-``t0`` and the register label of every eigenvalue, and it is the one
-place where labels are computed and checked.  The label for eigenvalue
-``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with ``T = 2**t_bits``,
-decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The conditional evolution
-E applies ``exp(i A c t0)`` on the subspace where register C holds ``c``,
-as a uniformly controlled gate on each run of C qubits (one run unless
-its stack would outgrow an eighth of the state), the stack built by
-doubling from ``t`` matrix exponentials, the powers ``exp(i A 2^w t0)``.
-The exponentials share one eigendecomposition of A per run (cached by
-A's content), and the DFT pair on C is built once per width and checked
-once for unitarity.
+``t0`` and the register label of every eigenvalue, the one place where
+labels are computed; the record it returns checks them.  The label for
+eigenvalue ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with
+``T = 2**t_bits``, decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The
+conditional evolution E applies ``exp(i A c t0)`` on the subspace where
+register C holds ``c``, as a uniformly controlled gate on each run of C
+qubits (one run unless its stack would outgrow an eighth of the state),
+given the run's factors ``exp(i A 2^w t0)``, from which the gate checks
+and builds its stack.  The exponentials share one eigendecomposition of
+A per run (cached by A's content), and the DFT pair on C is built once
+per width and checked once for unitarity.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
-DFTs, the evolution stack and the state stay in NumPy.  ``round``
+DFTs, the exponentials and the state stay in NumPy.  ``round``
 rounds half to even, as ``np.rint`` does, so the labels are the same.
 
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
@@ -44,8 +44,8 @@ CLEARED_TOL = 1e-12
 @dataclass(frozen=True)
 class PhaseEstimationConfig:
     """Register width, evolution step and, in the spectrum's order, the
-    eigenvalue labels that :func:`choose_t0` computed and checked;
-    ``exact`` when every eigenvalue sits on its label."""
+    eigenvalue labels that :func:`choose_t0` computed, distinct and in
+    1..2**t_bits - 1; ``exact`` when every eigenvalue sits on its label."""
 
     t_bits: int
     t0: float
@@ -54,8 +54,12 @@ class PhaseEstimationConfig:
 
     def __post_init__(self) -> None:
         sim.check_width("t_bits", self.t_bits)
-        if not self.t0 > 0:
-            raise ValidationError("t0 must be positive")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ValidationError(f"t0 must be finite and positive, got {self.t0!r}")
+        if not all(1 <= c < 1 << self.t_bits for c in self.labels):
+            raise ValidationError(f"labels must lie in 1..{(1 << self.t_bits) - 1}: {self.labels}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError("eigenvalue collision after rounding to t_bits precision")
 
     def decode(self, label: int) -> float:
         """The eigenvalue that ``label`` stands for."""
@@ -71,9 +75,9 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     from whether every label is integral.  Without t_bits, an integral
     spectrum gets the bit length of its largest value (so it encodes
     exactly) and any other spectrum gets 6 bits.  Eigenvalues that are
-    not finite, positive and distinct, a width outside 1..MAX_QUBITS, a
-    positive eigenvalue that rounds to label 0 (it would decode to 0) and
-    two eigenvalues that round to one label are rejected.
+    not finite and positive, a width outside 1..MAX_QUBITS and a positive
+    eigenvalue that rounds to label 0 (it would decode to 0) are rejected;
+    so, by the returned record, are two eigenvalues on one label.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -81,8 +85,6 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     lam = lam.tolist()
     if not all(math.isfinite(x) and x > 0 for x in lam):
         raise ValidationError(f"eigenvalues must be finite and positive, got {lam}")
-    if len(set(lam)) != len(lam):
-        raise ValidationError("eigenvalues must be distinct")
     rounded = [round(x) for x in lam]  # half to even, as np.rint
     integral = all(abs(x - c) <= ENCODING_TOL * max(1.0, x) for x, c in zip(lam, rounded))
     if t_bits is None:
@@ -102,8 +104,6 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
             f"eigenvalue {small:.6g} rounds to label 0 at t_bits={t_bits}:"
             " too fine for the eigenvalue register; raise t_bits"
         )
-    if len(set(labels)) != len(labels):
-        raise ValidationError("eigenvalue collision after rounding to t_bits precision")
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 
@@ -144,19 +144,15 @@ def conditional_evolution(
     inverse: bool = False,
 ) -> QuantumState:
     """For each C label c, evolve the u-factor of B by exp(i A c t0), as
-    one uniformly controlled gate per run of C qubits: all of C, unless
-    its stack would outgrow an eighth of the state (a tall input)."""
-    t0, t, dim = -cfg.t0 if inverse else cfg.t0, len(reg_C), len(a)
+    one uniformly controlled gate, given its factors exp(i A 2^w t0), per
+    run of C qubits: all of C, unless the gate's stack would outgrow an
+    eighth of the state (a tall input)."""
+    t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
     width = min(t, max(1, state.n_qubits - 3 - 2 * len(reg_B_left)))
     for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
         run = reg_C[max(0, t - w0 - width) : t - w0]
-        stack = np.empty(((1 << len(run)) - 1, dim, dim), dtype=complex)  # label y at y - 1
-        for j in range(len(run)):  # label 2^j + y is label y times label 2^j
-            x = (1 << j) - 1
-            stack[x] = herm_exp(a, (1 << (w0 + j)) * t0)
-            np.matmul(stack[:x], stack[x], out=stack[x + 1 : 2 * x + 1])
-        sim.apply_controlled(state, stack, run, reg_B_left, powers=True)
-        del stack  # before the next run's exponentials, not beside them
+        factors = [herm_exp(a, (1 << (w0 + j)) * t0) for j in range(len(run))]
+        sim.apply_controlled(state, factors, run, reg_B_left, powers=True)
     return state
 
 

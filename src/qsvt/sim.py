@@ -18,14 +18,15 @@ Conventions used throughout the package:
   checks them, once per distinct register set rather than per call.
   A state has a single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
-  stack of powers is checked by its factors), except that a read-only
-  stack, a shared constant such as the DFT, is checked once per
-  content.  Gates do not check the norm: each stage calls
-  :func:`check_norm` once when it ends.
+  stack of powers is passed as its factors, each checked, and built in
+  the kernel), except that a read-only stack, a shared constant such as
+  the DFT, is checked once per content.  Gates do not check the norm:
+  each stage calls :func:`check_norm` once when it ends.
 """
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,8 @@ class RegisterLayout:
 
     def __post_init__(self) -> None:
         flat = [self.ancilla, *self.reg_L, *self.reg_C, *self.reg_B]
-        if len(set(flat)) != len(flat):
-            raise ValidationError("register ranges overlap")
         if sorted(flat) != list(range(len(flat))):
-            raise ValidationError("registers must tile qubits 0..n-1 without gaps")
+            raise ValidationError("registers must tile qubits 0..n-1 without gaps or overlaps")
         if len(self.reg_B) == 0:
             raise ValidationError("data register B must be non-empty")
 
@@ -87,6 +86,11 @@ class RegisterLayout:
 class QuantumState:
     n_qubits: int
     amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, shape = self.n_qubits, np.shape(self.amplitudes)
+        if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_QUBITS and shape == (1 << n,)):
+            raise ValidationError(f"{n!r} qubits in 0..{MAX_QUBITS} need 2**n amplitudes: {shape}")
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.n_qubits, self.amplitudes.copy())
@@ -132,27 +136,20 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, bool]:
+def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple]:
     """The shape and axis order that view the amplitudes as (..., control,
-    targets, rest), or as (..., control, rest, targets) when the targets
-    end at the last qubit, and whether they do.  ``registers`` is
-    ``(targets,)`` or ``(targets, control)``; with no control, a unit
-    axis stands in for it (one label)."""
+    targets, rest); ``registers`` is ``(targets,)`` or ``(targets,
+    control)``, a unit axis standing in for an absent control."""
     shape, axes = _split(n, registers)
     # two leading unit axes: the absent control and a spare batch axis
     t_axis, c_axis, ndim = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0), len(shape) + 2
-    last = t_axis == ndim - 1
     rest = [a for a in range(ndim) if a not in (c_axis, t_axis)]
-    inner = [rest[-1], t_axis] if last else [t_axis, rest[-1]]
-    return (1, 1) + shape, tuple(rest[:-1] + [c_axis] + inner), last
+    return (1, 1) + shape, tuple(rest[:-1] + [c_axis, t_axis, rest[-1]])
 
 
-def _check_unitary(stack: np.ndarray, width: int, powers: bool) -> None:
-    """Reject a stack with a non-unitary member, in one batched check.  A
-    stack of powers is the products of its members at labels 2^j, so
-    only those are checked."""
-    factors = stack[[(1 << j) - 1 for j in range(width)]] if powers else stack
-    dev = factors.conj().transpose(0, 2, 1) @ factors
+def _check_unitary(stack: np.ndarray) -> None:
+    """Reject a stack with a non-unitary member, in one batched check."""
+    dev = stack.conj().transpose(0, 2, 1) @ stack
     dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
     err = np.abs(dev).max()
     if not err <= UNITARY_TOL:  # NaN fails too
@@ -160,31 +157,36 @@ def _check_unitary(stack: np.ndarray, width: int, powers: bool) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _check_constant(shape: tuple, width: int, powers: bool, data: bytes) -> None:
+def _check_constant(shape: tuple, data: bytes) -> None:
     """:func:`_check_unitary` of a read-only stack, cached by content;
     a failed check is not cached."""
-    _check_unitary(np.frombuffer(data, dtype=complex).reshape(shape), width, powers)
+    _check_unitary(np.frombuffer(data, dtype=complex).reshape(shape))
 
 
 def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
-    """The kernel: ``matrices[x - powers]`` on the targets wherever the
-    control register reads x (from 1 with ``powers``), as one
-    ``stack @ view`` written back once."""
-    shape, order, last = _gate_view(state.n_qubits, registers)
+    """The kernel: ``matrices[x]`` (with ``powers``, the product of the
+    factors its bits select) on the targets wherever the control register
+    reads x >= powers, as one ``stack @ view`` written back once."""
+    shape, order = _gate_view(state.n_qubits, registers)
     targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
     stack = np.asarray(matrices, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
-    if len(stack) != (1 << width) - lo:
+    if len(stack) != (width if powers else 1 << width):
         raise ValidationError(f"{len(stack)} matrices for a {width}-qubit control")
     if stack.shape[1] != 1 << len(targets):
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
     if stack.flags.writeable:
-        _check_unitary(stack, width, powers)
+        _check_unitary(stack)
     else:  # a shared constant, such as the DFT: checked once per content
-        _check_constant(stack.shape, width, powers, stack.tobytes())
+        _check_constant(stack.shape, stack.tobytes())
+    if powers:  # label 2^j + y is label y times label 2^j; label y sits at y - 1
+        factors, stack = stack, np.empty(((1 << width) - 1,) + stack.shape[1:], dtype=complex)
+        for j, factor in enumerate(factors):
+            stack[(1 << j) - 1] = factor
+            np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
     view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
-    view[...] = view @ stack.transpose(0, 2, 1) if last else stack @ view
+    view[...] = stack @ view
     return state
 
 
@@ -199,9 +201,9 @@ def apply_controlled(
 ) -> QuantumState:
     """Uniformly controlled gate: ``matrices[x]`` acts on ``targets``
     wherever the ``control`` register reads x (``[I, U]`` is U controlled
-    on 1).  With ``powers``, ``matrices`` are U^1..U^(2^c - 1), each the
-    product of the members at the labels 2^j its bits select: label 0 is
-    left alone, and only those members are checked for unitarity."""
+    on 1).  With ``powers``, ``matrices`` are the factors U^(2^j) of a
+    c-qubit control, j = 0..c-1, each checked for unitarity: label x
+    gets the product of those its bits select; label 0 is left alone."""
     return _apply(state, matrices, (tuple(targets), tuple(control)), powers)
 
 

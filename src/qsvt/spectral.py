@@ -65,13 +65,15 @@ def check_sigma(sigma: Sequence[float]) -> None:
 def decompose(a0) -> SpectralData:
     """SVD with rank truncation at ``RANK_TOL * sigma_1``, the one rank
     tolerance of the package; the rank-truncated reconstruction must
-    match the input to the same relative tolerance.
+    match the input to the same relative tolerance.  Single-precision
+    input is decomposed in double, as the tolerances assume.
 
     Near-equal retained singular values (relative gap below 1e-9) are
     rejected: the alpha theory assumes a strict spectrum and singular
     bases are non-unique under degeneracy.
     """
     a = np.asarray(a0)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("input must be a non-empty 2-D matrix")
     if not np.isfinite(a).all():
@@ -117,12 +119,9 @@ def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
 
 
 def gram(spec: SpectralData) -> np.ndarray:
-    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger, p x p Hermitian."""
-    a = (spec.u * spec.sigma**2) @ spec.u.conj().T
-    err = np.abs(a - a.conj().T).max()
-    if err > 1e-12:
-        raise ValidationError(f"gram matrix not Hermitian ({err:.3e})")
-    return a
+    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger, p x p, Hermitian
+    by construction up to round-off; :func:`herm_exp` checks it."""
+    return (spec.u * spec.sigma**2) @ spec.u.conj().T
 
 
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
@@ -161,12 +160,14 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian check and eigenpairs, read-only, of the complex matrix
-    with these bytes.  Cached by content, so the exponentials of one A
-    share one ``eigh`` and a matrix changed in place is decomposed
-    again; a failed check is not cached."""
+    with these bytes, the asymmetry bound relative to the largest entry.
+    Cached by content, so the exponentials of one A share one ``eigh``
+    and a matrix changed in place is decomposed again; a failed check is
+    not cached."""
     m = np.frombuffer(data, dtype=complex).reshape(shape)
-    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:  # NaN fails too
-        raise ValidationError("matrix is not Hermitian")
+    err, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    if not err <= HERMITIAN_TOL * scale:  # NaN fails too
+        raise ValidationError(f"matrix is not Hermitian (asymmetry {err:.3e} at {scale:.3e})")
     eigvals, eigvecs = np.linalg.eigh(m)
     eigvals.flags.writeable = eigvecs.flags.writeable = False
     return eigvals, eigvecs

@@ -7,7 +7,6 @@ from qsvt import alpha as alpha_mod
 from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
-from qsvt.rotation import NewtonConfig
 
 from gates import bitwise_conditional_evolution, bitwise_ry_cascade
 
@@ -257,24 +256,13 @@ def test_verify_against_classical_reference():
 
 
 def test_verify_small_tau_target_approaches_input_state():
-    # small tau needs an initial value near 1 to stay in the Newton basin
     a0 = random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.2))
     spec = spectral.decompose(a0)
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.6, t_bits=6, m_bits=8))
+    assert pipeline.verify_against_classical(res, spec, 0.6).delta < 1e-10
+    psi_a0 = spectral.to_state(spec, spec.sigma)
     overlaps = []
     for tau in (0.6, 0.024):
-        initial = 0.5 if tau == 0.6 else 0.99
-        res = pipeline.run_pipeline(
-            pipeline.PipelineConfig(
-                a0=a0,
-                tau=tau,
-                t_bits=6,
-                m_bits=8,
-                newton=NewtonConfig(m_bits=8, initial=initial),
-            )
-        )
-        report = pipeline.verify_against_classical(res, spec, tau)
-        assert report.delta < 1e-10
-        psi_a0 = spectral.to_state(spec, spec.sigma)
         target = spectral.to_state(spec, spectral.shrunk_values(spec, tau))
         overlaps.append(abs(np.vdot(psi_a0, target)))
     assert overlaps[1] > overlaps[0]
@@ -333,6 +321,32 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
     for shots in (-5, 2.5, "10"):
         with pytest.raises(ValidationError, match="shots"):
             run_reference(shots=shots)
+
+
+def test_single_row_input_is_rejected_before_the_state(monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated before the shape check")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    with pytest.raises(ValidationError, match="shape 1x4"):
+        pipeline.run_pipeline(
+            pipeline.PipelineConfig(a0=np.array([[3.0, 1.0, 2.0, 0.5]]), tau=2.0)
+        )
+
+
+def test_run_does_not_depend_on_the_scale_of_the_input():
+    # A0 and tau scaled together: the same labels, codes, P, F and residual
+    a0 = random_lowrank(3, 4, 3, seed=5, sigma=(3.1, 2.2, 1.3))
+    cfg = dict(t_bits=5, m_bits=6)
+    base = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.93, **cfg))
+    for scale in (1e-3, 1e-1, 1e2, 1e4, 1e6):
+        res = pipeline.run_pipeline(
+            pipeline.PipelineConfig(a0=scale * a0, tau=0.93 * scale, **cfg)
+        )
+        assert np.array_equal(res.labels, base.labels), scale
+        assert np.array_equal(res.y_codes, base.y_codes), scale
+        for name in ("p_sim", "f_sim", "residual_mass"):
+            assert abs(getattr(res, name) - getattr(base, name)) < 1e-13, (scale, name)
 
 
 def test_shots_sample_a_probability_that_rounds_above_one():

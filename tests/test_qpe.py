@@ -65,6 +65,23 @@ def test_choose_t0_rejects_label_collision():
         qpe.choose_t0([5.0, 5.05], 2)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((3, math.inf, True, (4, 1)), "t0 must be finite and positive"),
+    ((3, math.nan, True, (4, 1)), "t0 must be finite and positive"),
+    ((3, 0.7, False, (0, 1)), r"labels must lie in 1\.\.7"),
+    ((3, 0.7, False, (8,)), r"labels must lie in 1\.\.7"),
+    ((3, 0.7, False, (2, 2)), "collision"),
+])
+def test_phase_estimation_config_checks_itself(args, match):
+    with pytest.raises(ValidationError, match=match):
+        qpe.PhaseEstimationConfig(*args)
+
+
+def test_choose_t0_equal_eigenvalues_collide():
+    with pytest.raises(ValidationError, match="collision"):
+        qpe.choose_t0([4.0, 4.0], 3)
+
+
 @pytest.mark.parametrize("t_bits", range(1, 6))
 def test_choose_t0_integer_eigenvalues_are_their_own_labels(t_bits):
     top = (1 << t_bits) - 1

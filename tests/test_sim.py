@@ -135,6 +135,26 @@ def test_read_only_non_unitary_is_rejected_on_every_call():
     assert np.array_equal(state.amplitudes, before)
 
 
+def test_every_factor_of_a_stack_of_powers_is_checked():
+    x, five = pauli_x(), 5 * np.eye(2)
+    state = random_state(3, 18)
+    before = state.amplitudes.copy()
+    # a 2-qubit control takes two factors, U and U^2, and checks both
+    with pytest.raises(ValidationError, match="3 matrices for a 2-qubit control"):
+        sim.apply_controlled(state, [x, x, five], [0, 1], [2], powers=True)
+    with pytest.raises(ValidationError, match="unitary"):
+        sim.apply_controlled(state, [x, five], [0, 1], [2], powers=True)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
+    for n, shape in ((3, (16,)), (3, (4,)), (2, (2, 2)), (-1, (1,)),
+                     (sim.MAX_QUBITS + 1, (1,)), (2.0, (4,))):
+        with pytest.raises(ValidationError, match="need 2\\*\\*n amplitudes"):
+            sim.QuantumState(n, np.zeros(shape, dtype=complex))
+    assert sim.QuantumState(0, np.ones(1, dtype=complex)).norm() == 1.0
+
+
 def test_apply_controlled_inactive_control():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
     sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
@@ -413,7 +433,7 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         targets, control = _placement(n, k, w, rng)
         value, powers = None, w > 0 and bool(rng.integers(2))
         if powers:
-            # powers u^0..u^(2^w - 1) of one unitary, passed without u^0 = I
+            # powers u^0..u^(2^w - 1) of one unitary, passed as the factors u^(2^j)
             u = random_unitary(k, rng)
             stack = [np.linalg.matrix_power(u, x) for x in range(1 << w)]
         elif w == 1 and rng.integers(2):
@@ -422,6 +442,7 @@ def test_gate_kernel_matches_dense_kronecker_reference():
             stack = [u, np.eye(1 << k)] if value == 0 else [np.eye(1 << k), u]
         else:
             stack = [random_unitary(k, rng) for _ in range(1 << w)]
+        given = [stack[1 << j] for j in range(w)] if powers else stack
         state = random_state(n, 1000 + trial)
         before = state.amplitudes.copy()
         contiguous = all(r == list(range(r[0], r[0] + len(r))) for r in (targets, control) if r)
@@ -429,7 +450,7 @@ def test_gate_kernel_matches_dense_kronecker_reference():
             apply = functools.partial(sim.apply_unitary, state, stack[0], targets)
         else:
             apply = functools.partial(
-                sim.apply_controlled, state, stack[powers:], control, targets, powers
+                sim.apply_controlled, state, given, control, targets, powers
             )
         case = (n, targets, control, value, powers)
         if contiguous:
@@ -468,7 +489,7 @@ def test_controlled_gate_rejects_bad_stacks_and_controls():
         ((stack, [0], [2]), "4 matrices for a 1-qubit control"),
         ((stack, [0, 1], [2], True), "4 matrices for a 2-qubit control"),
         ((skewed, [0, 1], [2]), "unitary"),
-        ((skewed[1:], [0, 1], [2], True), "unitary"),  # a factor of a stack of powers
+        (([stack[1], skewed[2]], [0, 1], [2], True), "unitary"),  # a factor of a stack of powers
         ((stack, [1, 2], [2]), "overlap"),
         ((stack, [0, 2], [3]), "contiguous"),
         ((stack, [1, 0], [3]), "contiguous"),

@@ -6,7 +6,7 @@ import pytest
 
 from qsvt import spectral
 from qsvt.errors import DegenerateSpectrumError, FullyThresholdedError, ValidationError
-from qsvt.harness import random_lowrank
+from qsvt.harness import example_matrix, random_lowrank
 
 
 def test_decompose_diagonal():
@@ -39,6 +39,17 @@ def test_decompose_rejects_zero_matrix():
 def test_decompose_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         spectral.decompose(np.eye(3))
+
+
+@pytest.mark.parametrize("dtype, phase", [(np.float32, 1.0), (np.complex64, np.exp(0.3j))],
+                         ids=["float32", "complex64"])
+def test_decompose_computes_single_precision_input_in_double(dtype, phase):
+    a0 = (phase * example_matrix()).astype(dtype)
+    got = spectral.decompose(a0)
+    want = spectral.decompose(a0.astype(np.result_type(dtype, np.float64)))
+    for name in ("sigma", "u", "v"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.abs(got.sigma - [2.0, 1.0]).max() < 1e-6
 
 
 def test_gram_eigenvalues_of_reference_instance():
@@ -194,6 +205,21 @@ def test_herm_exp_rejects_non_hermitian():
         for _ in range(2):  # a failed check is not cached
             with pytest.raises(ValidationError, match="Hermitian"):
                 spectral.herm_exp(np.array(a), 1.0)
+
+
+def test_herm_exp_hermitian_check_is_relative_to_the_largest_entry():
+    # A of a x1e3 input is x1e6: entries near 1e7, and its round-off
+    # asymmetry alone is above the tolerance in absolute terms
+    spec = spectral.decompose(1e3 * random_lowrank(4, 4, 2, seed=3, sigma=(3.0, 2.0)))
+    a = spectral.gram(spec)
+    assert np.abs(a - a.conj().T).max() > spectral.HERMITIAN_TOL
+    u = spectral.herm_exp(a, 1e-7)
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+    for scale in (1e-6, 1.0, 1e6):
+        skewed = scale * spectral.gram(spectral.decompose(random_lowrank(4, 4, 2, seed=3)))
+        skewed[0, 1] += 1e-6 * np.abs(skewed).max()
+        with pytest.raises(ValidationError, match="Hermitian"):
+            spectral.herm_exp(skewed, 1.0)
 
 
 def test_herm_exp_decomposes_each_matrix_content_once(monkeypatch):
