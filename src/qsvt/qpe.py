@@ -38,7 +38,6 @@ from .sim import QuantumState, RegisterLayout
 from .spectral import herm_exp
 
 ENCODING_TOL = 1e-9
-CLEARED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,11 @@ def phase_estimate(
     state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
 ) -> QuantumState:
     """Write eigenvalue labels of ``a`` into register C as QFT, E, QFT^-1;
-    C must be cleared, where the QFT equals the circuit's Hadamard layer."""
+    C must be cleared, where the QFT equals the circuit's Hadamard layer.
+    The read of C's masses also checks the incoming state's norm."""
     mass = sim.register_mass(state, layout.reg_C)
-    if mass[1:].sum() > CLEARED_TOL:
+    sim.check_mass(mass)
+    if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
     return _phase_estimate(state, cfg, layout, a, inverse=False)
 

@@ -194,9 +194,8 @@ class SigmaTauOracle:
     def apply(self, state: QuantumState, layout: RegisterLayout) -> QuantumState:
         if len(layout.reg_L) != self.m_bits or len(layout.reg_C) != self.t_bits:
             raise ValidationError("oracle widths do not match layout")
-        sim.apply_basis_oracle(state, layout.reg_L, layout.reg_C, self.y_codes)
-        sim.check_norm(state)
-        return state
+        # a permutation of the amplitudes: the norm is as it was
+        return sim.apply_basis_oracle(state, layout.reg_L, layout.reg_C, self.y_codes)
 
 
 def build_sigma_tau_oracle(
@@ -238,9 +237,10 @@ def ry_cascade(
     of the paper's ry(2^(1-j) a) on each L qubit j).  Exact for every
     theta; the single-lobe rule is a set-up check."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
-    if anc_mass[1] > 1e-12:
+    if not anc_mass[1] <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("ancilla not cleared")
-    angles = np.linspace(0.0, 2.0 * cfg.alpha, 1 << len(layout.reg_L), endpoint=False)
+    labels = 1 << len(layout.reg_L)
+    angles = np.arange(labels) * (2.0 * cfg.alpha / labels)  # = linspace(0, 2a, endpoint=False)
     sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
     sim.check_norm(state)
     return state
@@ -265,7 +265,7 @@ def uncompute(
     oracle.apply(state, layout)
     phase_estimate_inverse(state, pe_cfg, layout, a)
     residual = uncompute_residual(state, layout)
-    if residual > tolerance:
+    if not residual <= tolerance:  # NaN fails too
         raise UncomputeResidualError(
             f"registers L/C hold residual mass {residual:.3e} after uncompute"
         )

@@ -7,25 +7,33 @@ Conventions used throughout the package:
   ``(x >> (n - 1 - q)) & 1``.
 * Within a register (a ``range`` of qubit indices) the first qubit is
   the most significant bit of the register's value.
-* Operations mutate the flat amplitudes in place through reshape views
-  split at register edges: a gate on qubits lo..lo+k-1 sees
-  ``(2**lo, 2**k, rest)``.  A control is a register, one more split axis
-  whose label indexes a stack of matrices; the one kernel writes
-  ``stack @ view`` back once (an uncontrolled gate is a one-matrix
-  stack).  Targets, controls and registers are non-empty, disjoint,
-  contiguous ascending qubits of the state, or ``ValidationError`` is
-  raised before the state is touched.  One cached function, ``_split``,
-  checks them, once per distinct register set rather than per call.
-  A state has a single writer at a time.
+* Operations mutate the flat amplitudes, complex128, in place through
+  reshape views split at register edges: a gate on qubits lo..lo+k-1
+  sees ``(2**lo, 2**k, rest)``.  A control is a register, one more split
+  axis whose label indexes a stack of matrices; the one kernel writes
+  ``stack @ block`` back in place, block by block, in blocks of about
+  ``BLOCK_AMPLITUDES`` cut along the view's first leading axis longer
+  than one, and along the rest axis where that axis is short or absent,
+  so no temporary outgrows a block; a state that fits one block is one
+  ``stack @ view``.  An uncontrolled gate is a one-matrix stack.
+  Targets, controls and registers are non-empty, disjoint, contiguous
+  ascending qubits of the state, or ``ValidationError`` is raised before
+  the state is touched.  One cached function, ``_split``, checks them,
+  once per distinct register set rather than per call, and
+  ``_gate_view`` plans the blocks once per register set.  A state has a
+  single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
   stack of powers is passed as its factors, each checked, and built in
   the kernel), except that a read-only stack, a shared constant such as
   the DFT, is checked once per content.  Gates do not check the norm:
-  each stage calls :func:`check_norm` once when it ends.
+  it is checked once per stage boundary, from a read the stage makes
+  anyway (:func:`check_norm`, or :func:`check_mass` on the register
+  masses a stage reads).  Every guard is written so that NaN fails.
 """
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,6 +45,8 @@ MAX_QUBITS = 26
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 POST_SELECT_FLOOR = 1e-12
+CLEARED_TOL = 1e-12
+BLOCK_AMPLITUDES = 1 << 18  # 4 MiB of complex128
 
 
 def check_width(name: str, bits: int) -> None:
@@ -48,8 +58,12 @@ def check_width(name: str, bits: int) -> None:
 def ry(angle) -> np.ndarray:
     """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>.  An array
     of angles gives the stack of their rotations."""
-    c, s = np.cos(np.asarray(angle) / 2.0), np.sin(np.asarray(angle) / 2.0)
-    return np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2)).astype(complex)
+    half = np.asarray(angle) / 2.0
+    gate = np.empty(half.shape + (2, 2), dtype=complex)
+    c, s = np.cos(half), np.sin(half)
+    gate[..., 0, 0] = gate[..., 1, 1] = c
+    gate[..., 0, 1], gate[..., 1, 0] = -s, s
+    return gate
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,11 @@ class QuantumState:
         n, shape = self.n_qubits, np.shape(self.amplitudes)
         if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_QUBITS and shape == (1 << n,)):
             raise ValidationError(f"{n!r} qubits in 0..{MAX_QUBITS} need 2**n amplitudes: {shape}")
+        amp = self.amplitudes  # the kernels write complex results through views of it
+        if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
+                and amp.flags.c_contiguous):
+            raise ValidationError(f"amplitudes must be a C-contiguous complex128 array:"
+                                  f" {getattr(amp, 'dtype', type(amp))}")
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.n_qubits, self.amplitudes.copy())
@@ -110,11 +129,20 @@ def new_state(layout: RegisterLayout) -> QuantumState:
     return QuantumState(n, amp)
 
 
+def _check_unit(norm: float) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+        raise NormalizationError(f"state norm drifted to {norm!r}")
+
+
 def check_norm(state: QuantumState) -> None:
     """Stage-boundary guard: the state must still have unit norm."""
-    n = state.norm()
-    if abs(n - 1.0) > NORM_TOL:
-        raise NormalizationError(f"state norm drifted to {n!r}")
+    _check_unit(state.norm())
+
+
+def check_mass(mass: np.ndarray) -> None:
+    """:func:`check_norm` from a register's label masses, which sum to
+    the squared norm: a stage that reads them anyway needs no other read."""
+    _check_unit(math.sqrt(mass.sum()))
 
 
 @functools.lru_cache(maxsize=256)
@@ -136,15 +164,38 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple]:
+def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple]:
     """The shape and axis order that view the amplitudes as (..., control,
-    targets, rest); ``registers`` is ``(targets,)`` or ``(targets,
-    control)``, a unit axis standing in for an absent control."""
+    targets, rest), and the kernel's blocks of that view; ``registers`` is
+    ``(targets,)`` or ``(targets, control)``, a unit axis standing in for
+    an absent control.  The blocks are index tuples of about
+    ``BLOCK_AMPLITUDES`` amplitudes that cut the first leading axis longer
+    than one (else rest) and, where one index of that axis holds more,
+    rest as well; a state that fits one block is one block, ``...``."""
     shape, axes = _split(n, registers)
     # two leading unit axes: the absent control and a spare batch axis
-    t_axis, c_axis, ndim = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0), len(shape) + 2
-    rest = [a for a in range(ndim) if a not in (c_axis, t_axis)]
-    return (1, 1) + shape, tuple(rest[:-1] + [c_axis, t_axis, rest[-1]])
+    shape = (1, 1) + shape
+    t_axis, c_axis = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0)
+    rest = [a for a in range(len(shape)) if a not in (c_axis, t_axis)]
+    order = tuple(rest[:-1] + [c_axis, t_axis, rest[-1]])
+    if 1 << n <= BLOCK_AMPLITUDES:
+        return shape, order, ((...,),)
+    dims, last = [shape[a] for a in order], len(order) - 1
+
+    def chunks(axis: int, per: int) -> list[slice]:
+        """Slices of ``axis`` of about BLOCK_AMPLITUDES amplitudes at
+        ``per`` amplitudes an index.  Along rest, the matmul's columns, a
+        slice keeps at least four: OpenBLAS rounds a one- or two-column
+        product differently from a wide one, four and more bit for bit."""
+        step = max(4 if axis == last else 1, BLOCK_AMPLITUDES // per)
+        return [slice(i, i + step) for i in range(0, dims[axis], step)]
+
+    cut = next((a for a, d in enumerate(dims[:-3]) if d > 1), last)
+    per = (1 << n) // dims[cut]  # amplitudes under one index of the cut axis
+    blocks = [(slice(None),) * cut + (s,) for s in chunks(cut, per)]
+    if per > BLOCK_AMPLITUDES and cut < last:  # a short leading axis: cut rest too
+        blocks = [b + (..., s) for b in blocks for s in chunks(last, per // dims[last])]
+    return shape, order, tuple(blocks)
 
 
 def _check_unitary(stack: np.ndarray) -> None:
@@ -166,8 +217,9 @@ def _check_constant(shape: tuple, data: bytes) -> None:
 def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
     """The kernel: ``matrices[x]`` (with ``powers``, the product of the
     factors its bits select) on the targets wherever the control register
-    reads x >= powers, as one ``stack @ view`` written back once."""
-    shape, order = _gate_view(state.n_qubits, registers)
+    reads x >= powers, as ``stack @ block`` written back in place, one
+    block of :func:`_gate_view` at a time."""
+    shape, order, blocks = _gate_view(state.n_qubits, registers)
     targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
     stack = np.asarray(matrices, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -184,9 +236,11 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
         factors, stack = stack, np.empty(((1 << width) - 1,) + stack.shape[1:], dtype=complex)
         for j, factor in enumerate(factors):
             stack[(1 << j) - 1] = factor
-            np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
+            if j:
+                np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
     view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
-    view[...] = stack @ view
+    for block in blocks:
+        view[block] = stack @ view[block]
     return state
 
 
@@ -243,15 +297,14 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
     vec = np.asarray(amplitudes, dtype=complex)
     if vec.shape != (1 << w,):
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
-    if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValidationError("register content must have unit norm")
     view = state.amplitudes.reshape(1 << lo, 1 << w, -1)
     on = view[0, :, 0]
-    if state.norm() ** 2 - np.vdot(on, on).real > 1e-12:
+    if not state.norm() ** 2 - np.vdot(on, on).real <= CLEARED_TOL:
         raise ValidationError("other registers are not in |0>")
     state.amplitudes.fill(0.0)
-    view[0, :, 0] = vec
-    check_norm(state)
+    view[0, :, 0] = vec  # the only amplitudes: the state's norm is vec's
     return state
 
 
@@ -270,18 +323,21 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     """Condition on ``qubit`` reading ``value``.
 
     Returns the renormalized conditional state and the pre-measurement
-    probability of that outcome.  Probability below ``POST_SELECT_FLOOR``
-    signals a fully thresholded spectrum and raises.
+    probability of that outcome, from one read that also checks the
+    norm.  Probability below ``POST_SELECT_FLOOR`` signals a fully
+    thresholded spectrum and raises.
     """
     if value not in (0, 1):
         raise ValidationError("measurement value must be 0 or 1")
-    prob = float(_mass(state.amplitudes, *_register(state, [qubit]))[value])
-    if prob < POST_SELECT_FLOOR:
+    mass = _mass(state.amplitudes, *_register(state, [qubit]))
+    check_mass(mass)
+    prob = float(mass[value])
+    if not prob >= POST_SELECT_FLOOR:  # NaN fails too
         raise FullyThresholdedError(
             f"outcome probability {prob:.3e} below floor {POST_SELECT_FLOOR:.3e}"
         )
-    state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1 - value] = 0.0
-    state.amplitudes /= np.sqrt(prob)
-    check_norm(state)
+    halves = state.amplitudes.reshape(1 << qubit, 2, -1)
+    halves[:, 1 - value] = 0.0
+    halves[:, value] /= np.sqrt(prob)
     return state, prob
 

@@ -158,19 +158,20 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian check and eigenpairs, read-only, of the complex matrix
-    with these bytes, the asymmetry bound relative to the largest entry.
-    Cached by content, so the exponentials of one A share one ``eigh``
-    and a matrix changed in place is decomposed again; a failed check is
-    not cached."""
+def _eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian check, eigenpairs and the eigenvectors' adjoint, all
+    read-only, of the complex matrix with these bytes, the asymmetry bound
+    relative to the largest entry.  Cached by content, so the exponentials
+    of one A share one ``eigh`` and one adjoint, and a matrix changed in
+    place is decomposed again; a failed check is not cached."""
     m = np.frombuffer(data, dtype=complex).reshape(shape)
     err, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
     if not err <= HERMITIAN_TOL * scale:  # NaN fails too
         raise ValidationError(f"matrix is not Hermitian (asymmetry {err:.3e} at {scale:.3e})")
     eigvals, eigvecs = np.linalg.eigh(m)
-    eigvals.flags.writeable = eigvecs.flags.writeable = False
-    return eigvals, eigvecs
+    adjoint = eigvecs.conj().T
+    eigvals.flags.writeable = eigvecs.flags.writeable = adjoint.flags.writeable = False
+    return eigvals, eigvecs, adjoint
 
 
 def herm_exp(a, t: float) -> np.ndarray:
@@ -181,8 +182,8 @@ def herm_exp(a, t: float) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    eigvals, eigvecs = _eigh(m.shape, m.tobytes())
-    return (eigvecs * np.exp(1j * eigvals * t)) @ eigvecs.conj().T
+    eigvals, eigvecs, adjoint = _eigh(m.shape, m.tobytes())
+    return (eigvecs * np.exp(eigvals * (1j * t))) @ adjoint
 
 
 def load_matrix_text(path) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsvt import pipeline, qpe, rotation, sim, spectral
-from qsvt.errors import ValidationError
+from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
 from gates import bitwise_conditional_evolution, hadamard, pauli_x
@@ -246,6 +246,17 @@ def test_phase_estimate_requires_cleared_c():
     sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     with pytest.raises(ValidationError, match="not cleared"):
         qpe.phase_estimate(state, cfg, layout, a_pad)
+
+
+def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
+    # the load leaves the norm to the next stage boundary's read
+    data, layout, a_pad = reference_setup()
+    cfg = qpe.choose_t0([4.0, 1.0], 3)
+    for drift in (1.001, np.nan):
+        state = loaded_state(data, layout)
+        state.amplitudes *= drift
+        with pytest.raises(NormalizationError, match="drifted"):
+            qpe.phase_estimate(state, cfg, layout, a_pad)
 
 
 def test_phase_estimate_then_inverse_is_identity():

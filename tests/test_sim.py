@@ -1,12 +1,13 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qsvt import sim
-from qsvt.errors import FullyThresholdedError, ValidationError
+from qsvt import rotation, sim
+from qsvt.errors import FullyThresholdedError, NormalizationError, ValidationError
 
-from gates import controlled_on_one, hadamard, pauli_x
+from gates import bitwise_ry_cascade, controlled_on_one, hadamard, pauli_x
 
 
 def random_state(n, seed):
@@ -85,6 +86,31 @@ def test_load_register_requires_other_registers_cleared():
     vec[0] = 1.0
     with pytest.raises(ValidationError, match=r"not in \|0>"):
         sim.load_register(state, layout.reg_B, vec)
+
+
+def test_load_register_rejects_nan_content():
+    layout = sim.RegisterLayout.standard(1, 1, 1)
+    state = sim.new_state(layout)
+    with pytest.raises(ValidationError, match="unit norm"):
+        sim.load_register(state, layout.reg_B, [np.nan, 0])
+    assert np.array_equal(state.amplitudes, sim.new_state(layout).amplitudes)
+
+
+def test_check_norm_rejects_nan():
+    with pytest.raises(NormalizationError, match="nan"):
+        sim.check_norm(sim.QuantumState(1, np.array([np.nan, 0], dtype=complex)))
+    with pytest.raises(NormalizationError, match="nan"):
+        sim.check_mass(np.array([np.nan, 0.0]))
+    sim.check_mass(np.array([0.25, 0.75]))
+
+
+def test_state_requires_contiguous_complex128_amplitudes():
+    # real storage would drop the imaginary part of every gate's output:
+    # Y on a real |0> left [0, 0]
+    for amp in (np.array([1.0, 0.0]), [1.0, 0.0], np.array([1, 0], dtype=np.complex64),
+                np.eye(4, dtype=complex)[0, ::2]):
+        with pytest.raises(ValidationError, match="C-contiguous complex128"):
+            sim.QuantumState(1, amp)
 
 
 def test_apply_unitary_identity_noop():
@@ -278,6 +304,15 @@ def test_post_select_probability_matches_mass():
     mass = sim.register_mass(state, [2])
     _, p = sim.post_select(state.copy(), 2, 0)
     assert p == pytest.approx(mass[0], abs=1e-12)
+
+
+def test_post_select_checks_the_norm_from_its_one_read():
+    # a drifted or NaN state fails before it is conditioned
+    for amp in (np.array([0.6, 0.8001], dtype=complex), np.array([np.nan, 1.0], dtype=complex)):
+        state = sim.QuantumState(1, amp.copy())
+        with pytest.raises(NormalizationError, match="drifted"):
+            sim.post_select(state, 0, 1)
+        assert np.array_equal(state.amplitudes, amp, equal_nan=True)
 
 
 def test_post_select_floor_error():
@@ -501,3 +536,100 @@ def test_controlled_gate_rejects_bad_stacks_and_controls():
         with pytest.raises(ValidationError, match=match):
             sim.apply_controlled(state, *args)
         assert np.array_equal(state.amplitudes, before), match
+
+
+def _one_and_many_blocks(monkeypatch, n, registers, apply, state):
+    """``apply`` on copies of ``state`` under the default plan (one block
+    at this size) and under blocks of 2^6 amplitudes; returns both
+    outputs and the small-block plan."""
+    one, many = state.copy(), state.copy()
+    assert sim._gate_view(n, registers)[2] == ((...,),)
+    apply(one)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "BLOCK_AMPLITUDES", 1 << 6)
+        sim._gate_view.cache_clear()
+        try:
+            plan = sim._gate_view(n, registers)[2]
+            apply(many)
+        finally:
+            sim._gate_view.cache_clear()
+    return one.amplitudes, many.amplitudes, plan
+
+
+def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
+    # under blocks of 2^6 amplitudes each gate shape is cut into blocks of
+    # that size: along the first leading axis longer than one, also along
+    # rest where that axis is short, and along rest alone where every
+    # leading axis has length one, in slices of at least four columns (a
+    # wide gate on the top qubits takes two blocks of 128); the output is
+    # bit-identical to one block and within 1e-12 of a reference
+    rng = np.random.default_rng(41)
+    u2, u5 = random_unitary(2, rng), random_unitary(5, rng)
+    stack = [random_unitary(2, rng) for _ in range(4)]
+    powers = [np.linalg.matrix_power(u2, x) for x in range(8)]
+    layout = sim.RegisterLayout.standard(2, 1, 4)  # ancilla, L 1-2, C 3, B 4-7
+    cfg = rotation.RotationConfig(2.3)
+    cascade_in = random_state(8, 44).amplitudes.reshape(2, -1)
+    cascade_in[1] = 0.0  # ancilla cleared
+    cascade_in /= np.linalg.norm(cascade_in)
+
+    def bitwise_powers(amp):
+        # u^(2^w) controlled on the control qubit of bit weight 2^w
+        state = sim.QuantumState(9, amp.copy())
+        for i, q in enumerate([3, 4, 5]):
+            sim.apply_controlled(state, controlled_on_one(powers[1 << (2 - i)]), [q], [6, 7])
+        return state.amplitudes
+
+    def bitwise_cascade(amp):
+        return bitwise_ry_cascade(sim.QuantumState(8, amp.copy()), layout, cfg).amplitudes
+
+    cases = {  # name: qubits, registers, gate, input, reference, blocks
+        "middle register": (
+            8, ((3, 4),), lambda s: sim.apply_unitary(s, u2, [3, 4]), random_state(8, 42),
+            lambda amp: dense_reference(8, [u2], [3, 4]) @ amp, 4),
+        "short leading axis": (
+            8, ((1, 2),), lambda s: sim.apply_unitary(s, u2, [1, 2]), random_state(8, 48),
+            lambda amp: dense_reference(8, [u2], [1, 2]) @ amp, 4),
+        "wide gate on the top qubits": (
+            8, ((0, 1, 2, 3, 4),), lambda s: sim.apply_unitary(s, u5, range(5)),
+            random_state(8, 49), lambda amp: dense_reference(8, [u5], range(5)) @ amp, 2),
+        "controlled": (
+            8, ((5, 6), (2, 3)), lambda s: sim.apply_controlled(s, stack, [2, 3], [5, 6]),
+            random_state(8, 43), lambda amp: dense_reference(8, stack, [5, 6], [2, 3]) @ amp, 4),
+        "powers": (
+            9, ((6, 7), (3, 4, 5)),
+            lambda s: sim.apply_controlled(s, [powers[1], powers[2], powers[4]], [3, 4, 5],
+                                           [6, 7], powers=True),
+            random_state(9, 45), bitwise_powers, 8),
+        "cascade": (
+            8, ((0,), (1, 2)), lambda s: rotation.ry_cascade(s, layout, cfg),
+            sim.QuantumState(8, cascade_in.reshape(-1)), bitwise_cascade, 4),
+    }
+    for name, (n, registers, apply, state, reference, blocks) in cases.items():
+        one, many, plan = _one_and_many_blocks(monkeypatch, n, registers, apply, state)
+        assert len(plan) == blocks, name
+        assert np.array_equal(many, one), name
+        assert np.abs(many - reference(state.amplitudes)).max() < 1e-12, name
+
+
+def test_blocked_kernel_allocates_a_block_not_a_state(monkeypatch):
+    n, u2 = 14, random_unitary(2, np.random.default_rng(46))
+    state = random_state(n, 47)
+    size = state.amplitudes.nbytes
+
+    def peak_of_one_gate():
+        tracemalloc.start()
+        try:
+            sim.apply_unitary(state, u2, [6, 7])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sim.apply_unitary(state, u2, [6, 7])  # the unitarity check and plan, cached
+    assert peak_of_one_gate() >= size  # one block: a state-sized product
+    monkeypatch.setattr(sim, "BLOCK_AMPLITUDES", 1 << 8)
+    sim._gate_view.cache_clear()
+    try:
+        assert peak_of_one_gate() < size / 16
+    finally:
+        sim._gate_view.cache_clear()

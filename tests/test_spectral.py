@@ -232,8 +232,9 @@ def test_herm_exp_decomposes_each_matrix_content_once(monkeypatch):
         w, v = eigh(a.astype(complex))
         assert np.array_equal(spectral.herm_exp(a, t), (v * np.exp(1j * w * t)) @ v.conj().T)
     assert len(calls) == 1
-    eigvals, eigvecs = spectral._eigh(a.shape, a.astype(complex).tobytes())
-    assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+    eigvals, eigvecs, adjoint = spectral._eigh(a.shape, a.astype(complex).tobytes())
+    assert not any(x.flags.writeable for x in (eigvals, eigvecs, adjoint))
+    assert np.array_equal(adjoint, eigvecs.conj().T)
     # a matrix changed in place is a new content: decomposed again
     a[0, 0] = 2.0
     assert np.allclose(spectral.herm_exp(a, 1.0), np.diag(np.exp(1j * np.array([2.0, 1.0]))))
