@@ -420,6 +420,7 @@ def cmd_example(args) -> int:
         and args.alpha_method == "intuitive"
         and args.tau == 0.5
         and args.t_bits == 3
+        and args.m_bits == 2
     )
     if not reference_run:
         print("reporting mode: reference assertions skipped")

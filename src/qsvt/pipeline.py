@@ -90,8 +90,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             warnings.warn(note, stacklevel=2)
 
     pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
-    ncfg = rotation.NewtonConfig(m_bits=cfg.m_bits)
-    oracle = rotation.build_sigma_tau_oracle(pe_cfg, ncfg, cfg.tau)
+    oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
     # sigma_1 has the largest code and its label always holds mass
     rot_cfg.check_single_lobe(max(oracle.y_codes.values()), cfg.m_bits)
 
@@ -108,10 +107,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     qpe.phase_estimate(state, pe_cfg, layout, a_pad)
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, rot_cfg)
-    # inexact encodings leave real leakage on L/C; report it instead of
-    # treating it as a pass mismatch
-    residual_tol = rotation.UNCOMPUTE_TOL if pe_cfg.exact else np.inf
-    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad, tolerance=residual_tol)
+    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
     dim_b = 1 << b_bits

@@ -14,9 +14,17 @@ iterate that overshoots past 1 is clamped to the top code, and only a
 downward-biased rounding lets it walk back off the clamp to the fixed
 point (nearest-rounding re-rounds to the clamp forever).  With exact integer
 arithmetic over a power-of-two denominator, two runs agree bit for bit.
+
+The Newton start is worked out from sigma/tau before the circuit runs,
+as alpha is: the smallest code at or above 1/2 whose first update stays
+within DIVERGENCE_GUARD, found by bisection (on [1/2, 1) the update falls
+to the fixed point 1 - tau/sigma, then stays below 1).  Every sigma/tau
+<= 4 gets 1/2.  The top code reaches sigma/tau = sqrt((1/2 + 3 * 2**-m)
+* 2**(3m)): 4, 8.94, 21.2 and 53.1 at m = 1..4, 2930 at m = 8.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,6 +37,8 @@ from .qpe import PhaseEstimationConfig, phase_estimate_inverse
 from .sim import QuantumState, RegisterLayout
 
 UNCOMPUTE_TOL = 1e-9
+MAX_ITERATIONS = 40
+DIVERGENCE_GUARD = 1.25  # an update beyond it in magnitude has left the basin
 
 
 @dataclass(frozen=True)
@@ -54,30 +64,6 @@ class FixedPointCode:
         scale = 1 << m_bits
         p, q = x.as_integer_ratio()  # floor(x scale + 1/2), exactly
         return cls(m_bits, min(max((2 * p * scale + q) // (2 * q), 0), scale - 1))
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    m_bits: int = 8
-    max_iterations: int = 40
-    initial: float = 0.5
-    divergence_guard: float = 1.25
-
-    def __post_init__(self) -> None:
-        sim.check_width("m_bits", self.m_bits)
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
-        if not 0 <= self.initial < 1:
-            raise ValidationError("initial value must lie in [0, 1)")
-        if self.divergence_guard <= 1:
-            raise ValidationError("divergence guard must exceed 1")
-
-    def max_ratio(self) -> float:
-        """Largest sigma/tau whose first update from ``initial`` stays
-        within the guard: (r^2/2)(1-y0)^3 + 3y0/2 - 1/2 <= guard.  That is
-        4 at the defaults, the edge of the tested basin."""
-        y0 = FixedPointCode.from_float(self.initial, self.m_bits).value
-        return math.sqrt(2 * (self.divergence_guard + 0.5 - 1.5 * y0) / (1 - y0) ** 3)
 
 
 @dataclass(frozen=True)
@@ -115,11 +101,13 @@ def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
     return (q * a * a) << (2 * m_bits), p * b * b
 
 
-def _step(raw: int, top: int, k: int, c: int) -> tuple[int, int]:
-    """Numerator over 2k of the update at raw/top; next code, floored into [0, top)."""
+def _step(raw: int, top: int, k: int, c: int) -> tuple[bool, int]:
+    """Whether the update at raw/top is within DIVERGENCE_GUARD in magnitude
+    (numerator over 2k, exact); next code, floored into [0, top)."""
     e = raw - top
     numerator = k * (3 * raw - top) - c * e * e * e
-    return numerator, min(max(numerator // (2 * k), 0), top - 1)
+    ng, dg = DIVERGENCE_GUARD.as_integer_ratio()
+    return abs(numerator) * dg <= 2 * k * top * ng, min(max(numerator // (2 * k), 0), top - 1)
 
 
 def newton_step(y: FixedPointCode, tau: float, sigma_sq: float) -> FixedPointCode:
@@ -137,42 +125,49 @@ class NewtonResult(NamedTuple):
     converged: bool
 
 
-def newton_iterate(cfg: NewtonConfig, tau: float, sigma_sq: float) -> NewtonResult:
-    """Iterate the cubic map from cfg.initial until the code is stable.
+def newton_iterate(m_bits: int, tau: float, sigma_sq: float) -> NewtonResult:
+    """Iterate the cubic map from the start rule's code for sigma/tau
+    (the top code where none reaches it) until the code is stable.
 
     sigma <= tau short-circuits to exactly 0 (thresholded branch).
     Convergence means two successive codes agree, or an adjacent pair
     alternates (grid-straddled fixed point; the lower code is taken).
-    The guard trips when an unclamped iterate exceeds
-    cfg.divergence_guard in magnitude, which from initial 1/2 happens
-    exactly when sigma/tau > 4 at the default guard of 1.25.  It runs
-    in exact integer arithmetic over a power-of-two denominator.
+    The guard trips when an unclamped iterate exceeds DIVERGENCE_GUARD
+    in magnitude.  It runs in exact integer arithmetic over a
+    power-of-two denominator.
     """
-    return _iterate(cfg, tau, sigma_sq, FixedPointCode.from_float(cfg.initial, cfg.m_bits).raw)
+    sim.check_width("m_bits", m_bits)
+    if not (tau > 0 and sigma_sq > 0):
+        raise ValidationError("tau and sigma_sq must be positive")
+    start = _start(m_bits, tau, sigma_sq)
+    return _iterate(m_bits, tau, sigma_sq, min(start, (1 << m_bits) - 1))
 
 
-def _iterate(cfg: NewtonConfig, tau: float, sigma_sq: float, raw: int) -> NewtonResult:
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
-    if not sigma_sq > 0:
-        raise ValidationError("sigma_sq must be positive")
-    m, top = cfg.m_bits, 1 << cfg.m_bits
+def _start(m_bits: int, tau: float, sigma_sq: float) -> int:
+    """The smallest code at or above 1/2 whose first update stays within
+    the guard; 2**m_bits where not even the top code's does."""
+    top = 1 << m_bits
+    k, c = _cubic(tau, sigma_sq, m_bits)
+    codes = range(top >> 1, top)  # fail ... fail pass ... pass
+    return codes.start + bisect.bisect_left(codes, True, key=lambda raw: _step(raw, top, k, c)[0])
+
+
+def _iterate(m_bits: int, tau: float, sigma_sq: float, raw: int) -> NewtonResult:
+    top = 1 << m_bits
     if math.sqrt(sigma_sq) <= tau:
-        return NewtonResult(FixedPointCode(m, 0), 0, True)
-    k, c = _cubic(tau, sigma_sq, m)
-    ng, dg = cfg.divergence_guard.as_integer_ratio()
-    bound = 2 * k * top * ng  # |numerator / (2k top)| > ng/dg trips the guard
+        return NewtonResult(FixedPointCode(m_bits, 0), 0, True)
+    k, c = _cubic(tau, sigma_sq, m_bits)
     prev_raw: int | None = None
-    for i in range(1, cfg.max_iterations + 1):
-        numerator, new = _step(raw, top, k, c)
-        if abs(numerator) * dg > bound:
-            return NewtonResult(FixedPointCode(m, raw), i, False)
+    for i in range(1, MAX_ITERATIONS + 1):
+        within, new = _step(raw, top, k, c)
+        if not within:
+            return NewtonResult(FixedPointCode(m_bits, raw), i, False)
         if new == raw:
-            return NewtonResult(FixedPointCode(m, new), i, True)
+            return NewtonResult(FixedPointCode(m_bits, new), i, True)
         if new == prev_raw and abs(new - raw) == 1:
-            return NewtonResult(FixedPointCode(m, min(new, raw)), i, True)
+            return NewtonResult(FixedPointCode(m_bits, min(new, raw)), i, True)
         prev_raw, raw = raw, new
-    return NewtonResult(FixedPointCode(m, raw), cfg.max_iterations, False)
+    return NewtonResult(FixedPointCode(m_bits, raw), MAX_ITERATIONS, False)
 
 
 @dataclass(frozen=True)
@@ -199,33 +194,41 @@ class SigmaTauOracle:
 
 
 def build_sigma_tau_oracle(
-    pe_cfg: PhaseEstimationConfig, cfg: NewtonConfig, tau: float
+    pe_cfg: PhaseEstimationConfig, m_bits: int, tau: float
 ) -> SigmaTauOracle:
-    """Run the Newton iteration for every eigenvalue label of ``pe_cfg``.
-
-    Any label that fails to converge aborts the build with a per-label
-    diagnostic; non-convergence is never silently written.
+    """Run the Newton iteration for every eigenvalue label of ``pe_cfg``,
+    each from the start rule's code for the largest label (a smaller
+    sigma/tau makes a smaller first update from it).  Any label that
+    fails to converge aborts the build with a per-label diagnostic, and
+    with the reach of m_bits where no start exists; non-convergence is
+    never silently written.
     """
+    sim.check_width("m_bits", m_bits)
+    if not tau > 0:
+        raise ValidationError("tau must be positive")
+    top, sigma1_sq = 1 << m_bits, pe_cfg.decode(max(pe_cfg.labels, default=0))
+    start = _start(m_bits, tau, sigma1_sq)
     codes: dict[int, int] = {}
     iters: dict[int, int] = {}
     failures: list[str] = []
-    initial = FixedPointCode.from_float(cfg.initial, cfg.m_bits).raw
     for label in pe_cfg.labels:
         decoded = pe_cfg.decode(label)
-        result = _iterate(cfg, tau, decoded, initial)
+        result = _iterate(m_bits, tau, decoded, min(start, top - 1))
         if not result.converged:
-            ratio, limit = math.sqrt(decoded) / tau, cfg.max_ratio()
             failures.append(
-                f"label {label} (sigma^2={decoded:.6g}, sigma/tau={ratio:.3f}): "
-                f"no convergence in {result.iterations} iterations; smallest admissible"
-                f" tau is sigma/{limit:.3f} = {math.sqrt(decoded) / limit:.6g}"
+                f"label {label} (sigma^2={decoded:.6g}, sigma/tau={math.sqrt(decoded) / tau:.3f}):"
+                f" no convergence in {result.iterations} iterations"
             )
             continue
         codes[label] = result.code.raw
         iters[label] = result.iterations
+    if start == top:
+        reach = math.sqrt(2 * (DIVERGENCE_GUARD - 1 + 1.5 / top) * top**3)
+        failures.append(f"no m_bits={m_bits} Newton start reaches sigma/tau above {reach:.2f}:"
+                        f" raise --m-bits, or take tau >= {math.sqrt(sigma1_sq) / reach:.6g}")
     if failures:
         raise ConvergenceError("; ".join(failures))
-    return SigmaTauOracle(cfg.m_bits, pe_cfg.t_bits, codes, iters)
+    return SigmaTauOracle(m_bits, pe_cfg.t_bits, codes, iters)
 
 
 def ry_cascade(
@@ -252,20 +255,19 @@ def uncompute(
     oracle: SigmaTauOracle,
     pe_cfg: PhaseEstimationConfig,
     a: np.ndarray,
-    tolerance: float = UNCOMPUTE_TOL,
 ) -> tuple[QuantumState, float]:
     """Reverse the oracle and phase estimation, restoring L and C to 0.
 
-    Returns the state and the residual mass on L/C (uncompute_residual);
-    above ``tolerance`` it signals a config mismatch between the forward
-    and reverse passes and raises.  Inexact eigenvalue encodings leave
-    genuine residual (the rotation entangles leaked labels); callers in
-    that regime pass a lax tolerance and report the residual instead.
+    Returns the state and the residual mass on L/C (uncompute_residual).
+    With an exact encoding, residual above UNCOMPUTE_TOL signals a config
+    mismatch between the forward and reverse passes and raises; an
+    inexact one leaves genuine residual (the rotation entangles leaked
+    labels), which is returned, not raised.
     """
     oracle.apply(state, layout)
     phase_estimate_inverse(state, pe_cfg, layout, a)
     residual = uncompute_residual(state, layout)
-    if not residual <= tolerance:  # NaN fails too
+    if not residual <= (UNCOMPUTE_TOL if pe_cfg.exact else math.inf):  # NaN fails too
         raise UncomputeResidualError(
             f"registers L/C hold residual mass {residual:.3e} after uncompute"
         )

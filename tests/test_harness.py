@@ -79,8 +79,8 @@ MATRIX_FILES = {
         (["pipeline", "--matrix", "small.txt"], 2),  # no --tau
         (["pipeline", "--matrix", "header_not_int.txt", "--tau", "0.1"], 2),
         (["pipeline", "--matrix", "header_one_field.txt", "--tau", "0.1"], 2),
-        # sigma_1/tau = 10 lies outside the Newton basin
-        (["pipeline", "--matrix", "small.txt", "--tau", "0.1"], 3),
+        # sigma_1/tau = 10 lies beyond the 8.94 that two bits of L reach
+        (["pipeline", "--matrix", "small.txt", "--tau", "0.1", "--m-bits", "2"], 3),
         (["alpha", "--sigma", "2,1"], 2),  # no --tau
         (["alpha", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "2,1", "--matrix", "small.txt", "--tau", "0.5"], 2),
@@ -469,11 +469,43 @@ def test_config_file_explicit_flag_wins(tmp_path, capsys):
 
 
 def test_cmd_example_outside_newton_basin_names_admissible_tau(capsys):
-    rc = harness.main(["example", "--tau", "0.4"])
+    # two bits of L reach sigma/tau = 8.94; sigma_1/tau = 20 needs more
+    rc = harness.main(["example", "--tau", "0.1"])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "sigma/tau=5.000" in err
-    assert "smallest admissible tau is sigma/4.000 = 0.5" in err
+    assert "sigma/tau=20.000" in err
+    assert "above 8.94: raise --m-bits, or take tau >= 0.223607" in err
+
+
+@pytest.mark.parametrize("argv", [["--tau", "0.4"], ["--tau", "0.1", "--m-bits", "8"]])
+def test_cmd_example_runs_above_ratio_four(capsys, argv):
+    # sigma_1/tau = 5 and 20, each within the reach of its m_bits
+    rc = harness.main(["example", *argv])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "reporting mode" in out
+
+
+@pytest.mark.parametrize("m_bits, reference", [("2", True), ("1", False), ("8", False)])
+def test_cmd_example_reference_run_needs_two_m_bits(capsys, m_bits, reference):
+    # at one bit, L cannot hold y_1 = 0.75: not the reference run, so no checks
+    rc = harness.main(["example", "--m-bits", m_bits])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("PASS") == (3 if reference else 0)
+    assert ("reporting mode" in out) is not reference
+    assert "FAIL" not in out
+
+
+def test_sweep_simulate_converges_above_ratio_four(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--simulate", "--tau-frac", "0.1", "--n", "6", "--out", str(out)]
+    assert harness.main(argv) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert len(text.splitlines()) == 3 + 12
+    assert "no convergence" not in text
+    assert "Newton start" not in text
 
 
 def test_wall_time_blank_by_default(tmp_path, capsys):

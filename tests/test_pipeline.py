@@ -227,9 +227,22 @@ def test_p_sim_independent_of_v_factor():
 
 
 def test_newton_nonconvergence_aborts_run():
+    # one bit of L reaches sigma/tau = 4; sigma_1/tau is 5
     a0 = random_lowrank(2, 2, 1, seed=31, sigma=(5.0,))
-    with pytest.raises(ConvergenceError):
-        pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.0, t_bits=5))
+    with pytest.raises(ConvergenceError, match="--m-bits"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.0, t_bits=5, m_bits=1))
+
+
+@pytest.mark.parametrize("tau", [0.45, 0.3, 0.024])
+def test_run_above_ratio_four_completes(tau):
+    # sigma_1/tau = 4.4, 6.7 and 83: beyond the former fixed start of 1/2
+    a0 = random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.2))
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=5, m_bits=8))
+    pe_cfg = qpe.choose_t0(res.sigma**2, 5)
+    for label, code in zip(res.labels, res.y_codes):
+        sigma = np.sqrt(pe_cfg.decode(int(label)))
+        assert abs(code * 256 - round(256 * (1 - tau / sigma))) <= 1
+    assert pipeline.verify_against_classical(res, res.spec, tau).delta <= 1e-9
 
 
 def test_explicit_alpha_and_shots():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -56,18 +57,28 @@ def truncate_reference(value: Fraction, m_bits: int) -> int:
     return min(max(math.floor(value * scale), 0), scale - 1)
 
 
-def newton_iterate_reference(cfg, tau, sigma_sq, exits):
+def start_reference(m, tau_f, sig_f, guard):
+    """The Newton start by linear scan in Fractions: the first code at or
+    above 1/2 whose update is within the guard, else the top code."""
+    top = 1 << m
+    for raw in range(top // 2, top):
+        if abs(cubic_map(Fraction(raw, top), tau_f, sig_f)) <= guard:
+            return raw
+    return top - 1
+
+
+def newton_iterate_reference(m, tau, sigma_sq, exits):
     """The Newton iteration in Fraction arithmetic: (raw, iterations,
     converged).  Counts in ``exits`` how it ended and how often a step
     was clamped."""
-    m = cfg.m_bits
     if math.sqrt(sigma_sq) <= tau:
         exits["thresholded"] += 1
         return 0, 0, True
-    tau_f, sig_f, guard = Fraction(tau), Fraction(sigma_sq), Fraction(cfg.divergence_guard)
-    raw = code_of(cfg.initial, m).raw
+    tau_f, sig_f = Fraction(tau), Fraction(sigma_sq)
+    guard = Fraction(rotation.DIVERGENCE_GUARD)
+    raw = start_reference(m, tau_f, sig_f, guard)
     prev = None
-    for i in range(1, cfg.max_iterations + 1):
+    for i in range(1, rotation.MAX_ITERATIONS + 1):
         value = cubic_map(Fraction(raw, 1 << m), tau_f, sig_f)
         if abs(value) > guard:
             exits["guard"] += 1
@@ -83,7 +94,7 @@ def newton_iterate_reference(cfg, tau, sigma_sq, exits):
             return min(new, raw), i, True
         prev, raw = raw, new
     exits["max_iterations"] += 1
-    return raw, cfg.max_iterations, False
+    return raw, rotation.MAX_ITERATIONS, False
 
 
 def test_newton_step_overshoot_clamps_to_top_code():
@@ -96,22 +107,25 @@ def test_newton_step_overshoot_clamps_to_top_code():
     assert value == Fraction(5, 4)
 
 
-def test_integer_newton_matches_fraction_reference():
+def test_integer_newton_matches_fraction_reference(monkeypatch):
     exits = Counter()
     configs = (
         {},
-        {"initial": 0.3, "divergence_guard": 1.6},
-        {"initial": 0.75, "max_iterations": 3},
+        {"DIVERGENCE_GUARD": 1.6},
+        {"MAX_ITERATIONS": 3},
     )
+    ratios = [*np.linspace(0.2, 4.6, 23), 5.0, 8.0, 9.5, 30.0]
     for m in range(1, 11):
         for extra in configs:
-            cfg = rotation.NewtonConfig(m_bits=m, **extra)
-            for tau in (0.1, 0.37, 0.93, 1.7):
-                for ratio in np.linspace(0.2, 4.6, 23):
-                    sigma_sq = float((ratio * tau) ** 2)
-                    res = rotation.newton_iterate(cfg, tau, sigma_sq)
-                    expected = newton_iterate_reference(cfg, tau, sigma_sq, exits)
-                    assert (res.code.raw, res.iterations, res.converged) == expected
+            with monkeypatch.context() as patch:
+                for name, value in extra.items():
+                    patch.setattr(rotation, name, value)
+                for tau in (0.1, 0.37, 0.93, 1.7):
+                    for ratio in ratios:
+                        sigma_sq = float((ratio * tau) ** 2)
+                        res = rotation.newton_iterate(m, tau, sigma_sq)
+                        expected = newton_iterate_reference(m, tau, sigma_sq, exits)
+                        assert (res.code.raw, res.iterations, res.converged) == expected
         for tau in (0.37, 1.7):
             for ratio in (0.6, 1.3, 2.9, 4.4):
                 sigma_sq = float((ratio * tau) ** 2)
@@ -130,28 +144,48 @@ def test_newton_step_threshold_boundary_fixed_point_zero():
 
 
 def test_newton_iterate_reference_values():
-    cfg = rotation.NewtonConfig(m_bits=3)
-    top = rotation.newton_iterate(cfg, 0.5, 4.0)
+    top = rotation.newton_iterate(3, 0.5, 4.0)
     assert top.converged and top.code.raw == 6  # 2^3 (1 - tau/sigma_1)
-    second = rotation.newton_iterate(cfg, 0.5, 1.0)
+    second = rotation.newton_iterate(3, 0.5, 1.0)
     assert second.converged and second.code.raw == 4  # 2^3 (1 - tau/sigma_2)
 
 
 def test_newton_iterate_thresholded_branch():
-    cfg = rotation.NewtonConfig(m_bits=3)
-    res = rotation.newton_iterate(cfg, 0.5, 0.16)  # sigma = 0.4 <= tau
+    res = rotation.newton_iterate(3, 0.5, 0.16)  # sigma = 0.4 <= tau
     assert res.converged and res.code.raw == 0 and res.iterations == 0
 
 
-def test_newton_iterate_guard_trips_above_ratio_four():
-    cfg = rotation.NewtonConfig(m_bits=8)
-    for ratio in (4.2, 5.0, 8.0):
+def test_newton_start_is_one_half_up_to_ratio_four():
+    # every run that converged from the former fixed start of 1/2 keeps it
+    for m in range(1, 13):
+        for tau in (0.375, 0.5, 1.75):  # dyadic: ratio 4 is exactly 4
+            for ratio in np.linspace(0.05, 4.0, 80):
+                assert rotation._start(m, tau, float((ratio * tau) ** 2)) == 1 << (m - 1)
+        if m > 1:  # above 4 the first update from 1/2 leaves the guard
+            assert rotation._start(m, 0.5, 2.1**2) > 1 << (m - 1)
+
+
+def test_newton_start_reach_is_the_top_code():
+    for m in range(1, 13):
+        top = 1 << m
+        reach = math.sqrt((0.5 + 3 / top) * top**3)
+        assert rotation._start(m, 1.0, (reach * (1 - 1e-9)) ** 2) == top - 1
+        assert rotation._start(m, 1.0, (reach * (1 + 1e-9)) ** 2) == top  # none
+
+
+def test_newton_iterate_converges_above_ratio_four():
+    m = 8
+    for ratio in (4.2, 5.0, 8.0, 100.0):
         tau = 0.5
-        res = rotation.newton_iterate(cfg, tau, (ratio * tau) ** 2)
-        assert not res.converged
+        res = rotation.newton_iterate(m, tau, (ratio * tau) ** 2)
+        assert res.converged, ratio
+        assert abs(res.code.raw - round((1 << m) * (1 - 1 / ratio))) <= 1, ratio
     # exactly ratio 4 (dyadic) proceeds through the clamp and converges
-    res = rotation.newton_iterate(cfg, 0.5, 4.0)
+    res = rotation.newton_iterate(m, 0.5, 4.0)
     assert res.converged and res.code.raw == 192
+    # one bit holds no start above 1/2, so m = 1 still stops at 4
+    res = rotation.newton_iterate(1, 0.5, (4.2 * 0.5) ** 2)
+    assert not res.converged and res.iterations == 1
 
 
 def test_newton_quadratic_contraction_in_basin():
@@ -175,14 +209,13 @@ def test_newton_quadratic_contraction_in_basin():
 
 def test_newton_matches_brute_force_within_one_ulp():
     m = 8
-    cfg = rotation.NewtonConfig(m_bits=m)
     sigmas = np.linspace(0.55, 8.0, 40)
     ratios = np.linspace(0.85, 3.95, 25)
     checked = 0
     for sigma in sigmas:
         for ratio in ratios:
             tau = float(sigma / ratio)
-            res = rotation.newton_iterate(cfg, tau, float(sigma) ** 2)
+            res = rotation.newton_iterate(m, tau, float(sigma) ** 2)
             assert res.converged, (sigma, tau)
             brute = round((1 << m) * max(1.0 - tau / sigma, 0.0))
             brute = min(brute, (1 << m) - 1)
@@ -197,14 +230,14 @@ def reference_encoding(t_bits=3):
 
 def test_oracle_reference_codes():
     enc = reference_encoding()
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
+    oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
     assert oracle.code_for(4) == 6  # |110> in register L
     assert oracle.code_for(1) == 4  # |100>
 
 
 def test_oracle_writes_codes_into_register_l():
     enc = reference_encoding()
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
+    oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
     layout = sim.RegisterLayout.standard(3, 3, 1)
     state = sim.new_state(layout)
     # occupy C = 100 (label 4) with B = |0>
@@ -218,14 +251,14 @@ def test_oracle_writes_codes_into_register_l():
 
 def test_oracle_thresholded_label_leaves_l_zero():
     enc = qpe.choose_t0([4.0, 1.0], 3)
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 1.5)
+    oracle = rotation.build_sigma_tau_oracle(enc, 3, 1.5)
     assert oracle.code_for(1) == 0  # sigma = 1 <= tau = 1.5
     assert oracle.code_for(4) == 2  # 2^3 (1 - 1.5/2) = 2
 
 
 def test_oracle_self_inverse():
     enc = reference_encoding()
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
+    oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
     layout = sim.RegisterLayout.standard(3, 3, 1)
     rng = np.random.default_rng(31)
     amp = rng.normal(size=1 << layout.n_qubits) + 1j * rng.normal(size=1 << layout.n_qubits)
@@ -265,7 +298,7 @@ def permutation_reference(state, layout, oracle):
 def test_oracle_matches_permutation_reference_bit_for_bit():
     rng = np.random.default_rng(32)
     enc = reference_encoding()
-    built = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=3), 0.5)
+    built = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
     drawn = rotation.SigmaTauOracle(3, 4, {c: int(rng.integers(8)) for c in (0, 3, 9, 15)}, {})
     for oracle, layout in ((built, sim.RegisterLayout.standard(3, 3, 2)),
                            (drawn, sim.RegisterLayout.standard(3, 4, 2)),
@@ -282,20 +315,34 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
 def test_oracle_codes_on_the_circuit_large_spectrum():
     lam = [3.1**2, 2.2**2, 1.3**2]
     enc = qpe.choose_t0(lam, 8)
-    oracle = rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 0.93)
+    oracle = rotation.build_sigma_tau_oracle(enc, 8, 0.93)
     assert oracle.y_codes == {255: 179, 128: 147, 45: 73}
     assert oracle.iterations == {255: 8, 128: 3, 45: 4}
 
 
-def test_oracle_build_aborts_on_nonconvergent_label():
-    enc = qpe.choose_t0([25.0, 1.0], 5)
-    with pytest.raises(ConvergenceError, match="label 25"):
-        rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.0)
-    # the message names the edge of the basin, and the label converges there
-    assert rotation.NewtonConfig().max_ratio() == 4.0
-    with pytest.raises(ConvergenceError, match=r"smallest admissible tau is sigma/4\.000 = 1\.25$"):
-        rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.0)
-    assert rotation.build_sigma_tau_oracle(enc, rotation.NewtonConfig(m_bits=8), 1.25)
+def test_oracle_build_aborts_on_nonconvergent_label(monkeypatch):
+    enc = qpe.choose_t0([25.0, 1.0], 5)  # sigma/tau = 10 and 2 at tau = 0.5
+    # two bits reach sigma/tau = 8.94; the message names that reach and the width
+    reach = r"; no m_bits=2 Newton start reaches sigma/tau above 8\.94: raise --m-bits"
+    with pytest.raises(ConvergenceError, match=r"^label 25 .*" + reach):
+        rotation.build_sigma_tau_oracle(enc, 2, 0.5)
+    oracle = rotation.build_sigma_tau_oracle(enc, 8, 0.5)
+    assert oracle.y_codes == {25: 230, 1: 128}  # round(2^8 (1 - tau/sigma))
+    # a label the shared start cannot bring in within the cap aborts the build
+    enc = qpe.choose_t0([4.0, 1.0], 3)
+    monkeypatch.setattr(rotation, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match=r"^label 4 .*: no convergence in 1 iterations$"):
+        rotation.build_sigma_tau_oracle(enc, 3, 0.5)
+
+
+def test_oracle_build_checks_width_and_tau():
+    enc = reference_encoding()
+    for m in (0, -1, 27):
+        with pytest.raises(ValidationError, match="m_bits must lie in"):
+            rotation.build_sigma_tau_oracle(enc, m, 0.5)
+    for tau in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="tau must be positive"):
+            rotation.build_sigma_tau_oracle(enc, 3, tau)
 
 
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
@@ -418,7 +465,7 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
 def reference_forward_state():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     pe_cfg = reference_encoding()
-    oracle = rotation.build_sigma_tau_oracle(pe_cfg, rotation.NewtonConfig(m_bits=2), 0.5)
+    oracle = rotation.build_sigma_tau_oracle(pe_cfg, 2, 0.5)
     layout = sim.RegisterLayout.standard(2, 3, 3)
     a_pad = np.zeros((2, 2), dtype=complex)
     a_pad[:2, :2] = spectral.gram(data)
@@ -455,18 +502,21 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
 
 
 def test_uncompute_detects_mismatched_tau():
-    # forward pass used tau = 0.5; uncompute with a tau = 0.25 oracle.
-    # sigma/tau = 8 is outside the default Newton basin, so the wrong
-    # oracle is built from an initial value inside its basin.
+    # forward pass used tau = 0.5; uncompute with a tau = 0.25 oracle
+    # (sigma/tau = 8, within the 8.94 that two bits reach)
     _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
-    enc = reference_encoding()
-    wrong = rotation.build_sigma_tau_oracle(
-        enc, rotation.NewtonConfig(m_bits=2, initial=0.75), 0.25
-    )
+    wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     with pytest.raises(UncomputeResidualError):
         rotation.uncompute(state, layout, wrong, pe_cfg, a_pad)
-    # with the check relaxed, the returned residual is the mass off |0>
+    # the raise comes after the reverse pass: the mass off |0> is left on L/C
+    assert rotation.uncompute_residual(state, layout) > 1e-3
+
+
+def test_uncompute_reports_inexact_residual():
+    # an inexact encoding leaves real leakage on L/C: reported, not raised
     _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
-    _, residual = rotation.uncompute(state, layout, wrong, pe_cfg, a_pad, tolerance=np.inf)
+    wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
+    inexact = dataclasses.replace(pe_cfg, exact=False)
+    _, residual = rotation.uncompute(state, layout, wrong, inexact, a_pad)
     assert residual > 1e-3
     assert residual == rotation.uncompute_residual(state, layout)
