@@ -25,7 +25,7 @@ from .errors import (
 )
 from .pipeline import PipelineConfig, SimulationResult, run_pipeline, verify_against_classical
 from .qpe import PhaseEstimationConfig, choose_t0
-from .rotation import FixedPointCode, RotationConfig, newton_iterate, newton_step
+from .rotation import RotationConfig
 from .sim import QuantumState, RegisterLayout, new_state, post_select
 from .spectral import SpectralData, classical_svt, decompose, gram, herm_exp, to_state
 

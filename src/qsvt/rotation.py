@@ -7,15 +7,15 @@ XOR-written so the oracle is self-inverse), and a Y rotation controlled
 by L that turns the L content theta = 0.t1...td into an ancilla
 amplitude sin(theta * alpha).
 
-Fixed-point codes are m-bit binary fractions value = raw / 2**m in
-[0, 1).  General float-to-code conversion rounds to nearest, ties up.
-The Newton iterator instead truncates each step toward zero: an
-iterate that overshoots past 1 is clamped to the top code, and only a
-downward-biased rounding lets it walk back off the clamp to the fixed
-point (nearest-rounding re-rounds to the clamp forever).  With exact integer
+:func:`build_sigma_tau_oracle` is the one Newton entry point.  A code
+is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw.
+The iteration truncates each step toward zero: an iterate that
+overshoots past 1 is clamped to the top code, and only a downward-biased
+rounding lets it walk back off the clamp to the fixed point
+(nearest-rounding re-rounds to the clamp forever).  With exact integer
 arithmetic over a power-of-two denominator, two runs agree bit for bit.
 
-The Newton start is worked out from sigma/tau before the circuit runs,
+The Newton start is worked out from sigma_1/tau before the circuit runs,
 as alpha is: the smallest code at or above 1/2 whose first update stays
 within DIVERGENCE_GUARD, found by bisection (on [1/2, 1) the update falls
 to the fixed point 1 - tau/sigma, then stays below 1).  Every sigma/tau
@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,31 +38,6 @@ from .sim import QuantumState, RegisterLayout
 UNCOMPUTE_TOL = 1e-9
 MAX_ITERATIONS = 40
 DIVERGENCE_GUARD = 1.25  # an update beyond it in magnitude has left the basin
-
-
-@dataclass(frozen=True)
-class FixedPointCode:
-    """m-bit binary fraction: value = raw / 2**m in [0, 1)."""
-
-    m_bits: int
-    raw: int
-
-    def __post_init__(self) -> None:
-        if self.m_bits < 1:
-            raise ValidationError("m_bits must be at least 1")
-        if not 0 <= self.raw < (1 << self.m_bits):
-            raise ValidationError(f"raw code {self.raw} out of range for m={self.m_bits}")
-
-    @property
-    def value(self) -> float:
-        return self.raw / (1 << self.m_bits)
-
-    @classmethod
-    def from_float(cls, x: float, m_bits: int) -> "FixedPointCode":
-        """Nearest code, ties toward +inf, clamped into [0, 1 - 2**-m]."""
-        scale = 1 << m_bits
-        p, q = x.as_integer_ratio()  # floor(x scale + 1/2), exactly
-        return cls(m_bits, min(max((2 * p * scale + q) // (2 * q), 0), scale - 1))
 
 
 @dataclass(frozen=True)
@@ -110,39 +84,6 @@ def _step(raw: int, top: int, k: int, c: int) -> tuple[bool, int]:
     return abs(numerator) * dg <= 2 * k * top * ng, min(max(numerator // (2 * k), 0), top - 1)
 
 
-def newton_step(y: FixedPointCode, tau: float, sigma_sq: float) -> FixedPointCode:
-    """Apply the cubic update once, truncated to m bits and clamped
-    into [0, 1 - 2**-m].  Excursion guarding lives in newton_iterate."""
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
-    k, c = _cubic(tau, sigma_sq, y.m_bits)
-    return FixedPointCode(y.m_bits, _step(y.raw, 1 << y.m_bits, k, c)[1])
-
-
-class NewtonResult(NamedTuple):
-    code: FixedPointCode
-    iterations: int
-    converged: bool
-
-
-def newton_iterate(m_bits: int, tau: float, sigma_sq: float) -> NewtonResult:
-    """Iterate the cubic map from the start rule's code for sigma/tau
-    (the top code where none reaches it) until the code is stable.
-
-    sigma <= tau short-circuits to exactly 0 (thresholded branch).
-    Convergence means two successive codes agree, or an adjacent pair
-    alternates (grid-straddled fixed point; the lower code is taken).
-    The guard trips when an unclamped iterate exceeds DIVERGENCE_GUARD
-    in magnitude.  It runs in exact integer arithmetic over a
-    power-of-two denominator.
-    """
-    sim.check_width("m_bits", m_bits)
-    if not (tau > 0 and sigma_sq > 0):
-        raise ValidationError("tau and sigma_sq must be positive")
-    start = _start(m_bits, tau, sigma_sq)
-    return _iterate(m_bits, tau, sigma_sq, min(start, (1 << m_bits) - 1))
-
-
 def _start(m_bits: int, tau: float, sigma_sq: float) -> int:
     """The smallest code at or above 1/2 whose first update stays within
     the guard; 2**m_bits where not even the top code's does."""
@@ -152,22 +93,23 @@ def _start(m_bits: int, tau: float, sigma_sq: float) -> int:
     return codes.start + bisect.bisect_left(codes, True, key=lambda raw: _step(raw, top, k, c)[0])
 
 
-def _iterate(m_bits: int, tau: float, sigma_sq: float, raw: int) -> NewtonResult:
+def _iterate(m_bits: int, tau: float, sigma_sq: float, raw: int) -> tuple[int, int, bool]:
+    """(code, iterations, converged) of the cubic map from code ``raw``."""
     top = 1 << m_bits
     if math.sqrt(sigma_sq) <= tau:
-        return NewtonResult(FixedPointCode(m_bits, 0), 0, True)
+        return 0, 0, True
     k, c = _cubic(tau, sigma_sq, m_bits)
     prev_raw: int | None = None
     for i in range(1, MAX_ITERATIONS + 1):
         within, new = _step(raw, top, k, c)
         if not within:
-            return NewtonResult(FixedPointCode(m_bits, raw), i, False)
+            return raw, i, False
         if new == raw:
-            return NewtonResult(FixedPointCode(m_bits, new), i, True)
+            return new, i, True
         if new == prev_raw and abs(new - raw) == 1:
-            return NewtonResult(FixedPointCode(m_bits, min(new, raw)), i, True)
+            return min(new, raw), i, True
         prev_raw, raw = raw, new
-    return NewtonResult(FixedPointCode(m_bits, raw), MAX_ITERATIONS, False)
+    return raw, MAX_ITERATIONS, False
 
 
 @dataclass(frozen=True)
@@ -198,10 +140,15 @@ def build_sigma_tau_oracle(
 ) -> SigmaTauOracle:
     """Run the Newton iteration for every eigenvalue label of ``pe_cfg``,
     each from the start rule's code for the largest label (a smaller
-    sigma/tau makes a smaller first update from it).  Any label that
-    fails to converge aborts the build with a per-label diagnostic, and
-    with the reach of m_bits where no start exists; non-convergence is
-    never silently written.
+    sigma/tau makes a smaller first update from it).
+
+    sigma <= tau short-circuits to exactly 0 (thresholded branch).
+    Convergence means two successive codes agree, or an adjacent pair
+    alternates (grid-straddled fixed point; the lower code is taken).
+    The guard trips when an unclamped iterate exceeds DIVERGENCE_GUARD
+    in magnitude.  Any label that fails to converge aborts the build
+    with a per-label diagnostic, and with the reach of m_bits where no
+    start exists; non-convergence is never silently written.
     """
     sim.check_width("m_bits", m_bits)
     if not tau > 0:
@@ -213,15 +160,15 @@ def build_sigma_tau_oracle(
     failures: list[str] = []
     for label in pe_cfg.labels:
         decoded = pe_cfg.decode(label)
-        result = _iterate(m_bits, tau, decoded, min(start, top - 1))
-        if not result.converged:
+        raw, iterations, converged = _iterate(m_bits, tau, decoded, min(start, top - 1))
+        if not converged:
             failures.append(
                 f"label {label} (sigma^2={decoded:.6g}, sigma/tau={math.sqrt(decoded) / tau:.3f}):"
-                f" no convergence in {result.iterations} iterations"
+                f" no convergence in {iterations} iterations"
             )
             continue
-        codes[label] = result.code.raw
-        iters[label] = result.iterations
+        codes[label] = raw
+        iters[label] = iterations
     if start == top:
         reach = math.sqrt(2 * (DIVERGENCE_GUARD - 1 + 1.5 / top) * top**3)
         failures.append(f"no m_bits={m_bits} Newton start reaches sigma/tau above {reach:.2f}:"

@@ -24,11 +24,13 @@ Conventions used throughout the package:
   single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
   stack of powers is passed as its factors, each checked, and built in
-  the kernel), except that a read-only stack, a shared constant such as
-  the DFT, is checked once per content.  Gates do not check the norm:
-  it is checked once per stage boundary, from a read the stage makes
-  anyway (:func:`check_norm`, or :func:`check_mass` on the register
-  masses a stage reads).  Every guard is written so that NaN fails.
+  the kernel), except that a read-only array, a shared constant such as
+  the DFT, is taken to be constant and checked once per array object,
+  with no copy or hash of its content; the last 8 to pass are held, so
+  no other array takes their ids.  Gates do not check the norm: it is
+  checked once per stage boundary, from a read the stage makes anyway
+  (:func:`check_norm`, or :func:`check_mass` on the register masses a
+  stage reads).  Every guard is written so that NaN fails.
 """
 from __future__ import annotations
 
@@ -207,21 +209,30 @@ def _check_unitary(stack: np.ndarray) -> None:
         raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
 
 
-@functools.lru_cache(maxsize=8)
-def _check_constant(shape: tuple, data: bytes) -> None:
-    """:func:`_check_unitary` of a read-only stack, cached by content;
-    a failed check is not cached."""
-    _check_unitary(np.frombuffer(data, dtype=complex).reshape(shape))
+_CONSTANTS: dict[int, np.ndarray] = {}  # id -> read-only array that passed; the last 8
+
+
+def _check_constant(array: np.ndarray, stack: np.ndarray) -> None:
+    """:func:`_check_unitary` of ``stack``, a read-only view of ``array``,
+    once per array object: the array is held, so no other array takes its
+    id while it is remembered; a failed check is not remembered."""
+    if _CONSTANTS.get(id(array)) is not array:
+        _check_unitary(stack)
+        if len(_CONSTANTS) == 8:
+            del _CONSTANTS[next(iter(_CONSTANTS))]
+        _CONSTANTS[id(array)] = array
 
 
 def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
     """The kernel: ``matrices[x]`` (with ``powers``, the product of the
     factors its bits select) on the targets wherever the control register
-    reads x >= powers, as ``stack @ block`` written back in place, one
-    block of :func:`_gate_view` at a time."""
+    reads x >= powers, or ``matrices``, one matrix, where there is no
+    control, as ``stack @ block`` written back in place, one block of
+    :func:`_gate_view` at a time."""
     shape, order, blocks = _gate_view(state.n_qubits, registers)
     targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
-    stack = np.asarray(matrices, dtype=complex)
+    array = np.asarray(matrices, dtype=complex)
+    stack = array if width else array[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
     if len(stack) != (width if powers else 1 << width):
@@ -230,8 +241,8 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
     if stack.flags.writeable:
         _check_unitary(stack)
-    else:  # a shared constant, such as the DFT: checked once per content
-        _check_constant(stack.shape, stack.tobytes())
+    else:  # a shared constant, such as the DFT: checked once per array
+        _check_constant(array, stack)
     if powers:  # label 2^j + y is label y times label 2^j; label y sits at y - 1
         factors, stack = stack, np.empty(((1 << width) - 1,) + stack.shape[1:], dtype=complex)
         for j, factor in enumerate(factors):
@@ -247,7 +258,7 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
 def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
     """Apply ``matrix`` on ``targets`` (first target = most significant
     bit of the gate's label) and identity elsewhere."""
-    return _apply(state, np.asarray(matrix, dtype=complex)[None], (tuple(targets),))
+    return _apply(state, matrix, (tuple(targets),))
 
 
 def apply_controlled(

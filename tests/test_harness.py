@@ -98,6 +98,8 @@ MATRIX_FILES = {
         (["sweep", "--n", "2", "--m-bits", "0"], 2),
         (["sweep", "--n", "2", "--jobs", "0"], 2),
         (["sweep", "--n", "2", "--jobs", "-3"], 2),
+        (["sweep", "--n", "2", "--methods", ","], 2),  # no method
+        (["sweep", "--n", "2", "--methods", "numeric,numeric"], 2),
         # register widths are checked before 2**width is formed
         (["example", "--t-bits", "-1"], 2),
         (["example", "--m-bits", "-1"], 2),
@@ -141,6 +143,13 @@ def test_sweep_config_rejects_an_empty_sigma():
     # every record would fail with "rank 0 invalid for shape"
     with pytest.raises(ValidationError, match="^sigma must be non-empty"):
         harness.SweepConfig(n_instances=3, sigma=())
+
+
+def test_sweep_config_rejects_empty_or_repeated_methods():
+    # none would write no record; a repeat would write its records twice
+    for methods in ((), ("numeric", "numeric"), ("intuitive", "taylor2", "intuitive")):
+        with pytest.raises(ValidationError, match="^methods must be one or more distinct"):
+            harness.SweepConfig(methods=methods)
 
 
 def test_sweep_sigma_without_rank_sets_the_rank():
@@ -320,6 +329,34 @@ def test_sweep_simulate_respects_fixed_point_bound():
         assert rec.error == ""
         bound = 4.0 * rec.alpha * 2.0**-cfg.m_bits
         assert abs(rec.p_sim - rec.p_analytic) < bound
+
+
+def test_sweep_drift_bound_applies_to_exact_phase_estimation_only(monkeypatch):
+    results = []
+    run = harness.pipeline_mod.run_pipeline
+    monkeypatch.setattr(harness.pipeline_mod, "run_pipeline",
+                        lambda c: results.append(run(c)) or results[-1])
+    # instance 4 of `sweep --simulate --tau-frac 0.1` at the CLI's seed 7:
+    # phase-estimation leakage, not code rounding, moves P_sim far off
+    cfg = harness.SweepConfig(tau_frac=0.1, seed=7, simulate=True)
+    records = harness.run_sweep_instance(cfg, 4)
+    assert [res.pe_exact for res in results] == [False, False]
+    assert [rec.error for rec in records] == ["", ""]
+    assert all(rec.p_analytic - rec.p_sim > 0.15 for rec in records)
+    # an exact run pushed past the bound is still flagged
+    cfg = harness.SweepConfig(n_instances=1, seed=9, simulate=True, t_bits=5, m_bits=6,
+                              shape=(3, 3), sigma=(2.0, np.sqrt(2.0)), tau=0.7,
+                              methods=("intuitive",))
+    for factor, error in ((0.99, ""), (1.01, "probability drift exceeds fixed-point bound")):
+        def pushed(c):
+            res = run(c)
+            results.append(res)
+            drift = factor * 4.0 * res.alpha * 2.0**-c.m_bits
+            return dataclasses.replace(res, p_sim=res.p_analytic - drift)
+
+        monkeypatch.setattr(harness.pipeline_mod, "run_pipeline", pushed)
+        (rec,) = harness.run_sweep_instance(cfg, 0)
+        assert results[-1].pe_exact and rec.error == error
 
 
 def test_sweep_jobs_pool_matches_serial():

@@ -152,7 +152,7 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     checked = []
     check = sim._check_unitary
     monkeypatch.setattr(sim, "_check_unitary", lambda m, *a: checked.append(m.shape) or check(m, *a))
-    sim._check_constant.cache_clear()
+    monkeypatch.setattr(sim, "_CONSTANTS", {})
     state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
     for _ in range(2):
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
@@ -165,6 +165,13 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     for _ in range(2):
         sim.apply_unitary(state, hadamard(), [0])
     assert checked == [(1, 8, 8)] * 2 + [(1, 2, 2)] * 2
+    # a new read-only array of the same shape is checked, not taken for the DFT
+    bad = qpe._dft_matrix(3).copy()
+    bad[0, 0] = 2.0
+    bad.flags.writeable = False
+    with pytest.raises(ValidationError, match="unitary"):
+        sim.apply_unitary(state, bad, [0, 1, 2])
+    assert checked == [(1, 8, 8)] * 2 + [(1, 2, 2)] * 2 + [(1, 8, 8)]
 
 
 def test_conditional_evolution_tiny_t0_is_identity():

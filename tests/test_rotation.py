@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,34 +14,17 @@ from qsvt.harness import random_lowrank
 from gates import bitwise_ry_cascade, controlled_on_one, pauli_x
 
 
-def code_of(value, m):
-    return rotation.FixedPointCode.from_float(value, m)
-
-
-def test_fixed_point_code_value_and_rounding():
-    c = rotation.FixedPointCode(8, 180)
-    assert c.value == pytest.approx(180 / 256)
-    assert rotation.FixedPointCode.from_float(0.5, 3).raw == 4
-    # nearest with ties toward +inf
-    assert rotation.FixedPointCode.from_float(5.5 / 16, 4).raw == 6
-    assert rotation.FixedPointCode.from_float(0.999, 4).raw == 15  # clamped top
-    # against floor(x 2^m + 1/2) in exact rationals, ties and clamps included
-    rng = np.random.default_rng(5)
-    for m in range(1, 13):
-        scale = 1 << m
-        ties = [(k + 0.5) / scale for k in range(-2, scale + 1)]
-        for x in [*ties, *rng.uniform(-0.1, 1.1, 40).tolist()]:
-            exact = math.floor(Fraction(x) * scale + Fraction(1, 2))
-            assert rotation.FixedPointCode.from_float(x, m).raw == min(max(exact, 0), scale - 1)
+def step(raw, m, tau, sigma_sq):
+    """The next m-bit code after ``raw`` under the cubic update."""
+    return rotation._step(raw, 1 << m, *rotation._cubic(tau, sigma_sq, m))[1]
 
 
 def test_newton_step_fixed_point_identity():
     # y* = 1 - tau/sigma exactly representable maps to itself
     for m in (3, 8):
-        y = code_of(0.75, m)
-        assert rotation.newton_step(y, 0.5, 4.0).raw == y.raw
-    y = code_of(0.5, 4)
-    assert rotation.newton_step(y, 0.5, 1.0).raw == y.raw
+        raw = 3 << (m - 2)  # 0.75
+        assert step(raw, m, 0.5, 4.0) == raw
+    assert step(8, 4, 0.5, 1.0) == 8  # 0.5
 
 
 def cubic_map(y: Fraction, tau: Fraction, sigma_sq: Fraction) -> Fraction:
@@ -59,24 +43,23 @@ def truncate_reference(value: Fraction, m_bits: int) -> int:
 
 def start_reference(m, tau_f, sig_f, guard):
     """The Newton start by linear scan in Fractions: the first code at or
-    above 1/2 whose update is within the guard, else the top code."""
+    above 1/2 whose update is within the guard, else 2**m (none)."""
     top = 1 << m
     for raw in range(top // 2, top):
         if abs(cubic_map(Fraction(raw, top), tau_f, sig_f)) <= guard:
             return raw
-    return top - 1
+    return top
 
 
-def newton_iterate_reference(m, tau, sigma_sq, exits):
-    """The Newton iteration in Fraction arithmetic: (raw, iterations,
-    converged).  Counts in ``exits`` how it ended and how often a step
-    was clamped."""
+def newton_iterate_reference(m, tau, sigma_sq, raw, exits):
+    """The Newton iteration from code ``raw`` in Fraction arithmetic:
+    (raw, iterations, converged).  Counts in ``exits`` how it ended and
+    how often a step was clamped."""
     if math.sqrt(sigma_sq) <= tau:
         exits["thresholded"] += 1
         return 0, 0, True
     tau_f, sig_f = Fraction(tau), Fraction(sigma_sq)
     guard = Fraction(rotation.DIVERGENCE_GUARD)
-    raw = start_reference(m, tau_f, sig_f, guard)
     prev = None
     for i in range(1, rotation.MAX_ITERATIONS + 1):
         value = cubic_map(Fraction(raw, 1 << m), tau_f, sig_f)
@@ -100,14 +83,39 @@ def newton_iterate_reference(m, tau, sigma_sq, exits):
 def test_newton_step_overshoot_clamps_to_top_code():
     # cubic value from y=1/2 at sigma=2, tau=1/2 is
     # -(4/0.5)(-0.125) + 0.75 - 0.5 = 1.25, clamped to 1 - 2^-m
-    y = code_of(0.5, 8)
-    out = rotation.newton_step(y, 0.5, 4.0)
-    assert out.raw == 255
-    value = cubic_map(Fraction(y.raw, 256), Fraction(0.5), Fraction(4.0))
+    assert step(128, 8, 0.5, 4.0) == 255
+    value = cubic_map(Fraction(128, 256), Fraction(0.5), Fraction(4.0))
     assert value == Fraction(5, 4)
 
 
+def check_oracle_against_reference(enc, m, tau, exits):
+    """build_sigma_tau_oracle on ``enc`` gives every label the code and
+    iteration count of the Fraction reference run from sigma_1's start,
+    or fails naming exactly the labels that fail there."""
+    top = 1 << m
+    guard = Fraction(rotation.DIVERGENCE_GUARD)
+    start = start_reference(m, Fraction(tau), Fraction(enc.decode(max(enc.labels))), guard)
+    expected = {
+        c: newton_iterate_reference(m, tau, enc.decode(c), min(start, top - 1), exits)
+        for c in enc.labels
+    }
+    failed = {c: it for c, (_, it, ok) in expected.items() if not ok}
+    if start < top and not failed:
+        oracle = rotation.build_sigma_tau_oracle(enc, m, tau)
+        assert oracle.y_codes == {c: raw for c, (raw, _, _) in expected.items()}
+        assert oracle.iterations == {c: it for c, (_, it, _) in expected.items()}
+        return
+    with pytest.raises(ConvergenceError) as err:
+        rotation.build_sigma_tau_oracle(enc, m, tau)
+    message = str(err.value)
+    for c in enc.labels:
+        found = re.search(rf"label {c} \([^)]*\): no convergence in (\d+) iterations", message)
+        assert (found and int(found[1])) == failed.get(c), message
+    assert ("Newton start reaches" in message) == (start == top)
+
+
 def test_integer_newton_matches_fraction_reference(monkeypatch):
+    # the oracle's Newton path on one- and two-label encodings
     exits = Counter()
     configs = (
         {},
@@ -123,36 +131,31 @@ def test_integer_newton_matches_fraction_reference(monkeypatch):
                 for tau in (0.1, 0.37, 0.93, 1.7):
                     for ratio in ratios:
                         sigma_sq = float((ratio * tau) ** 2)
-                        res = rotation.newton_iterate(m, tau, sigma_sq)
-                        expected = newton_iterate_reference(m, tau, sigma_sq, exits)
-                        assert (res.code.raw, res.iterations, res.converged) == expected
+                        for lam in ([sigma_sq], [sigma_sq, 0.3 * sigma_sq]):
+                            check_oracle_against_reference(qpe.choose_t0(lam, 8), m, tau, exits)
         for tau in (0.37, 1.7):
             for ratio in (0.6, 1.3, 2.9, 4.4):
                 sigma_sq = float((ratio * tau) ** 2)
                 for raw in range(1 << m):
-                    y = rotation.FixedPointCode(m, raw)
                     expected = cubic_map(Fraction(raw, 1 << m), Fraction(tau), Fraction(sigma_sq))
-                    got = rotation.newton_step(y, tau, sigma_sq)
-                    assert got.raw == truncate_reference(expected, m)
+                    assert step(raw, m, tau, sigma_sq) == truncate_reference(expected, m)
     for kind in ("thresholded", "guard", "clamp", "fixed", "pair", "max_iterations"):
         assert exits[kind] > 0, kind
 
 
 def test_newton_step_threshold_boundary_fixed_point_zero():
-    y = code_of(0.0, 6)
-    assert rotation.newton_step(y, 0.8, 0.64).raw == 0
+    assert step(0, 6, 0.8, 0.64) == 0
 
 
 def test_newton_iterate_reference_values():
-    top = rotation.newton_iterate(3, 0.5, 4.0)
-    assert top.converged and top.code.raw == 6  # 2^3 (1 - tau/sigma_1)
-    second = rotation.newton_iterate(3, 0.5, 1.0)
-    assert second.converged and second.code.raw == 4  # 2^3 (1 - tau/sigma_2)
+    raw, _, converged = rotation._iterate(3, 0.5, 4.0, 4)
+    assert converged and raw == 6  # 2^3 (1 - tau/sigma_1)
+    raw, _, converged = rotation._iterate(3, 0.5, 1.0, 4)
+    assert converged and raw == 4  # 2^3 (1 - tau/sigma_2)
 
 
 def test_newton_iterate_thresholded_branch():
-    res = rotation.newton_iterate(3, 0.5, 0.16)  # sigma = 0.4 <= tau
-    assert res.converged and res.code.raw == 0 and res.iterations == 0
+    assert rotation._iterate(3, 0.5, 0.16, 4) == (0, 0, True)  # sigma = 0.4 <= tau
 
 
 def test_newton_start_is_one_half_up_to_ratio_four():
@@ -174,18 +177,18 @@ def test_newton_start_reach_is_the_top_code():
 
 
 def test_newton_iterate_converges_above_ratio_four():
-    m = 8
+    m, tau = 8, 0.5
     for ratio in (4.2, 5.0, 8.0, 100.0):
-        tau = 0.5
-        res = rotation.newton_iterate(m, tau, (ratio * tau) ** 2)
-        assert res.converged, ratio
-        assert abs(res.code.raw - round((1 << m) * (1 - 1 / ratio))) <= 1, ratio
+        enc = qpe.choose_t0([(ratio * tau) ** 2])
+        (label,) = enc.labels
+        code = rotation.build_sigma_tau_oracle(enc, m, tau).code_for(label)
+        assert abs(code - round((1 << m) * (1 - 1 / ratio))) <= 1, ratio
     # exactly ratio 4 (dyadic) proceeds through the clamp and converges
-    res = rotation.newton_iterate(m, 0.5, 4.0)
-    assert res.converged and res.code.raw == 192
+    assert rotation.build_sigma_tau_oracle(qpe.choose_t0([4.0]), m, tau).y_codes == {4: 192}
     # one bit holds no start above 1/2, so m = 1 still stops at 4
-    res = rotation.newton_iterate(1, 0.5, (4.2 * 0.5) ** 2)
-    assert not res.converged and res.iterations == 1
+    enc = qpe.choose_t0([(4.2 * tau) ** 2])
+    with pytest.raises(ConvergenceError, match=r"no convergence in 1 iterations"):
+        rotation.build_sigma_tau_oracle(enc, 1, tau)
 
 
 def test_newton_quadratic_contraction_in_basin():
@@ -195,13 +198,13 @@ def test_newton_quadratic_contraction_in_basin():
                 sigma = ratio * tau
                 y_star = 1.0 - tau / sigma
                 contraction = 3.0 * sigma / (2.0 * tau)
-                y = code_of(0.5, m)
-                err = abs(y.value - y_star)
+                raw = 1 << (m - 1)
+                err = abs(raw / (1 << m) - y_star)
                 for _ in range(60):
                     if err <= 2.0 ** (1 - m):
                         break
-                    y = rotation.newton_step(y, tau, sigma**2)
-                    new_err = abs(y.value - y_star)
+                    raw = step(raw, m, tau, sigma**2)
+                    new_err = abs(raw / (1 << m) - y_star)
                     assert new_err <= 2.0 * contraction * err**2 + 2.0**-m + 1e-15
                     err = new_err
                 assert err <= 2.0 ** (1 - m)
@@ -214,12 +217,14 @@ def test_newton_matches_brute_force_within_one_ulp():
     checked = 0
     for sigma in sigmas:
         for ratio in ratios:
-            tau = float(sigma / ratio)
-            res = rotation.newton_iterate(m, tau, float(sigma) ** 2)
-            assert res.converged, (sigma, tau)
+            tau, sigma_sq = float(sigma / ratio), float(sigma) ** 2
+            raw, _, converged = rotation._iterate(
+                m, tau, sigma_sq, rotation._start(m, tau, sigma_sq)
+            )
+            assert converged, (sigma, tau)
             brute = round((1 << m) * max(1.0 - tau / sigma, 0.0))
             brute = min(brute, (1 << m) - 1)
-            assert abs(res.code.raw - brute) <= 1, (sigma, tau)
+            assert abs(raw - brute) <= 1, (sigma, tau)
             checked += 1
     assert checked == 1000
 

@@ -161,6 +161,23 @@ def test_read_only_non_unitary_is_rejected_on_every_call():
     assert np.array_equal(state.amplitudes, before)
 
 
+def test_read_only_arrays_are_held_and_checked_once_each(monkeypatch):
+    checked = []
+    check = sim._check_unitary
+    monkeypatch.setattr(sim, "_check_unitary", lambda m: checked.append(m.shape) or check(m))
+    monkeypatch.setattr(sim, "_CONSTANTS", {})
+    gates = [sim.ry(angle) for angle in range(9)]
+    for gate in gates:
+        gate.flags.writeable = False
+    state = random_state(2, 4)
+    for gate in [*gates, *gates[1:]]:  # the first eight pass, then the ninth evicts the first
+        sim.apply_unitary(state, gate, [1])
+    assert checked == [(1, 2, 2)] * 9
+    assert [sim._CONSTANTS[id(g)] is g for g in gates[1:]] == [True] * 8
+    sim.apply_unitary(state, gates[0], [1])
+    assert checked == [(1, 2, 2)] * 10
+
+
 def test_every_factor_of_a_stack_of_powers_is_checked():
     x, five = pauli_x(), 5 * np.eye(2)
     state = random_state(3, 18)
