@@ -5,10 +5,6 @@ that makes its output accurate."""
 from .alpha import (
     AlphaSolution,
     SpectrumProfile,
-    alpha_intuitive,
-    alpha_numeric,
-    alpha_taylor2,
-    alpha_taylor4,
     fidelity_analytic,
     g_derivative,
     g_objective,

@@ -1,6 +1,11 @@
 """Rotation-scale selection: the success probability P(alpha), the
 fidelity F(alpha) against the exact threshold target, their combined
-objective G = sqrt(P) * F, and four ways to choose alpha.
+objective G = sqrt(P) * F, and four rules that choose alpha.
+
+``resolve_alpha(profile, method)`` is the one way to apply a rule, and
+``METHODS`` names the rules.  Its one fallback: a ValidationError from
+the taylor4 rule or its solution (a negative discriminant) gives
+taylor2's solution and a note; other failures propagate.
 
 For a spectrum sigma_1 > ... > sigma_r > 0 with shrinkage fractions
 y_k = (1 - tau/sigma_k)_+:
@@ -137,10 +142,13 @@ def _moment(profile: SpectrumProfile, power: int) -> float:
 
 
 def _intuitive(profile: SpectrumProfile) -> float:
+    """Closed form pi / (2 y_1): puts the dominant component on the
+    sine peak.  Needs only the largest singular value."""
     return math.pi / (2.0 * profile.y[0])
 
 
 def _taylor2(profile: SpectrumProfile) -> float:
+    """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
     denom = _moment(profile, 4)
     if denom <= 0:
         raise ValidationError("degenerate denominator in the order-2 solution")
@@ -148,6 +156,8 @@ def _taylor2(profile: SpectrumProfile) -> float:
 
 
 def _taylor4(profile: SpectrumProfile) -> float:
+    """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
+    with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
     a = _moment(profile, 6) / 24.0
     b = _moment(profile, 4) / 2.0
     if a <= 0:
@@ -158,23 +168,6 @@ def _taylor4(profile: SpectrumProfile) -> float:
             "negative discriminant in the order-4 solution; fall back to taylor2"
         )
     return math.sqrt((b - math.sqrt(disc)) / (2.0 * a))
-
-
-def alpha_intuitive(profile: SpectrumProfile) -> AlphaSolution:
-    """Closed form pi / (2 y_1): puts the dominant component on the
-    sine peak.  Needs only the largest singular value."""
-    return solution(profile, "intuitive", _intuitive(profile))
-
-
-def alpha_taylor2(profile: SpectrumProfile) -> AlphaSolution:
-    """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
-    return solution(profile, "taylor2", _taylor2(profile))
-
-
-def alpha_taylor4(profile: SpectrumProfile) -> AlphaSolution:
-    """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
-    with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
-    return solution(profile, "taylor4", _taylor4(profile))
 
 
 def _g_curvature(profile: SpectrumProfile, alpha: float) -> float:
@@ -209,7 +202,7 @@ def _peak(profile: SpectrumProfile) -> float:
             return alpha
 
 
-def alpha_numeric(profile: SpectrumProfile) -> AlphaSolution:
+def _numeric(profile: SpectrumProfile) -> float:
     """Maximizer of G over (0, pi / y_1], or a closed form that scores higher.
 
     There G''(alpha) = -sum s^2 y^3 sin(y alpha) / sqrt(N1 N2) < 0, as every
@@ -223,26 +216,22 @@ def alpha_numeric(profile: SpectrumProfile) -> AlphaSolution:
             candidates.append(closed(profile))
         except (ValidationError, FullyThresholdedError):
             continue
-    best = max(candidates, key=lambda alpha: g_objective(profile, alpha))
-    return solution(profile, "numeric", best)
+    return max(candidates, key=lambda alpha: g_objective(profile, alpha))
 
 
-_METHODS = {
-    "intuitive": alpha_intuitive,
-    "taylor2": alpha_taylor2,
-    "taylor4": alpha_taylor4,
-    "numeric": alpha_numeric,
-}
+_RULES = {"intuitive": _intuitive, "taylor2": _taylor2, "taylor4": _taylor4, "numeric": _numeric}
+METHODS = tuple(_RULES)
 
 
 def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution, str]:
-    """Dispatch by method name.  A taylor4 discriminant failure falls
-    back to taylor2; the returned note records the substitution."""
-    if method not in _METHODS:
+    """The solution of rule ``method`` and a note, empty unless taylor4
+    fell back to taylor2.  ``_RULES`` is the only list of rules."""
+    if method not in _RULES:
         raise ValidationError(f"unknown alpha method {method!r}")
-    if method == "taylor4":
-        try:
-            return alpha_taylor4(profile), ""
-        except ValidationError:
-            return alpha_taylor2(profile), "taylor4 discriminant negative; used taylor2"
-    return _METHODS[method](profile), ""
+    try:
+        return solution(profile, method, _RULES[method](profile)), ""
+    except ValidationError:
+        if method != "taylor4":
+            raise
+    note = "taylor4 discriminant negative; used taylor2"
+    return solution(profile, "taylor2", _taylor2(profile)), note

@@ -54,7 +54,7 @@ CSV_COLUMNS = [
     "error",
 ]
 
-ALPHA_METHODS = ("intuitive", "taylor2", "taylor4", "numeric")
+ALPHA_METHODS = alpha_mod.METHODS
 
 # the default sweep corpus: p, q and the rank are drawn from these, ends included
 SWEEP_DIM_RANGE = (2, 6)

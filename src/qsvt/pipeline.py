@@ -92,7 +92,13 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
     # sigma_1 has the largest code and its label always holds mass
-    rot_cfg.check_single_lobe(max(oracle.y_codes.values()), cfg.m_bits)
+    top_code = max(oracle.y_codes.values())
+    if top_code == 0:  # post-select would read probability 0
+        raise FullyThresholdedError(
+            f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="
+            f" {2.0 ** -cfg.m_bits:.4g}): no L value rotates the ancilla; raise --m-bits"
+        )
+    rot_cfg.check_single_lobe(top_code, cfg.m_bits)
 
     du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
     if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B

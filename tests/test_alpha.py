@@ -98,33 +98,34 @@ def test_g_equals_sqrt_p_times_f():
 
 
 def test_alpha_intuitive_reference():
-    sol = alpha_mod.alpha_intuitive(REFERENCE)
+    sol = alpha_mod.resolve_alpha(REFERENCE, "intuitive")[0]
     assert sol.alpha == pytest.approx(np.pi / 1.5, abs=1e-12)
     assert sol.alpha == pytest.approx(2.0944, abs=1e-4)
 
 
 def test_alpha_intuitive_small_tau_limit():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([2.0], 1e-9)
-    assert alpha_mod.alpha_intuitive(profile).alpha == pytest.approx(np.pi / 2, rel=1e-8)
+    sol = alpha_mod.resolve_alpha(profile, "intuitive")[0]
+    assert sol.alpha == pytest.approx(np.pi / 2, rel=1e-8)
 
 
 def test_alpha_intuitive_exactly_maximizes_rank_one():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([3.0], 1.0)
-    sol = alpha_mod.alpha_intuitive(profile)
+    sol = alpha_mod.resolve_alpha(profile, "intuitive")[0]
     grid = np.linspace(1e-6, np.pi / profile.y[0], 2001)
     gvals = [alpha_mod.g_objective(profile, a) for a in grid]
     assert sol.G >= max(gvals) - 1e-9
 
 
 def test_alpha_taylor2_reference():
-    sol = alpha_mod.alpha_taylor2(REFERENCE)
+    sol = alpha_mod.resolve_alpha(REFERENCE, "taylor2")[0]
     assert sol.alpha == pytest.approx(math.sqrt(2 * 2.5 / 1.328125), abs=1e-12)
     assert sol.alpha == pytest.approx(1.9403, abs=1e-4)
 
 
 def test_alpha_taylor2_single_component():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([4.0], 1.0)
-    assert alpha_mod.alpha_taylor2(profile).alpha == pytest.approx(
+    assert alpha_mod.resolve_alpha(profile, "taylor2")[0].alpha == pytest.approx(
         math.sqrt(2.0) / profile.y[0]
     )
     # a single survivor with a thresholded tail: F = 1 for both rules,
@@ -132,8 +133,8 @@ def test_alpha_taylor2_single_component():
     # of it
     tail = alpha_mod.SpectrumProfile.from_sigma_tau([4.0, 0.5], 1.0)
     share = 16.0 / 16.25
-    s_int = alpha_mod.alpha_intuitive(tail)
-    s_t2 = alpha_mod.alpha_taylor2(tail)
+    s_int = alpha_mod.resolve_alpha(tail, "intuitive")[0]
+    s_t2 = alpha_mod.resolve_alpha(tail, "taylor2")[0]
     assert s_int.P == pytest.approx(share, rel=0, abs=1e-12)
     sin2 = math.sin(math.sqrt(2.0)) ** 2
     assert s_t2.P == pytest.approx(share * sin2, rel=0, abs=1e-12)
@@ -148,8 +149,8 @@ def test_alpha_taylor2_uniform_y_ignores_sigma():
     eps = 1e-9
     p1 = alpha_mod.SpectrumProfile(sigma=(3.0, 1.0), y=(0.4 + eps, 0.4))
     p2 = alpha_mod.SpectrumProfile(sigma=(9.0, 2.0), y=(0.4 + eps, 0.4))
-    a1 = alpha_mod.alpha_taylor2(p1).alpha
-    a2 = alpha_mod.alpha_taylor2(p2).alpha
+    a1 = alpha_mod.resolve_alpha(p1, "taylor2")[0].alpha
+    a2 = alpha_mod.resolve_alpha(p2, "taylor2")[0].alpha
     assert a1 == pytest.approx(a2, rel=1e-6)
     assert a1 == pytest.approx(math.sqrt(2.0) / 0.4, rel=1e-6)
 
@@ -170,25 +171,29 @@ def test_alpha_taylor4_reference():
     real_positive = sorted(
         r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0
     )
-    sol = alpha_mod.alpha_taylor4(REFERENCE)
+    sol = alpha_mod.resolve_alpha(REFERENCE, "taylor4")[0]
     assert sol.alpha == pytest.approx(real_positive[0], abs=1e-9)
     assert sol.alpha == pytest.approx(2.1976, abs=1e-3)
 
 
 def test_alpha_taylor4_single_component_near_intuitive():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([4.0], 1.0)
-    t4 = alpha_mod.alpha_taylor4(profile).alpha
+    t4 = alpha_mod.resolve_alpha(profile, "taylor4")[0].alpha
     ref = np.pi / (2 * profile.y[0])
     assert abs(t4 - ref) / ref < 0.05
 
 
-def test_alpha_taylor4_negative_discriminant_falls_back():
-    # one dominant fraction plus many small ones pushes b^2 below 4ac
+def negative_discriminant_profile():
+    """One dominant fraction plus many small ones pushes b^2 below 4ac."""
     sigma = tuple([4.0] + list(np.linspace(3.99, 3.5, 30)))
     y = tuple([0.9] + list(np.linspace(0.15, 0.14, 30)))
-    profile = alpha_mod.SpectrumProfile(sigma=sigma, y=y)
+    return alpha_mod.SpectrumProfile(sigma=sigma, y=y)
+
+
+def test_alpha_taylor4_negative_discriminant_falls_back():
+    profile = negative_discriminant_profile()
     with pytest.raises(ValidationError, match="discriminant"):
-        alpha_mod.alpha_taylor4(profile)
+        alpha_mod._taylor4(profile)
     sol, note = alpha_mod.resolve_alpha(profile, "taylor4")
     assert sol.method == "taylor2"
     assert "taylor4" in note
@@ -201,19 +206,19 @@ def test_profile_rejects_all_thresholded_y():
 
 def test_alpha_numeric_rank_one_finds_peak():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([3.0], 1.0)
-    sol = alpha_mod.alpha_numeric(profile)
+    sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
     assert sol.alpha == pytest.approx(np.pi / (2 * profile.y[0]), abs=1e-12)
 
 
 def test_alpha_numeric_beats_intuitive_on_reference():
-    num = alpha_mod.alpha_numeric(REFERENCE)
+    num = alpha_mod.resolve_alpha(REFERENCE, "numeric")[0]
     assert num.G >= alpha_mod.g_objective(REFERENCE, ALPHA_REF)
 
 
 def test_alpha_numeric_first_order_condition():
     for seed in range(8):
         profile = random_profile(1000 + seed)
-        sol = alpha_mod.alpha_numeric(profile)
+        sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
         at_edge = sol.alpha == math.pi / profile.y[0]
         assert at_edge or abs(alpha_mod.g_derivative(profile, sol.alpha)) < 1e-12
 
@@ -226,7 +231,7 @@ def test_alpha_numeric_stops_at_the_edge_while_g_still_rises():
     )
     edge = math.pi / profile.y[0]
     assert alpha_mod.g_derivative(profile, edge) > 0
-    assert alpha_mod.alpha_numeric(profile).alpha == edge
+    assert alpha_mod.resolve_alpha(profile, "numeric")[0].alpha == edge
 
 
 def test_derivative_matches_central_differences():
@@ -278,10 +283,10 @@ def test_numeric_dominates_closed_forms():
     profiles = [random_profile(4000 + seed) for seed in range(25)]
     profiles += sweep_corpus_profiles(0) + sweep_corpus_profiles(5)
     for i, profile in enumerate(profiles):
-        num = alpha_mod.alpha_numeric(profile)
+        num = alpha_mod.resolve_alpha(profile, "numeric")[0]
         for method in ("intuitive", "taylor2", "taylor4"):
             try:
-                closed = alpha_mod._METHODS[method](profile)
+                closed = alpha_mod.resolve_alpha(profile, method)[0]
             except (ValidationError, FullyThresholdedError):
                 continue
             assert num.G >= closed.G, (i, method)
@@ -411,6 +416,41 @@ def test_resolve_alpha_matches_reference_bit_for_bit():
             assert (sol.P, sol.F, sol.G) == reference_pfg(profile, alpha)[:3], (profile, method)
 
 
+RULES = {
+    "intuitive": alpha_mod._intuitive,
+    "taylor2": alpha_mod._taylor2,
+    "taylor4": alpha_mod._taylor4,
+    "numeric": alpha_mod._numeric,
+}
+
+
+def test_resolve_alpha_is_solution_of_the_rule():
+    assert alpha_mod.METHODS == tuple(RULES)  # the order of the `qsvt alpha` table
+    fallbacks = 0
+    for profile in reference_profiles() + [negative_discriminant_profile()]:
+        for method, rule in RULES.items():
+            sol, note = alpha_mod.resolve_alpha(profile, method)
+            try:
+                want = alpha_mod.solution(profile, method, rule(profile))
+            except ValidationError:
+                assert method == "taylor4"
+                fallbacks += 1
+                want = alpha_mod.solution(profile, "taylor2", alpha_mod._taylor2(profile))
+                assert note == "taylor4 discriminant negative; used taylor2"
+            else:
+                assert note == ""
+            fields = ("method", "alpha", "P", "F", "G")
+            assert [repr(getattr(sol, f)) for f in fields] == [
+                repr(getattr(want, f)) for f in fields
+            ], (profile, method)
+    assert fallbacks == 1
+
+
+def test_unknown_alpha_method_rejected():
+    with pytest.raises(ValidationError, match="unknown alpha method 'taylor3'"):
+        alpha_mod.resolve_alpha(REFERENCE, "taylor3")
+
+
 def test_numeric_meets_the_grid_and_golden_bar():
     for profile in reference_profiles() + sweep_corpus_profiles(5):
         bar = reference_numeric(profile)
@@ -436,7 +476,7 @@ def test_numeric_cost_is_a_few_derivative_evaluations():
         mp.setattr(alpha_mod, "g_derivative", counting)
         for profile in profiles:
             calls.clear()
-            alpha_mod.alpha_numeric(profile)
+            alpha_mod.resolve_alpha(profile, "numeric")
             assert 1 <= len(calls) <= 8, (profile, len(calls))
 
 
@@ -467,7 +507,7 @@ def test_intuitive_vs_taylor2_medians_over_profiles():
     p_int, f_int, p_t2, f_t2 = [], [], [], []
     for seed in range(120):
         profile = random_profile(5000 + seed)
-        s_int = alpha_mod.alpha_intuitive(profile)
+        s_int = alpha_mod.resolve_alpha(profile, "intuitive")[0]
         s_t2, _ = alpha_mod.resolve_alpha(profile, "taylor2")
         p_int.append(s_int.P)
         f_int.append(s_int.F)

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from qsvt import alpha as alpha_mod
 from qsvt import harness, spectral
 from qsvt.errors import ValidationError
 
@@ -65,11 +66,41 @@ def test_cmd_example_rejects_zero_tau(capsys):
     assert "positive" in err
 
 
+def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
+    # y_1 = 1 - 1.7/2 = 0.15 lies below 2^-2: every L code is 0
+    rc = harness.main(["example", "--tau", "1.7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: every L code is 0") and "--m-bits" in err
+    assert harness.main(["example", "--tau", "1.7", "--m-bits", "3"]) == 0
+
+
+def test_sweep_all_zero_code_records_carry_the_set_up_error():
+    cfg = harness.SweepConfig(
+        n_instances=6, seed=0, tau_frac=0.85, simulate=True, m_bits=2, t_bits=4
+    )
+    errors = [rec.error for rec in harness.run_sweep(cfg)]
+    zero = [e for e in errors if e.startswith("every L code is 0")]
+    assert len(errors) == 12 and len(zero) == 8
+    assert all("raise --m-bits" in e for e in zero)
+    assert all("raise t_bits" in e for e in errors if e not in zero)
+
+
+def test_alpha_method_names_come_from_the_rule_table():
+    assert harness.ALPHA_METHODS is alpha_mod.METHODS
+    parser = harness.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for name in ("example", "pipeline"):
+        action = next(a for a in commands[name]._actions if a.dest == "alpha_method")
+        assert tuple(action.choices) == alpha_mod.METHODS
+
+
 MATRIX_FILES = {
     "small.txt": "2 3\n1 0 0\n0 0.5 0\n",
     "header_not_int.txt": "2 x\n1 0 0\n0 0.5 0\n",
     "header_one_field.txt": "2\n1 0 0\n0 0.5 0\n",
     "tau_not_float.cfg": "tau=abc\n",
+    "unknown_method.cfg": "alpha_method=taylor3\n",  # a default skips argparse's choices
 }
 
 
@@ -106,6 +137,8 @@ MATRIX_FILES = {
         (["example", "--t-bits", "2000"], 2),
         (["example", "--m-bits", "2000"], 2),
         (["example", "--config", "tau_not_float.cfg"], 2),
+        (["example", "--config", "unknown_method.cfg"], 2),
+        (["sweep", "--n", "2", "--methods", "intuitive,taylor3"], 2),
         # sweep input that every instance would fail is rejected up front
         (["sweep", "--tau", "-1", "--n", "2"], 2),
         (["sweep", "--tau", "0", "--n", "2"], 2),

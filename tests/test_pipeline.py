@@ -302,6 +302,18 @@ def test_fully_thresholded_rejected_before_simulation():
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.5))
 
 
+def test_all_zero_oracle_codes_rejected_before_the_state(monkeypatch):
+    # sigma_1/tau = 2/1.7: y_1 = 0.15 lies below 2^-2, so every L code is 0
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a run that rotates nothing")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    message = r"every L code is 0 \(y_1 = 1 - tau/sigma_1 = 0\.15, 2\^-m = 0\.25\): .*--m-bits"
+    for cfg in ({}, {"alpha_method": "numeric"}, {"alpha": 1.9403}):
+        with pytest.raises(FullyThresholdedError, match=message):
+            run_reference(tau=1.7, **cfg)
+
+
 def test_missing_tau_rejected_before_simulation():
     with pytest.raises(ValidationError, match="real number"):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix(), tau=None))
