@@ -28,31 +28,14 @@ Matrix file format (plain text):
   then p rows of q whitespace-separated decimal numbers.
 """
 
+# the paper's reference run of the example instance, the flag defaults
+# of ``example``; on this run cmd_example checks P, F and N_alpha
+EXAMPLE_RUN = {"tau": 0.5, "t_bits": 3, "m_bits": 2, "alpha": None, "alpha_method": "intuitive"}
 EXAMPLE_EXPECTED = {"P": 0.9499, "F": 0.9962, "N_alpha": 4.7495}
 EXAMPLE_TOL = 1e-3
 
 CSV_SCHEMA = "#schema=1"
 CSV_CORPUS_NOTE = "#corpus=synthetic-lowrank-seeded"
-CSV_COLUMNS = [
-    "instance",
-    "seed",
-    "p",
-    "q",
-    "r",
-    "tau",
-    "alpha_method",
-    "alpha",
-    "P_analytic",
-    "F_analytic",
-    "P_sim",
-    "F_sim",
-    "newton_iterations",
-    "t_bits",
-    "m_bits",
-    "exact",
-    "wall_time_s",
-    "error",
-]
 
 ALPHA_METHODS = alpha_mod.METHODS
 
@@ -185,6 +168,13 @@ class ExperimentRecord:
         return [fmt(getattr(self, f.name)) for f in fields(self)]
 
 
+# the record's fields in order, P and F capitalised as the paper writes them
+CSV_COLUMNS = [
+    f.name.capitalize() if f.name[:2] in ("p_", "f_") else f.name
+    for f in fields(ExperimentRecord)
+]
+
+
 def _instance_seed(cfg: SweepConfig, index: int) -> int:
     return cfg.seed * 100003 + index
 
@@ -257,7 +247,7 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
 
 def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     """Execute every instance (in a worker pool when ``jobs`` > 1) and
-    return records sorted by instance id and method order.
+    return the records by instance, then in ``cfg.methods`` order.
 
     The pool starts all its workers at once, so it gets at most one
     worker per instance and per CPU."""
@@ -268,10 +258,7 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
             chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
     else:
         chunks = [run_sweep_instance(cfg, i) for i in indices]
-    records = [rec for chunk in chunks for rec in chunk]
-    order = {m: i for i, m in enumerate(cfg.methods)}
-    records.sort(key=lambda rec: (rec.instance, order.get(rec.alpha_method, 99)))
-    return records
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def sweep_summary(records: list[ExperimentRecord], simulate: bool) -> dict:
@@ -394,13 +381,20 @@ def emit_plot(records: list[ExperimentRecord], path) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _tau(args) -> float:
+    """``--tau``, which ``alpha`` and ``pipeline`` have no default for."""
+    if args.tau is None:
+        raise ValidationError("no threshold: give --tau, or tau= in the --config file")
+    return args.tau
+
+
 def _run(args, a0: np.ndarray) -> pipeline_mod.SimulationResult:
     """One circuit run of ``a0`` with the flags that ``example`` and
     ``pipeline`` share."""
     return pipeline_mod.run_pipeline(
         pipeline_mod.PipelineConfig(
             a0=a0,
-            tau=args.tau,
+            tau=_tau(args),
             t_bits=args.t_bits,
             m_bits=args.m_bits,
             alpha=args.alpha,
@@ -421,14 +415,7 @@ def cmd_example(args) -> int:
     print("triple weights =", " ".join(f"{x:.4f}" for x in unnorm))
     if result.p_shots is not None:
         print(f"P ({args.shots} shots) = {result.p_shots:.6f}")
-    reference_run = (
-        args.alpha is None
-        and args.alpha_method == "intuitive"
-        and args.tau == 0.5
-        and args.t_bits == 3
-        and args.m_bits == 2
-    )
-    if not reference_run:
+    if any(getattr(args, key) != value for key, value in EXAMPLE_RUN.items()):
         print("reporting mode: reference assertions skipped")
         return 0
     checks = {
@@ -497,8 +484,9 @@ def cmd_alpha(args) -> int:
         sigma = np.asarray(_parse_sigma(args.sigma), dtype=float)
     else:
         sigma = spectral.decompose(spectral.load_matrix_text(args.matrix)).sigma
-    profile = alpha_mod.SpectrumProfile.from_sigma_tau(sigma, args.tau)
-    print(f"sigma = {np.array2string(np.asarray(sigma), precision=6)}  tau = {args.tau}")
+    tau = _tau(args)
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau)
+    print(f"sigma = {np.array2string(np.asarray(sigma), precision=6)}  tau = {tau}")
     print(f"{'method':<10} {'alpha':>12} {'P':>10} {'F':>10} {'G':>10}")
     for method in ALPHA_METHODS:
         solution, note = alpha_mod.resolve_alpha(profile, method)
@@ -610,32 +598,35 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cmd, tau_default=None):
+    def common(p, cmd, seeded=True):
         p.set_defaults(func=cmd)
         p.add_argument("--config", help="key=value defaults file; CLI flags override")
-        p.add_argument("--tau", type=float, default=tau_default)
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--tau", type=float, default=None)
+        if seeded:  # alpha draws nothing
+            p.add_argument("--seed", type=int, default=7)
 
-    def run_flags(p, t_bits, m_bits, alpha_help=None):
-        """The circuit-run flags of ``example`` and ``pipeline``."""
+    def run_flags(p, alpha_help=None):
+        """The circuit-run flags of ``example`` and ``pipeline``, at the
+        defaults of ``pipeline``."""
         p.add_argument("--alpha", type=float, default=None, help=alpha_help)
         p.add_argument("--alpha-method", default="intuitive", choices=ALPHA_METHODS)
-        p.add_argument("--t-bits", type=int, default=t_bits)
-        p.add_argument("--m-bits", type=int, default=m_bits)
+        p.add_argument("--t-bits", type=int, default=None)
+        p.add_argument("--m-bits", type=int, default=8)
         p.add_argument("--shots", type=int, default=None)
 
     ex = sub.add_parser("example", help="run the 2x3 sigma=(2,1) reference instance")
-    common(ex, cmd_example, tau_default=0.5)
-    run_flags(ex, 3, 2, alpha_help="explicit alpha (reporting mode, no assertions)")
+    common(ex, cmd_example)
+    run_flags(ex, alpha_help="explicit alpha (reporting mode, no assertions)")
+    ex.set_defaults(**EXAMPLE_RUN)
 
     sw = sub.add_parser("sweep", help="randomized low-rank instance sweep")
     common(sw, cmd_sweep)
-    sw.add_argument("--n", type=int, default=120)
-    sw.add_argument("--tau-frac", type=float, default=0.3,
+    sw.add_argument("--n", type=int, default=SweepConfig.n_instances)
+    sw.add_argument("--tau-frac", type=float, default=SweepConfig.tau_frac,
                     help="tau as a fraction of sigma_1 (ignored when --tau is set)")
-    sw.add_argument("--methods", default="intuitive,taylor2")
-    sw.add_argument("--t-bits", type=int, default=6)
-    sw.add_argument("--m-bits", type=int, default=8)
+    sw.add_argument("--methods", default=",".join(SweepConfig.methods))
+    sw.add_argument("--t-bits", type=int, default=SweepConfig.t_bits)
+    sw.add_argument("--m-bits", type=int, default=SweepConfig.m_bits)
     sw.add_argument("--simulate", action="store_true",
                     help="run the full circuit per instance (slow path)")
     sw.add_argument("--shape", default=None, help="fix instance shape as P,Q")
@@ -643,20 +634,20 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sw.add_argument("--sigma", default=None, help="inject singular values (CSV)")
     sw.add_argument("--timings", action="store_true",
                     help="record wall times (breaks byte-for-byte determinism)")
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=SweepConfig.jobs)
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--plot", nargs="?", const="auto", default=None,
                     help="emit an SVG next to the CSV (or at the given path)")
 
     al = sub.add_parser("alpha", help="alpha-method comparison table")
-    common(al, cmd_alpha)
+    common(al, cmd_alpha, seeded=False)
     al.add_argument("--sigma", default=None, help="singular values (CSV)")
     al.add_argument("--matrix", default=None, help="matrix file (see format below)")
 
     pl = sub.add_parser("pipeline", help="single run from a matrix file")
     common(pl, cmd_pipeline)
     pl.add_argument("--matrix", required=True)
-    run_flags(pl, None, 8)
+    run_flags(pl)
     for p in (ex, sw, al, pl):
         p.set_defaults(**(config or {}))
     return parser

@@ -101,7 +101,7 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
         small = max(x for x, c in zip(lam, labels) if c == 0)
         raise ValidationError(
             f"eigenvalue {small:.6g} rounds to label 0 at t_bits={t_bits}:"
-            " too fine for the eigenvalue register; raise t_bits"
+            " too fine for the eigenvalue register; raise --t-bits"
         )
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 

@@ -173,15 +173,15 @@ def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple]:
     an absent control.  The blocks are index tuples of about
     ``BLOCK_AMPLITUDES`` amplitudes that cut the first leading axis longer
     than one (else rest) and, where one index of that axis holds more,
-    rest as well; a state that fits one block is one block, ``...``."""
+    rest as well; a state that fits one block is one block."""
     shape, axes = _split(n, registers)
-    # two leading unit axes: the absent control and a spare batch axis
+    # two leading unit axes: one stands in for an absent control, and the
+    # other is the matmul's column axis (rest) when the control and
+    # targets hold every qubit, as in a QFT of the whole state
     shape = (1, 1) + shape
     t_axis, c_axis = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0)
     rest = [a for a in range(len(shape)) if a not in (c_axis, t_axis)]
     order = tuple(rest[:-1] + [c_axis, t_axis, rest[-1]])
-    if 1 << n <= BLOCK_AMPLITUDES:
-        return shape, order, ((...,),)
     dims, last = [shape[a] for a in order], len(order) - 1
 
     def chunks(axis: int, per: int) -> list[slice]:

@@ -83,7 +83,7 @@ def test_sweep_all_zero_code_records_carry_the_set_up_error():
     zero = [e for e in errors if e.startswith("every L code is 0")]
     assert len(errors) == 12 and len(zero) == 8
     assert all("raise --m-bits" in e for e in zero)
-    assert all("raise t_bits" in e for e in errors if e not in zero)
+    assert all("raise --t-bits" in e for e in errors if e not in zero)
 
 
 def test_alpha_method_names_come_from_the_rule_table():
@@ -163,7 +163,17 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     err = capsys.readouterr().err
     assert rc == code
     assert err.startswith("error:")
+    if argv[0] in ("alpha", "pipeline") and "--tau" not in argv:  # the "no --tau" rows
+        assert err == "error: no threshold: give --tau, or tau= in the --config file\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_alpha_takes_no_seed(capsys):
+    # alpha draws nothing, so it has no --seed for a run to be misled by
+    with pytest.raises(SystemExit) as exc:
+        harness.main(["alpha", "--sigma", "2,1", "--tau", "0.5", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
@@ -585,3 +595,19 @@ def test_wall_time_blank_by_default(tmp_path, capsys):
     idx = harness.CSV_COLUMNS.index("wall_time_s")
     for line in out.read_text().splitlines()[3:]:
         assert line.split(",")[idx] == ""
+
+
+def test_sweep_timings_fill_only_the_wall_time(tmp_path, capsys):
+    argv = ["sweep", "--n", "4", "--methods", "intuitive,numeric", "--simulate"]
+    untimed, timed = tmp_path / "u.csv", tmp_path / "t.csv"
+    assert harness.main(argv + ["--out", str(untimed)]) == 0
+    assert harness.main(argv + ["--timings", "--out", str(timed)]) == 0
+    capsys.readouterr()
+    idx = harness.CSV_COLUMNS.index("wall_time_s")
+    rows = [[line.split(",") for line in path.read_text().splitlines()]
+            for path in (untimed, timed)]
+    assert rows[0][:3] == rows[1][:3]  # schema, corpus and header lines
+    assert len(rows[1]) == 3 + 4 * 2
+    for plain, clocked in zip(rows[0][3:], rows[1][3:]):
+        assert float(clocked[idx]) > 0.0
+        assert plain[:idx] + plain[idx + 1:] == clocked[:idx] + clocked[idx + 1:]

@@ -560,7 +560,7 @@ def _one_and_many_blocks(monkeypatch, n, registers, apply, state):
     at this size) and under blocks of 2^6 amplitudes; returns both
     outputs and the small-block plan."""
     one, many = state.copy(), state.copy()
-    assert sim._gate_view(n, registers)[2] == ((...,),)
+    assert len(sim._gate_view(n, registers)[2]) == 1
     apply(one)
     with monkeypatch.context() as patch:
         patch.setattr(sim, "BLOCK_AMPLITUDES", 1 << 6)
