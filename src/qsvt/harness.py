@@ -28,6 +28,14 @@ Matrix file format (plain text):
   then p rows of q whitespace-separated decimal numbers.
 """
 
+# the --config help; the epilog prints it as written, hence the indents
+CONFIG_HELP = """\
+file of flags: each key=value line is read as --key value ahead of the
+  command line's flags, which so win; the key is a long flag of the
+  subcommand without --, written with _ or - (t_bits or t-bits); a line
+  starting with # is a comment; flags that take no value (--simulate,
+  --timings) cannot be set from the file"""
+
 # the paper's reference run of the example instance, the flag defaults
 # of ``example``; on this run cmd_example checks P, F and N_alpha
 EXAMPLE_RUN = {"tau": 0.5, "t_bits": 3, "m_bits": 2, "alpha": None, "alpha_method": "intuitive"}
@@ -110,7 +118,8 @@ class SweepConfig:
                 raise ValidationError(f"{name} must be at least 1")
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
-        if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
+        rank = len(self.sigma) if self.sigma is not None else self.rank or 0
+        if self.simulate and (self.t_bits > 8 or rank > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
         for m in self.methods:
             if m not in ALPHA_METHODS:
@@ -175,10 +184,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _instance_seed(cfg: SweepConfig, index: int) -> int:
-    return cfg.seed * 100003 + index
-
-
 def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     """All method records for one sweep instance; per-record errors are
     captured in the error column instead of aborting the sweep.  A
@@ -186,7 +191,7 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     drifts from the analytic P by 4 alpha 2**-m_bits or more, the most
     that rounding y to m bits explains; an inexact one is not, since
     its phase-estimation leakage has no such bound."""
-    iseed = _instance_seed(cfg, index)
+    iseed = cfg.seed * 100003 + index
     rng = np.random.default_rng([iseed, 0])
     r = cfg.rank if cfg.sigma is None else len(cfg.sigma)  # equal when both are set
     if cfg.shape is not None:
@@ -418,15 +423,11 @@ def cmd_example(args) -> int:
     if any(getattr(args, key) != value for key, value in EXAMPLE_RUN.items()):
         print("reporting mode: reference assertions skipped")
         return 0
-    checks = {
-        "P": (result.p_sim, EXAMPLE_EXPECTED["P"]),
-        "F": (result.f_sim, EXAMPLE_EXPECTED["F"]),
-        "N_alpha": (result.n_alpha, EXAMPLE_EXPECTED["N_alpha"]),
-    }
+    got = {"P": result.p_sim, "F": result.f_sim, "N_alpha": result.n_alpha}
     status = 0
-    for name, (got, want) in checks.items():
-        ok = abs(got - want) <= EXAMPLE_TOL
-        print(f"check {name}: got {got:.6f}, expected {want} +/- {EXAMPLE_TOL}: "
+    for name, want in EXAMPLE_EXPECTED.items():
+        ok = abs(got[name] - want) <= EXAMPLE_TOL
+        print(f"check {name}: got {got[name]:.6f}, expected {want} +/- {EXAMPLE_TOL}: "
               + ("PASS" if ok else "FAIL"))
         if not ok:
             status = 1
@@ -550,57 +551,37 @@ def _exit_code(exc: QsvtError) -> int:
     return 2 if isinstance(exc, (ValidationError, FullyThresholdedError)) else 3
 
 
-_CONFIGURABLE = {
-    "tau": float,
-    "tau_frac": float,
-    "alpha": float,
-    "alpha_method": str,
-    "t_bits": int,
-    "m_bits": int,
-    "seed": int,
-    "n": int,
-    "jobs": int,
-    "out": str,
-    "methods": str,
-    "shots": int,
-}
-
-
-def _load_config(path) -> dict:
-    """Flat key=value file mirroring the CLI flags; CLI values win."""
-    out = {}
+def _config_flags(path) -> list[str]:
+    """The flags a ``--config`` file names, one ``--key value`` pair per
+    ``key=value`` line, for the subcommand's own parser to check."""
+    flags = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (sep and key):
                 raise ValidationError(f"bad config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _CONFIGURABLE:
-                raise ValidationError(f"unknown config key: {key!r}")
-            try:
-                out[key] = _CONFIGURABLE[key](value)
-            except ValueError:
-                raise ValidationError(f"config value {key}={value!r} does not parse") from None
-    return out
+            flag = "--" + key.replace("_", "-")
+            if "--config".startswith(flag):  # the flag or an abbreviation of it
+                raise ValidationError(f"bad config line: {line!r} (config files do not nest)")
+            flags += [flag, value]
+    return flags
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI; ``config`` values replace the subcommands' defaults, so
-    flags given explicitly still win."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsvt",
         description="Singular value thresholding on a simulated quantum register",
-        epilog=MATRIX_FORMAT_HELP,
+        epilog=f"{MATRIX_FORMAT_HELP}\nConfig file format (--config):\n  {CONFIG_HELP}.\n",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, cmd, seeded=True):
         p.set_defaults(func=cmd)
-        p.add_argument("--config", help="key=value defaults file; CLI flags override")
+        p.add_argument("--config", help=CONFIG_HELP)
         p.add_argument("--tau", type=float, default=None)
         if seeded:  # alpha draws nothing
             p.add_argument("--seed", type=int, default=7)
@@ -648,17 +629,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     common(pl, cmd_pipeline)
     pl.add_argument("--matrix", required=True)
     run_flags(pl)
-    for p in (ex, sw, al, pl):
-        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     try:
         path = pre.parse_known_args(argv)[0].config
-        args = build_parser(_load_config(path) if path else None).parse_args(argv)
+        if path and not argv[0].startswith("-"):  # --config only follows a subcommand
+            argv[1:1] = _config_flags(path)  # ahead of its flags, so they win
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except QsvtError as exc:
         print(f"error: {exc}", file=sys.stderr)

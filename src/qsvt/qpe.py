@@ -23,6 +23,12 @@ Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
 on a cleared C, QFT|0> = H^t|0>, and <0|QFT^-1 = <0|H^t on the C = 0
 projection, the only part of the state that the run reads.
+
+Each stage checks the norm of the state it reads, on that read: the
+forward estimation checks the incoming state from its read of C, and
+leaves the state it writes to the next read, the cascade's read of the
+ancilla (the sigma_tau oracle between them permutes amplitudes); the
+inverse leaves its state to the uncompute read of L and C.
 """
 from __future__ import annotations
 
@@ -166,7 +172,6 @@ def _phase_estimate(state, cfg, layout, a, inverse: bool) -> QuantumState:
     qft(state, layout.reg_C)
     conditional_evolution(state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a, inverse)
     iqft(state, layout.reg_C)
-    sim.check_norm(state)
     return state
 
 

@@ -185,14 +185,15 @@ def ry_cascade(
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
     as one ry(2 theta a) per L label in one controlled pass (the product
     of the paper's ry(2^(1-j) a) on each L qubit j).  Exact for every
-    theta; the single-lobe rule is a set-up check."""
+    theta; the single-lobe rule is a set-up check.  The read of the
+    ancilla's masses also checks the incoming state's norm."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
+    sim.check_mass(anc_mass)
     if not anc_mass[1] <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("ancilla not cleared")
     labels = 1 << len(layout.reg_L)
     angles = np.arange(labels) * (2.0 * cfg.alpha / labels)  # = linspace(0, 2a, endpoint=False)
     sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
-    sim.check_norm(state)
     return state
 
 
@@ -222,9 +223,11 @@ def uncompute(
 
 
 def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:
-    """Probability mass with L or C off |0>."""
+    """Probability mass with L or C off |0>; the read of L and C also
+    checks the state's norm."""
     qubits = [*layout.reg_L, *layout.reg_C]
     if not qubits:
         return 0.0
     mass = sim.register_mass(state, qubits)
+    sim.check_mass(mass)
     return float(mass[1:].sum())

@@ -27,10 +27,11 @@ Conventions used throughout the package:
   the kernel), except that a read-only array, a shared constant such as
   the DFT, is taken to be constant and checked once per array object,
   with no copy or hash of its content; the last 8 to pass are held, so
-  no other array takes their ids.  Gates do not check the norm: it is
-  checked once per stage boundary, from a read the stage makes anyway
-  (:func:`check_norm`, or :func:`check_mass` on the register masses a
-  stage reads).  Every guard is written so that NaN fails.
+  no other array takes their ids.  Gates do not check the norm: each
+  stage that reads the state checks the norm of the state it reads, on
+  that read (:func:`check_mass` on the register masses it reads anyway),
+  so no pass over the state is made for the norm alone.  Every guard is
+  written so that NaN fails.
 """
 from __future__ import annotations
 
@@ -136,13 +137,8 @@ def _check_unit(norm: float) -> None:
         raise NormalizationError(f"state norm drifted to {norm!r}")
 
 
-def check_norm(state: QuantumState) -> None:
-    """Stage-boundary guard: the state must still have unit norm."""
-    _check_unit(state.norm())
-
-
 def check_mass(mass: np.ndarray) -> None:
-    """:func:`check_norm` from a register's label masses, which sum to
+    """The unit-norm guard from a register's label masses, which sum to
     the squared norm: a stage that reads them anyway needs no other read."""
     _check_unit(math.sqrt(mass.sum()))
 

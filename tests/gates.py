@@ -38,5 +38,4 @@ def bitwise_ry_cascade(state, layout, cfg):
     for j, q in enumerate(layout.reg_L, start=1):
         gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
         sim.apply_controlled(state, controlled_on_one(gate), [q], [layout.ancilla])
-    sim.check_norm(state)
     return state

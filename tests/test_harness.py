@@ -99,8 +99,6 @@ MATRIX_FILES = {
     "small.txt": "2 3\n1 0 0\n0 0.5 0\n",
     "header_not_int.txt": "2 x\n1 0 0\n0 0.5 0\n",
     "header_one_field.txt": "2\n1 0 0\n0 0.5 0\n",
-    "tau_not_float.cfg": "tau=abc\n",
-    "unknown_method.cfg": "alpha_method=taylor3\n",  # a default skips argparse's choices
 }
 
 
@@ -119,6 +117,7 @@ MATRIX_FILES = {
         (["sweep", "--shape", "3", "--n", "2"], 2),
         # the simulate cap: rank <= 8
         (["sweep", "--simulate", "--shape", "9,9", "--rank", "9", "--n", "2"], 2),
+        (["sweep", "--simulate", "--shape", "9,9", "--sigma", "9,8,7,6,5,4,3,2,1", "--n", "2"], 2),
         (["example", "--alpha", "-1"], 2),
         (["example", "--shots", "-5"], 2),
         (["alpha", "--sigma", "2,x", "--tau", "0.5"], 2),
@@ -136,8 +135,6 @@ MATRIX_FILES = {
         (["example", "--m-bits", "-1"], 2),
         (["example", "--t-bits", "2000"], 2),
         (["example", "--m-bits", "2000"], 2),
-        (["example", "--config", "tau_not_float.cfg"], 2),
-        (["example", "--config", "unknown_method.cfg"], 2),
         (["sweep", "--n", "2", "--methods", "intuitive,taylor3"], 2),
         # sweep input that every instance would fail is rejected up front
         (["sweep", "--tau", "-1", "--n", "2"], 2),
@@ -218,8 +215,58 @@ def test_sweep_fixed_rank_draws_shapes_that_hold_it():
 def test_config_value_that_does_not_parse_names_key_and_value(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("# defaults\nt-bits = 3.5\n")
-    assert harness.main(["example", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: config value t_bits='3.5' does not parse\n"
+    with pytest.raises(SystemExit) as exc:
+        harness.main(["example", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "argument --t-bits: invalid int value: '3.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flags, message",
+    [
+        # a key the subcommand has no flag for
+        (["alpha", "--sigma", "3,2"], ["--seed", "3", "--tau", "0.9"],
+         "unrecognized arguments: --seed 3"),
+        (["example"], ["--jobs", "4"], "unrecognized arguments: --jobs 4"),
+        (["example"], ["--methods", "numeric"], "unrecognized arguments: --methods numeric"),
+        # a value the flag's type or choices reject
+        (["example"], ["--tau", "abc"], "argument --tau: invalid float value: 'abc'"),
+        (["example"], ["--alpha-method", "taylor3"],
+         "argument --alpha-method: invalid choice: 'taylor3'"),
+    ],
+)
+def test_config_line_fails_as_the_flag_it_names(tmp_path, capsys, argv, flags, message):
+    path = tmp_path / "run.cfg"
+    keys = [flag[2:].replace("-", "_") for flag in flags[::2]]
+    path.write_text("".join(f"{k}={v}\n" for k, v in zip(keys, flags[1::2])))
+    errors = []
+    for run in (argv + ["--config", str(path)], argv + flags):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(run)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert message in errors[0]
+    assert errors[0] == errors[1]
+
+
+def test_config_file_sets_any_valued_flag(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("shape=2,3\nrank=2\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert harness.main(["sweep", "--n", "4", "--config", str(path), "--out", str(a)]) == 0
+    assert harness.main(["sweep", "--n", "4", "--shape", "2,3", "--rank", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    rows = a.read_text().splitlines()[3:]
+    assert {tuple(row.split(",")[2:5]) for row in rows} == {("2", "3", "2")}  # p, q, r
+
+
+def test_config_rejects_lines_that_name_no_flag(tmp_path, capsys):
+    # a config= line, or an abbreviation of it, would be stored and ignored
+    path = tmp_path / "run.cfg"
+    for line in ("tau 0.5", "=0.5", "config=other.cfg", "conf=other.cfg"):
+        path.write_text(f"{line}\n")
+        assert harness.main(["example", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad config line: {line!r}")
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):

@@ -256,14 +256,21 @@ def test_phase_estimate_requires_cleared_c():
 
 
 def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
-    # the load leaves the norm to the next stage boundary's read
+    # the load leaves the norm to the next stage's read, and so do phase
+    # estimation and the cascade: each stage that reads the state checks
+    # the norm of what it reads, on that read
     data, layout, a_pad = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
-    for drift in (1.001, np.nan):
+    stages = [
+        lambda state: qpe.phase_estimate(state, cfg, layout, a_pad),
+        lambda state: rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0)),
+        lambda state: rotation.uncompute_residual(state, layout),
+    ]
+    for stage, drift in itertools.product(stages, (1.001, np.nan)):
         state = loaded_state(data, layout)
         state.amplitudes *= drift
         with pytest.raises(NormalizationError, match="drifted"):
-            qpe.phase_estimate(state, cfg, layout, a_pad)
+            stage(state)
 
 
 def test_phase_estimate_then_inverse_is_identity():

@@ -96,9 +96,7 @@ def test_load_register_rejects_nan_content():
     assert np.array_equal(state.amplitudes, sim.new_state(layout).amplitudes)
 
 
-def test_check_norm_rejects_nan():
-    with pytest.raises(NormalizationError, match="nan"):
-        sim.check_norm(sim.QuantumState(1, np.array([np.nan, 0], dtype=complex)))
+def test_check_mass_rejects_nan():
     with pytest.raises(NormalizationError, match="nan"):
         sim.check_mass(np.array([np.nan, 0.0]))
     sim.check_mass(np.array([0.25, 0.75]))
