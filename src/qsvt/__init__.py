@@ -2,14 +2,7 @@
 for the full threshold circuit plus the classical rotation-scale theory
 that makes its output accurate."""
 
-from .alpha import (
-    AlphaSolution,
-    SpectrumProfile,
-    fidelity_analytic,
-    g_derivative,
-    g_objective,
-    probability,
-)
+from .alpha import AlphaSolution, SpectrumProfile, g_derivative, g_objective
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
@@ -21,7 +14,6 @@ from .errors import (
 )
 from .pipeline import PipelineConfig, SimulationResult, run_pipeline, verify_against_classical
 from .qpe import PhaseEstimationConfig, choose_t0
-from .rotation import RotationConfig
 from .sim import QuantumState, RegisterLayout, new_state, post_select
 from .spectral import SpectralData, classical_svt, decompose, gram, herm_exp, to_state
 

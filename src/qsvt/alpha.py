@@ -2,6 +2,11 @@
 fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
+``solution(profile, method, alpha)`` is the one check of alpha (finite
+and positive) and the one evaluator of P, F and G at a chosen alpha; an
+explicit alpha and every rule's alpha reach it.  ``g_objective`` and
+``g_derivative`` serve the numeric rule's search.
+
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
 the taylor4 rule or its solution (a negative discriminant) gives
@@ -84,29 +89,6 @@ class SpectrumProfile:
         return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
 
 
-def _fidelity(profile: SpectrumProfile, alpha: float) -> tuple[float, float, float]:
-    """(N_alpha, the numerator of F and G, F) from one sine per component."""
-    if profile.n2 <= 0:
-        raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
-    sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]
-    nalpha = math.fsum([s2 * sn**2 for s2, _, sn in sines])
-    if nalpha <= 0:
-        raise ValidationError("zero post-selection probability at this alpha")
-    num = math.fsum([c * sn for _, c, sn in sines])
-    return nalpha, num, num / math.sqrt(profile.n2 * nalpha)
-
-
-def probability(profile: SpectrumProfile, alpha: float) -> float:
-    """Post-selection success probability P(alpha)."""
-    num = math.fsum([s2 * math.sin(v * alpha) ** 2 for v, s2, _, _ in profile.terms])
-    return num / profile.n1
-
-
-def fidelity_analytic(profile: SpectrumProfile, alpha: float) -> float:
-    """Overlap of the rotated output with the exact threshold target."""
-    return _fidelity(profile, alpha)[2]
-
-
 def g_objective(profile: SpectrumProfile, alpha: float) -> float:
     num = math.fsum([c * math.sin(v * alpha) for v, _, c, _ in profile.terms])
     return num / profile.scale
@@ -132,8 +114,20 @@ class AlphaSolution:
 
 def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
     """P, F and G at ``alpha``, recorded under ``method``: the one
-    constructor of a solution, for the four rules and an explicit alpha."""
-    nalpha, num, f = _fidelity(profile, alpha)
+    constructor of a solution, for the four rules and an explicit alpha.
+    Alpha is checked before any sine, and each component takes one sine."""
+    if not 0 < alpha < math.inf:  # NaN fails too
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha must be finite, got {alpha!r}")
+        raise ValidationError("alpha must be positive")
+    if profile.n2 <= 0:
+        raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
+    sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]
+    nalpha = math.fsum([s2 * sn**2 for s2, _, sn in sines])
+    if nalpha <= 0:
+        raise ValidationError("zero post-selection probability at this alpha")
+    num = math.fsum([c * sn for _, c, sn in sines])
+    f = num / math.sqrt(profile.n2 * nalpha)
     return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
 
 

@@ -45,8 +45,6 @@ EXAMPLE_TOL = 1e-3
 CSV_SCHEMA = "#schema=1"
 CSV_CORPUS_NOTE = "#corpus=synthetic-lowrank-seeded"
 
-ALPHA_METHODS = alpha_mod.METHODS
-
 # the default sweep corpus: p, q and the rank are drawn from these, ends included
 SWEEP_DIM_RANGE = (2, 6)
 SWEEP_RANK_RANGE = (1, 4)
@@ -122,7 +120,7 @@ class SweepConfig:
         if self.simulate and (self.t_bits > 8 or rank > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
         for m in self.methods:
-            if m not in ALPHA_METHODS:
+            if m not in alpha_mod.METHODS:
                 raise ValidationError(f"unknown alpha method {m!r}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValidationError(f"methods must be one or more distinct names: {self.methods}")
@@ -473,8 +471,12 @@ def cmd_sweep(args) -> int:
         print(f"{summary['n_errors']} record(s) carry per-instance errors")
     if args.plot:
         plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
-        emit_plot(records, plot_path)
-        print(f"wrote plot to {plot_path}")
+        try:
+            emit_plot(records, plot_path)
+        except ValidationError as exc:  # the sweep itself finished: exit 0
+            print(f"{exc}: no plot written")
+        else:
+            print(f"wrote plot to {plot_path}")
     return 0
 
 
@@ -489,7 +491,7 @@ def cmd_alpha(args) -> int:
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau)
     print(f"sigma = {np.array2string(np.asarray(sigma), precision=6)}  tau = {tau}")
     print(f"{'method':<10} {'alpha':>12} {'P':>10} {'F':>10} {'G':>10}")
-    for method in ALPHA_METHODS:
+    for method in alpha_mod.METHODS:
         solution, note = alpha_mod.resolve_alpha(profile, method)
         suffix = f"  [{note}]" if note else ""
         print(
@@ -590,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The circuit-run flags of ``example`` and ``pipeline``, at the
         defaults of ``pipeline``."""
         p.add_argument("--alpha", type=float, default=None, help=alpha_help)
-        p.add_argument("--alpha-method", default="intuitive", choices=ALPHA_METHODS)
+        p.add_argument("--alpha-method", default="intuitive", choices=alpha_mod.METHODS)
         p.add_argument("--t-bits", type=int, default=None)
         p.add_argument("--m-bits", type=int, default=8)
         p.add_argument("--shots", type=int, default=None)
@@ -635,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
+    # optional value: a --config without a path is the subcommand parser's error
+    pre.add_argument("--config", nargs="?")
     try:
         path = pre.parse_known_args(argv)[0].config
         if path and not argv[0].startswith("-"):  # --config only follows a subcommand

@@ -43,7 +43,6 @@ class SimulationResult:
     f_analytic: float
     alpha: float
     alpha_method: str
-    alpha_note: str
     n1: float
     n_alpha: float
     spec: spectral.SpectralData  # the decomposition the run used
@@ -74,18 +73,16 @@ class SimulationResult:
 def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
-    oracle, rotation, layout) is built and checked before the state."""
+    oracle, layout) is built and checked before the state."""
     spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
-    note = ""
     if cfg.alpha is not None:
-        method, rot_cfg = "explicit", rotation.RotationConfig(float(cfg.alpha))
-        solution = alpha_mod.solution(profile, method, rot_cfg.alpha)
+        method = "explicit"
+        solution = alpha_mod.solution(profile, method, float(cfg.alpha))
     else:
         method = cfg.alpha_method
         solution, note = alpha_mod.resolve_alpha(profile, method)
-        rot_cfg = rotation.RotationConfig(solution.alpha)
         if note:
             warnings.warn(note, stacklevel=2)
 
@@ -98,7 +95,11 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="
             f" {2.0 ** -cfg.m_bits:.4g}): no L value rotates the ancilla; raise --m-bits"
         )
-    rot_cfg.check_single_lobe(top_code, cfg.m_bits)
+    # the alpha theory assumes theta * alpha <= pi on every occupied L value
+    if top_code / (1 << cfg.m_bits) * solution.alpha > np.pi + 1e-9:
+        raise ValidationError(
+            "alpha * theta exceeds pi on an occupied L value (sine no longer single-lobed)"
+        )
 
     du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
     if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
@@ -112,7 +113,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
     qpe.phase_estimate(state, pe_cfg, layout, a_pad)
     oracle.apply(state, layout)
-    rotation.ry_cascade(state, layout, rot_cfg)
+    rotation.ry_cascade(state, layout, solution.alpha)
     _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
@@ -141,9 +142,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         f_sim=f_sim,
         p_analytic=solution.P,
         f_analytic=solution.F,
-        alpha=rot_cfg.alpha,
+        alpha=solution.alpha,
         alpha_method=method,
-        alpha_note=note,
         n1=n1,
         n_alpha=float(n1 * p_sim),
         spec=spec,

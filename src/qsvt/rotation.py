@@ -40,33 +40,6 @@ MAX_ITERATIONS = 40
 DIVERGENCE_GUARD = 1.25  # an update beyond it in magnitude has left the basin
 
 
-@dataclass(frozen=True)
-class RotationConfig:
-    """alpha in radians, finite and positive; theta has as many bits as
-    register L, whose width the layout owns.
-
-    The cascade is exact for any theta; the alpha theory's single-lobe
-    rule, theta * alpha <= pi on every occupied L value, is checked once
-    in the run's set-up by :meth:`check_single_lobe`.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha!r}")
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
-
-    def check_single_lobe(self, raw: int, m_bits: int) -> None:
-        """Reject theta * alpha > pi for theta = raw / 2**m_bits."""
-        if raw / (1 << m_bits) * self.alpha > np.pi + 1e-9:
-            raise ValidationError(
-                "alpha * theta exceeds pi on an occupied L value (sine no longer"
-                " single-lobed)"
-            )
-
-
 def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
     """(k, c) = (q a^2 4^m, p b^2) for tau = a/b, sigma_sq = p/q: 2^m times the
     update at y = raw/2^m is k (3 raw - 2^m) - c (raw - 2^m)^3 over 2k."""
@@ -178,13 +151,12 @@ def build_sigma_tau_oracle(
     return SigmaTauOracle(m_bits, pe_cfg.t_bits, codes, iters)
 
 
-def ry_cascade(
-    state: QuantumState, layout: RegisterLayout, cfg: RotationConfig
-) -> QuantumState:
+def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
     as one ry(2 theta a) per L label in one controlled pass (the product
-    of the paper's ry(2^(1-j) a) on each L qubit j).  Exact for every
+    of the paper's ry(2^(1-j) a) on each L qubit j).  ``alpha`` is the
+    ``alpha`` of an AlphaSolution, which checked it.  Exact for every
     theta; the single-lobe rule is a set-up check.  The read of the
     ancilla's masses also checks the incoming state's norm."""
     anc_mass = sim.register_mass(state, [layout.ancilla])
@@ -192,7 +164,7 @@ def ry_cascade(
     if not anc_mass[1] <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("ancilla not cleared")
     labels = 1 << len(layout.reg_L)
-    angles = np.arange(labels) * (2.0 * cfg.alpha / labels)  # = linspace(0, 2a, endpoint=False)
+    angles = np.arange(labels) * (2.0 * alpha / labels)  # = linspace(0, 2a, endpoint=False)
     sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
     return state
 

@@ -202,13 +202,3 @@ def load_matrix_text(path) -> np.ndarray:
     if a.shape != (p, q):
         raise ValidationError(f"matrix body {a.shape} does not match header ({p}, {q})")
     return a
-
-
-def save_matrix_text(path, a) -> None:
-    """Write ``a`` in the format :func:`load_matrix_text` reads, with 17
-    significant digits, so a real matrix reads back exactly."""
-    a = np.asarray(a)
-    with open(path, "w") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")

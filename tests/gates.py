@@ -32,10 +32,10 @@ def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, a, inverse=Fals
     return state
 
 
-def bitwise_ry_cascade(state, layout, cfg):
+def bitwise_ry_cascade(state, layout, alpha):
     """The paper's cascade: ry(2^(1-j) alpha) on the ancilla controlled on
     the j-th qubit of L, one gate per qubit."""
     for j, q in enumerate(layout.reg_L, start=1):
-        gate = sim.ry(2.0 ** (1 - j) * cfg.alpha)
+        gate = sim.ry(2.0 ** (1 - j) * alpha)
         sim.apply_controlled(state, controlled_on_one(gate), [q], [layout.ancilla])
     return state

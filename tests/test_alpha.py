@@ -44,35 +44,50 @@ def test_profile_rejects_empty_or_non_finite_sigma(sigma):
         alpha_mod.SpectrumProfile.from_sigma_tau(sigma, 0.5)
 
 
-def test_probability_zero_alpha():
-    assert alpha_mod.probability(REFERENCE, 0.0) == 0.0
+def at(profile, a):
+    """The solution at an explicit alpha, the one evaluator of P and F."""
+    return alpha_mod.solution(profile, "explicit", a)
+
+
+@pytest.mark.parametrize(
+    "a, match",
+    [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite"), (math.inf, "finite"),
+     (-math.inf, "finite")],
+)
+def test_solution_checks_alpha_before_any_sine(monkeypatch, a, match):
+    def no_sine(x):
+        raise AssertionError(f"sin({x!r}) evaluated before the alpha check")
+
+    monkeypatch.setattr(math, "sin", no_sine)
+    with pytest.raises(ValidationError, match=f"^alpha must be {match}"):
+        at(REFERENCE, a)
 
 
 def test_probability_reference_value():
     # the published 4-digit value 0.9499 truncates the true 0.95000
-    p = alpha_mod.probability(REFERENCE, ALPHA_REF)
+    p = at(REFERENCE, ALPHA_REF).P
     assert p == pytest.approx(0.95, abs=1e-5)
     assert abs(p - 0.9499) < 2e-4
 
 
 def test_probability_single_component_peak():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([3.0], 1.2)
-    assert alpha_mod.probability(profile, np.pi / (2 * profile.y[0])) == pytest.approx(1.0)
+    assert at(profile, np.pi / (2 * profile.y[0])).P == pytest.approx(1.0)
 
 
 def test_fidelity_reference_value():
-    f = alpha_mod.fidelity_analytic(REFERENCE, ALPHA_REF)
+    f = at(REFERENCE, ALPHA_REF).F
     assert f == pytest.approx(0.9962, abs=1e-4)
 
 
 def test_fidelity_single_component_is_one():
     profile = alpha_mod.SpectrumProfile.from_sigma_tau([3.0], 1.2)
     for a in (0.3, 1.0, 2.0):
-        assert alpha_mod.fidelity_analytic(profile, a) == pytest.approx(1.0)
+        assert at(profile, a).F == pytest.approx(1.0)
 
 
 def test_fidelity_small_alpha_limit():
-    assert alpha_mod.fidelity_analytic(REFERENCE, 1e-6) == pytest.approx(1.0, abs=1e-6)
+    assert at(REFERENCE, 1e-6).F == pytest.approx(1.0, abs=1e-6)
 
 
 def test_g_at_zero():
@@ -92,9 +107,9 @@ def test_g_equals_sqrt_p_times_f():
     for _ in range(20):
         a = float(rng.uniform(0.05, np.pi / REFERENCE.y[0]))
         g = alpha_mod.g_objective(REFERENCE, a)
-        p = alpha_mod.probability(REFERENCE, a)
-        f = alpha_mod.fidelity_analytic(REFERENCE, a)
-        assert abs(g - math.sqrt(p) * f) < 1e-12
+        sol = at(REFERENCE, a)
+        assert sol.G == g
+        assert abs(g - math.sqrt(sol.P) * sol.F) < 1e-12
 
 
 def test_alpha_intuitive_reference():
@@ -395,9 +410,10 @@ def test_theory_matches_zip_fsum_reference_bit_for_bit():
     for profile in reference_profiles():
         assert (profile.n1, profile.n2) == reference_sums(profile, 0.0)[:2]
         for a in map(float, rng.uniform(1e-3, 2 * math.pi / profile.y[0], 3)):
+            sol = at(profile, a)
             got = (
-                alpha_mod.probability(profile, a),
-                alpha_mod.fidelity_analytic(profile, a),
+                sol.P,
+                sol.F,
                 alpha_mod.g_objective(profile, a),
                 alpha_mod.g_derivative(profile, a),
             )
@@ -491,12 +507,8 @@ def test_p_and_f_scale_invariant():
         base = alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau)
         scaled = alpha_mod.SpectrumProfile.from_sigma_tau(c * sigma, c * tau)
         for a in (0.7, 1.9):
-            assert alpha_mod.probability(base, a) == pytest.approx(
-                alpha_mod.probability(scaled, a), rel=1e-12
-            )
-            assert alpha_mod.fidelity_analytic(base, a) == pytest.approx(
-                alpha_mod.fidelity_analytic(scaled, a), rel=1e-12
-            )
+            assert at(base, a).P == pytest.approx(at(scaled, a).P, rel=1e-12)
+            assert at(base, a).F == pytest.approx(at(scaled, a).F, rel=1e-12)
 
 
 def test_intuitive_vs_taylor2_medians_over_profiles():

@@ -87,12 +87,11 @@ def test_sweep_all_zero_code_records_carry_the_set_up_error():
 
 
 def test_alpha_method_names_come_from_the_rule_table():
-    assert harness.ALPHA_METHODS is alpha_mod.METHODS
     parser = harness.build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     for name in ("example", "pipeline"):
         action = next(a for a in commands[name]._actions if a.dest == "alpha_method")
-        assert tuple(action.choices) == alpha_mod.METHODS
+        assert action.choices is alpha_mod.METHODS
 
 
 MATRIX_FILES = {
@@ -269,6 +268,16 @@ def test_config_rejects_lines_that_name_no_flag(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: bad config line: {line!r}")
 
 
+def test_config_without_a_path_is_the_subcommand_usage_error(capsys):
+    for argv in (["example", "--config"], ["example", "--config", "--tau", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qsvt example")
+        assert "argument --config: expected one argument" in err
+
+
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
     started = []
 
@@ -331,6 +340,13 @@ def test_cmd_sweep_plot_next_to_a_non_csv_out(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert (tmp_path / "s.txt").read_text().startswith("#schema=1")
     assert (tmp_path / "s.svg").read_text().startswith("<svg")
+    # every record carries an error: the sweep still finished, so exit 0
+    argv = ["sweep", "--n", "3", "--simulate", "--tau-frac", "0.85", "--m-bits", "2",
+            "--t-bits", "4", "--out", "e.csv", "--plot"]
+    assert harness.main(argv) == 0
+    assert "no plottable records: no plot written" in capsys.readouterr().out
+    assert (tmp_path / "e.csv").read_text().startswith("#schema=1")
+    assert not (tmp_path / "e.svg").exists()
 
 
 def test_cmd_sweep_reference_spectrum_matches_example(tmp_path, capsys):
@@ -492,7 +508,8 @@ def test_cmd_alpha_fully_thresholded_errors(capsys):
 
 def test_cmd_pipeline_from_matrix_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a0.txt"
-    spectral.save_matrix_text(path, harness.example_matrix())
+    a = harness.example_matrix()
+    np.savetxt(path, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
     calls = []
     decompose = spectral.decompose
     monkeypatch.setattr(spectral, "decompose", lambda *a: calls.append(a) or decompose(*a))
@@ -512,7 +529,8 @@ def test_cmd_pipeline_prints_round_off_as_below_1e_12(tmp_path, capsys, sigma, t
     # exact-regime residual and recheck delta are round-off, whose digits
     # depend on the order of the arithmetic; stdout must not carry them
     path = tmp_path / "diag.txt"
-    spectral.save_matrix_text(path, np.diag(sigma))
+    np.savetxt(path, np.diag(sigma), fmt="%.17g", header=f"{len(sigma)} {len(sigma)}",
+               comments="")
     outs = []
     for _ in range(2):
         assert harness.main(["pipeline", "--matrix", str(path), "--tau", tau]) == 0

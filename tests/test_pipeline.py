@@ -102,13 +102,13 @@ def test_analytic_p_and_f_are_the_resolved_solutions():
     for method in ("intuitive", "taylor2", "taylor4", "numeric"):
         res = run_reference(alpha_method=method)
         profile = alpha_mod.SpectrumProfile.from_sigma_tau(res.sigma, 0.5)
-        assert res.p_analytic == alpha_mod.probability(profile, res.alpha)
-        assert res.f_analytic == alpha_mod.fidelity_analytic(profile, res.alpha)
+        sol = alpha_mod.solution(profile, "explicit", res.alpha)
+        assert (res.p_analytic, res.f_analytic) == (sol.P, sol.F)
     # an explicit alpha goes through the same constructor
     res = run_reference(alpha=1.9403)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(res.sigma, 0.5)
-    assert res.p_analytic == alpha_mod.probability(profile, 1.9403)
-    assert res.f_analytic == alpha_mod.fidelity_analytic(profile, 1.9403)
+    sol = alpha_mod.solution(profile, "explicit", 1.9403)
+    assert (res.p_analytic, res.f_analytic) == (sol.P, sol.F)
 
 
 def test_result_keeps_the_decomposition_it_ran_on():
@@ -247,11 +247,9 @@ def test_run_above_ratio_four_completes(tau):
 def test_explicit_alpha_and_shots():
     res = run_reference(alpha=1.9403, shots=4096, seed=3)
     assert res.alpha_method == "explicit"
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], 0.5)
     assert res.p_analytic == pytest.approx(
-        alpha_mod.probability(
-            alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], 0.5), 1.9403
-        ),
-        abs=1e-9,
+        alpha_mod.solution(profile, "explicit", 1.9403).P, abs=1e-9
     )
     assert res.p_shots is not None
     assert abs(res.p_shots - res.p_sim) < 0.05
@@ -340,14 +338,18 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
         raise AssertionError("state allocated before the input check")
 
     monkeypatch.setattr(sim, "new_state", no_state)
-    # alpha = 100 puts sigma_1's code 0.75 far past the first sine lobe
+    # alpha = 100 puts sigma_1's code 0.75 far past the first sine lobe;
+    # 4.2 just past it (0.75 * 4.2 > pi), while 4.18 stays inside and runs
     for alpha, match in ((-1.0, "positive"), (0.0, "positive"), (np.nan, "finite"),
-                         (np.inf, "finite"), (100.0, "single-lobed")):
+                         (np.inf, "finite"), (-np.inf, "finite"), (100.0, "single-lobed"),
+                         (4.2, "single-lobed")):
         with pytest.raises(ValidationError, match=match):
             run_reference(alpha=alpha)
     for shots in (-5, 2.5, "10"):
         with pytest.raises(ValidationError, match="shots"):
             run_reference(shots=shots)
+    monkeypatch.undo()
+    assert run_reference(alpha=4.18).alpha == 4.18
 
 
 def test_single_row_input_is_rejected_before_the_state(monkeypatch):

@@ -263,7 +263,7 @@ def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     stages = [
         lambda state: qpe.phase_estimate(state, cfg, layout, a_pad),
-        lambda state: rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0)),
+        lambda state: rotation.ry_cascade(state, layout, 1.0),
         lambda state: rotation.uncompute_residual(state, layout),
     ]
     for stage, drift in itertools.product(stages, (1.001, np.nan)):

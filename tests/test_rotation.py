@@ -353,7 +353,7 @@ def test_oracle_build_checks_width_and_tau():
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
     layout = sim.RegisterLayout.standard(3, 1, 1)
     state = sim.new_state(layout)
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(2.0944))
+    rotation.ry_cascade(state, layout, 2.0944)
     assert sim.register_mass(state, [layout.ancilla])[1] == 0.0
 
 
@@ -369,12 +369,12 @@ def test_ry_cascade_reference_amplitudes():
     alpha = 2.0944
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
+    rotation.ry_cascade(state, layout, alpha)
     anc = sim.register_mass(state, [layout.ancilla])
     assert np.sqrt(anc[1]) == pytest.approx(np.sin(0.75 * alpha), abs=1e-12)
 
     state = _state_with_l_code(layout, 2)  # theta = 0.5
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
+    rotation.ry_cascade(state, layout, alpha)
     anc = sim.register_mass(state, [layout.ancilla])
     assert np.sqrt(anc[1]) == pytest.approx(0.8660, abs=1e-4)
 
@@ -384,27 +384,16 @@ def test_ry_cascade_requires_cleared_ancilla():
     state = sim.new_state(layout)
     sim.apply_unitary(state, pauli_x(), [layout.ancilla])
     with pytest.raises(ValidationError, match="ancilla"):
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(1.0))
+        rotation.ry_cascade(state, layout, 1.0)
 
 
 def test_ry_cascade_is_exact_beyond_single_lobe():
     # the single-lobe rule is a set-up check of the run, not of the cascade
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(4.4))
+    rotation.ry_cascade(state, layout, 4.4)
     amp = state.amplitudes.reshape(2, 4, -1)[1, 3, 0]  # ancilla 1, L = 11, C = B = 0
     assert amp == pytest.approx(np.sin(0.75 * 4.4), abs=1e-12)
-
-
-def test_rotation_config_requires_finite_positive_alpha():
-    for alpha, match in ((0.0, "positive"), (-1.0, "positive"), (np.nan, "finite"),
-                         (np.inf, "finite"), (-np.inf, "finite")):
-        with pytest.raises(ValidationError, match=match):
-            rotation.RotationConfig(alpha)
-    cfg = rotation.RotationConfig(4.4)
-    cfg.check_single_lobe(2, 2)  # 0.5 * 4.4 <= pi
-    with pytest.raises(ValidationError, match="single-lobed"):
-        cfg.check_single_lobe(3, 2)  # 0.75 * 4.4 > pi
 
 
 def _controlled_ry_product(alpha, d):
@@ -446,7 +435,7 @@ def test_ry_cascade_matches_gate_product_on_cleared_ancilla():
         amp = np.zeros(1 << layout.n_qubits, dtype=complex)
         amp[label << 1] = 1.0  # ancilla 0, B fixed at |0>
         state.amplitudes = amp
-        rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
+        rotation.ry_cascade(state, layout, alpha)
         assert np.abs(state.amplitudes[::2] - op[:, label]).max() < 1e-12
 
 
@@ -461,9 +450,8 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
             amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             amp[1 << (n - 1) :] = 0.0  # ancilla (qubit 0) reads 0
             state = sim.QuantumState(n, amp / np.linalg.norm(amp))
-            cfg = rotation.RotationConfig(float(alpha))
-            reference = bitwise_ry_cascade(state.copy(), layout, cfg)
-            rotation.ry_cascade(state, layout, cfg)
+            reference = bitwise_ry_cascade(state.copy(), layout, alpha)
+            rotation.ry_cascade(state, layout, alpha)
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
@@ -479,7 +467,7 @@ def reference_forward_state():
     qpe.phase_estimate(state, pe_cfg, layout, a_pad)
     oracle.apply(state, layout)
     alpha = np.pi / (2 * 0.75)
-    rotation.ry_cascade(state, layout, rotation.RotationConfig(alpha))
+    rotation.ry_cascade(state, layout, alpha)
     return data, layout, state, oracle, pe_cfg, a_pad, alpha
 
 

@@ -583,7 +583,7 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
     stack = [random_unitary(2, rng) for _ in range(4)]
     powers = [np.linalg.matrix_power(u2, x) for x in range(8)]
     layout = sim.RegisterLayout.standard(2, 1, 4)  # ancilla, L 1-2, C 3, B 4-7
-    cfg = rotation.RotationConfig(2.3)
+    alpha = 2.3
     cascade_in = random_state(8, 44).amplitudes.reshape(2, -1)
     cascade_in[1] = 0.0  # ancilla cleared
     cascade_in /= np.linalg.norm(cascade_in)
@@ -596,7 +596,7 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
         return state.amplitudes
 
     def bitwise_cascade(amp):
-        return bitwise_ry_cascade(sim.QuantumState(8, amp.copy()), layout, cfg).amplitudes
+        return bitwise_ry_cascade(sim.QuantumState(8, amp.copy()), layout, alpha).amplitudes
 
     cases = {  # name: qubits, registers, gate, input, reference, blocks
         "middle register": (
@@ -617,7 +617,7 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
                                            [6, 7], powers=True),
             random_state(9, 45), bitwise_powers, 8),
         "cascade": (
-            8, ((0,), (1, 2)), lambda s: rotation.ry_cascade(s, layout, cfg),
+            8, ((0,), (1, 2)), lambda s: rotation.ry_cascade(s, layout, alpha),
             sim.QuantumState(8, cascade_in.reshape(-1)), bitwise_cascade, 4),
     }
     for name, (n, registers, apply, state, reference, blocks) in cases.items():

