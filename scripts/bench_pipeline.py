@@ -1,0 +1,112 @@
+"""Append one entry to BENCH_pipeline.json: the wall time and peak memory
+of ``run_pipeline`` at fixed qubit counts, and of the default analytic
+sweep.
+
+    python3 scripts/bench_pipeline.py --label TEXT [--out FILE]
+
+Run from the root of a source checkout; qsvt is imported from its src/.
+Each case runs in a fresh process with one BLAS thread, pinned to the
+last CPU this process may use.  A case records the median wall time of
+RUNS runs and the process's ``ru_maxrss``, which includes the
+interpreter and NumPy (about 40 MiB).  The entry records the git SHA of
+the checkout, whether its src/ differs from that commit, and the box.
+"""
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before anything loads NumPy; children inherit it
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (p, q, rank, t_bits, m_bits); random_lowrank(p, q, rank, [3, 1]),
+# tau = 0.3 sigma_1, intuitive alpha
+CIRCUITS = {
+    "19q 4x4 r2 t6": (4, 4, 2, 6, 8),
+    "21q 8x8 r3 t6": (8, 8, 3, 6, 8),
+    "23q 8x8 r3 t8": (8, 8, 3, 8, 8),
+    "25q 16x16 r4 t8": (16, 16, 4, 8, 8),
+    "tall 21q 1024x1 r1 t8 m2": (1024, 1, 1, 8, 2),
+}
+SWEEP = "sweep 120 analytic"
+RUNS = 3
+
+
+def _case(name: str) -> dict:
+    """Run one case RUNS times in this process; wall times and peak RSS."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from qsvt import harness, pipeline, spectral
+
+    if name == SWEEP:
+        work, cfg = harness.run_sweep, harness.SweepConfig()
+    else:
+        p, q, r, t_bits, m_bits = CIRCUITS[name]
+        a0 = harness.random_lowrank(p, q, r, [3, 1])
+        tau = 0.3 * float(spectral.decompose(a0).sigma[0])
+        work = pipeline.run_pipeline
+        cfg = pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=m_bits)
+    walls = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        work(cfg)
+        walls.append(time.perf_counter() - start)
+    return {
+        "wall_s_median": statistics.median(walls),
+        "wall_s": walls,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def _src_differs() -> bool:
+    done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    return bool(done.stdout.strip())
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="what the entry measures")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
+    parser.add_argument("--case", help=argparse.SUPPRESS)  # a child's one case
+    args = parser.parse_args()
+    cpu = max(os.sched_getaffinity(0))
+    if args.case:
+        os.sched_setaffinity(0, {cpu})
+        print(json.dumps(_case(args.case)))
+        return
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import envinfo
+
+    cases = {}
+    for name in [*CIRCUITS, SWEEP]:
+        done = subprocess.run([sys.executable, __file__, "--label", args.label, "--case", name],
+                              capture_output=True, text=True, check=True, cwd=ROOT)
+        cases[name] = json.loads(done.stdout)
+        print(f"{name:28s} {cases[name]['wall_s_median']:9.4f} s"
+              f" {cases[name]['peak_rss_mib']:7.1f} MiB", flush=True)
+    entry = {
+        "label": args.label,
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "src_differs_from_sha": _src_differs(),
+        "box": envinfo.environment(ROOT, 1, cpu),
+        "runs": RUNS,
+        "cases": cases,
+    }
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
+    bench["entries"].append(entry)
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -106,30 +106,32 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
     b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
     layout = sim.RegisterLayout.standard(cfg.m_bits, pe_cfg.t_bits, b_bits)
-    a_pad = np.zeros((du, du), dtype=complex)
-    a_pad[: spec.p, : spec.p] = spectral.gram(spec)
+    pairs = spectral.gram(spec)
 
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
-    qpe.phase_estimate(state, pe_cfg, layout, a_pad)
+    qpe.phase_estimate(state, pe_cfg, layout, pairs)
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, solution.alpha)
-    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
+    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
     dim_b = 1 << b_bits
     base = 1 << (layout.n_qubits - 1)  # ancilla=1, L=0, C=0 slice
     b_state = state.amplitudes[base : base + dim_b].copy()
 
-    target = spectral.to_state(spec, spectral.shrunk_values(spec, cfg.tau))
-    f_sim = float(abs(np.vdot(target, b_state)))
+    # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
+    grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
+    overlaps = (spec.u.conj() * (grid @ spec.v)).sum(axis=0)
+    # the target sum_k s_k (u_k (x) conj(v_k)) / |s| lies in their span;
+    # s is non-zero, since sigma_1 > tau
+    shrunk = spectral.shrunk_values(spec, cfg.tau)
+    f_sim = float(abs(shrunk @ overlaps) / np.linalg.norm(shrunk))
 
     n1 = float(np.sum(spec.sigma**2))
     scale = 1 << cfg.m_bits
     y_codes = [oracle.code_for(c) / scale for c in pe_cfg.labels]
-    # triple k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
-    grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
-    triple_amps = (spec.u.conj() * (grid @ spec.v)).sum(axis=0) * np.sqrt(n1 * p_sim)
+    triple_amps = overlaps * np.sqrt(n1 * p_sim)
 
     p_shots = None
     if cfg.shots:

@@ -10,9 +10,9 @@ conditional evolution E applies ``exp(i A c t0)`` on the subspace where
 register C holds ``c``, as a uniformly controlled gate on each run of C
 qubits (one run unless its stack would outgrow an eighth of the state),
 given the run's factors ``exp(i A 2^w t0)``, from which the gate checks
-and builds its stack.  The exponentials share one eigendecomposition of
-A per run (cached by A's content), and the DFT pair on C is built once
-per width and checked once for unitarity.
+and builds its stack.  A is given as its eigenpairs from the run's SVD
+(:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
+made; the DFT pair on C is built once per width and checked once.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
@@ -145,51 +145,51 @@ def conditional_evolution(
     cfg: PhaseEstimationConfig,
     reg_C,
     reg_B_left,
-    a: np.ndarray,
+    pairs,
     inverse: bool = False,
 ) -> QuantumState:
     """For each C label c, evolve the u-factor of B by exp(i A c t0), as
     one uniformly controlled gate, given its factors exp(i A 2^w t0), per
     run of C qubits: all of C, unless the gate's stack would outgrow an
-    eighth of the state (a tall input)."""
+    eighth of the state (a tall input).  A is given as its eigenpairs."""
     t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
     width = min(t, max(1, state.n_qubits - 3 - 2 * len(reg_B_left)))
     for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
         run = reg_C[max(0, t - w0 - width) : t - w0]
-        factors = [herm_exp(a, (1 << (w0 + j)) * t0) for j in range(len(run))]
+        factors = [herm_exp(pairs, (1 << (w0 + j)) * t0) for j in range(len(run))]
         sim.apply_controlled(state, factors, run, reg_B_left, powers=True)
     return state
 
 
-def _u_factor_qubits(layout: RegisterLayout, a: np.ndarray) -> list[int]:
+def _u_factor_qubits(layout: RegisterLayout, pairs) -> list[int]:
     """The leading log2(dim A) qubits of B; an A that does not fit them
     (dim not a power of two, or beyond B) is rejected by the gate."""
-    return list(layout.reg_B)[: a.shape[0].bit_length() - 1]
+    return list(layout.reg_B)[: len(pairs[1]).bit_length() - 1]
 
 
-def _phase_estimate(state, cfg, layout, a, inverse: bool) -> QuantumState:
-    a = np.asarray(a, dtype=complex)
+def _phase_estimate(state, cfg, layout, pairs, inverse: bool) -> QuantumState:
     qft(state, layout.reg_C)
-    conditional_evolution(state, cfg, layout.reg_C, _u_factor_qubits(layout, a), a, inverse)
+    reg_u = _u_factor_qubits(layout, pairs)
+    conditional_evolution(state, cfg, layout.reg_C, reg_u, pairs, inverse)
     iqft(state, layout.reg_C)
     return state
 
 
 def phase_estimate(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, pairs
 ) -> QuantumState:
-    """Write eigenvalue labels of ``a`` into register C as QFT, E, QFT^-1;
-    C must be cleared, where the QFT equals the circuit's Hadamard layer.
-    The read of C's masses also checks the incoming state's norm."""
+    """Write the labels of A's eigenvalues, A given as its eigenpairs, into
+    C as QFT, E, QFT^-1; C must be cleared, where the QFT equals the
+    circuit's Hadamard layer.  The read of C's masses checks the norm."""
     mass = sim.register_mass(state, layout.reg_C)
     sim.check_mass(mass)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
-    return _phase_estimate(state, cfg, layout, a, inverse=False)
+    return _phase_estimate(state, cfg, layout, pairs, inverse=False)
 
 
 def phase_estimate_inverse(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, a
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, pairs
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
-    return _phase_estimate(state, cfg, layout, a, inverse=True)
+    return _phase_estimate(state, cfg, layout, pairs, inverse=True)

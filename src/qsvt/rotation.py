@@ -174,9 +174,10 @@ def uncompute(
     layout: RegisterLayout,
     oracle: SigmaTauOracle,
     pe_cfg: PhaseEstimationConfig,
-    a: np.ndarray,
+    pairs,
 ) -> tuple[QuantumState, float]:
-    """Reverse the oracle and phase estimation, restoring L and C to 0.
+    """Reverse the oracle and phase estimation of A's eigenpairs ``pairs``,
+    restoring L and C to 0.
 
     Returns the state and the residual mass on L/C (uncompute_residual).
     With an exact encoding, residual above UNCOMPUTE_TOL signals a config
@@ -185,7 +186,7 @@ def uncompute(
     labels), which is returned, not raised.
     """
     oracle.apply(state, layout)
-    phase_estimate_inverse(state, pe_cfg, layout, a)
+    phase_estimate_inverse(state, pe_cfg, layout, pairs)
     residual = uncompute_residual(state, layout)
     if not residual <= (UNCOMPUTE_TOL if pe_cfg.exact else math.inf):  # NaN fails too
         raise UncomputeResidualError(

@@ -1,5 +1,6 @@
-"""Classical spectral side: SVD, Gram matrix, the threshold operator,
-vectorized quantum-state embeddings, and exact Hermitian exponentials.
+"""Classical spectral side: SVD, A = A0 A0^dagger as its eigenpairs, the
+threshold operator, vectorized quantum-state embeddings, and the exact
+exponentials of A from those eigenpairs.
 
 Work whose size is the rank r (singular values, weights and the checks
 on them) runs on Python floats, each array converted once with
@@ -10,7 +11,6 @@ results are bit-identical to the NumPy forms.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -23,7 +23,6 @@ from .errors import DegenerateSpectrumError, FullyThresholdedError, ValidationEr
 RANK_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
 ORTHO_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,15 @@ def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
     return np.maximum(spec.sigma - tau, 0.0)
 
 
-def gram(spec: SpectralData) -> np.ndarray:
-    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger, p x p, Hermitian
-    by construction up to round-off; :func:`herm_exp` checks it."""
-    return (spec.u * spec.sigma**2) @ spec.u.conj().T
+def gram(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger on the padded
+    u-register, as its eigenpairs (values, vectors): the values sigma_k^2
+    in descending order and the pad_dim(p) x r vectors, u with zero rows
+    below p.  A is Hermitian by construction: SpectralData checked u's
+    columns for orthonormality and sigma."""
+    vectors = np.zeros((pad_dim(spec.p), spec.rank), dtype=spec.u.dtype)
+    vectors[: spec.p] = spec.u
+    return spec.sigma**2, vectors
 
 
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
@@ -157,33 +161,19 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-@functools.lru_cache(maxsize=1)
-def _eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitian check, eigenpairs and the eigenvectors' adjoint, all
-    read-only, of the complex matrix with these bytes, the asymmetry bound
-    relative to the largest entry.  Cached by content, so the exponentials
-    of one A share one ``eigh`` and one adjoint, and a matrix changed in
-    place is decomposed again; a failed check is not cached."""
-    m = np.frombuffer(data, dtype=complex).reshape(shape)
-    err, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
-    if not err <= HERMITIAN_TOL * scale:  # NaN fails too
-        raise ValidationError(f"matrix is not Hermitian (asymmetry {err:.3e} at {scale:.3e})")
-    eigvals, eigvecs = np.linalg.eigh(m)
-    adjoint = eigvecs.conj().T
-    eigvals.flags.writeable = eigvecs.flags.writeable = adjoint.flags.writeable = False
-    return eigvals, eigvecs, adjoint
-
-
-def herm_exp(a, t: float) -> np.ndarray:
-    """exp(i * a * t) from an exact eigendecomposition of Hermitian a.
-    Calls on the same matrix content share one check and one ``eigh``
-    (the last matrix is remembered), so the t exponentials of a phase
-    estimation cost one decomposition."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("matrix must be square")
-    eigvals, eigvecs, adjoint = _eigh(m.shape, m.tobytes())
-    return (eigvecs * np.exp(eigvals * (1j * t))) @ adjoint
+def herm_exp(pairs, t: float) -> np.ndarray:
+    """exp(i A t) = I + V diag(exp(i lam t) - 1) V^dagger for A given as
+    its eigenpairs ``(lam, V)``, V with orthonormal columns that need not
+    span the space (A is 0 on the rest), as :func:`gram` returns them.
+    No decomposition is made; the gates check the result for unitarity."""
+    values, vectors = pairs
+    lam = np.asarray(values, dtype=float)
+    vec = np.asarray(vectors)
+    if vec.ndim != 2 or lam.shape != vec.shape[1:]:
+        raise ValidationError(f"{lam.shape} eigenvalues for eigenvectors of shape {vec.shape}")
+    out = (vec * np.expm1(1j * t * lam)) @ vec.conj().T
+    out.reshape(-1)[:: len(out) + 1] += 1.0
+    return out
 
 
 def load_matrix_text(path) -> np.ndarray:

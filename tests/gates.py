@@ -1,10 +1,10 @@
 """Gates and gate-level circuits that the package does not need, kept as
-references for the tests: one-qubit gates, and the circuit's controlled
-stages spelled as one single-qubit-controlled gate per control bit."""
+references for the tests: one-qubit gates, exp(i A t) from an
+eigendecomposition of the matrix A, and the circuit's controlled stages
+spelled as one single-qubit-controlled gate per control bit."""
 import numpy as np
 
 from qsvt import sim
-from qsvt.spectral import herm_exp
 
 
 def hadamard() -> np.ndarray:
@@ -20,14 +20,27 @@ def controlled_on_one(u) -> list:
     return [np.eye(len(u)), u]
 
 
-def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, a, inverse=False):
+def from_eigenpairs(pairs) -> np.ndarray:
+    """The matrix V diag(lam) V^dagger of eigenpairs ``(lam, V)``."""
+    values, vectors = pairs
+    return (vectors * values) @ vectors.conj().T
+
+
+def eigh_exp(a, t) -> np.ndarray:
+    """exp(i A t) of a Hermitian matrix A from ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(1j * w * t)) @ v.conj().T
+
+
+def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, pairs, inverse=False):
     """exp(i A c t0) for C label c as exp(i A 2^w t0) controlled on the C
-    qubit of bit weight 2^w, one gate per qubit."""
-    a = np.asarray(a, dtype=complex)
+    qubit of bit weight 2^w, one gate per qubit, A rebuilt as a matrix
+    from its eigenpairs and exponentiated by :func:`eigh_exp`."""
+    a = from_eigenpairs(pairs)
     sign = -1.0 if inverse else 1.0
     t = len(reg_C)
     for i, q in enumerate(reg_C):
-        u = herm_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
+        u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
         sim.apply_controlled(state, controlled_on_one(u), [q], reg_B_left)
     return state
 

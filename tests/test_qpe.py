@@ -14,9 +14,7 @@ from gates import bitwise_conditional_evolution, hadamard, pauli_x
 def reference_setup(m_bits=1, t_bits=3):
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     layout = sim.RegisterLayout.standard(m_bits, t_bits, 3)
-    a_pad = np.zeros((2, 2), dtype=complex)
-    a_pad[: data.p, : data.p] = spectral.gram(data)
-    return data, layout, a_pad
+    return data, layout, spectral.gram(data)
 
 
 def loaded_state(data, layout, weights=None):
@@ -175,25 +173,25 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
 
 
 def test_conditional_evolution_tiny_t0_is_identity():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)
     state = loaded_state(data, layout)
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
 def test_conditional_evolution_phases_on_label_one():
     # C fixed at label 1: eigencomponent lam picks up exp(i lam t0)
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
     last_c = list(layout.reg_C)[-1]
     sim.apply_unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
     for k, lam in enumerate((4.0, 1.0)):
         basis = spectral.to_state(data, np.eye(2)[k])
         full_before = before.norm()  # keep norm sanity
@@ -216,21 +214,21 @@ def _embed(layout, c_label, b_vec):
 
 
 def test_conditional_evolution_eigencomponent_pure_phase():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout, weights=[1.0, 0.0])  # u_1 x v_1 only
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], a_pad)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
 
 
 def test_phase_estimate_reference_superposition():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, a_pad)
+    qpe.phase_estimate(state, cfg, layout, pairs)
     expected = np.zeros(1 << layout.n_qubits, dtype=complex)
     for k, (sig, label) in enumerate(zip((2.0, 1.0), (4, 1))):
         expected += sig / np.sqrt(5) * _embed(layout, label, spectral.to_state(data, np.eye(2)[k]))
@@ -238,31 +236,31 @@ def test_phase_estimate_reference_superposition():
 
 
 def test_phase_estimate_single_eigenvector_deterministic_label():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout, weights=[1.0, 0.0])
-    qpe.phase_estimate(state, cfg, layout, a_pad)
+    qpe.phase_estimate(state, cfg, layout, pairs)
     mass = sim.register_mass(state, layout.reg_C)
     assert mass[4] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_estimate_requires_cleared_c():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
     sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     with pytest.raises(ValidationError, match="not cleared"):
-        qpe.phase_estimate(state, cfg, layout, a_pad)
+        qpe.phase_estimate(state, cfg, layout, pairs)
 
 
 def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
     # the load leaves the norm to the next stage's read, and so do phase
     # estimation and the cascade: each stage that reads the state checks
     # the norm of what it reads, on that read
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     stages = [
-        lambda state: qpe.phase_estimate(state, cfg, layout, a_pad),
+        lambda state: qpe.phase_estimate(state, cfg, layout, pairs),
         lambda state: rotation.ry_cascade(state, layout, 1.0),
         lambda state: rotation.uncompute_residual(state, layout),
     ]
@@ -274,7 +272,7 @@ def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
 
 
 def test_phase_estimate_then_inverse_is_identity():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     rng = np.random.default_rng(22)
     for trial in range(20):
@@ -288,16 +286,16 @@ def test_phase_estimate_then_inverse_is_identity():
         for q in layout.reg_L:
             sim.apply_unitary(state, sim.ry(float(rng.uniform(0, np.pi))), [q])
         before = state.amplitudes.copy()
-        qpe.phase_estimate(state, cfg, layout, a_pad)
-        qpe.phase_estimate_inverse(state, cfg, layout, a_pad)
+        qpe.phase_estimate(state, cfg, layout, pairs)
+        qpe.phase_estimate_inverse(state, cfg, layout, pairs)
         assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
 def test_exact_encoding_mass_sits_on_labels():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, a_pad)
+    qpe.phase_estimate(state, cfg, layout, pairs)
     mass = sim.register_mass(state, layout.reg_C)
     assert mass[4] + mass[1] == pytest.approx(1.0, abs=1e-9)
     others = np.delete(mass, [1, 4])
@@ -305,7 +303,7 @@ def test_exact_encoding_mass_sits_on_labels():
 
 
 def test_c_distribution_independent_of_v_factor():
-    data, layout, a_pad = reference_setup()
+    data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     masses = []
     for seed in (7, 77):
@@ -315,7 +313,7 @@ def test_c_distribution_independent_of_v_factor():
             sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q
         )
         state = loaded_state(hybrid, layout)
-        qpe.phase_estimate(state, cfg, layout, a_pad)
+        qpe.phase_estimate(state, cfg, layout, pairs)
         masses.append(sim.register_mass(state, layout.reg_C))
     assert np.abs(masses[0] - masses[1]).max() < 1e-12
 
@@ -323,10 +321,10 @@ def test_c_distribution_independent_of_v_factor():
 def test_conditional_evolution_matches_the_bitwise_controlled_gates():
     # one uniformly controlled gate on C against one controlled power per
     # C qubit, both directions, on random states
-    _, _, a_pad = reference_setup()
+    _, _, pairs = reference_setup()
     rng = np.random.default_rng(24)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for a in (a_pad, z + z.conj().T):
+    for a in (pairs, np.linalg.eigh(z + z.conj().T)):
         for t_bits in range(1, 7):
             layout = sim.RegisterLayout.standard(1, t_bits, 3)
             cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
@@ -347,7 +345,7 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
     # match one controlled power per C qubit
     rng = np.random.default_rng(25)
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    a = z + z.conj().T
+    a = np.linalg.eigh(z + z.conj().T)
     apply_controlled, calls = sim.apply_controlled, []
 
     def spy(state, matrices, control, targets, **kwargs):
@@ -376,7 +374,7 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
             qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B[:2], a)
         # the exponentials are checked, as the stack of their products is not
         with monkeypatch.context() as patch:
-            patch.setattr(qpe, "herm_exp", lambda a, t: 1.5 * np.eye(len(a)))
+            patch.setattr(qpe, "herm_exp", lambda a, t: 1.5 * np.eye(len(a[1])))
             with pytest.raises(ValidationError, match="unitary"):
                 qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
         assert np.array_equal(state.amplitudes, before)
@@ -416,20 +414,20 @@ def _random_state(rng, layout, clear_c):
 
 
 def test_qft_phase_estimation_matches_the_hadamard_layer():
-    _, _, a_pad = reference_setup()
+    _, _, pairs = reference_setup()
     rng = np.random.default_rng(23)
     for t_bits in range(1, 6):
         layout = sim.RegisterLayout.standard(2, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
         for _ in range(3):
             state = _random_state(rng, layout, clear_c=True)
-            reference = hadamard_phase_estimate(state.copy(), cfg, layout, a_pad)
-            qpe.phase_estimate(state, cfg, layout, a_pad)
+            reference = hadamard_phase_estimate(state.copy(), cfg, layout, pairs)
+            qpe.phase_estimate(state, cfg, layout, pairs)
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
             # the adjoints agree on C = 0 for any input, cleared or not
             state = _random_state(rng, layout, clear_c=False)
-            reference = hadamard_phase_estimate_inverse(state.copy(), cfg, layout, a_pad)
-            qpe.phase_estimate_inverse(state, cfg, layout, a_pad)
+            reference = hadamard_phase_estimate_inverse(state.copy(), cfg, layout, pairs)
+            qpe.phase_estimate_inverse(state, cfg, layout, pairs)
             diff = _by_c(state.amplitudes - reference.amplitudes, layout)
             assert np.abs(diff[:, 0, :]).max() < 1e-12
 

@@ -460,28 +460,27 @@ def reference_forward_state():
     pe_cfg = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, 2, 0.5)
     layout = sim.RegisterLayout.standard(2, 3, 3)
-    a_pad = np.zeros((2, 2), dtype=complex)
-    a_pad[:2, :2] = spectral.gram(data)
+    pairs = spectral.gram(data)
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(data, data.sigma))
-    qpe.phase_estimate(state, pe_cfg, layout, a_pad)
+    qpe.phase_estimate(state, pe_cfg, layout, pairs)
     oracle.apply(state, layout)
     alpha = np.pi / (2 * 0.75)
     rotation.ry_cascade(state, layout, alpha)
-    return data, layout, state, oracle, pe_cfg, a_pad, alpha
+    return data, layout, state, oracle, pe_cfg, pairs, alpha
 
 
 def test_uncompute_clears_l_and_c():
-    _, layout, state, oracle, pe_cfg, a_pad, _ = reference_forward_state()
-    out, residual = rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
+    _, layout, state, oracle, pe_cfg, pairs, _ = reference_forward_state()
+    out, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     assert out is state
     assert residual == rotation.uncompute_residual(state, layout)
     assert residual < 1e-9
 
 
 def test_uncompute_leaves_ancilla_entangled_with_b_only():
-    data, layout, state, oracle, pe_cfg, a_pad, alpha = reference_forward_state()
-    rotation.uncompute(state, layout, oracle, pe_cfg, a_pad)
+    data, layout, state, oracle, pe_cfg, pairs, alpha = reference_forward_state()
+    rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     n1 = float(np.sum(data.sigma**2))
     expected = np.zeros_like(state.amplitudes)
     b = len(layout.reg_B)
@@ -497,19 +496,19 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
 def test_uncompute_detects_mismatched_tau():
     # forward pass used tau = 0.5; uncompute with a tau = 0.25 oracle
     # (sigma/tau = 8, within the 8.94 that two bits reach)
-    _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
+    _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
     wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     with pytest.raises(UncomputeResidualError):
-        rotation.uncompute(state, layout, wrong, pe_cfg, a_pad)
+        rotation.uncompute(state, layout, wrong, pe_cfg, pairs)
     # the raise comes after the reverse pass: the mass off |0> is left on L/C
     assert rotation.uncompute_residual(state, layout) > 1e-3
 
 
 def test_uncompute_reports_inexact_residual():
     # an inexact encoding leaves real leakage on L/C: reported, not raised
-    _, layout, state, _, pe_cfg, a_pad, _ = reference_forward_state()
+    _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
     wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     inexact = dataclasses.replace(pe_cfg, exact=False)
-    _, residual = rotation.uncompute(state, layout, wrong, inexact, a_pad)
+    _, residual = rotation.uncompute(state, layout, wrong, inexact, pairs)
     assert residual > 1e-3
     assert residual == rotation.uncompute_residual(state, layout)
