@@ -4,6 +4,7 @@ the simulated output against the classical threshold operator and the
 closed-form probability/fidelity."""
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -88,15 +89,16 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
 
     pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
+    m_bits = oracle.m_bits  # the width as the oracle checked it: a Python int
     # sigma_1 has the largest code and its label always holds mass
     top_code = max(oracle.y_codes.values())
     if top_code == 0:  # post-select would read probability 0
         raise FullyThresholdedError(
             f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="
-            f" {2.0 ** -cfg.m_bits:.4g}): no L value rotates the ancilla; raise --m-bits"
+            f" {2.0 ** -m_bits:.4g}): no L value rotates the ancilla; raise --m-bits"
         )
     # the alpha theory assumes theta * alpha <= pi on every occupied L value
-    if top_code / (1 << cfg.m_bits) * solution.alpha > np.pi + 1e-9:
+    if top_code / (1 << m_bits) * solution.alpha > np.pi + 1e-9:
         raise ValidationError(
             "alpha * theta exceeds pi on an occupied L value (sine no longer single-lobed)"
         )
@@ -105,20 +107,20 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
         raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
     b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
-    layout = sim.RegisterLayout.standard(cfg.m_bits, pe_cfg.t_bits, b_bits)
+    layout = sim.RegisterLayout.standard(m_bits, pe_cfg.t_bits, b_bits)
     pairs = spectral.gram(spec)
 
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
-    qpe.phase_estimate(state, pe_cfg, layout, pairs)
+    block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
+    qpe.phase_estimate(block, pe_cfg, block_layout, pairs)
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, solution.alpha)
     _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
-    dim_b = 1 << b_bits
-    base = 1 << (layout.n_qubits - 1)  # ancilla=1, L=0, C=0 slice
-    b_state = state.amplitudes[base : base + dim_b].copy()
+    # ancilla = 1, L = 0, C = 0: the ancilla is the last qubit
+    b_state = state.amplitudes[1 : 2 << b_bits : 2].copy()
 
     # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
     grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
@@ -126,12 +128,12 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     # the target sum_k s_k (u_k (x) conj(v_k)) / |s| lies in their span;
     # s is non-zero, since sigma_1 > tau
     shrunk = spectral.shrunk_values(spec, cfg.tau)
-    f_sim = float(abs(shrunk @ overlaps) / np.linalg.norm(shrunk))
+    f_sim = float(abs(shrunk @ overlaps) / sim._norm(shrunk))
 
     n1 = float(np.sum(spec.sigma**2))
-    scale = 1 << cfg.m_bits
+    scale = 1 << m_bits
     y_codes = [oracle.code_for(c) / scale for c in pe_cfg.labels]
-    triple_amps = overlaps * np.sqrt(n1 * p_sim)
+    triple_amps = overlaps * math.sqrt(n1 * p_sim)
 
     p_shots = None
     if cfg.shots:
@@ -159,7 +161,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         y_repr_exact=all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),
         newton_iterations=max(oracle.iterations.values(), default=0),
         t_bits=pe_cfg.t_bits,
-        m_bits=cfg.m_bits,
+        m_bits=m_bits,
         p_shots=p_shots,
     )
 

@@ -8,7 +8,7 @@ eigenvalue ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with
 ``T = 2**t_bits``, decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The
 conditional evolution E applies ``exp(i A c t0)`` on the subspace where
 register C holds ``c``, as a uniformly controlled gate on each run of C
-qubits (one run unless its stack would outgrow an eighth of the state),
+qubits (one run unless its stack would outgrow the kernel's block),
 given the run's factors ``exp(i A 2^w t0)``, from which the gate checks
 and builds its stack.  A is given as its eigenpairs from the run's SVD
 (:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
@@ -58,7 +58,7 @@ class PhaseEstimationConfig:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        sim.check_width("t_bits", self.t_bits)
+        object.__setattr__(self, "t_bits", sim.check_width("t_bits", self.t_bits))
         if not (math.isfinite(self.t0) and self.t0 > 0):
             raise ValidationError(f"t0 must be finite and positive, got {self.t0!r}")
         if not all(1 <= c < 1 << self.t_bits for c in self.labels):
@@ -94,7 +94,7 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     integral = all(abs(x - c) <= ENCODING_TOL * max(1.0, x) for x, c in zip(lam, rounded))
     if t_bits is None:
         t_bits = max(1, max(rounded).bit_length()) if integral else 6
-    sim.check_width("t_bits", t_bits)
+    t_bits = sim.check_width("t_bits", t_bits)
     T = 1 << t_bits
     fits = integral and max(rounded) < T
     t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / max(lam)
@@ -150,10 +150,13 @@ def conditional_evolution(
 ) -> QuantumState:
     """For each C label c, evolve the u-factor of B by exp(i A c t0), as
     one uniformly controlled gate, given its factors exp(i A 2^w t0), per
-    run of C qubits: all of C, unless the gate's stack would outgrow an
-    eighth of the state (a tall input).  A is given as its eigenpairs."""
+    run of C qubits: all of C, unless the gate's stack of 2^w matrices
+    would outgrow ``sim.BLOCK_AMPLITUDES``, the kernel's block (a tall
+    input; a run keeps at least one qubit).  The bound does not depend on
+    the state, so a block of the state is cut as the state is.  A is given
+    as its eigenpairs."""
     t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
-    width = min(t, max(1, state.n_qubits - 3 - 2 * len(reg_B_left)))
+    width = min(t, max(1, sim.BLOCK_AMPLITUDES.bit_length() - 1 - 2 * len(reg_B_left)))
     for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
         run = reg_C[max(0, t - w0 - width) : t - w0]
         factors = [herm_exp(pairs, (1 << (w0 + j)) * t0) for j in range(len(run))]

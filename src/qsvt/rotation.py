@@ -123,7 +123,7 @@ def build_sigma_tau_oracle(
     with a per-label diagnostic, and with the reach of m_bits where no
     start exists; non-convergence is never silently written.
     """
-    sim.check_width("m_bits", m_bits)
+    m_bits = sim.check_width("m_bits", m_bits)
     if not tau > 0:
         raise ValidationError("tau must be positive")
     top, sigma1_sq = 1 << m_bits, pe_cfg.decode(max(pe_cfg.labels, default=0))
@@ -179,6 +179,12 @@ def uncompute(
     """Reverse the oracle and phase estimation of A's eigenpairs ``pairs``,
     restoring L and C to 0.
 
+    The inverse estimation runs on the L = 0 block (:func:`sim.l_zero_block`),
+    which holds the whole state once the oracle has cleared L.  Mass that a
+    mismatched oracle leaves on L != 0 is left where it is: the estimation
+    maps each L block to itself, so that mass, the residual and the
+    ancilla's masses are what the estimation of the whole state leaves.
+
     Returns the state and the residual mass on L/C (uncompute_residual).
     With an exact encoding, residual above UNCOMPUTE_TOL signals a config
     mismatch between the forward and reverse passes and raises; an
@@ -186,7 +192,8 @@ def uncompute(
     labels), which is returned, not raised.
     """
     oracle.apply(state, layout)
-    phase_estimate_inverse(state, pe_cfg, layout, pairs)
+    block, block_layout = sim.l_zero_block(state, layout)
+    phase_estimate_inverse(block, pe_cfg, block_layout, pairs)
     residual = uncompute_residual(state, layout)
     if not residual <= (UNCOMPUTE_TOL if pe_cfg.exact else math.inf):  # NaN fails too
         raise UncomputeResidualError(

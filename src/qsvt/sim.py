@@ -52,10 +52,29 @@ CLEARED_TOL = 1e-12
 BLOCK_AMPLITUDES = 1 << 18  # 4 MiB of complex128
 
 
-def check_width(name: str, bits: int) -> None:
-    """Reject a register width outside 1..MAX_QUBITS, before 2**bits is formed."""
-    if not 1 <= bits <= MAX_QUBITS:
-        raise ValidationError(f"{name} must lie in 1..{MAX_QUBITS}, got {bits}")
+def _is_int(x) -> bool:
+    """An integer, of Python or NumPy, that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_width(name: str, bits) -> int:
+    """A register width as a Python int, so arithmetic on it is exact;
+    one that is not an integer (a float, a bool) or lies outside
+    1..MAX_QUBITS is rejected, before 2**bits is formed."""
+    if not (_is_int(bits) and 1 <= bits <= MAX_QUBITS):
+        raise ValidationError(f"{name} must lie in 1..{MAX_QUBITS}, an integer, got {bits!r}")
+    return int(bits)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array without its
+    Python-level wrapper: the same arithmetic (ravel in memory order, the
+    dot of the real and imaginary parts), so the same bits."""
+    x = x.ravel("K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def ry(angle) -> np.ndarray:
@@ -93,10 +112,11 @@ class RegisterLayout:
 
     @classmethod
     def standard(cls, m_bits: int, t_bits: int, b_bits: int) -> "RegisterLayout":
-        """Ancilla at qubit 0, then L, C, B in order."""
-        lo_c = 1 + m_bits
-        lo_b = lo_c + t_bits
-        return cls(0, range(1, lo_c), range(lo_c, lo_b), range(lo_b, lo_b + b_bits))
+        """L, C, B in order, then the ancilla: L leads, so the amplitudes
+        whose L reads 0 are the first 2**(n - m_bits), the state of
+        :func:`l_zero_block`."""
+        lo_b = m_bits + t_bits
+        return cls(lo_b + b_bits, range(m_bits), range(m_bits, lo_b), range(lo_b, lo_b + b_bits))
 
 
 @dataclass
@@ -118,7 +138,32 @@ class QuantumState:
         return QuantumState(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+
+
+def l_zero_block(
+    state: QuantumState, layout: RegisterLayout
+) -> tuple[QuantumState, RegisterLayout]:
+    """The amplitudes whose L register reads 0, as a state of their own
+    that shares them (a view, not a copy), and its layout: L empty, the
+    other registers moved up by L's width.  L must lead the layout, as in
+    :meth:`RegisterLayout.standard`, so the block is the state's first
+    2**(n - m) amplitudes.  A gate on C and B maps each L block to itself,
+    so on the block it does what it does on the state wherever L reads 0."""
+    n = state.n_qubits - len(layout.reg_L)
+    return QuantumState(n, state.amplitudes[: 1 << n]), _l_zero_layout(layout)
+
+
+@functools.lru_cache(maxsize=64)
+def _l_zero_layout(layout: RegisterLayout) -> RegisterLayout:
+    """The layout of :func:`l_zero_block`, built once per layout."""
+    m = len(layout.reg_L)
+    if layout.reg_L != range(m):
+        raise ValidationError(f"register L must lead the layout: {layout.reg_L}")
+    c, b = layout.reg_C, layout.reg_B
+    return RegisterLayout(
+        layout.ancilla - m, range(0), range(c.start - m, c.stop - m), range(b.start - m, b.stop - m)
+    )
 
 
 def new_state(layout: RegisterLayout) -> QuantumState:
@@ -294,7 +339,7 @@ def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState
         if y:
             index[c_axis] = c
             block = view[tuple(index)]
-            block[...] = np.take(block, np.arange(1 << m) ^ y, axis=l_axis - (c_axis < l_axis))
+            block[...] = block.take(np.arange(1 << m) ^ y, axis=l_axis - (c_axis < l_axis))
     return state
 
 
@@ -304,7 +349,7 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
     vec = np.asarray(amplitudes, dtype=complex)
     if vec.shape != (1 << w,):
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
-    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too
+    if not abs(_norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValidationError("register content must have unit norm")
     view = state.amplitudes.reshape(1 << lo, 1 << w, -1)
     on = view[0, :, 0]
@@ -316,8 +361,15 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
 
 
 def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
-    """Mass of each label of qubits lo..lo+w-1, without a temporary."""
-    x = amps.view(np.float64).reshape(1 << lo, 1 << w, -1)
+    """Mass of each label of qubits lo..lo+w-1, without a temporary.  The
+    last qubits (the ancilla) are summed down each float column, and each
+    label's real and imaginary parts added after: as an axis of length
+    two, they would be einsum's inner loop, at twice the time."""
+    x = amps.view(np.float64).reshape(1 << lo, -1)
+    if x.shape[1] == 2 << w:
+        mass = np.einsum("aj,aj->j", x, x)
+        return mass[0::2] + mass[1::2]
+    x = x.reshape(1 << lo, 1 << w, -1)
     return np.einsum("awr,awr->w", x, x)
 
 
@@ -332,10 +384,10 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     Returns the renormalized conditional state and the pre-measurement
     probability of that outcome, from one read that also checks the
     norm.  Probability below ``POST_SELECT_FLOOR`` signals a fully
-    thresholded spectrum and raises.
+    thresholded spectrum and raises.  ``value`` is an integer 0 or 1.
     """
-    if value not in (0, 1):
-        raise ValidationError("measurement value must be 0 or 1")
+    if not (_is_int(value) and value in (0, 1)):
+        raise ValidationError(f"measurement value must be the integer 0 or 1, got {value!r}")
     mass = _mass(state.amplitudes, *_register(state, [qubit]))
     check_mass(mass)
     prob = float(mass[value])
@@ -345,6 +397,6 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
         )
     halves = state.amplitudes.reshape(1 << qubit, 2, -1)
     halves[:, 1 - value] = 0.0
-    halves[:, value] /= np.sqrt(prob)
+    halves[:, value] /= math.sqrt(prob)
     return state, prob
 

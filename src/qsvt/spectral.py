@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, FullyThresholdedError, ValidationError
+from .sim import _norm
 
 RANK_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -95,7 +96,7 @@ def decompose(a0) -> SpectralData:
         q=a.shape[1],
     )
     recon = (data.u * data.sigma) @ data.v.conj().T
-    if np.linalg.norm(a - recon) > RANK_TOL * np.linalg.norm(a) + 1e-12:
+    if _norm(a - recon) > RANK_TOL * _norm(a) + 1e-12:
         raise ValidationError("rank-truncated reconstruction out of tolerance")
     return data
 
@@ -158,7 +159,7 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     grid = np.zeros((du, dv), dtype=complex)
     grid[: spec.p, : spec.q] = (spec.u * w) @ spec.v.conj().T
     vec = grid.reshape(-1)
-    return vec / np.linalg.norm(vec)
+    return vec / _norm(vec)
 
 
 def herm_exp(pairs, t: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Gates and gate-level circuits that the package does not need, kept as
 references for the tests: one-qubit gates, exp(i A t) from an
-eigendecomposition of the matrix A, and the circuit's controlled stages
-spelled as one single-qubit-controlled gate per control bit."""
+eigendecomposition of the matrix A, the circuit's controlled stages
+spelled as one single-qubit-controlled gate per control bit, and phase
+estimation on the whole state rather than its L = 0 block."""
 import numpy as np
 
 from qsvt import sim
@@ -43,6 +44,12 @@ def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, pairs, inverse=
         u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
         sim.apply_controlled(state, controlled_on_one(u), [q], reg_B_left)
     return state
+
+
+def whole_state(state, layout):
+    """Stands in for ``sim.l_zero_block``: the state and layout as they
+    are, so phase estimation and its inverse run on every L block."""
+    return state, layout
 
 
 def bitwise_ry_cascade(state, layout, alpha):

@@ -1,4 +1,5 @@
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
-from gates import bitwise_conditional_evolution, bitwise_ry_cascade
+from gates import bitwise_conditional_evolution, bitwise_ry_cascade, whole_state
 
 
 def run_reference(**overrides):
@@ -96,6 +97,74 @@ def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
     assert run.exact == reference.exact == (cfg["tau"] == 0.5)
     for name in ("p_sim", "f_sim", "residual_mass", "triple_amplitudes", "b_state"):
         assert np.abs(getattr(run, name) - getattr(reference, name)).max() < 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
+        dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
+        dict(a0=random_lowrank(16, 2, 2, seed=3, sigma=(2.0, 1.1)), tau=0.6, t_bits=6, m_bits=8),
+        dict(a0=random_lowrank(8, 8, 3, seed=11, sigma=(3.0, 2.0, 1.2)), tau=0.9, t_bits=6,
+             m_bits=8),
+    ],
+    ids=["paper", "inexact", "tall", "8x8"],
+)
+def test_phase_estimation_on_the_l_zero_block_matches_the_whole_state(monkeypatch, cfg):
+    # L reads 0 before the forward estimation and again after the
+    # oracle's inverse, so the amplitudes of every other L block are 0
+    # where either estimation runs
+    run = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    monkeypatch.setattr(sim, "l_zero_block", whole_state)
+    reference = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    assert run.exact == reference.exact == (cfg["tau"] == 0.5)
+    for name in ("labels", "y_codes", "newton_iterations", "alpha"):
+        assert np.array_equal(getattr(run, name), getattr(reference, name)), name
+    for name in ("p_sim", "f_sim", "residual_mass", "triple_amplitudes", "b_state"):
+        assert np.abs(getattr(run, name) - getattr(reference, name)).max() <= 1e-12, name
+
+
+def test_phase_estimation_passes_over_the_l_zero_block_only(monkeypatch):
+    # the paper run: the DFTs and both evolutions see the 2^7 amplitudes
+    # whose L reads 0, the oracle and the cascade all 2^9; three
+    # controlled gates, E, the cascade and E^-1, as before the block
+    sizes = collections.defaultdict(list)
+    for name in ("apply_unitary", "apply_controlled", "apply_basis_oracle"):
+        def spy(state, *args, _real=getattr(sim, name), _name=name, **kwargs):
+            sizes[_name].append(state.n_qubits)
+            return _real(state, *args, **kwargs)
+        monkeypatch.setattr(sim, name, spy)
+    run_reference()
+    assert sizes == {"apply_unitary": [7] * 4, "apply_controlled": [7, 9, 7],
+                     "apply_basis_oracle": [9, 9]}
+
+
+def test_paper_run_calls_no_numpy_norm_or_take(monkeypatch):
+    # at 512 amplitudes a run is bound by call overhead: its norms and the
+    # oracle's gathers skip NumPy's Python-level wrappers
+    def wrapper(*args, **kwargs):
+        raise AssertionError("a NumPy Python-level wrapper on the run path")
+
+    monkeypatch.setattr(np.linalg, "norm", wrapper)
+    monkeypatch.setattr(np, "take", wrapper)
+    res = run_reference()
+    assert abs(res.p_sim - 0.9499) <= 1e-3 and abs(res.f_sim - 0.9962) <= 1e-3
+
+
+def test_numpy_integer_widths_run_as_python_ints():
+    # the Newton codes are exact integer arithmetic: an int64 width made
+    # them int64, which overflowed; a float width failed at 1 << 3.0
+    a0 = random_lowrank(4, 4, 2, [3, 1])
+    base = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.37, t_bits=6, m_bits=8))
+    res = pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=a0, tau=0.37, t_bits=np.int64(6), m_bits=np.int64(8))
+    )
+    assert type(res.t_bits) is int and type(res.m_bits) is int
+    for name in ("labels", "y_codes", "newton_iterations", "p_sim", "b_state"):
+        assert np.array_equal(getattr(res, name), getattr(base, name)), name
+    for name, bad in itertools.product(("t_bits", "m_bits"), (3.0, True, np.float64(3))):
+        with pytest.raises(ValidationError, match=f"{name} must lie in 1..26, an integer"):
+            pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.37, **{name: bad}))
 
 
 def test_analytic_p_and_f_are_the_resolved_solutions():

@@ -75,6 +75,16 @@ def test_phase_estimation_config_checks_itself(args, match):
         qpe.PhaseEstimationConfig(*args)
 
 
+def test_widths_are_integers_kept_as_python_ints():
+    assert qpe.choose_t0([4.0, 1.0], np.int64(3)) == qpe.choose_t0([4.0, 1.0], 3)
+    assert type(qpe.PhaseEstimationConfig(np.int64(3), 0.7, False).t_bits) is int
+    for bad in (3.0, True, np.float64(3)):
+        with pytest.raises(ValidationError, match="t_bits must lie in 1..26, an integer"):
+            qpe.choose_t0([4.0, 1.0], bad)
+        with pytest.raises(ValidationError, match="t_bits must lie in 1..26, an integer"):
+            qpe.PhaseEstimationConfig(bad, 0.7, False)
+
+
 def test_choose_t0_equal_eigenvalues_collide():
     with pytest.raises(ValidationError, match="collision"):
         qpe.choose_t0([4.0, 4.0], 3)
@@ -204,12 +214,13 @@ def test_conditional_evolution_phases_on_label_one():
 
 
 def _embed(layout, c_label, b_vec):
-    """Full-state vector with a=0, L=0, C=c_label, B=b_vec."""
+    """Full-state vector with L=0, C=c_label, B=b_vec and the ancilla, the
+    last qubit, at 0."""
     n = layout.n_qubits
     b = len(layout.reg_B)
     full = np.zeros(1 << n, dtype=complex)
-    base = c_label << b
-    full[base : base + (1 << b)] = b_vec
+    base = c_label << (b + 1)
+    full[base : base + (2 << b) : 2] = b_vec
     return full
 
 
@@ -339,10 +350,12 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
 
 
 def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
-    # an 8x8 u-factor beside one L qubit: the stack of all of C would
-    # outgrow the state, so C is cut into runs (least significant first)
-    # whose stacks stay within an eighth of the state, and the runs still
-    # match one controlled power per C qubit
+    # an 8x8 u-factor under a kernel block of 2^(6 + w) amplitudes, 2^w of
+    # its 64-entry matrices: the stack of all of C would outgrow the block,
+    # so C is cut into runs (least significant first) whose stacks stay
+    # within it, and the runs still match one controlled power per C qubit;
+    # the bound is the block, not the state, so at the kernel's own block
+    # all of C is one run
     rng = np.random.default_rng(25)
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = np.linalg.eigh(z + z.conj().T)
@@ -350,13 +363,15 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
 
     def spy(state, matrices, control, targets, **kwargs):
         calls.append(len(control))
-        assert np.asarray(matrices).size * 8 <= state.amplitudes.size or len(control) == 1
+        stack = np.asarray(matrices)[0].size << len(control)
+        assert stack <= sim.BLOCK_AMPLITUDES or len(control) == 1
         return apply_controlled(state, matrices, control, targets, **kwargs)
 
     runs = {3: [1, 1, 1], 5: [1] * 5, 6: [2, 2, 2], 7: [3, 3, 1], 8: [4, 4]}
-    for t_bits, widths in runs.items():
+    for t_bits, widths in [*runs.items(), (3, [3]), (8, [8])]:
         layout = sim.RegisterLayout.standard(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
+        block = 1 << (6 + widths[0]) if len(widths) > 1 else sim.BLOCK_AMPLITUDES
         for inverse in (False, True):
             state = _random_state(rng, layout, clear_c=False)
             reference = bitwise_conditional_evolution(
@@ -365,7 +380,12 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "apply_controlled", spy)
-                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
+                patch.setattr(sim, "BLOCK_AMPLITUDES", block)
+                sim._gate_view.cache_clear()
+                try:
+                    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
+                finally:
+                    sim._gate_view.cache_clear()
             assert calls == widths
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
         # a u-factor register that does not fit A is rejected by the gate
@@ -401,8 +421,8 @@ def hadamard_phase_estimate_inverse(state, cfg, layout, a):
 
 
 def _by_c(amplitudes, layout):
-    """View indexed (ancilla and L, C, B); qubit 0 is the top bit."""
-    return amplitudes.reshape(1 << (1 + len(layout.reg_L)), 1 << len(layout.reg_C), -1)
+    """View indexed (L, C, B and the ancilla); qubit 0 is the top bit."""
+    return amplitudes.reshape(1 << len(layout.reg_L), 1 << len(layout.reg_C), -1)
 
 
 def _random_state(rng, layout, clear_c):

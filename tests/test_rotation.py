@@ -11,7 +11,7 @@ from qsvt import qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, UncomputeResidualError, ValidationError
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, controlled_on_one, pauli_x
+from gates import bitwise_ry_cascade, controlled_on_one, pauli_x, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -392,7 +392,7 @@ def test_ry_cascade_is_exact_beyond_single_lobe():
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
     rotation.ry_cascade(state, layout, 4.4)
-    amp = state.amplitudes.reshape(2, 4, -1)[1, 3, 0]  # ancilla 1, L = 11, C = B = 0
+    amp = state.amplitudes.reshape(4, -1, 2)[3, 0, 1]  # L = 11, C = B = 0, ancilla 1
     assert amp == pytest.approx(np.sin(0.75 * 4.4), abs=1e-12)
 
 
@@ -448,7 +448,7 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
         n = layout.n_qubits
         for alpha in rng.uniform(0.5, 4.4, size=3):
             amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            amp[1 << (n - 1) :] = 0.0  # ancilla (qubit 0) reads 0
+            amp[1::2] = 0.0  # the ancilla (the last qubit) reads 0
             state = sim.QuantumState(n, amp / np.linalg.norm(amp))
             reference = bitwise_ry_cascade(state.copy(), layout, alpha)
             rotation.ry_cascade(state, layout, alpha)
@@ -487,9 +487,9 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
     for k, y in enumerate((0.75, 0.5)):
         triple = spectral.to_state(data, np.eye(2)[k])
         weight = data.sigma[k] / np.sqrt(n1)
-        expected[0 : 1 << b] += weight * np.cos(y * alpha) * triple
-        base = 1 << (layout.n_qubits - 1)  # ancilla = 1, L = C = 0
-        expected[base : base + (1 << b)] += weight * np.sin(y * alpha) * triple
+        # L = C = 0, and the ancilla, the last qubit, reads 0 or 1
+        expected[0 : 2 << b : 2] += weight * np.cos(y * alpha) * triple
+        expected[1 : 2 << b : 2] += weight * np.sin(y * alpha) * triple
     assert np.abs(state.amplitudes - expected).max() < 1e-9
 
 
@@ -502,6 +502,41 @@ def test_uncompute_detects_mismatched_tau():
         rotation.uncompute(state, layout, wrong, pe_cfg, pairs)
     # the raise comes after the reverse pass: the mass off |0> is left on L/C
     assert rotation.uncompute_residual(state, layout) > 1e-3
+
+
+def test_uncompute_on_the_l_zero_block_matches_the_whole_state(monkeypatch):
+    # a mismatched oracle leaves mass on L != 0; the inverse estimation of
+    # the whole state moves it only within its L block, so the residual,
+    # the ancilla's masses and the L = 0 block are the same without it
+    wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
+    runs = []
+    for block in (sim.l_zero_block, whole_state):
+        _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
+        monkeypatch.setattr(sim, "l_zero_block", block)
+        _, residual = rotation.uncompute(
+            state, layout, wrong, dataclasses.replace(pe_cfg, exact=False), pairs
+        )
+        runs.append((state, residual))
+    (state, residual), (reference, reference_residual) = runs
+    assert residual > 1e-3
+    assert abs(residual - reference_residual) <= 1e-12
+    anc = [sim.register_mass(s, [layout.ancilla]) for s in (state, reference)]
+    assert np.abs(anc[0] - anc[1]).max() <= 1e-12
+    block = 1 << (layout.n_qubits - len(layout.reg_L))
+    assert np.abs(state.amplitudes[:block] - reference.amplitudes[:block]).max() <= 1e-12
+
+
+def test_oracle_build_takes_integer_widths_only():
+    # an int64 width ran the exact integer Newton arithmetic in int64,
+    # which overflowed into a spurious ConvergenceError
+    enc = qpe.choose_t0([4.3, 1.1], 6)
+    oracle = rotation.build_sigma_tau_oracle(enc, 8, 0.5)
+    assert oracle.y_codes == {63: 194, 16: 133}
+    wide = rotation.build_sigma_tau_oracle(enc, np.int64(8), 0.5)
+    assert wide == oracle and type(wide.m_bits) is int
+    for bad in (8.0, True, np.float64(8)):
+        with pytest.raises(ValidationError, match="m_bits must lie in 1..26, an integer"):
+            rotation.build_sigma_tau_oracle(enc, bad, 0.5)
 
 
 def test_uncompute_reports_inexact_residual():

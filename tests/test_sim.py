@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,55 @@ def test_post_select_checks_the_norm_from_its_one_read():
         assert np.array_equal(state.amplitudes, amp, equal_nan=True)
 
 
+def test_post_select_takes_the_integer_zero_or_one():
+    # 1.0 indexed the masses with a float, True with a bool
+    for value in (1.0, True, np.bool_(True), 2, -1, "1", None):
+        state = random_state(3, 10)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValidationError, match="integer 0 or 1"):
+            sim.post_select(state, 2, value)
+        assert np.array_equal(state.amplitudes, before)
+    _, p = sim.post_select(random_state(3, 10), 2, np.int64(1))
+    assert p == sim.post_select(random_state(3, 10), 2, 1)[1]
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(51)
+    z = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    cases = [z.real.ravel(), z.ravel(), z.real, z, np.asfortranarray(z.real),
+             np.asfortranarray(z), z.T, z[:, ::2]]
+    for x in cases:
+        assert sim._norm(x) == np.linalg.norm(x)
+    for bad in (np.nan, np.inf, -np.inf):
+        for x in (z.real.copy(), z.copy(), np.asfortranarray(z)):
+            x[2, 3] = bad
+            assert np.array_equal(sim._norm(x), np.linalg.norm(x), equal_nan=True)
+            assert not math.isfinite(sim._norm(x))
+
+
+def test_width_check_takes_integers_only():
+    assert sim.check_width("w", np.int64(3)) == 3 and type(sim.check_width("w", np.int64(3))) is int
+    for bad in (3.0, True, np.float64(3), np.bool_(True), "3", 0, 27):
+        with pytest.raises(ValidationError, match="w must lie in 1..26, an integer"):
+            sim.check_width("w", bad)
+
+
+def test_l_zero_block_is_a_view_with_l_removed():
+    layout = sim.RegisterLayout.standard(2, 3, 2)  # L 0-1, C 2-4, B 5-6, ancilla 7
+    state = random_state(layout.n_qubits, 52)
+    block, block_layout = sim.l_zero_block(state, layout)
+    assert block_layout == sim.RegisterLayout(5, range(0), range(0, 3), range(3, 5))
+    assert block.n_qubits == 6 and np.shares_memory(block.amplitudes, state.amplitudes)
+    assert np.array_equal(block.amplitudes, state.amplitudes[:64])
+    sim.apply_unitary(block, pauli_x(), [block_layout.ancilla])
+    assert np.array_equal(state.amplitudes[:64], block.amplitudes)
+    # no L: the block is the state; L not first: no block
+    no_l = sim.RegisterLayout(7, range(0), range(5), range(5, 7))
+    assert sim.l_zero_block(state, no_l)[0].amplitudes.size == 256
+    with pytest.raises(ValidationError, match="must lead"):
+        sim.l_zero_block(state, sim.RegisterLayout(0, range(1, 3), range(3, 6), range(6, 8)))
+
+
 def test_post_select_floor_error():
     amp = np.zeros(2, dtype=complex)
     amp[0] = 1.0
@@ -582,10 +632,10 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
     u2, u5 = random_unitary(2, rng), random_unitary(5, rng)
     stack = [random_unitary(2, rng) for _ in range(4)]
     powers = [np.linalg.matrix_power(u2, x) for x in range(8)]
-    layout = sim.RegisterLayout.standard(2, 1, 4)  # ancilla, L 1-2, C 3, B 4-7
+    layout = sim.RegisterLayout.standard(2, 1, 4)  # L 0-1, C 2, B 3-6, ancilla 7
     alpha = 2.3
-    cascade_in = random_state(8, 44).amplitudes.reshape(2, -1)
-    cascade_in[1] = 0.0  # ancilla cleared
+    cascade_in = random_state(8, 44).amplitudes.reshape(-1, 2)
+    cascade_in[:, 1] = 0.0  # ancilla cleared
     cascade_in /= np.linalg.norm(cascade_in)
 
     def bitwise_powers(amp):
@@ -617,7 +667,7 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
                                            [6, 7], powers=True),
             random_state(9, 45), bitwise_powers, 8),
         "cascade": (
-            8, ((0,), (1, 2)), lambda s: rotation.ry_cascade(s, layout, alpha),
+            8, ((7,), (0, 1)), lambda s: rotation.ry_cascade(s, layout, alpha),
             sim.QuantumState(8, cascade_in.reshape(-1)), bitwise_cascade, 4),
     }
     for name, (n, registers, apply, state, reference, blocks) in cases.items():
