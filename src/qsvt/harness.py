@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 assertion failure in the reference example,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import os
 import sys
@@ -53,7 +52,8 @@ _PALETTE = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad"]
 
 
 def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
-    """Seeded random p x q matrix of rank r.
+    """Seeded random p x q matrix of rank r; ``seed`` is a non-negative
+    integer or a list or tuple of them, as ``np.random.default_rng`` takes.
 
     Orthogonal factors come from QR of Gaussian draws (sign-fixed for
     determinism); singular values are log-uniform in [0.1, 10] unless
@@ -62,6 +62,8 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     """
     if r < 1 or r > min(p, q):
         raise ValidationError(f"rank {r} invalid for shape ({p}, {q})")
+    for s in seed if isinstance(seed, (list, tuple)) else [seed]:
+        pipeline_mod.check_count("seed", s)
     rng = np.random.default_rng(seed)
     if sigma is None:
         values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
@@ -114,6 +116,7 @@ class SweepConfig:
         for name in ("n_instances", "t_bits", "m_bits", "jobs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1")
+        pipeline_mod.check_count("seed", self.seed)
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
         rank = len(self.sigma) if self.sigma is not None else self.rank or 0
@@ -257,6 +260,7 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     indices = range(cfg.n_instances)
     workers = min(cfg.jobs, cfg.n_instances, os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # here, not at the top: only a pool uses it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
     else:

@@ -5,7 +5,6 @@ closed-form probability/fidelity."""
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,6 +15,14 @@ from . import qpe, rotation, sim, spectral
 from .errors import FullyThresholdedError, ValidationError
 
 EXACT_Y_TOL = 1e-12
+
+
+def check_count(name: str, value) -> None:
+    """Reject a value that is not a non-negative integer (a bool too), such
+    as a shot count or a seed: NumPy rejects a negative seed only when its
+    generator is made, after the work the seed is for."""
+    if not (sim._is_int(value) and value >= 0):
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass
@@ -30,10 +37,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.shots is not None and not (
-            isinstance(self.shots, numbers.Integral) and self.shots >= 0
-        ):
-            raise ValidationError(f"shots must be a non-negative integer, got {self.shots!r}")
+        if self.shots is not None:
+            check_count("shots", self.shots)
+        check_count("seed", self.seed)
 
 
 @dataclass
@@ -119,8 +125,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     state, p_sim = sim.post_select(state, layout.ancilla, 1)
 
-    # ancilla = 1, L = 0, C = 0: the ancilla is the last qubit
-    b_state = state.amplitudes[1 : 2 << b_bits : 2].copy()
+    # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
+    b_state = state.amplitudes[1 << b_bits : 2 << b_bits].copy()
 
     # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
     grid = b_state.reshape(du, dv)[: spec.p, : spec.q]

@@ -15,11 +15,13 @@ Conventions used throughout the package:
   ``BLOCK_AMPLITUDES`` cut along the view's first leading axis longer
   than one, and along the rest axis where that axis is short or absent,
   so no temporary outgrows a block; a state that fits one block is one
-  ``stack @ view``.  An uncontrolled gate is a one-matrix stack.
+  ``stack @ view``.  An uncontrolled gate is a one-matrix stack.  A real
+  stack (``ry``) acts on the float view where rest is unit-stride.
   Targets, controls and registers are non-empty, disjoint, contiguous
-  ascending qubits of the state, or ``ValidationError`` is raised before
-  the state is touched.  One cached function, ``_split``, checks them,
-  once per distinct register set rather than per call, and
+  ascending integer qubits of the state, or ``ValidationError`` is raised
+  before the state is touched.  One cached function, ``_split``, checks
+  them, once per distinct register set rather than per call (``_qubits``
+  checks per call that they are integers, which its keys cannot tell), and
   ``_gate_view`` plans the blocks once per register set.  A state has a
   single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
@@ -53,8 +55,9 @@ BLOCK_AMPLITUDES = 1 << 18  # 4 MiB of complex128
 
 
 def _is_int(x) -> bool:
-    """An integer, of Python or NumPy, that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    """An integer, of Python or NumPy, that is not a bool; a Python int
+    passes on its type alone."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def check_width(name: str, bits) -> int:
@@ -78,10 +81,10 @@ def _norm(x: np.ndarray) -> float:
 
 
 def ry(angle) -> np.ndarray:
-    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>.  An array
-    of angles gives the stack of their rotations."""
+    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>, a real
+    matrix.  An array of angles gives the stack of their rotations."""
     half = np.asarray(angle) / 2.0
-    gate = np.empty(half.shape + (2, 2), dtype=complex)
+    gate = np.empty(half.shape + (2, 2))
     c, s = np.cos(half), np.sin(half)
     gate[..., 0, 0] = gate[..., 1, 1] = c
     gate[..., 0, 1], gate[..., 1, 0] = -s, s
@@ -112,11 +115,11 @@ class RegisterLayout:
 
     @classmethod
     def standard(cls, m_bits: int, t_bits: int, b_bits: int) -> "RegisterLayout":
-        """L, C, B in order, then the ancilla: L leads, so the amplitudes
-        whose L reads 0 are the first 2**(n - m_bits), the state of
-        :func:`l_zero_block`."""
-        lo_b = m_bits + t_bits
-        return cls(lo_b + b_bits, range(m_bits), range(m_bits, lo_b), range(lo_b, lo_b + b_bits))
+        """L, C, the ancilla, then B: the amplitudes whose L reads 0 are the
+        first 2**(n - m_bits), the state of :func:`l_zero_block`, and each
+        half of the ancilla is contiguous runs of 2**b_bits amplitudes."""
+        anc = m_bits + t_bits
+        return cls(anc, range(m_bits), range(m_bits, anc), range(anc + 1, anc + 1 + b_bits))
 
 
 @dataclass
@@ -177,20 +180,27 @@ def new_state(layout: RegisterLayout) -> QuantumState:
     return QuantumState(n, amp)
 
 
-def _check_unit(norm: float) -> None:
+def check_mass(mass: np.ndarray) -> None:
+    """The unit-norm guard from a register's label masses, which sum to
+    the squared norm: a stage that reads them anyway needs no other read."""
+    norm = math.sqrt(mass.sum())
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NormalizationError(f"state norm drifted to {norm!r}")
 
 
-def check_mass(mass: np.ndarray) -> None:
-    """The unit-norm guard from a register's label masses, which sum to
-    the squared norm: a stage that reads them anyway needs no other read."""
-    _check_unit(math.sqrt(mass.sum()))
+def _qubits(reg) -> tuple:
+    """A register argument as a tuple of integer qubits, checked on every
+    call: as keys of the :func:`_split` cache, 1.0 and True equal 1.
+    Python ints pass on their type alone."""
+    reg = tuple(reg)
+    if not ({int}.issuperset(map(type, reg)) or all(map(_is_int, reg))):
+        raise ValidationError(f"register {reg} must hold integer qubits")
+    return reg
 
 
 @functools.lru_cache(maxsize=256)
 def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The one register check: each register, a tuple of qubits, is
+    """The one register check: each register, as :func:`_qubits` gives it, is
     non-empty, distinct, contiguous ascending and in 0..n-1, and no two
     share a qubit.  Returns the shape that cuts qubits 0..n-1 at the
     registers' edges and the axis of each register.  Cached, so a
@@ -272,7 +282,9 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
     :func:`_gate_view` at a time."""
     shape, order, blocks = _gate_view(state.n_qubits, registers)
     targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
-    array = np.asarray(matrices, dtype=complex)
+    array = np.asarray(matrices)
+    if array.dtype.char not in "dD":  # float64 stays real: see the loop
+        array = array.astype(complex)
     stack = array if width else array[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
@@ -291,15 +303,21 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
             if j:
                 np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
     view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
+    # a real stack acts on the real and imaginary parts apart: where rest is
+    # unit-stride, one real product on the float view, the complex one's bits
+    real = stack.dtype.char == "d"
+    if real and view.strides[-1] != view.itemsize:
+        stack, real = stack.astype(complex), False
     for block in blocks:
-        view[block] = stack @ view[block]
+        x = view[block].view(np.float64) if real else view[block]
+        x[...] = stack @ x
     return state
 
 
 def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
     """Apply ``matrix`` on ``targets`` (first target = most significant
     bit of the gate's label) and identity elsewhere."""
-    return _apply(state, matrix, (tuple(targets),))
+    return _apply(state, matrix, (_qubits(targets),))
 
 
 def apply_controlled(
@@ -310,12 +328,12 @@ def apply_controlled(
     on 1).  With ``powers``, ``matrices`` are the factors U^(2^j) of a
     c-qubit control, j = 0..c-1, each checked for unitarity: label x
     gets the product of those its bits select; label 0 is left alone."""
-    return _apply(state, matrices, (tuple(targets), tuple(control)), powers)
+    return _apply(state, matrices, (_qubits(targets), _qubits(control)), powers)
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:
     """(first qubit, width) of a register that passes :func:`_split`."""
-    reg = tuple(reg)
+    reg = _qubits(reg)
     _split(state.n_qubits, (reg,))
     return reg[0], len(reg)
 
@@ -328,7 +346,7 @@ def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState
     along the L axis of the slice C = c, so nothing the size of the
     state is allocated.
     """
-    shape, (l_axis, c_axis) = _split(state.n_qubits, (tuple(reg_L), tuple(reg_C)))
+    shape, (l_axis, c_axis) = _split(state.n_qubits, (_qubits(reg_L), _qubits(reg_C)))
     m, t = len(reg_L), len(reg_C)
     bad = [(c, y) for c, y in codes.items() if not (0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
@@ -361,15 +379,10 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
 
 
 def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
-    """Mass of each label of qubits lo..lo+w-1, without a temporary.  The
-    last qubits (the ancilla) are summed down each float column, and each
-    label's real and imaginary parts added after: as an axis of length
-    two, they would be einsum's inner loop, at twice the time."""
-    x = amps.view(np.float64).reshape(1 << lo, -1)
-    if x.shape[1] == 2 << w:
-        mass = np.einsum("aj,aj->j", x, x)
-        return mass[0::2] + mass[1::2]
-    x = x.reshape(1 << lo, 1 << w, -1)
+    """Mass of each label of qubits lo..lo+w-1, one einsum over the float
+    view (2**lo, 2**w, rest) without a temporary; its inner loop runs
+    along rest, which no read of the run leaves short."""
+    x = amps.view(np.float64).reshape(1 << lo, 1 << w, -1)
     return np.einsum("awr,awr->w", x, x)
 
 

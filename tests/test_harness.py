@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import harness, spectral
+from qsvt import harness, pipeline, spectral
 from qsvt.errors import ValidationError
 
 
@@ -41,6 +42,27 @@ def test_random_lowrank_rejects_bad_rank():
 def test_random_lowrank_rejects_non_finite_sigma(sigma):
     with pytest.raises(ValidationError, match="^sigma must be non-empty, finite"):
         harness.random_lowrank(2, 3, 2, 0, sigma=sigma)
+
+
+def test_seeds_are_non_negative_integers_at_every_boundary():
+    # NumPy's generator rejects a negative seed only when it draws: for a
+    # pipeline run with shots, after the circuit; floats and bools are not
+    # seeds either, and each boundary rejects them before any work
+    a0 = harness.example_matrix()
+    boundaries = (
+        lambda s: harness.random_lowrank(2, 3, 2, s),
+        lambda s: harness.random_lowrank(2, 3, 2, [s, 1]),
+        lambda s: harness.SweepConfig(seed=s),
+        lambda s: pipeline.PipelineConfig(a0=a0, tau=0.5, shots=10, seed=s),
+    )
+    for make, bad in itertools.product(boundaries, (-1, True, 2.0, np.float64(2), "3")):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            make(bad)
+    # a NumPy integer seeds as the int, and so does a list of them
+    assert np.array_equal(harness.random_lowrank(2, 3, 2, np.int64(3)),
+                          harness.random_lowrank(2, 3, 2, 3))
+    assert np.array_equal(harness.random_lowrank(2, 3, 2, [np.int64(3), 1]),
+                          harness.random_lowrank(2, 3, 2, [3, 1]))
 
 
 def test_cmd_example_passes(capsys):
@@ -119,6 +141,10 @@ MATRIX_FILES = {
         (["sweep", "--simulate", "--shape", "9,9", "--sigma", "9,8,7,6,5,4,3,2,1", "--n", "2"], 2),
         (["example", "--alpha", "-1"], 2),
         (["example", "--shots", "-5"], 2),
+        # a negative seed fails before the work it seeds
+        (["example", "--seed", "-1"], 2),
+        (["sweep", "--n", "2", "--seed", "-1"], 2),
+        (["pipeline", "--matrix", "small.txt", "--tau", "0.3", "--shots", "5", "--seed", "-2"], 2),
         (["alpha", "--sigma", "2,x", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "nan,1", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "inf,1", "--tau", "0.5"], 2),

@@ -54,7 +54,10 @@ def test_reference_agreement_in_exact_regime():
 
 
 def test_reference_run_passes_over_the_state(monkeypatch):
-    # every counted function reads or writes the whole state once per call
+    # every counted call reads or writes the state it is given once: 5 of
+    # them the whole state (the oracle twice, the cascade, its ancilla
+    # read and the uncompute read of L and C) and 7 the L = 0 block (the
+    # C read, the four DFTs and E twice)
     counts = collections.Counter()
     for name in ("register_mass", "apply_unitary", "apply_controlled", "apply_basis_oracle"):
         def counted(*args, _real=getattr(sim, name), _name=name, **kwargs):
@@ -97,6 +100,29 @@ def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
     assert run.exact == reference.exact == (cfg["tau"] == 0.5)
     for name in ("p_sim", "f_sim", "residual_mass", "triple_amplitudes", "b_state"):
         assert np.abs(getattr(run, name) - getattr(reference, name)).max() < 1e-12, name
+
+
+def test_layout_leads_with_l_and_puts_the_ancilla_directly_ahead_of_b(monkeypatch):
+    # L leads, so the L = 0 block is the state's first 2^(n - m)
+    # amplitudes; C follows L; the ancilla sits directly ahead of B, so
+    # b_state (L = C = 0, ancilla 1) is one slice, equal to the amplitudes
+    # read qubit by qubit from the final state of the whole-state run
+    run = run_reference()
+    seen = []
+    new_state, post_select = sim.new_state, sim.post_select
+    monkeypatch.setattr(sim, "new_state", lambda layout: seen.append(layout) or new_state(layout))
+    monkeypatch.setattr(sim, "post_select", lambda s, q, v: seen.append(s) or post_select(s, q, v))
+    monkeypatch.setattr(sim, "l_zero_block", whole_state)
+    reference = run_reference()
+    layout, state = seen
+    assert (layout.reg_L, layout.reg_C, layout.ancilla, layout.reg_B) == (
+        range(0, 2), range(2, 5), 5, range(6, 9))
+    n, b = state.n_qubits, len(layout.reg_B)
+    index = [(1 << (n - 1 - layout.ancilla)) + sum(((x >> (b - 1 - i)) & 1) << (n - 1 - q)
+                                                   for i, q in enumerate(layout.reg_B))
+             for x in range(1 << b)]
+    assert np.array_equal(reference.b_state, state.amplitudes[index])
+    assert np.abs(run.b_state - reference.b_state).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

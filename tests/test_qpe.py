@@ -214,13 +214,13 @@ def test_conditional_evolution_phases_on_label_one():
 
 
 def _embed(layout, c_label, b_vec):
-    """Full-state vector with L=0, C=c_label, B=b_vec and the ancilla, the
-    last qubit, at 0."""
+    """Full-state vector with L=0, C=c_label, the ancilla at 0 and B=b_vec:
+    the ancilla sits directly ahead of B, so B is one run."""
     n = layout.n_qubits
     b = len(layout.reg_B)
     full = np.zeros(1 << n, dtype=complex)
     base = c_label << (b + 1)
-    full[base : base + (2 << b) : 2] = b_vec
+    full[base : base + (1 << b)] = b_vec
     return full
 
 
@@ -421,7 +421,7 @@ def hadamard_phase_estimate_inverse(state, cfg, layout, a):
 
 
 def _by_c(amplitudes, layout):
-    """View indexed (L, C, B and the ancilla); qubit 0 is the top bit."""
+    """View indexed (L, C, the ancilla and B); qubit 0 is the top bit."""
     return amplitudes.reshape(1 << len(layout.reg_L), 1 << len(layout.reg_C), -1)
 
 

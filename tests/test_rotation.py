@@ -392,7 +392,7 @@ def test_ry_cascade_is_exact_beyond_single_lobe():
     layout = sim.RegisterLayout.standard(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
     rotation.ry_cascade(state, layout, 4.4)
-    amp = state.amplitudes.reshape(4, -1, 2)[3, 0, 1]  # L = 11, C = B = 0, ancilla 1
+    amp = state.amplitudes.reshape(4, 2, 2, 2)[3, 0, 1, 0]  # L = 11, C = 0, ancilla 1, B = 0
     assert amp == pytest.approx(np.sin(0.75 * 4.4), abs=1e-12)
 
 
@@ -448,7 +448,7 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
         n = layout.n_qubits
         for alpha in rng.uniform(0.5, 4.4, size=3):
             amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            amp[1::2] = 0.0  # the ancilla (the last qubit) reads 0
+            amp.reshape(1 << (m_bits + 2), 2, -1)[:, 1] = 0.0  # the ancilla reads 0
             state = sim.QuantumState(n, amp / np.linalg.norm(amp))
             reference = bitwise_ry_cascade(state.copy(), layout, alpha)
             rotation.ry_cascade(state, layout, alpha)
@@ -487,9 +487,9 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
     for k, y in enumerate((0.75, 0.5)):
         triple = spectral.to_state(data, np.eye(2)[k])
         weight = data.sigma[k] / np.sqrt(n1)
-        # L = C = 0, and the ancilla, the last qubit, reads 0 or 1
-        expected[0 : 2 << b : 2] += weight * np.cos(y * alpha) * triple
-        expected[1 : 2 << b : 2] += weight * np.sin(y * alpha) * triple
+        # L = C = 0, and the ancilla, directly ahead of B, reads 0 or 1
+        expected[0 : 1 << b] += weight * np.cos(y * alpha) * triple
+        expected[1 << b : 2 << b] += weight * np.sin(y * alpha) * triple
     assert np.abs(state.amplitudes - expected).max() < 1e-9
 
 

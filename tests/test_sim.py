@@ -365,16 +365,16 @@ def test_width_check_takes_integers_only():
 
 
 def test_l_zero_block_is_a_view_with_l_removed():
-    layout = sim.RegisterLayout.standard(2, 3, 2)  # L 0-1, C 2-4, B 5-6, ancilla 7
+    layout = sim.RegisterLayout.standard(2, 3, 2)  # L 0-1, C 2-4, ancilla 5, B 6-7
     state = random_state(layout.n_qubits, 52)
     block, block_layout = sim.l_zero_block(state, layout)
-    assert block_layout == sim.RegisterLayout(5, range(0), range(0, 3), range(3, 5))
+    assert block_layout == sim.RegisterLayout(3, range(0), range(0, 3), range(4, 6))
     assert block.n_qubits == 6 and np.shares_memory(block.amplitudes, state.amplitudes)
     assert np.array_equal(block.amplitudes, state.amplitudes[:64])
     sim.apply_unitary(block, pauli_x(), [block_layout.ancilla])
     assert np.array_equal(state.amplitudes[:64], block.amplitudes)
     # no L: the block is the state; L not first: no block
-    no_l = sim.RegisterLayout(7, range(0), range(5), range(5, 7))
+    no_l = sim.RegisterLayout(5, range(0), range(5), range(6, 8))
     assert sim.l_zero_block(state, no_l)[0].amplitudes.size == 256
     with pytest.raises(ValidationError, match="must lead"):
         sim.l_zero_block(state, sim.RegisterLayout(0, range(1, 3), range(3, 6), range(6, 8)))
@@ -439,6 +439,29 @@ def test_register_check_rejects_bad_registers_at_every_entry_point(call, match):
         with pytest.raises(ValidationError, match=match):
             call(state)
         assert state.amplitudes.tobytes() == before
+
+
+def test_register_check_takes_integer_qubits_only():
+    # 1.0 and True equal 1 and hash as 1, so a cached check of the int
+    # register would pass them: each entry point runs the int register
+    # first, then rejects the other forms before it touches the state; a
+    # NumPy integer runs as the int
+    zero = sim.new_state(sim.RegisterLayout(0, range(0), range(0), range(1, 6)))
+
+    def calls(qubit):
+        return {**_calls_on([qubit]), "post_select": lambda s: sim.post_select(s, qubit, 0)[1]}
+
+    for entry in calls(1):
+        state, wide = zero.copy(), zero.copy()
+        out, wide_out = calls(1)[entry](state), calls(np.int64(1))[entry](wide)
+        assert np.array_equal(wide.amplitudes, state.amplitudes), entry
+        assert np.array_equal(getattr(wide_out, "amplitudes", wide_out),
+                              getattr(out, "amplitudes", out)), entry
+        for bad in (1.0, np.float64(1.0), True):
+            state = zero.copy()
+            with pytest.raises(ValidationError, match="must hold integer qubits"):
+                calls(bad)[entry](state)
+            assert np.array_equal(state.amplitudes, zero.amplitudes), (entry, bad)
 
 
 def test_norm_preserved_over_random_gate_sequences():
@@ -632,9 +655,9 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
     u2, u5 = random_unitary(2, rng), random_unitary(5, rng)
     stack = [random_unitary(2, rng) for _ in range(4)]
     powers = [np.linalg.matrix_power(u2, x) for x in range(8)]
-    layout = sim.RegisterLayout.standard(2, 1, 4)  # L 0-1, C 2, B 3-6, ancilla 7
+    layout = sim.RegisterLayout.standard(2, 1, 4)  # L 0-1, C 2, ancilla 3, B 4-7
     alpha = 2.3
-    cascade_in = random_state(8, 44).amplitudes.reshape(-1, 2)
+    cascade_in = random_state(8, 44).amplitudes.reshape(8, 2, -1)
     cascade_in[:, 1] = 0.0  # ancilla cleared
     cascade_in /= np.linalg.norm(cascade_in)
 
@@ -667,7 +690,7 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
                                            [6, 7], powers=True),
             random_state(9, 45), bitwise_powers, 8),
         "cascade": (
-            8, ((7,), (0, 1)), lambda s: rotation.ry_cascade(s, layout, alpha),
+            8, ((3,), (0, 1)), lambda s: rotation.ry_cascade(s, layout, alpha),
             sim.QuantumState(8, cascade_in.reshape(-1)), bitwise_cascade, 4),
     }
     for name, (n, registers, apply, state, reference, blocks) in cases.items():
@@ -675,6 +698,24 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
         assert len(plan) == blocks, name
         assert np.array_equal(many, one), name
         assert np.abs(many - reference(state.amplitudes)).max() < 1e-12, name
+
+
+def test_real_stack_gives_the_complex_stacks_bits(monkeypatch):
+    # a real stack (ry) acts on the real and imaginary parts apart: on the
+    # float view where rest is unit-stride (the ancilla ahead of B), as a
+    # complex product where it is not (the target is the last qubit); both
+    # give the bits of the same stack given as complex, in one block or many
+    stack = sim.ry(np.random.default_rng(53).uniform(0, 4, size=4))
+    assert stack.dtype == np.float64
+    state = random_state(8, 54)
+    for target in (3, 7):
+        (one, many), (cplx_one, cplx_many) = [
+            _one_and_many_blocks(monkeypatch, 8, ((target,), (0, 1)), lambda s, g=gate:
+                                 sim.apply_controlled(s, g, [0, 1], [target]), state)[:2]
+            for gate in (stack, stack.astype(complex))
+        ]
+        for out in (one, many, cplx_many):
+            assert np.array_equal(out, cplx_one), target
 
 
 def test_blocked_kernel_allocates_a_block_not_a_state(monkeypatch):
