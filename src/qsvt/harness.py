@@ -18,7 +18,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from . import pipeline as pipeline_mod
-from . import spectral
+from . import sim, spectral
 from .errors import FullyThresholdedError, QsvtError, ValidationError
 
 MATRIX_FORMAT_HELP = """\
@@ -60,8 +60,9 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     injected, sorted descending with near-ties pushed apart so the
     decomposition stays non-degenerate.
     """
-    if r < 1 or r > min(p, q):
-        raise ValidationError(f"rank {r} invalid for shape ({p}, {q})")
+    if not (all(map(sim._is_int, (p, q, r))) and 1 <= r <= min(p, q)):
+        raise ValidationError(f"rank {r!r} invalid for shape ({p!r}, {q!r}): integers,"
+                              f" 1 <= rank <= min(shape)")
     for s in seed if isinstance(seed, (list, tuple)) else [seed]:
         pipeline_mod.check_count("seed", s)
     rng = np.random.default_rng(seed)
@@ -113,9 +114,12 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_instances", "t_bits", "m_bits", "jobs"):
+        for name in ("n_instances", "jobs"):
+            pipeline_mod.check_count(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1")
+        for name in ("t_bits", "m_bits"):
+            sim.check_width(name, getattr(self, name))
         pipeline_mod.check_count("seed", self.seed)
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
@@ -128,10 +132,12 @@ class SweepConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValidationError(f"methods must be one or more distinct names: {self.methods}")
         # input that every instance would fail is rejected here, not per record
-        if self.shape is not None and min(self.shape) < 1:
-            raise ValidationError(f"shape must be positive, got {self.shape}")
+        if self.shape is not None and not (
+            len(self.shape) == 2 and all(sim._is_int(d) and d >= 1 for d in self.shape)
+        ):
+            raise ValidationError(f"shape must be two positive integers, got {self.shape}")
         max_rank = min(self.shape) if self.shape is not None else SWEEP_DIM_RANGE[1]
-        if self.rank is not None and not 1 <= self.rank <= max_rank:
+        if self.rank is not None and not (sim._is_int(self.rank) and 1 <= self.rank <= max_rank):
             raise ValidationError(f"rank must lie in 1..{max_rank}, got {self.rank}")
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float).tolist()

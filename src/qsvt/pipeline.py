@@ -113,7 +113,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
         raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
     b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
-    layout = sim.RegisterLayout.standard(m_bits, pe_cfg.t_bits, b_bits)
+    layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
     pairs = spectral.gram(spec)
 
     state = sim.new_state(layout)

@@ -5,7 +5,9 @@ that writes the m-bit shrinkage fraction y = (1 - tau/sigma)_+ of each
 eigenvalue label into register L (computed by a cubic Newton iteration,
 XOR-written so the oracle is self-inverse), and a Y rotation controlled
 by L that turns the L content theta = 0.t1...td into an ancilla
-amplitude sin(theta * alpha).
+amplitude sin(theta * alpha).  The rotation takes an ancilla whose |1>
+half is exactly zero, as nothing before it in a run writes that half, and
+writes both halves in place rather than as a gate.
 
 :func:`build_sigma_tau_oracle` is the one Newton entry point.  A code
 is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw.
@@ -102,7 +104,7 @@ class SigmaTauOracle:
         return self.y_codes.get(label, 0)
 
     def apply(self, state: QuantumState, layout: RegisterLayout) -> QuantumState:
-        if len(layout.reg_L) != self.m_bits or len(layout.reg_C) != self.t_bits:
+        if (layout.m_bits, layout.t_bits) != (self.m_bits, self.t_bits):
             raise ValidationError("oracle widths do not match layout")
         # a permutation of the amplitudes: the norm is as it was
         return sim.apply_basis_oracle(state, layout.reg_L, layout.reg_C, self.y_codes)
@@ -153,19 +155,27 @@ def build_sigma_tau_oracle(
 
 def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
-    theta = 0.t1...td the ancilla becomes sin(theta a)|1> + cos(theta a)|0>,
-    as one ry(2 theta a) per L label in one controlled pass (the product
-    of the paper's ry(2^(1-j) a) on each L qubit j).  ``alpha`` is the
-    ``alpha`` of an AlphaSolution, which checked it.  Exact for every
-    theta; the single-lobe rule is a set-up check.  The read of the
-    ancilla's masses also checks the incoming state's norm."""
+    theta = 0.t1...td the ancilla's |0> becomes cos(theta a)|0> +
+    sin(theta a)|1>, ry(2 theta a) per L label (the product of the paper's
+    ry(2^(1-j) a) on each L qubit j).  ``alpha`` is the ``alpha`` of an
+    AlphaSolution, which checked it.  Exact for every theta; the
+    single-lobe rule is a set-up check.  The ancilla's |1> half must hold
+    mass exactly 0, as nothing before the cascade in a run writes it: that
+    half is written as sin(theta a) times the |0> half, then the |0> half
+    is scaled by cos(theta a), in place.  The read of the ancilla's masses
+    also checks the incoming state's norm."""
+    if state.n_qubits != layout.n_qubits:
+        raise ValidationError(f"{layout.n_qubits}-qubit layout for {state.n_qubits} qubits")
     anc_mass = sim.register_mass(state, [layout.ancilla])
     sim.check_mass(anc_mass)
-    if not anc_mass[1] <= sim.CLEARED_TOL:  # NaN fails too
-        raise ValidationError("ancilla not cleared")
-    labels = 1 << len(layout.reg_L)
-    angles = np.arange(labels) * (2.0 * alpha / labels)  # = linspace(0, 2a, endpoint=False)
-    sim.apply_controlled(state, sim.ry(angles), layout.reg_L, [layout.ancilla])
+    if not anc_mass[1] == 0:  # NaN fails too
+        raise ValidationError(f"ancilla not cleared: its |1> half holds mass {anc_mass[1]:.3e}")
+    labels = 1 << layout.m_bits
+    half = np.arange(labels) * (alpha / labels)  # theta a, the bits of ry's angle / 2
+    # L, C, the ancilla, then B's amplitudes as float pairs
+    x = state.amplitudes.view(np.float64).reshape(labels, -1, 2, 2 << layout.b_bits)
+    np.multiply(x[:, :, 0], np.sin(half)[:, None, None], out=x[:, :, 1])
+    x[:, :, 0] *= np.cos(half)[:, None, None]
     return state
 
 
@@ -205,9 +215,8 @@ def uncompute(
 def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:
     """Probability mass with L or C off |0>; the read of L and C also
     checks the state's norm."""
-    qubits = [*layout.reg_L, *layout.reg_C]
-    if not qubits:
+    if not layout.ancilla:  # L and C are qubits 0..ancilla-1
         return 0.0
-    mass = sim.register_mass(state, qubits)
+    mass = sim.register_mass(state, range(layout.ancilla))
     sim.check_mass(mass)
     return float(mass[1:].sum())

@@ -15,25 +15,24 @@ Conventions used throughout the package:
   ``BLOCK_AMPLITUDES`` cut along the view's first leading axis longer
   than one, and along the rest axis where that axis is short or absent,
   so no temporary outgrows a block; a state that fits one block is one
-  ``stack @ view``.  An uncontrolled gate is a one-matrix stack.  A real
-  stack (``ry``) acts on the float view where rest is unit-stride.
-  Targets, controls and registers are non-empty, disjoint, contiguous
-  ascending integer qubits of the state, or ``ValidationError`` is raised
-  before the state is touched.  One cached function, ``_split``, checks
-  them, once per distinct register set rather than per call (``_qubits``
-  checks per call that they are integers, which its keys cannot tell), and
-  ``_gate_view`` plans the blocks once per register set.  A state has a
-  single writer at a time.
+  ``stack @ view``.  An uncontrolled gate is a one-matrix stack, and
+  every stack is complex128.  Targets, controls and registers are
+  non-empty, disjoint, contiguous ascending integer qubits of the state,
+  or ``ValidationError`` is raised before the state is touched.  One
+  cached function, ``_split``, checks them, once per distinct register
+  set rather than per call (``_qubits`` checks per call that they are
+  integers, which its keys cannot tell), and ``_gate_view`` plans the
+  blocks once per register set.  A state has a single writer at a time.
 * Gates reject a non-unitary matrix, one batched check per call (a
   stack of powers is passed as its factors, each checked, and built in
-  the kernel), except that a read-only array, a shared constant such as
-  the DFT, is taken to be constant and checked once per array object,
-  with no copy or hash of its content; the last 8 to pass are held, so
-  no other array takes their ids.  Gates do not check the norm: each
-  stage that reads the state checks the norm of the state it reads, on
-  that read (:func:`check_mass` on the register masses it reads anyway),
-  so no pass over the state is made for the norm alone.  Every guard is
-  written so that NaN fails.
+  the kernel), except that a read-only complex128 array, a shared
+  constant such as the DFT, is taken to be constant and checked once per
+  array object, with no copy or hash of its content; the last 8 to pass
+  are held, so no other array takes their ids.  Gates do not check the
+  norm: each stage that reads the state checks the norm of the state it
+  reads, on that read (:func:`check_mass` on the register masses it reads
+  anyway), so no pass over the state is made for the norm alone.  Every
+  guard is written so that NaN fails.
 """
 from __future__ import annotations
 
@@ -80,46 +79,44 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def ry(angle) -> np.ndarray:
-    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>, a real
-    matrix.  An array of angles gives the stack of their rotations."""
-    half = np.asarray(angle) / 2.0
-    gate = np.empty(half.shape + (2, 2))
-    c, s = np.cos(half), np.sin(half)
-    gate[..., 0, 0] = gate[..., 1, 1] = c
-    gate[..., 0, 1], gate[..., 1, 0] = -s, s
-    return gate
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit assignment: ancilla a, threshold register L, eigenvalue
-    register C, data register B.  Registers must tile 0..n-1; L may be
-    empty."""
+    """Register widths in the one qubit order: threshold register L
+    (``m_bits``), eigenvalue register C (``t_bits``), the ancilla, then
+    data register B (``b_bits``).  The amplitudes whose L reads 0 are the
+    first 2**(n - m_bits), the state of :func:`l_zero_block`, and each half
+    of the ancilla is contiguous runs of 2**b_bits amplitudes.  L and C may
+    be empty; B may not."""
 
-    ancilla: int
-    reg_L: range
-    reg_C: range
-    reg_B: range
+    m_bits: int
+    t_bits: int
+    b_bits: int
 
     def __post_init__(self) -> None:
-        flat = [self.ancilla, *self.reg_L, *self.reg_C, *self.reg_B]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValidationError("registers must tile qubits 0..n-1 without gaps or overlaps")
-        if len(self.reg_B) == 0:
-            raise ValidationError("data register B must be non-empty")
+        for name, least in (("m_bits", 0), ("t_bits", 0), ("b_bits", 1)):
+            bits = getattr(self, name)
+            if not (_is_int(bits) and bits >= least):
+                raise ValidationError(f"{name} must be an integer >= {least}, got {bits!r}")
+
+    @property
+    def ancilla(self) -> int:
+        return self.m_bits + self.t_bits
+
+    @property
+    def reg_L(self) -> range:
+        return range(self.m_bits)
+
+    @property
+    def reg_C(self) -> range:
+        return range(self.m_bits, self.ancilla)
+
+    @property
+    def reg_B(self) -> range:
+        return range(self.ancilla + 1, self.n_qubits)
 
     @property
     def n_qubits(self) -> int:
-        return 1 + len(self.reg_L) + len(self.reg_C) + len(self.reg_B)
-
-    @classmethod
-    def standard(cls, m_bits: int, t_bits: int, b_bits: int) -> "RegisterLayout":
-        """L, C, the ancilla, then B: the amplitudes whose L reads 0 are the
-        first 2**(n - m_bits), the state of :func:`l_zero_block`, and each
-        half of the ancilla is contiguous runs of 2**b_bits amplitudes."""
-        anc = m_bits + t_bits
-        return cls(anc, range(m_bits), range(m_bits, anc), range(anc + 1, anc + 1 + b_bits))
+        return self.ancilla + 1 + self.b_bits
 
 
 @dataclass
@@ -129,7 +126,7 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         n, shape = self.n_qubits, np.shape(self.amplitudes)
-        if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_QUBITS and shape == (1 << n,)):
+        if not (_is_int(n) and 0 <= n <= MAX_QUBITS and shape == (1 << n,)):
             raise ValidationError(f"{n!r} qubits in 0..{MAX_QUBITS} need 2**n amplitudes: {shape}")
         amp = self.amplitudes  # the kernels write complex results through views of it
         if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
@@ -148,25 +145,13 @@ def l_zero_block(
     state: QuantumState, layout: RegisterLayout
 ) -> tuple[QuantumState, RegisterLayout]:
     """The amplitudes whose L register reads 0, as a state of their own
-    that shares them (a view, not a copy), and its layout: L empty, the
-    other registers moved up by L's width.  L must lead the layout, as in
-    :meth:`RegisterLayout.standard`, so the block is the state's first
-    2**(n - m) amplitudes.  A gate on C and B maps each L block to itself,
-    so on the block it does what it does on the state wherever L reads 0."""
-    n = state.n_qubits - len(layout.reg_L)
-    return QuantumState(n, state.amplitudes[: 1 << n]), _l_zero_layout(layout)
-
-
-@functools.lru_cache(maxsize=64)
-def _l_zero_layout(layout: RegisterLayout) -> RegisterLayout:
-    """The layout of :func:`l_zero_block`, built once per layout."""
-    m = len(layout.reg_L)
-    if layout.reg_L != range(m):
-        raise ValidationError(f"register L must lead the layout: {layout.reg_L}")
-    c, b = layout.reg_C, layout.reg_B
-    return RegisterLayout(
-        layout.ancilla - m, range(0), range(c.start - m, c.stop - m), range(b.start - m, b.stop - m)
-    )
+    that shares them (a view, not a copy), and its layout, L empty: as L
+    leads, they are the state's first 2**(n - m) amplitudes.  A gate on C
+    and B maps each L block to itself, so on the block it does what it
+    does on the state wherever L reads 0."""
+    n = state.n_qubits - layout.m_bits
+    block_layout = RegisterLayout(0, layout.t_bits, layout.b_bits)
+    return QuantumState(n, state.amplitudes[: 1 << n]), block_layout
 
 
 def new_state(layout: RegisterLayout) -> QuantumState:
@@ -282,9 +267,7 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
     :func:`_gate_view` at a time."""
     shape, order, blocks = _gate_view(state.n_qubits, registers)
     targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
-    array = np.asarray(matrices)
-    if array.dtype.char not in "dD":  # float64 stays real: see the loop
-        array = array.astype(complex)
+    array = np.asarray(matrices, dtype=complex)
     stack = array if width else array[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
@@ -303,14 +286,8 @@ def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> Qua
             if j:
                 np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
     view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
-    # a real stack acts on the real and imaginary parts apart: where rest is
-    # unit-stride, one real product on the float view, the complex one's bits
-    real = stack.dtype.char == "d"
-    if real and view.strides[-1] != view.itemsize:
-        stack, real = stack.astype(complex), False
     for block in blocks:
-        x = view[block].view(np.float64) if real else view[block]
-        x[...] = stack @ x
+        view[block] = stack @ view[block]
     return state
 
 

@@ -52,10 +52,21 @@ def whole_state(state, layout):
     return state, layout
 
 
+def ry(angle) -> np.ndarray:
+    """Rotation about Y: ry(a)|0> = cos(a/2)|0> + sin(a/2)|1>, a real
+    matrix.  An array of angles gives the stack of their rotations."""
+    half = np.asarray(angle) / 2.0
+    gate = np.empty(half.shape + (2, 2))
+    c, s = np.cos(half), np.sin(half)
+    gate[..., 0, 0] = gate[..., 1, 1] = c
+    gate[..., 0, 1], gate[..., 1, 0] = -s, s
+    return gate
+
+
 def bitwise_ry_cascade(state, layout, alpha):
     """The paper's cascade: ry(2^(1-j) alpha) on the ancilla controlled on
     the j-th qubit of L, one gate per qubit."""
     for j, q in enumerate(layout.reg_L, start=1):
-        gate = sim.ry(2.0 ** (1 - j) * alpha)
+        gate = ry(2.0 ** (1 - j) * alpha)
         sim.apply_controlled(state, controlled_on_one(gate), [q], [layout.ancilla])
     return state

@@ -36,6 +36,11 @@ def test_random_lowrank_sigma_injection():
 def test_random_lowrank_rejects_bad_rank():
     with pytest.raises(ValidationError):
         harness.random_lowrank(2, 2, 3, seed=0)
+    # a float or bool shape or rank is not an integer: at the parent the
+    # float ones died in NumPy with a bare TypeError
+    for args in ((2.0, 3, 1), (2, 3.0, 1), (2, 3, 1.0), (2, 3, True)):
+        with pytest.raises(ValidationError, match="invalid for shape .*: integers"):
+            harness.random_lowrank(*args, 0)
 
 
 @pytest.mark.parametrize("sigma", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)])
@@ -202,6 +207,30 @@ def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
     harness.SweepConfig(rank=harness.SWEEP_DIM_RANGE[1])
     harness.SweepConfig(shape=(2, 3), rank=2, sigma=(2.0, 1.0), tau=1.5)
     harness.SweepConfig(shape=(1, 1), rank=1, sigma=(2.0,))
+
+
+def test_sweep_config_takes_integer_counts_widths_shape_and_rank():
+    # each of these passed a bare "< 1" check and ended in a bare TypeError
+    # in run_sweep, or in a width error written into every record
+    bad = {
+        "n_instances must be a non-negative integer": [dict(n_instances=2.5),
+                                                       dict(n_instances=True)],
+        "jobs must be a non-negative integer": [dict(jobs=1.5)],
+        "n_instances must be at least 1": [dict(n_instances=0)],
+        "t_bits must lie in 1..26, an integer": [dict(t_bits=6.0, simulate=True),
+                                                 dict(t_bits=np.float64(6))],
+        "m_bits must lie in 1..26, an integer": [dict(m_bits=8.0), dict(m_bits=0)],
+        "rank must lie in": [dict(rank=2.0, n_instances=1), dict(rank=True)],
+        "shape must be two positive integers": [dict(shape=(2.0, 3), n_instances=1),
+                                                dict(shape=(2, 0)), dict(shape=(2, 3, 4))],
+    }
+    for match, cases in bad.items():
+        for kwargs in cases:
+            with pytest.raises(ValidationError, match=match):
+                harness.SweepConfig(**kwargs)
+    cfg = harness.SweepConfig(n_instances=np.int64(2), jobs=np.int64(1), t_bits=np.int64(6),
+                              shape=(np.int64(2), 3), rank=np.int64(2), methods=("intuitive",))
+    assert [rec.error for rec in harness.run_sweep(cfg)] == [""] * 2
 
 
 def test_sweep_config_rejects_an_empty_sigma():

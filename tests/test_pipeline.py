@@ -54,24 +54,26 @@ def test_reference_agreement_in_exact_regime():
 
 
 def test_reference_run_passes_over_the_state(monkeypatch):
-    # every counted call reads or writes the state it is given once: 5 of
-    # them the whole state (the oracle twice, the cascade, its ancilla
-    # read and the uncompute read of L and C) and 7 the L = 0 block (the
-    # C read, the four DFTs and E twice)
+    # every counted call reads or writes the state it is given once: 6 of
+    # them the whole state (the load's norm, the oracle twice, the
+    # cascade, its ancilla read and the uncompute read of L and C) and 7
+    # the L = 0 block (the C read, the four DFTs and E twice)
     counts = collections.Counter()
-    for name in ("register_mass", "apply_unitary", "apply_controlled", "apply_basis_oracle"):
-        def counted(*args, _real=getattr(sim, name), _name=name, **kwargs):
+    calls = [(sim, name) for name in
+             ("register_mass", "apply_unitary", "apply_controlled", "apply_basis_oracle")]
+    for module, name in [*calls, (rotation, "ry_cascade"), (sim.QuantumState, "norm")]:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(sim, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run_reference()
     # QFT and QFT^-1 per phase estimation, no Hadamard layers on C, no
     # pass over L in the cascade, and no read for the norm alone: the prep
     # load, the C-cleared read, the cascade's ancilla read, the uncompute
     # read of L and C and post-select each check it from their own read
     # (the oracle only permutes amplitudes)
-    assert counts == {"register_mass": 3, "apply_unitary": 4, "apply_controlled": 3,
-                      "apply_basis_oracle": 2}
+    assert counts == {"register_mass": 3, "apply_unitary": 4, "apply_controlled": 2,
+                      "apply_basis_oracle": 2, "ry_cascade": 1, "norm": 1}
 
 
 @pytest.mark.parametrize(
@@ -152,17 +154,17 @@ def test_phase_estimation_on_the_l_zero_block_matches_the_whole_state(monkeypatc
 
 def test_phase_estimation_passes_over_the_l_zero_block_only(monkeypatch):
     # the paper run: the DFTs and both evolutions see the 2^7 amplitudes
-    # whose L reads 0, the oracle and the cascade all 2^9; three
-    # controlled gates, E, the cascade and E^-1, as before the block
+    # whose L reads 0, the oracle and the cascade all 2^9
     sizes = collections.defaultdict(list)
-    for name in ("apply_unitary", "apply_controlled", "apply_basis_oracle"):
-        def spy(state, *args, _real=getattr(sim, name), _name=name, **kwargs):
+    calls = [(sim, name) for name in ("apply_unitary", "apply_controlled", "apply_basis_oracle")]
+    for module, name in [*calls, (rotation, "ry_cascade")]:
+        def spy(state, *args, _real=getattr(module, name), _name=name, **kwargs):
             sizes[_name].append(state.n_qubits)
             return _real(state, *args, **kwargs)
-        monkeypatch.setattr(sim, name, spy)
+        monkeypatch.setattr(module, name, spy)
     run_reference()
-    assert sizes == {"apply_unitary": [7] * 4, "apply_controlled": [7, 9, 7],
-                     "apply_basis_oracle": [9, 9]}
+    assert sizes == {"apply_unitary": [7] * 4, "apply_controlled": [7, 7],
+                     "apply_basis_oracle": [9, 9], "ry_cascade": [9]}
 
 
 def test_paper_run_calls_no_numpy_norm_or_take(monkeypatch):

@@ -8,12 +8,12 @@ from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
-from gates import bitwise_conditional_evolution, hadamard, pauli_x
+from gates import bitwise_conditional_evolution, hadamard, pauli_x, ry
 
 
 def reference_setup(m_bits=1, t_bits=3):
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
-    layout = sim.RegisterLayout.standard(m_bits, t_bits, 3)
+    layout = sim.RegisterLayout(m_bits, t_bits, 3)
     return data, layout, spectral.gram(data)
 
 
@@ -293,9 +293,9 @@ def test_phase_estimate_then_inverse_is_identity():
         vec = rng.normal(size=b_dim) + 1j * rng.normal(size=b_dim)
         vec /= np.linalg.norm(vec)
         sim.load_register(state, layout.reg_B, vec)
-        sim.apply_unitary(state, sim.ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
+        sim.apply_unitary(state, ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
         for q in layout.reg_L:
-            sim.apply_unitary(state, sim.ry(float(rng.uniform(0, np.pi))), [q])
+            sim.apply_unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
         before = state.amplitudes.copy()
         qpe.phase_estimate(state, cfg, layout, pairs)
         qpe.phase_estimate_inverse(state, cfg, layout, pairs)
@@ -337,7 +337,7 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     for a in (pairs, np.linalg.eigh(z + z.conj().T)):
         for t_bits in range(1, 7):
-            layout = sim.RegisterLayout.standard(1, t_bits, 3)
+            layout = sim.RegisterLayout(1, t_bits, 3)
             cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
             reg_b = qpe._u_factor_qubits(layout, a)
             for inverse in (False, True):
@@ -369,7 +369,7 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
 
     runs = {3: [1, 1, 1], 5: [1] * 5, 6: [2, 2, 2], 7: [3, 3, 1], 8: [4, 4]}
     for t_bits, widths in [*runs.items(), (3, [3]), (8, [8])]:
-        layout = sim.RegisterLayout.standard(1, t_bits, 3)
+        layout = sim.RegisterLayout(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
         block = 1 << (6 + widths[0]) if len(widths) > 1 else sim.BLOCK_AMPLITUDES
         for inverse in (False, True):
@@ -437,7 +437,7 @@ def test_qft_phase_estimation_matches_the_hadamard_layer():
     _, _, pairs = reference_setup()
     rng = np.random.default_rng(23)
     for t_bits in range(1, 6):
-        layout = sim.RegisterLayout.standard(2, t_bits, 3)
+        layout = sim.RegisterLayout(2, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
         for _ in range(3):
             state = _random_state(rng, layout, clear_c=True)

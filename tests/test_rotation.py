@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from qsvt import qpe, rotation, sim, spectral
-from qsvt.errors import ConvergenceError, UncomputeResidualError, ValidationError
+from qsvt.errors import (
+    ConvergenceError, NormalizationError, UncomputeResidualError, ValidationError
+)
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, controlled_on_one, pauli_x, whole_state
+from gates import bitwise_ry_cascade, controlled_on_one, pauli_x, ry, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -243,7 +245,7 @@ def test_oracle_reference_codes():
 def test_oracle_writes_codes_into_register_l():
     enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
-    layout = sim.RegisterLayout.standard(3, 3, 1)
+    layout = sim.RegisterLayout(3, 3, 1)
     state = sim.new_state(layout)
     # occupy C = 100 (label 4) with B = |0>
     sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
@@ -264,7 +266,7 @@ def test_oracle_thresholded_label_leaves_l_zero():
 def test_oracle_self_inverse():
     enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
-    layout = sim.RegisterLayout.standard(3, 3, 1)
+    layout = sim.RegisterLayout(3, 3, 1)
     rng = np.random.default_rng(31)
     amp = rng.normal(size=1 << layout.n_qubits) + 1j * rng.normal(size=1 << layout.n_qubits)
     amp /= np.linalg.norm(amp)
@@ -305,9 +307,9 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
     enc = reference_encoding()
     built = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
     drawn = rotation.SigmaTauOracle(3, 4, {c: int(rng.integers(8)) for c in (0, 3, 9, 15)}, {})
-    for oracle, layout in ((built, sim.RegisterLayout.standard(3, 3, 2)),
-                           (drawn, sim.RegisterLayout.standard(3, 4, 2)),
-                           (drawn, sim.RegisterLayout(8, range(0, 3), range(3, 7), range(7, 8)))):
+    for oracle, layout in ((built, sim.RegisterLayout(3, 3, 2)),
+                           (drawn, sim.RegisterLayout(3, 4, 2)),
+                           (drawn, sim.RegisterLayout(3, 4, 1))):
         for _ in range(3):
             size = 1 << layout.n_qubits
             amp = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -351,7 +353,7 @@ def test_oracle_build_checks_width_and_tau():
 
 
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
-    layout = sim.RegisterLayout.standard(3, 1, 1)
+    layout = sim.RegisterLayout(3, 1, 1)
     state = sim.new_state(layout)
     rotation.ry_cascade(state, layout, 2.0944)
     assert sim.register_mass(state, [layout.ancilla])[1] == 0.0
@@ -367,7 +369,7 @@ def _state_with_l_code(layout, raw):
 
 def test_ry_cascade_reference_amplitudes():
     alpha = 2.0944
-    layout = sim.RegisterLayout.standard(2, 1, 1)
+    layout = sim.RegisterLayout(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75
     rotation.ry_cascade(state, layout, alpha)
     anc = sim.register_mass(state, [layout.ancilla])
@@ -380,16 +382,30 @@ def test_ry_cascade_reference_amplitudes():
 
 
 def test_ry_cascade_requires_cleared_ancilla():
-    layout = sim.RegisterLayout.standard(2, 1, 1)
-    state = sim.new_state(layout)
-    sim.apply_unitary(state, pauli_x(), [layout.ancilla])
-    with pytest.raises(ValidationError, match="ancilla"):
-        rotation.ry_cascade(state, layout, 1.0)
+    # the cascade overwrites the ancilla's |1> half, so any mass there, a
+    # tiny one or NaN (which the norm check of the same read finds first),
+    # is rejected before the state is touched
+    layout = sim.RegisterLayout(2, 1, 1)
+    flipped = sim.new_state(layout)
+    sim.apply_unitary(flipped, pauli_x(), [layout.ancilla])
+    tiny = sim.new_state(layout)
+    tiny.amplitudes.reshape(8, 2, 2)[0, 1, 0] = 1e-10  # mass 1e-20 on ancilla 1
+    nan = sim.new_state(layout)
+    nan.amplitudes.reshape(8, 2, 2)[3, 1, 1] = np.nan
+    for state, error, match in ((flipped, ValidationError, "ancilla not cleared"),
+                                (tiny, ValidationError, "holds mass 1.000e-20"),
+                                (nan, NormalizationError, "norm drifted to nan")):
+        before = state.amplitudes.tobytes()
+        with pytest.raises(error, match=match):
+            rotation.ry_cascade(state, layout, 1.0)
+        assert state.amplitudes.tobytes() == before
+    with pytest.raises(ValidationError, match="5-qubit layout for 6 qubits"):
+        rotation.ry_cascade(sim.QuantumState(6, np.eye(64, dtype=complex)[0]), layout, 1.0)
 
 
 def test_ry_cascade_is_exact_beyond_single_lobe():
     # the single-lobe rule is a set-up check of the run, not of the cascade
-    layout = sim.RegisterLayout.standard(2, 1, 1)
+    layout = sim.RegisterLayout(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
     rotation.ry_cascade(state, layout, 4.4)
     amp = state.amplitudes.reshape(4, 2, 2, 2)[3, 0, 1, 0]  # L = 11, C = 0, ancilla 1, B = 0
@@ -397,16 +413,17 @@ def test_ry_cascade_is_exact_beyond_single_lobe():
 
 
 def _controlled_ry_product(alpha, d):
-    """Full (1+d)-qubit matrix of the cascade's gate sequence, built
-    column by column through the simulator."""
-    n = 1 + d
+    """Full (d+1)-qubit matrix of the cascade's gate sequence on L (qubits
+    0..d-1) and the ancilla (qubit d), built column by column through the
+    simulator."""
+    n = d + 1
     dim = 1 << n
     op = np.eye(dim, dtype=complex)
     for j in range(1, d + 1):
         gate = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
             st = sim.QuantumState(n, np.eye(dim, dtype=complex)[col])
-            sim.apply_controlled(st, controlled_on_one(sim.ry(2.0 ** (1 - j) * alpha)), [j], [0])
+            sim.apply_controlled(st, controlled_on_one(ry(2.0 ** (1 - j) * alpha)), [j - 1], [d])
             gate[:, col] = st.amplitudes
         op = gate @ op
     return op
@@ -419,24 +436,24 @@ def test_cascade_equals_monolithic_rotation_operator():
         expected = np.zeros_like(actual)
         for label in range(1 << d):
             theta = label / (1 << d)
-            r = sim.ry(2.0 * alpha * theta)
+            r = ry(2.0 * alpha * theta)
             for a_in in (0, 1):
                 for a_out in (0, 1):
-                    expected[(a_out << d) | label, (a_in << d) | label] = r[a_out, a_in]
+                    expected[(label << 1) | a_out, (label << 1) | a_in] = r[a_out, a_in]
         assert np.abs(actual - expected).max() < 1e-12
 
 
 def test_ry_cascade_matches_gate_product_on_cleared_ancilla():
     d, alpha = 3, 2.5
     op = _controlled_ry_product(alpha, d)
-    layout = sim.RegisterLayout(0, range(1, 1 + d), range(1 + d, 1 + d), range(1 + d, 2 + d))
+    layout = sim.RegisterLayout(d, 0, 1)  # L 0..d-1, the ancilla d, B d+1
     for label in range(1 << d):
-        state = sim.new_state(layout)
         amp = np.zeros(1 << layout.n_qubits, dtype=complex)
-        amp[label << 1] = 1.0  # ancilla 0, B fixed at |0>
-        state.amplitudes = amp
+        amp[label << 2] = 1.0  # ancilla 0, B fixed at |0>
+        state = sim.QuantumState(layout.n_qubits, amp)
         rotation.ry_cascade(state, layout, alpha)
-        assert np.abs(state.amplitudes[::2] - op[:, label]).max() < 1e-12
+        assert np.abs(state.amplitudes[::2] - op[:, label << 1]).max() < 1e-12
+        assert not state.amplitudes[1::2].any()  # B stays |0>
 
 
 def test_ry_cascade_matches_the_bitwise_controlled_rotations():
@@ -444,7 +461,7 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
     # qubit, on random states with the ancilla cleared
     rng = np.random.default_rng(41)
     for m_bits in range(1, 8):
-        layout = sim.RegisterLayout.standard(m_bits, 2, 2)
+        layout = sim.RegisterLayout(m_bits, 2, 2)
         n = layout.n_qubits
         for alpha in rng.uniform(0.5, 4.4, size=3):
             amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -459,7 +476,7 @@ def reference_forward_state():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     pe_cfg = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, 2, 0.5)
-    layout = sim.RegisterLayout.standard(2, 3, 3)
+    layout = sim.RegisterLayout(2, 3, 3)
     pairs = spectral.gram(data)
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(data, data.sigma))
