@@ -2,10 +2,11 @@
 fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
-``solution(profile, method, alpha)`` is the one check of alpha (finite
-and positive) and the one evaluator of P, F and G at a chosen alpha; an
-explicit alpha and every rule's alpha reach it.  ``g_objective`` and
-``g_derivative`` serve the numeric rule's search.
+``solution(profile, method, alpha)`` is the one check of alpha (a real
+number, not a bool, finite and positive) and the one evaluator of P, F
+and G at a chosen alpha; an explicit alpha and every rule's alpha reach
+it.  ``g_objective`` and ``g_derivative`` serve the numeric rule's
+search.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FullyThresholdedError, ValidationError
+from .sim import _is_real
 from .spectral import check_sigma, check_threshold
 
 # Newton on G' stops once its step is this many ulps of alpha or fewer
@@ -85,7 +87,7 @@ class SpectrumProfile:
     @classmethod
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
         sig = tuple(np.asarray(sigma, dtype=float).tolist())
-        check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
+        tau = check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
         return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
 
 
@@ -115,7 +117,11 @@ class AlphaSolution:
 def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
     """P, F and G at ``alpha``, recorded under ``method``: the one
     constructor of a solution, for the four rules and an explicit alpha.
-    Alpha is checked before any sine, and each component takes one sine."""
+    Alpha is checked before any sine, and taken as a Python float; each
+    component takes one sine."""
+    if not _is_real(alpha):
+        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
+    alpha = float(alpha)
     if not 0 < alpha < math.inf:  # NaN fails too
         if not math.isfinite(alpha):
             raise ValidationError(f"alpha must be finite, got {alpha!r}")

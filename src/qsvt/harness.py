@@ -70,7 +70,7 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
         values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
         values = _separate(values)
     else:
-        values = np.asarray(sigma, dtype=float)
+        values = spectral.real_vector("sigma", sigma)
         if values.shape != (r,):
             raise ValidationError(f"{values.size} injected sigma values for rank {r}")
         spectral.check_sigma(values.tolist())
@@ -140,14 +140,15 @@ class SweepConfig:
         if self.rank is not None and not (sim._is_int(self.rank) and 1 <= self.rank <= max_rank):
             raise ValidationError(f"rank must lie in 1..{max_rank}, got {self.rank}")
         if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=float).tolist()
+            s = spectral.real_vector("sigma", self.sigma).tolist()
             spectral.check_sigma(s)
             if self.rank is not None and len(s) != self.rank:
                 raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
             if len(s) > max_rank:
                 raise ValidationError(f"{len(s)} sigma values above the largest rank {max_rank}")
         if self.tau is not None:
-            spectral.check_threshold(self.tau, self.sigma[0] if self.sigma else np.inf)
+            sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
+            self.tau = spectral.check_threshold(self.tau, sigma_max)
 
 
 @dataclass
@@ -312,11 +313,11 @@ def sweep_summary(records: list[ExperimentRecord], simulate: bool) -> dict:
     return summary
 
 
-def write_csv(records: list[ExperimentRecord], path) -> None:
+def write_csv(records: list[ExperimentRecord], out) -> None:
+    """The CSV of ``records`` to the open text file ``out``."""
     lines = [CSV_SCHEMA, CSV_CORPUS_NOTE, ",".join(CSV_COLUMNS)]
     lines += [",".join(rec.to_row()) for rec in records]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
 
 
 def emit_plot(records: list[ExperimentRecord], path) -> None:
@@ -459,8 +460,9 @@ def cmd_sweep(args) -> int:
         timings=bool(args.timings),
         jobs=args.jobs,
     )
-    records = run_sweep(cfg)
-    write_csv(records, args.out)
+    with open(args.out, "w") as out:  # an unwritable path fails before the sweep runs
+        records = run_sweep(cfg)
+        write_csv(records, out)
     summary = sweep_summary(records, cfg.simulate)
     print(f"wrote {len(records)} records to {args.out}")
     for method, med in summary["medians"].items():
@@ -568,7 +570,11 @@ def _config_flags(path) -> list[str]:
     ``key=value`` line, for the subcommand's own parser to check."""
     flags = []
     with open(path) as fh:
-        for line in fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file is not text: {exc}") from None
+        for line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

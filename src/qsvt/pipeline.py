@@ -37,6 +37,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a real number, as a Python float; checked against sigma_1 in the run
+        self.tau = spectral.check_threshold(self.tau, math.inf)
         if self.shots is not None:
             check_count("shots", self.shots)
         check_count("seed", self.seed)
@@ -86,7 +88,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
 
     if cfg.alpha is not None:
         method = "explicit"
-        solution = alpha_mod.solution(profile, method, float(cfg.alpha))
+        solution = alpha_mod.solution(profile, method, cfg.alpha)
     else:
         method = cfg.alpha_method
         solution, note = alpha_mod.resolve_alpha(profile, method)

@@ -162,12 +162,11 @@ def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> Qua
     single-lobe rule is a set-up check.  The ancilla's |1> half must hold
     mass exactly 0, as nothing before the cascade in a run writes it: that
     half is written as sin(theta a) times the |0> half, then the |0> half
-    is scaled by cos(theta a), in place.  The read of the ancilla's masses
-    also checks the incoming state's norm."""
+    is scaled by cos(theta a), in place.  The read of the ancilla's masses,
+    :func:`sim.register_mass`, also checks the incoming state's norm."""
     if state.n_qubits != layout.n_qubits:
         raise ValidationError(f"{layout.n_qubits}-qubit layout for {state.n_qubits} qubits")
     anc_mass = sim.register_mass(state, [layout.ancilla])
-    sim.check_mass(anc_mass)
     if not anc_mass[1] == 0:  # NaN fails too
         raise ValidationError(f"ancilla not cleared: its |1> half holds mass {anc_mass[1]:.3e}")
     labels = 1 << layout.m_bits
@@ -213,10 +212,9 @@ def uncompute(
 
 
 def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:
-    """Probability mass with L or C off |0>; the read of L and C also
-    checks the state's norm."""
+    """Probability mass with L or C off |0>; the read of L and C,
+    :func:`sim.register_mass`, also checks the state's norm."""
     if not layout.ancilla:  # L and C are qubits 0..ancilla-1
         return 0.0
     mass = sim.register_mass(state, range(layout.ancilla))
-    sim.check_mass(mass)
     return float(mass[1:].sum())

@@ -29,10 +29,11 @@ Conventions used throughout the package:
   constant such as the DFT, is taken to be constant and checked once per
   array object, with no copy or hash of its content; the last 8 to pass
   are held, so no other array takes their ids.  Gates do not check the
-  norm: each stage that reads the state checks the norm of the state it
-  reads, on that read (:func:`check_mass` on the register masses it reads
-  anyway), so no pass over the state is made for the norm alone.  Every
-  guard is written so that NaN fails.
+  norm: every read of the state, the register masses of
+  :func:`register_mass` and :func:`post_select`, checks that they sum to
+  1 within ``NORM_TOL`` or raises ``NormalizationError``, so no stage
+  reads a state off unit norm and no pass is made for the norm alone.
+  Every guard is written so that NaN fails.
 """
 from __future__ import annotations
 
@@ -57,6 +58,12 @@ def _is_int(x) -> bool:
     """An integer, of Python or NumPy, that is not a bool; a Python int
     passes on its type alone."""
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A real number, of Python or NumPy, that is not a bool; a Python
+    float passes on its type alone."""
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_width(name: str, bits) -> int:
@@ -163,14 +170,6 @@ def new_state(layout: RegisterLayout) -> QuantumState:
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = 1.0
     return QuantumState(n, amp)
-
-
-def check_mass(mass: np.ndarray) -> None:
-    """The unit-norm guard from a register's label masses, which sum to
-    the squared norm: a stage that reads them anyway needs no other read."""
-    norm = math.sqrt(mass.sum())
-    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-        raise NormalizationError(f"state norm drifted to {norm!r}")
 
 
 def _qubits(reg) -> tuple:
@@ -358,13 +357,19 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
 def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
     """Mass of each label of qubits lo..lo+w-1, one einsum over the float
     view (2**lo, 2**w, rest) without a temporary; its inner loop runs
-    along rest, which no read of the run leaves short."""
+    along rest, which no read of the run leaves short.  The masses sum to
+    the squared norm, so the read is also the unit-norm guard."""
     x = amps.view(np.float64).reshape(1 << lo, 1 << w, -1)
-    return np.einsum("awr,awr->w", x, x)
+    mass = np.einsum("awr,awr->w", x, x)
+    norm = math.sqrt(mass.sum())
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+        raise NormalizationError(f"state norm drifted to {norm!r}")
+    return mass
 
 
 def register_mass(state: QuantumState, qubits) -> np.ndarray:
-    """Probability of each label of a contiguous ascending register."""
+    """Probability of each label of a contiguous ascending register; a
+    state off unit norm raises ``NormalizationError``."""
     return _mass(state.amplitudes, *_register(state, qubits))
 
 
@@ -379,7 +384,6 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     if not (_is_int(value) and value in (0, 1)):
         raise ValidationError(f"measurement value must be the integer 0 or 1, got {value!r}")
     mass = _mass(state.amplitudes, *_register(state, [qubit]))
-    check_mass(mass)
     prob = float(mass[value])
     if not prob >= POST_SELECT_FLOOR:  # NaN fails too
         raise FullyThresholdedError(

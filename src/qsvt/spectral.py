@@ -12,14 +12,13 @@ results are bit-identical to the NumPy forms.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, FullyThresholdedError, ValidationError
-from .sim import _norm
+from .sim import _is_real, _norm
 
 RANK_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -53,6 +52,18 @@ class SpectralData:
         return len(self.sigma)
 
 
+def real_vector(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array; what NumPy cannot read as one,
+    such as a string that is not a number, is rejected."""
+    try:
+        vec = np.asarray(values, dtype=float)
+        if vec.ndim == 1:
+            return vec
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be a vector of real numbers, got {values!r}")
+
+
 def check_sigma(sigma: Sequence[float]) -> None:
     """Singular-value contract on Python floats: non-empty, finite,
     positive and strictly descending.  Written so that NaN fails."""
@@ -73,6 +84,8 @@ def decompose(a0) -> SpectralData:
     bases are non-unique under degeneracy.
     """
     a = np.asarray(a0)
+    if a.dtype.kind not in "biufc":  # strings, objects: not numbers to decompose
+        raise ValidationError(f"input matrix must hold numbers, got dtype {a.dtype}")
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("input must be a non-empty 2-D matrix")
@@ -101,16 +114,20 @@ def decompose(a0) -> SpectralData:
     return data
 
 
-def check_threshold(tau: float, sigma_max: float) -> None:
-    """Threshold contract: tau is a real number with 0 < tau < sigma_1."""
-    if not isinstance(tau, (float, numbers.Real)):  # float first: the common case is cheap
+def check_threshold(tau, sigma_max: float) -> float:
+    """Threshold contract: tau is a real number, not a bool, with
+    0 < tau < sigma_1.  Returns it as a Python float, so a NumPy scalar
+    does not carry its precision into the arithmetic on it."""
+    if not _is_real(tau):
         raise ValidationError(f"threshold must be a real number, got {tau!r}")
+    tau = float(tau)
     if not tau > 0:
         raise ValidationError(f"threshold must be positive, got {tau!r}")
     if tau >= sigma_max:
         raise FullyThresholdedError(
             f"threshold {tau!r} >= largest singular value {sigma_max!r}"
         )
+    return tau
 
 
 def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
@@ -131,7 +148,7 @@ def gram(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
 
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
     """Threshold operator: S = sum (sigma_k - tau)_+ u_k v_k^dagger."""
-    check_threshold(tau, float(spec.sigma[0]))
+    tau = check_threshold(tau, float(spec.sigma[0]))
     return (spec.u * shrunk_values(spec, tau)) @ spec.v.conj().T
 
 
@@ -181,15 +198,18 @@ def load_matrix_text(path) -> np.ndarray:
     """Read the plain-text matrix format: first line "p q", then p rows
     of q whitespace-separated decimal numbers."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValidationError("matrix file must start with a 'p q' line")
         try:
-            p, q = int(header[0]), int(header[1])
-            rows = [[float(x) for x in line.split()] for line in fh if line.strip()]
-            a = np.array(rows, dtype=float)
-        except ValueError as exc:
-            raise ValidationError(f"malformed matrix file: {exc}") from None
+            header = fh.readline().split()
+            body = [line.split() for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"matrix file is not text: {exc}") from None
+    if len(header) != 2:
+        raise ValidationError("matrix file must start with a 'p q' line")
+    try:
+        p, q = int(header[0]), int(header[1])
+        a = np.array([[float(x) for x in row] for row in body], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"malformed matrix file: {exc}") from None
     if a.shape != (p, q):
         raise ValidationError(f"matrix body {a.shape} does not match header ({p}, {q})")
     return a

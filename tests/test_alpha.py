@@ -52,7 +52,8 @@ def at(profile, a):
 @pytest.mark.parametrize(
     "a, match",
     [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite"), (math.inf, "finite"),
-     (-math.inf, "finite")],
+     (-math.inf, "finite"), (True, "a real number"), ("1.2", "a real number"),
+     (None, "a real number")],
 )
 def test_solution_checks_alpha_before_any_sine(monkeypatch, a, match):
     def no_sine(x):
@@ -61,6 +62,21 @@ def test_solution_checks_alpha_before_any_sine(monkeypatch, a, match):
     monkeypatch.setattr(math, "sin", no_sine)
     with pytest.raises(ValidationError, match=f"^alpha must be {match}"):
         at(REFERENCE, a)
+
+
+def test_solution_takes_alpha_as_a_python_float():
+    for a in (np.float32(2.0), np.float16(2.0), 2):
+        got = at(REFERENCE, a)
+        assert type(got.alpha) is float and got == at(REFERENCE, 2.0)
+
+
+def test_profile_takes_tau_as_a_python_float():
+    # a float32 tau made float32 shrinkage fractions; a bool ran as tau = 1
+    for tau in (np.float32(0.5), np.float16(0.5)):
+        profile = alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], tau)
+        assert profile == REFERENCE and {type(y) for y in profile.y} == {float}
+    with pytest.raises(ValidationError, match="real number"):
+        alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], True)
 
 
 def test_probability_reference_value():

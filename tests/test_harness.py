@@ -121,10 +121,14 @@ def test_alpha_method_names_come_from_the_rule_table():
         assert action.choices is alpha_mod.METHODS
 
 
-MATRIX_FILES = {
+# the matrix and config files the rows name; written as latin-1, each
+# character its one byte, so \xff is the byte 0xff, which UTF-8 text never holds
+INPUT_FILES = {
     "small.txt": "2 3\n1 0 0\n0 0.5 0\n",
     "header_not_int.txt": "2 x\n1 0 0\n0 0.5 0\n",
     "header_one_field.txt": "2\n1 0 0\n0 0.5 0\n",
+    "not_utf8.txt": "2 2\xff\n1 0\n0 1\n",
+    "not_utf8.cfg": "tau=0.5\xff\n",
 }
 
 
@@ -134,6 +138,9 @@ MATRIX_FILES = {
         (["pipeline", "--matrix", "small.txt"], 2),  # no --tau
         (["pipeline", "--matrix", "header_not_int.txt", "--tau", "0.1"], 2),
         (["pipeline", "--matrix", "header_one_field.txt", "--tau", "0.1"], 2),
+        (["pipeline", "--matrix", "not_utf8.txt", "--tau", "0.5"], 2),
+        (["alpha", "--matrix", "not_utf8.txt", "--tau", "0.5"], 2),
+        (["example", "--config", "not_utf8.cfg"], 2),
         # sigma_1/tau = 10 lies beyond the 8.94 that two bits of L reach
         (["pipeline", "--matrix", "small.txt", "--tau", "0.1", "--m-bits", "2"], 3),
         (["alpha", "--sigma", "2,1"], 2),  # no --tau
@@ -183,8 +190,8 @@ MATRIX_FILES = {
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
-    for name, text in MATRIX_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
     monkeypatch.chdir(tmp_path)
     rc = harness.main(argv)
     err = capsys.readouterr().err
@@ -231,6 +238,32 @@ def test_sweep_config_takes_integer_counts_widths_shape_and_rank():
     cfg = harness.SweepConfig(n_instances=np.int64(2), jobs=np.int64(1), t_bits=np.int64(6),
                               shape=(np.int64(2), 3), rank=np.int64(2), methods=("intuitive",))
     assert [rec.error for rec in harness.run_sweep(cfg)] == [""] * 2
+
+
+def test_sweep_sigma_and_tau_must_be_real_numbers():
+    # sigma that NumPy cannot read as floats raised its bare ValueError; a
+    # bool tau ran as tau = 1
+    for make in (lambda s: harness.random_lowrank(2, 3, 1, 0, sigma=s),
+                 lambda s: harness.SweepConfig(sigma=s)):
+        for sigma in (("a",), ((2.0, 1.0),)):
+            with pytest.raises(ValidationError, match="^sigma must be a vector of real numbers"):
+                make(sigma)
+    with pytest.raises(ValidationError, match="^threshold must be a real number"):
+        harness.SweepConfig(tau=True)
+    tau = harness.SweepConfig(tau=np.float32(0.5)).tau
+    assert type(tau) is float and tau == 0.5
+    # a NumPy sigma with a tau met the array's ambiguous truth value
+    harness.SweepConfig(sigma=np.array([2.0, 1.0]), tau=1.5)
+
+
+def test_sweep_out_that_cannot_be_opened_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(cfg):
+        raise AssertionError("sweep ran before its output was opened")
+
+    monkeypatch.setattr(harness, "run_sweep", no_sweep)
+    out = tmp_path / "missing" / "s.csv"
+    assert harness.main(["sweep", "--n", "60", "--simulate", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error:")
 
 
 def test_sweep_config_rejects_an_empty_sigma():

@@ -416,6 +416,18 @@ def test_all_zero_oracle_codes_rejected_before_the_state(monkeypatch):
             run_reference(tau=1.7, **cfg)
 
 
+def test_tau_of_any_real_type_runs_as_the_python_float():
+    # a float32 tau carried its precision into y and P; a bool ran as tau = 1
+    want = run_reference()
+    for tau in (np.float32(0.5), np.float16(0.5), np.float64(0.5)):
+        got = run_reference(tau=tau)
+        assert got.p_sim == want.p_sim and got.f_sim == want.f_sim
+        assert got.y_exact.tobytes() == want.y_exact.tobytes()
+        assert got.b_state.tobytes() == want.b_state.tobytes()
+    with pytest.raises(ValidationError, match="real number"):
+        pipeline.PipelineConfig(a0=example_matrix(), tau=True)
+
+
 def test_missing_tau_rejected_before_simulation():
     with pytest.raises(ValidationError, match="real number"):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix(), tau=None))
@@ -447,7 +459,7 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
     # 4.2 just past it (0.75 * 4.2 > pi), while 4.18 stays inside and runs
     for alpha, match in ((-1.0, "positive"), (0.0, "positive"), (np.nan, "finite"),
                          (np.inf, "finite"), (-np.inf, "finite"), (100.0, "single-lobed"),
-                         (4.2, "single-lobed")):
+                         (4.2, "single-lobed"), (True, "real number"), ("1.2", "real number")):
         with pytest.raises(ValidationError, match=match):
             run_reference(alpha=alpha)
     for shots in (-5, 2.5, "10"):

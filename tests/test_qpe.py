@@ -166,9 +166,11 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
     assert checked == [(1, 8, 8)] * 2  # the DFT and its inverse, once each
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
-    idft = qpe._idft_matrix(3)
-    assert qpe._idft_matrix(3) is idft and not idft.flags.writeable
-    assert np.array_equal(idft, qpe._dft_matrix(3).conj().T)
+    # one builder makes both: each shared and read-only, the other's inverse
+    dft, idft = qpe._dft_matrix(3), qpe._dft_matrix(3, -1)
+    assert qpe._dft_matrix(3) is dft and qpe._dft_matrix(3, -1) is idft
+    assert not (dft.flags.writeable or idft.flags.writeable)
+    assert np.array_equal(idft, dft.conj().T)
     # a writable matrix, such as a user gate, is checked on every call
     for _ in range(2):
         sim.apply_unitary(state, hadamard(), [0])

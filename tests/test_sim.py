@@ -100,10 +100,23 @@ def test_load_register_rejects_nan_content():
     assert np.array_equal(state.amplitudes, sim.new_state(layout).amplitudes)
 
 
-def test_check_mass_rejects_nan():
-    with pytest.raises(NormalizationError, match="nan"):
-        sim.check_mass(np.array([np.nan, 0.0]))
-    sim.check_mass(np.array([0.25, 0.75]))
+def test_register_reads_reject_a_state_off_unit_norm():
+    # every read of the state checks the norm, on C and on the ancilla, and
+    # post-selection too: NaN fails, as does a drift just above NORM_TOL
+    layout = sim.RegisterLayout(1, 2, 1)
+    reads = (
+        lambda state: sim.register_mass(state, layout.reg_C),
+        lambda state: sim.register_mass(state, [layout.ancilla]),
+        lambda state: sim.post_select(state, layout.ancilla, 0),
+    )
+    unit = random_state(layout.n_qubits, 5)
+    for read in reads:
+        read(unit.copy())
+        for drift, match in ((np.nan, "nan"), (1 + 1e-9, "drifted")):
+            state = unit.copy()
+            state.amplitudes *= drift
+            with pytest.raises(NormalizationError, match=match):
+                read(state)
 
 
 def test_state_requires_contiguous_complex128_amplitudes():

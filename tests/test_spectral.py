@@ -38,6 +38,14 @@ def test_decompose_rejects_zero_matrix():
         spectral.decompose(np.zeros((2, 2)))
 
 
+def test_decompose_rejects_input_that_is_not_numbers():
+    # strings reached np.isfinite, which raised a bare TypeError
+    for a0 in (np.array([["a", "b"]]), [["1", "2"], ["3", "4"]],
+               np.array([[1.0, None]], dtype=object)):
+        with pytest.raises(ValidationError, match="must hold numbers"):
+            spectral.decompose(a0)
+
+
 def test_decompose_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         spectral.decompose(np.eye(3))
@@ -103,11 +111,14 @@ def test_classical_svt_rejects_tau_out_of_range():
 
 
 def test_check_threshold_rejects_a_tau_that_is_not_a_real_number():
-    for tau in (None, "0.5", 0.5j, [0.5]):
+    # a bool is not a threshold, though Python counts it a number
+    for tau in (None, "0.5", 0.5j, [0.5], True, np.True_):
         with pytest.raises(ValidationError, match="real number"):
             spectral.check_threshold(tau, 2.0)
-    for tau in (0.5, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
-        spectral.check_threshold(tau, 2.0)
+    # a threshold of any real type comes back as the Python float
+    for tau in (0.5, 1, np.float64(0.5), np.float32(0.5), np.float16(0.5), Fraction(1, 2)):
+        checked = spectral.check_threshold(tau, 2.0)
+        assert type(checked) is float and checked == tau
 
 
 def test_shrunk_values_match_elementwise_max():
@@ -269,4 +280,9 @@ def test_matrix_text_rejects_malformed_files(tmp_path):
     for text in ("2 x\n1 2\n3 4\n", "2\n1 2\n3 4\n", "2 2\n1 a\n3 4\n", "2 2\n1 2\n3\n"):
         path.write_text(text)
         with pytest.raises(ValidationError):
+            spectral.load_matrix_text(path)
+    # bytes that do not decode, in the header or in the body
+    for data in (b"2 2\xff\n1 0\n0 1\n", b"2 2\n1 0\n0 \xff1\n"):
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match="not text"):
             spectral.load_matrix_text(path)
