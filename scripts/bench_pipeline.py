@@ -6,10 +6,12 @@ sweep.
 
 Run from the root of a source checkout; qsvt is imported from its src/.
 Each case runs in a fresh process with one BLAS thread, pinned to the
-last CPU this process may use.  A case records the median wall time of
-RUNS runs and the process's ``ru_maxrss``, which includes the
-interpreter and NumPy (about 40 MiB).  The entry records the git SHA of
-the checkout, whether its src/ differs from that commit, and the box.
+last CPU this process may use.  A case records the median and the lower
+and upper quartiles of the wall times of its runs (RUNS, or PAPER_RUNS
+for the paper's instance, whose runs take about half a millisecond) and
+the process's ``ru_maxrss``, which includes the interpreter and NumPy
+(about 40 MiB).  The entry records the git SHA of the checkout, whether
+its src/ differs from that commit, and the box.
 """
 from __future__ import annotations
 
@@ -38,17 +40,26 @@ CIRCUITS = {
     "25q 16x16 r4 t8": (16, 16, 4, 8, 8),
     "tall 21q 1024x1 r1 t8 m2": (1024, 1, 1, 8, 2),
 }
+# the paper's instance: sigma = (2, 1), tau = 0.5; fixed per-call costs
+# dominate its runs, as in perfbench's paper_example
+PAPER = "paper 9q 2x3 r2 t3 m2"
 SWEEP = "sweep 120 analytic"
 RUNS = 3
+PAPER_RUNS = 3000
 
 
 def _case(name: str) -> dict:
-    """Run one case RUNS times in this process; wall times and peak RSS."""
+    """Run one case in this process; its wall times and peak RSS."""
     sys.path.insert(0, str(ROOT / "src"))
     from qsvt import harness, pipeline, spectral
 
+    runs = RUNS
     if name == SWEEP:
         work, cfg = harness.run_sweep, harness.SweepConfig()
+    elif name == PAPER:
+        a0 = harness.random_lowrank(2, 3, 2, [3, 1], sigma=(2.0, 1.0))
+        work, runs = pipeline.run_pipeline, PAPER_RUNS
+        cfg = pipeline.PipelineConfig(a0=a0, tau=0.5, t_bits=3, m_bits=2)
     else:
         p, q, r, t_bits, m_bits = CIRCUITS[name]
         a0 = harness.random_lowrank(p, q, r, [3, 1])
@@ -56,13 +67,14 @@ def _case(name: str) -> dict:
         work = pipeline.run_pipeline
         cfg = pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=m_bits)
     walls = []
-    for _ in range(RUNS):
+    for _ in range(runs):
         start = time.perf_counter()
         work(cfg)
         walls.append(time.perf_counter() - start)
     return {
+        "runs": runs,
         "wall_s_median": statistics.median(walls),
-        "wall_s": walls,
+        "wall_s_quartiles": statistics.quantiles(walls, n=4)[::2],
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -89,18 +101,17 @@ def main() -> None:
     import envinfo
 
     cases = {}
-    for name in [*CIRCUITS, SWEEP]:
+    for name in [PAPER, *CIRCUITS, SWEEP]:
         done = subprocess.run([sys.executable, __file__, "--label", args.label, "--case", name],
                               capture_output=True, text=True, check=True, cwd=ROOT)
         cases[name] = json.loads(done.stdout)
-        print(f"{name:28s} {cases[name]['wall_s_median']:9.4f} s"
+        print(f"{name:28s} {cases[name]['wall_s_median']:11.6f} s"
               f" {cases[name]['peak_rss_mib']:7.1f} MiB", flush=True)
     entry = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "src_differs_from_sha": _src_differs(),
         "box": envinfo.environment(ROOT, 1, cpu),
-        "runs": RUNS,
         "cases": cases,
     }
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}

@@ -37,11 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import FullyThresholdedError, ValidationError
 from .sim import _is_real
-from .spectral import check_sigma, check_threshold
+from .spectral import check_sigma, check_threshold, real_vector
 
 # Newton on G' stops once its step is this many ulps of alpha or fewer
 _STEP_ULPS = 4
@@ -86,7 +84,7 @@ class SpectrumProfile:
 
     @classmethod
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
-        sig = tuple(np.asarray(sigma, dtype=float).tolist())
+        sig = tuple(real_vector("sigma", sigma).tolist())
         tau = check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
         return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
 

@@ -7,10 +7,10 @@ labels are computed; the record it returns checks them.  The label for
 eigenvalue ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with
 ``T = 2**t_bits``, decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The
 conditional evolution E applies ``exp(i A c t0)`` on the subspace where
-register C holds ``c``, as a uniformly controlled gate on each run of C
-qubits (one run unless its stack would outgrow the kernel's block),
-given the run's factors ``exp(i A 2^w t0)``, from which the gate checks
-and builds its stack.  A is given as its eigenpairs from the run's SVD
+register C holds ``c``, as U^(2^w) = ``exp(i A 2^w t0)`` controlled on
+the C qubit of bit weight 2^w: one controlled gate per run of C qubits
+(one run unless its factors would outgrow the kernel's block), which
+checks each factor.  A is given as its eigenpairs from the run's SVD
 (:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
 made; the DFT pair on C is built once per width and checked once.
 
@@ -41,7 +41,7 @@ import numpy as np
 from . import sim
 from .errors import ValidationError
 from .sim import QuantumState, RegisterLayout
-from .spectral import herm_exp
+from .spectral import herm_exp, real_vector
 
 ENCODING_TOL = 1e-9
 
@@ -84,10 +84,9 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     eigenvalue that rounds to label 0 (it would decode to 0) are rejected;
     so, by the returned record, are two eigenvalues on one label.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or len(lam) == 0:
+    lam = real_vector("eigenvalues", eigenvalues).tolist()
+    if not lam:
         raise ValidationError("eigenvalues must be a non-empty vector")
-    lam = lam.tolist()
     if not all(math.isfinite(x) and x > 0 for x in lam):
         raise ValidationError(f"eigenvalues must be finite and positive, got {lam}")
     rounded = [round(x) for x in lam]  # half to even, as np.rint
@@ -140,19 +139,19 @@ def conditional_evolution(
     pairs,
     inverse: bool = False,
 ) -> QuantumState:
-    """For each C label c, evolve the u-factor of B by exp(i A c t0), as
-    one uniformly controlled gate, given its factors exp(i A 2^w t0), per
-    run of C qubits: all of C, unless the gate's stack of 2^w matrices
-    would outgrow ``sim.BLOCK_AMPLITUDES``, the kernel's block (a tall
-    input; a run keeps at least one qubit).  The bound does not depend on
-    the state, so a block of the state is cut as the state is.  A is given
-    as its eigenpairs."""
+    """For each C label c, evolve the u-factor of B by exp(i A c t0): the
+    factor U^(2^w) = exp(i A 2^w t0) controlled on the C qubit of bit
+    weight 2^w, one gate per run of C qubits: all of C, unless the run's
+    w factors of d x d would outgrow ``sim.BLOCK_AMPLITUDES``, the
+    kernel's block (a tall input; a run keeps at least one qubit).  The
+    bound does not depend on the state, so a block of the state is cut as
+    the state is.  A is given as its eigenpairs."""
     t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
-    width = min(t, max(1, sim.BLOCK_AMPLITUDES.bit_length() - 1 - 2 * len(reg_B_left)))
+    width = min(t, max(1, sim.BLOCK_AMPLITUDES >> 2 * len(reg_B_left)))
     for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
         run = reg_C[max(0, t - w0 - width) : t - w0]
         factors = [herm_exp(pairs, (1 << (w0 + j)) * t0) for j in range(len(run))]
-        sim.apply_controlled(state, factors, run, reg_B_left, powers=True)
+        sim.apply_controlled(state, factors, run, reg_B_left)
     return state
 
 

@@ -126,6 +126,9 @@ def build_sigma_tau_oracle(
     start exists; non-convergence is never silently written.
     """
     m_bits = sim.check_width("m_bits", m_bits)
+    if not sim._is_real(tau):
+        raise ValidationError(f"tau must be a real number, got {tau!r}")
+    tau = float(tau)  # exact for a NumPy scalar, which may lack as_integer_ratio
     if not tau > 0:
         raise ValidationError("tau must be positive")
     top, sigma1_sq = 1 << m_bits, pe_cfg.decode(max(pe_cfg.labels, default=0))

@@ -9,23 +9,23 @@ Conventions used throughout the package:
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes, complex128, in place through
   reshape views split at register edges: a gate on qubits lo..lo+k-1
-  sees ``(2**lo, 2**k, rest)``.  A control is a register, one more split
-  axis whose label indexes a stack of matrices; the one kernel writes
-  ``stack @ block`` back in place, block by block, in blocks of about
-  ``BLOCK_AMPLITUDES`` cut along the view's first leading axis longer
-  than one, and along the rest axis where that axis is short or absent,
-  so no temporary outgrows a block; a state that fits one block is one
-  ``stack @ view``.  An uncontrolled gate is a one-matrix stack, and
-  every stack is complex128.  Targets, controls and registers are
-  non-empty, disjoint, contiguous ascending integer qubits of the state,
-  or ``ValidationError`` is raised before the state is touched.  One
-  cached function, ``_split``, checks them, once per distinct register
-  set rather than per call (``_qubits`` checks per call that they are
-  integers, which its keys cannot tell), and ``_gate_view`` plans the
-  blocks once per register set.  A state has a single writer at a time.
-* Gates reject a non-unitary matrix, one batched check per call (a
-  stack of powers is passed as its factors, each checked, and built in
-  the kernel), except that a read-only complex128 array, a shared
+  sees ``(2**lo, 2**k, rest)``.  A control is one more split axis per
+  control qubit, and one unitary factor per qubit, which acts where its
+  qubit reads 1; the one kernel writes ``factor @ half`` back in place,
+  block by block, in blocks of about ``BLOCK_AMPLITUDES`` cut along the
+  view's first leading axis longer than one, and along the rest axis
+  where that axis is short or absent, so no temporary outgrows a block;
+  a state that fits one block is one block.  An uncontrolled gate is one
+  matrix, and every factor is complex128.  Targets, controls and
+  registers are non-empty, disjoint, contiguous ascending integer qubits
+  of the state, or ``ValidationError`` is raised before the state is
+  touched.  One cached function, ``_split``, checks them, once per
+  distinct register set rather than per call (``_qubits`` checks per
+  call that they are integers, which its keys cannot tell), and
+  ``_gate_view`` plans the blocks once per register set.  A state has a
+  single writer at a time.
+* Gates reject a non-unitary matrix, one batched check of all the
+  factors per call, except that a read-only complex128 array, a shared
   constant such as the DFT, is taken to be constant and checked once per
   array object, with no copy or hash of its content; the last 8 to pass
   are held, so no other array takes their ids.  Gates do not check the
@@ -201,22 +201,23 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple]:
-    """The shape and axis order that view the amplitudes as (..., control,
-    targets, rest), and the kernel's blocks of that view; ``registers`` is
-    ``(targets,)`` or ``(targets, control)``, a unit axis standing in for
-    an absent control.  The blocks are index tuples of about
-    ``BLOCK_AMPLITUDES`` amplitudes that cut the first leading axis longer
-    than one (else rest) and, where one index of that axis holds more,
-    rest as well; a state that fits one block is one block."""
-    shape, axes = _split(n, registers)
-    # two leading unit axes: one stands in for an absent control, and the
-    # other is the matmul's column axis (rest) when the control and
-    # targets hold every qubit, as in a QFT of the whole state
-    shape = (1, 1) + shape
-    t_axis, c_axis = axes[0] + 2, (axes[1] + 2 if axes[1:] else 0)
-    rest = [a for a in range(len(shape)) if a not in (c_axis, t_axis)]
-    order = tuple(rest[:-1] + [c_axis, t_axis, rest[-1]])
+def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple, tuple]:
+    """The shape and axis order that view the amplitudes as (..., control
+    qubits, targets, rest), one axis per control qubit, a reshape of the
+    flat amplitudes that never copies; the kernel's blocks of that view;
+    and the index of each control factor's half of a block.  ``registers``
+    is ``(targets,)`` or ``(targets, control)``.  The blocks are index
+    tuples of about ``BLOCK_AMPLITUDES`` amplitudes that cut the first
+    leading axis longer than one (else rest) and, where one index of that
+    axis holds more, rest as well; a state that fits one block is one
+    block."""
+    _split(n, registers)  # the register check
+    shape, axes = _split(n, registers[:1] + tuple((q,) for r in registers[1:] for q in r))
+    # a leading unit axis is the matmul's column axis (rest) when the
+    # control and targets hold every qubit, as in a QFT of the whole state
+    shape, axes = (1,) + shape, [a + 1 for a in axes]
+    rest = [a for a in range(len(shape)) if a not in axes]
+    order = tuple(rest[:-1] + axes[1:] + axes[:1] + rest[-1:])
     dims, last = [shape[a] for a in order], len(order) - 1
 
     def chunks(axis: int, per: int) -> list[slice]:
@@ -227,12 +228,14 @@ def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple]:
         step = max(4 if axis == last else 1, BLOCK_AMPLITUDES // per)
         return [slice(i, i + step) for i in range(0, dims[axis], step)]
 
-    cut = next((a for a, d in enumerate(dims[:-3]) if d > 1), last)
+    cut = next((a for a, d in enumerate(dims[: last - len(axes)]) if d > 1), last)
     per = (1 << n) // dims[cut]  # amplitudes under one index of the cut axis
     blocks = [(slice(None),) * cut + (s,) for s in chunks(cut, per)]
     if per > BLOCK_AMPLITUDES and cut < last:  # a short leading axis: cut rest too
         blocks = [b + (..., s) for b in blocks for s in chunks(last, per // dims[last])]
-    return shape, order, tuple(blocks)
+    # the half where control qubit j reads 1 (its axis is -3 - j), or all
+    halves = tuple((..., 1) + (slice(None),) * (j + 2) for j in range(len(axes) - 1))
+    return shape, order, tuple(blocks), halves or (...,)
 
 
 def _check_unitary(stack: np.ndarray) -> None:
@@ -258,35 +261,33 @@ def _check_constant(array: np.ndarray, stack: np.ndarray) -> None:
         _CONSTANTS[id(array)] = array
 
 
-def _apply(state: QuantumState, matrices, registers: tuple, powers=False) -> QuantumState:
-    """The kernel: ``matrices[x]`` (with ``powers``, the product of the
-    factors its bits select) on the targets wherever the control register
-    reads x >= powers, or ``matrices``, one matrix, where there is no
-    control, as ``stack @ block`` written back in place, one block of
+def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
+    """The kernel: ``matrices``, one matrix, on the targets, or factor j of
+    them wherever control qubit j (bit weight 2^j) reads 1, factor 0 first,
+    as ``factor @ half`` written back in place, one block of
     :func:`_gate_view` at a time."""
-    shape, order, blocks = _gate_view(state.n_qubits, registers)
-    targets, width, lo = registers[0], sum(map(len, registers[1:])), int(powers)
-    array = np.asarray(matrices, dtype=complex)
+    shape, order, blocks, halves = _gate_view(state.n_qubits, registers)
+    targets, width = registers[0], sum(map(len, registers[1:]))
+    try:
+        array = np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"gate matrices must hold numbers: {exc}") from None
     stack = array if width else array[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
-    if len(stack) != (width if powers else 1 << width):
-        raise ValidationError(f"{len(stack)} matrices for a {width}-qubit control")
+    if width and len(stack) != width:
+        raise ValidationError(f"{len(stack)} factors for a {width}-qubit control")
     if stack.shape[1] != 1 << len(targets):
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
     if stack.flags.writeable:
         _check_unitary(stack)
     else:  # a shared constant, such as the DFT: checked once per array
         _check_constant(array, stack)
-    if powers:  # label 2^j + y is label y times label 2^j; label y sits at y - 1
-        factors, stack = stack, np.empty(((1 << width) - 1,) + stack.shape[1:], dtype=complex)
-        for j, factor in enumerate(factors):
-            stack[(1 << j) - 1] = factor
-            if j:
-                np.matmul(stack[: (1 << j) - 1], factor, out=stack[1 << j : (2 << j) - 1])
-    view = state.amplitudes.reshape(shape).transpose(order)[..., lo:, :, :]
+    view = state.amplitudes.reshape(shape).transpose(order)
     for block in blocks:
-        view[block] = stack @ view[block]
+        part = view[block]
+        for factor, half in zip(stack, halves):
+            part[half] = factor @ part[half]
     return state
 
 
@@ -296,15 +297,14 @@ def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumSt
     return _apply(state, matrix, (_qubits(targets),))
 
 
-def apply_controlled(
-    state: QuantumState, matrices, control, targets, powers: bool = False
-) -> QuantumState:
-    """Uniformly controlled gate: ``matrices[x]`` acts on ``targets``
-    wherever the ``control`` register reads x (``[I, U]`` is U controlled
-    on 1).  With ``powers``, ``matrices`` are the factors U^(2^j) of a
-    c-qubit control, j = 0..c-1, each checked for unitarity: label x
-    gets the product of those its bits select; label 0 is left alone."""
-    return _apply(state, matrices, (_qubits(targets), _qubits(control)), powers)
+def apply_controlled(state: QuantumState, factors, control, targets) -> QuantumState:
+    """Controlled gate, one unitary factor per control qubit: factor j acts
+    on ``targets`` wherever the control qubit of bit weight 2^j, counted
+    from the control's last qubit, reads 1, factor 0 first.  Label x gets
+    the product of the factors its bits select, as the powers U^(2^j) of
+    phase estimation make U^x, and label 0 is left alone; ``[U]`` is U
+    controlled on one qubit.  Each factor is checked for unitarity first."""
+    return _apply(state, factors, (_qubits(targets), _qubits(control)))
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:
@@ -340,7 +340,10 @@ def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState
 def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
     """Load a unit vector into one register; all other qubits must be 0."""
     lo, w = _register(state, reg)
-    vec = np.asarray(amplitudes, dtype=complex)
+    try:
+        vec = np.asarray(amplitudes, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"register content must hold numbers: {exc}") from None
     if vec.shape != (1 << w,):
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
     if not abs(_norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too

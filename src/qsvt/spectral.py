@@ -83,7 +83,10 @@ def decompose(a0) -> SpectralData:
     rejected: the alpha theory assumes a strict spectrum and singular
     bases are non-unique under degeneracy.
     """
-    a = np.asarray(a0)
+    try:
+        a = np.asarray(a0)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"input matrix must be rectangular: {exc}") from None
     if a.dtype.kind not in "biufc":  # strings, objects: not numbers to decompose
         raise ValidationError(f"input matrix must hold numbers, got dtype {a.dtype}")
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
@@ -164,7 +167,7 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     dimensions so the result factors as a (log2 du + log2 dv)-qubit
     register; padded amplitudes are exactly zero.
     """
-    w = np.asarray(weights, dtype=float)
+    w = real_vector("weights", weights)
     if w.shape != spec.sigma.shape:
         raise ValidationError("one weight per singular triple required")
     ws = w.tolist()

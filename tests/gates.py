@@ -16,11 +16,6 @@ def pauli_x() -> np.ndarray:
     return np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def controlled_on_one(u) -> list:
-    """The stack of a gate controlled on one qubit reading 1: [I, U]."""
-    return [np.eye(len(u)), u]
-
-
 def from_eigenpairs(pairs) -> np.ndarray:
     """The matrix V diag(lam) V^dagger of eigenpairs ``(lam, V)``."""
     values, vectors = pairs
@@ -42,7 +37,7 @@ def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, pairs, inverse=
     t = len(reg_C)
     for i, q in enumerate(reg_C):
         u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
-        sim.apply_controlled(state, controlled_on_one(u), [q], reg_B_left)
+        sim.apply_controlled(state, [u], [q], reg_B_left)
     return state
 
 
@@ -68,5 +63,5 @@ def bitwise_ry_cascade(state, layout, alpha):
     the j-th qubit of L, one gate per qubit."""
     for j, q in enumerate(layout.reg_L, start=1):
         gate = ry(2.0 ** (1 - j) * alpha)
-        sim.apply_controlled(state, controlled_on_one(gate), [q], [layout.ancilla])
+        sim.apply_controlled(state, [gate], [q], [layout.ancilla])
     return state

@@ -38,7 +38,8 @@ def test_profile_rejects_non_descending():
         alpha_mod.SpectrumProfile(sigma=(1.0, 2.0), y=(0.5, 0.25))
 
 
-@pytest.mark.parametrize("sigma", [[], [math.nan, 1.0], [math.inf, 1.0], [2.0, math.nan]])
+@pytest.mark.parametrize("sigma", [[], [math.nan, 1.0], [math.inf, 1.0], [2.0, math.nan],
+                                   ["a"], 2.0, [[2.0, 1.0]]])
 def test_profile_rejects_empty_or_non_finite_sigma(sigma):
     with pytest.raises(ValidationError, match="^sigma (and y )?must be"):
         alpha_mod.SpectrumProfile.from_sigma_tau(sigma, 0.5)

@@ -81,7 +81,7 @@ def test_reference_run_passes_over_the_state(monkeypatch):
     [
         dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
         dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
-        # u-factor 16 wide: C is cut into runs of 2, 2 and 1 qubits
+        # u-factor 16 wide
         dict(a0=random_lowrank(16, 2, 1, seed=5, sigma=(2.0,)), tau=0.5, t_bits=5, m_bits=2),
     ],
     ids=["paper", "inexact", "tall"],
@@ -469,7 +469,7 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
     assert run_reference(alpha=4.18).alpha == 4.18
 
 
-def test_single_row_input_is_rejected_before_the_state(monkeypatch):
+def test_single_row_or_ragged_input_is_rejected_before_the_state(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated before the shape check")
 
@@ -478,6 +478,9 @@ def test_single_row_input_is_rejected_before_the_state(monkeypatch):
         pipeline.run_pipeline(
             pipeline.PipelineConfig(a0=np.array([[3.0, 1.0, 2.0, 0.5]]), tau=2.0)
         )
+    # ragged rows raised NumPy's bare ValueError
+    with pytest.raises(ValidationError, match="must be rectangular"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(a0=[[1, 2], [3]], tau=0.5))
 
 
 def test_run_does_not_depend_on_the_scale_of_the_input():

@@ -110,6 +110,13 @@ def test_choose_t0_rejects_non_finite_eigenvalues(lam, t_bits):
         qpe.choose_t0(lam, t_bits)
 
 
+@pytest.mark.parametrize("lam", [["a"], "4", [[4.0, 1.0]], []])
+def test_choose_t0_rejects_eigenvalues_that_are_not_a_vector_of_numbers(lam):
+    # a string reached NumPy's bare ValueError
+    with pytest.raises(ValidationError, match="^eigenvalues must be a (non-empty )?vector"):
+        qpe.choose_t0(lam)
+
+
 def test_encoding_decode_roundtrip():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     for lam, label in zip([4.0, 1.0], cfg.labels):
@@ -332,8 +339,8 @@ def test_c_distribution_independent_of_v_factor():
 
 
 def test_conditional_evolution_matches_the_bitwise_controlled_gates():
-    # one uniformly controlled gate on C against one controlled power per
-    # C qubit, both directions, on random states
+    # one gate on all of C, a factor per C qubit, against one gate per C
+    # qubit, A exponentiated by eigh, both directions, on random states
     _, _, pairs = reference_setup()
     rng = np.random.default_rng(24)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -352,9 +359,9 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
 
 
 def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
-    # an 8x8 u-factor under a kernel block of 2^(6 + w) amplitudes, 2^w of
-    # its 64-entry matrices: the stack of all of C would outgrow the block,
-    # so C is cut into runs (least significant first) whose stacks stay
+    # an 8x8 u-factor under a kernel block of 64 w amplitudes, w of its
+    # 64-entry factors: the factors of all of C would outgrow the block, so
+    # C is cut into runs (least significant first) whose factors stay
     # within it, and the runs still match one controlled power per C qubit;
     # the bound is the block, not the state, so at the kernel's own block
     # all of C is one run
@@ -363,17 +370,16 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
     a = np.linalg.eigh(z + z.conj().T)
     apply_controlled, calls = sim.apply_controlled, []
 
-    def spy(state, matrices, control, targets, **kwargs):
+    def spy(state, factors, control, targets):
         calls.append(len(control))
-        stack = np.asarray(matrices)[0].size << len(control)
-        assert stack <= sim.BLOCK_AMPLITUDES or len(control) == 1
-        return apply_controlled(state, matrices, control, targets, **kwargs)
+        assert np.asarray(factors).size <= sim.BLOCK_AMPLITUDES or len(control) == 1
+        return apply_controlled(state, factors, control, targets)
 
     runs = {3: [1, 1, 1], 5: [1] * 5, 6: [2, 2, 2], 7: [3, 3, 1], 8: [4, 4]}
     for t_bits, widths in [*runs.items(), (3, [3]), (8, [8])]:
         layout = sim.RegisterLayout(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
-        block = 1 << (6 + widths[0]) if len(widths) > 1 else sim.BLOCK_AMPLITUDES
+        block = widths[0] << 6 if len(widths) > 1 else sim.BLOCK_AMPLITUDES
         for inverse in (False, True):
             state = _random_state(rng, layout, clear_c=False)
             reference = bitwise_conditional_evolution(
@@ -394,7 +400,7 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
         before = state.amplitudes.copy()
         with pytest.raises(ValidationError, match="does not match"):
             qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B[:2], a)
-        # the exponentials are checked, as the stack of their products is not
+        # each exponential is checked before the state is touched
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "herm_exp", lambda a, t: 1.5 * np.eye(len(a[1])))
             with pytest.raises(ValidationError, match="unitary"):

@@ -13,7 +13,7 @@ from qsvt.errors import (
 )
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, controlled_on_one, pauli_x, ry, whole_state
+from gates import bitwise_ry_cascade, pauli_x, ry, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -350,6 +350,12 @@ def test_oracle_build_checks_width_and_tau():
     for tau in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="tau must be positive"):
             rotation.build_sigma_tau_oracle(enc, 3, tau)
+    for tau in ("x", True, None):  # "x" was compared with 0 and raised TypeError
+        with pytest.raises(ValidationError, match="tau must be a real number"):
+            rotation.build_sigma_tau_oracle(enc, 3, tau)
+    # a NumPy integer runs as its float, which has an exact integer ratio
+    assert rotation.build_sigma_tau_oracle(enc, 3, np.int64(1)) == \
+        rotation.build_sigma_tau_oracle(enc, 3, 1.0)
 
 
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
@@ -423,7 +429,7 @@ def _controlled_ry_product(alpha, d):
         gate = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
             st = sim.QuantumState(n, np.eye(dim, dtype=complex)[col])
-            sim.apply_controlled(st, controlled_on_one(ry(2.0 ** (1 - j) * alpha)), [j - 1], [d])
+            sim.apply_controlled(st, [ry(2.0 ** (1 - j) * alpha)], [j - 1], [d])
             gate[:, col] = st.amplitudes
         op = gate @ op
     return op

@@ -8,7 +8,7 @@ import pytest
 from qsvt import sim
 from qsvt.errors import FullyThresholdedError, NormalizationError, ValidationError
 
-from gates import bitwise_ry_cascade, controlled_on_one, hadamard, pauli_x, ry
+from gates import bitwise_ry_cascade, hadamard, pauli_x, ry
 
 
 def random_state(n, seed):
@@ -80,6 +80,9 @@ def test_load_register_rejects_bad_input():
         sim.load_register(state, layout.reg_B, np.full(4, 0.4))
     with pytest.raises(ValidationError, match="4 amplitudes"):
         sim.load_register(state, layout.reg_B, np.full(8, 1 / np.sqrt(8)))
+    for bad in (["a", "b", "c", "d"], [[1.0], [0.0, 0.0], [0.0], [0.0]]):  # not numbers, ragged
+        with pytest.raises(ValidationError, match="must hold numbers"):
+            sim.load_register(state, layout.reg_B, bad)
 
 
 def test_load_register_requires_other_registers_cleared():
@@ -157,10 +160,13 @@ def test_apply_unitary_rejects_non_unitary():
         sim.apply_unitary(state, np.array([[1, 1], [0, 1]]), [0])
     with pytest.raises(ValidationError, match="distinct"):
         sim.apply_unitary(state, np.eye(4), [1, 1])
+    for bad in ([["a", "b"], ["c", "d"]], [[1, 0], [0]]):  # not numbers, ragged
+        with pytest.raises(ValidationError, match="must hold numbers"):
+            sim.apply_unitary(state, bad, [0])
 
 
 def test_read_only_non_unitary_is_rejected_on_every_call():
-    state = random_state(2, 2)
+    state = random_state(3, 2)
     before = state.amplitudes.copy()
     for m in (np.array([[1, 1], [0, 1]], dtype=complex), np.full((2, 2), np.nan + 0j)):
         m.flags.writeable = False
@@ -170,7 +176,7 @@ def test_read_only_non_unitary_is_rejected_on_every_call():
             with pytest.raises(ValidationError, match="unitary"):
                 sim.apply_unitary(state, m, [0])
             with pytest.raises(ValidationError, match="unitary"):
-                sim.apply_controlled(state, stack, [0], [1])
+                sim.apply_controlled(state, stack, [0, 1], [2])
         with pytest.raises(ValidationError, match="unitary"):
             sim.apply_unitary(state, m.copy(), [0])  # writable
     assert np.array_equal(state.amplitudes, before)
@@ -193,15 +199,15 @@ def test_read_only_arrays_are_held_and_checked_once_each(monkeypatch):
     assert checked == [(1, 2, 2)] * 10
 
 
-def test_every_factor_of_a_stack_of_powers_is_checked():
+def test_every_factor_of_a_control_is_checked():
     x, five = pauli_x(), 5 * np.eye(2)
     state = random_state(3, 18)
     before = state.amplitudes.copy()
     # a 2-qubit control takes two factors, U and U^2, and checks both
-    with pytest.raises(ValidationError, match="3 matrices for a 2-qubit control"):
-        sim.apply_controlled(state, [x, x, five], [0, 1], [2], powers=True)
+    with pytest.raises(ValidationError, match="3 factors for a 2-qubit control"):
+        sim.apply_controlled(state, [x, x, five], [0, 1], [2])
     with pytest.raises(ValidationError, match="unitary"):
-        sim.apply_controlled(state, [x, five], [0, 1], [2], powers=True)
+        sim.apply_controlled(state, [x, five], [0, 1], [2])
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -216,20 +222,20 @@ def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
 
 def test_apply_controlled_inactive_control():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
-    sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
+    sim.apply_controlled(state, [pauli_x()], [0], [1])
     assert np.allclose(state.amplitudes, [1, 0, 0, 0])
 
 
 def test_apply_controlled_cnot():
     state = sim.QuantumState(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    sim.apply_controlled(state, controlled_on_one(pauli_x()), [0], [1])
+    sim.apply_controlled(state, [pauli_x()], [0], [1])
     assert np.allclose(state.amplitudes, [0, 0, 0, 1])  # |11>
 
 
 def test_apply_controlled_ry_pi_makes_bell_state():
     state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
     sim.apply_unitary(state, hadamard(), [0])
-    sim.apply_controlled(state, controlled_on_one(ry(np.pi)), [0], [1])
+    sim.apply_controlled(state, [ry(np.pi)], [0], [1])
     expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
@@ -237,7 +243,7 @@ def test_apply_controlled_ry_pi_makes_bell_state():
 def test_apply_controlled_rejects_overlap():
     state = random_state(2, 3)
     with pytest.raises(ValidationError, match="overlap"):
-        sim.apply_controlled(state, controlled_on_one(pauli_x()), [1], [1])
+        sim.apply_controlled(state, [pauli_x()], [1], [1])
 
 
 def test_basis_oracle_identity():
@@ -420,8 +426,9 @@ def _calls_on(reg):
     dim = 1 << len(reg)
     return {
         "apply_unitary": lambda s: sim.apply_unitary(s, np.eye(dim), reg),
-        "apply_controlled targets": lambda s: sim.apply_controlled(s, [np.eye(dim)] * 2, [4], reg),
-        "apply_controlled control": lambda s: sim.apply_controlled(s, [np.eye(2)] * dim, reg, [4]),
+        "apply_controlled targets": lambda s: sim.apply_controlled(s, [np.eye(dim)], [4], reg),
+        "apply_controlled control":
+            lambda s: sim.apply_controlled(s, [np.eye(2)] * len(reg), reg, [4]),
         "apply_basis_oracle L": lambda s: sim.apply_basis_oracle(s, reg, [4], {}),
         "apply_basis_oracle C": lambda s: sim.apply_basis_oracle(s, [4], reg, {}),
         "register_mass": lambda s: sim.register_mass(s, reg),
@@ -437,7 +444,7 @@ REGISTER_CASES = [
     ("post_select / negative", lambda s: sim.post_select(s, -1, 1), "in 0..5"),
     ("post_select / beyond n", lambda s: sim.post_select(s, 6, 1), "in 0..5"),
     ("apply_controlled / overlap",
-     lambda s: sim.apply_controlled(s, [np.eye(4)] * 4, [1, 2], [2, 3]), "overlap"),
+     lambda s: sim.apply_controlled(s, [np.eye(4)] * 2, [1, 2], [2, 3]), "overlap"),
     ("apply_basis_oracle / overlap",
      lambda s: sim.apply_basis_oracle(s, [1, 2], [2, 3], {}), "overlap"),
 ]
@@ -489,7 +496,7 @@ def test_norm_preserved_over_random_gate_sequences():
             sim.apply_unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
         elif kind == 1:
             c, t = rng.choice(5, size=2, replace=False)
-            sim.apply_controlled(state, controlled_on_one(hadamard()), [int(c)], [int(t)])
+            sim.apply_controlled(state, [hadamard()], [int(c)], [int(t)])
         else:
             codes = {c: int(rng.integers(4)) for c in range(8)}
             sim.apply_basis_oracle(state, [0, 1], [2, 3, 4], codes)
@@ -517,7 +524,7 @@ def test_controlled_identity_is_noop():
     for seed in range(3):
         state = random_state(4, 300 + seed)
         before = state.amplitudes.copy()
-        sim.apply_controlled(state, controlled_on_one(np.eye(2)), [0], [3])
+        sim.apply_controlled(state, [np.eye(2)], [0], [3])
         assert np.allclose(state.amplitudes, before, atol=1e-14)
 
 
@@ -538,6 +545,20 @@ def dense_reference(n, stack, targets, control=()):
     perm = np.zeros((1 << n, 1 << n))
     perm[moved, x] = 1.0
     return perm.T @ op @ perm
+
+
+def label_products(factors):
+    """The stack of a controlled gate given one factor per control qubit:
+    for label x, the product of the factors its bits select, factor j for
+    the bit of weight 2^j, factor 0 applied first."""
+    stack = []
+    for x in range(1 << len(factors)):
+        u = np.eye(len(factors[0]), dtype=complex)
+        for j, factor in enumerate(factors):
+            if x >> j & 1:
+                u = factor @ u
+        stack.append(u)
+    return stack
 
 
 def random_unitary(k, rng):
@@ -569,28 +590,24 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         w = int(rng.integers(min(3, n - 1) + 1))  # control width; 0 is apply_unitary
         k = int(rng.integers(1, min(3, n - w) + 1))
         targets, control = _placement(n, k, w, rng)
-        value, powers = None, w > 0 and bool(rng.integers(2))
-        if powers:
-            # powers u^0..u^(2^w - 1) of one unitary, passed as the factors u^(2^j)
+        kind = "powers" if w > 0 and rng.integers(2) else "factors"
+        if kind == "powers":
+            # the factors u^(2^j) of one unitary: label x gets u^x, as in phase estimation
             u = random_unitary(k, rng)
+            factors = [np.linalg.matrix_power(u, 1 << j) for j in range(w)]
             stack = [np.linalg.matrix_power(u, x) for x in range(1 << w)]
-        elif w == 1 and rng.integers(2):
-            # a one-qubit control reading `value`: [U, I] for 0, [I, U] for 1
-            value, u = int(rng.integers(2)), random_unitary(k, rng)
-            stack = [u, np.eye(1 << k)] if value == 0 else [np.eye(1 << k), u]
         else:
-            stack = [random_unitary(k, rng) for _ in range(1 << w)]
-        given = [stack[1 << j] for j in range(w)] if powers else stack
+            # factors that need not commute: label x gets them in order, factor 0 first
+            factors = [random_unitary(k, rng) for _ in range(max(w, 1))]
+            stack = label_products(factors) if w else factors
         state = random_state(n, 1000 + trial)
         before = state.amplitudes.copy()
         contiguous = all(r == list(range(r[0], r[0] + len(r))) for r in (targets, control) if r)
         if w == 0:
-            apply = functools.partial(sim.apply_unitary, state, stack[0], targets)
+            apply = functools.partial(sim.apply_unitary, state, factors[0], targets)
         else:
-            apply = functools.partial(
-                sim.apply_controlled, state, given, control, targets, powers
-            )
-        case = (n, targets, control, value, powers)
+            apply = functools.partial(sim.apply_controlled, state, factors, control, targets)
+        case = (n, targets, control, kind)
         if contiguous:
             apply()
             expected = dense_reference(n, stack, targets, control) @ before
@@ -605,33 +622,28 @@ def test_gate_kernel_matches_dense_kronecker_reference():
         seen.add((contiguous, w, where))
         if contiguous and targets[-1] == n - 1:
             seen.add(("ends at the last qubit", w > 0))
-        if value is not None and contiguous:
-            seen.add(("value", value, where))
-        if powers and contiguous:
-            seen.add(("powers", w, where))
+        if contiguous and w:
+            seen.add((kind, w, where))
     wanted = {(c, 0, None) for c in (True, False)}
-    wanted |= {(True, w, p) for w in (1, 2, 3) for p in ("before", "after")}
     wanted |= {(False, w, p) for w in (1, 2) for p in ("before", "between", "after")}
     wanted |= {("ends at the last qubit", c) for c in (True, False)}
-    wanted |= {("value", v, p) for v in (0, 1) for p in ("before", "after")}
-    wanted |= {("powers", w, p) for w in (1, 2, 3) for p in ("before", "after")}
+    wanted |= {(k, w, p) for k in ("powers", "factors") for w in (1, 2, 3)
+               for p in ("before", "after")}
     assert wanted <= seen, wanted - seen
 
 
 def test_controlled_gate_rejects_bad_stacks_and_controls():
     rng = np.random.default_rng(16)
-    stack = [random_unitary(1, rng) for _ in range(4)]
-    skewed = [*stack[:2], np.array([[1, 1], [0, 1]]), stack[3]]
+    factors = [random_unitary(1, rng) for _ in range(3)]
     bad = [
-        ((stack[:3], [0, 1], [2]), "3 matrices for a 2-qubit control"),
-        ((stack, [0], [2]), "4 matrices for a 1-qubit control"),
-        ((stack, [0, 1], [2], True), "4 matrices for a 2-qubit control"),
-        ((skewed, [0, 1], [2]), "unitary"),
-        (([stack[1], skewed[2]], [0, 1], [2], True), "unitary"),  # a factor of a stack of powers
-        ((stack, [1, 2], [2]), "overlap"),
-        ((stack, [0, 2], [3]), "contiguous"),
-        ((stack, [1, 0], [3]), "contiguous"),
-        ((stack[0], [0], [2]), "square"),
+        ((factors, [0, 1], [2]), "3 factors for a 2-qubit control"),
+        ((factors[:2], [0], [2]), "2 factors for a 1-qubit control"),
+        (([factors[0], np.array([[1, 1], [0, 1]])], [0, 1], [2]), "unitary"),  # each factor
+        ((factors[:2], [1, 2], [2]), "overlap"),
+        ((factors[:2], [0, 2], [3]), "contiguous"),
+        ((factors[:2], [1, 0], [3]), "contiguous"),
+        ((factors[0], [0], [2]), "square"),
+        (([[["a", "b"], ["c", "d"]]], [0], [2]), "must hold numbers"),
     ]
     for args, match in bad:
         state = random_state(4, 17)
@@ -668,16 +680,16 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
     # bit-identical to one block and within 1e-12 of a reference
     rng = np.random.default_rng(41)
     u2, u5 = random_unitary(2, rng), random_unitary(5, rng)
-    stack = [random_unitary(2, rng) for _ in range(4)]
-    powers = [np.linalg.matrix_power(u2, x) for x in range(8)]
+    factors = [random_unitary(2, rng) for _ in range(2)]
+    powers = [np.linalg.matrix_power(u2, 1 << j) for j in range(3)]
     layout = sim.RegisterLayout(2, 1, 4)  # L 0-1, C 2, ancilla 3, B 4-7
     alpha = 2.3
 
     def bitwise_powers(amp):
-        # u^(2^w) controlled on the control qubit of bit weight 2^w
+        # u^(2^j) controlled on the control qubit of bit weight 2^j
         state = sim.QuantumState(9, amp.copy())
-        for i, q in enumerate([3, 4, 5]):
-            sim.apply_controlled(state, controlled_on_one(powers[1 << (2 - i)]), [q], [6, 7])
+        for q, power in zip([5, 4, 3], powers):
+            sim.apply_controlled(state, [power], [q], [6, 7])
         return state.amplitudes
 
     def bitwise_cascade(amp):
@@ -694,16 +706,19 @@ def test_blocked_kernel_matches_one_block_on_every_gate_shape(monkeypatch):
             8, ((0, 1, 2, 3, 4),), lambda s: sim.apply_unitary(s, u5, range(5)),
             random_state(8, 49), lambda amp: dense_reference(8, [u5], range(5)) @ amp, 2),
         "controlled": (
-            8, ((5, 6), (2, 3)), lambda s: sim.apply_controlled(s, stack, [2, 3], [5, 6]),
-            random_state(8, 43), lambda amp: dense_reference(8, stack, [5, 6], [2, 3]) @ amp, 4),
+            8, ((5, 6), (2, 3)), lambda s: sim.apply_controlled(s, factors, [2, 3], [5, 6]),
+            random_state(8, 43),
+            lambda amp: dense_reference(8, label_products(factors), [5, 6], [2, 3]) @ amp, 4),
+        "control after the targets": (
+            8, ((2, 3), (5, 6)), lambda s: sim.apply_controlled(s, factors, [5, 6], [2, 3]),
+            random_state(8, 50),
+            lambda amp: dense_reference(8, label_products(factors), [2, 3], [5, 6]) @ amp, 4),
         "powers": (
-            9, ((6, 7), (3, 4, 5)),
-            lambda s: sim.apply_controlled(s, [powers[1], powers[2], powers[4]], [3, 4, 5],
-                                           [6, 7], powers=True),
+            9, ((6, 7), (3, 4, 5)), lambda s: sim.apply_controlled(s, powers, [3, 4, 5], [6, 7]),
             random_state(9, 45), bitwise_powers, 8),
-        "controlled ry": (  # the paper's cascade as one uniformly controlled gate
+        "controlled ry": (  # the paper's cascade as one controlled gate: ry(a) ry(b) = ry(a + b)
             8, ((3,), (0, 1)),
-            lambda s: sim.apply_controlled(s, ry(np.arange(4) * (alpha / 2)), [0, 1], [3]),
+            lambda s: sim.apply_controlled(s, ry(np.array([0.5, 1.0]) * alpha), [0, 1], [3]),
             random_state(8, 44), bitwise_cascade, 4),
     }
     for name, (n, registers, apply, state, reference, blocks) in cases.items():

@@ -44,6 +44,26 @@ def test_decompose_rejects_input_that_is_not_numbers():
                np.array([[1.0, None]], dtype=object)):
         with pytest.raises(ValidationError, match="must hold numbers"):
             spectral.decompose(a0)
+    # ragged rows raised NumPy's bare ValueError
+    with pytest.raises(ValidationError, match="must be rectangular"):
+        spectral.decompose([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)])
+def test_decompose_rejects_non_finite_entries(bad):
+    a0 = example_matrix().astype(type(bad))
+    a0[1, 2] = bad
+    with pytest.raises(ValidationError, match="^input matrix has non-finite entries"):
+        spectral.decompose(a0)
+
+
+def test_spectral_data_rejects_columns_that_are_not_orthonormal():
+    data = spectral.decompose(example_matrix())
+    skewed = {"u": data.u * [1.0, 1.1], "v": data.v + data.v[:, ::-1] * 0.1}
+    for name, bad in skewed.items():
+        fields = {"sigma": data.sigma, "u": data.u, "v": data.v, "p": 2, "q": 3, name: bad}
+        with pytest.raises(ValidationError, match=f"^{name} columns not orthonormal"):
+            spectral.SpectralData(**fields)
 
 
 def test_decompose_rejects_degenerate_spectrum():
@@ -178,6 +198,14 @@ def test_non_finite_sigma_and_weights_are_rejected(values):
         spectral.SpectralData(sigma=np.array(values), u=data.u, v=data.v, p=2, q=3)
     with pytest.raises(ValidationError, match="^weights must be finite"):
         spectral.to_state(data, values)
+
+
+@pytest.mark.parametrize("weights", [["a", "b"], [1 + 1j, 2]])
+def test_to_state_rejects_weights_that_are_not_real_numbers(weights):
+    # NumPy's bare ValueError and TypeError reached the caller
+    data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
+    with pytest.raises(ValidationError, match="^weights must be a vector of real numbers"):
+        spectral.to_state(data, weights)
 
 
 def test_decompose_rejects_an_overflowing_spectrum():
