@@ -10,8 +10,10 @@ last CPU this process may use.  A case records the median and the lower
 and upper quartiles of the wall times of its runs (RUNS, or PAPER_RUNS
 for the paper's instance, whose runs take about half a millisecond) and
 the process's ``ru_maxrss``, which includes the interpreter and NumPy
-(about 40 MiB).  The entry records the git SHA of the checkout, whether
-its src/ differs from that commit, and the box.
+(about 40 MiB).  It also records as ``setup_s`` the seconds that making
+its input takes: ``random_lowrank`` and the ``decompose`` that sets tau.
+The entry records the git SHA of the checkout, whether its src/ differs
+from that commit, and the box.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ def _case(name: str) -> dict:
     from qsvt import harness, pipeline, spectral
 
     runs = RUNS
+    start = time.perf_counter()
     if name == SWEEP:
         work, cfg = harness.run_sweep, harness.SweepConfig()
     elif name == PAPER:
@@ -66,6 +69,7 @@ def _case(name: str) -> dict:
         tau = 0.3 * float(spectral.decompose(a0).sigma[0])
         work = pipeline.run_pipeline
         cfg = pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=m_bits)
+    setup = time.perf_counter() - start
     walls = []
     for _ in range(runs):
         start = time.perf_counter()
@@ -73,6 +77,7 @@ def _case(name: str) -> dict:
         walls.append(time.perf_counter() - start)
     return {
         "runs": runs,
+        "setup_s": setup,
         "wall_s_median": statistics.median(walls),
         "wall_s_quartiles": statistics.quantiles(walls, n=4)[::2],
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -105,7 +110,7 @@ def main() -> None:
         done = subprocess.run([sys.executable, __file__, "--label", args.label, "--case", name],
                               capture_output=True, text=True, check=True, cwd=ROOT)
         cases[name] = json.loads(done.stdout)
-        print(f"{name:28s} {cases[name]['wall_s_median']:11.6f} s"
+        print(f"{name:28s} {cases[name]['setup_s']:9.6f} s {cases[name]['wall_s_median']:11.6f} s"
               f" {cases[name]['peak_rss_mib']:7.1f} MiB", flush=True)
     entry = {
         "label": args.label,

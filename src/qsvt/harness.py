@@ -55,8 +55,10 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     """Seeded random p x q matrix of rank r; ``seed`` is a non-negative
     integer or a list or tuple of them, as ``np.random.default_rng`` takes.
 
-    Orthogonal factors come from QR of Gaussian draws (sign-fixed for
-    determinism); singular values are log-uniform in [0.1, 10] unless
+    Each factor is the Q of the first r columns of a p x p (q x q)
+    Gaussian draw, sign-fixed so R has a non-negative diagonal: the first
+    r columns of the draw's Haar orthogonal matrix.  Both come from one
+    batched QR.  Singular values are log-uniform in [0.1, 10] unless
     injected, sorted descending with near-ties pushed apart so the
     decomposition stays non-degenerate.
     """
@@ -74,14 +76,14 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
         if values.shape != (r,):
             raise ValidationError(f"{values.size} injected sigma values for rank {r}")
         spectral.check_sigma(values.tolist())
-    u = _orthogonal(rng, p)[:, :r]
-    v = _orthogonal(rng, q)[:, :r]
-    return (u * values) @ v.T
-
-
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, rmat = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(rmat.diagonal())
+    # the whole n x n draws keep the stream; zero rows under the shorter
+    # factor stay zero in Q, so each frame's Q is its draw's reduced Q
+    draws = np.zeros((2, max(p, q), r))
+    draws[0, :p] = rng.normal(size=(p, p))[:, :r]
+    draws[1, :q] = rng.normal(size=(q, q))[:, :r]
+    qs, rs = np.linalg.qr(draws)
+    qs *= np.sign(np.diagonal(rs, axis1=1, axis2=2))[:, None, :]
+    return (qs[0, :p] * values) @ qs[1, :q].T
 
 
 def _separate(values: np.ndarray, min_gap: float = 1e-6) -> np.ndarray:
@@ -121,6 +123,9 @@ class SweepConfig:
         for name in ("t_bits", "m_bits"):
             sim.check_width(name, getattr(self, name))
         pipeline_mod.check_count("seed", self.seed)
+        if not sim._is_real(self.tau_frac):
+            raise ValidationError(f"tau fraction must be a real number, got {self.tau_frac!r}")
+        self.tau_frac = float(self.tau_frac)  # so tau = tau_frac sigma_1 is a float64
         if self.tau is None and not 0 < self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
         rank = len(self.sigma) if self.sigma is not None else self.rank or 0
@@ -460,7 +465,13 @@ def cmd_sweep(args) -> int:
         timings=bool(args.timings),
         jobs=args.jobs,
     )
+    plot_path = None
+    if args.plot:
+        plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
     with open(args.out, "w") as out:  # an unwritable path fails before the sweep runs
+        if plot_path:
+            with open(plot_path, "w"):  # and so does an unwritable plot path
+                pass
         records = run_sweep(cfg)
         write_csv(records, out)
     summary = sweep_summary(records, cfg.simulate)
@@ -481,11 +492,11 @@ def cmd_sweep(args) -> int:
         )
     if summary["n_errors"]:
         print(f"{summary['n_errors']} record(s) carry per-instance errors")
-    if args.plot:
-        plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
+    if plot_path:
         try:
             emit_plot(records, plot_path)
         except ValidationError as exc:  # the sweep itself finished: exit 0
+            os.remove(plot_path)
             print(f"{exc}: no plot written")
         else:
             print(f"wrote plot to {plot_path}")

@@ -1,11 +1,12 @@
 """Gates and gate-level circuits that the package does not need, kept as
 references for the tests: one-qubit gates, exp(i A t) from an
 eigendecomposition of the matrix A, the circuit's controlled stages
-spelled as one single-qubit-controlled gate per control bit, and phase
-estimation on the whole state rather than its L = 0 block."""
+spelled as one single-qubit-controlled gate per control bit, phase
+estimation on the whole state rather than its L = 0 block, and the
+random low-rank input built from full QRs of its draws."""
 import numpy as np
 
-from qsvt import sim
+from qsvt import harness, sim
 
 
 def hadamard() -> np.ndarray:
@@ -65,3 +66,23 @@ def bitwise_ry_cascade(state, layout, alpha):
         gate = ry(2.0 ** (1 - j) * alpha)
         sim.apply_controlled(state, [gate], [q], [layout.ancilla])
     return state
+
+
+def full_qr_lowrank(p, q, r, seed, sigma=None) -> np.ndarray:
+    """``harness.random_lowrank`` with each factor the first r columns of
+    the sign-fixed Q of a whole p x p (q x q) draw, one QR per draw;
+    ``sigma``, when given, is taken as valid."""
+    rng = np.random.default_rng(seed)
+    if sigma is None:
+        values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
+        values = harness._separate(values)
+    else:
+        values = np.asarray(sigma, dtype=float)
+
+    def orthogonal(n):
+        q, rmat = np.linalg.qr(rng.normal(size=(n, n)))
+        return q * np.sign(rmat.diagonal())
+
+    u = orthogonal(p)[:, :r]
+    v = orthogonal(q)[:, :r]
+    return (u * values) @ v.T

@@ -12,6 +12,8 @@ from qsvt import alpha as alpha_mod
 from qsvt import harness, pipeline, spectral
 from qsvt.errors import ValidationError
 
+from gates import full_qr_lowrank
+
 
 def test_random_lowrank_deterministic():
     a = harness.random_lowrank(4, 5, 2, seed=42)
@@ -31,6 +33,21 @@ def test_random_lowrank_sigma_injection():
     a = harness.random_lowrank(3, 4, 3, seed=2, sigma=(3.0, 2.0, 1.0))
     data = spectral.decompose(a)
     assert np.abs(data.sigma - np.array([3.0, 2.0, 1.0])).max() < 1e-9
+
+
+def test_random_lowrank_matches_the_full_qr_reference():
+    # each factor is the reduced QR of its draw's first r columns: LAPACK
+    # does the same arithmetic as on the whole draw for sides up to 7, and
+    # blocks the whole draw's factorisation differently from side 8 on
+    for p, q in itertools.product(range(1, 8), repeat=2):
+        for r, seed in itertools.product(range(1, min(p, q) + 1), range(3)):
+            for sigma in (None, tuple(np.linspace(2.0, 1.0, r))):
+                got = harness.random_lowrank(p, q, r, [seed, 1], sigma=sigma)
+                assert np.array_equal(got, full_qr_lowrank(p, q, r, [seed, 1], sigma=sigma))
+    for (p, q, r), seed in itertools.product(((8, 8, 3), (16, 16, 4), (33, 40, 5)), range(3)):
+        want = full_qr_lowrank(p, q, r, [seed, 1])
+        got = harness.random_lowrank(p, q, r, [seed, 1])
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_random_lowrank_rejects_bad_rank():
@@ -252,6 +269,17 @@ def test_sweep_sigma_and_tau_must_be_real_numbers():
         harness.SweepConfig(tau=True)
     tau = harness.SweepConfig(tau=np.float32(0.5)).tau
     assert type(tau) is float and tau == 0.5
+    # a str tau fraction raised a bare TypeError, a float32 one computed tau
+    # in float32 and the CSV wrote it through str
+    for frac in ("x", True, None, 0.3j):
+        with pytest.raises(ValidationError, match="^tau fraction must be a real number"):
+            harness.SweepConfig(tau_frac=frac)
+    for frac in (math.nan, math.inf, -math.inf, 0.0, 1.0, np.float32(1.5)):
+        with pytest.raises(ValidationError, match=r"^tau fraction must lie in \(0, 1\)"):
+            harness.SweepConfig(tau_frac=frac)
+    cfg = harness.SweepConfig(n_instances=1, tau_frac=np.float32(0.25))
+    assert type(cfg.tau_frac) is float and cfg.tau_frac == 0.25
+    assert type(harness.run_sweep(cfg)[0].tau) is float
     # a NumPy sigma with a tau met the array's ambiguous truth value
     harness.SweepConfig(sigma=np.array([2.0, 1.0]), tau=1.5)
 
@@ -263,6 +291,11 @@ def test_sweep_out_that_cannot_be_opened_fails_before_the_sweep(tmp_path, monkey
     monkeypatch.setattr(harness, "run_sweep", no_sweep)
     out = tmp_path / "missing" / "s.csv"
     assert harness.main(["sweep", "--n", "60", "--simulate", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error:")
+    # an unwritable --plot path failed only after the sweep and its CSV
+    plot = tmp_path / "missing" / "p.svg"
+    argv = ["sweep", "--n", "60", "--out", str(tmp_path / "s.csv"), "--plot", str(plot)]
+    assert harness.main(argv) == 2
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
