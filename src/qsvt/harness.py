@@ -468,6 +468,8 @@ def cmd_sweep(args) -> int:
     plot_path = None
     if args.plot:
         plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
+        if os.path.realpath(plot_path) == os.path.realpath(args.out):
+            raise ValidationError(f"--plot {plot_path} would overwrite --out {args.out}")
     with open(args.out, "w") as out:  # an unwritable path fails before the sweep runs
         if plot_path:
             with open(plot_path, "w"):  # and so does an unwritable plot path

@@ -42,6 +42,8 @@ class PipelineConfig:
         if self.shots is not None:
             check_count("shots", self.shots)
         check_count("seed", self.seed)
+        if self.alpha_method not in alpha_mod.METHODS:  # checked even with an explicit alpha
+            raise ValidationError(f"unknown alpha method {self.alpha_method!r}")
 
 
 @dataclass

@@ -12,7 +12,8 @@ the C qubit of bit weight 2^w: one controlled gate per run of C qubits
 (one run unless its factors would outgrow the kernel's block), which
 checks each factor.  A is given as its eigenpairs from the run's SVD
 (:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
-made; the DFT pair on C is built once per width and checked once.
+made.  The DFT pair on C comes from :func:`sim.dft_matrix`, which builds
+and checks each matrix once per width; the gate applies it unchecked.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
@@ -32,7 +33,6 @@ inverse leaves its state to the uncompute read of L and C.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +59,11 @@ class PhaseEstimationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_bits", sim.check_width("t_bits", self.t_bits))
-        if not (math.isfinite(self.t0) and self.t0 > 0):
-            raise ValidationError(f"t0 must be finite and positive, got {self.t0!r}")
-        if not all(1 <= c < 1 << self.t_bits for c in self.labels):
-            raise ValidationError(f"labels must lie in 1..{(1 << self.t_bits) - 1}: {self.labels}")
+        if not (sim._is_real(self.t0) and math.isfinite(self.t0) and self.t0 > 0):
+            raise ValidationError(f"t0 must be finite and positive, a real number, got {self.t0!r}")
+        if not all(sim._is_int(c) and 1 <= c < 1 << self.t_bits for c in self.labels):
+            raise ValidationError(f"labels must lie in 1..{(1 << self.t_bits) - 1},"
+                                  f" integers: {self.labels}")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("eigenvalue collision after rounding to t_bits precision")
 
@@ -111,24 +112,13 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 
-@functools.lru_cache(maxsize=16)
-def _dft_matrix(width: int, sign: int = 1) -> np.ndarray:
-    """The 2^width-point DFT, or with ``sign`` -1 its inverse, built once
-    per width and sign and shared read-only."""
-    size = 1 << width
-    j = np.arange(size)
-    dft = np.exp(sign * 2j * np.pi / size * np.outer(j, j)) / np.sqrt(size)
-    dft.flags.writeable = False
-    return dft
-
-
 def qft(state: QuantumState, qubits) -> QuantumState:
     """Forward transform: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
-    return sim.apply_unitary(state, _dft_matrix(len(qubits)), qubits)
+    return sim.apply_unitary(state, sim.dft_matrix(len(qubits)), qubits)
 
 
 def iqft(state: QuantumState, qubits) -> QuantumState:
-    return sim.apply_unitary(state, _dft_matrix(len(qubits), -1), qubits)
+    return sim.apply_unitary(state, sim.dft_matrix(len(qubits), -1), qubits)
 
 
 def conditional_evolution(

@@ -25,14 +25,15 @@ Conventions used throughout the package:
   ``_gate_view`` plans the blocks once per register set.  A state has a
   single writer at a time.
 * Gates reject a non-unitary matrix, one batched check of all the
-  factors per call, except that a read-only complex128 array, a shared
-  constant such as the DFT, is taken to be constant and checked once per
-  array object, with no copy or hash of its content; the last 8 to pass
-  are held, so no other array takes their ids.  Gates do not check the
-  norm: every read of the state, the register masses of
-  :func:`register_mass` and :func:`post_select`, checks that they sum to
-  1 within ``NORM_TOL`` or raises ``NormalizationError``, so no stage
-  reads a state off unit norm and no pass is made for the norm alone.
+  factors per call, except a DFT that :func:`dft_matrix` built: the
+  builder checks each once and holds it, immutable (a view of a
+  ``bytes`` object), and the kernel knows it by identity.  Any other
+  array, read-only or not, is checked on every call, as a read-only view
+  can change through a writable base.  Gates do not check the norm:
+  every read of the state, the register masses of :func:`register_mass`
+  and :func:`post_select`, checks that they sum to 1 within ``NORM_TOL``
+  or raises ``NormalizationError``, so no stage reads a state off unit
+  norm and no pass is made for the norm alone.
   Every guard is written so that NaN fails.
 """
 from __future__ import annotations
@@ -247,18 +248,21 @@ def _check_unitary(stack: np.ndarray) -> None:
         raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
 
 
-_CONSTANTS: dict[int, np.ndarray] = {}  # id -> read-only array that passed; the last 8
+_DFTS: dict[int, np.ndarray] = {}  # id -> a DFT of dft_matrix, held so no other array has its id
 
 
-def _check_constant(array: np.ndarray, stack: np.ndarray) -> None:
-    """:func:`_check_unitary` of ``stack``, a read-only view of ``array``,
-    once per array object: the array is held, so no other array takes its
-    id while it is remembered; a failed check is not remembered."""
-    if _CONSTANTS.get(id(array)) is not array:
-        _check_unitary(stack)
-        if len(_CONSTANTS) == 8:
-            del _CONSTANTS[next(iter(_CONSTANTS))]
-        _CONSTANTS[id(array)] = array
+@functools.cache
+def dft_matrix(width: int, sign: int = 1) -> np.ndarray:
+    """The 2^width-point DFT, or with ``sign`` -1 its inverse, built and
+    checked for unitarity once per width and sign, held, and shared as an
+    immutable array: the one matrix that the kernel applies unchecked."""
+    size = 1 << width
+    j = np.arange(size)
+    dft = np.exp(sign * 2j * np.pi / size * np.outer(j, j)) / np.sqrt(size)
+    _check_unitary(dft[None])
+    dft = np.frombuffer(dft.tobytes(), complex).reshape(size, size)  # no flag makes it writable
+    _DFTS[id(dft)] = dft
+    return dft
 
 
 def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
@@ -279,10 +283,8 @@ def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
         raise ValidationError(f"{len(stack)} factors for a {width}-qubit control")
     if stack.shape[1] != 1 << len(targets):
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
-    if stack.flags.writeable:
+    if id(array) not in _DFTS:  # a DFT of dft_matrix was checked when it was built
         _check_unitary(stack)
-    else:  # a shared constant, such as the DFT: checked once per array
-        _check_constant(array, stack)
     view = state.amplitudes.reshape(shape).transpose(order)
     for block in blocks:
         part = view[block]
@@ -317,16 +319,18 @@ def _register(state: QuantumState, reg) -> tuple[int, int]:
 def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState:
     """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on registers L and C.
 
-    ``codes`` maps C labels to L codes; labels it omits leave L as it
+    ``codes`` maps C labels to L codes, integers and not bools, all
+    checked before any amplitude moves; labels it omits leave L as it
     is.  The oracle is self-inverse.  Each nonzero code is one gather
     along the L axis of the slice C = c, so nothing the size of the
     state is allocated.
     """
     shape, (l_axis, c_axis) = _split(state.n_qubits, (_qubits(reg_L), _qubits(reg_C)))
     m, t = len(reg_L), len(reg_C)
-    bad = [(c, y) for c, y in codes.items() if not (0 <= c < 1 << t and 0 <= y < 1 << m)]
+    bad = [(c, y) for c, y in codes.items()
+           if not (_is_int(c) and _is_int(y) and 0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
-        raise ValidationError(f"oracle label/code out of range: {bad}")
+        raise ValidationError(f"oracle label/code not an integer or out of range: {bad}")
     view = state.amplitudes.reshape(shape)
     index = [slice(None)] * len(shape)
     for c, y in codes.items():

@@ -297,6 +297,12 @@ def test_sweep_out_that_cannot_be_opened_fails_before_the_sweep(tmp_path, monkey
     argv = ["sweep", "--n", "60", "--out", str(tmp_path / "s.csv"), "--plot", str(plot)]
     assert harness.main(argv) == 2
     assert capsys.readouterr().err.startswith("i/o error:")
+    # a plot path that is the CSV path, auto or spelled another way, would overwrite it
+    out = tmp_path / "r.svg"
+    for plot in ([], [str(tmp_path / "." / "r.svg")]):
+        assert harness.main(["sweep", "--n", "60", "--out", str(out), "--plot", *plot]) == 2
+        assert "would overwrite --out" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_config_rejects_an_empty_sigma():

@@ -428,6 +428,13 @@ def test_tau_of_any_real_type_runs_as_the_python_float():
         pipeline.PipelineConfig(a0=example_matrix(), tau=True)
 
 
+def test_unknown_alpha_method_is_rejected_where_it_enters():
+    # with an explicit alpha the name was never read; without one it failed after the SVD
+    for alpha in (1.0, None):
+        with pytest.raises(ValidationError, match="unknown alpha method 'bogus'"):
+            pipeline.PipelineConfig(a0=example_matrix(), tau=0.5, alpha=alpha, alpha_method="bogus")
+
+
 def test_missing_tau_rejected_before_simulation():
     with pytest.raises(ValidationError, match="real number"):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix(), tau=None))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -66,8 +67,13 @@ def test_choose_t0_rejects_label_collision():
 @pytest.mark.parametrize("args, match", [
     ((3, math.inf, True, (4, 1)), "t0 must be finite and positive"),
     ((3, math.nan, True, (4, 1)), "t0 must be finite and positive"),
+    ((3, "x", True, (4, 1)), "t0 must be finite and positive, a real number"),
+    ((3, True, True, (4, 1)), "t0 must be finite and positive, a real number"),
     ((3, 0.7, False, (0, 1)), r"labels must lie in 1\.\.7"),
     ((3, 0.7, False, (8,)), r"labels must lie in 1\.\.7"),
+    ((3, 0.7, False, (1.5,)), r"labels must lie in 1\.\.7, integers"),
+    ((3, 0.7, False, (True,)), r"labels must lie in 1\.\.7, integers"),
+    ((3, 0.7, False, (4, 1.0)), r"labels must lie in 1\.\.7, integers"),
     ((3, 0.7, False, (2, 2)), "collision"),
 ])
 def test_phase_estimation_config_checks_itself(args, match):
@@ -153,11 +159,15 @@ def test_iqft_inverts_qft_on_random_states():
 
 
 def test_dft_matrix_is_shared_and_read_only():
-    dft = qpe._dft_matrix(3)
-    assert qpe._dft_matrix(3) is dft
+    dft = sim.dft_matrix(3)
+    assert sim.dft_matrix(3) is dft
     assert not dft.flags.writeable
     with pytest.raises(ValueError):
         dft[0, 0] = 0.0
+    # nor can it or its base be made writable again: the kernel trusts its content
+    for array in (dft, dft.base):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
     state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
     qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
@@ -167,28 +177,40 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     checked = []
     check = sim._check_unitary
     monkeypatch.setattr(sim, "_check_unitary", lambda m, *a: checked.append(m.shape) or check(m, *a))
-    monkeypatch.setattr(sim, "_CONSTANTS", {})
+    # a builder with an empty cache, so this test sees every build
+    monkeypatch.setattr(sim, "dft_matrix", functools.cache(sim.dft_matrix.__wrapped__))
+    monkeypatch.setattr(sim, "_DFTS", {})
     state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
-    for _ in range(2):
+    for _ in range(3):
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
-    assert checked == [(1, 8, 8)] * 2  # the DFT and its inverse, once each
+        qpe.iqft(qpe.qft(state, [1, 2]), [1, 2])
+    # the builder checks once per width and sign; the gate never does
+    assert checked == [(1, 8, 8)] * 2 + [(1, 4, 4)] * 2
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
     # one builder makes both: each shared and read-only, the other's inverse
-    dft, idft = qpe._dft_matrix(3), qpe._dft_matrix(3, -1)
-    assert qpe._dft_matrix(3) is dft and qpe._dft_matrix(3, -1) is idft
+    dft, idft = sim.dft_matrix(3), sim.dft_matrix(3, -1)
+    assert sim.dft_matrix(3) is dft and sim.dft_matrix(3, -1) is idft
     assert not (dft.flags.writeable or idft.flags.writeable)
     assert np.array_equal(idft, dft.conj().T)
+    del checked[:]
     # a writable matrix, such as a user gate, is checked on every call
     for _ in range(2):
         sim.apply_unitary(state, hadamard(), [0])
-    assert checked == [(1, 8, 8)] * 2 + [(1, 2, 2)] * 2
-    # a new read-only array of the same shape is checked, not taken for the DFT
-    bad = qpe._dft_matrix(3).copy()
+    assert checked == [(1, 2, 2)] * 2
+    # a read-only copy of the DFT is checked on every call, not taken for it
+    copy = dft.copy()
+    copy.flags.writeable = False
+    for _ in range(2):
+        sim.apply_unitary(state, copy, [0, 1, 2])
+    assert checked == [(1, 2, 2)] * 2 + [(1, 8, 8)] * 2
+    # and one with an entry changed is rejected, the state unchanged
+    bad = dft.copy()
     bad[0, 0] = 2.0
     bad.flags.writeable = False
+    before = state.amplitudes.copy()
     with pytest.raises(ValidationError, match="unitary"):
         sim.apply_unitary(state, bad, [0, 1, 2])
-    assert checked == [(1, 8, 8)] * 2 + [(1, 2, 2)] * 2 + [(1, 8, 8)]
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_conditional_evolution_tiny_t0_is_identity():

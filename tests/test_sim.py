@@ -182,21 +182,33 @@ def test_read_only_non_unitary_is_rejected_on_every_call():
     assert np.array_equal(state.amplitudes, before)
 
 
-def test_read_only_arrays_are_held_and_checked_once_each(monkeypatch):
+def test_read_only_view_of_a_changed_base_is_rejected(monkeypatch):
+    # a read-only array is no constant: a writable base can change it
     checked = []
     check = sim._check_unitary
     monkeypatch.setattr(sim, "_check_unitary", lambda m: checked.append(m.shape) or check(m))
-    monkeypatch.setattr(sim, "_CONSTANTS", {})
-    gates = [ry(angle).astype(complex) for angle in range(9)]
-    for gate in gates:
-        gate.flags.writeable = False
-    state = random_state(2, 4)
-    for gate in [*gates, *gates[1:]]:  # the first eight pass, then the ninth evicts the first
-        sim.apply_unitary(state, gate, [1])
-    assert checked == [(1, 2, 2)] * 9
-    assert [sim._CONSTANTS[id(g)] is g for g in gates[1:]] == [True] * 8
-    sim.apply_unitary(state, gates[0], [1])
-    assert checked == [(1, 2, 2)] * 10
+    gate, factors = np.eye(2, dtype=complex), np.stack([np.eye(2, dtype=complex)] * 2)
+    gate_view, factors_view = gate.view(), factors.view()
+    gate_view.flags.writeable = factors_view.flags.writeable = False
+    state = random_state(3, 4)
+    sim.apply_unitary(state, gate_view, [0])
+    sim.apply_controlled(state, factors_view, [0, 1], [2])
+    assert checked == [(1, 2, 2), (2, 2, 2)]
+    gate[0, 0] = factors[1, 0, 0] = 5.0
+    before = state.amplitudes.copy()
+    with pytest.raises(ValidationError, match="unitary"):
+        sim.apply_unitary(state, gate_view, [0])
+    with pytest.raises(ValidationError, match="unitary"):
+        sim.apply_controlled(state, factors_view, [0, 1], [2])
+    assert np.array_equal(state.amplitudes, before)
+    # every read-only gate is checked on every call
+    rotations = [ry(angle).astype(complex) for angle in range(3)]
+    for rotation in rotations:
+        rotation.flags.writeable = False
+    del checked[:]
+    for rotation in rotations * 2:
+        sim.apply_unitary(state, rotation, [1])
+    assert checked == [(1, 2, 2)] * 6
 
 
 def test_every_factor_of_a_control_is_checked():
@@ -289,6 +301,12 @@ def test_basis_oracle_rejects_out_of_range_code():
         sim.apply_basis_oracle(state, [0, 1], [2, 3], {4: 1})  # label wider than C
     with pytest.raises(ValidationError, match="out of range"):
         sim.apply_basis_oracle(state, [0, 1], [2, 3], {1: -1})
+    # labels and codes are integers, not bools, all checked before a label moves
+    before = state.amplitudes.copy()
+    for codes in ({1.5: 1}, {1: 1.0}, {True: 1}, {1: True}, {1: 1, 2: 1.0}, {1: 1, 2: 1.5}):
+        with pytest.raises(ValidationError, match="not an integer or out of range"):
+            sim.apply_basis_oracle(state, [0, 1], [2, 3], codes)
+        assert np.array_equal(state.amplitudes, before)
     with pytest.raises(ValidationError, match="contiguous"):
         sim.apply_basis_oracle(state, [0, 2], [3], {1: 1})
 
