@@ -12,6 +12,9 @@ for the paper's instance, whose runs take about half a millisecond) and
 the process's ``ru_maxrss``, which includes the interpreter and NumPy
 (about 40 MiB).  It also records as ``setup_s`` the seconds that making
 its input takes: ``random_lowrank`` and the ``decompose`` that sets tau.
+A circuit case then times one more warm run through perfbench's span
+tracer (``perfbench/spans.py``, used as it is) and records under
+``stages_s`` the inclusive seconds of each stage (STAGES).
 The entry records the git SHA of the checkout, whether its src/ differs
 from that commit, and the box.
 """
@@ -49,6 +52,45 @@ SWEEP = "sweep 120 analytic"
 RUNS = 3
 PAPER_RUNS = 3000
 
+# the stages of a run, in run order, by the spans each sums; the oracle
+# and its inverse are the first and second SigmaTauOracle.apply spans
+STAGES = {
+    "setup": ("spectral.decompose", "alpha.resolve_alpha", "qpe.choose_t0",
+              "rotation.build_sigma_tau_oracle"),
+    "prep": ("sim.new_state", "spectral.to_state", "sim.load_register"),
+    "qpe": ("qpe.phase_estimate",),
+    "oracle": (),
+    "cascade": ("rotation.ry_cascade",),
+    "oracle_inverse": (),
+    "qpe_inverse": ("qpe.phase_estimate_inverse",),
+    "residual": ("rotation.uncompute_residual",),
+    "post_select": ("sim.post_select",),
+}
+ORACLE = "rotation.SigmaTauOracle.apply"
+
+
+def _stages(work, cfg) -> dict:
+    """Inclusive seconds of each stage of one traced run of ``work(cfg)``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        work(cfg)
+    finally:
+        tracer.uninstall()
+    stage_of = {name: stage for stage, names in STAGES.items() for name in names}
+    oracles = iter(("oracle", "oracle_inverse"))
+    stages = dict.fromkeys(STAGES, 0.0)
+    for name, start, end, _parent, _op in tracer.spans:
+        if name.startswith("alpha.resolve_alpha."):  # the span names the rule
+            name = "alpha.resolve_alpha"
+        stage = next(oracles) if name == ORACLE else stage_of.get(name)
+        if stage:
+            stages[stage] += end - start
+    return stages
+
 
 def _case(name: str) -> dict:
     """Run one case in this process; its wall times and peak RSS."""
@@ -75,13 +117,16 @@ def _case(name: str) -> dict:
         start = time.perf_counter()
         work(cfg)
         walls.append(time.perf_counter() - start)
-    return {
+    out = {
         "runs": runs,
         "setup_s": setup,
         "wall_s_median": statistics.median(walls),
         "wall_s_quartiles": statistics.quantiles(walls, n=4)[::2],
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    if name != SWEEP:  # after the peak RSS: the tracer's spans are not the run's
+        out["stages_s"] = _stages(work, cfg)
+    return out
 
 
 def _src_differs() -> bool:

@@ -2,11 +2,11 @@
 fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
-``solution(profile, method, alpha)`` is the one check of alpha (a real
-number, not a bool, finite and positive) and the one evaluator of P, F
-and G at a chosen alpha; an explicit alpha and every rule's alpha reach
-it.  ``g_objective`` and ``g_derivative`` serve the numeric rule's
-search.
+``solution(profile, method, alpha)`` checks alpha (``sim.check_positive``:
+a real number, not a bool, finite and positive) and is the one evaluator
+of P, F and G at a chosen alpha; an explicit alpha and every rule's
+alpha reach it.  ``g_objective`` and ``g_derivative`` serve the numeric
+rule's search.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FullyThresholdedError, ValidationError
-from .sim import _is_real
+from .sim import check_positive
 from .spectral import check_sigma, check_threshold, real_vector
 
 # Newton on G' stops once its step is this many ulps of alpha or fewer
@@ -117,13 +117,7 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     constructor of a solution, for the four rules and an explicit alpha.
     Alpha is checked before any sine, and taken as a Python float; each
     component takes one sine."""
-    if not _is_real(alpha):
-        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
-    alpha = float(alpha)
-    if not 0 < alpha < math.inf:  # NaN fails too
-        if not math.isfinite(alpha):
-            raise ValidationError(f"alpha must be finite, got {alpha!r}")
-        raise ValidationError("alpha must be positive")
+    alpha = check_positive("alpha", alpha)
     if profile.n2 <= 0:
         raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
     sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]

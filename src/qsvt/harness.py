@@ -123,10 +123,8 @@ class SweepConfig:
         for name in ("t_bits", "m_bits"):
             sim.check_width(name, getattr(self, name))
         pipeline_mod.check_count("seed", self.seed)
-        if not sim._is_real(self.tau_frac):
-            raise ValidationError(f"tau fraction must be a real number, got {self.tau_frac!r}")
-        self.tau_frac = float(self.tau_frac)  # so tau = tau_frac sigma_1 is a float64
-        if self.tau is None and not 0 < self.tau_frac < 1:
+        self.tau_frac = sim.check_positive("tau fraction", self.tau_frac)
+        if self.tau is None and not self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
         rank = len(self.sigma) if self.sigma is not None else self.rank or 0
         if self.simulate and (self.t_bits > 8 or rank > 8):
@@ -268,12 +266,16 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     return the records by instance, then in ``cfg.methods`` order.
 
     The pool starts all its workers at once, so it gets at most one
-    worker per instance and per CPU."""
+    worker per instance and per CPU.  They are spawned, not forked: NumPy's
+    BLAS has started threads in this process, and a fork copies their locks
+    but not the threads."""
     indices = range(cfg.n_instances)
     workers = min(cfg.jobs, cfg.n_instances, os.cpu_count() or 1)
     if workers > 1:
-        import concurrent.futures  # here, not at the top: only a pool uses it
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures  # here, not at the top: only a pool uses them
+        import multiprocessing
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
     else:
         chunks = [run_sweep_instance(cfg, i) for i in indices]
@@ -635,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sw, cmd_sweep)
     sw.add_argument("--n", type=int, default=SweepConfig.n_instances)
     sw.add_argument("--tau-frac", type=float, default=SweepConfig.tau_frac,
-                    help="tau as a fraction of sigma_1 (ignored when --tau is set)")
+                    help="tau as a fraction of sigma_1 (checked, but unused when --tau is set)")
     sw.add_argument("--methods", default=",".join(SweepConfig.methods))
     sw.add_argument("--t-bits", type=int, default=SweepConfig.t_bits)
     sw.add_argument("--m-bits", type=int, default=SweepConfig.m_bits)

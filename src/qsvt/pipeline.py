@@ -37,8 +37,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # a real number, as a Python float; checked against sigma_1 in the run
-        self.tau = spectral.check_threshold(self.tau, math.inf)
+        # checked against sigma_1 in the run
+        self.tau = sim.check_positive("threshold", self.tau)
         if self.shots is not None:
             check_count("shots", self.shots)
         check_count("seed", self.seed)

@@ -59,8 +59,7 @@ class PhaseEstimationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_bits", sim.check_width("t_bits", self.t_bits))
-        if not (sim._is_real(self.t0) and math.isfinite(self.t0) and self.t0 > 0):
-            raise ValidationError(f"t0 must be finite and positive, a real number, got {self.t0!r}")
+        object.__setattr__(self, "t0", sim.check_positive("t0", self.t0))
         if not all(sim._is_int(c) and 1 <= c < 1 << self.t_bits for c in self.labels):
             raise ValidationError(f"labels must lie in 1..{(1 << self.t_bits) - 1},"
                                   f" integers: {self.labels}")

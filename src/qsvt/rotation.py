@@ -38,7 +38,7 @@ from .qpe import PhaseEstimationConfig, phase_estimate_inverse
 from .sim import QuantumState, RegisterLayout
 
 UNCOMPUTE_TOL = 1e-9
-MAX_ITERATIONS = 40
+MAX_ITERATIONS = 64
 DIVERGENCE_GUARD = 1.25  # an update beyond it in magnitude has left the basin
 
 
@@ -126,11 +126,7 @@ def build_sigma_tau_oracle(
     start exists; non-convergence is never silently written.
     """
     m_bits = sim.check_width("m_bits", m_bits)
-    if not sim._is_real(tau):
-        raise ValidationError(f"tau must be a real number, got {tau!r}")
-    tau = float(tau)  # exact for a NumPy scalar, which may lack as_integer_ratio
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
+    tau = sim.check_positive("tau", tau)  # a Python float: _cubic takes its exact ratio
     top, sigma1_sq = 1 << m_bits, pe_cfg.decode(max(pe_cfg.labels, default=0))
     start = _start(m_bits, tau, sigma1_sq)
     codes: dict[int, int] = {}

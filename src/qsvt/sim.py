@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,21 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    """A real number, of Python or NumPy, that is not a bool; a Python
-    float passes on its type alone."""
-    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+def check_positive(name: str, value) -> float:
+    """A real number as a Python float, so a NumPy scalar does not carry
+    its precision into the arithmetic on it: the one check of the
+    circuit's real-number inputs (tau, t0, alpha, the tau fraction).  One
+    that is not a real number (a bool, a str), not finite, not positive
+    or too large for a float is rejected; NaN fails.  A Python float
+    passes the type test on its type alone."""
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # 10**400, Fraction(10**400)
+            x = math.inf
+        if 0 < x < math.inf:  # NaN fails too
+            return x
+    raise ValidationError(f"{name} must be finite and positive, a real number, got {value!r}")
 
 
 def check_width(name: str, bits) -> int:
@@ -162,12 +174,29 @@ def l_zero_block(
     return QuantumState(n, state.amplitudes[: 1 << n]), block_layout
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, page size times pages as ``os.sysconf``
+    reports them, or None where it cannot tell."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
+        return None
+    return size * pages if size > 0 and pages > 0 else None
+
+
+MEMORY_BYTES = _physical_memory()  # the most a state may take; None: MAX_QUBITS alone
+
+
 def new_state(layout: RegisterLayout) -> QuantumState:
     """All-zeros basis state for the given layout, of at most
-    ``MAX_QUBITS`` qubits."""
+    ``MAX_QUBITS`` qubits and ``MEMORY_BYTES``, checked before it is
+    allocated."""
     n = layout.n_qubits
     if n > MAX_QUBITS:
         raise ValidationError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
+    if MEMORY_BYTES is not None and 16 << n > MEMORY_BYTES:  # complex128
+        raise ValidationError(f"memory budget exceeded: a {n}-qubit state takes {16 << n} bytes,"
+                              f" the machine has {MEMORY_BYTES}")
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = 1.0
     return QuantumState(n, amp)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, FullyThresholdedError, ValidationError
-from .sim import _is_real, _norm
+from .sim import _norm, check_positive
 
 RANK_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -118,14 +118,9 @@ def decompose(a0) -> SpectralData:
 
 
 def check_threshold(tau, sigma_max: float) -> float:
-    """Threshold contract: tau is a real number, not a bool, with
-    0 < tau < sigma_1.  Returns it as a Python float, so a NumPy scalar
-    does not carry its precision into the arithmetic on it."""
-    if not _is_real(tau):
-        raise ValidationError(f"threshold must be a real number, got {tau!r}")
-    tau = float(tau)
-    if not tau > 0:
-        raise ValidationError(f"threshold must be positive, got {tau!r}")
+    """Threshold contract: tau < sigma_1, with tau as
+    :func:`sim.check_positive` returns it, a finite positive Python float."""
+    tau = check_positive("threshold", tau)
     if tau >= sigma_max:
         raise FullyThresholdedError(
             f"threshold {tau!r} >= largest singular value {sigma_max!r}"

@@ -50,18 +50,13 @@ def at(profile, a):
     return alpha_mod.solution(profile, "explicit", a)
 
 
-@pytest.mark.parametrize(
-    "a, match",
-    [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite"), (math.inf, "finite"),
-     (-math.inf, "finite"), (True, "a real number"), ("1.2", "a real number"),
-     (None, "a real number")],
-)
-def test_solution_checks_alpha_before_any_sine(monkeypatch, a, match):
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "1.2", None])
+def test_solution_checks_alpha_before_any_sine(monkeypatch, a):
     def no_sine(x):
         raise AssertionError(f"sin({x!r}) evaluated before the alpha check")
 
     monkeypatch.setattr(math, "sin", no_sine)
-    with pytest.raises(ValidationError, match=f"^alpha must be {match}"):
+    with pytest.raises(ValidationError, match="^alpha must be finite and positive, a real number"):
         at(REFERENCE, a)
 
 

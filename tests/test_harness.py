@@ -110,6 +110,19 @@ def test_cmd_example_rejects_zero_tau(capsys):
     assert "positive" in err
 
 
+def test_cmd_example_rejects_a_tau_too_large_for_a_float(capsys):
+    # argparse reads 1e400 as inf, which was "threshold inf >= largest singular value inf"
+    assert harness.main(["example", "--tau", "1e400"]) == 2
+    assert capsys.readouterr().err == \
+        "error: threshold must be finite and positive, a real number, got inf\n"
+
+
+def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(harness.sim, "MEMORY_BYTES", (16 << 9) - 1)  # the run has 9 qubits
+    assert harness.main(["example"]) == 2
+    assert capsys.readouterr().err.startswith("error: memory budget exceeded: a 9-qubit state")
+
+
 def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
     # y_1 = 1 - 1.7/2 = 0.15 lies below 2^-2: every L code is 0
     rc = harness.main(["example", "--tau", "1.7"])
@@ -265,18 +278,22 @@ def test_sweep_sigma_and_tau_must_be_real_numbers():
         for sigma in (("a",), ((2.0, 1.0),)):
             with pytest.raises(ValidationError, match="^sigma must be a vector of real numbers"):
                 make(sigma)
-    with pytest.raises(ValidationError, match="^threshold must be a real number"):
+    with pytest.raises(ValidationError, match="^threshold must be finite and positive, a real number"):
         harness.SweepConfig(tau=True)
     tau = harness.SweepConfig(tau=np.float32(0.5)).tau
     assert type(tau) is float and tau == 0.5
     # a str tau fraction raised a bare TypeError, a float32 one computed tau
     # in float32 and the CSV wrote it through str
-    for frac in ("x", True, None, 0.3j):
-        with pytest.raises(ValidationError, match="^tau fraction must be a real number"):
+    for frac in ("x", True, None, 0.3j, math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValidationError, match="^tau fraction must be finite and positive"):
             harness.SweepConfig(tau_frac=frac)
-    for frac in (math.nan, math.inf, -math.inf, 0.0, 1.0, np.float32(1.5)):
+        # an explicit tau leaves the fraction unused, but not unchecked
+        with pytest.raises(ValidationError, match="^tau fraction must be finite and positive"):
+            harness.SweepConfig(tau=0.5, tau_frac=frac)
+    for frac in (1.0, np.float32(1.5)):
         with pytest.raises(ValidationError, match=r"^tau fraction must lie in \(0, 1\)"):
             harness.SweepConfig(tau_frac=frac)
+        assert harness.SweepConfig(tau=0.5, tau_frac=frac).tau_frac == frac
     cfg = harness.SweepConfig(n_instances=1, tau_frac=np.float32(0.25))
     assert type(cfg.tau_frac) is float and cfg.tau_frac == 0.25
     assert type(harness.run_sweep(cfg)[0].tau) is float
@@ -406,13 +423,15 @@ def test_config_without_a_path_is_the_subcommand_usage_error(capsys):
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
-    started = []
+    started, methods = [], set()
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
+        """Stands in for ProcessPoolExecutor: records max_workers and the
+        start method, maps here."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
+            methods.add(mp_context.get_start_method())
 
         def __enter__(self):
             return self
@@ -435,6 +454,7 @@ def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     harness.run_sweep(harness.SweepConfig(n_instances=6, jobs=1000))
     assert started == [3, 4, 2]
+    assert methods == {"spawn"}  # a fork of a process with BLAS threads can deadlock
 
 
 def test_cmd_sweep_byte_identical_reruns(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import collections
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from qsvt import alpha as alpha_mod
 from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
-from qsvt.harness import example_matrix, random_lowrank
+from qsvt.harness import SweepConfig, example_matrix, random_lowrank
 
 from gates import bitwise_conditional_evolution, bitwise_ry_cascade, whole_state
 
@@ -426,6 +428,32 @@ def test_tau_of_any_real_type_runs_as_the_python_float():
         assert got.b_state.tobytes() == want.b_state.tobytes()
     with pytest.raises(ValidationError, match="real number"):
         pipeline.PipelineConfig(a0=example_matrix(), tau=True)
+
+
+# each real-number input where it enters the package, by the name its
+# error gives it: what it keeps (the oracle keeps tau only in its codes)
+REAL_INPUTS = {
+    "threshold": lambda v: pipeline.PipelineConfig(a0=example_matrix(), tau=v).tau,
+    "tau": lambda v: rotation.build_sigma_tau_oracle(qpe.choose_t0([4.0, 1.0], 3), 8, v),
+    "t0": lambda v: qpe.PhaseEstimationConfig(3, v, False).t0,
+    "alpha": lambda v: alpha_mod.solution(
+        alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], 0.5), "explicit", v).alpha,
+    "tau fraction": lambda v: SweepConfig(tau_frac=v).tau_frac,
+}
+
+
+@pytest.mark.parametrize("name", REAL_INPUTS)
+def test_every_real_number_input_is_one_checked_python_float(name):
+    # tau = inf was a FullyThresholdedError, or in the oracle a bare
+    # OverflowError, as 10**400 was everywhere; a float32 t0 was kept
+    enter = REAL_INPUTS[name]
+    want = enter(0.5)
+    for value in (np.float32(0.5), np.float64(0.5), Fraction(1, 2)):
+        got = enter(value)
+        assert got == want and type(got) is type(want)
+    for value in (0, -1, math.nan, math.inf, -math.inf, True, "0.5", 10**400, Fraction(10**400)):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and positive, a real"):
+            enter(value)
 
 
 def test_unknown_alpha_method_is_rejected_where_it_enters():

@@ -81,6 +81,14 @@ def test_phase_estimation_config_checks_itself(args, match):
         qpe.PhaseEstimationConfig(*args)
 
 
+def test_t0_is_kept_as_a_python_float():
+    # a float32 t0 was kept, and decoded in float32: np.float32(1.1219975)
+    cfg = qpe.PhaseEstimationConfig(3, np.float32(0.7), False)
+    assert type(cfg.t0) is float and cfg.t0 == np.float32(0.7)
+    want = qpe.PhaseEstimationConfig(3, float(np.float32(0.7)), False)
+    assert type(cfg.decode(1)) is float and cfg.decode(1) == want.decode(1)
+
+
 def test_widths_are_integers_kept_as_python_ints():
     assert qpe.choose_t0([4.0, 1.0], np.int64(3)) == qpe.choose_t0([4.0, 1.0], 3)
     assert type(qpe.PhaseEstimationConfig(np.int64(3), 0.7, False).t_bits) is int

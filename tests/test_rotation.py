@@ -193,6 +193,31 @@ def test_newton_iterate_converges_above_ratio_four():
         rotation.build_sigma_tau_oracle(enc, 1, tau)
 
 
+def _oracle_or_error(enc, m, tau):
+    try:
+        return rotation.build_sigma_tau_oracle(enc, m, tau)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def test_newton_cap_lets_the_oracle_converge_up_to_26_qubits(monkeypatch):
+    # above sigma/tau = 2 sqrt 3 the first update from 1/2 is clamped to the
+    # top code, which the iterate leaves by a factor 1.5 a step: at ratio 4
+    # that took 39 iterations at m 22 and ran out of the former cap of 40
+    # from m 23 (a 26-qubit run of a 2x1 input at t 1)
+    encodings = {ratio: qpe.choose_t0([ratio**2], 1) for ratio in (3.5, 4.0, 50.0, 2900.0)}
+    for ratio, enc in encodings.items():
+        for m in range(23, 27):
+            oracle = rotation.build_sigma_tau_oracle(enc, m, 1.0)
+            assert abs(oracle.y_codes[1] - (1 << m) * (1 - 1 / ratio)) <= 1
+            assert oracle.iterations[1] <= 47
+    # up to m 22 the raised cap changes no code, count or error
+    runs = [(enc, m) for enc in encodings.values() for m in range(1, 23)]
+    raised = [_oracle_or_error(enc, m, 1.0) for enc, m in runs]
+    monkeypatch.setattr(rotation, "MAX_ITERATIONS", 40)
+    assert raised == [_oracle_or_error(enc, m, 1.0) for enc, m in runs]
+
+
 def test_newton_quadratic_contraction_in_basin():
     for m in (8, 16):
         for ratio in (1.05, 1.3, 1.8, 2.3, 2.8, 3.3):
@@ -347,11 +372,11 @@ def test_oracle_build_checks_width_and_tau():
     for m in (0, -1, 27):
         with pytest.raises(ValidationError, match="m_bits must lie in"):
             rotation.build_sigma_tau_oracle(enc, m, 0.5)
-    for tau in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError, match="tau must be positive"):
-            rotation.build_sigma_tau_oracle(enc, 3, tau)
-    for tau in ("x", True, None):  # "x" was compared with 0 and raised TypeError
-        with pytest.raises(ValidationError, match="tau must be a real number"):
+    # "x" was compared with 0 and raised TypeError; inf and 10**400 raised
+    # a bare OverflowError, inf from as_integer_ratio and 10**400 from float
+    for tau in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, Fraction(10**400),
+                "x", True, None):
+        with pytest.raises(ValidationError, match="^tau must be finite and positive, a real number"):
             rotation.build_sigma_tau_oracle(enc, 3, tau)
     # a NumPy integer runs as its float, which has an exact integer ratio
     assert rotation.build_sigma_tau_oracle(enc, 3, np.int64(1)) == \

@@ -46,6 +46,39 @@ def test_new_state_qubit_budget():
         sim.new_state(layout)
 
 
+def test_new_state_refuses_a_state_larger_than_memory_before_allocating(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("state allocated past the memory budget")
+
+    for n, budget in ((10, (16 << 10) - 1), (26, (16 << 26) - 1)):  # 26 qubits: 1 GiB
+        monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ValidationError, match=f"^memory budget exceeded: a {n}-qubit state"):
+            sim.new_state(sim.RegisterLayout(0, n - 10, 9))
+        monkeypatch.undo()
+    # a state that fits the budget exactly is made; without one, MAX_QUBITS alone applies
+    for budget in (16 << 10, None):
+        monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
+        assert sim.new_state(sim.RegisterLayout(0, 0, 9)).n_qubits == 10
+        with pytest.raises(ValidationError, match="^qubit budget exceeded: 27 > 26"):
+            sim.new_state(sim.RegisterLayout(0, 17, 9))
+
+
+def test_physical_memory_is_page_size_times_pages_where_sysconf_tells(monkeypatch):
+    assert sim.MEMORY_BYTES is None or sim.MEMORY_BYTES > 0
+    for pages, want in ((1000, 4096 * 1000), (-1, None), (0, None)):
+        monkeypatch.setattr(sim.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get)
+        assert sim._physical_memory() == want
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(sim.os, "sysconf", unknown)
+    assert sim._physical_memory() is None
+    monkeypatch.delattr(sim.os, "sysconf")
+    assert sim._physical_memory() is None
+
+
 def test_layout_is_three_integer_widths_in_one_order():
     layout = sim.RegisterLayout(2, 3, np.int64(2))
     assert (layout.reg_L, layout.reg_C, layout.ancilla, layout.reg_B, layout.n_qubits) == (
