@@ -10,23 +10,20 @@ half is exactly zero, as nothing before it in a run writes that half, and
 writes both halves in place rather than as a gate.
 
 :func:`build_sigma_tau_oracle` is the one Newton entry point.  A code
-is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw.
-The iteration truncates each step toward zero: an iterate that
-overshoots past 1 is clamped to the top code, and only a downward-biased
-rounding lets it walk back off the clamp to the fixed point
-(nearest-rounding re-rounds to the clamp forever).  With exact integer
-arithmetic over a power-of-two denominator, two runs agree bit for bit.
+is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw;
+each step is truncated toward zero and clamped into [0, 2**m).  With
+exact integer arithmetic over a power-of-two denominator, two runs agree
+bit for bit.
 
-The Newton start is worked out from sigma_1/tau before the circuit runs,
-as alpha is: the smallest code at or above 1/2 whose first update stays
-within DIVERGENCE_GUARD, found by bisection (on [1/2, 1) the update falls
-to the fixed point 1 - tau/sigma, then stays below 1).  Every sigma/tau
-<= 4 gets 1/2.  The top code reaches sigma/tau = sqrt((1/2 + 3 * 2**-m)
-* 2**(3m)): 4, 8.94, 21.2 and 53.1 at m = 1..4, 2930 at m = 8.
+Every label ends at its floor code s* = floor(2**m y*), y* = 1 - tau/sigma,
+from any start.  The map is convex below 1 and flat at y*, so no step
+lands below s*; above y* it lies below the identity, so from a code above
+s* the step falls strictly.  From s* the step stays put, alternates with
+s* + 1, or is clamped to the top code: a jump of two or more codes needs
+sigma/tau > 0.56 * 2**m, and then s* is one of the top two codes.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -39,7 +36,6 @@ from .sim import QuantumState, RegisterLayout
 
 UNCOMPUTE_TOL = 1e-9
 MAX_ITERATIONS = 64
-DIVERGENCE_GUARD = 1.25  # an update beyond it in magnitude has left the basin
 
 
 def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
@@ -50,22 +46,10 @@ def _cubic(tau: float, sigma_sq: float, m_bits: int) -> tuple[int, int]:
     return (q * a * a) << (2 * m_bits), p * b * b
 
 
-def _step(raw: int, top: int, k: int, c: int) -> tuple[bool, int]:
-    """Whether the update at raw/top is within DIVERGENCE_GUARD in magnitude
-    (numerator over 2k, exact); next code, floored into [0, top)."""
+def _step(raw: int, top: int, k: int, c: int) -> int:
+    """The next code after raw/top: the update floored into [0, top)."""
     e = raw - top
-    numerator = k * (3 * raw - top) - c * e * e * e
-    ng, dg = DIVERGENCE_GUARD.as_integer_ratio()
-    return abs(numerator) * dg <= 2 * k * top * ng, min(max(numerator // (2 * k), 0), top - 1)
-
-
-def _start(m_bits: int, tau: float, sigma_sq: float) -> int:
-    """The smallest code at or above 1/2 whose first update stays within
-    the guard; 2**m_bits where not even the top code's does."""
-    top = 1 << m_bits
-    k, c = _cubic(tau, sigma_sq, m_bits)
-    codes = range(top >> 1, top)  # fail ... fail pass ... pass
-    return codes.start + bisect.bisect_left(codes, True, key=lambda raw: _step(raw, top, k, c)[0])
+    return min(max((k * (3 * raw - top) - c * e * e * e) // (2 * k), 0), top - 1)
 
 
 def _iterate(m_bits: int, tau: float, sigma_sq: float, raw: int) -> tuple[int, int, bool]:
@@ -76,9 +60,7 @@ def _iterate(m_bits: int, tau: float, sigma_sq: float, raw: int) -> tuple[int, i
     k, c = _cubic(tau, sigma_sq, m_bits)
     prev_raw: int | None = None
     for i in range(1, MAX_ITERATIONS + 1):
-        within, new = _step(raw, top, k, c)
-        if not within:
-            return raw, i, False
+        new = _step(raw, top, k, c)
         if new == raw:
             return new, i, True
         if new == prev_raw and abs(new - raw) == 1:
@@ -114,27 +96,25 @@ def build_sigma_tau_oracle(
     pe_cfg: PhaseEstimationConfig, m_bits: int, tau: float
 ) -> SigmaTauOracle:
     """Run the Newton iteration for every eigenvalue label of ``pe_cfg``,
-    each from the start rule's code for the largest label (a smaller
-    sigma/tau makes a smaller first update from it).
+    each from sigma_1's own code, min(floor((1 - tau/sigma_1) 2^m), 2^m - 1)
+    (0 where sigma_1 <= tau), sigma_1 decoded from the largest label.
 
-    sigma <= tau short-circuits to exactly 0 (thresholded branch).
-    Convergence means two successive codes agree, or an adjacent pair
-    alternates (grid-straddled fixed point; the lower code is taken).
-    The guard trips when an unclamped iterate exceeds DIVERGENCE_GUARD
-    in magnitude.  Any label that fails to converge aborts the build
-    with a per-label diagnostic, and with the reach of m_bits where no
-    start exists; non-convergence is never silently written.
+    sigma <= tau short-circuits to exactly 0 (thresholded branch).  A label
+    converges when two successive codes agree or an adjacent pair alternates
+    (the lower code is taken), at its floor code (see the module docstring).
+    A label still moving after MAX_ITERATIONS steps aborts the build with a
+    per-label diagnostic; non-convergence is never silently written.
     """
     m_bits = sim.check_width("m_bits", m_bits)
     tau = sim.check_positive("tau", tau)  # a Python float: _cubic takes its exact ratio
-    top, sigma1_sq = 1 << m_bits, pe_cfg.decode(max(pe_cfg.labels, default=0))
-    start = _start(m_bits, tau, sigma1_sq)
+    top, sigma1 = 1 << m_bits, math.sqrt(pe_cfg.decode(max(pe_cfg.labels, default=0)))
+    start = min(int((1 - tau / sigma1) * top), top - 1) if sigma1 > tau else 0
     codes: dict[int, int] = {}
     iters: dict[int, int] = {}
     failures: list[str] = []
     for label in pe_cfg.labels:
         decoded = pe_cfg.decode(label)
-        raw, iterations, converged = _iterate(m_bits, tau, decoded, min(start, top - 1))
+        raw, iterations, converged = _iterate(m_bits, tau, decoded, start)
         if not converged:
             failures.append(
                 f"label {label} (sigma^2={decoded:.6g}, sigma/tau={math.sqrt(decoded) / tau:.3f}):"
@@ -143,10 +123,6 @@ def build_sigma_tau_oracle(
             continue
         codes[label] = raw
         iters[label] = iterations
-    if start == top:
-        reach = math.sqrt(2 * (DIVERGENCE_GUARD - 1 + 1.5 / top) * top**3)
-        failures.append(f"no m_bits={m_bits} Newton start reaches sigma/tau above {reach:.2f}:"
-                        f" raise --m-bits, or take tau >= {math.sqrt(sigma1_sq) / reach:.6g}")
     if failures:
         raise ConvergenceError("; ".join(failures))
     return SigmaTauOracle(m_bits, pe_cfg.t_bits, codes, iters)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import harness, pipeline, spectral
+from qsvt import harness, pipeline, rotation, sim, spectral
 from qsvt.errors import ValidationError
 
 from gates import full_qr_lowrank
@@ -171,8 +171,6 @@ INPUT_FILES = {
         (["pipeline", "--matrix", "not_utf8.txt", "--tau", "0.5"], 2),
         (["alpha", "--matrix", "not_utf8.txt", "--tau", "0.5"], 2),
         (["example", "--config", "not_utf8.cfg"], 2),
-        # sigma_1/tau = 10 lies beyond the 8.94 that two bits of L reach
-        (["pipeline", "--matrix", "small.txt", "--tau", "0.1", "--m-bits", "2"], 3),
         (["alpha", "--sigma", "2,1"], 2),  # no --tau
         (["alpha", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "2,1", "--matrix", "small.txt", "--tau", "0.5"], 2),
@@ -230,6 +228,18 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     if argv[0] in ("alpha", "pipeline") and "--tau" not in argv:  # the "no --tau" rows
         assert err == "error: no threshold: give --tau, or tau= in the --config file\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_newton_cap_exits_3_before_the_state(monkeypatch, capsys):
+    # label 1 falls from sigma_1's code 3 to its own, 2: one step is too few
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a run whose oracle failed")
+
+    monkeypatch.setattr(rotation, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(sim, "new_state", no_state)
+    assert harness.main(["example"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 1 (") and "no convergence in 1 iterations" in err
 
 
 def test_alpha_takes_no_seed(capsys):
@@ -760,18 +770,22 @@ def test_config_file_explicit_flag_wins(tmp_path, capsys):
     assert out.count("PASS") == 3
 
 
-def test_cmd_example_outside_newton_basin_names_admissible_tau(capsys):
-    # two bits of L reach sigma/tau = 8.94; sigma_1/tau = 20 needs more
+def test_cmd_example_at_ratio_twenty_runs_on_two_bits(monkeypatch, capsys):
+    # sigma/tau = 20 and 10 on two bits of L: both floor codes are 3
+    oracles = []
+    build = rotation.build_sigma_tau_oracle
+    monkeypatch.setattr(rotation, "build_sigma_tau_oracle",
+                        lambda *args: oracles.append(build(*args)) or oracles[-1])
     rc = harness.main(["example", "--tau", "0.1"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "sigma/tau=20.000" in err
-    assert "above 8.94: raise --m-bits, or take tau >= 0.223607" in err
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "reporting mode" in out
+    assert [oracle.y_codes for oracle in oracles] == [{4: 3, 1: 3}]
 
 
 @pytest.mark.parametrize("argv", [["--tau", "0.4"], ["--tau", "0.1", "--m-bits", "8"]])
 def test_cmd_example_runs_above_ratio_four(capsys, argv):
-    # sigma_1/tau = 5 and 20, each within the reach of its m_bits
+    # sigma_1/tau = 5 and 20
     rc = harness.main(["example", *argv])
     out = capsys.readouterr().out
     assert rc == 0

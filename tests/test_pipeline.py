@@ -8,7 +8,7 @@ import pytest
 
 from qsvt import alpha as alpha_mod
 from qsvt import pipeline, qpe, rotation, sim, spectral
-from qsvt.errors import ConvergenceError, FullyThresholdedError, ValidationError
+from qsvt.errors import FullyThresholdedError, ValidationError
 from qsvt.harness import SweepConfig, example_matrix, random_lowrank
 
 from gates import bitwise_conditional_evolution, bitwise_ry_cascade, whole_state
@@ -324,11 +324,11 @@ def test_p_sim_independent_of_v_factor():
     assert results[0] == pytest.approx(results[1], abs=1e-12)
 
 
-def test_newton_nonconvergence_aborts_run():
-    # one bit of L reaches sigma/tau = 4; sigma_1/tau is 5
+def test_one_bit_run_above_ratio_four_completes():
+    # sigma_1/tau = 5 on one bit of L ends at the floor code, 2 (1 - 1/5) -> 1
     a0 = random_lowrank(2, 2, 1, seed=31, sigma=(5.0,))
-    with pytest.raises(ConvergenceError, match="--m-bits"):
-        pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.0, t_bits=5, m_bits=1))
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.0, t_bits=5, m_bits=1))
+    assert res.y_codes.tolist() == [0.5] and res.newton_iterations == 1
 
 
 @pytest.mark.parametrize("tau", [0.45, 0.3, 0.024])

@@ -18,7 +18,7 @@ from gates import bitwise_ry_cascade, pauli_x, ry, whole_state
 
 def step(raw, m, tau, sigma_sq):
     """The next m-bit code after ``raw`` under the cubic update."""
-    return rotation._step(raw, 1 << m, *rotation._cubic(tau, sigma_sq, m))[1]
+    return rotation._step(raw, 1 << m, *rotation._cubic(tau, sigma_sq, m))
 
 
 def test_newton_step_fixed_point_identity():
@@ -43,14 +43,15 @@ def truncate_reference(value: Fraction, m_bits: int) -> int:
     return min(max(math.floor(value * scale), 0), scale - 1)
 
 
-def start_reference(m, tau_f, sig_f, guard):
-    """The Newton start by linear scan in Fractions: the first code at or
-    above 1/2 whose update is within the guard, else 2**m (none)."""
-    top = 1 << m
-    for raw in range(top // 2, top):
-        if abs(cubic_map(Fraction(raw, top), tau_f, sig_f)) <= guard:
-            return raw
-    return top
+def floor_code(m, tau, sigma_sq):
+    """floor(2^m (1 - tau/sigma))_+ in exact integers: for sigma > tau,
+    2^m less the least n with n sigma >= 2^m tau."""
+    if math.sqrt(sigma_sq) <= tau:
+        return 0
+    (a, b), (p, q) = tau.as_integer_ratio(), sigma_sq.as_integer_ratio()
+    x, y = (a << m) ** 2 * q, p * b * b  # n sigma >= 2^m tau iff n^2 y >= x
+    n = math.isqrt(x // y)
+    return (1 << m) - n - (n * n * y < x)
 
 
 def newton_iterate_reference(m, tau, sigma_sq, raw, exits):
@@ -61,13 +62,9 @@ def newton_iterate_reference(m, tau, sigma_sq, raw, exits):
         exits["thresholded"] += 1
         return 0, 0, True
     tau_f, sig_f = Fraction(tau), Fraction(sigma_sq)
-    guard = Fraction(rotation.DIVERGENCE_GUARD)
     prev = None
     for i in range(1, rotation.MAX_ITERATIONS + 1):
         value = cubic_map(Fraction(raw, 1 << m), tau_f, sig_f)
-        if abs(value) > guard:
-            exits["guard"] += 1
-            return raw, i, False
         new = truncate_reference(value, m)
         if new != math.floor(value * (1 << m)):
             exits["clamp"] += 1
@@ -92,17 +89,16 @@ def test_newton_step_overshoot_clamps_to_top_code():
 
 def check_oracle_against_reference(enc, m, tau, exits):
     """build_sigma_tau_oracle on ``enc`` gives every label the code and
-    iteration count of the Fraction reference run from sigma_1's start,
-    or fails naming exactly the labels that fail there."""
-    top = 1 << m
-    guard = Fraction(rotation.DIVERGENCE_GUARD)
-    start = start_reference(m, Fraction(tau), Fraction(enc.decode(max(enc.labels))), guard)
+    iteration count of the Fraction reference run from sigma_1's code (in
+    floats, as the oracle rounds it: at times one off the exact floor), or
+    fails naming exactly the labels that fail there."""
+    top, sigma1 = 1 << m, math.sqrt(enc.decode(max(enc.labels)))
+    start = min(int((1 - tau / sigma1) * top), top - 1) if sigma1 > tau else 0
     expected = {
-        c: newton_iterate_reference(m, tau, enc.decode(c), min(start, top - 1), exits)
-        for c in enc.labels
+        c: newton_iterate_reference(m, tau, enc.decode(c), start, exits) for c in enc.labels
     }
     failed = {c: it for c, (_, it, ok) in expected.items() if not ok}
-    if start < top and not failed:
+    if not failed:
         oracle = rotation.build_sigma_tau_oracle(enc, m, tau)
         assert oracle.y_codes == {c: raw for c, (raw, _, _) in expected.items()}
         assert oracle.iterations == {c: it for c, (_, it, _) in expected.items()}
@@ -113,23 +109,17 @@ def check_oracle_against_reference(enc, m, tau, exits):
     for c in enc.labels:
         found = re.search(rf"label {c} \([^)]*\): no convergence in (\d+) iterations", message)
         assert (found and int(found[1])) == failed.get(c), message
-    assert ("Newton start reaches" in message) == (start == top)
 
 
 def test_integer_newton_matches_fraction_reference(monkeypatch):
-    # the oracle's Newton path on one- and two-label encodings
+    # the oracle's Newton path on one- and two-label encodings; with no
+    # guard, convergence rests on the clamp and the adjacent pair
     exits = Counter()
-    configs = (
-        {},
-        {"DIVERGENCE_GUARD": 1.6},
-        {"MAX_ITERATIONS": 3},
-    )
     ratios = [*np.linspace(0.2, 4.6, 23), 5.0, 8.0, 9.5, 30.0]
     for m in range(1, 11):
-        for extra in configs:
+        for cap in (rotation.MAX_ITERATIONS, 3):
             with monkeypatch.context() as patch:
-                for name, value in extra.items():
-                    patch.setattr(rotation, name, value)
+                patch.setattr(rotation, "MAX_ITERATIONS", cap)
                 for tau in (0.1, 0.37, 0.93, 1.7):
                     for ratio in ratios:
                         sigma_sq = float((ratio * tau) ** 2)
@@ -141,7 +131,7 @@ def test_integer_newton_matches_fraction_reference(monkeypatch):
                 for raw in range(1 << m):
                     expected = cubic_map(Fraction(raw, 1 << m), Fraction(tau), Fraction(sigma_sq))
                     assert step(raw, m, tau, sigma_sq) == truncate_reference(expected, m)
-    for kind in ("thresholded", "guard", "clamp", "fixed", "pair", "max_iterations"):
+    for kind in ("thresholded", "clamp", "fixed", "pair", "max_iterations"):
         assert exits[kind] > 0, kind
 
 
@@ -160,62 +150,72 @@ def test_newton_iterate_thresholded_branch():
     assert rotation._iterate(3, 0.5, 0.16, 4) == (0, 0, True)  # sigma = 0.4 <= tau
 
 
-def test_newton_start_is_one_half_up_to_ratio_four():
-    # every run that converged from the former fixed start of 1/2 keeps it
-    for m in range(1, 13):
-        for tau in (0.375, 0.5, 1.75):  # dyadic: ratio 4 is exactly 4
-            for ratio in np.linspace(0.05, 4.0, 80):
-                assert rotation._start(m, tau, float((ratio * tau) ** 2)) == 1 << (m - 1)
-        if m > 1:  # above 4 the first update from 1/2 leaves the guard
-            assert rotation._start(m, 0.5, 2.1**2) > 1 << (m - 1)
+def oracle_and_start(monkeypatch, enc, m, tau):
+    """The oracle built on ``enc`` and the one code that every label's
+    iteration started from (None without labels)."""
+    starts = []
+    iterate = rotation._iterate
+
+    def spy(m, tau, sigma_sq, raw):
+        starts.append(raw)
+        return iterate(m, tau, sigma_sq, raw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rotation, "_iterate", spy)
+        oracle = rotation.build_sigma_tau_oracle(enc, m, tau)
+    assert len(starts) == len(enc.labels) and len(set(starts)) <= 1
+    return oracle, starts[0] if starts else None
 
 
-def test_newton_start_reach_is_the_top_code():
-    for m in range(1, 13):
-        top = 1 << m
-        reach = math.sqrt((0.5 + 3 / top) * top**3)
-        assert rotation._start(m, 1.0, (reach * (1 - 1e-9)) ** 2) == top - 1
-        assert rotation._start(m, 1.0, (reach * (1 + 1e-9)) ** 2) == top  # none
+def test_oracle_on_an_encoding_without_labels_is_empty(monkeypatch):
+    # sigma_1 decodes to 0, which the start must not divide by
+    assert oracle_and_start(monkeypatch, qpe.PhaseEstimationConfig(3, 1.0, True), 3, 0.5) == (
+        rotation.SigmaTauOracle(3, 3, {}, {}), None)
+
+
+def test_newton_start_is_sigma_1s_own_code(monkeypatch):
+    # sigma_1 = 2, tau = 0.5: 2^3 (1 - 1/4); label 1 falls to 2^3 (1 - 1/2)
+    oracle, raw = oracle_and_start(monkeypatch, reference_encoding(), 3, 0.5)
+    assert raw == 6 and oracle.y_codes == {4: 6, 1: 4} and oracle.iterations[4] == 1
+    # sigma_1 <= tau: start 0, and every label is thresholded
+    oracle, raw = oracle_and_start(monkeypatch, qpe.choose_t0([0.25, 0.09], 4), 4, 0.5)
+    assert raw == 0 and set(oracle.y_codes.values()) == {0}
+
+
+def test_newton_start_that_rounds_to_2_to_the_m_is_the_top_code(monkeypatch):
+    # tau/sigma_1 = 1e-17: 1 - tau/sigma_1 rounds to 1
+    for m in (1, 8, 26):
+        oracle, raw = oracle_and_start(monkeypatch, qpe.choose_t0([1e34], 6), m, 1.0)
+        assert raw == (1 << m) - 1 and oracle.y_codes[63] == raw and oracle.iterations[63] == 1
+    # extreme ratios raise no OverflowError
+    for sigma_sq, tau in ((1e300, 1e-300), (1e-8, 1e-300), (1e300, 5e149)):
+        enc = qpe.choose_t0([sigma_sq], 6)
+        oracle, _ = oracle_and_start(monkeypatch, enc, 26, tau)
+        assert oracle.y_codes == {63: floor_code(26, tau, enc.decode(63))}
 
 
 def test_newton_iterate_converges_above_ratio_four():
-    m, tau = 8, 0.5
-    for ratio in (4.2, 5.0, 8.0, 100.0):
-        enc = qpe.choose_t0([(ratio * tau) ** 2])
-        (label,) = enc.labels
-        code = rotation.build_sigma_tau_oracle(enc, m, tau).code_for(label)
-        assert abs(code - round((1 << m) * (1 - 1 / ratio))) <= 1, ratio
-    # exactly ratio 4 (dyadic) proceeds through the clamp and converges
-    assert rotation.build_sigma_tau_oracle(qpe.choose_t0([4.0]), m, tau).y_codes == {4: 192}
-    # one bit holds no start above 1/2, so m = 1 still stops at 4
-    enc = qpe.choose_t0([(4.2 * tau) ** 2])
-    with pytest.raises(ConvergenceError, match=r"no convergence in 1 iterations"):
-        rotation.build_sigma_tau_oracle(enc, 1, tau)
+    tau = 0.5
+    for m in (1, 2, 8):
+        for ratio in (4.2, 5.0, 8.0, 10.0, 100.0):
+            enc = qpe.choose_t0([(ratio * tau) ** 2])
+            (label,) = enc.labels
+            code = rotation.build_sigma_tau_oracle(enc, m, tau).code_for(label)
+            assert code == floor_code(m, tau, enc.decode(label)), (m, ratio)
+    # exactly ratio 4 (dyadic) converges at its own code
+    assert rotation.build_sigma_tau_oracle(qpe.choose_t0([4.0]), 8, tau).y_codes == {4: 192}
 
 
-def _oracle_or_error(enc, m, tau):
-    try:
-        return rotation.build_sigma_tau_oracle(enc, m, tau)
-    except ConvergenceError as exc:
-        return str(exc)
-
-
-def test_newton_cap_lets_the_oracle_converge_up_to_26_qubits(monkeypatch):
-    # above sigma/tau = 2 sqrt 3 the first update from 1/2 is clamped to the
-    # top code, which the iterate leaves by a factor 1.5 a step: at ratio 4
-    # that took 39 iterations at m 22 and ran out of the former cap of 40
-    # from m 23 (a 26-qubit run of a 2x1 input at t 1)
-    encodings = {ratio: qpe.choose_t0([ratio**2], 1) for ratio in (3.5, 4.0, 50.0, 2900.0)}
-    for ratio, enc in encodings.items():
-        for m in range(23, 27):
+def test_newton_cap_lets_the_oracle_converge_up_to_26_qubits():
+    # from the former start 1/2, a sigma/tau above 2 sqrt 3 was clamped to
+    # the top code and left it by a factor 1.5 a step: at ratio 4 that took
+    # 47 iterations at m 26; from sigma_1's own code, one label takes at most 3
+    for ratio in (3.5, 4.0, 50.0, 2900.0):
+        enc = qpe.choose_t0([ratio**2], 1)
+        for m in range(1, 27):
             oracle = rotation.build_sigma_tau_oracle(enc, m, 1.0)
-            assert abs(oracle.y_codes[1] - (1 << m) * (1 - 1 / ratio)) <= 1
-            assert oracle.iterations[1] <= 47
-    # up to m 22 the raised cap changes no code, count or error
-    runs = [(enc, m) for enc in encodings.values() for m in range(1, 23)]
-    raised = [_oracle_or_error(enc, m, 1.0) for enc, m in runs]
-    monkeypatch.setattr(rotation, "MAX_ITERATIONS", 40)
-    assert raised == [_oracle_or_error(enc, m, 1.0) for enc, m in runs]
+            assert oracle.y_codes[1] == floor_code(m, 1.0, enc.decode(1))
+            assert oracle.iterations[1] <= 3
 
 
 def test_newton_quadratic_contraction_in_basin():
@@ -237,23 +237,23 @@ def test_newton_quadratic_contraction_in_basin():
                 assert err <= 2.0 ** (1 - m)
 
 
-def test_newton_matches_brute_force_within_one_ulp():
-    m = 8
-    sigmas = np.linspace(0.55, 8.0, 40)
-    ratios = np.linspace(0.85, 3.95, 25)
-    checked = 0
-    for sigma in sigmas:
-        for ratio in ratios:
-            tau, sigma_sq = float(sigma / ratio), float(sigma) ** 2
-            raw, _, converged = rotation._iterate(
-                m, tau, sigma_sq, rotation._start(m, tau, sigma_sq)
-            )
-            assert converged, (sigma, tau)
-            brute = round((1 << m) * max(1.0 - tau / sigma, 0.0))
-            brute = min(brute, (1 << m) - 1)
-            assert abs(raw - brute) <= 1, (sigma, tau)
-            checked += 1
-    assert checked == 1000
+def test_newton_code_is_the_exact_floor():
+    # every build on the grid succeeds, and every code is
+    # floor(2^m (1 - tau/sigma)) in exact integers
+    worst = builds = 0
+    for m in range(1, 27):
+        for tau in (1.0, 0.3, 0.93):
+            for ratio in np.geomspace(1.0001, 1e4, 134):
+                sigma1_sq = (ratio * tau) ** 2
+                low = max(1e-3 * sigma1_sq, (1.005 * tau) ** 2)
+                lam = np.geomspace(sigma1_sq, low, 7) if low < sigma1_sq else [sigma1_sq]
+                enc = qpe.choose_t0(lam, 12)
+                oracle = rotation.build_sigma_tau_oracle(enc, m, tau)
+                assert oracle.y_codes == {c: floor_code(m, tau, enc.decode(c)) for c in enc.labels}
+                worst = max(worst, *oracle.iterations.values())
+                builds += 1
+    assert builds == 10452
+    assert worst == 14  # 46 from the former start, where that built
 
 
 def reference_encoding(t_bits=3):
@@ -349,21 +349,19 @@ def test_oracle_codes_on_the_circuit_large_spectrum():
     enc = qpe.choose_t0(lam, 8)
     oracle = rotation.build_sigma_tau_oracle(enc, 8, 0.93)
     assert oracle.y_codes == {255: 179, 128: 147, 45: 73}
-    assert oracle.iterations == {255: 8, 128: 3, 45: 4}
+    assert oracle.iterations == {255: 1, 128: 4, 45: 6}
 
 
 def test_oracle_build_aborts_on_nonconvergent_label(monkeypatch):
     enc = qpe.choose_t0([25.0, 1.0], 5)  # sigma/tau = 10 and 2 at tau = 0.5
-    # two bits reach sigma/tau = 8.94; the message names that reach and the width
-    reach = r"; no m_bits=2 Newton start reaches sigma/tau above 8\.94: raise --m-bits"
-    with pytest.raises(ConvergenceError, match=r"^label 25 .*" + reach):
-        rotation.build_sigma_tau_oracle(enc, 2, 0.5)
-    oracle = rotation.build_sigma_tau_oracle(enc, 8, 0.5)
-    assert oracle.y_codes == {25: 230, 1: 128}  # round(2^8 (1 - tau/sigma))
-    # a label the shared start cannot bring in within the cap aborts the build
+    # floor(2^m (1 - tau/sigma)) at every width, two bits too
+    assert rotation.build_sigma_tau_oracle(enc, 2, 0.5).y_codes == {25: 3, 1: 2}
+    assert rotation.build_sigma_tau_oracle(enc, 8, 0.5).y_codes == {25: 230, 1: 128}
+    # a label still moving at the cap aborts the build, and only it is named:
+    # sigma_1's label starts at its own code, label 1 falls from there
     enc = qpe.choose_t0([4.0, 1.0], 3)
     monkeypatch.setattr(rotation, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError, match=r"^label 4 .*: no convergence in 1 iterations$"):
+    with pytest.raises(ConvergenceError, match=r"^label 1 .*: no convergence in 1 iterations$"):
         rotation.build_sigma_tau_oracle(enc, 3, 0.5)
 
 
@@ -543,7 +541,7 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
 
 def test_uncompute_detects_mismatched_tau():
     # forward pass used tau = 0.5; uncompute with a tau = 0.25 oracle
-    # (sigma/tau = 8, within the 8.94 that two bits reach)
+    # (sigma/tau = 8)
     _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
     wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     with pytest.raises(UncomputeResidualError):
