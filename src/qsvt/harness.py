@@ -12,6 +12,7 @@ import itertools
 import os
 import sys
 import time
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,11 +63,10 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     injected, sorted descending with near-ties pushed apart so the
     decomposition stays non-degenerate.
     """
-    if not (all(map(sim._is_int, (p, q, r))) and 1 <= r <= min(p, q)):
-        raise ValidationError(f"rank {r!r} invalid for shape ({p!r}, {q!r}): integers,"
-                              f" 1 <= rank <= min(shape)")
-    for s in seed if isinstance(seed, (list, tuple)) else [seed]:
-        pipeline_mod.check_count("seed", s)
+    p, q = sim.check_int("p", p, 1), sim.check_int("q", q, 1)
+    r = sim.check_int("rank", r, 1, min(p, q))
+    seed = ([sim.check_int("seed", s, 0) for s in seed] if isinstance(seed, (list, tuple))
+            else sim.check_int("seed", seed, 0))
     rng = np.random.default_rng(seed)
     if sigma is None:
         values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
@@ -116,32 +116,31 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_instances", "jobs"):
-            pipeline_mod.check_count(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
-        for name in ("t_bits", "m_bits"):
-            sim.check_width(name, getattr(self, name))
-        pipeline_mod.check_count("seed", self.seed)
+        for name, lo, hi in (("n_instances", 1, None), ("jobs", 1, None), ("seed", 0, None),
+                             ("t_bits", 1, sim.MAX_QUBITS), ("m_bits", 1, sim.MAX_QUBITS)):
+            setattr(self, name, sim.check_int(name, getattr(self, name), lo, hi))
         self.tau_frac = sim.check_positive("tau fraction", self.tau_frac)
         if self.tau is None and not self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
         rank = len(self.sigma) if self.sigma is not None else self.rank or 0
         if self.simulate and (self.t_bits > 8 or rank > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
-        for m in self.methods:
+        names = self.methods
+        if isinstance(names, str) or not isinstance(names, Collection):
+            names = ()  # None names no method, and a str would be read letter by letter
+        for m in names:
             if m not in alpha_mod.METHODS:
                 raise ValidationError(f"unknown alpha method {m!r}")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ValidationError(f"methods must be one or more distinct names: {self.methods}")
+        if not names or len(set(names)) != len(names):
+            raise ValidationError(f"methods must be one or more distinct names: {self.methods!r}")
         # input that every instance would fail is rejected here, not per record
-        if self.shape is not None and not (
-            len(self.shape) == 2 and all(sim._is_int(d) and d >= 1 for d in self.shape)
-        ):
-            raise ValidationError(f"shape must be two positive integers, got {self.shape}")
+        if self.shape is not None:
+            if not (isinstance(self.shape, Collection) and len(self.shape) == 2):
+                raise ValidationError(f"shape must be a pair of integers, got {self.shape!r}")
+            self.shape = tuple(sim.check_int("shape", d, 1) for d in self.shape)
         max_rank = min(self.shape) if self.shape is not None else SWEEP_DIM_RANGE[1]
-        if self.rank is not None and not (sim._is_int(self.rank) and 1 <= self.rank <= max_rank):
-            raise ValidationError(f"rank must lie in 1..{max_rank}, got {self.rank}")
+        if self.rank is not None:
+            self.rank = sim.check_int("rank", self.rank, 1, max_rank)
         if self.sigma is not None:
             s = spectral.real_vector("sigma", self.sigma).tolist()
             spectral.check_sigma(s)

@@ -17,14 +17,6 @@ from .errors import FullyThresholdedError, ValidationError
 EXACT_Y_TOL = 1e-12
 
 
-def check_count(name: str, value) -> None:
-    """Reject a value that is not a non-negative integer (a bool too), such
-    as a shot count or a seed: NumPy rejects a negative seed only when its
-    generator is made, after the work the seed is for."""
-    if not (sim._is_int(value) and value >= 0):
-        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 @dataclass
 class PipelineConfig:
     a0: np.ndarray
@@ -40,8 +32,9 @@ class PipelineConfig:
         # checked against sigma_1 in the run
         self.tau = sim.check_positive("threshold", self.tau)
         if self.shots is not None:
-            check_count("shots", self.shots)
-        check_count("seed", self.seed)
+            self.shots = sim.check_int("shots", self.shots, 0)
+        # NumPy rejects a negative seed only when its generator is made, after the run
+        self.seed = sim.check_int("seed", self.seed, 0)
         if self.alpha_method not in alpha_mod.METHODS:  # checked even with an explicit alpha
             raise ValidationError(f"unknown alpha method {self.alpha_method!r}")
 

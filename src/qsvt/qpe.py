@@ -50,7 +50,8 @@ ENCODING_TOL = 1e-9
 class PhaseEstimationConfig:
     """Register width, evolution step and, in the spectrum's order, the
     eigenvalue labels that :func:`choose_t0` computed, distinct and in
-    1..2**t_bits - 1; ``exact`` when every eigenvalue sits on its label."""
+    1..2**t_bits - 1; ``exact`` when every eigenvalue sits on its label.
+    The top label must decode to a finite number."""
 
     t_bits: int
     t0: float
@@ -58,11 +59,13 @@ class PhaseEstimationConfig:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_bits", sim.check_width("t_bits", self.t_bits))
+        object.__setattr__(self, "t_bits", sim.check_int("t_bits", self.t_bits, 1, sim.MAX_QUBITS))
         object.__setattr__(self, "t0", sim.check_positive("t0", self.t0))
-        if not all(sim._is_int(c) and 1 <= c < 1 << self.t_bits for c in self.labels):
-            raise ValidationError(f"labels must lie in 1..{(1 << self.t_bits) - 1},"
-                                  f" integers: {self.labels}")
+        top = (1 << self.t_bits) - 1
+        if not math.isfinite(self.decode(top)):  # a sigma^2 the oracle cannot take
+            raise ValidationError(f"t0 {self.t0!r} too small: label {top} decodes to inf")
+        object.__setattr__(self, "labels",
+                           tuple(sim.check_int("labels", c, 1, top) for c in self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("eigenvalue collision after rounding to t_bits precision")
 
@@ -74,12 +77,12 @@ class PhaseEstimationConfig:
 def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     """Pick the evolution step for a spectrum and label its eigenvalues.
 
-    Integer eigenvalues below 2**t_bits get t0 = 2 pi / 2**t_bits and
-    label c = lam exactly.  Anything else is scaled so the largest
-    eigenvalue lands on the top label, with the exactness flag computed
-    from whether every label is integral.  Without t_bits, an integral
-    spectrum gets the bit length of its largest value (so it encodes
-    exactly) and any other spectrum gets 6 bits.  Eigenvalues that are
+    Integer eigenvalues (1, 2, ...) below 2**t_bits get t0 = 2 pi / 2**t_bits
+    and label c = lam exactly.  Anything else, an eigenvalue near 0 too,
+    is scaled so the largest eigenvalue lands on the top label, with the
+    exactness flag computed from whether every label is integral.  Without
+    t_bits, an integral spectrum gets the bit length of its largest value
+    (so it encodes exactly) and any other spectrum gets 6 bits.  Eigenvalues that are
     not finite and positive, a width outside 1..MAX_QUBITS and a positive
     eigenvalue that rounds to label 0 (it would decode to 0) are rejected;
     so, by the returned record, are two eigenvalues on one label.
@@ -90,10 +93,11 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     if not all(math.isfinite(x) and x > 0 for x in lam):
         raise ValidationError(f"eigenvalues must be finite and positive, got {lam}")
     rounded = [round(x) for x in lam]  # half to even, as np.rint
-    integral = all(abs(x - c) <= ENCODING_TOL * max(1.0, x) for x, c in zip(lam, rounded))
+    integral = all(c >= 1 and abs(x - c) <= ENCODING_TOL * max(1.0, x)
+                   for x, c in zip(lam, rounded))
     if t_bits is None:
         t_bits = max(1, max(rounded).bit_length()) if integral else 6
-    t_bits = sim.check_width("t_bits", t_bits)
+    t_bits = sim.check_int("t_bits", t_bits, 1, sim.MAX_QUBITS)
     T = 1 << t_bits
     fits = integral and max(rounded) < T
     t0 = 2.0 * np.pi / T if fits else 2.0 * np.pi * (1.0 - 2.0**-t_bits) / max(lam)

@@ -105,7 +105,7 @@ def build_sigma_tau_oracle(
     A label still moving after MAX_ITERATIONS steps aborts the build with a
     per-label diagnostic; non-convergence is never silently written.
     """
-    m_bits = sim.check_width("m_bits", m_bits)
+    m_bits = sim.check_int("m_bits", m_bits, 1, sim.MAX_QUBITS)
     tau = sim.check_positive("tau", tau)  # a Python float: _cubic takes its exact ratio
     top, sigma1 = 1 << m_bits, math.sqrt(pe_cfg.decode(max(pe_cfg.labels, default=0)))
     start = min(int((1 - tau / sigma1) * top), top - 1) if sigma1 > tau else 0

@@ -35,6 +35,10 @@ Conventions used throughout the package:
   or raises ``NormalizationError``, so no stage reads a state off unit
   norm and no pass is made for the norm alone.
   Every guard is written so that NaN fails.
+* An input is checked where it enters and made a Python number, by
+  :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
+  :func:`check_positive` (real numbers); register qubits and oracle maps
+  are checked whole, by ``_is_int``, before any amplitude moves.
 """
 from __future__ import annotations
 
@@ -79,13 +83,17 @@ def check_positive(name: str, value) -> float:
     raise ValidationError(f"{name} must be finite and positive, a real number, got {value!r}")
 
 
-def check_width(name: str, bits) -> int:
-    """A register width as a Python int, so arithmetic on it is exact;
-    one that is not an integer (a float, a bool) or lies outside
-    1..MAX_QUBITS is rejected, before 2**bits is formed."""
-    if not (_is_int(bits) and 1 <= bits <= MAX_QUBITS):
-        raise ValidationError(f"{name} must lie in 1..{MAX_QUBITS}, an integer, got {bits!r}")
-    return int(bits)
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """An integer in lo..hi (no upper bound when ``hi`` is None) as a
+    Python int, so arithmetic on it is exact and a NumPy integer does not
+    carry its type on: the one check of the circuit's integer inputs
+    (widths, counts, seeds, shapes, ranks, labels).  One that is not an
+    integer (a float, a bool, a str) or lies out of range is rejected,
+    before anything is sized by it."""
+    if _is_int(value) and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    bound = f"be an integer >= {lo}" if hi is None else f"lie in {lo}..{hi}, an integer"
+    raise ValidationError(f"{name} must {bound}, got {value!r}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -114,9 +122,7 @@ class RegisterLayout:
 
     def __post_init__(self) -> None:
         for name, least in (("m_bits", 0), ("t_bits", 0), ("b_bits", 1)):
-            bits = getattr(self, name)
-            if not (_is_int(bits) and bits >= least):
-                raise ValidationError(f"{name} must be an integer >= {least}, got {bits!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
 
     @property
     def ancilla(self) -> int:
@@ -145,9 +151,9 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        n, shape = self.n_qubits, np.shape(self.amplitudes)
-        if not (_is_int(n) and 0 <= n <= MAX_QUBITS and shape == (1 << n,)):
-            raise ValidationError(f"{n!r} qubits in 0..{MAX_QUBITS} need 2**n amplitudes: {shape}")
+        n = self.n_qubits = check_int("n_qubits", self.n_qubits, 0, MAX_QUBITS)
+        if np.shape(self.amplitudes) != (1 << n,):
+            raise ValidationError(f"{n} qubits need 2**n amplitudes: {np.shape(self.amplitudes)}")
         amp = self.amplitudes  # the kernels write complex results through views of it
         if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
                 and amp.flags.c_contiguous):
@@ -417,8 +423,7 @@ def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumSta
     norm.  Probability below ``POST_SELECT_FLOOR`` signals a fully
     thresholded spectrum and raises.  ``value`` is an integer 0 or 1.
     """
-    if not (_is_int(value) and value in (0, 1)):
-        raise ValidationError(f"measurement value must be the integer 0 or 1, got {value!r}")
+    value = check_int("measurement value", value, 0, 1)
     mass = _mass(state.amplitudes, *_register(state, [qubit]))
     prob = float(mass[value])
     if not prob >= POST_SELECT_FLOOR:  # NaN fails too

@@ -51,12 +51,15 @@ def test_random_lowrank_matches_the_full_qr_reference():
 
 
 def test_random_lowrank_rejects_bad_rank():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^rank must lie in 1\.\.2, an integer, got 3"):
         harness.random_lowrank(2, 2, 3, seed=0)
     # a float or bool shape or rank is not an integer: at the parent the
     # float ones died in NumPy with a bare TypeError
-    for args in ((2.0, 3, 1), (2, 3.0, 1), (2, 3, 1.0), (2, 3, True)):
-        with pytest.raises(ValidationError, match="invalid for shape .*: integers"):
+    for args, match in (((2.0, 3, 1), "p must be an integer >= 1"),
+                        ((2, 3.0, 1), "q must be an integer >= 1"),
+                        ((2, 3, 1.0), r"rank must lie in 1\.\.2, an integer"),
+                        ((2, 3, True), r"rank must lie in 1\.\.2, an integer")):
+        with pytest.raises(ValidationError, match=f"^{match}, got "):
             harness.random_lowrank(*args, 0)
 
 
@@ -78,7 +81,7 @@ def test_seeds_are_non_negative_integers_at_every_boundary():
         lambda s: pipeline.PipelineConfig(a0=a0, tau=0.5, shots=10, seed=s),
     )
     for make, bad in itertools.product(boundaries, (-1, True, 2.0, np.float64(2), "3")):
-        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0, got "):
             make(bad)
     # a NumPy integer seeds as the int, and so does a list of them
     assert np.array_equal(harness.random_lowrank(2, 3, 2, np.int64(3)),
@@ -260,16 +263,16 @@ def test_sweep_config_takes_integer_counts_widths_shape_and_rank():
     # each of these passed a bare "< 1" check and ended in a bare TypeError
     # in run_sweep, or in a width error written into every record
     bad = {
-        "n_instances must be a non-negative integer": [dict(n_instances=2.5),
-                                                       dict(n_instances=True)],
-        "jobs must be a non-negative integer": [dict(jobs=1.5)],
-        "n_instances must be at least 1": [dict(n_instances=0)],
+        "n_instances must be an integer >= 1": [dict(n_instances=2.5), dict(n_instances=True),
+                                                dict(n_instances=0)],
+        "jobs must be an integer >= 1": [dict(jobs=1.5)],
         "t_bits must lie in 1..26, an integer": [dict(t_bits=6.0, simulate=True),
                                                  dict(t_bits=np.float64(6))],
         "m_bits must lie in 1..26, an integer": [dict(m_bits=8.0), dict(m_bits=0)],
         "rank must lie in": [dict(rank=2.0, n_instances=1), dict(rank=True)],
-        "shape must be two positive integers": [dict(shape=(2.0, 3), n_instances=1),
-                                                dict(shape=(2, 0)), dict(shape=(2, 3, 4))],
+        "shape must be an integer >= 1": [dict(shape=(2.0, 3), n_instances=1),
+                                          dict(shape=(2, 0))],
+        "shape must be a pair of integers": [dict(shape=(2, 3, 4)), dict(shape=5)],
     }
     for match, cases in bad.items():
         for kwargs in cases:
@@ -339,8 +342,11 @@ def test_sweep_config_rejects_an_empty_sigma():
 
 
 def test_sweep_config_rejects_empty_or_repeated_methods():
-    # none would write no record; a repeat would write its records twice
-    for methods in ((), ("numeric", "numeric"), ("intuitive", "taylor2", "intuitive")):
+    # none would write no record; a repeat would write its records twice;
+    # None raised a bare TypeError, and a str was read letter by letter
+    # ("unknown alpha method 'i'")
+    for methods in ((), ("numeric", "numeric"), ("intuitive", "taylor2", "intuitive"), None,
+                    "intuitive", "", 3):
         with pytest.raises(ValidationError, match="^methods must be one or more distinct"):
             harness.SweepConfig(methods=methods)
 

@@ -311,6 +311,19 @@ def test_inexact_encoding_reports_leakage_instead_of_aborting():
     assert 0.0 <= res.p_sim <= 1.0
 
 
+def test_eigenvalues_near_zero_run_as_the_spectrum_scaled_up():
+    # sigma^2 = (4e-10, 1e-10) were taken for the integer 0 and the run was
+    # rejected ("rounds to label 0 ... raise --t-bits") at every t_bits
+    small = pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=np.array([[2e-5, 0, 0], [0, 1e-5, 0]]), tau=5e-6))
+    base = pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=np.array([[0.2, 0, 0], [0, 0.1, 0]]), tau=0.05))
+    assert list(small.labels) == list(base.labels) == [63, 16] and not small.exact
+    assert np.array_equal(small.y_codes, base.y_codes)
+    for name in ("p_sim", "f_sim", "residual_mass"):
+        assert abs(getattr(small, name) - getattr(base, name)) < 1e-13, name
+
+
 def test_p_sim_independent_of_v_factor():
     base = spectral.decompose(example_matrix())
     results = []
@@ -453,6 +466,68 @@ def test_every_real_number_input_is_one_checked_python_float(name):
         assert got == want and type(got) is type(want)
     for value in (0, -1, math.nan, math.inf, -math.inf, True, "0.5", 10**400, Fraction(10**400)):
         with pytest.raises(ValidationError, match=f"^{name} must be finite and positive, a real"):
+            enter(value)
+
+
+def _state(n):
+    return sim.QuantumState(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
+
+
+# each integer input where it enters the package: the name its error gives
+# it, what it keeps (or, where it keeps nothing, what it makes), a value in
+# range, the values out of range, and whether None means a default
+INT_INPUTS = {
+    "RegisterLayout.m_bits": ("m_bits", lambda v: sim.RegisterLayout(v, 1, 1).m_bits, 2, [-1]),
+    "RegisterLayout.t_bits": ("t_bits", lambda v: sim.RegisterLayout(1, v, 1).t_bits, 2, [-1]),
+    "RegisterLayout.b_bits": ("b_bits", lambda v: sim.RegisterLayout(1, 1, v).b_bits, 2, [0]),
+    "QuantumState.n_qubits": ("n_qubits", lambda v: sim.QuantumState(v, _state(2).amplitudes)
+                              .n_qubits, 2, [-1, 27]),
+    "post_select value": ("measurement value", lambda v: sim.post_select(_state(2), 0, v)[0]
+                          .amplitudes.tobytes(), 1, [-1, 2]),
+    "random_lowrank p": ("p", lambda v: random_lowrank(v, 3, 1, 0).tobytes(), 2, [0]),
+    "random_lowrank q": ("q", lambda v: random_lowrank(3, v, 1, 0).tobytes(), 2, [0]),
+    "random_lowrank rank": ("rank", lambda v: random_lowrank(2, 3, v, 0).tobytes(), 2, [0, 3]),
+    "random_lowrank seed": ("seed", lambda v: random_lowrank(2, 3, 2, v).tobytes(), 2, [-1]),
+    "random_lowrank seed list": ("seed", lambda v: random_lowrank(2, 3, 2, [v, 1]).tobytes(),
+                                 2, [-1]),
+    "PipelineConfig.shots": ("shots", lambda v: pipeline.PipelineConfig(
+        a0=example_matrix(), tau=0.5, shots=v).shots, 2, [-1], True),
+    "PipelineConfig.seed": ("seed", lambda v: pipeline.PipelineConfig(
+        a0=example_matrix(), tau=0.5, seed=v).seed, 2, [-1]),
+    "choose_t0 t_bits": ("t_bits", lambda v: qpe.choose_t0([4.0, 1.0], v).t_bits, 3, [0, 27],
+                         True),
+    "PhaseEstimationConfig.t_bits": ("t_bits", lambda v: qpe.PhaseEstimationConfig(
+        v, 0.7, False).t_bits, 2, [0, 27]),
+    "PhaseEstimationConfig.labels": ("labels", lambda v: qpe.PhaseEstimationConfig(
+        3, 0.7, False, (v,)).labels, 2, [0, 8]),
+    "build_sigma_tau_oracle m_bits": ("m_bits", lambda v: rotation.build_sigma_tau_oracle(
+        qpe.choose_t0([4.0, 1.0], 3), v, 0.5).m_bits, 2, [0, 27]),
+    "SweepConfig.n_instances": ("n_instances", lambda v: SweepConfig(n_instances=v).n_instances,
+                                2, [0]),
+    "SweepConfig.jobs": ("jobs", lambda v: SweepConfig(jobs=v).jobs, 2, [0]),
+    "SweepConfig.seed": ("seed", lambda v: SweepConfig(seed=v).seed, 2, [-1]),
+    "SweepConfig.t_bits": ("t_bits", lambda v: SweepConfig(t_bits=v).t_bits, 2, [0, 27]),
+    "SweepConfig.m_bits": ("m_bits", lambda v: SweepConfig(m_bits=v).m_bits, 2, [0, 27]),
+    "SweepConfig.shape": ("shape", lambda v: SweepConfig(shape=(v, 3)).shape, 2, [0]),
+    "SweepConfig.rank": ("rank", lambda v: SweepConfig(rank=v).rank, 2, [0, 7], True),
+}
+
+
+def _types(x):
+    return [type(v) for v in x] if isinstance(x, tuple) else type(x)
+
+
+@pytest.mark.parametrize("entry", INT_INPUTS)
+def test_every_integer_input_is_one_checked_python_int(entry):
+    # a NumPy integer was kept as one; a float, a bool or a str took one of
+    # seven hand-written checks, or none (SweepConfig(shape=5) died in len)
+    name, enter, good, out_of_range, *none_is_default = INT_INPUTS[entry]
+    want = enter(good)
+    got = enter(np.int64(good))
+    assert got == want and _types(got) == _types(want)
+    bad = [2.0, True, "2", *([] if none_is_default else [None]), *out_of_range]
+    for value in bad:
+        with pytest.raises(ValidationError, match=f"^{name} must "):
             enter(value)
 
 

@@ -59,6 +59,17 @@ def test_choose_t0_automatic_t_bits():
         assert cfg == qpe.choose_t0(lam, 6)
 
 
+def test_choose_t0_scales_eigenvalues_near_zero():
+    # an eigenvalue within ENCODING_TOL of 0 was taken for the integer 0 and
+    # rejected as rounding to label 0, at every width
+    for bits in (None, 1, 3, 6, 12):
+        cfg = qpe.choose_t0([1e-9], bits)
+        assert cfg.labels == ((1 << cfg.t_bits) - 1,)
+    small, base = qpe.choose_t0([4e-10, 1e-10]), qpe.choose_t0([0.04, 0.01])
+    assert (small.t_bits, small.labels, small.exact) == (base.t_bits, base.labels, base.exact)
+    assert small.labels == (63, 16)
+
+
 def test_choose_t0_rejects_label_collision():
     with pytest.raises(ValidationError, match="collision"):
         qpe.choose_t0([5.0, 5.05], 2)
@@ -71,14 +82,23 @@ def test_choose_t0_rejects_label_collision():
     ((3, True, True, (4, 1)), "t0 must be finite and positive, a real number"),
     ((3, 0.7, False, (0, 1)), r"labels must lie in 1\.\.7"),
     ((3, 0.7, False, (8,)), r"labels must lie in 1\.\.7"),
-    ((3, 0.7, False, (1.5,)), r"labels must lie in 1\.\.7, integers"),
-    ((3, 0.7, False, (True,)), r"labels must lie in 1\.\.7, integers"),
-    ((3, 0.7, False, (4, 1.0)), r"labels must lie in 1\.\.7, integers"),
+    ((3, 0.7, False, (1.5,)), r"labels must lie in 1\.\.7, an integer"),
+    ((3, 0.7, False, (True,)), r"labels must lie in 1\.\.7, an integer"),
+    ((3, 0.7, False, (4, 1.0)), r"labels must lie in 1\.\.7, an integer"),
     ((3, 0.7, False, (2, 2)), "collision"),
 ])
 def test_phase_estimation_config_checks_itself(args, match):
     with pytest.raises(ValidationError, match=match):
         qpe.PhaseEstimationConfig(*args)
+
+
+def test_t0_whose_top_label_decodes_to_inf_is_rejected():
+    # the oracle took the exact ratio of an infinite sigma^2: a bare OverflowError
+    for args in ((1, 1e-308, True, (1,)), (3, 1e-308, False, ())):
+        with pytest.raises(ValidationError, match="^t0 1e-308 too small: label [17] decodes to"):
+            qpe.PhaseEstimationConfig(*args)
+    cfg = qpe.PhaseEstimationConfig(1, 1e-300, True, (1,))
+    assert rotation.build_sigma_tau_oracle(cfg, 2, 0.5).code_for(1) == 3
 
 
 def test_t0_is_kept_as_a_python_float():

@@ -1,5 +1,7 @@
 import functools
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -257,10 +259,12 @@ def test_every_factor_of_a_control_is_checked():
 
 
 def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
-    for n, shape in ((3, (16,)), (3, (4,)), (2, (2, 2)), (-1, (1,)),
-                     (sim.MAX_QUBITS + 1, (1,)), (2.0, (4,)), (True, (2,)),
-                     (np.bool_(True), (2,))):
+    for n, shape in ((3, (16,)), (3, (4,)), (2, (2, 2))):
         with pytest.raises(ValidationError, match="need 2\\*\\*n amplitudes"):
+            sim.QuantumState(n, np.zeros(shape, dtype=complex))
+    for n, shape in ((-1, (1,)), (sim.MAX_QUBITS + 1, (1,)), (2.0, (4,)), (True, (2,)),
+                     (np.bool_(True), (2,))):
+        with pytest.raises(ValidationError, match="^n_qubits must lie in 0..26, an integer"):
             sim.QuantumState(n, np.zeros(shape, dtype=complex))
     assert sim.QuantumState(0, np.ones(1, dtype=complex)).norm() == 1.0
 
@@ -410,7 +414,7 @@ def test_post_select_takes_the_integer_zero_or_one():
     for value in (1.0, True, np.bool_(True), 2, -1, "1", None):
         state = random_state(3, 10)
         before = state.amplitudes.copy()
-        with pytest.raises(ValidationError, match="integer 0 or 1"):
+        with pytest.raises(ValidationError, match="^measurement value must lie in 0..1, an integer,"):
             sim.post_select(state, 2, value)
         assert np.array_equal(state.amplitudes, before)
     _, p = sim.post_select(random_state(3, 10), 2, np.int64(1))
@@ -431,11 +435,24 @@ def test_norm_is_numpy_norm_bit_for_bit():
             assert not math.isfinite(sim._norm(x))
 
 
+def test_only_sim_refers_to_the_integer_type_test():
+    # every other module checks its integers with sim.check_int
+    src = pathlib.Path(sim.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_is_int" in p.read_text()] == ["sim.py"]
+
+
 def test_width_check_takes_integers_only():
-    assert sim.check_width("w", np.int64(3)) == 3 and type(sim.check_width("w", np.int64(3))) is int
+    assert sim.check_int("w", np.int64(3), 1, 26) == 3
+    assert type(sim.check_int("w", np.int64(3), 1, 26)) is int
     for bad in (3.0, True, np.float64(3), np.bool_(True), "3", 0, 27):
-        with pytest.raises(ValidationError, match="w must lie in 1..26, an integer"):
-            sim.check_width("w", bad)
+        match = f"^w must lie in 1..26, an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=match):
+            sim.check_int("w", bad, 1, 26)
+    # no upper bound when hi is None
+    assert sim.check_int("w", 10**30, 0) == 10**30
+    for bad in (-1, 2.0, None):
+        with pytest.raises(ValidationError, match=f"^w must be an integer >= 0, got {bad!r}$"):
+            sim.check_int("w", bad, 0)
 
 
 def test_l_zero_block_is_a_view_with_l_removed():
