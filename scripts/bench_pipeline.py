@@ -14,7 +14,10 @@ the process's ``ru_maxrss``, which includes the interpreter and NumPy
 its input takes: ``random_lowrank`` and the ``decompose`` that sets tau.
 A circuit case then times one more warm run through perfbench's span
 tracer (``perfbench/spans.py``, used as it is) and records under
-``stages_s`` the inclusive seconds of each stage (STAGES).
+``stages_s`` the inclusive seconds of each stage (STAGES), and under
+``state_mib`` the size of the state the tracer saw made; then, as
+``peak_over_state``, the ``tracemalloc`` peak of one more warm run over
+that size: the north star's "peak memory is about one state" as a number.
 The entry records the git SHA of the checkout, whether its src/ differs
 from that commit, and the box.
 """
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -69,8 +73,9 @@ STAGES = {
 ORACLE = "rotation.SigmaTauOracle.apply"
 
 
-def _stages(work, cfg) -> dict:
-    """Inclusive seconds of each stage of one traced run of ``work(cfg)``."""
+def _stages(work, cfg) -> tuple[dict, int]:
+    """Inclusive seconds of each stage of one traced run of ``work(cfg)``,
+    and the bytes of the state it made."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import spans
 
@@ -89,7 +94,7 @@ def _stages(work, cfg) -> dict:
         stage = next(oracles) if name == ORACLE else stage_of.get(name)
         if stage:
             stages[stage] += end - start
-    return stages
+    return stages, tracer.state_bytes
 
 
 def _case(name: str) -> dict:
@@ -124,8 +129,13 @@ def _case(name: str) -> dict:
         "wall_s_quartiles": statistics.quantiles(walls, n=4)[::2],
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    if name != SWEEP:  # after the peak RSS: the tracer's spans are not the run's
-        out["stages_s"] = _stages(work, cfg)
+    if name != SWEEP:  # after the peak RSS: the tracer and tracemalloc are not the run's
+        out["stages_s"], state_bytes = _stages(work, cfg)
+        out["state_mib"] = state_bytes / 2**20
+        tracemalloc.start()
+        work(cfg)
+        out["peak_over_state"] = tracemalloc.get_traced_memory()[1] / state_bytes
+        tracemalloc.stop()
     return out
 
 

@@ -12,7 +12,7 @@ import itertools
 import os
 import sys
 import time
-from collections.abc import Collection
+from collections.abc import Collection, Set
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -99,6 +99,12 @@ def example_matrix(seed=7) -> np.ndarray:
     return random_lowrank(2, 3, 2, seed, sigma=(2.0, 1.0))
 
 
+def _ordered(value) -> bool:
+    """A collection in an order of its own: not a str, which would be read
+    letter by letter, nor a set, whose order follows the hash seed."""
+    return isinstance(value, Collection) and not isinstance(value, (str, Set))
+
+
 @dataclass
 class SweepConfig:
     n_instances: int = 120
@@ -126,16 +132,18 @@ class SweepConfig:
         if self.simulate and (self.t_bits > 8 or rank > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
         names = self.methods
-        if isinstance(names, str) or not isinstance(names, Collection):
-            names = ()  # None names no method, and a str would be read letter by letter
+        if not _ordered(names):
+            names = ()  # None names no method
         for m in names:
             if m not in alpha_mod.METHODS:
                 raise ValidationError(f"unknown alpha method {m!r}")
         if not names or len(set(names)) != len(names):
-            raise ValidationError(f"methods must be one or more distinct names: {self.methods!r}")
+            raise ValidationError(f"methods must be one or more distinct names, in order:"
+                                  f" {self.methods!r}")
+        self.methods = tuple(names)
         # input that every instance would fail is rejected here, not per record
         if self.shape is not None:
-            if not (isinstance(self.shape, Collection) and len(self.shape) == 2):
+            if not (_ordered(self.shape) and len(self.shape) == 2):
                 raise ValidationError(f"shape must be a pair of integers, got {self.shape!r}")
             self.shape = tuple(sim.check_int("shape", d, 1) for d in self.shape)
         max_rank = min(self.shape) if self.shape is not None else SWEEP_DIM_RANGE[1]
@@ -148,6 +156,7 @@ class SweepConfig:
                 raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
             if len(s) > max_rank:
                 raise ValidationError(f"{len(s)} sigma values above the largest rank {max_rank}")
+            self.sigma = tuple(s)
         if self.tau is not None:
             sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
             self.tau = spectral.check_threshold(self.tau, sigma_max)

@@ -77,7 +77,8 @@ class SimulationResult:
 def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
-    oracle, layout) is built and checked before the state."""
+    oracle, layout) is built and checked before the state, and so is the
+    memory that the state and phase estimation's dense matrices take."""
     spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
@@ -109,9 +110,12 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
     if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
         raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
-    b_bits = (du.bit_length() - 1) + (dv.bit_length() - 1)
+    u_bits = du.bit_length() - 1
+    b_bits = u_bits + dv.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
     pairs = spectral.gram(spec)
+    sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, u_bits),
+                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's {du}x{du} factors")
 
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
@@ -120,10 +124,10 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, solution.alpha)
     _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
-    state, p_sim = sim.post_select(state, layout.ancilla, 1)
+    p_sim = sim.post_select(state, layout.ancilla, 1)
 
     # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
-    b_state = state.amplitudes[1 << b_bits : 2 << b_bits].copy()
+    b_state = state.amplitudes[1 << b_bits : 2 << b_bits] / math.sqrt(p_sim)
 
     # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
     grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
@@ -145,14 +149,14 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         p_shots = float(rng.binomial(cfg.shots, min(p_sim, 1.0))) / cfg.shots
 
     return SimulationResult(
-        p_sim=float(p_sim),
+        p_sim=p_sim,
         f_sim=f_sim,
         p_analytic=solution.P,
         f_analytic=solution.F,
         alpha=solution.alpha,
         alpha_method=method,
         n1=n1,
-        n_alpha=float(n1 * p_sim),
+        n_alpha=n1 * p_sim,
         spec=spec,
         y_exact=np.asarray(profile.y),
         y_codes=np.array(y_codes),

@@ -124,6 +124,23 @@ def iqft(state: QuantumState, qubits) -> QuantumState:
     return sim.apply_unitary(state, sim.dft_matrix(len(qubits), -1), qubits)
 
 
+def _run_width(t: int, u_bits: int) -> int:
+    """C qubits per controlled gate of E: all t, unless the run's factors of
+    2**u_bits x 2**u_bits would outgrow ``sim.BLOCK_AMPLITUDES``; at least one."""
+    return min(t, max(1, sim.BLOCK_AMPLITUDES >> 2 * u_bits))
+
+
+def matrix_bytes(t_bits: int, u_bits: int) -> int:
+    """Peak bytes of the dense matrices that phase estimation makes beside
+    the state: the DFT pair on C, which ``sim`` holds, and the larger of
+    the second DFT's build (two temporaries its size) and one run of E's
+    factors with the three copies the gate makes (the stack, and the
+    unitarity check's conjugate and product)."""
+    dft = 16 << 2 * t_bits  # complex128
+    run = _run_width(t_bits, u_bits) * 16 << 2 * u_bits
+    return 2 * dft + max(2 * dft, 4 * run)
+
+
 def conditional_evolution(
     state: QuantumState,
     cfg: PhaseEstimationConfig,
@@ -140,7 +157,7 @@ def conditional_evolution(
     bound does not depend on the state, so a block of the state is cut as
     the state is.  A is given as its eigenpairs."""
     t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
-    width = min(t, max(1, sim.BLOCK_AMPLITUDES >> 2 * len(reg_B_left)))
+    width = _run_width(t, len(reg_B_left))
     for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
         run = reg_C[max(0, t - w0 - width) : t - w0]
         factors = [herm_exp(pairs, (1 << (w0 + j)) * t0) for j in range(len(run))]

@@ -33,7 +33,9 @@ Conventions used throughout the package:
   every read of the state, the register masses of :func:`register_mass`
   and :func:`post_select`, checks that they sum to 1 within ``NORM_TOL``
   or raises ``NormalizationError``, so no stage reads a state off unit
-  norm and no pass is made for the norm alone.
+  norm and no pass is made for the norm alone.  Post-selection is such a
+  read and writes nothing: the caller divides the amplitudes it keeps by
+  the square root of the probability that :func:`post_select` returns.
   Every guard is written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
@@ -190,19 +192,27 @@ def _physical_memory() -> int | None:
     return size * pages if size > 0 and pages > 0 else None
 
 
-MEMORY_BYTES = _physical_memory()  # the most a state may take; None: MAX_QUBITS alone
+MEMORY_BYTES = _physical_memory()  # the most a run may take; None: MAX_QUBITS alone
 
 
-def new_state(layout: RegisterLayout) -> QuantumState:
-    """All-zeros basis state for the given layout, of at most
-    ``MAX_QUBITS`` qubits and ``MEMORY_BYTES``, checked before it is
-    allocated."""
+def check_budget(layout: RegisterLayout, extra: int = 0, what: str = "") -> None:
+    """Refuse, before anything is allocated, a state of more than
+    ``MAX_QUBITS`` qubits, or one that with ``extra`` bytes of other
+    arrays (``what``, which the message names) exceeds ``MEMORY_BYTES``."""
     n = layout.n_qubits
     if n > MAX_QUBITS:
         raise ValidationError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
-    if MEMORY_BYTES is not None and 16 << n > MEMORY_BYTES:  # complex128
-        raise ValidationError(f"memory budget exceeded: a {n}-qubit state takes {16 << n} bytes,"
+    need = (16 << n) + extra  # complex128
+    if MEMORY_BYTES is not None and need > MEMORY_BYTES:
+        raise ValidationError(f"memory budget exceeded: a {n}-qubit state{what} takes {need} bytes,"
                               f" the machine has {MEMORY_BYTES}")
+
+
+def new_state(layout: RegisterLayout) -> QuantumState:
+    """All-zeros basis state for the given layout, within
+    :func:`check_budget`, checked before it is allocated."""
+    check_budget(layout)
+    n = layout.n_qubits
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = 1.0
     return QuantumState(n, amp)
@@ -415,23 +425,15 @@ def register_mass(state: QuantumState, qubits) -> np.ndarray:
     return _mass(state.amplitudes, *_register(state, qubits))
 
 
-def post_select(state: QuantumState, qubit: int, value: int) -> tuple[QuantumState, float]:
-    """Condition on ``qubit`` reading ``value``.
-
-    Returns the renormalized conditional state and the pre-measurement
-    probability of that outcome, from one read that also checks the
-    norm.  Probability below ``POST_SELECT_FLOOR`` signals a fully
-    thresholded spectrum and raises.  ``value`` is an integer 0 or 1.
-    """
+def post_select(state: QuantumState, qubit: int, value: int) -> float:
+    """Probability that ``qubit`` reads ``value``, an integer 0 or 1, from
+    one read that also checks the norm; the state is left as it is.  A
+    probability below ``POST_SELECT_FLOOR`` signals a fully thresholded
+    spectrum and raises."""
     value = check_int("measurement value", value, 0, 1)
-    mass = _mass(state.amplitudes, *_register(state, [qubit]))
-    prob = float(mass[value])
+    prob = float(_mass(state.amplitudes, *_register(state, [qubit]))[value])
     if not prob >= POST_SELECT_FLOOR:  # NaN fails too
         raise FullyThresholdedError(
             f"outcome probability {prob:.3e} below floor {POST_SELECT_FLOOR:.3e}"
         )
-    halves = state.amplitudes.reshape(1 << qubit, 2, -1)
-    halves[:, 1 - value] = 0.0
-    halves[:, value] /= math.sqrt(prob)
-    return state, prob
-
+    return prob

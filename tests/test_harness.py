@@ -126,6 +126,19 @@ def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: memory budget exceeded: a 9-qubit state")
 
 
+def test_cmd_example_whose_dft_pair_is_over_the_memory_budget_exits_2(monkeypatch, capsys):
+    # t 16: a 22-qubit state of 64 MiB and DFTs of 64 GiB each; the run made
+    # the state, then died on a bare 32 GiB int64 allocation in dft_matrix
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a run whose DFT pair does not fit")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 8 << 30)
+    assert harness.main(["example", "--t-bits", "16"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: memory budget exceeded: a 22-qubit state with the 2^16-point DFT pair on C")
+
+
 def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
     # y_1 = 1 - 1.7/2 = 0.15 lies below 2^-2: every L code is 0
     rc = harness.main(["example", "--tau", "1.7"])
@@ -349,6 +362,23 @@ def test_sweep_config_rejects_empty_or_repeated_methods():
                     "intuitive", "", 3):
         with pytest.raises(ValidationError, match="^methods must be one or more distinct"):
             harness.SweepConfig(methods=methods)
+
+
+def test_sweep_config_keeps_methods_shape_and_sigma_in_order():
+    # a set of methods wrote its records in an order that followed
+    # PYTHONHASHSEED; a set shape would read (4, 3) as (3, 4)
+    for names in ({"intuitive", "taylor2", "numeric"}, frozenset({"numeric"}),
+                  {"intuitive": 1}.keys()):
+        with pytest.raises(ValidationError, match="^methods must be one or more distinct names"):
+            harness.SweepConfig(methods=names)
+    with pytest.raises(ValidationError, match="^shape must be a pair of integers"):
+        harness.SweepConfig(shape={4, 3})
+    cfg = harness.SweepConfig(n_instances=1, methods=["numeric", "intuitive"], shape=[3, 3],
+                              sigma=np.array([2.0, 1.1], dtype=np.float32))
+    assert cfg.methods == ("numeric", "intuitive")
+    assert type(cfg.sigma) is tuple and [type(s) for s in cfg.sigma] == [float, float]
+    assert cfg.sigma == (2.0, float(np.float32(1.1)))
+    assert [rec.alpha_method for rec in harness.run_sweep(cfg)] == ["numeric", "intuitive"]
 
 
 def test_sweep_sigma_without_rank_sets_the_rank():

@@ -125,7 +125,8 @@ def test_layout_leads_with_l_and_puts_the_ancilla_directly_ahead_of_b(monkeypatc
     index = [(1 << (n - 1 - layout.ancilla)) + sum(((x >> (b - 1 - i)) & 1) << (n - 1 - q)
                                                    for i, q in enumerate(layout.reg_B))
              for x in range(1 << b)]
-    assert np.array_equal(reference.b_state, state.amplitudes[index])
+    # post-selection leaves the state as it is: b_state is the branch / sqrt(p)
+    assert np.array_equal(reference.b_state, state.amplitudes[index] / math.sqrt(reference.p_sim))
     assert np.abs(run.b_state - reference.b_state).max() <= 1e-12
 
 
@@ -482,8 +483,8 @@ INT_INPUTS = {
     "RegisterLayout.b_bits": ("b_bits", lambda v: sim.RegisterLayout(1, 1, v).b_bits, 2, [0]),
     "QuantumState.n_qubits": ("n_qubits", lambda v: sim.QuantumState(v, _state(2).amplitudes)
                               .n_qubits, 2, [-1, 27]),
-    "post_select value": ("measurement value", lambda v: sim.post_select(_state(2), 0, v)[0]
-                          .amplitudes.tobytes(), 1, [-1, 2]),
+    "post_select value": ("measurement value", lambda v: sim.post_select(_state(2), 0, v),
+                          1, [-1, 2]),
     "random_lowrank p": ("p", lambda v: random_lowrank(v, 3, 1, 0).tobytes(), 2, [0]),
     "random_lowrank q": ("q", lambda v: random_lowrank(3, v, 1, 0).tobytes(), 2, [0]),
     "random_lowrank rank": ("rank", lambda v: random_lowrank(2, 3, v, 0).tobytes(), 2, [0, 3]),
@@ -577,6 +578,35 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
             run_reference(shots=shots)
     monkeypatch.undo()
     assert run_reference(alpha=4.18).alpha == 4.18
+
+
+def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
+    # the state fits and the matrices do not: a DFT pair of 2^t points, or a
+    # tall input's run of E factors, is refused before the state is made
+    # (t 16 died on a bare 32 GiB int64 allocation in dft_matrix, a 16384-row
+    # input on a bare MemoryError in herm_exp)
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a run whose matrices do not fit")
+
+    # t 8: a 14-qubit state of 256 KiB, and DFTs of 1 MiB, the pair held and
+    # the second built beside two temporaries of its size
+    need = (16 << 14) + 4 * (16 << 16)
+    monkeypatch.setattr(sim, "new_state", no_state)
+    for budget in (1 << 20, need - 1):
+        monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
+        with pytest.raises(ValidationError, match=(
+                rf"^memory budget exceeded: a 14-qubit state with the 2\^8-point DFT pair on C"
+                rf" and E's 2x2 factors takes {need} bytes, the machine has {budget}$")):
+            run_reference(t_bits=8)
+    # 1024 x 1 at t 3: a 16-qubit state of 1 MiB, and one 16 MiB factor of
+    # E a run, held four times over by the gate
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 32 << 20)
+    with pytest.raises(ValidationError, match=r"a 16-qubit state with .* E's 1024x1024 factors"):
+        pipeline.run_pipeline(
+            pipeline.PipelineConfig(a0=np.ones((1024, 1)), tau=0.5, t_bits=3, m_bits=2))
+    monkeypatch.undo()  # the run that fits its budget exactly is made
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need)
+    assert run_reference(t_bits=8).t_bits == 8
 
 
 def test_single_row_or_ragged_input_is_rejected_before_the_state(monkeypatch):

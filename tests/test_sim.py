@@ -375,28 +375,30 @@ def test_basis_oracle_unlisted_labels_keep_l():
 
 
 def test_post_select_deterministic_outcome():
+    # post-selection is a read: it gives the probability and writes nothing
     amp = np.zeros(4, dtype=complex)
     amp[2] = 1.0  # |10>
-    state = sim.QuantumState(2, amp)
-    state, p = sim.post_select(state, 0, 1)
-    assert p == pytest.approx(1.0)
-    assert np.allclose(state.amplitudes, amp)
+    state = sim.QuantumState(2, amp.copy())
+    assert sim.post_select(state, 0, 1) == 1.0
+    assert state.amplitudes.tobytes() == amp.tobytes()
 
 
 def test_post_select_half_probability():
     phi = np.array([0.6, 0.8])
     amp = np.kron(np.array([1, 1]) / np.sqrt(2), phi)
     state = sim.QuantumState(2, amp.astype(complex))
-    state, p = sim.post_select(state, 0, 1)
-    assert p == pytest.approx(0.5)
-    expected = np.concatenate([np.zeros(2), phi])
-    assert np.allclose(state.amplitudes, expected, atol=1e-12)
+    before = state.amplitudes.tobytes()
+    p = sim.post_select(state, 0, 1)
+    assert type(p) is float and p == pytest.approx(0.5)
+    assert state.amplitudes.tobytes() == before
+    # the branch kept, divided by sqrt(p), is the conditional state
+    assert np.allclose(state.amplitudes[2:] / math.sqrt(p), phi, atol=1e-12)
 
 
 def test_post_select_probability_matches_mass():
     state = random_state(4, 9)
     mass = sim.register_mass(state, [2])
-    _, p = sim.post_select(state.copy(), 2, 0)
+    p = sim.post_select(state.copy(), 2, 0)
     assert p == pytest.approx(mass[0], abs=1e-12)
 
 
@@ -417,8 +419,8 @@ def test_post_select_takes_the_integer_zero_or_one():
         with pytest.raises(ValidationError, match="^measurement value must lie in 0..1, an integer,"):
             sim.post_select(state, 2, value)
         assert np.array_equal(state.amplitudes, before)
-    _, p = sim.post_select(random_state(3, 10), 2, np.int64(1))
-    assert p == sim.post_select(random_state(3, 10), 2, 1)[1]
+    p = sim.post_select(random_state(3, 10), 2, np.int64(1))
+    assert p == sim.post_select(random_state(3, 10), 2, 1)
 
 
 def test_norm_is_numpy_norm_bit_for_bit():
@@ -539,7 +541,7 @@ def test_register_check_takes_integer_qubits_only():
     zero = sim.new_state(sim.RegisterLayout(0, 0, 5))
 
     def calls(qubit):
-        return {**_calls_on([qubit]), "post_select": lambda s: sim.post_select(s, qubit, 0)[1]}
+        return {**_calls_on([qubit]), "post_select": lambda s: sim.post_select(s, qubit, 0)}
 
     for entry in calls(1):
         state, wide = zero.copy(), zero.copy()
