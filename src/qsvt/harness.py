@@ -49,6 +49,9 @@ CSV_CORPUS_NOTE = "#corpus=synthetic-lowrank-seeded"
 SWEEP_DIM_RANGE = (2, 6)
 SWEEP_RANK_RANGE = (1, 4)
 
+# the variables that set a BLAS's thread count: OpenBLAS, OpenMP, MKL
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 _PALETTE = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad"]
 
 
@@ -65,6 +68,7 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     """
     p, q = sim.check_int("p", p, 1), sim.check_int("q", q, 1)
     r = sim.check_int("rank", r, 1, min(p, q))
+    _check_draws(p, q)
     seed = ([sim.check_int("seed", s, 0) for s in seed] if isinstance(seed, (list, tuple))
             else sim.check_int("seed", seed, 0))
     rng = np.random.default_rng(seed)
@@ -84,6 +88,12 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     qs, rs = np.linalg.qr(draws)
     qs *= np.sign(np.diagonal(rs, axis1=1, axis2=2))[:, None, :]
     return (qs[0, :p] * values) @ qs[1, :q].T
+
+
+def _check_draws(p: int, q: int) -> None:
+    """Refuse, before they are drawn, p x p and q x q Gaussian draws that
+    exceed ``sim.MEMORY_BYTES``."""
+    sim.check_memory(8 * (p * p + q * q), f"drawing a {p}x{q} input")
 
 
 def _separate(values: np.ndarray, min_gap: float = 1e-6) -> np.ndarray:
@@ -146,6 +156,7 @@ class SweepConfig:
             if not (_ordered(self.shape) and len(self.shape) == 2):
                 raise ValidationError(f"shape must be a pair of integers, got {self.shape!r}")
             self.shape = tuple(sim.check_int("shape", d, 1) for d in self.shape)
+            _check_draws(*self.shape)
         max_rank = min(self.shape) if self.shape is not None else SWEEP_DIM_RANGE[1]
         if self.rank is not None:
             self.rank = sim.check_int("rank", self.rank, 1, max_rank)
@@ -274,17 +285,28 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     return the records by instance, then in ``cfg.methods`` order.
 
     The pool starts all its workers at once, so it gets at most one
-    worker per instance and per CPU.  They are spawned, not forked: NumPy's
-    BLAS has started threads in this process, and a fork copies their locks
-    but not the threads."""
+    worker per instance and per CPU, and each worker's BLAS runs one
+    thread: the variables that set it are 1 while the pool runs, then as
+    they were.  The workers are spawned, not forked: NumPy's BLAS has
+    started threads in this process, and a fork copies their locks but
+    not the threads."""
     indices = range(cfg.n_instances)
     workers = min(cfg.jobs, cfg.n_instances, os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures  # here, not at the top: only a pool uses them
         import multiprocessing
         spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
+        saved = {var: os.environ.get(var) for var in BLAS_THREADS}
+        os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))  # a spawned worker reads them
+        try:
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                chunks = list(pool.map(run_sweep_instance, itertools.repeat(cfg), indices))
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    del os.environ[var]
+                else:
+                    os.environ[var] = value
     else:
         chunks = [run_sweep_instance(cfg, i) for i in indices]
     return [rec for chunk in chunks for rec in chunk]

@@ -32,7 +32,8 @@ class PipelineConfig:
         # checked against sigma_1 in the run
         self.tau = sim.check_positive("threshold", self.tau)
         if self.shots is not None:
-            self.shots = sim.check_int("shots", self.shots, 0)
+            # Generator.binomial takes an int64 count
+            self.shots = sim.check_int("shots", self.shots, 0, np.iinfo(np.int64).max)
         # NumPy rejects a negative seed only when its generator is made, after the run
         self.seed = sim.check_int("seed", self.seed, 0)
         if self.alpha_method not in alpha_mod.METHODS:  # checked even with an explicit alpha

@@ -12,8 +12,8 @@ the C qubit of bit weight 2^w: one controlled gate per run of C qubits
 (one run unless its factors would outgrow the kernel's block), which
 checks each factor.  A is given as its eigenpairs from the run's SVD
 (:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
-made.  The DFT pair on C comes from :func:`sim.dft_matrix`, which builds
-and checks each matrix once per width; the gate applies it unchecked.
+made.  The DFT pair on C comes from :func:`sim.dft_matrix`, which holds
+the pair of one width, checked once; the gate applies it unchecked.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
@@ -131,9 +131,9 @@ def _run_width(t: int, u_bits: int) -> int:
 
 
 def matrix_bytes(t_bits: int, u_bits: int) -> int:
-    """Peak bytes of the dense matrices that phase estimation makes beside
+    """Bytes that bound the dense matrices phase estimation makes beside
     the state: the DFT pair on C, which ``sim`` holds, and the larger of
-    the second DFT's build (two temporaries its size) and one run of E's
+    two more DFTs (the pair's build peaks at three) and one run of E's
     factors with the three copies the gate makes (the stack, and the
     unitarity check's conjugate and product)."""
     dft = 16 << 2 * t_bits  # complex128

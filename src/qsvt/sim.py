@@ -25,22 +25,23 @@ Conventions used throughout the package:
   ``_gate_view`` plans the blocks once per register set.  A state has a
   single writer at a time.
 * Gates reject a non-unitary matrix, one batched check of all the
-  factors per call, except a DFT that :func:`dft_matrix` built: the
-  builder checks each once and holds it, immutable (a view of a
-  ``bytes`` object), and the kernel knows it by identity.  Any other
-  array, read-only or not, is checked on every call, as a read-only view
-  can change through a writable base.  Gates do not check the norm:
-  every read of the state, the register masses of :func:`register_mass`
-  and :func:`post_select`, checks that they sum to 1 within ``NORM_TOL``
-  or raises ``NormalizationError``, so no stage reads a state off unit
-  norm and no pass is made for the norm alone.  Post-selection is such a
-  read and writes nothing: the caller divides the amplitudes it keeps by
-  the square root of the probability that :func:`post_select` returns.
-  Every guard is written so that NaN fails.
+  factors per call, except the DFT pair of one width that
+  :func:`dft_matrix` holds, checked once and immutable, which the kernel
+  knows by identity.  Any other array, read-only or not, is checked on
+  every call, as a read-only view can change through a writable base.
+  Gates do not check the norm: every read of the state, the register
+  masses of :func:`register_mass` and :func:`post_select`, checks that
+  they sum to 1 within ``NORM_TOL`` or raises ``NormalizationError``, so
+  no stage reads a state off unit norm and no pass is made for the norm
+  alone.  Post-selection is such a read and writes nothing: the caller
+  divides the amplitudes it keeps by the square root of the probability
+  that it returns.  Every guard is written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
   :func:`check_positive` (real numbers); register qubits and oracle maps
-  are checked whole, by ``_is_int``, before any amplitude moves.
+  are checked whole, by ``_is_int``, before any amplitude moves.  What
+  an input would allocate is checked against ``MEMORY_BYTES`` first, by
+  :func:`check_memory`.
 """
 from __future__ import annotations
 
@@ -195,6 +196,15 @@ def _physical_memory() -> int | None:
 MEMORY_BYTES = _physical_memory()  # the most a run may take; None: MAX_QUBITS alone
 
 
+def check_memory(need: int, what: str) -> None:
+    """The one memory rule: refuse, before it is allocated, work that
+    takes ``need`` bytes (``what``, which the message names) when that
+    exceeds ``MEMORY_BYTES``."""
+    if MEMORY_BYTES is not None and need > MEMORY_BYTES:
+        raise ValidationError(f"memory budget exceeded: {what} takes {need} bytes,"
+                              f" the machine has {MEMORY_BYTES}")
+
+
 def check_budget(layout: RegisterLayout, extra: int = 0, what: str = "") -> None:
     """Refuse, before anything is allocated, a state of more than
     ``MAX_QUBITS`` qubits, or one that with ``extra`` bytes of other
@@ -202,10 +212,7 @@ def check_budget(layout: RegisterLayout, extra: int = 0, what: str = "") -> None
     n = layout.n_qubits
     if n > MAX_QUBITS:
         raise ValidationError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
-    need = (16 << n) + extra  # complex128
-    if MEMORY_BYTES is not None and need > MEMORY_BYTES:
-        raise ValidationError(f"memory budget exceeded: a {n}-qubit state{what} takes {need} bytes,"
-                              f" the machine has {MEMORY_BYTES}")
+    check_memory((16 << n) + extra, f"a {n}-qubit state{what}")  # complex128
 
 
 def new_state(layout: RegisterLayout) -> QuantumState:
@@ -293,21 +300,22 @@ def _check_unitary(stack: np.ndarray) -> None:
         raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
 
 
-_DFTS: dict[int, np.ndarray] = {}  # id -> a DFT of dft_matrix, held so no other array has its id
+_dft = [None, None, None]  # width, DFT, inverse: views of bytes, which no flag makes writable
 
 
-@functools.cache
 def dft_matrix(width: int, sign: int = 1) -> np.ndarray:
-    """The 2^width-point DFT, or with ``sign`` -1 its inverse, built and
-    checked for unitarity once per width and sign, held, and shared as an
-    immutable array: the one matrix that the kernel applies unchecked."""
-    size = 1 << width
-    j = np.arange(size)
-    dft = np.exp(sign * 2j * np.pi / size * np.outer(j, j)) / np.sqrt(size)
-    _check_unitary(dft[None])
-    dft = np.frombuffer(dft.tobytes(), complex).reshape(size, size)  # no flag makes it writable
-    _DFTS[id(dft)] = dft
-    return dft
+    """The 2^width-point DFT, or with ``sign`` -1 its inverse, immutable:
+    the one matrix the kernel applies unchecked.  A new width releases the
+    held pair, checks its DFT once and holds it and its conjugate, the
+    inverse of a symmetric unitary; the build peaks at three matrices."""
+    if width != _dft[0]:
+        _dft[:] = None, None, None
+        j = np.arange(1 << width)
+        dft = np.exp(2j * np.pi / len(j) * np.outer(j, j)) / np.sqrt(len(j))
+        _check_unitary(dft[None])
+        pair = dft.tobytes(), np.conjugate(dft, out=dft).tobytes()
+        _dft[:] = width, *(np.frombuffer(b, complex).reshape(dft.shape) for b in pair)
+    return _dft[1] if sign == 1 else _dft[2]
 
 
 def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
@@ -328,7 +336,7 @@ def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
         raise ValidationError(f"{len(stack)} factors for a {width}-qubit control")
     if stack.shape[1] != 1 << len(targets):
         raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
-    if id(array) not in _DFTS:  # a DFT of dft_matrix was checked when it was built
+    if array is not _dft[1] and array is not _dft[2]:  # the held pair was checked when built
         _check_unitary(stack)
     view = state.amplitudes.reshape(shape).transpose(order)
     for block in blocks:

@@ -50,6 +50,35 @@ def test_random_lowrank_matches_the_full_qr_reference():
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+def test_random_lowrank_refuses_draws_over_the_memory_budget_before_drawing(monkeypatch):
+    # 200000 x 2 died on a bare 298 GiB _ArrayMemoryError in the p x p draw
+    need = 8 * (100 * 100 + 3 * 3)  # the 100 x 100 and 3 x 3 Gaussian draws
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+    with pytest.raises(ValidationError, match=(
+            rf"^memory budget exceeded: drawing a 100x3 input takes {need} bytes,"
+            rf" the machine has {need - 1}$")):
+        harness.random_lowrank(100, 3, 1, 0)
+    monkeypatch.undo()  # draws that fit the budget exactly are made
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need)
+    assert harness.random_lowrank(100, 3, 1, 0).shape == (100, 3)
+
+
+def test_sweep_with_a_shape_whose_draws_do_not_fit_is_rejected_at_config(monkeypatch, capsys,
+                                                                      tmp_path):
+    # every instance would fail, so the config fails, as the CLI's exit 2
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 8 * (100 * 100 + 3 * 3) - 1)
+    with pytest.raises(ValidationError, match="^memory budget exceeded: drawing a 100x3 input"):
+        harness.SweepConfig(shape=(100, 3))
+    assert harness.SweepConfig(shape=(99, 3)).shape == (99, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 8 << 30)
+    out = tmp_path / "s.csv"
+    assert harness.main(["sweep", "--n", "1", "--shape", "200000,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: memory budget exceeded: drawing a 200000x2 input takes 320000000032 bytes")
+
+
 def test_random_lowrank_rejects_bad_rank():
     with pytest.raises(ValidationError, match=r"^rank must lie in 1\.\.2, an integer, got 3"):
         harness.random_lowrank(2, 2, 3, seed=0)
@@ -469,15 +498,17 @@ def test_config_without_a_path_is_the_subcommand_usage_error(capsys):
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
-    started, methods = [], set()
+    started, methods, envs = [], set(), []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and the
-        start method, maps here."""
+        """Stands in for ProcessPoolExecutor: records max_workers, the
+        start method and the BLAS variables a spawned worker would see,
+        maps here."""
 
         def __init__(self, max_workers, mp_context):
             started.append(max_workers)
             methods.add(mp_context.get_start_method())
+            envs.append({var: os.environ.get(var) for var in harness.BLAS_THREADS})
 
         def __enter__(self):
             return self
@@ -490,6 +521,10 @@ def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    parent = {var: os.environ.get(var) for var in harness.BLAS_THREADS}
     serial = harness.run_sweep(harness.SweepConfig(n_instances=6))
     for n, jobs, workers in ((3, 1000, 3), (6, 1000, 4), (6, 2, 2)):
         records = harness.run_sweep(harness.SweepConfig(n_instances=n, jobs=jobs))
@@ -501,6 +536,15 @@ def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
     harness.run_sweep(harness.SweepConfig(n_instances=6, jobs=1000))
     assert started == [3, 4, 2]
     assert methods == {"spawn"}  # a fork of a process with BLAS threads can deadlock
+    # each worker's BLAS runs one thread (each had one per core, and two
+    # workers took 5-7 s where one took 2-3); this process keeps its own
+    assert envs == [dict.fromkeys(harness.BLAS_THREADS, "1")] * 3
+    assert {var: os.environ.get(var) for var in harness.BLAS_THREADS} == parent
+    # a worker that fails restores them too
+    monkeypatch.setattr(harness, "run_sweep_instance", lambda cfg, i: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        harness.run_sweep(harness.SweepConfig(n_instances=2, jobs=2))
+    assert {var: os.environ.get(var) for var in harness.BLAS_THREADS} == parent
 
 
 def test_cmd_sweep_byte_identical_reruns(tmp_path, capsys):

@@ -492,7 +492,7 @@ INT_INPUTS = {
     "random_lowrank seed list": ("seed", lambda v: random_lowrank(2, 3, 2, [v, 1]).tobytes(),
                                  2, [-1]),
     "PipelineConfig.shots": ("shots", lambda v: pipeline.PipelineConfig(
-        a0=example_matrix(), tau=0.5, shots=v).shots, 2, [-1], True),
+        a0=example_matrix(), tau=0.5, shots=v).shots, 2, [-1, 1 << 63], True),
     "PipelineConfig.seed": ("seed", lambda v: pipeline.PipelineConfig(
         a0=example_matrix(), tau=0.5, seed=v).seed, 2, [-1]),
     "choose_t0 t_bits": ("t_bits", lambda v: qpe.choose_t0([4.0, 1.0], v).t_bits, 3, [0, 27],
@@ -573,7 +573,7 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
                          (4.2, "single-lobed"), (True, "real number"), ("1.2", "real number")):
         with pytest.raises(ValidationError, match=match):
             run_reference(alpha=alpha)
-    for shots in (-5, 2.5, "10"):
+    for shots in (-5, 2.5, "10", 10**20):  # 10**20 ran, then overflowed Generator.binomial
         with pytest.raises(ValidationError, match="shots"):
             run_reference(shots=shots)
     monkeypatch.undo()

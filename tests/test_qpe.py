@@ -1,6 +1,6 @@
-import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,33 +204,36 @@ def test_dft_matrix_is_shared_and_read_only():
 def test_dft_pair_is_checked_once_per_width(monkeypatch):
     checked = []
     check = sim._check_unitary
-    monkeypatch.setattr(sim, "_check_unitary", lambda m, *a: checked.append(m.shape) or check(m, *a))
-    # a builder with an empty cache, so this test sees every build
-    monkeypatch.setattr(sim, "dft_matrix", functools.cache(sim.dft_matrix.__wrapped__))
-    monkeypatch.setattr(sim, "_DFTS", {})
+    monkeypatch.setattr(sim, "_check_unitary", lambda m: checked.append(m.shape) or check(m))
+    monkeypatch.setattr(sim, "_dft", [None, None, None])  # nothing held: this test sees every build
     state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
     for _ in range(3):
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
+    # one build and one check of the DFT for the width; the gate never checks the held pair
+    assert checked == [(1, 8, 8)]
+    for _ in range(3):
         qpe.iqft(qpe.qft(state, [1, 2]), [1, 2])
-    # the builder checks once per width and sign; the gate never does
-    assert checked == [(1, 8, 8)] * 2 + [(1, 4, 4)] * 2
+        qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
+    # one pair is held, so each change of width builds and checks once more
+    assert checked == [(1, 8, 8)] + [(1, 4, 4), (1, 8, 8)] * 3
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
-    # one builder makes both: each shared and read-only, the other's inverse
+    # one build makes both: each shared and read-only, the inverse the DFT's conjugate
     dft, idft = sim.dft_matrix(3), sim.dft_matrix(3, -1)
     assert sim.dft_matrix(3) is dft and sim.dft_matrix(3, -1) is idft
     assert not (dft.flags.writeable or idft.flags.writeable)
-    assert np.array_equal(idft, dft.conj().T)
+    assert np.array_equal(idft, dft.conj().T) and idft.tobytes() == dft.conj().tobytes()
     del checked[:]
     # a writable matrix, such as a user gate, is checked on every call
     for _ in range(2):
         sim.apply_unitary(state, hadamard(), [0])
     assert checked == [(1, 2, 2)] * 2
-    # a read-only copy of the DFT is checked on every call, not taken for it
-    copy = dft.copy()
-    copy.flags.writeable = False
-    for _ in range(2):
-        sim.apply_unitary(state, copy, [0, 1, 2])
-    assert checked == [(1, 2, 2)] * 2 + [(1, 8, 8)] * 2
+    # a read-only copy of a held DFT is checked on every call, not taken for it
+    for held in (dft, idft):
+        copy = held.copy()
+        copy.flags.writeable = False
+        for _ in range(2):
+            sim.apply_unitary(state, copy, [0, 1, 2])
+    assert checked == [(1, 2, 2)] * 2 + [(1, 8, 8)] * 4
     # and one with an entry changed is rejected, the state unchanged
     bad = dft.copy()
     bad[0, 0] = 2.0
@@ -239,6 +242,34 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     with pytest.raises(ValidationError, match="unitary"):
         sim.apply_unitary(state, bad, [0, 1, 2])
     assert np.array_equal(state.amplitudes, before)
+    # a pair no longer held is an array like any other: checked on every call
+    sim.dft_matrix(2)
+    del checked[:]
+    sim.apply_unitary(state, dft, [0, 1, 2])
+    assert checked == [(1, 8, 8)]
+
+
+def test_dft_pair_of_the_last_width_alone_is_held_and_within_the_budget():
+    # every width's pair was held for the life of the process: 32 MiB stayed
+    # after a run at t 10, and building its inverse beside the DFT peaked at
+    # 65 MiB, over the 64 MiB of matrices that the budget counted
+    def run(t_bits):
+        return pipeline.run_pipeline(
+            pipeline.PipelineConfig(a0=example_matrix(), tau=0.5, t_bits=t_bits, m_bits=2))
+
+    sim.dft_matrix(3)  # a held pair of another width, so the t 10 run builds its own
+    tracemalloc.start()
+    try:
+        run(10)
+        peak = tracemalloc.get_traced_memory()[1]
+        run(3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20  # the t 3 pair is 2 KiB; the t 10 pair, 32 MiB, is gone
+    # the run's whole peak, its 1 MiB state too, fits in what the budget counts
+    # for the matrices alone (the build peaks at three 16 MiB matrices)
+    assert peak <= qpe.matrix_bytes(10, 1)
 
 
 def test_conditional_evolution_tiny_t0_is_identity():
