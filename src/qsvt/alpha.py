@@ -53,7 +53,7 @@ class SpectrumProfile:
 
     N1, N2, scale = sqrt(N1 * N2) and ``terms``, the coefficients
     (y, s^2, s^2 y, s^2 y^2) of each component with y > 0, are derived
-    once at construction."""
+    once at construction, and each must be finite and positive."""
 
     sigma: tuple[float, ...]
     y: tuple[float, ...]
@@ -78,7 +78,14 @@ class SpectrumProfile:
         terms = tuple((v, s * s, s * s * v, s * s * v * v) for s, v in pairs if v > 0)
         n1 = math.fsum(s * s for s in self.sigma)
         n2 = math.fsum(s2y2 for _, _, _, s2y2 in terms)
-        derived = {"n1": n1, "n2": n2, "scale": math.sqrt(n1 * n2), "terms": terms}
+        scale = math.sqrt(n1 * n2)
+        # sigma^2 or N1 * N2 can leave the float range; written so that NaN fails
+        if not all(0 < x < math.inf for x in (n1, n2, scale)):
+            raise ValidationError(
+                f"sums of sigma^2 leave the float range (N1 = {n1:.3g}, N2 = {n2:.3g},"
+                f" sqrt(N1 * N2) = {scale:.3g}): rescale A and tau"
+            )
+        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms}
         for name, value in derived.items():  # frozen: set once, here
             object.__setattr__(self, name, value)
 
@@ -108,7 +115,7 @@ class AlphaSolution:
     G: float
 
     def __post_init__(self) -> None:
-        if abs(self.G - math.sqrt(self.P) * self.F) > 1e-12:
+        if not abs(self.G - math.sqrt(self.P) * self.F) <= 1e-12:  # NaN fails
             raise ValidationError("G = sqrt(P) * F self-consistency check failed")
 
 
@@ -118,14 +125,13 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     Alpha is checked before any sine, and taken as a Python float; each
     component takes one sine."""
     alpha = check_positive("alpha", alpha)
-    if profile.n2 <= 0:
-        raise FullyThresholdedError("spectrum fully thresholded (N2 = 0)")
     sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]
     nalpha = math.fsum([s2 * sn**2 for s2, _, sn in sines])
-    if nalpha <= 0:
+    root = math.sqrt(profile.n2 * nalpha)
+    if not root > 0:  # N_alpha = 0, or N2 * N_alpha underflows
         raise ValidationError("zero post-selection probability at this alpha")
     num = math.fsum([c * sn for _, c, sn in sines])
-    f = num / math.sqrt(profile.n2 * nalpha)
+    f = num / root
     return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
 
 

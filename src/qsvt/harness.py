@@ -138,9 +138,6 @@ class SweepConfig:
         self.tau_frac = sim.check_positive("tau fraction", self.tau_frac)
         if self.tau is None and not self.tau_frac < 1:
             raise ValidationError("tau fraction must lie in (0, 1)")
-        rank = len(self.sigma) if self.sigma is not None else self.rank or 0
-        if self.simulate and (self.t_bits > 8 or rank > 8):
-            raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
         names = self.methods
         if not _ordered(names):
             names = ()  # None names no method
@@ -163,11 +160,16 @@ class SweepConfig:
         if self.sigma is not None:
             s = spectral.real_vector("sigma", self.sigma).tolist()
             spectral.check_sigma(s)
+            spectral.check_gaps(s)
             if self.rank is not None and len(s) != self.rank:
                 raise ValidationError(f"{len(s)} sigma values for rank {self.rank}")
             if len(s) > max_rank:
                 raise ValidationError(f"{len(s)} sigma values above the largest rank {max_rank}")
-            self.sigma = tuple(s)
+            self.sigma, self.rank = tuple(s), len(s)
+        if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
+            raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
+        if self.simulate and self.shape is not None and self.shape[0] < 2:
+            raise ValidationError(f"phase estimation needs 2+ rows, got shape {self.shape}")
         if self.tau is not None:
             sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
             self.tau = spectral.check_threshold(self.tau, sigma_max)
@@ -180,7 +182,7 @@ class ExperimentRecord:
     p: int
     q: int
     r: int
-    tau: float
+    tau: float | None  # None: a fraction of sigma_1 that set-up never derived
     alpha_method: str
     alpha: float | None = None
     p_analytic: float | None = None
@@ -223,7 +225,7 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
     its phase-estimation leakage has no such bound."""
     iseed = cfg.seed * 100003 + index
     rng = np.random.default_rng([iseed, 0])
-    r = cfg.rank if cfg.sigma is None else len(cfg.sigma)  # equal when both are set
+    r = cfg.rank
     if cfg.shape is not None:
         p, q = cfg.shape
     else:  # a fixed rank draws only shapes that can hold it
@@ -242,7 +244,7 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
         profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, tau)
     except QsvtError as exc:
         return [
-            ExperimentRecord(index, iseed, p, q, r, cfg.tau or 0.0, m, error=str(exc))
+            ExperimentRecord(index, iseed, p, q, r, cfg.tau, m, error=str(exc))
             for m in cfg.methods
         ]
     for method in cfg.methods:
@@ -351,10 +353,14 @@ def sweep_summary(records: list[ExperimentRecord], simulate: bool) -> dict:
 
 
 def write_csv(records: list[ExperimentRecord], out) -> None:
-    """The CSV of ``records`` to the open text file ``out``."""
-    lines = [CSV_SCHEMA, CSV_CORPUS_NOTE, ",".join(CSV_COLUMNS)]
-    lines += [",".join(rec.to_row()) for rec in records]
-    out.write("\n".join(lines) + "\n")
+    """``records`` as quoted CSV to the open text file ``out``: a field that
+    holds a comma is quoted, so each row reads back as one field per column."""
+    import csv  # here, not at the top: only the sweep writes CSV
+
+    out.write(f"{CSV_SCHEMA}\n{CSV_CORPUS_NOTE}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rec.to_row() for rec in records)
 
 
 def emit_plot(records: list[ExperimentRecord], path) -> None:
@@ -439,20 +445,18 @@ def _tau(args) -> float:
     return args.tau
 
 
+def _config(cls, args, **given):
+    """A ``cls`` config from the flags whose dests are its field names,
+    with ``given`` in place of the flags of those fields."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**flags, **given)
+
+
 def _run(args, a0: np.ndarray) -> pipeline_mod.SimulationResult:
     """One circuit run of ``a0`` with the flags that ``example`` and
     ``pipeline`` share."""
     return pipeline_mod.run_pipeline(
-        pipeline_mod.PipelineConfig(
-            a0=a0,
-            tau=_tau(args),
-            t_bits=args.t_bits,
-            m_bits=args.m_bits,
-            alpha=args.alpha,
-            alpha_method=args.alpha_method,
-            shots=args.shots,
-            seed=args.seed,
-        )
+        _config(pipeline_mod.PipelineConfig, args, a0=a0, tau=_tau(args))
     )
 
 
@@ -482,31 +486,19 @@ def cmd_example(args) -> int:
 
 def cmd_sweep(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    cfg = SweepConfig(
-        n_instances=args.n,
-        tau=args.tau,
-        tau_frac=args.tau_frac,
-        methods=methods,
-        seed=args.seed,
-        t_bits=args.t_bits,
-        m_bits=args.m_bits,
-        simulate=bool(args.simulate),
-        shape=_parse_shape(args.shape),
-        rank=args.rank,
-        sigma=_parse_sigma(args.sigma),
-        timings=bool(args.timings),
-        jobs=args.jobs,
-    )
+    cfg = _config(SweepConfig, args, methods=methods, shape=_numbers("shape", args.shape, int),
+                  sigma=_numbers("sigma", args.sigma))
     plot_path = None
     if args.plot:
         plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
         if os.path.realpath(plot_path) == os.path.realpath(args.out):
             raise ValidationError(f"--plot {plot_path} would overwrite --out {args.out}")
-    with open(args.out, "w") as out:  # an unwritable path fails before the sweep runs
-        if plot_path:
-            with open(plot_path, "w"):  # and so does an unwritable plot path
-                pass
-        records = run_sweep(cfg)
+    for path in filter(None, (args.out, plot_path)):
+        # an unwritable path fails before the sweep runs; "a" truncates neither file
+        with open(path, "a"):
+            pass
+    records = run_sweep(cfg)
+    with open(args.out, "w") as out:
         write_csv(records, out)
     summary = sweep_summary(records, cfg.simulate)
     print(f"wrote {len(records)} records to {args.out}")
@@ -541,7 +533,7 @@ def cmd_alpha(args) -> int:
     if (args.sigma is None) == (args.matrix is None):
         raise ValidationError("provide exactly one of --sigma or --matrix")
     if args.sigma is not None:
-        sigma = np.asarray(_parse_sigma(args.sigma), dtype=float)
+        sigma = np.asarray(_numbers("sigma", args.sigma), dtype=float)
     else:
         sigma = spectral.decompose(spectral.load_matrix_text(args.matrix)).sigma
     tau = _tau(args)
@@ -586,23 +578,16 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _parse_shape(text):
+def _numbers(name: str, text, kind=float):
+    """The comma-separated ``text`` of ``--name`` as a tuple of ``kind``,
+    or None for no flag; the caller checks how many there are."""
     if text is None:
         return None
     try:
-        p, q = (int(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise ValidationError(f"shape must be P,Q with integers, got {text!r}") from None
-    return (p, q)
-
-
-def _parse_sigma(text):
-    if text is None:
-        return None
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ValidationError(f"sigma must be comma-separated numbers, got {text!r}") from None
+        raise ValidationError(f"{name} must be {kind.__name__} values separated by commas,"
+                              f" got {text!r}") from None
 
 
 def _exit_code(exc: QsvtError) -> int:
@@ -642,30 +627,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cmd, seeded=True):
+    def common(p, cmd, seeds=None):  # seeds: what --seed seeds; alpha draws nothing
         p.set_defaults(func=cmd)
         p.add_argument("--config", help=CONFIG_HELP)
         p.add_argument("--tau", type=float, default=None)
-        if seeded:  # alpha draws nothing
-            p.add_argument("--seed", type=int, default=7)
+        if seeds:
+            p.add_argument("--seed", type=int, default=7, help=(
+                f"seed of {seeds} (default %(default)s, where SweepConfig() and"
+                " PipelineConfig() default to 0)"))
 
     def run_flags(p, alpha_help=None):
         """The circuit-run flags of ``example`` and ``pipeline``, at the
-        defaults of ``pipeline``."""
-        p.add_argument("--alpha", type=float, default=None, help=alpha_help)
-        p.add_argument("--alpha-method", default="intuitive", choices=alpha_mod.METHODS)
-        p.add_argument("--t-bits", type=int, default=None)
-        p.add_argument("--m-bits", type=int, default=8)
-        p.add_argument("--shots", type=int, default=None)
+        defaults of ``PipelineConfig``."""
+        run = pipeline_mod.PipelineConfig
+        p.add_argument("--alpha", type=float, default=run.alpha, help=alpha_help)
+        p.add_argument("--alpha-method", default=run.alpha_method, choices=alpha_mod.METHODS)
+        p.add_argument("--t-bits", type=int, default=run.t_bits)
+        p.add_argument("--m-bits", type=int, default=run.m_bits)
+        p.add_argument("--shots", type=int, default=run.shots)
 
     ex = sub.add_parser("example", help="run the 2x3 sigma=(2,1) reference instance")
-    common(ex, cmd_example)
+    common(ex, cmd_example, seeds="the example matrix and of --shots sampling")
     run_flags(ex, alpha_help="explicit alpha (reporting mode, no assertions)")
     ex.set_defaults(**EXAMPLE_RUN)
 
     sw = sub.add_parser("sweep", help="randomized low-rank instance sweep")
-    common(sw, cmd_sweep)
-    sw.add_argument("--n", type=int, default=SweepConfig.n_instances)
+    common(sw, cmd_sweep, seeds="the corpus: each instance's shape, rank and draws")
+    sw.add_argument("--n", type=int, dest="n_instances", default=SweepConfig.n_instances)
     sw.add_argument("--tau-frac", type=float, default=SweepConfig.tau_frac,
                     help="tau as a fraction of sigma_1 (checked, but unused when --tau is set)")
     sw.add_argument("--methods", default=",".join(SweepConfig.methods))
@@ -684,12 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit an SVG next to the CSV (or at the given path)")
 
     al = sub.add_parser("alpha", help="alpha-method comparison table")
-    common(al, cmd_alpha, seeded=False)
+    common(al, cmd_alpha)
     al.add_argument("--sigma", default=None, help="singular values (CSV)")
     al.add_argument("--matrix", default=None, help="matrix file (see format below)")
 
     pl = sub.add_parser("pipeline", help="single run from a matrix file")
-    common(pl, cmd_pipeline)
+    common(pl, cmd_pipeline, seeds="--shots sampling")
     pl.add_argument("--matrix", required=True)
     run_flags(pl)
     return parser

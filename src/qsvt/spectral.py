@@ -73,15 +73,21 @@ def check_sigma(sigma: Sequence[float]) -> None:
         raise ValidationError(f"sigma must be strictly descending, got {sigma}")
 
 
+def check_gaps(sigma: Sequence[float]) -> None:
+    """Near-equal singular values, a gap below ``DEGENERACY_TOL`` relative
+    to sigma_1, are rejected: the alpha theory assumes a strict spectrum
+    and singular bases are non-unique under degeneracy."""
+    gap = min(((hi - lo) / sigma[0] for hi, lo in zip(sigma, sigma[1:])), default=math.inf)
+    if gap < DEGENERACY_TOL:
+        raise DegenerateSpectrumError(f"near-equal singular values (min relative gap {gap:.3e})")
+
+
 def decompose(a0) -> SpectralData:
     """SVD with rank truncation at ``RANK_TOL * sigma_1``, the one rank
     tolerance of the package; the rank-truncated reconstruction must
     match the input to the same relative tolerance.  Single-precision
-    input is decomposed in double, as the tolerances assume.
-
-    Near-equal retained singular values (relative gap below 1e-9) are
-    rejected: the alpha theory assumes a strict spectrum and singular
-    bases are non-unique under degeneracy.
+    input is decomposed in double, as the tolerances assume.  The retained
+    singular values must pass :func:`check_gaps`.
     """
     try:
         a = np.asarray(a0)
@@ -100,10 +106,7 @@ def decompose(a0) -> SpectralData:
     values = s.tolist()
     cut = RANK_TOL * values[0]
     r = sum(v > cut for v in values)
-    sig = values[:r]
-    gap = min(((hi - lo) / sig[0] for hi, lo in zip(sig, sig[1:])), default=math.inf)
-    if gap < DEGENERACY_TOL:
-        raise DegenerateSpectrumError(f"near-equal singular values (min relative gap {gap:.3e})")
+    check_gaps(values[:r])
     data = SpectralData(
         sigma=s[:r].copy(),
         u=u[:, :r].copy(),

@@ -542,5 +542,25 @@ def test_intuitive_vs_taylor2_medians_over_profiles():
 
 
 def test_alpha_solution_self_consistency_guard():
-    with pytest.raises(ValidationError, match="self-consistency"):
-        alpha_mod.AlphaSolution("bogus", 1.0, 0.5, 0.5, 0.9)
+    # NaN passed a "> 1e-12" check
+    for p, f, g in ((0.5, 0.5, 0.9), (math.nan, math.nan, math.nan), (0.25, 1.0, math.nan)):
+        with pytest.raises(ValidationError, match="self-consistency"):
+            alpha_mod.AlphaSolution("bogus", 1.0, p, f, g)
+
+
+def test_profile_sums_must_stay_in_the_float_range():
+    # N1 * N2 underflowed (a bare ZeroDivisionError in solution), N1
+    # overflowed (P, F and G were nan), N1 and N2 underflowed (reported as
+    # a fully thresholded spectrum, with sigma_1 > tau)
+    for sigma, tau in (([2e-150, 1e-150], 5e-151), ([1e160, 1e159], 1e158),
+                       ([1e-170, 1e-171], 1e-172)):
+        with pytest.raises(ValidationError, match=r"^sums of sigma\^2 leave the float range"):
+            alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau)
+
+
+def test_solution_checks_the_divisor_it_uses():
+    # N_alpha > 0 passed, then N2 * N_alpha underflowed: a bare ZeroDivisionError
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau([1e-75], 5e-76)
+    with pytest.raises(ValidationError, match="^zero post-selection probability at this alpha"):
+        alpha_mod.solution(profile, "explicit", 1e-80)
+    assert alpha_mod.solution(profile, "explicit", 1.0).F == 1.0

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import itertools
 import math
@@ -10,9 +11,14 @@ import pytest
 
 from qsvt import alpha as alpha_mod
 from qsvt import harness, pipeline, rotation, sim, spectral
-from qsvt.errors import ValidationError
+from qsvt.errors import DegenerateSpectrumError, ValidationError
 
 from gates import full_qr_lowrank
+
+
+def csv_rows(path):
+    """The sweep CSV at ``path`` as ``csv.reader`` reads it, one list per line."""
+    return list(csv.reader(path.read_text().splitlines()))
 
 
 def test_random_lowrank_deterministic():
@@ -233,6 +239,11 @@ INPUT_FILES = {
         (["alpha", "--sigma", "2,x", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "nan,1", "--tau", "0.5"], 2),
         (["alpha", "--sigma", "inf,1", "--tau", "0.5"], 2),
+        # sigma^2 sums that leave the float range: N1 * N2 underflows (a bare
+        # ZeroDivisionError), N1 overflows (P, F, G printed as nan), N1 underflows
+        (["alpha", "--sigma", "2e-150,1e-150", "--tau", "5e-151"], 2),
+        (["alpha", "--sigma", "1e160,1e159", "--tau", "1e158"], 2),
+        (["alpha", "--sigma", "1e-170,1e-171", "--tau", "1e-172"], 2),
         (["sweep", "--shape", "3,x", "--n", "1"], 2),
         (["sweep", "--n", "2", "--t-bits", "0", "--simulate"], 2),
         (["sweep", "--n", "2", "--m-bits", "0"], 2),
@@ -260,6 +271,8 @@ INPUT_FILES = {
         (["sweep", "--sigma", "3,2,1", "--rank", "2", "--n", "2"], 2),
         (["sweep", "--sigma", "2,1", "--tau", "3", "--rank", "2", "--n", "2"], 2),
         (["sweep", "--sigma", "7,6,5,4,3,2,1", "--n", "2"], 2),  # no instance has rank 7
+        (["sweep", "--sigma", "1,0.9999999999", "--n", "2"], 2),  # near-equal values
+        (["sweep", "--shape", "1,3", "--simulate", "--n", "2"], 2),  # one row: no phase estimation
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -285,6 +298,23 @@ def test_cli_newton_cap_exits_3_before_the_state(monkeypatch, capsys):
     assert harness.main(["example"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: label 1 (") and "no convergence in 1 iterations" in err
+
+
+def test_each_flag_takes_its_config_field_name_and_default():
+    # cmd_sweep and _run build their configs by field name: each field is
+    # the dest of a flag at the field's default, but for --seed, whose 7
+    # seeds the example matrix, and the comma-separated --methods
+    commands = next(a for a in harness.build_parser()._actions if a.dest == "command").choices
+    for name, cls, given in (("sweep", harness.SweepConfig, ()),
+                             ("pipeline", pipeline.PipelineConfig, ("a0", "tau"))):
+        defaults = {a.dest: a.default for a in commands[name]._actions}
+        for f in dataclasses.fields(cls):
+            if f.name in given:  # the matrix file, and --tau, which has no default here
+                continue
+            want = 7 if f.name == "seed" else f.default
+            if f.name == "methods":
+                want = ",".join(want)
+            assert defaults[f.name] == want, (name, f.name)
 
 
 def test_alpha_takes_no_seed(capsys):
@@ -364,17 +394,39 @@ def test_sweep_out_that_cannot_be_opened_fails_before_the_sweep(tmp_path, monkey
     out = tmp_path / "missing" / "s.csv"
     assert harness.main(["sweep", "--n", "60", "--simulate", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("i/o error:")
-    # an unwritable --plot path failed only after the sweep and its CSV
-    plot = tmp_path / "missing" / "p.svg"
-    argv = ["sweep", "--n", "60", "--out", str(tmp_path / "s.csv"), "--plot", str(plot)]
-    assert harness.main(argv) == 2
-    assert capsys.readouterr().err.startswith("i/o error:")
+    # an unwritable --plot path failed only after the sweep, and then, checked
+    # before it, still truncated --out: neither path's failure changes the
+    # other's file now
+    kept = {tmp_path / "s.csv": b"an earlier sweep\n", tmp_path / "p.svg": b"<svg/>\n"}
+    for path, data in kept.items():
+        path.write_bytes(data)
+    for out, plot in ((tmp_path / "s.csv", tmp_path / "missing" / "p.svg"),
+                      (tmp_path / "missing" / "s.csv", tmp_path / "p.svg")):
+        assert harness.main(["sweep", "--n", "60", "--out", str(out), "--plot", str(plot)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert {path: path.read_bytes() for path in kept} == kept
     # a plot path that is the CSV path, auto or spelled another way, would overwrite it
     out = tmp_path / "r.svg"
     for plot in ([], [str(tmp_path / "." / "r.svg")]):
         assert harness.main(["sweep", "--n", "60", "--out", str(out), "--plot", *plot]) == 2
         assert "would overwrite --out" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_sweep_set_up_failure_writes_the_configured_tau(tmp_path, monkeypatch, capsys):
+    # a tau from the fraction was never derived: it read 0, a tau never given
+    def degenerate(a0):
+        raise DegenerateSpectrumError("near-equal singular values")
+
+    monkeypatch.setattr(spectral, "decompose", degenerate)
+    for tau, written in ((None, ""), (0.25, "0.25")):
+        records = harness.run_sweep(harness.SweepConfig(n_instances=2, tau=tau))
+        assert [(rec.tau, rec.error) for rec in records] == [(tau, "near-equal singular values")] * 4
+        argv = ["sweep", "--n", "2", "--out", str(tmp_path / "s.csv")]
+        assert harness.main(argv + (["--tau", str(tau)] if tau else [])) == 0
+        idx = harness.CSV_COLUMNS.index("tau")
+        assert {row[idx] for row in csv_rows(tmp_path / "s.csv")[3:]} == {written}
+    capsys.readouterr()
 
 
 def test_sweep_config_rejects_an_empty_sigma():
@@ -474,8 +526,7 @@ def test_config_file_sets_any_valued_flag(tmp_path, capsys):
     assert harness.main(["sweep", "--n", "4", "--config", str(path), "--out", str(a)]) == 0
     assert harness.main(["sweep", "--n", "4", "--shape", "2,3", "--rank", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    rows = a.read_text().splitlines()[3:]
-    assert {tuple(row.split(",")[2:5]) for row in rows} == {("2", "3", "2")}  # p, q, r
+    assert {tuple(row[2:5]) for row in csv_rows(a)[3:]} == {("2", "3", "2")}  # p, q, r
 
 
 def test_config_rejects_lines_that_name_no_flag(tmp_path, capsys):
@@ -582,8 +633,16 @@ def test_cmd_sweep_plot_next_to_a_non_csv_out(tmp_path, monkeypatch, capsys):
             "--t-bits", "4", "--out", "e.csv", "--plot"]
     assert harness.main(argv) == 0
     assert "no plottable records: no plot written" in capsys.readouterr().out
-    assert (tmp_path / "e.csv").read_text().startswith("#schema=1")
     assert not (tmp_path / "e.svg").exists()
+    # an error that holds a comma shifted every column after it
+    rows = csv_rows(tmp_path / "e.csv")
+    assert rows[0] == ["#schema=1"]
+    cfg = harness.SweepConfig(n_instances=3, simulate=True, tau_frac=0.85, m_bits=2, t_bits=4,
+                              seed=7)
+    errors = [rec.error for rec in harness.run_sweep(cfg)]
+    assert all(errors) and any("," in e for e in errors)
+    assert [len(row) for row in rows[2:]] == [len(harness.CSV_COLUMNS)] * (1 + len(errors))
+    assert [row[-1] for row in rows[3:]] == errors
 
 
 def test_cmd_sweep_reference_spectrum_matches_example(tmp_path, capsys):
@@ -597,7 +656,7 @@ def test_cmd_sweep_reference_spectrum_matches_example(tmp_path, capsys):
     )
     capsys.readouterr()
     assert rc == 0
-    row = out.read_text().splitlines()[3].split(",")
+    row = csv_rows(out)[3]
     cols = {name: row[i] for i, name in enumerate(harness.CSV_COLUMNS)}
     assert cols["error"] == ""
     assert abs(float(cols["P_sim"]) - 0.9499) <= 1e-3
@@ -899,8 +958,8 @@ def test_wall_time_blank_by_default(tmp_path, capsys):
     assert harness.main(["sweep", "--n", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     idx = harness.CSV_COLUMNS.index("wall_time_s")
-    for line in out.read_text().splitlines()[3:]:
-        assert line.split(",")[idx] == ""
+    for row in csv_rows(out)[3:]:
+        assert row[idx] == ""
 
 
 def test_sweep_timings_fill_only_the_wall_time(tmp_path, capsys):
@@ -910,8 +969,7 @@ def test_sweep_timings_fill_only_the_wall_time(tmp_path, capsys):
     assert harness.main(argv + ["--timings", "--out", str(timed)]) == 0
     capsys.readouterr()
     idx = harness.CSV_COLUMNS.index("wall_time_s")
-    rows = [[line.split(",") for line in path.read_text().splitlines()]
-            for path in (untimed, timed)]
+    rows = [csv_rows(path) for path in (untimed, timed)]
     assert rows[0][:3] == rows[1][:3]  # schema, corpus and header lines
     assert len(rows[1]) == 3 + 4 * 2
     for plain, clocked in zip(rows[0][3:], rows[1][3:]):

@@ -638,6 +638,17 @@ def test_run_does_not_depend_on_the_scale_of_the_input():
             assert abs(getattr(res, name) - getattr(base, name)) < 1e-13, (scale, name)
 
 
+def test_a_spectrum_whose_squares_underflow_is_rejected_before_the_state(monkeypatch):
+    # sigma = (2e-150, 1e-150): N1 * N2 underflowed to 0, and alpha.solution
+    # divided by it, a bare ZeroDivisionError
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a spectrum out of the float range")
+
+    monkeypatch.setattr(sim, "new_state", no_state)
+    with pytest.raises(ValidationError, match=r"^sums of sigma\^2 leave the float range.*rescale A"):
+        pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix() * 1e-150, tau=5e-151))
+
+
 def test_shots_sample_a_probability_that_rounds_above_one():
     # rank one with y = 1/2 exact at m = 2 and alpha = pi: the ancilla is
     # rotated fully onto |1>, and the sum of squares lands just above 1
