@@ -173,6 +173,9 @@ class SweepConfig:
         if self.tau is not None:
             sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
             self.tau = spectral.check_threshold(self.tau, sigma_max)
+        if self.sigma is not None:  # the profile that every instance builds from them
+            tau = self.tau if self.tau is not None else self.tau_frac * self.sigma[0]
+            alpha_mod.SpectrumProfile.from_sigma_tau(self.sigma, tau)
 
 
 @dataclass
@@ -493,10 +496,20 @@ def cmd_sweep(args) -> int:
         plot_path = os.path.splitext(args.out)[0] + ".svg" if args.plot == "auto" else args.plot
         if os.path.realpath(plot_path) == os.path.realpath(args.out):
             raise ValidationError(f"--plot {plot_path} would overwrite --out {args.out}")
-    for path in filter(None, (args.out, plot_path)):
-        # an unwritable path fails before the sweep runs; "a" truncates neither file
-        with open(path, "a"):
-            pass
+    # an unwritable path fails before the sweep runs, and takes with it a
+    # file that this check made; "a" truncates neither existing file
+    made = []
+    try:
+        for path in filter(None, (args.out, plot_path)):
+            try:
+                open(path, "x").close()
+                made.append(path)
+            except FileExistsError:
+                open(path, "a").close()
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
     records = run_sweep(cfg)
     with open(args.out, "w") as out:
         write_csv(records, out)
@@ -569,12 +582,16 @@ def cmd_pipeline(args) -> int:
         print(f"P ({args.shots} shots) = {result.p_shots:.6f}")
     print(f"{'k':>3} {'sigma':>10} {'y':>8} {'y_code':>8} {'target':>9} "
           f"{'sim_amp':>10} {'analytic':>10}")
-    for row in report.rows:
-        print(
-            f"{row.index:>3} {row.sigma:>10.6f} {row.y_exact:>8.5f}"
-            f" {row.y_code:>8.5f} {row.target_weight:>9.6f}"
-            f" {row.sim_amplitude.real:>10.6f} {row.analytic_amplitude:>10.6f}"
-        )
+    # per triple: the threshold operator's weight, normalised, and B's
+    # amplitude as simulated and as sin(y_code alpha) predicts it
+    shrunk = spectral.shrunk_values(result.spec, args.tau)
+    scale = np.sqrt(result.n_alpha)  # p_sim > 0: post-selection checked it
+    columns = zip(result.sigma, result.y_exact, result.y_codes, shrunk / np.linalg.norm(shrunk),
+                  (result.triple_amplitudes / scale).real,
+                  result.sigma * np.sin(result.y_codes * result.alpha) / scale)
+    for k, (sigma, y, y_code, target, amp, analytic) in enumerate(columns):
+        print(f"{k:>3} {sigma:>10.6f} {y:>8.5f} {y_code:>8.5f} {target:>9.6f}"
+              f" {amp:>10.6f} {analytic:>10.6f}")
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,66 +175,20 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
 
 
 @dataclass
-class TripleRow:
-    index: int
-    sigma: float
-    y_exact: float
-    y_code: float
-    target_weight: float
-    sim_amplitude: complex
-    analytic_amplitude: float
-
-
-@dataclass
 class VerificationReport:
-    f_sim: float
     f_recomputed: float
-    delta: float
-    rows: list[TripleRow] = field(default_factory=list)
+    delta: float  # |f_sim - f_recomputed|
 
 
 def verify_against_classical(
     result: SimulationResult, spec: spectral.SpectralData, tau: float
 ) -> VerificationReport:
-    """Recompute the fidelity through the classical threshold operator
-    (matrix route, independent of the spectral weights) and tabulate
-    per-triple amplitudes."""
-    s_matrix = spectral.classical_svt(spec, tau)
-    du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
-    grid = np.zeros((du, dv), dtype=complex)
-    grid[: spec.p, : spec.q] = s_matrix
-    vec = grid.reshape(-1)
-    nrm = np.linalg.norm(vec)
-    if nrm <= 0:
-        raise FullyThresholdedError("classical threshold output is zero")
-    target = vec / nrm
+    """Recompute the fidelity against the classical threshold operator
+    S = sum_k (sigma_k - tau)_+ u_k v_k^dagger written as B's amplitudes,
+    the unit vector that :func:`spectral.to_state` builds from the shrunk
+    values: its overlap with ``result.b_state``, independent of the
+    per-triple overlaps that ``f_sim`` is read from."""
+    tau = spectral.check_threshold(tau, float(spec.sigma[0]))
+    target = spectral.to_state(spec, spectral.shrunk_values(spec, tau))
     f_recomputed = float(abs(np.vdot(target, result.b_state)))
-
-    shrunk = spectral.shrunk_values(spec, tau)
-    n_alpha = result.n_alpha
-    rows = []
-    for k in range(spec.rank):
-        y_k = float(result.y_exact[k])
-        y_hat = float(result.y_codes[k])
-        analytic = (
-            result.sigma[k] * np.sin(y_hat * result.alpha) / np.sqrt(n_alpha)
-            if n_alpha > 0
-            else 0.0
-        )
-        rows.append(
-            TripleRow(
-                index=k,
-                sigma=float(result.sigma[k]),
-                y_exact=y_k,
-                y_code=y_hat,
-                target_weight=float(shrunk[k] / nrm),
-                sim_amplitude=complex(result.triple_amplitudes[k] / np.sqrt(n_alpha)),
-                analytic_amplitude=float(analytic),
-            )
-        )
-    return VerificationReport(
-        f_sim=result.f_sim,
-        f_recomputed=f_recomputed,
-        delta=abs(result.f_sim - f_recomputed),
-        rows=rows,
-    )
+    return VerificationReport(f_recomputed, abs(result.f_sim - f_recomputed))

@@ -85,9 +85,10 @@ def check_gaps(sigma: Sequence[float]) -> None:
 def decompose(a0) -> SpectralData:
     """SVD with rank truncation at ``RANK_TOL * sigma_1``, the one rank
     tolerance of the package; the rank-truncated reconstruction must
-    match the input to the same relative tolerance.  Single-precision
-    input is decomposed in double, as the tolerances assume.  The retained
-    singular values must pass :func:`check_gaps`.
+    match the input to the same relative tolerance, at any scale of the
+    input.  Single-precision input is decomposed in double, as the
+    tolerances assume.  The retained singular values must pass
+    :func:`check_gaps`.
     """
     try:
         a = np.asarray(a0)
@@ -98,9 +99,10 @@ def decompose(a0) -> SpectralData:
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("input must be a non-empty 2-D matrix")
-    if not np.isfinite(a).all():
+    top = float(np.abs(a).max())  # NaN if any entry is NaN
+    if not top < math.inf:
         raise ValidationError("input matrix has non-finite entries")
-    if not a.any():
+    if not top > 0:
         raise ValidationError("input matrix is zero")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     values = s.tolist()
@@ -114,8 +116,10 @@ def decompose(a0) -> SpectralData:
         p=a.shape[0],
         q=a.shape[1],
     )
+    # both sides over the largest entry, so no square leaves the float
+    # range at any scale of the input; NaN fails
     recon = (data.u * data.sigma) @ data.v.conj().T
-    if _norm(a - recon) > RANK_TOL * _norm(a) + 1e-12:
+    if not _norm((a - recon) / top) <= RANK_TOL * _norm(a / top):
         raise ValidationError("rank-truncated reconstruction out of tolerance")
     return data
 
@@ -177,7 +181,11 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     grid = np.zeros((du, dv), dtype=complex)
     grid[: spec.p, : spec.q] = (spec.u * w) @ spec.v.conj().T
     vec = grid.reshape(-1)
-    return vec / _norm(vec)
+    nrm = _norm(vec)
+    # squares that underflow sum to 0 and ones that overflow to inf; NaN fails too
+    if not 0 < nrm < math.inf:
+        raise ValidationError(f"weights {ws} give amplitudes whose norm is {nrm}")
+    return vec / nrm
 
 
 def herm_exp(pairs, t: float) -> np.ndarray:

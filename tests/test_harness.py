@@ -273,6 +273,9 @@ INPUT_FILES = {
         (["sweep", "--sigma", "7,6,5,4,3,2,1", "--n", "2"], 2),  # no instance has rank 7
         (["sweep", "--sigma", "1,0.9999999999", "--n", "2"], 2),  # near-equal values
         (["sweep", "--shape", "1,3", "--simulate", "--n", "2"], 2),  # one row: no phase estimation
+        # injected sigma whose squares leave the float range: every record failed
+        (["sweep", "--n", "2", "--sigma", "1e200,1e199"], 2),
+        (["sweep", "--n", "2", "--sigma", "2e-170,1e-170"], 2),
     ],
 )
 def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
@@ -405,6 +408,12 @@ def test_sweep_out_that_cannot_be_opened_fails_before_the_sweep(tmp_path, monkey
         assert harness.main(["sweep", "--n", "60", "--out", str(out), "--plot", str(plot)]) == 2
         assert capsys.readouterr().err.startswith("i/o error:")
         assert {path: path.read_bytes() for path in kept} == kept
+    # and a file that the check made itself is removed again
+    fresh = tmp_path / "fresh.csv"
+    assert harness.main(["sweep", "--n", "60", "--out", str(fresh),
+                         "--plot", str(tmp_path / "missing" / "p.svg")]) == 2
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert not fresh.exists()
     # a plot path that is the CSV path, auto or spelled another way, would overwrite it
     out = tmp_path / "r.svg"
     for plot in ([], [str(tmp_path / "." / "r.svg")]):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import pipeline, qpe, rotation, sim, spectral
+from qsvt import harness, pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import FullyThresholdedError, ValidationError
 from qsvt.harness import SweepConfig, example_matrix, random_lowrank
 
@@ -368,17 +368,34 @@ def test_explicit_alpha_and_shots():
     assert abs(res.p_shots - res.p_sim) < 0.05
 
 
-def test_verify_against_classical_reference():
+def printed_rows(tmp_path, capsys, a0, tau, *flags):
+    """The per-triple table that ``qsvt pipeline`` prints for ``a0``, one
+    dict of its columns per row."""
+    path = tmp_path / "a0.txt"
+    np.savetxt(path, a0, fmt="%.17g", header=f"{a0.shape[0]} {a0.shape[1]}", comments="")
+    assert harness.main(["pipeline", "--matrix", str(path), "--tau", str(tau), *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.split()[:1] == ["k"])
+    names = lines[head].split()
+    return [dict(zip(names, map(float, line.split()))) for line in lines[head + 1 :]]
+
+
+def test_verify_against_classical_reference(tmp_path, capsys):
     res = run_reference()
     spec = spectral.decompose(example_matrix())
     report = pipeline.verify_against_classical(res, spec, 0.5)
     assert report.delta <= 1e-12
     # classical target is (3 u1v1 + u2v2)/sqrt(10)
-    assert report.rows[0].target_weight == pytest.approx(3 / np.sqrt(10), abs=1e-12)
-    assert report.rows[1].target_weight == pytest.approx(1 / np.sqrt(10), abs=1e-12)
-    assert report.rows[0].sim_amplitude.real == pytest.approx(
+    target = spectral.to_state(spec, spectral.shrunk_values(spec, 0.5))
+    weights = [abs(np.vdot(spectral.to_state(spec, basis), target)) for basis in np.eye(2)]
+    assert weights == pytest.approx([3 / np.sqrt(10), 1 / np.sqrt(10)], abs=1e-12)
+    assert (res.triple_amplitudes[0] / np.sqrt(res.n_alpha)).real == pytest.approx(
         2.0 / np.sqrt(4.75), abs=1e-9
     )
+    # the table prints the same, to its six decimals
+    rows = printed_rows(tmp_path, capsys, example_matrix(), 0.5, "--t-bits", "3", "--m-bits", "2")
+    assert [row["target"] for row in rows] == [round(w, 6) for w in weights]
+    assert rows[0]["sim_amp"] == round(2.0 / np.sqrt(4.75), 6)
     # f_sim, read off the triple overlaps, is the overlap with the matrix
     # route's target on an inexact and a tall run too
     for a0, tau, t_bits, m_bits in [
@@ -403,15 +420,15 @@ def test_verify_small_tau_target_approaches_input_state():
     assert overlaps[1] > 0.9999
 
 
-def test_verify_thresholded_rows_have_zero_weight():
+def test_verify_thresholded_rows_have_zero_weight(tmp_path, capsys):
     a0 = random_lowrank(3, 3, 2, seed=21, sigma=(2.0, 1.0))
     res = pipeline.run_pipeline(
         pipeline.PipelineConfig(a0=a0, tau=1.2, t_bits=3, m_bits=8)
     )
-    spec = spectral.decompose(a0)
-    report = pipeline.verify_against_classical(res, spec, 1.2)
-    assert report.rows[1].target_weight == 0.0
-    assert abs(report.rows[1].sim_amplitude) < 1e-10
+    assert spectral.shrunk_values(res.spec, 1.2)[1] == 0.0
+    assert abs(res.triple_amplitudes[1] / np.sqrt(res.n_alpha)) < 1e-10
+    row = printed_rows(tmp_path, capsys, a0, 1.2, "--t-bits", "3", "--m-bits", "8")[1]
+    assert row["target"] == 0.0 and row["sim_amp"] == 0.0
 
 
 def test_fully_thresholded_rejected_before_simulation():

@@ -66,6 +66,17 @@ def test_spectral_data_rejects_columns_that_are_not_orthonormal():
             spectral.SpectralData(**fields)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e-300])
+def test_decompose_reconstruction_check_holds_at_every_scale(scale):
+    # the 9e-10 values fall under the rank cut, and dropping them misses the
+    # input by more than its tolerance: at 1e160 the norms squared to inf
+    # (with an overflow warning) and at 1e-160 an absolute slack of 1e-12
+    # passed it
+    with pytest.raises(ValidationError, match="^rank-truncated reconstruction out of tolerance"):
+        spectral.decompose(scale * np.diag([1.0, 9e-10, 9e-10]))
+    assert spectral.decompose(scale * random_lowrank(5, 4, 3, seed=13)).rank == 3
+
+
 def test_decompose_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         spectral.decompose(np.eye(3))
@@ -189,6 +200,32 @@ def test_to_state_rejects_zero_weights():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     with pytest.raises(ValidationError):
         spectral.to_state(data, [0.0, 0.0])
+
+
+def test_to_state_of_shrunk_values_is_the_threshold_operator():
+    # the fidelity recheck's target: S = sum (sigma_k - tau)_+ u_k v_k^dagger
+    # padded into B's grid and normalised, to the bit
+    for a0, tau in [(example_matrix(), 0.5),
+                    (random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), 0.93),
+                    (random_lowrank(16, 2, 1, seed=5, sigma=(2.0,)), 0.5)]:
+        spec = spectral.decompose(a0)
+        grid = np.zeros((spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)), dtype=complex)
+        grid[: spec.p, : spec.q] = spectral.classical_svt(spec, tau)
+        vec = grid.reshape(-1)
+        got = spectral.to_state(spec, spectral.shrunk_values(spec, tau))
+        assert got.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+
+
+def test_to_state_rejects_a_norm_outside_the_float_range():
+    # a positive weight of sigma_1 * 2^-52 at scale 1e-150: the amplitudes'
+    # squares sum to 0, which was a division by zero and NaNs
+    spec = spectral.decompose(example_matrix() * 1e-150)
+    tau = float(spec.sigma[0]) * (1 - 2.0**-52)
+    with pytest.raises(ValidationError, match="whose norm is 0.0$"):
+        spectral.to_state(spec, spectral.shrunk_values(spec, tau))
+    # squares that overflow: the division by inf returned a zero vector
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="whose norm is inf$"):
+        spectral.to_state(spec, [1e200, 1e199])
 
 
 @pytest.mark.parametrize("values", [[math.nan, 1.0], [math.inf, 1.0], [2.0, math.nan]])
