@@ -317,8 +317,16 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     return [rec for chunk in chunks for rec in chunk]
 
 
-def sweep_summary(records: list[ExperimentRecord], simulate: bool) -> dict:
-    """Per-method medians plus the intuitive-vs-taylor2 comparison.
+def _reported(rec: ExperimentRecord, attr: str) -> float:
+    """The P or F (``attr``) that a record without an error reports: the
+    simulated one where its run simulated, the analytic one otherwise."""
+    value = getattr(rec, f"{attr.lower()}_sim")
+    return value if value is not None else getattr(rec, f"{attr.lower()}_analytic")
+
+
+def sweep_summary(records: list[ExperimentRecord]) -> dict:
+    """Per-method medians of the P and F each record reports
+    (:func:`_reported`), plus the intuitive-vs-taylor2 comparison.
 
     ``p_comparable`` is the gap of the two P medians against 0.02 and
     ``f_not_worse`` the F margin against -0.005.  When only sigma_1 lies
@@ -333,13 +341,9 @@ def sweep_summary(records: list[ExperimentRecord], simulate: bool) -> dict:
     for rec in records:
         if rec.error:
             continue
-        p = rec.p_sim if simulate else rec.p_analytic
-        f = rec.f_sim if simulate else rec.f_analytic
-        if p is None or f is None:
-            continue
-        values.setdefault(rec.alpha_method, {"P": [], "F": []})
-        values[rec.alpha_method]["P"].append(p)
-        values[rec.alpha_method]["F"].append(f)
+        by_metric = values.setdefault(rec.alpha_method, {"P": [], "F": []})
+        for attr, vals in by_metric.items():
+            vals.append(_reported(rec, attr))
     medians = {
         m: {"P": float(np.median(v["P"])), "F": float(np.median(v["F"]))}
         for m, v in values.items()
@@ -382,15 +386,6 @@ def emit_plot(records: list[ExperimentRecord], path) -> None:
     xmap = {v: i for i, v in enumerate(xs)}
     span = max(len(xs) - 1, 1)
 
-    def coords(rec, attr):
-        sim_v = getattr(rec, f"{attr.lower()}_sim")
-        ana_v = getattr(rec, f"{attr.lower()}_analytic")
-        val = sim_v if sim_v is not None else ana_v
-        if val is None:
-            return None
-        x = margin + (width - 2 * margin) * xmap[rec.instance] / span
-        return x, val
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         ' font-family="sans-serif" font-size="12">'
@@ -411,17 +406,11 @@ def emit_plot(records: list[ExperimentRecord], path) -> None:
             )
         for mi, method in enumerate(methods):
             color = _PALETTE[mi % len(_PALETTE)]
-            pts = []
-            for rec in rows:
-                if rec.alpha_method != method:
-                    continue
-                c = coords(rec, attr)
-                if c is None:
-                    continue
-                y = top + panel_h * (1.0 - min(max(c[1], 0.0), 1.0))
-                pts.append((c[0], y))
-            if not pts:
-                continue
+            pts = [
+                (margin + (width - 2 * margin) * xmap[rec.instance] / span,
+                 top + panel_h * (1.0 - min(max(_reported(rec, attr), 0.0), 1.0)))
+                for rec in rows if rec.alpha_method == method
+            ]
             poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             parts.append(f'<g class="series" data-method="{method}">')
             parts.append(
@@ -513,7 +502,7 @@ def cmd_sweep(args) -> int:
     records = run_sweep(cfg)
     with open(args.out, "w") as out:
         write_csv(records, out)
-    summary = sweep_summary(records, cfg.simulate)
+    summary = sweep_summary(records)
     print(f"wrote {len(records)} records to {args.out}")
     for method, med in summary["medians"].items():
         print(f"median[{method}]: P = {med['P']:.6f}, F = {med['F']:.6f}")

@@ -79,7 +79,11 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
-    memory that the state and phase estimation's dense matrices take."""
+    memory that the state and phase estimation's dense matrices take.
+
+    The label rule lives here, as it needs tau: a singular value above tau
+    needs a label that is not 0 and holds no other eigenvalue.  Singular
+    values at or below tau may sit on label 0 or share a label."""
     spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
@@ -93,6 +97,13 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             warnings.warn(note, stacklevel=2)
 
     pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
+    # label 0 decodes to 0, whose code 0 is the thresholded branch's, and a
+    # label that only thresholded eigenvalues share gets the code each gets alone
+    for s, c in zip(profile.sigma, pe_cfg.labels):
+        if s > cfg.tau and (c == 0 or pe_cfg.labels.count(c) > 1):
+            why = "decodes to 0" if c == 0 else "holds another eigenvalue"
+            raise ValidationError(f"singular value {s:.6g} above tau rounds to label {c} at"
+                                  f" t_bits={pe_cfg.t_bits}, which {why}: raise --t-bits")
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
     m_bits = oracle.m_bits  # the width as the oracle checked it: a Python int
     # sigma_1 has the largest code and its label always holds mass

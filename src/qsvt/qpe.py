@@ -49,9 +49,11 @@ ENCODING_TOL = 1e-9
 @dataclass(frozen=True)
 class PhaseEstimationConfig:
     """Register width, evolution step and, in the spectrum's order, the
-    eigenvalue labels that :func:`choose_t0` computed, distinct and in
-    1..2**t_bits - 1; ``exact`` when every eigenvalue sits on its label.
-    The top label must decode to a finite number."""
+    eigenvalue labels that :func:`choose_t0` computed, each in
+    0..2**t_bits - 1 and any of them shared; ``exact`` when every
+    eigenvalue sits on its label.  The top label must decode to a finite
+    number.  Which labels a run can use depends on tau, so
+    :func:`pipeline.run_pipeline`'s set-up checks them."""
 
     t_bits: int
     t0: float
@@ -65,9 +67,7 @@ class PhaseEstimationConfig:
         if not math.isfinite(self.decode(top)):  # a sigma^2 the oracle cannot take
             raise ValidationError(f"t0 {self.t0!r} too small: label {top} decodes to inf")
         object.__setattr__(self, "labels",
-                           tuple(sim.check_int("labels", c, 1, top) for c in self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("eigenvalue collision after rounding to t_bits precision")
+                           tuple(sim.check_int("labels", c, 0, top) for c in self.labels))
 
     def decode(self, label: int) -> float:
         """The eigenvalue that ``label`` stands for."""
@@ -83,9 +83,10 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     exactness flag computed from whether every label is integral.  Without
     t_bits, an integral spectrum gets the bit length of its largest value
     (so it encodes exactly) and any other spectrum gets 6 bits.  Eigenvalues that are
-    not finite and positive, a width outside 1..MAX_QUBITS and a positive
-    eigenvalue that rounds to label 0 (it would decode to 0) are rejected;
-    so, by the returned record, are two eigenvalues on one label.
+    not finite and positive and a width outside 1..MAX_QUBITS are rejected.
+    A small eigenvalue may round to label 0, which decodes to 0, and two
+    eigenvalues may round to one label: only a singular value above tau
+    needs a label of its own, which :func:`pipeline.run_pipeline` checks.
     """
     lam = real_vector("eigenvalues", eigenvalues).tolist()
     if not lam:
@@ -106,12 +107,6 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     exact = fits or (
         all(abs(x - c) <= ENCODING_TOL for x, c in zip(raw, labels)) and max(raw) < T
     )
-    if 0 in labels:
-        small = max(x for x, c in zip(lam, labels) if c == 0)
-        raise ValidationError(
-            f"eigenvalue {small:.6g} rounds to label 0 at t_bits={t_bits}:"
-            " too fine for the eigenvalue register; raise --t-bits"
-        )
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 

@@ -44,7 +44,7 @@ class SpectralData:
         eye = np.eye(r)
         for name, m in (("u", self.u), ("v", self.v)):
             err = np.abs(m.conj().T @ m - eye).max()
-            if err > ORTHO_TOL:
+            if not err <= ORTHO_TOL:  # NaN fails too
                 raise ValidationError(f"{name} columns not orthonormal ({err:.3e})")
 
     @property

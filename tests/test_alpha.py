@@ -45,6 +45,18 @@ def test_profile_rejects_empty_or_non_finite_sigma(sigma):
         alpha_mod.SpectrumProfile.from_sigma_tau(sigma, 0.5)
 
 
+@pytest.mark.parametrize("y, match", [
+    ((1.0, 0.5), r"must lie in \[0, 1\)"),
+    ((0.5, -0.25), r"must lie in \[0, 1\)"),
+    ((math.nan, 0.5), r"must lie in \[0, 1\)"),
+    ((0.5, 0.5), "first shrinkage gap must be strict"),
+    ((0.25, 0.5), "first shrinkage gap must be strict"),
+])
+def test_profile_rejects_fractions_outside_0_1_or_a_first_gap_that_is_not_strict(y, match):
+    with pytest.raises(ValidationError, match=match):
+        alpha_mod.SpectrumProfile(sigma=(2.0, 1.0), y=y)
+
+
 def at(profile, a):
     """The solution at an explicit alpha, the one evaluator of P and F."""
     return alpha_mod.solution(profile, "explicit", a)

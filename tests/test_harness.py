@@ -184,14 +184,22 @@ def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
 
 
 def test_sweep_all_zero_code_records_carry_the_set_up_error():
+    # instances 1 and 4 carried "rounds to label 0 ... raise --t-bits" for a
+    # thresholded eigenvalue; now every record meets the all-zero codes
     cfg = harness.SweepConfig(
         n_instances=6, seed=0, tau_frac=0.85, simulate=True, m_bits=2, t_bits=4
     )
     errors = [rec.error for rec in harness.run_sweep(cfg)]
-    zero = [e for e in errors if e.startswith("every L code is 0")]
-    assert len(errors) == 12 and len(zero) == 8
-    assert all("raise --m-bits" in e for e in zero)
-    assert all("raise --t-bits" in e for e in errors if e not in zero)
+    assert len(errors) == 12
+    assert all(e.startswith("every L code is 0") and "raise --m-bits" in e for e in errors)
+
+
+def test_sweep_records_of_a_live_shared_label_carry_the_set_up_error():
+    # sigma/tau = (3.33, 1.048, 0.702) on labels (15, 1, 1): sigma_2 shares its label
+    cfg = harness.SweepConfig(n_instances=63, seed=0, simulate=True, t_bits=4)
+    errors = [rec.error for rec in harness.run_sweep_instance(cfg, 62)]
+    assert errors == 2 * ["singular value 2.9227 above tau rounds to label 1 at t_bits=4,"
+                          " which holds another eigenvalue: raise --t-bits"]
 
 
 def test_alpha_method_names_come_from_the_rule_table():
@@ -686,7 +694,7 @@ def test_sweep_full_comparison_medians():
     cfg = harness.SweepConfig(n_instances=120, seed=5)
     records = harness.run_sweep(cfg)
     assert len(records) == 240
-    summary = harness.sweep_summary(records, simulate=False)
+    summary = harness.sweep_summary(records)
     assert summary["n_errors"] == 0
     assert summary["f_not_worse"]
 

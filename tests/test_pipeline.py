@@ -517,7 +517,7 @@ INT_INPUTS = {
     "PhaseEstimationConfig.t_bits": ("t_bits", lambda v: qpe.PhaseEstimationConfig(
         v, 0.7, False).t_bits, 2, [0, 27]),
     "PhaseEstimationConfig.labels": ("labels", lambda v: qpe.PhaseEstimationConfig(
-        3, 0.7, False, (v,)).labels, 2, [0, 8]),
+        3, 0.7, False, (v,)).labels, 2, [-1, 8]),
     "build_sigma_tau_oracle m_bits": ("m_bits", lambda v: rotation.build_sigma_tau_oracle(
         qpe.choose_t0([4.0, 1.0], 3), v, 0.5).m_bits, 2, [0, 27]),
     "SweepConfig.n_instances": ("n_instances", lambda v: SweepConfig(n_instances=v).n_instances,
@@ -561,21 +561,50 @@ def test_missing_tau_rejected_before_simulation():
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix(), tau=None))
 
 
-def test_eigenvalue_rounding_to_label_zero_is_a_resolution_error(monkeypatch):
-    # sigma = (7.96, 1.056, 0.194): labels (255, 4, 0) at t_bits 8
-    a0 = random_lowrank(8, 8, 3, 1)
-    sigma = spectral.decompose(a0).sigma
-
+@pytest.mark.parametrize("a0, tau, t_bits, match", [
+    # sigma = (7.96, 1.056, 0.194): labels (255, 4, 0) at t_bits 8, and
+    # sigma_3 above tau 0.1
+    (random_lowrank(8, 8, 3, 1), 0.1, 8, r"^singular value 0\.194231 above tau rounds to label 0"
+     r" at t_bits=8, which decodes to 0: raise --t-bits$"),
+    # sigma^2 = (16, 1.21, 1): labels (15, 1, 1) at t_bits 4, sigma_2 and
+    # sigma_3 above tau, then sigma_2 above and sigma_3 below
+    (np.diag([4.0, 1.1, 1.0]), 0.5, 4, r"^singular value 1\.1 above tau rounds to label 1"
+     r" at t_bits=4, which holds another eigenvalue: raise --t-bits$"),
+    (np.diag([4.0, 1.1, 1.0]), 1.05, 4, "label 1 at t_bits=4, which holds another eigenvalue"),
+], ids=["live label 0", "live shared label", "live and thresholded shared label"])
+def test_a_singular_value_above_tau_needs_a_label_of_its_own(monkeypatch, a0, tau, t_bits, match):
     def no_state(*args, **kwargs):
-        raise AssertionError("state allocated before the resolution check")
+        raise AssertionError("state allocated before the label check")
 
     monkeypatch.setattr(sim, "new_state", no_state)
-    with pytest.raises(ValidationError, match="label 0 at t_bits=8"):
-        qpe.choose_t0(sigma**2, 8)
-    with pytest.raises(ValidationError, match="label 0 at t_bits=8"):
-        pipeline.run_pipeline(
-            pipeline.PipelineConfig(a0=a0, tau=0.3 * sigma[0], t_bits=8, m_bits=8)
-        )
+    with pytest.raises(ValidationError, match=match):
+        pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=8))
+
+
+@pytest.mark.parametrize("a0, tau, t_bits, labels", [
+    # sigma_3 = 0.194 on label 0 and sigma_2 alone on label 4, both below
+    # tau = 0.3 sigma_1 = 2.39; the run was rejected for label 0
+    (random_lowrank(8, 8, 3, 1), 0.3 * spectral.decompose(random_lowrank(8, 8, 3, 1)).sigma[0],
+     8, [255, 4, 0]),
+    # sigma_2 = 1.1 and sigma_3 = 1 share label 1, both below tau
+    (np.diag([4.0, 1.1, 1.0]), 1.2, 4, [15, 1, 1]),
+], ids=["thresholded label 0", "thresholded shared label"])
+def test_thresholded_eigenvalues_run_on_label_0_or_a_shared_label(a0, tau, t_bits, labels):
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=8))
+    assert list(res.labels) == labels and not res.pe_exact
+    assert res.y_codes[0] > 0 and list(res.y_codes[1:]) == [0.0, 0.0]
+    assert pipeline.verify_against_classical(res, res.spec, tau).delta <= 1e-15
+
+
+def test_taylor4_fallback_warns_and_runs_at_taylor2s_alpha(monkeypatch):
+    def no_root(profile):
+        raise ValidationError("taylor4 quartic has a negative discriminant")
+
+    monkeypatch.setattr(alpha_mod, "_RULES", {**alpha_mod._RULES, "taylor4": no_root})
+    with pytest.warns(UserWarning, match="^taylor4 discriminant negative; used taylor2$"):
+        res = run_reference(alpha_method="taylor4")
+    want = run_reference(alpha_method="taylor2")
+    assert (res.alpha, res.p_analytic, res.p_sim) == (want.alpha, want.p_analytic, want.p_sim)
 
 
 def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):

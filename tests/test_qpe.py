@@ -70,9 +70,15 @@ def test_choose_t0_scales_eigenvalues_near_zero():
     assert small.labels == (63, 16)
 
 
-def test_choose_t0_rejects_label_collision():
-    with pytest.raises(ValidationError, match="collision"):
-        qpe.choose_t0([5.0, 5.05], 2)
+def test_labels_may_be_zero_or_shared():
+    # qpe only encodes: an eigenvalue rounding to label 0, or two rounding
+    # to one label, were rejected here, without the tau that decides
+    # whether the run needs that label (the run's set-up checks it now)
+    assert qpe.choose_t0([5.0, 5.05], 2).labels == (3, 3)
+    assert qpe.choose_t0([4.0, 4.0], 3).labels == (4, 4)
+    sigma = spectral.decompose(random_lowrank(8, 8, 3, 1)).sigma
+    assert qpe.choose_t0(sigma**2, 8).labels == (255, 4, 0)
+    assert qpe.PhaseEstimationConfig(3, 0.7, False, (0, 2, 2)).labels == (0, 2, 2)
 
 
 @pytest.mark.parametrize("args, match", [
@@ -80,12 +86,11 @@ def test_choose_t0_rejects_label_collision():
     ((3, math.nan, True, (4, 1)), "t0 must be finite and positive"),
     ((3, "x", True, (4, 1)), "t0 must be finite and positive, a real number"),
     ((3, True, True, (4, 1)), "t0 must be finite and positive, a real number"),
-    ((3, 0.7, False, (0, 1)), r"labels must lie in 1\.\.7"),
-    ((3, 0.7, False, (8,)), r"labels must lie in 1\.\.7"),
-    ((3, 0.7, False, (1.5,)), r"labels must lie in 1\.\.7, an integer"),
-    ((3, 0.7, False, (True,)), r"labels must lie in 1\.\.7, an integer"),
-    ((3, 0.7, False, (4, 1.0)), r"labels must lie in 1\.\.7, an integer"),
-    ((3, 0.7, False, (2, 2)), "collision"),
+    ((3, 0.7, False, (-1, 1)), r"labels must lie in 0\.\.7"),
+    ((3, 0.7, False, (8,)), r"labels must lie in 0\.\.7"),
+    ((3, 0.7, False, (1.5,)), r"labels must lie in 0\.\.7, an integer"),
+    ((3, 0.7, False, (True,)), r"labels must lie in 0\.\.7, an integer"),
+    ((3, 0.7, False, (4, 1.0)), r"labels must lie in 0\.\.7, an integer"),
 ])
 def test_phase_estimation_config_checks_itself(args, match):
     with pytest.raises(ValidationError, match=match):
@@ -117,11 +122,6 @@ def test_widths_are_integers_kept_as_python_ints():
             qpe.choose_t0([4.0, 1.0], bad)
         with pytest.raises(ValidationError, match="t_bits must lie in 1..26, an integer"):
             qpe.PhaseEstimationConfig(bad, 0.7, False)
-
-
-def test_choose_t0_equal_eigenvalues_collide():
-    with pytest.raises(ValidationError, match="collision"):
-        qpe.choose_t0([4.0, 4.0], 3)
 
 
 @pytest.mark.parametrize("t_bits", range(1, 6))

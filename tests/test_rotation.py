@@ -381,6 +381,14 @@ def test_oracle_build_checks_width_and_tau():
         rotation.build_sigma_tau_oracle(enc, 3, 1.0)
 
 
+@pytest.mark.parametrize("widths", [(2, 3), (3, 2), (4, 4)])
+def test_oracle_rejects_a_layout_of_other_widths(widths):
+    oracle = rotation.build_sigma_tau_oracle(reference_encoding(), 3, 0.5)
+    layout = sim.RegisterLayout(*widths, 1)
+    with pytest.raises(ValidationError, match="^oracle widths do not match layout$"):
+        oracle.apply(sim.new_state(layout), layout)
+
+
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
     layout = sim.RegisterLayout(3, 1, 1)
     state = sim.new_state(layout)
@@ -522,6 +530,11 @@ def test_uncompute_clears_l_and_c():
     assert out is state
     assert residual == rotation.uncompute_residual(state, layout)
     assert residual < 1e-9
+
+
+def test_uncompute_residual_of_a_layout_without_l_and_c_is_0():
+    layout = sim.RegisterLayout(0, 0, 2)
+    assert rotation.uncompute_residual(sim.new_state(layout), layout) == 0.0
 
 
 def test_uncompute_leaves_ancilla_entangled_with_b_only():

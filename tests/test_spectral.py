@@ -49,6 +49,13 @@ def test_decompose_rejects_input_that_is_not_numbers():
         spectral.decompose([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("a0", [[3.0, 1.0], 2.0, np.zeros((0, 3)), np.zeros((2, 0)),
+                                np.ones((2, 2, 2))])
+def test_decompose_rejects_input_that_is_not_a_non_empty_matrix(a0):
+    with pytest.raises(ValidationError, match="^input must be a non-empty 2-D matrix$"):
+        spectral.decompose(a0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)])
 def test_decompose_rejects_non_finite_entries(bad):
     a0 = example_matrix().astype(type(bad))
@@ -58,12 +65,26 @@ def test_decompose_rejects_non_finite_entries(bad):
 
 
 def test_spectral_data_rejects_columns_that_are_not_orthonormal():
+    # a NaN entry passed the check (NaN > tol is False), and herm_exp of the
+    # gram then returned NaN matrices
     data = spectral.decompose(example_matrix())
-    skewed = {"u": data.u * [1.0, 1.1], "v": data.v + data.v[:, ::-1] * 0.1}
-    for name, bad in skewed.items():
+    with_nan = {name: getattr(data, name).copy() for name in ("u", "v")}
+    for m in with_nan.values():
+        m[0, 0] = math.nan
+    skewed = [("u", data.u * [1.0, 1.1]), ("v", data.v + data.v[:, ::-1] * 0.1),
+              ("u", with_nan["u"]), ("v", with_nan["v"])]
+    for name, bad in skewed:
         fields = {"sigma": data.sigma, "u": data.u, "v": data.v, "p": 2, "q": 3, name: bad}
         with pytest.raises(ValidationError, match=f"^{name} columns not orthonormal"):
             spectral.SpectralData(**fields)
+
+
+def test_spectral_data_rejects_factors_whose_shapes_do_not_match():
+    data = spectral.decompose(example_matrix())
+    for fields in ({"p": 3}, {"q": 2}, {"u": data.u[:, :1]}, {"v": data.v.T}):
+        with pytest.raises(ValidationError, match=r"^u/v shapes do not match \(p, q, rank\)$"):
+            spectral.SpectralData(**{"sigma": data.sigma, "u": data.u, "v": data.v,
+                                     "p": 2, "q": 3, **fields})
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e-300])
@@ -200,6 +221,13 @@ def test_to_state_rejects_zero_weights():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     with pytest.raises(ValidationError):
         spectral.to_state(data, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, 0.25]])
+def test_to_state_rejects_a_weight_count_other_than_the_rank(weights):
+    data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
+    with pytest.raises(ValidationError, match="^one weight per singular triple required$"):
+        spectral.to_state(data, weights)
 
 
 def test_to_state_of_shrunk_values_is_the_threshold_operator():
