@@ -168,8 +168,6 @@ class SweepConfig:
             self.sigma, self.rank = tuple(s), len(s)
         if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
-        if self.simulate and self.shape is not None and self.shape[0] < 2:
-            raise ValidationError(f"phase estimation needs 2+ rows, got shape {self.shape}")
         if self.tau is not None:
             sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
             self.tau = spectral.check_threshold(self.tau, sigma_max)

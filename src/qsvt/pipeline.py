@@ -80,6 +80,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
     memory that the state and phase estimation's dense matrices take.
+    Phase estimation acts on A0 A0^dagger, or on A0^T's where A0's padded
+    columns are fewer than its padded rows; ``spec`` and ``b_state`` keep
+    the input's layout either way.
 
     The label rule lives here, as it needs tau: a singular value above tau
     needs a label that is not 0 and holds no other eigenvalue.  Singular
@@ -88,11 +91,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
     if cfg.alpha is not None:
-        method = "explicit"
-        solution = alpha_mod.solution(profile, method, cfg.alpha)
-    else:
-        method = cfg.alpha_method
-        solution, note = alpha_mod.resolve_alpha(profile, method)
+        solution = alpha_mod.solution(profile, "explicit", cfg.alpha)
+    else:  # the rule that made alpha: taylor2 where taylor4 fell back
+        solution, note = alpha_mod.resolve_alpha(profile, cfg.alpha_method)
         if note:
             warnings.warn(note, stacklevel=2)
 
@@ -119,18 +120,21 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             "alpha * theta exceeds pi on an occupied L value (sine no longer single-lobed)"
         )
 
-    du, dv = spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
-    if du < 2:  # phase estimation acts on the u-factor, log2(du) qubits of B
-        raise ValidationError(f"input of shape {spec.p}x{spec.q}: phase estimation needs 2+ rows")
+    # phase estimation acts on the shorter side: A0^T has the same sigma,
+    # u' = conj(v) and v' = conj(u), and its SVT is the transpose of A0's
+    side = spec
+    if flip := spectral.pad_dim(spec.q) < spectral.pad_dim(spec.p):
+        side = spectral.SpectralData(spec.sigma, spec.v.conj(), spec.u.conj(), spec.q, spec.p)
+    pairs = spectral.gram(side)
+    du, dv = len(pairs[1]), spectral.pad_dim(side.q)  # E's register, log2(du) qubits of B
     u_bits = du.bit_length() - 1
     b_bits = u_bits + dv.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
-    pairs = spectral.gram(spec)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, u_bits),
                      f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's {du}x{du} factors")
 
     state = sim.new_state(layout)
-    sim.load_register(state, layout.reg_B, spectral.to_state(spec, spec.sigma))
+    sim.load_register(state, layout.reg_B, spectral.to_state(side, spec.sigma))
     block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
     qpe.phase_estimate(block, pe_cfg, block_layout, pairs)
     oracle.apply(state, layout)
@@ -140,10 +144,12 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
 
     # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
     b_state = state.amplitudes[1 << b_bits : 2 << b_bits] / math.sqrt(p_sim)
-
-    # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V
-    grid = b_state.reshape(du, dv)[: spec.p, : spec.q]
-    overlaps = (spec.u.conj() * (grid @ spec.v)).sum(axis=0)
+    grid = b_state.reshape(du, dv)
+    # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V, the
+    # same on either side
+    overlaps = (side.u.conj() * (grid[: side.p, : side.q] @ side.v)).sum(axis=0)
+    if flip:  # back into the input's layout
+        b_state = grid[: spectral.pad_dim(spec.q)].T.reshape(-1)
     # the target sum_k s_k (u_k (x) conj(v_k)) / |s| lies in their span;
     # s is non-zero, since sigma_1 > tau
     shrunk = spectral.shrunk_values(spec, cfg.tau)
@@ -166,7 +172,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         p_analytic=solution.P,
         f_analytic=solution.F,
         alpha=solution.alpha,
-        alpha_method=method,
+        alpha_method=solution.method,
         n1=n1,
         n_alpha=n1 * p_sim,
         spec=spec,

@@ -8,8 +8,7 @@ eigenvalue ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with
 ``T = 2**t_bits``, decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The
 conditional evolution E applies ``exp(i A c t0)`` on the subspace where
 register C holds ``c``, as U^(2^w) = ``exp(i A 2^w t0)`` controlled on
-the C qubit of bit weight 2^w: one controlled gate per run of C qubits
-(one run unless its factors would outgrow the kernel's block), which
+the C qubit of bit weight 2^w: one controlled gate on all of C, which
 checks each factor.  A is given as its eigenpairs from the run's SVD
 (:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
 made.  The DFT pair on C comes from :func:`sim.dft_matrix`, which holds
@@ -119,21 +118,14 @@ def iqft(state: QuantumState, qubits) -> QuantumState:
     return sim.apply_unitary(state, sim.dft_matrix(len(qubits), -1), qubits)
 
 
-def _run_width(t: int, u_bits: int) -> int:
-    """C qubits per controlled gate of E: all t, unless the run's factors of
-    2**u_bits x 2**u_bits would outgrow ``sim.BLOCK_AMPLITUDES``; at least one."""
-    return min(t, max(1, sim.BLOCK_AMPLITUDES >> 2 * u_bits))
-
-
 def matrix_bytes(t_bits: int, u_bits: int) -> int:
     """Bytes that bound the dense matrices phase estimation makes beside
     the state: the DFT pair on C, which ``sim`` holds, and the larger of
-    two more DFTs (the pair's build peaks at three) and one run of E's
-    factors with the three copies the gate makes (the stack, and the
-    unitarity check's conjugate and product)."""
+    two more DFTs (the pair's build peaks at three) and E's t factors with
+    the three copies the gate makes (the stack, and the unitarity check's
+    conjugate and product)."""
     dft = 16 << 2 * t_bits  # complex128
-    run = _run_width(t_bits, u_bits) * 16 << 2 * u_bits
-    return 2 * dft + max(2 * dft, 4 * run)
+    return 2 * dft + max(2 * dft, 4 * t_bits * 16 << 2 * u_bits)
 
 
 def conditional_evolution(
@@ -146,18 +138,10 @@ def conditional_evolution(
 ) -> QuantumState:
     """For each C label c, evolve the u-factor of B by exp(i A c t0): the
     factor U^(2^w) = exp(i A 2^w t0) controlled on the C qubit of bit
-    weight 2^w, one gate per run of C qubits: all of C, unless the run's
-    w factors of d x d would outgrow ``sim.BLOCK_AMPLITUDES``, the
-    kernel's block (a tall input; a run keeps at least one qubit).  The
-    bound does not depend on the state, so a block of the state is cut as
-    the state is.  A is given as its eigenpairs."""
-    t0, t = -cfg.t0 if inverse else cfg.t0, len(reg_C)
-    width = _run_width(t, len(reg_B_left))
-    for w0 in range(0, t, width):  # a run's last qubit has bit weight 2^w0
-        run = reg_C[max(0, t - w0 - width) : t - w0]
-        factors = [herm_exp(pairs, (1 << (w0 + j)) * t0) for j in range(len(run))]
-        sim.apply_controlled(state, factors, run, reg_B_left)
-    return state
+    weight 2^w, one gate on all of C.  A is given as its eigenpairs."""
+    t0 = -cfg.t0 if inverse else cfg.t0
+    factors = [herm_exp(pairs, (1 << w) * t0) for w in range(len(reg_C))]
+    return sim.apply_controlled(state, factors, reg_C, reg_B_left)
 
 
 def _u_factor_qubits(layout: RegisterLayout, pairs) -> list[int]:

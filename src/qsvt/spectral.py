@@ -143,10 +143,11 @@ def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
 def gram(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger on the padded
     u-register, as its eigenpairs (values, vectors): the values sigma_k^2
-    in descending order and the pad_dim(p) x r vectors, u with zero rows
-    below p.  A is Hermitian by construction: SpectralData checked u's
-    columns for orthonormality and sigma."""
-    vectors = np.zeros((pad_dim(spec.p), spec.rank), dtype=spec.u.dtype)
+    in descending order and the d x r vectors, u with zero rows below p,
+    d = pad_dim(p) but at least 2: phase estimation acts on this register,
+    so it holds a qubit even for one row.  A is Hermitian by construction:
+    SpectralData checked u's columns for orthonormality and sigma."""
+    vectors = np.zeros((pad_dim(max(spec.p, 2)), spec.rank), dtype=spec.u.dtype)
     vectors[: spec.p] = spec.u
     return spec.sigma**2, vectors
 
@@ -166,8 +167,9 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     """Unit amplitude vector sum_k w_k (u_k x v_k), normalized.
 
     The u and v factors are padded independently to power-of-two
-    dimensions so the result factors as a (log2 du + log2 dv)-qubit
-    register; padded amplitudes are exactly zero.
+    dimensions, u to at least 2 as in :func:`gram`, so the result factors
+    as a (log2 du + log2 dv)-qubit register; padded amplitudes are exactly
+    zero.
     """
     w = real_vector("weights", weights)
     if w.shape != spec.sigma.shape:
@@ -177,7 +179,7 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
         raise ValidationError(f"weights must be finite and non-negative, got {ws}")
     if not any(x > 0 for x in ws):
         raise ValidationError("at least one weight must be positive")
-    du, dv = pad_dim(spec.p), pad_dim(spec.q)
+    du, dv = pad_dim(max(spec.p, 2)), pad_dim(spec.q)
     grid = np.zeros((du, dv), dtype=complex)
     grid[: spec.p, : spec.q] = (spec.u * w) @ spec.v.conj().T
     vec = grid.reshape(-1)

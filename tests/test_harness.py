@@ -280,7 +280,8 @@ INPUT_FILES = {
         (["sweep", "--sigma", "2,1", "--tau", "3", "--rank", "2", "--n", "2"], 2),
         (["sweep", "--sigma", "7,6,5,4,3,2,1", "--n", "2"], 2),  # no instance has rank 7
         (["sweep", "--sigma", "1,0.9999999999", "--n", "2"], 2),  # near-equal values
-        (["sweep", "--shape", "1,3", "--simulate", "--n", "2"], 2),  # one row: no phase estimation
+        # one row: phase estimation acts on its padded qubit, and the run succeeds
+        (["sweep", "--shape", "1,3", "--simulate", "--n", "2"], 0),
         # injected sigma whose squares leave the float range: every record failed
         (["sweep", "--n", "2", "--sigma", "1e200,1e199"], 2),
         (["sweep", "--n", "2", "--sigma", "2e-170,1e-170"], 2),
@@ -293,6 +294,11 @@ def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
     rc = harness.main(argv)
     err = capsys.readouterr().err
     assert rc == code
+    if code == 0:  # the CSV is written, every record without an error
+        assert err == ""
+        header, *records = [row for row in csv_rows(tmp_path / "sweep.csv") if row[0][0] != "#"]
+        assert records and all(row[header.index("error")] == "" for row in records)
+        return
     assert err.startswith("error:")
     if argv[0] in ("alpha", "pipeline") and "--tau" not in argv:  # the "no --tau" rows
         assert err == "error: no threshold: give --tau, or tau= in the --config file\n"

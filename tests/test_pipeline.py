@@ -605,6 +605,13 @@ def test_taylor4_fallback_warns_and_runs_at_taylor2s_alpha(monkeypatch):
         res = run_reference(alpha_method="taylor4")
     want = run_reference(alpha_method="taylor2")
     assert (res.alpha, res.p_analytic, res.p_sim) == (want.alpha, want.p_analytic, want.p_sim)
+    # the result names the rule that made alpha, where it named the one asked for
+    assert res.alpha_method == "taylor2"
+    assert run_reference(alpha=want.alpha).alpha_method == "explicit"
+    # a sweep row keeps the rule it asked for, the key its records are read by
+    cfg = SweepConfig(n_instances=1, methods=("taylor4",), shape=(2, 3), simulate=True)
+    [rec] = harness.run_sweep_instance(cfg, 0)
+    assert (rec.alpha_method, rec.error) == ("taylor4", "")
 
 
 def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
@@ -627,10 +634,9 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
 
 
 def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
-    # the state fits and the matrices do not: a DFT pair of 2^t points, or a
-    # tall input's run of E factors, is refused before the state is made
-    # (t 16 died on a bare 32 GiB int64 allocation in dft_matrix, a 16384-row
-    # input on a bare MemoryError in herm_exp)
+    # the state fits and the matrices do not: a DFT pair of 2^t points is
+    # refused before the state is made (t 16 died on a bare 32 GiB int64
+    # allocation in dft_matrix)
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run whose matrices do not fit")
 
@@ -644,26 +650,88 @@ def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
                 rf"^memory budget exceeded: a 14-qubit state with the 2\^8-point DFT pair on C"
                 rf" and E's 2x2 factors takes {need} bytes, the machine has {budget}$")):
             run_reference(t_bits=8)
-    # 1024 x 1 at t 3: a 16-qubit state of 1 MiB, and one 16 MiB factor of
-    # E a run, held four times over by the gate
-    monkeypatch.setattr(sim, "MEMORY_BYTES", 32 << 20)
-    with pytest.raises(ValidationError, match=r"a 16-qubit state with .* E's 1024x1024 factors"):
-        pipeline.run_pipeline(
-            pipeline.PipelineConfig(a0=np.ones((1024, 1)), tau=0.5, t_bits=3, m_bits=2))
     monkeypatch.undo()  # the run that fits its budget exactly is made
     monkeypatch.setattr(sim, "MEMORY_BYTES", need)
     assert run_reference(t_bits=8).t_bits == 8
+    # 1024 x 1 at t 3 was refused by 32 MiB, as E's factors were 1024x1024 and
+    # four 16 MiB copies of one of them outgrew it; phase estimation now acts
+    # on the one column, padded to a qubit, so E's factors are 2x2 and it runs
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 32 << 20)
+    res = pipeline.run_pipeline(
+        pipeline.PipelineConfig(a0=np.ones((1024, 1)), tau=0.5, t_bits=3, m_bits=2))
+    assert res.b_state.shape == (1024,)
+    assert pipeline.verify_against_classical(res, res.spec, 0.5).delta <= 1e-12
 
 
-def test_single_row_or_ragged_input_is_rejected_before_the_state(monkeypatch):
+@pytest.mark.parametrize("p, q, sigma, t_bits, m_bits", [
+    (5, 2, (2.0, 1.1), 6, 5), (16, 2, (2.0, 1.0), 4, 4), (1024, 1, (2.0,), 3, 2)])
+def test_a_tall_input_runs_as_its_transpose(p, q, sigma, t_bits, m_bits):
+    # phase estimation acts on A0^T's u-side when A0's padded columns are
+    # fewer than its rows: the run matches A0^T's own run, which takes the
+    # unflipped path, with b transposed back into A0's layout
+    a0 = random_lowrank(p, q, len(sigma), seed=11, sigma=sigma)
+    cfg = dict(tau=0.5, t_bits=t_bits, m_bits=m_bits)
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, **cfg))
+    ref = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0.T.copy(), **cfg))
+    dp, dq = spectral.pad_dim(p), spectral.pad_dim(q)
+    assert res.b_state.shape == (dp * dq,) and res.spec.u.shape == (p, len(sigma))
+    b_ref = ref.b_state.reshape(-1, dp)[:dq].T.reshape(-1)
+    assert np.abs(res.b_state - b_ref).max() <= 1e-14
+    # sigma_k times an overlap: within 1e-14 of sigma_1
+    assert np.abs(res.triple_amplitudes - ref.triple_amplitudes).max() <= 1e-14 * sigma[0]
+    for name in ("p_sim", "f_sim"):
+        assert abs(getattr(res, name) - getattr(ref, name)) <= 1e-14, name
+    assert pipeline.verify_against_classical(res, res.spec, 0.5).delta <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 4, 8])
+def test_a_single_row_runs(q):
+    # one row was rejected: its u-register is now padded to a qubit
+    a0 = random_lowrank(1, q, 1, seed=3, sigma=(2.0,))
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.5, t_bits=3, m_bits=4))
+    assert pipeline.verify_against_classical(res, res.spec, 0.5).delta <= 1e-12
+    assert abs(res.p_sim - res.p_analytic) <= 4 * res.alpha * 2.0**-res.m_bits
+
+
+def test_e_factors_never_outgrow_the_state(monkeypatch):
+    # phase estimation acts on the shorter side, so E's t factors of d x d,
+    # with the gate's three copies, never take more than the state: for
+    # every p, q <= 64 the run's set-up is stopped at its budget check, and
+    # every t, m in 1..8 within MAX_QUBITS is checked at the widths it reached
+    class Stop(Exception):
+        pass
+
+    def stop(layout, extra=0, what=""):
+        raise Stop(layout.b_bits)
+
+    matrix_bytes, u_widths = qpe.matrix_bytes, []
+    monkeypatch.setattr(qpe, "matrix_bytes", lambda t, u: u_widths.append(u) or 0)
+    monkeypatch.setattr(sim, "check_budget", stop)
+    for p, q in itertools.product(range(1, 65), repeat=2):
+        with pytest.raises(Stop) as stopped:
+            pipeline.run_pipeline(
+                pipeline.PipelineConfig(a0=np.ones((p, q)), tau=0.5, t_bits=1, m_bits=1))
+        [b_bits], u_bits = stopped.value.args, u_widths.pop()
+        assert 1 << u_bits == max(2, min(spectral.pad_dim(p), spectral.pad_dim(q))), (p, q)
+        for t, m in itertools.product(range(1, 9), repeat=2):
+            n = m + t + 1 + b_bits
+            if n <= sim.MAX_QUBITS:
+                dft = 16 << 2 * t
+                # the larger of the second DFT's build and E's factors
+                assert matrix_bytes(t, u_bits) - 2 * dft <= max(2 * dft, 16 << n), (p, q, t, m)
+
+
+def test_single_row_runs_and_ragged_input_is_rejected_before_the_state(monkeypatch):
+    # one row was rejected, as phase estimation had no qubit to act on; its
+    # u-register is now padded to one
+    a0 = np.array([[3.0, 1.0, 2.0, 0.5]])
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=2.0))
+    assert pipeline.verify_against_classical(res, spectral.decompose(a0), 2.0).delta <= 1e-12
+
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated before the shape check")
 
     monkeypatch.setattr(sim, "new_state", no_state)
-    with pytest.raises(ValidationError, match="shape 1x4"):
-        pipeline.run_pipeline(
-            pipeline.PipelineConfig(a0=np.array([[3.0, 1.0, 2.0, 0.5]]), tau=2.0)
-        )
     # ragged rows raised NumPy's bare ValueError
     with pytest.raises(ValidationError, match="must be rectangular"):
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=[[1, 2], [3]], tau=0.5))

@@ -439,13 +439,9 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
                 assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
-def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
-    # an 8x8 u-factor under a kernel block of 64 w amplitudes, w of its
-    # 64-entry factors: the factors of all of C would outgrow the block, so
-    # C is cut into runs (least significant first) whose factors stay
-    # within it, and the runs still match one controlled power per C qubit;
-    # the bound is the block, not the state, so at the kernel's own block
-    # all of C is one run
+def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
+    # an 8x8 u-factor: E is one controlled gate of t factors per pass, and
+    # it matches one controlled power per C qubit
     rng = np.random.default_rng(25)
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = np.linalg.eigh(z + z.conj().T)
@@ -453,14 +449,11 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
 
     def spy(state, factors, control, targets):
         calls.append(len(control))
-        assert np.asarray(factors).size <= sim.BLOCK_AMPLITUDES or len(control) == 1
         return apply_controlled(state, factors, control, targets)
 
-    runs = {3: [1, 1, 1], 5: [1] * 5, 6: [2, 2, 2], 7: [3, 3, 1], 8: [4, 4]}
-    for t_bits, widths in [*runs.items(), (3, [3]), (8, [8])]:
+    for t_bits in (1, 3, 8):
         layout = sim.RegisterLayout(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
-        block = widths[0] << 6 if len(widths) > 1 else sim.BLOCK_AMPLITUDES
         for inverse in (False, True):
             state = _random_state(rng, layout, clear_c=False)
             reference = bitwise_conditional_evolution(
@@ -469,13 +462,8 @@ def test_conditional_evolution_cuts_c_into_runs_on_a_tall_input(monkeypatch):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "apply_controlled", spy)
-                patch.setattr(sim, "BLOCK_AMPLITUDES", block)
-                sim._gate_view.cache_clear()
-                try:
-                    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
-                finally:
-                    sim._gate_view.cache_clear()
-            assert calls == widths
+                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
+            assert calls == [t_bits]
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
         # a u-factor register that does not fit A is rejected by the gate
         before = state.amplitudes.copy()
