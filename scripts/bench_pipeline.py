@@ -16,8 +16,11 @@ A circuit case then times one more warm run through perfbench's span
 tracer (``perfbench/spans.py``, used as it is) and records under
 ``stages_s`` the inclusive seconds of each stage (STAGES), and under
 ``state_mib`` the size of the state the tracer saw made; then, as
-``peak_over_state``, the ``tracemalloc`` peak of one more warm run over
-that size: the north star's "peak memory is about one state" as a number.
+``peak_traced_mib``, the ``tracemalloc`` peak of one more warm run, and as
+``peak_over_state`` that peak over the state's size: the north star's
+"peak memory is about one state" as a number.  The state holds the
+input's Schmidt index, so where it is small the ratio mostly reads the
+arrays beside it, and the peak in MiB tells the two apart.
 The entry records the git SHA of the checkout, whether its src/ differs
 from that commit, and the box.
 """
@@ -41,7 +44,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 
 # name: (p, q, rank, t_bits, m_bits); random_lowrank(p, q, rank, [3, 1]),
-# tau = 0.3 sigma_1, intuitive alpha
+# tau = 0.3 sigma_1, intuitive alpha; a name gives the qubits of the
+# circuit on the full data register B_u (x) B_v, and state_mib the size of
+# the state that the run makes
 CIRCUITS = {
     "19q 4x4 r2 t6": (4, 4, 2, 6, 8),
     "21q 8x8 r3 t6": (8, 8, 3, 6, 8),
@@ -61,7 +66,7 @@ PAPER_RUNS = 3000
 STAGES = {
     "setup": ("spectral.decompose", "alpha.resolve_alpha", "qpe.choose_t0",
               "rotation.build_sigma_tau_oracle"),
-    "prep": ("sim.new_state", "spectral.to_state", "sim.load_register"),
+    "prep": ("sim.new_state", "sim.load_register"),
     "qpe": ("qpe.phase_estimate",),
     "oracle": (),
     "cascade": ("rotation.ry_cascade",),
@@ -134,8 +139,10 @@ def _case(name: str) -> dict:
         out["state_mib"] = state_bytes / 2**20
         tracemalloc.start()
         work(cfg)
-        out["peak_over_state"] = tracemalloc.get_traced_memory()[1] / state_bytes
+        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+        out["peak_traced_mib"] = peak / 2**20
+        out["peak_over_state"] = peak / state_bytes
     return out
 
 

@@ -12,6 +12,7 @@ import itertools
 import os
 import sys
 import time
+import warnings
 from collections.abc import Collection, Set
 from dataclasses import dataclass, fields
 
@@ -252,7 +253,9 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
         rec = ExperimentRecord(index, iseed, p, q, spec.rank, tau, method)
         start = time.perf_counter()
         try:
-            solution, _note = alpha_mod.resolve_alpha(profile, method)
+            solution, note = alpha_mod.resolve_alpha(profile, method)
+            if note:
+                warnings.warn(note, stacklevel=2)
             rec.alpha = solution.alpha
             rec.p_analytic = solution.P
             rec.f_analytic = solution.F

@@ -80,9 +80,10 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
     memory that the state and phase estimation's dense matrices take.
-    Phase estimation acts on A0 A0^dagger, or on A0^T's where A0's padded
-    columns are fewer than its padded rows; ``spec`` and ``b_state`` keep
-    the input's layout either way.
+    Data register B holds the input's Schmidt index k, log2 pad_dim(r)
+    qubits but at least one, on which A = A0 A0^dagger is
+    diag(sigma_k^2) (:func:`spectral.gram`); ``b_state`` is written back
+    in the input's pad(p) x pad(q) layout, as sum_k beta_k u_k (x) conj(v_k).
 
     The label rule lives here, as it needs tau: a singular value above tau
     needs a label that is not 0 and holds no other eigenvalue.  Singular
@@ -120,21 +121,18 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
             "alpha * theta exceeds pi on an occupied L value (sine no longer single-lobed)"
         )
 
-    # phase estimation acts on the shorter side: A0^T has the same sigma,
-    # u' = conj(v) and v' = conj(u), and its SVT is the transpose of A0's
-    side = spec
-    if flip := spectral.pad_dim(spec.q) < spectral.pad_dim(spec.p):
-        side = spectral.SpectralData(spec.sigma, spec.v.conj(), spec.u.conj(), spec.q, spec.p)
-    pairs = spectral.gram(side)
-    du, dv = len(pairs[1]), spectral.pad_dim(side.q)  # E's register, log2(du) qubits of B
-    u_bits = du.bit_length() - 1
-    b_bits = u_bits + dv.bit_length() - 1
+    # B is the input's Schmidt index k: the load sum_k sigma_k |k> stands for
+    # sum_k sigma_k |u_k>|conj(v_k)>, and every stage commutes with that isometry
+    pairs = spectral.gram(spec)
+    d = len(pairs[1])
+    b_bits = d.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
-    sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, u_bits),
-                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's {du}x{du} factors")
+    sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
+                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's {d}x{d} factors"
+                     " on the Schmidt index")
 
     state = sim.new_state(layout)
-    sim.load_register(state, layout.reg_B, spectral.to_state(side, spec.sigma))
+    sim.load_register(state, layout.reg_B, pairs[1] @ spec.sigma / sim._norm(spec.sigma))
     block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
     qpe.phase_estimate(block, pe_cfg, block_layout, pairs)
     oracle.apply(state, layout)
@@ -142,14 +140,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
     p_sim = sim.post_select(state, layout.ancilla, 1)
 
-    # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
-    b_state = state.amplitudes[1 << b_bits : 2 << b_bits] / math.sqrt(p_sim)
-    grid = b_state.reshape(du, dv)
-    # overlap k is <u_k (x) conj(v_k)|b>, the diagonal of U^dagger B V, the
-    # same on either side
-    overlaps = (side.u.conj() * (grid[: side.p, : side.q] @ side.v)).sum(axis=0)
-    if flip:  # back into the input's layout
-        b_state = grid[: spectral.pad_dim(spec.q)].T.reshape(-1)
+    # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B, and
+    # overlap k, <u_k (x) conj(v_k)|b>, is the amplitude of |k>
+    overlaps = state.amplitudes[1 << b_bits : (1 << b_bits) + spec.rank] / math.sqrt(p_sim)
     # the target sum_k s_k (u_k (x) conj(v_k)) / |s| lies in their span;
     # s is non-zero, since sigma_1 > tau
     shrunk = spectral.shrunk_values(spec, cfg.tau)
@@ -180,7 +173,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         y_codes=np.array(y_codes),
         labels=np.asarray(pe_cfg.labels),
         triple_amplitudes=triple_amps,
-        b_state=b_state,
+        b_state=spectral.embed(spec, overlaps),
         residual_mass=residual,
         pe_exact=pe_cfg.exact,
         y_repr_exact=all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),

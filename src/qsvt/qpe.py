@@ -118,14 +118,15 @@ def iqft(state: QuantumState, qubits) -> QuantumState:
     return sim.apply_unitary(state, sim.dft_matrix(len(qubits), -1), qubits)
 
 
-def matrix_bytes(t_bits: int, u_bits: int) -> int:
+def matrix_bytes(t_bits: int, e_bits: int) -> int:
     """Bytes that bound the dense matrices phase estimation makes beside
     the state: the DFT pair on C, which ``sim`` holds, and the larger of
-    two more DFTs (the pair's build peaks at three) and E's t factors with
-    the three copies the gate makes (the stack, and the unitarity check's
-    conjugate and product)."""
+    two more DFTs (the pair's build peaks at three) and E's t factors on
+    ``e_bits`` qubits, the run's Schmidt index, with the three copies the
+    gate makes (the stack, and the unitarity check's conjugate and
+    product)."""
     dft = 16 << 2 * t_bits  # complex128
-    return 2 * dft + max(2 * dft, 4 * t_bits * 16 << 2 * u_bits)
+    return 2 * dft + max(2 * dft, 4 * t_bits * 16 << 2 * e_bits)
 
 
 def conditional_evolution(
@@ -136,7 +137,7 @@ def conditional_evolution(
     pairs,
     inverse: bool = False,
 ) -> QuantumState:
-    """For each C label c, evolve the u-factor of B by exp(i A c t0): the
+    """For each C label c, evolve A's register in B by exp(i A c t0): the
     factor U^(2^w) = exp(i A 2^w t0) controlled on the C qubit of bit
     weight 2^w, one gate on all of C.  A is given as its eigenpairs."""
     t0 = -cfg.t0 if inverse else cfg.t0

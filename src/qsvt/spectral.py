@@ -141,15 +141,14 @@ def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
 
 
 def gram(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger on the padded
-    u-register, as its eigenpairs (values, vectors): the values sigma_k^2
-    in descending order and the d x r vectors, u with zero rows below p,
-    d = pad_dim(p) but at least 2: phase estimation acts on this register,
-    so it holds a qubit even for one row.  A is Hermitian by construction:
-    SpectralData checked u's columns for orthonormality and sigma."""
-    vectors = np.zeros((pad_dim(max(spec.p, 2)), spec.rank), dtype=spec.u.dtype)
-    vectors[: spec.p] = spec.u
-    return spec.sigma**2, vectors
+    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger as its eigenpairs
+    (values, vectors) on the input's Schmidt index k: the values sigma_k^2
+    in descending order and the d x r vectors e_k, the first r columns of
+    the d x d identity, d = pad_dim(r) but at least 2, as phase estimation
+    acts on this register and needs a qubit even at rank one.  The
+    isometry |k> -> |u_k>|conj(v_k)> carries these pairs to A's on the
+    data register, which is all that the circuit touches of it."""
+    return spec.sigma**2, np.eye(pad_dim(max(spec.rank, 2)), spec.rank)
 
 
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
@@ -163,14 +162,19 @@ def pad_dim(d: int) -> int:
     return 1 << max(int(d) - 1, 0).bit_length()
 
 
-def to_state(spec: SpectralData, weights) -> np.ndarray:
-    """Unit amplitude vector sum_k w_k (u_k x v_k), normalized.
+def embed(spec: SpectralData, weights) -> np.ndarray:
+    """sum_k w_k (u_k x conj(v_k)) as the flattened pad_dim(p) x pad_dim(q)
+    grid, u and v padded independently so the result factors as a
+    (log2 pad(p) + log2 pad(q))-qubit register; padded amplitudes are
+    exactly zero.  Not normalized, and ``weights`` is not checked."""
+    grid = np.zeros((pad_dim(spec.p), pad_dim(spec.q)), dtype=complex)
+    grid[: spec.p, : spec.q] = (spec.u * weights) @ spec.v.conj().T
+    return grid.reshape(-1)
 
-    The u and v factors are padded independently to power-of-two
-    dimensions, u to at least 2 as in :func:`gram`, so the result factors
-    as a (log2 du + log2 dv)-qubit register; padded amplitudes are exactly
-    zero.
-    """
+
+def to_state(spec: SpectralData, weights) -> np.ndarray:
+    """Unit amplitude vector sum_k w_k (u_k x conj(v_k)), normalized, in
+    :func:`embed`'s layout."""
     w = real_vector("weights", weights)
     if w.shape != spec.sigma.shape:
         raise ValidationError("one weight per singular triple required")
@@ -179,10 +183,7 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
         raise ValidationError(f"weights must be finite and non-negative, got {ws}")
     if not any(x > 0 for x in ws):
         raise ValidationError("at least one weight must be positive")
-    du, dv = pad_dim(max(spec.p, 2)), pad_dim(spec.q)
-    grid = np.zeros((du, dv), dtype=complex)
-    grid[: spec.p, : spec.q] = (spec.u * w) @ spec.v.conj().T
-    vec = grid.reshape(-1)
+    vec = embed(spec, w)
     nrm = _norm(vec)
     # squares that underflow sum to 0 and ones that overflow to inf; NaN fails too
     if not 0 < nrm < math.inf:

@@ -2,11 +2,15 @@
 references for the tests: one-qubit gates, exp(i A t) from an
 eigendecomposition of the matrix A, the circuit's controlled stages
 spelled as one single-qubit-controlled gate per control bit, phase
-estimation on the whole state rather than its L = 0 block, and the
-random low-rank input built from full QRs of its draws."""
+estimation on the whole state rather than its L = 0 block, the circuit
+on the full data register B = B_u (x) B_v rather than the input's
+Schmidt index, and the random low-rank input built from full QRs of its
+draws."""
+import math
+
 import numpy as np
 
-from qsvt import harness, sim
+from qsvt import harness, qpe, rotation, sim, spectral
 
 
 def hadamard() -> np.ndarray:
@@ -40,6 +44,53 @@ def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, pairs, inverse=
         u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
         sim.apply_controlled(state, [u], [q], reg_B_left)
     return state
+
+
+def u_pairs(spec):
+    """A = A0 A0^dagger as its eigenpairs on the padded u-register: the
+    values sigma_k^2 and u with zero rows below p, pad_dim(p) but at least
+    2 rows, so phase estimation has a qubit to act on."""
+    vectors = np.zeros((spectral.pad_dim(max(spec.p, 2)), spec.rank), dtype=spec.u.dtype)
+    vectors[: spec.p] = spec.u
+    return spec.sigma**2, vectors
+
+
+def full_register_run(cfg, alpha):
+    """The circuit of ``pipeline.run_pipeline`` at ``alpha`` with B the
+    full data register B_u (x) B_v, loaded with the input itself and E
+    acting on B_u (:func:`u_pairs`), through the same stage functions.
+    Returns the result fields that the run reads off B."""
+    spec = spectral.decompose(cfg.a0)
+    pe_cfg = qpe.choose_t0(spec.sigma**2, cfg.t_bits)
+    oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
+    pairs = u_pairs(spec)
+    du, dp, dv = len(pairs[1]), spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
+    b_bits = (du * dv).bit_length() - 1
+    layout = sim.RegisterLayout(cfg.m_bits, pe_cfg.t_bits, b_bits)
+    state = sim.new_state(layout)
+    grid = np.zeros((du, dv), dtype=complex)
+    grid[:dp] = spectral.to_state(spec, spec.sigma).reshape(dp, dv)
+    sim.load_register(state, layout.reg_B, grid.reshape(-1))
+    qpe.phase_estimate(state, pe_cfg, layout, pairs)
+    oracle.apply(state, layout)
+    rotation.ry_cascade(state, layout, alpha)
+    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
+    p_sim = sim.post_select(state, layout.ancilla, 1)
+    # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
+    b = state.amplitudes[1 << b_bits : 2 << b_bits].reshape(du, dv) / math.sqrt(p_sim)
+    overlaps = (spec.u.conj() * (b[: spec.p, : spec.q] @ spec.v)).sum(axis=0)
+    shrunk = spectral.shrunk_values(spec, cfg.tau)
+    n1 = float(np.sum(spec.sigma**2))
+    return {
+        "p_sim": p_sim,
+        "f_sim": float(abs(shrunk @ overlaps) / np.linalg.norm(shrunk)),
+        "residual_mass": residual,
+        "n_alpha": n1 * p_sim,
+        "triple_amplitudes": overlaps * math.sqrt(n1 * p_sim),
+        "b_state": b[:dp].reshape(-1),
+        "labels": list(pe_cfg.labels),
+        "newton_iterations": max(oracle.iterations.values(), default=0),
+    }
 
 
 def whole_state(state, layout):

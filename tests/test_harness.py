@@ -155,23 +155,38 @@ def test_cmd_example_rejects_a_tau_too_large_for_a_float(capsys):
         "error: threshold must be finite and positive, a real number, got inf\n"
 
 
+def budget_layouts(monkeypatch) -> list:
+    """The layouts that the run's budget checks see, from here on."""
+    seen, check_budget = [], sim.check_budget
+    monkeypatch.setattr(sim, "check_budget",
+                        lambda layout, *args: seen.append(layout) or check_budget(layout, *args))
+    return seen
+
+
 def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(harness.sim, "MEMORY_BYTES", (16 << 9) - 1)  # the run has 9 qubits
+    seen = budget_layouts(monkeypatch)
+    assert harness.main(["example"]) == 0
+    n = seen[0].n_qubits
+    monkeypatch.setattr(harness.sim, "MEMORY_BYTES", (16 << n) - 1)  # the state alone
     assert harness.main(["example"]) == 2
-    assert capsys.readouterr().err.startswith("error: memory budget exceeded: a 9-qubit state")
+    assert capsys.readouterr().err.startswith(f"error: memory budget exceeded: a {n}-qubit state")
 
 
 def test_cmd_example_whose_dft_pair_is_over_the_memory_budget_exits_2(monkeypatch, capsys):
-    # t 16: a 22-qubit state of 64 MiB and DFTs of 64 GiB each; the run made
+    # t 16: a state of at most 64 MiB and DFTs of 64 GiB each; the run made
     # the state, then died on a bare 32 GiB int64 allocation in dft_matrix
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run whose DFT pair does not fit")
 
     monkeypatch.setattr(sim, "new_state", no_state)
     monkeypatch.setattr(sim, "MEMORY_BYTES", 8 << 30)
+    seen = budget_layouts(monkeypatch)
     assert harness.main(["example", "--t-bits", "16"]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: memory budget exceeded: a 22-qubit state with the 2^16-point DFT pair on C")
+    [layout] = seen
+    assert layout.t_bits == 16 and (16 << layout.n_qubits) < 8 << 30
+    assert capsys.readouterr().err.startswith(f"error: memory budget exceeded:"
+                                              f" a {layout.n_qubits}-qubit state with the"
+                                              f" 2^16-point DFT pair on C")
 
 
 def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
@@ -569,6 +584,22 @@ def test_config_without_a_path_is_the_subcommand_usage_error(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: qsvt example")
         assert "argument --config: expected one argument" in err
+
+
+def test_sweep_warns_with_the_taylor4_fallback_note(monkeypatch):
+    # the sweep dropped the note that run_pipeline warns with; unpatched,
+    # the instance does not fall back, and a warning would fail the test
+    cfg = harness.SweepConfig(n_instances=1, methods=("taylor2", "taylor4"))
+    assert harness.run_sweep_instance(cfg, 0)[1].alpha_method == "taylor4"
+
+    def no_root(profile):
+        raise ValidationError("taylor4 quartic has a negative discriminant")
+
+    monkeypatch.setattr(alpha_mod, "_RULES", {**alpha_mod._RULES, "taylor4": no_root})
+    with pytest.warns(UserWarning, match="^taylor4 discriminant negative; used taylor2$"):
+        taylor2, taylor4 = harness.run_sweep_instance(cfg, 0)
+    assert (taylor4.alpha_method, taylor4.error) == ("taylor4", "")
+    assert (taylor4.alpha, taylor4.p_analytic) == (taylor2.alpha, taylor2.p_analytic)
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):

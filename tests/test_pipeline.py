@@ -11,7 +11,8 @@ from qsvt import harness, pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import FullyThresholdedError, ValidationError
 from qsvt.harness import SweepConfig, example_matrix, random_lowrank
 
-from gates import bitwise_conditional_evolution, bitwise_ry_cascade, whole_state
+from gates import (bitwise_conditional_evolution, bitwise_ry_cascade, full_register_run,
+                   whole_state)
 
 
 def run_reference(**overrides):
@@ -106,11 +107,36 @@ def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
         assert np.abs(getattr(run, name) - getattr(reference, name)).max() < 1e-12, name
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2),
+        dict(a0=example_matrix(), tau=0.5, t_bits=3, m_bits=2, alpha_method="numeric"),
+        dict(a0=random_lowrank(3, 4, 2, seed=5, sigma=(3.1, 2.2)), tau=0.93, t_bits=5, m_bits=4),
+        dict(a0=random_lowrank(16, 2, 2, seed=3, sigma=(2.0, 1.1)), tau=0.6, t_bits=6, m_bits=8),
+        dict(a0=random_lowrank(5, 7, 3, seed=13, sigma=(3.0, 2.0, 1.2)), tau=0.9, t_bits=6,
+             m_bits=8),
+    ],
+    ids=["paper", "paper-numeric", "inexact", "16x2", "5x7-r3"],
+)
+def test_run_on_the_schmidt_index_matches_the_full_data_register(cfg):
+    # B holds the input's Schmidt index k; the reference runs the same
+    # stages on B = B_u (x) B_v, loaded with the input and E acting on B_u
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
+    assert len(res.b_state) == spectral.pad_dim(res.spec.p) * spectral.pad_dim(res.spec.q)
+    reference = full_register_run(pipeline.PipelineConfig(**cfg), res.alpha)
+    assert list(res.labels) == reference.pop("labels")
+    assert res.newton_iterations == reference.pop("newton_iterations")
+    for name, want in reference.items():
+        assert np.abs(getattr(res, name) - want).max() <= 1e-12, name
+
+
 def test_layout_leads_with_l_and_puts_the_ancilla_directly_ahead_of_b(monkeypatch):
     # L leads, so the L = 0 block is the state's first 2^(n - m)
-    # amplitudes; C follows L; the ancilla sits directly ahead of B, so
-    # b_state (L = C = 0, ancilla 1) is one slice, equal to the amplitudes
-    # read qubit by qubit from the final state of the whole-state run
+    # amplitudes; C follows L; the ancilla sits directly ahead of B, the
+    # input's Schmidt index, so the overlaps (L = C = 0, ancilla 1) are one
+    # slice, equal to the amplitudes read qubit by qubit from the final
+    # state of the whole-state run
     run = run_reference()
     seen = []
     new_state, post_select = sim.new_state, sim.post_select
@@ -119,14 +145,20 @@ def test_layout_leads_with_l_and_puts_the_ancilla_directly_ahead_of_b(monkeypatc
     monkeypatch.setattr(sim, "l_zero_block", whole_state)
     reference = run_reference()
     layout, state = seen
+    m, t, b, r = layout.m_bits, layout.t_bits, layout.b_bits, reference.spec.rank
+    # m + t + 1 + log2 pad(max(r, 2)) qubits
+    assert (m, t, 1 << b) == (2, 3, spectral.pad_dim(max(r, 2)))
     assert (layout.reg_L, layout.reg_C, layout.ancilla, layout.reg_B) == (
-        range(0, 2), range(2, 5), 5, range(6, 9))
-    n, b = state.n_qubits, len(layout.reg_B)
+        range(0, m), range(m, m + t), m + t, range(m + t + 1, m + t + 1 + b))
+    n = state.n_qubits
     index = [(1 << (n - 1 - layout.ancilla)) + sum(((x >> (b - 1 - i)) & 1) << (n - 1 - q)
                                                    for i, q in enumerate(layout.reg_B))
              for x in range(1 << b)]
-    # post-selection leaves the state as it is: b_state is the branch / sqrt(p)
-    assert np.array_equal(reference.b_state, state.amplitudes[index] / math.sqrt(reference.p_sim))
+    # post-selection leaves the state as it is: the overlaps are the branch
+    # / sqrt(p), and the padded amplitudes of the index are 0
+    branch = state.amplitudes[index] / math.sqrt(reference.p_sim)
+    assert not branch[r:].any()
+    assert np.array_equal(reference.b_state, spectral.embed(reference.spec, branch[:r]))
     assert np.abs(run.b_state - reference.b_state).max() <= 1e-12
 
 
@@ -156,9 +188,11 @@ def test_phase_estimation_on_the_l_zero_block_matches_the_whole_state(monkeypatc
 
 
 def test_phase_estimation_passes_over_the_l_zero_block_only(monkeypatch):
-    # the paper run: the DFTs and both evolutions see the 2^7 amplitudes
-    # whose L reads 0, the oracle and the cascade all 2^9
-    sizes = collections.defaultdict(list)
+    # the paper run: the DFTs and both evolutions see the 2^(n - m)
+    # amplitudes whose L reads 0, the oracle and the cascade all 2^n
+    sizes, layouts = collections.defaultdict(list), []
+    new_state = sim.new_state
+    monkeypatch.setattr(sim, "new_state", lambda layout: layouts.append(layout) or new_state(layout))
     calls = [(sim, name) for name in ("apply_unitary", "apply_controlled", "apply_basis_oracle")]
     for module, name in [*calls, (rotation, "ry_cascade")]:
         def spy(state, *args, _real=getattr(module, name), _name=name, **kwargs):
@@ -166,8 +200,10 @@ def test_phase_estimation_passes_over_the_l_zero_block_only(monkeypatch):
             return _real(state, *args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     run_reference()
-    assert sizes == {"apply_unitary": [7] * 4, "apply_controlled": [7, 7],
-                     "apply_basis_oracle": [9, 9], "ry_cascade": [9]}
+    [layout] = layouts
+    n, block = layout.n_qubits, layout.n_qubits - layout.m_bits
+    assert sizes == {"apply_unitary": [block] * 4, "apply_controlled": [block, block],
+                     "apply_basis_oracle": [n, n], "ry_cascade": [n]}
 
 
 def test_paper_run_calls_no_numpy_norm_or_take(monkeypatch):
@@ -608,9 +644,11 @@ def test_taylor4_fallback_warns_and_runs_at_taylor2s_alpha(monkeypatch):
     # the result names the rule that made alpha, where it named the one asked for
     assert res.alpha_method == "taylor2"
     assert run_reference(alpha=want.alpha).alpha_method == "explicit"
-    # a sweep row keeps the rule it asked for, the key its records are read by
+    # a sweep row keeps the rule it asked for, the key its records are read
+    # by, and the sweep warns with the note, as the run does
     cfg = SweepConfig(n_instances=1, methods=("taylor4",), shape=(2, 3), simulate=True)
-    [rec] = harness.run_sweep_instance(cfg, 0)
+    with pytest.warns(UserWarning, match="^taylor4 discriminant negative; used taylor2$"):
+        [rec] = harness.run_sweep_instance(cfg, 0)
     assert (rec.alpha_method, rec.error) == ("taylor4", "")
 
 
@@ -640,22 +678,31 @@ def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run whose matrices do not fit")
 
-    # t 8: a 14-qubit state of 256 KiB, and DFTs of 1 MiB, the pair held and
-    # the second built beside two temporaries of its size
-    need = (16 << 14) + 4 * (16 << 16)
+    # t 8: the state, and DFTs of 1 MiB, the pair held and the second built
+    # beside two temporaries of its size
+    layouts, check_budget = [], sim.check_budget
+    monkeypatch.setattr(sim, "check_budget",
+                        lambda layout, *args: layouts.append(layout) or check_budget(layout, *args))
     monkeypatch.setattr(sim, "new_state", no_state)
+    monkeypatch.setattr(sim, "MEMORY_BYTES", 1 << 20)
+    with pytest.raises(ValidationError, match="^memory budget exceeded"):
+        run_reference(t_bits=8)
+    n = layouts[0].n_qubits
+    need = (16 << n) + 4 * (16 << 16)
     for budget in (1 << 20, need - 1):
         monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
         with pytest.raises(ValidationError, match=(
-                rf"^memory budget exceeded: a 14-qubit state with the 2\^8-point DFT pair on C"
-                rf" and E's 2x2 factors takes {need} bytes, the machine has {budget}$")):
+                rf"^memory budget exceeded: a {n}-qubit state with the 2\^8-point DFT pair on C"
+                rf" and E's 2x2 factors on the Schmidt index takes {need} bytes,"
+                rf" the machine has {budget}$")):
             run_reference(t_bits=8)
     monkeypatch.undo()  # the run that fits its budget exactly is made
     monkeypatch.setattr(sim, "MEMORY_BYTES", need)
     assert run_reference(t_bits=8).t_bits == 8
     # 1024 x 1 at t 3 was refused by 32 MiB, as E's factors were 1024x1024 and
     # four 16 MiB copies of one of them outgrew it; phase estimation now acts
-    # on the one column, padded to a qubit, so E's factors are 2x2 and it runs
+    # on the rank-one Schmidt index, padded to a qubit, so E's factors are
+    # 2x2 and it runs
     monkeypatch.setattr(sim, "MEMORY_BYTES", 32 << 20)
     res = pipeline.run_pipeline(
         pipeline.PipelineConfig(a0=np.ones((1024, 1)), tau=0.5, t_bits=3, m_bits=2))
@@ -666,9 +713,8 @@ def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
 @pytest.mark.parametrize("p, q, sigma, t_bits, m_bits", [
     (5, 2, (2.0, 1.1), 6, 5), (16, 2, (2.0, 1.0), 4, 4), (1024, 1, (2.0,), 3, 2)])
 def test_a_tall_input_runs_as_its_transpose(p, q, sigma, t_bits, m_bits):
-    # phase estimation acts on A0^T's u-side when A0's padded columns are
-    # fewer than its rows: the run matches A0^T's own run, which takes the
-    # unflipped path, with b transposed back into A0's layout
+    # A0^T has the same sigma, and its SVT is the transpose of A0's: the run
+    # matches A0^T's own run, with b transposed into A0's layout
     a0 = random_lowrank(p, q, len(sigma), seed=11, sigma=sigma)
     cfg = dict(tau=0.5, t_bits=t_bits, m_bits=m_bits)
     res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, **cfg))
@@ -686,44 +732,51 @@ def test_a_tall_input_runs_as_its_transpose(p, q, sigma, t_bits, m_bits):
 
 @pytest.mark.parametrize("q", [1, 4, 8])
 def test_a_single_row_runs(q):
-    # one row was rejected: its u-register is now padded to a qubit
+    # one row was rejected: phase estimation acts on the Schmidt index,
+    # which holds at least one qubit
     a0 = random_lowrank(1, q, 1, seed=3, sigma=(2.0,))
     res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.5, t_bits=3, m_bits=4))
     assert pipeline.verify_against_classical(res, res.spec, 0.5).delta <= 1e-12
     assert abs(res.p_sim - res.p_analytic) <= 4 * res.alpha * 2.0**-res.m_bits
 
 
-def test_e_factors_never_outgrow_the_state(monkeypatch):
-    # phase estimation acts on the shorter side, so E's t factors of d x d,
-    # with the gate's three copies, never take more than the state: for
-    # every p, q <= 64 the run's set-up is stopped at its budget check, and
-    # every t, m in 1..8 within MAX_QUBITS is checked at the widths it reached
+def test_e_acts_on_all_of_b_the_padded_rank_never_wider_than_the_shorter_side(monkeypatch):
+    # B is the input's Schmidt index, log2 pad(max(r, 2)) qubits, and E acts
+    # on all of it: for every p, q <= 64 at ranks 1 to 3 the run's set-up is
+    # stopped at its budget check, and E's register is no wider than the
+    # input's shorter side, padded to at least 2, where it acted before
     class Stop(Exception):
         pass
 
     def stop(layout, extra=0, what=""):
         raise Stop(layout.b_bits)
 
-    matrix_bytes, u_widths = qpe.matrix_bytes, []
-    monkeypatch.setattr(qpe, "matrix_bytes", lambda t, u: u_widths.append(u) or 0)
+    e_widths = []
+    monkeypatch.setattr(qpe, "matrix_bytes", lambda t, e: e_widths.append(e) or 0)
     monkeypatch.setattr(sim, "check_budget", stop)
     for p, q in itertools.product(range(1, 65), repeat=2):
+        r = min(p, q, 3)
+        a0 = np.zeros((p, q))
+        a0[range(r), range(r)] = (3.0, 2.0, 1.0)[:r]
         with pytest.raises(Stop) as stopped:
-            pipeline.run_pipeline(
-                pipeline.PipelineConfig(a0=np.ones((p, q)), tau=0.5, t_bits=1, m_bits=1))
-        [b_bits], u_bits = stopped.value.args, u_widths.pop()
-        assert 1 << u_bits == max(2, min(spectral.pad_dim(p), spectral.pad_dim(q))), (p, q)
-        for t, m in itertools.product(range(1, 9), repeat=2):
-            n = m + t + 1 + b_bits
-            if n <= sim.MAX_QUBITS:
-                dft = 16 << 2 * t
-                # the larger of the second DFT's build and E's factors
-                assert matrix_bytes(t, u_bits) - 2 * dft <= max(2 * dft, 16 << n), (p, q, t, m)
+            pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=0.5, t_bits=4, m_bits=1))
+        [b_bits], e_bits = stopped.value.args, e_widths.pop()
+        assert e_bits == b_bits and 1 << b_bits == spectral.pad_dim(max(r, 2)), (p, q)
+        assert 1 << b_bits <= max(2, min(spectral.pad_dim(p), spectral.pad_dim(q))), (p, q)
+
+
+def test_a_large_square_input_runs_on_its_schmidt_index():
+    # 256 x 256 rank 4 at t 5 and m 8: B took 16 qubits as the full data
+    # register, and the run 30, over MAX_QUBITS; the Schmidt index takes 2
+    a0 = random_lowrank(256, 256, 4, 0, sigma=(4.0, 3.0, 2.0, 1.0))
+    res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.5))
+    assert res.b_state.shape == (256 * 256,) and res.exact
+    assert pipeline.verify_against_classical(res, res.spec, 1.5).delta <= 1e-12
 
 
 def test_single_row_runs_and_ragged_input_is_rejected_before_the_state(monkeypatch):
-    # one row was rejected, as phase estimation had no qubit to act on; its
-    # u-register is now padded to one
+    # one row was rejected, as phase estimation had no qubit to act on; the
+    # Schmidt index holds at least one
     a0 = np.array([[3.0, 1.0, 2.0, 0.5]])
     res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=2.0))
     assert pipeline.verify_against_classical(res, spectral.decompose(a0), 2.0).delta <= 1e-12
@@ -763,9 +816,19 @@ def test_a_spectrum_whose_squares_underflow_is_rejected_before_the_state(monkeyp
         pipeline.run_pipeline(pipeline.PipelineConfig(a0=example_matrix() * 1e-150, tau=5e-151))
 
 
-def test_shots_sample_a_probability_that_rounds_above_one():
-    # rank one with y = 1/2 exact at m = 2 and alpha = pi: the ancilla is
-    # rotated fully onto |1>, and the sum of squares lands just above 1
+def test_shots_sample_a_probability_that_rounds_above_one(monkeypatch):
+    # p_sim is a sum of squares and can land just above 1: rank one with
+    # y = 1/2 exact at m = 2 and alpha = pi rotates the ancilla fully onto
+    # |1>, and on the full data register its sum read 1 + 3 2^-52; on the
+    # Schmidt index it reads 1 - 2^-51, so post-select is made to read the
+    # float above 1 after its own checks
+    post_select = sim.post_select
+
+    def above_one(*args):
+        post_select(*args)
+        return 1.0 + 2.0**-52
+
+    monkeypatch.setattr(sim, "post_select", above_one)
     a0 = random_lowrank(3, 4, 1, 9)
     tau = 0.5 * spectral.decompose(a0).sigma[0]
     res = pipeline.run_pipeline(

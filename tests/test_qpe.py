@@ -9,13 +9,13 @@ from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
-from gates import bitwise_conditional_evolution, hadamard, pauli_x, ry
+from gates import bitwise_conditional_evolution, hadamard, pauli_x, ry, u_pairs
 
 
 def reference_setup(m_bits=1, t_bits=3):
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     layout = sim.RegisterLayout(m_bits, t_bits, 3)
-    return data, layout, spectral.gram(data)
+    return data, layout, u_pairs(data)
 
 
 def loaded_state(data, layout, weights=None):

@@ -13,7 +13,7 @@ from qsvt.errors import (
 )
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, pauli_x, ry, whole_state
+from gates import bitwise_ry_cascade, pauli_x, ry, u_pairs, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -514,7 +514,7 @@ def reference_forward_state():
     pe_cfg = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, 2, 0.5)
     layout = sim.RegisterLayout(2, 3, 3)
-    pairs = spectral.gram(data)
+    pairs = u_pairs(data)
     state = sim.new_state(layout)
     sim.load_register(state, layout.reg_B, spectral.to_state(data, data.sigma))
     qpe.phase_estimate(state, pe_cfg, layout, pairs)

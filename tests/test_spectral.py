@@ -8,7 +8,7 @@ from qsvt import spectral
 from qsvt.errors import DegenerateSpectrumError, FullyThresholdedError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
-from gates import eigh_exp, from_eigenpairs
+from gates import eigh_exp, from_eigenpairs, u_pairs
 
 
 def test_decompose_diagonal():
@@ -131,6 +131,24 @@ def test_gram_trace_equals_n1():
     a0 = random_lowrank(5, 4, 3, seed=3)
     data = spectral.decompose(a0)
     assert np.trace(from_eigenpairs(spectral.gram(data))) == pytest.approx(np.sum(data.sigma**2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_gram_on_the_schmidt_index_is_what_the_isometry_carries_to_b(r):
+    # A's pairs on the index k are sigma_k^2 and e_k, d = pad(max(r, 2)), so
+    # E is diag(exp(i sigma^2 t)) padded with 1; |k> -> u_k (x) conj(v_k)
+    # carries it to E on B_u beside the identity on B_v
+    spec = spectral.decompose(random_lowrank(6, 5, r, seed=r, sigma=(6.0, 4.0, 3.0, 2.0, 1.0)[:r]))
+    values, vectors = spectral.gram(spec)
+    d = spectral.pad_dim(max(r, 2))
+    assert np.array_equal(values, spec.sigma**2) and np.array_equal(vectors, np.eye(d, r))
+    iso = np.stack([spectral.embed(spec, row) for row in np.eye(r)], axis=1)
+    for t in (0.7, -2.0):
+        e = spectral.herm_exp((values, vectors), t)
+        diag = np.r_[np.exp(1j * t * spec.sigma**2), np.ones(d - r)]
+        assert np.abs(e - np.diag(diag)).max() <= 1e-15
+        e_b = np.kron(spectral.herm_exp(u_pairs(spec), t), np.eye(spectral.pad_dim(spec.q)))
+        assert np.abs(e_b @ iso - iso @ e[:r, :r]).max() <= 1e-12
 
 
 def test_classical_svt_shrinks_singular_values():
@@ -285,7 +303,7 @@ def test_partial_trace_roundtrip_reproduces_gram():
     du, dv = spectral.pad_dim(data.p), spectral.pad_dim(data.q)
     m = vec.reshape(du, dv)
     rho = m @ m.conj().T  # reduced density matrix over the u factor
-    a = from_eigenpairs(spectral.gram(data))  # on the padded u-register
+    a = from_eigenpairs(u_pairs(data))  # on the padded u-register
     assert np.abs(rho - a / np.trace(a)).max() < 1e-9
 
 
@@ -331,7 +349,7 @@ def test_herm_exp_of_gram_matches_the_eigh_exponential_of_a0_a0_dagger(a0):
     du = spectral.pad_dim(spec.p)
     a = np.zeros((du, du))
     a[: spec.p, : spec.p] = a0 @ a0.T
-    pairs = spectral.gram(spec)
+    pairs = u_pairs(spec)
     for t in (0.3, 1.0, 2.0 * np.pi / 8, 5.0):
         for sign in (1.0, -1.0):
             u = spectral.herm_exp(pairs, sign * t)
