@@ -79,7 +79,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
-    memory that the state and phase estimation's dense matrices take.
+    memory that the state, phase estimation's DFT pair and E's phases take.
     Data register B holds the input's Schmidt index k, log2 pad_dim(r)
     qubits but at least one, on which A = A0 A0^dagger is
     diag(sigma_k^2) (:func:`spectral.gram`); ``b_state`` is written back
@@ -123,21 +123,23 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
 
     # B is the input's Schmidt index k: the load sum_k sigma_k |k> stands for
     # sum_k sigma_k |u_k>|conj(v_k)>, and every stage commutes with that isometry
-    pairs = spectral.gram(spec)
-    d = len(pairs[1])
+    eigenvalues = spectral.gram(spec)
+    d = len(eigenvalues)
     b_bits = d.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
-                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's {d}x{d} factors"
-                     " on the Schmidt index")
+                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's"
+                     f" {pe_cfg.t_bits} rows of {d} phases on the Schmidt index")
 
     state = sim.new_state(layout)
-    sim.load_register(state, layout.reg_B, pairs[1] @ spec.sigma / sim._norm(spec.sigma))
+    load = np.zeros(d)
+    load[: spec.rank] = spec.sigma / sim._norm(spec.sigma)
+    sim.load_register(state, layout.reg_B, load)
     block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
-    qpe.phase_estimate(block, pe_cfg, block_layout, pairs)
+    qpe.phase_estimate(block, pe_cfg, block_layout, eigenvalues)
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, solution.alpha)
-    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
+    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, eigenvalues)
     p_sim = sim.post_select(state, layout.ancilla, 1)
 
     # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B, and

@@ -8,11 +8,13 @@ eigenvalue ``lam`` is ``c = round(lam * t0 * T / (2 pi))`` with
 ``T = 2**t_bits``, decoded by ``lam(c) = c * 2 pi / (t0 * T)``.  The
 conditional evolution E applies ``exp(i A c t0)`` on the subspace where
 register C holds ``c``, as U^(2^w) = ``exp(i A 2^w t0)`` controlled on
-the C qubit of bit weight 2^w: one controlled gate on all of C, which
-checks each factor.  A is given as its eigenpairs from the run's SVD
-(:func:`spectral.gram`), so no matrix A is formed and no eigendecomposition
-made.  The DFT pair on C comes from :func:`sim.dft_matrix`, which holds
-the pair of one width, checked once; the gate applies it unchecked.
+the C qubit of bit weight 2^w: one controlled gate on all of C and all
+of B, which holds the input's Schmidt index.  There A is diagonal, given
+as its eigenvalues (:func:`spectral.gram`), so each factor is a row of
+phases exp(i lam 2^w t0) that the gate multiplies in place: no matrix A,
+no dense factor and no eigendecomposition is made.  The DFT pair on C
+comes from :func:`sim.dft_matrix`, which holds the pair of one width,
+checked once; the gate applies it unchecked.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
@@ -119,60 +121,54 @@ def iqft(state: QuantumState, qubits) -> QuantumState:
 
 
 def matrix_bytes(t_bits: int, e_bits: int) -> int:
-    """Bytes that bound the dense matrices phase estimation makes beside
-    the state: the DFT pair on C, which ``sim`` holds, and the larger of
-    two more DFTs (the pair's build peaks at three) and E's t factors on
-    ``e_bits`` qubits, the run's Schmidt index, with the three copies the
-    gate makes (the stack, and the unitarity check's conjugate and
-    product)."""
+    """Bytes that bound the arrays phase estimation makes beside the
+    state: the DFT pair on C, which ``sim`` holds, and the larger of two
+    more DFTs (the pair's build peaks at three) and E's t rows of phases
+    on ``e_bits`` qubits, the run's Schmidt index, with the stack that the
+    gate makes of them and its unit check's two real temporaries: three
+    complex copies of the rows."""
     dft = 16 << 2 * t_bits  # complex128
-    return 2 * dft + max(2 * dft, 4 * t_bits * 16 << 2 * e_bits)
+    return 2 * dft + max(2 * dft, 3 * t_bits * 16 << e_bits)
 
 
 def conditional_evolution(
     state: QuantumState,
     cfg: PhaseEstimationConfig,
     reg_C,
-    reg_B_left,
-    pairs,
+    reg_B,
+    eigenvalues,
     inverse: bool = False,
 ) -> QuantumState:
-    """For each C label c, evolve A's register in B by exp(i A c t0): the
-    factor U^(2^w) = exp(i A 2^w t0) controlled on the C qubit of bit
-    weight 2^w, one gate on all of C.  A is given as its eigenpairs."""
+    """For each C label c, evolve B by exp(i A c t0), A diagonal on B and
+    given as its eigenvalues: the phases of U^(2^w) = exp(i A 2^w t0)
+    controlled on the C qubit of bit weight 2^w, one gate on all of C."""
     t0 = -cfg.t0 if inverse else cfg.t0
-    factors = [herm_exp(pairs, (1 << w) * t0) for w in range(len(reg_C))]
-    return sim.apply_controlled(state, factors, reg_C, reg_B_left)
+    phases = [herm_exp(eigenvalues, (1 << w) * t0) for w in range(len(reg_C))]
+    return sim.apply_controlled(state, phases, reg_C, reg_B)
 
 
-def _u_factor_qubits(layout: RegisterLayout, pairs) -> list[int]:
-    """The leading log2(dim A) qubits of B; an A that does not fit them
-    (dim not a power of two, or beyond B) is rejected by the gate."""
-    return list(layout.reg_B)[: len(pairs[1]).bit_length() - 1]
-
-
-def _phase_estimate(state, cfg, layout, pairs, inverse: bool) -> QuantumState:
+def _phase_estimate(state, cfg, layout, eigenvalues, inverse: bool) -> QuantumState:
     qft(state, layout.reg_C)
-    reg_u = _u_factor_qubits(layout, pairs)
-    conditional_evolution(state, cfg, layout.reg_C, reg_u, pairs, inverse)
+    conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, eigenvalues, inverse)
     iqft(state, layout.reg_C)
     return state
 
 
 def phase_estimate(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, pairs
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
 ) -> QuantumState:
-    """Write the labels of A's eigenvalues, A given as its eigenpairs, into
-    C as QFT, E, QFT^-1; C must be cleared, where the QFT equals the
-    circuit's Hadamard layer.  The read of C's masses checks the norm."""
+    """Write the labels of A's eigenvalues, A diagonal on B and given as
+    them, into C as QFT, E, QFT^-1; C must be cleared, where the QFT
+    equals the circuit's Hadamard layer.  The read of C's masses checks
+    the norm."""
     mass = sim.register_mass(state, layout.reg_C)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
-    return _phase_estimate(state, cfg, layout, pairs, inverse=False)
+    return _phase_estimate(state, cfg, layout, eigenvalues, inverse=False)
 
 
 def phase_estimate_inverse(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, pairs
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
-    return _phase_estimate(state, cfg, layout, pairs, inverse=True)
+    return _phase_estimate(state, cfg, layout, eigenvalues, inverse=True)

@@ -158,9 +158,9 @@ def uncompute(
     layout: RegisterLayout,
     oracle: SigmaTauOracle,
     pe_cfg: PhaseEstimationConfig,
-    pairs,
+    eigenvalues,
 ) -> tuple[QuantumState, float]:
-    """Reverse the oracle and phase estimation of A's eigenpairs ``pairs``,
+    """Reverse the oracle and phase estimation of A's ``eigenvalues``,
     restoring L and C to 0.
 
     The inverse estimation runs on the L = 0 block (:func:`sim.l_zero_block`),
@@ -177,7 +177,7 @@ def uncompute(
     """
     oracle.apply(state, layout)
     block, block_layout = sim.l_zero_block(state, layout)
-    phase_estimate_inverse(block, pe_cfg, block_layout, pairs)
+    phase_estimate_inverse(block, pe_cfg, block_layout, eigenvalues)
     residual = uncompute_residual(state, layout)
     if not residual <= (UNCOMPUTE_TOL if pe_cfg.exact else math.inf):  # NaN fails too
         raise UncomputeResidualError(

@@ -9,33 +9,37 @@ Conventions used throughout the package:
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes, complex128, in place through
   reshape views split at register edges: a gate on qubits lo..lo+k-1
-  sees ``(2**lo, 2**k, rest)``.  A control is one more split axis per
-  control qubit, and one unitary factor per qubit, which acts where its
-  qubit reads 1; the one kernel writes ``factor @ half`` back in place,
-  block by block, in blocks of about ``BLOCK_AMPLITUDES`` cut along the
-  view's first leading axis longer than one, and along the rest axis
-  where that axis is short or absent, so no temporary outgrows a block;
-  a state that fits one block is one block.  An uncontrolled gate is one
-  matrix, and every factor is complex128.  Targets, controls and
-  registers are non-empty, disjoint, contiguous ascending integer qubits
-  of the state, or ``ValidationError`` is raised before the state is
-  touched.  One cached function, ``_split``, checks them, once per
-  distinct register set rather than per call (``_qubits`` checks per
-  call that they are integers, which its keys cannot tell), and
-  ``_gate_view`` plans the blocks once per register set.  A state has a
-  single writer at a time.
-* Gates reject a non-unitary matrix, one batched check of all the
-  factors per call, except the DFT pair of one width that
-  :func:`dft_matrix` holds, checked once and immutable, which the kernel
-  knows by identity.  Any other array, read-only or not, is checked on
-  every call, as a read-only view can change through a writable base.
-  Gates do not check the norm: every read of the state, the register
-  masses of :func:`register_mass` and :func:`post_select`, checks that
-  they sum to 1 within ``NORM_TOL`` or raises ``NormalizationError``, so
-  no stage reads a state off unit norm and no pass is made for the norm
-  alone.  Post-selection is such a read and writes nothing: the caller
-  divides the amplitudes it keeps by the square root of the probability
-  that it returns.  Every guard is written so that NaN fails.
+  sees ``(2**lo, 2**k, rest)``.  An uncontrolled gate is one matrix,
+  written back as ``matrix @ block`` in place, block by block, in blocks
+  of about ``BLOCK_AMPLITUDES`` cut along the view's first leading axis
+  longer than one, and along the rest axis where that axis is short or
+  absent, so no temporary outgrows a block; a state that fits one block
+  is one block.  A controlled gate is diagonal, as phase estimation's E
+  is on the Schmidt index: its control is one more split axis per
+  control qubit, and one row of phases per qubit multiplies the targets'
+  amplitudes in place where that qubit reads 1: no copy of the state,
+  only NumPy's iterator buffers, a few hundred KiB at any size.
+  Every gate is complex128.  Targets, controls and registers are
+  non-empty, disjoint, contiguous ascending integer qubits of the state,
+  or ``ValidationError`` is raised before the state is touched.  One
+  cached function, ``_split``, checks them, once per distinct register
+  set rather than per call (``_qubits`` checks per call that they are
+  integers, which its keys cannot tell), and ``_gate_view`` plans the
+  view and the blocks once per register set.  A state has a single
+  writer at a time.
+* Gates reject a non-unitary matrix and a phase off the unit circle, one
+  check of the whole gate per call, except the DFT pair of one width
+  that :func:`dft_matrix` holds, checked once and immutable, which
+  :func:`apply_unitary` knows by identity.  Any other array, read-only or
+  not, is checked on every call, as a read-only view can change through
+  a writable base.  Gates do not check the norm: every read of the
+  state, the register masses of :func:`register_mass` and
+  :func:`post_select`, checks that they sum to 1 within ``NORM_TOL`` or
+  raises ``NormalizationError``, so no stage reads a state off unit norm
+  and no pass is made for the norm alone.  Post-selection is such a read
+  and writes nothing: the caller divides the amplitudes it keeps by the
+  square root of the probability that it returns.  Every guard is
+  written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
   :func:`check_positive` (real numbers); register qubits and oracle maps
@@ -257,17 +261,17 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple, tuple]:
     """The shape and axis order that view the amplitudes as (..., control
     qubits, targets, rest), one axis per control qubit, a reshape of the
-    flat amplitudes that never copies; the kernel's blocks of that view;
-    and the index of each control factor's half of a block.  ``registers``
-    is ``(targets,)`` or ``(targets, control)``.  The blocks are index
-    tuples of about ``BLOCK_AMPLITUDES`` amplitudes that cut the first
-    leading axis longer than one (else rest) and, where one index of that
-    axis holds more, rest as well; a state that fits one block is one
-    block."""
+    flat amplitudes that never copies; the blocks of that view that
+    :func:`apply_unitary` writes one at a time; and the index of each
+    control qubit's half of the view, where it reads 1.  ``registers`` is
+    ``(targets,)`` or ``(targets, control)``.  The blocks are index tuples
+    of about ``BLOCK_AMPLITUDES`` amplitudes that cut the first leading
+    axis longer than one (else rest) and, where one index of that axis
+    holds more, rest as well; a state that fits one block is one block."""
     _split(n, registers)  # the register check
     shape, axes = _split(n, registers[:1] + tuple((q,) for r in registers[1:] for q in r))
     # a leading unit axis is the matmul's column axis (rest) when the
-    # control and targets hold every qubit, as in a QFT of the whole state
+    # targets hold every qubit, as in a QFT of the whole state
     shape, axes = (1,) + shape, [a + 1 for a in axes]
     rest = [a for a in range(len(shape)) if a not in axes]
     order = tuple(rest[:-1] + axes[1:] + axes[:1] + rest[-1:])
@@ -286,15 +290,15 @@ def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple, tuple]:
     blocks = [(slice(None),) * cut + (s,) for s in chunks(cut, per)]
     if per > BLOCK_AMPLITUDES and cut < last:  # a short leading axis: cut rest too
         blocks = [b + (..., s) for b in blocks for s in chunks(last, per // dims[last])]
-    # the half where control qubit j reads 1 (its axis is -3 - j), or all
+    # the half where control qubit j reads 1 (its axis is -3 - j)
     halves = tuple((..., 1) + (slice(None),) * (j + 2) for j in range(len(axes) - 1))
-    return shape, order, tuple(blocks), halves or (...,)
+    return shape, order, tuple(blocks), halves
 
 
-def _check_unitary(stack: np.ndarray) -> None:
-    """Reject a stack with a non-unitary member, in one batched check."""
-    dev = stack.conj().transpose(0, 2, 1) @ stack
-    dev.reshape(len(dev), -1)[:, :: dev.shape[1] + 1] -= 1.0
+def _check_unitary(matrix: np.ndarray) -> None:
+    """Reject a non-unitary square matrix."""
+    dev = matrix.conj().T @ matrix
+    dev.reshape(-1)[:: len(dev) + 1] -= 1.0
     err = np.abs(dev).max()
     if not err <= UNITARY_TOL:  # NaN fails too
         raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
@@ -305,61 +309,70 @@ _dft = [None, None, None]  # width, DFT, inverse: views of bytes, which no flag 
 
 def dft_matrix(width: int, sign: int = 1) -> np.ndarray:
     """The 2^width-point DFT, or with ``sign`` -1 its inverse, immutable:
-    the one matrix the kernel applies unchecked.  A new width releases the
-    held pair, checks its DFT once and holds it and its conjugate, the
-    inverse of a symmetric unitary; the build peaks at three matrices."""
+    the one matrix :func:`apply_unitary` applies unchecked.  A new width
+    releases the held pair, checks its DFT once and holds it and its
+    conjugate, the inverse of a symmetric unitary; the build peaks at
+    three matrices."""
     if width != _dft[0]:
         _dft[:] = None, None, None
         j = np.arange(1 << width)
         dft = np.exp(2j * np.pi / len(j) * np.outer(j, j)) / np.sqrt(len(j))
-        _check_unitary(dft[None])
+        _check_unitary(dft)
         pair = dft.tobytes(), np.conjugate(dft, out=dft).tobytes()
         _dft[:] = width, *(np.frombuffer(b, complex).reshape(dft.shape) for b in pair)
     return _dft[1] if sign == 1 else _dft[2]
 
 
-def _apply(state: QuantumState, matrices, registers: tuple) -> QuantumState:
-    """The kernel: ``matrices``, one matrix, on the targets, or factor j of
-    them wherever control qubit j (bit weight 2^j) reads 1, factor 0 first,
-    as ``factor @ half`` written back in place, one block of
-    :func:`_gate_view` at a time."""
-    shape, order, blocks, halves = _gate_view(state.n_qubits, registers)
-    targets, width = registers[0], sum(map(len, registers[1:]))
+def _complex(name: str, values) -> np.ndarray:
+    """A gate's entries as a complex128 array."""
     try:
-        array = np.asarray(matrices, dtype=complex)
+        return np.asarray(values, dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"gate matrices must hold numbers: {exc}") from None
-    stack = array if width else array[None]
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValidationError(f"gate matrices must form a stack of square matrices: {stack.shape}")
-    if width and len(stack) != width:
-        raise ValidationError(f"{len(stack)} factors for a {width}-qubit control")
-    if stack.shape[1] != 1 << len(targets):
-        raise ValidationError(f"matrix dim {stack.shape[1]} does not match {len(targets)} targets")
-    if array is not _dft[1] and array is not _dft[2]:  # the held pair was checked when built
-        _check_unitary(stack)
+        raise ValidationError(f"gate {name} must hold numbers: {exc}") from None
+
+
+def apply_unitary(state: QuantumState, matrix, targets) -> QuantumState:
+    """Apply ``matrix`` on ``targets`` (first target = most significant
+    bit of the gate's label) and identity elsewhere, as ``matrix @ block``
+    written back in place, one block of :func:`_gate_view` at a time.  The
+    matrix is checked for unitarity first, unless it is the held DFT pair."""
+    targets = _qubits(targets)
+    shape, order, blocks, _ = _gate_view(state.n_qubits, (targets,))
+    u, dim = _complex("matrix", matrix), 1 << len(targets)
+    if u.shape != (dim, dim):
+        raise ValidationError(f"{len(targets)} targets take a {dim}x{dim} matrix, got {u.shape}")
+    if u is not _dft[1] and u is not _dft[2]:  # the held pair was checked when built
+        _check_unitary(u)
     view = state.amplitudes.reshape(shape).transpose(order)
     for block in blocks:
         part = view[block]
-        for factor, half in zip(stack, halves):
-            part[half] = factor @ part[half]
+        part[...] = u @ part
     return state
 
 
-def apply_unitary(state: QuantumState, matrix: np.ndarray, targets) -> QuantumState:
-    """Apply ``matrix`` on ``targets`` (first target = most significant
-    bit of the gate's label) and identity elsewhere."""
-    return _apply(state, matrix, (_qubits(targets),))
-
-
-def apply_controlled(state: QuantumState, factors, control, targets) -> QuantumState:
-    """Controlled gate, one unitary factor per control qubit: factor j acts
-    on ``targets`` wherever the control qubit of bit weight 2^j, counted
-    from the control's last qubit, reads 1, factor 0 first.  Label x gets
-    the product of the factors its bits select, as the powers U^(2^j) of
-    phase estimation make U^x, and label 0 is left alone; ``[U]`` is U
-    controlled on one qubit.  Each factor is checked for unitarity first."""
-    return _apply(state, factors, (_qubits(targets), _qubits(control)))
+def apply_controlled(state: QuantumState, phases, control, targets) -> QuantumState:
+    """Controlled diagonal gate, one row of phases per control qubit: row j
+    multiplies the amplitude of each label of ``targets`` by its phase
+    wherever the control qubit of bit weight 2^j, counted from the
+    control's last qubit, reads 1, in place.  Label x gets the product of
+    the rows its bits select, as the powers U^(2^j) of phase estimation
+    make U^x, and label 0 is left alone; ``[u]`` is diag(u) controlled on
+    one qubit.  Every phase must lie within ``UNITARY_TOL`` of the unit
+    circle, checked first."""
+    targets, control = _qubits(targets), _qubits(control)
+    shape, order, _, halves = _gate_view(state.n_qubits, (targets, control))
+    stack, (w, dim) = _complex("phases", phases), (len(control), 1 << len(targets))
+    if stack.shape != (w, dim):
+        raise ValidationError(f"a {w}-qubit control on {len(targets)} targets takes {w} rows"
+                              f" of {dim} phases, got {stack.shape}")
+    err = np.abs(np.abs(stack) - 1.0).max()
+    if not err <= UNITARY_TOL:  # NaN fails too
+        raise ValidationError(f"phases are not unitary (deviation {err:.3e})")
+    view = state.amplitudes.reshape(shape).transpose(order)
+    for row, half in zip(stack, halves):
+        part = view[half]
+        part *= row[:, None]
+    return state
 
 
 def _register(state: QuantumState, reg) -> tuple[int, int]:

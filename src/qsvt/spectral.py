@@ -1,6 +1,7 @@
-"""Classical spectral side: SVD, A = A0 A0^dagger as its eigenpairs, the
-threshold operator, vectorized quantum-state embeddings, and the exact
-exponentials of A from those eigenpairs.
+"""Classical spectral side: SVD, A = A0 A0^dagger as its eigenvalues on
+the input's Schmidt index, the threshold operator, vectorized
+quantum-state embeddings, and the exact exponentials of A as the phases
+of that diagonal.
 
 Work whose size is the rank r (singular values, weights and the checks
 on them) runs on Python floats, each array converted once with
@@ -140,15 +141,17 @@ def shrunk_values(spec: SpectralData, tau: float) -> np.ndarray:
     return np.maximum(spec.sigma - tau, 0.0)
 
 
-def gram(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger as its eigenpairs
-    (values, vectors) on the input's Schmidt index k: the values sigma_k^2
-    in descending order and the d x r vectors e_k, the first r columns of
-    the d x d identity, d = pad_dim(r) but at least 2, as phase estimation
-    acts on this register and needs a qubit even at rank one.  The
-    isometry |k> -> |u_k>|conj(v_k)> carries these pairs to A's on the
-    data register, which is all that the circuit touches of it."""
-    return spec.sigma**2, np.eye(pad_dim(max(spec.rank, 2)), spec.rank)
+def gram(spec: SpectralData) -> np.ndarray:
+    """A = A0 A0^dagger = sum sigma_k^2 u_k u_k^dagger as its eigenvalues on
+    the input's Schmidt index k, where A is diagonal: sigma_k^2 for k < r
+    in descending order and 0 for the rest of the d labels, d = pad_dim(r)
+    but at least 2, as phase estimation acts on this register and needs a
+    qubit even at rank one.  The isometry |k> -> |u_k>|conj(v_k)> carries
+    this diagonal to A on the data register, which is all that the circuit
+    touches of it."""
+    values = np.zeros(pad_dim(max(spec.rank, 2)))
+    values[: spec.rank] = spec.sigma**2
+    return values
 
 
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
@@ -191,19 +194,12 @@ def to_state(spec: SpectralData, weights) -> np.ndarray:
     return vec / nrm
 
 
-def herm_exp(pairs, t: float) -> np.ndarray:
-    """exp(i A t) = I + V diag(exp(i lam t) - 1) V^dagger for A given as
-    its eigenpairs ``(lam, V)``, V with orthonormal columns that need not
-    span the space (A is 0 on the rest), as :func:`gram` returns them.
-    No decomposition is made; the gates check the result for unitarity."""
-    values, vectors = pairs
-    lam = np.asarray(values, dtype=float)
-    vec = np.asarray(vectors)
-    if vec.ndim != 2 or lam.shape != vec.shape[1:]:
-        raise ValidationError(f"{lam.shape} eigenvalues for eigenvectors of shape {vec.shape}")
-    out = (vec * np.expm1(1j * t * lam)) @ vec.conj().T
-    out.reshape(-1)[:: len(out) + 1] += 1.0
-    return out
+def herm_exp(eigenvalues, t: float) -> np.ndarray:
+    """exp(i A t) of an A that is diagonal on its register, given as its
+    eigenvalues ``lam`` in label order, as :func:`gram` returns them: the
+    phases exp(i lam t), the diagonal of the unitary.  No matrix is made;
+    the gate checks the phases."""
+    return np.exp(1j * t * real_vector("eigenvalues", eigenvalues))
 
 
 def load_matrix_text(path) -> np.ndarray:

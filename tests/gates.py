@@ -1,11 +1,12 @@
 """Gates and gate-level circuits that the package does not need, kept as
 references for the tests: one-qubit gates, exp(i A t) from an
-eigendecomposition of the matrix A, the circuit's controlled stages
-spelled as one single-qubit-controlled gate per control bit, phase
-estimation on the whole state rather than its L = 0 block, the circuit
-on the full data register B = B_u (x) B_v rather than the input's
-Schmidt index, and the random low-rank input built from full QRs of its
-draws."""
+eigendecomposition of the matrix A, a dense controlled gate written on
+NumPy alone (the package's controlled gate is diagonal), the circuit's
+controlled stages spelled as one single-qubit-controlled dense gate per
+control bit, phase estimation on the whole state rather than its L = 0
+block, the circuit on the full data register B = B_u (x) B_v rather than
+the input's Schmidt index, and the random low-rank input built from full
+QRs of its draws."""
 import math
 
 import numpy as np
@@ -33,17 +34,44 @@ def eigh_exp(a, t) -> np.ndarray:
     return (v * np.exp(1j * w * t)) @ v.conj().T
 
 
-def bitwise_conditional_evolution(state, cfg, reg_C, reg_B_left, pairs, inverse=False):
+def controlled(state, factors, control, targets):
+    """A dense controlled gate on NumPy alone, the reference for
+    ``sim.apply_controlled``: factor j, any matrix, acts on ``targets``
+    wherever the control qubit of bit weight 2^j, counted from the
+    control's last qubit, reads 1, factor 0 first; ``[u]`` is u controlled
+    on one qubit.  Qubits may sit anywhere and in any order; nothing is
+    checked."""
+    k = len(targets)
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    for j, factor in enumerate(factors):
+        moved = np.moveaxis(psi, [control[-1 - j], *targets], range(k + 1))
+        half = moved[1]  # a view: the control qubit reads 1
+        half[...] = (np.asarray(factor) @ half.reshape(1 << k, -1)).reshape(half.shape)
+    return state
+
+
+def bitwise_conditional_evolution(state, cfg, reg_C, reg_B, a, inverse=False):
     """exp(i A c t0) for C label c as exp(i A 2^w t0) controlled on the C
-    qubit of bit weight 2^w, one gate per qubit, A rebuilt as a matrix
-    from its eigenpairs and exponentiated by :func:`eigh_exp`."""
-    a = from_eigenpairs(pairs)
+    qubit of bit weight 2^w, one dense gate per qubit (:func:`controlled`),
+    A a Hermitian matrix or the vector of a diagonal one, exponentiated by
+    :func:`eigh_exp`."""
+    a = np.asarray(a)
+    a = np.diag(a) if a.ndim == 1 else a
     sign = -1.0 if inverse else 1.0
     t = len(reg_C)
     for i, q in enumerate(reg_C):
         u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
-        sim.apply_controlled(state, [u], [q], reg_B_left)
+        controlled(state, [u], [q], reg_B)
     return state
+
+
+def dense_phase_estimate(state, cfg, layout, a, reg, inverse=False):
+    """Phase estimation, or its inverse, with E the dense
+    :func:`bitwise_conditional_evolution` of the Hermitian matrix ``a`` on
+    the qubits ``reg``: QFT, E, QFT^-1 on C."""
+    qpe.qft(state, layout.reg_C)
+    bitwise_conditional_evolution(state, cfg, layout.reg_C, reg, a, inverse)
+    return qpe.iqft(state, layout.reg_C)
 
 
 def u_pairs(spec):
@@ -57,24 +85,28 @@ def u_pairs(spec):
 
 def full_register_run(cfg, alpha):
     """The circuit of ``pipeline.run_pipeline`` at ``alpha`` with B the
-    full data register B_u (x) B_v, loaded with the input itself and E
-    acting on B_u (:func:`u_pairs`), through the same stage functions.
-    Returns the result fields that the run reads off B."""
+    full data register B_u (x) B_v, loaded with the input itself and E a
+    dense gate on B_u (A rebuilt from :func:`u_pairs`), through the same
+    oracle, cascade and read-outs.  Returns the result fields that the run
+    reads off B."""
     spec = spectral.decompose(cfg.a0)
     pe_cfg = qpe.choose_t0(spec.sigma**2, cfg.t_bits)
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
-    pairs = u_pairs(spec)
-    du, dp, dv = len(pairs[1]), spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
+    a = from_eigenpairs(u_pairs(spec))
+    du, dp, dv = len(a), spectral.pad_dim(spec.p), spectral.pad_dim(spec.q)
     b_bits = (du * dv).bit_length() - 1
     layout = sim.RegisterLayout(cfg.m_bits, pe_cfg.t_bits, b_bits)
     state = sim.new_state(layout)
     grid = np.zeros((du, dv), dtype=complex)
     grid[:dp] = spectral.to_state(spec, spec.sigma).reshape(dp, dv)
     sim.load_register(state, layout.reg_B, grid.reshape(-1))
-    qpe.phase_estimate(state, pe_cfg, layout, pairs)
+    reg_u = list(layout.reg_B)[: du.bit_length() - 1]
+    dense_phase_estimate(state, pe_cfg, layout, a, reg_u)
     oracle.apply(state, layout)
     rotation.ry_cascade(state, layout, alpha)
-    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
+    oracle.apply(state, layout)
+    dense_phase_estimate(state, pe_cfg, layout, a, reg_u, inverse=True)
+    residual = rotation.uncompute_residual(state, layout)
     p_sim = sim.post_select(state, layout.ancilla, 1)
     # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
     b = state.amplitudes[1 << b_bits : 2 << b_bits].reshape(du, dv) / math.sqrt(p_sim)
@@ -112,10 +144,9 @@ def ry(angle) -> np.ndarray:
 
 def bitwise_ry_cascade(state, layout, alpha):
     """The paper's cascade: ry(2^(1-j) alpha) on the ancilla controlled on
-    the j-th qubit of L, one gate per qubit."""
+    the j-th qubit of L, one dense gate per qubit (:func:`controlled`)."""
     for j, q in enumerate(layout.reg_L, start=1):
-        gate = ry(2.0 ** (1 - j) * alpha)
-        sim.apply_controlled(state, [gate], [q], [layout.ancilla])
+        controlled(state, [ry(2.0 ** (1 - j) * alpha)], [q], [layout.ancilla])
     return state
 
 

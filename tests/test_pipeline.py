@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from qsvt import harness, pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import FullyThresholdedError, ValidationError
 from qsvt.harness import SweepConfig, example_matrix, random_lowrank
 
+import gates
 from gates import (bitwise_conditional_evolution, bitwise_ry_cascade, full_register_run,
                    whole_state)
 
@@ -35,8 +37,8 @@ def test_reference_run_decomposes_a_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.update(["eigh"]) or eigh(m))
     monkeypatch.setattr(qpe, "herm_exp", lambda a, t: calls.update(["herm_exp"]) or herm_exp(a, t))
     run_reference()
-    # A is decomposed once, by the run's SVD: t exponentials in each
-    # direction from its eigenpairs, and no eigh
+    # A is decomposed once, by the run's SVD: t rows of phases in each
+    # direction from its eigenvalues, and no eigh
     assert calls == {"herm_exp": 6}
 
 
@@ -90,16 +92,14 @@ def test_reference_run_passes_over_the_state(monkeypatch):
     ids=["paper", "inexact", "tall"],
 )
 def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
-    # the controlled evolution and the cascade spelled as one
+    # the controlled evolution and the cascade spelled as one dense
     # single-qubit-controlled gate per control bit, as the paper draws them
     run = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
     monkeypatch.setattr(qpe, "conditional_evolution", bitwise_conditional_evolution)
     monkeypatch.setattr(rotation, "ry_cascade", bitwise_ry_cascade)
     calls = collections.Counter()
-    apply_controlled = sim.apply_controlled
-    monkeypatch.setattr(
-        sim, "apply_controlled", lambda *a: calls.update(["gate"]) or apply_controlled(*a)
-    )
+    controlled = gates.controlled
+    monkeypatch.setattr(gates, "controlled", lambda *a: calls.update(["gate"]) or controlled(*a))
     reference = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
     assert calls["gate"] == 2 * cfg["t_bits"] + cfg["m_bits"]
     assert run.exact == reference.exact == (cfg["tau"] == 0.5)
@@ -121,7 +121,8 @@ def test_run_matches_the_bitwise_controlled_circuit(monkeypatch, cfg):
 )
 def test_run_on_the_schmidt_index_matches_the_full_data_register(cfg):
     # B holds the input's Schmidt index k; the reference runs the same
-    # stages on B = B_u (x) B_v, loaded with the input and E acting on B_u
+    # stages on B = B_u (x) B_v, loaded with the input and E a dense gate
+    # on B_u, exponentiated by eigh
     res = pipeline.run_pipeline(pipeline.PipelineConfig(**cfg))
     assert len(res.b_state) == spectral.pad_dim(res.spec.p) * spectral.pad_dim(res.spec.q)
     reference = full_register_run(pipeline.PipelineConfig(**cfg), res.alpha)
@@ -674,7 +675,7 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
 def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
     # the state fits and the matrices do not: a DFT pair of 2^t points is
     # refused before the state is made (t 16 died on a bare 32 GiB int64
-    # allocation in dft_matrix)
+    # allocation in dft_matrix); E is counted as its t rows of phases
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run whose matrices do not fit")
 
@@ -693,7 +694,7 @@ def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
         monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
         with pytest.raises(ValidationError, match=(
                 rf"^memory budget exceeded: a {n}-qubit state with the 2\^8-point DFT pair on C"
-                rf" and E's 2x2 factors on the Schmidt index takes {need} bytes,"
+                rf" and E's 8 rows of 2 phases on the Schmidt index takes {need} bytes,"
                 rf" the machine has {budget}$")):
             run_reference(t_bits=8)
     monkeypatch.undo()  # the run that fits its budget exactly is made
@@ -701,8 +702,8 @@ def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
     assert run_reference(t_bits=8).t_bits == 8
     # 1024 x 1 at t 3 was refused by 32 MiB, as E's factors were 1024x1024 and
     # four 16 MiB copies of one of them outgrew it; phase estimation now acts
-    # on the rank-one Schmidt index, padded to a qubit, so E's factors are
-    # 2x2 and it runs
+    # on the rank-one Schmidt index, padded to a qubit, so E's rows hold 2
+    # phases and it runs
     monkeypatch.setattr(sim, "MEMORY_BYTES", 32 << 20)
     res = pipeline.run_pipeline(
         pipeline.PipelineConfig(a0=np.ones((1024, 1)), tau=0.5, t_bits=3, m_bits=2))
@@ -772,6 +773,35 @@ def test_a_large_square_input_runs_on_its_schmidt_index():
     res = pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.5))
     assert res.b_state.shape == (256 * 256,) and res.exact
     assert pipeline.verify_against_classical(res, res.spec, 1.5).delta <= 1e-12
+
+
+def test_a_high_rank_input_counts_and_makes_e_as_rows_of_phases(monkeypatch):
+    # 256 x 256 at rank 200, sigma_1 = 10 alone above tau = 5, at t 3 and
+    # m 2: E on the 8-qubit Schmidt index was 3 dense 256 x 256 factors and
+    # the run's traced peak 13.4 MiB; as 3 rows of 256 phases it is 4.6 MiB
+    sigma = np.r_[10.0, np.linspace(4.9, 0.1, 199)]
+    a0 = random_lowrank(256, 256, 200, 0, sigma=sigma)
+    cfg = pipeline.PipelineConfig(a0=a0, tau=5.0, t_bits=3, m_bits=2)
+    pipeline.run_pipeline(cfg)  # the DFT pair of the width, held
+    tracemalloc.start()
+    try:
+        res = pipeline.run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    assert pipeline.verify_against_classical(res, res.spec, 5.0).delta <= 1e-12
+    # the budget counts the state and E's rows, three complex copies of them
+    n = 2 + 3 + 1 + 8
+    need = (16 << n) + 2 * (16 << 6) + 3 * 3 * (16 << 8)
+    assert need == (16 << n) + qpe.matrix_bytes(3, 8)
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
+    with pytest.raises(ValidationError, match=(
+            rf"^memory budget exceeded: a {n}-qubit state with the 2\^3-point DFT pair on C"
+            rf" and E's 3 rows of 256 phases on the Schmidt index takes {need} bytes")):
+        pipeline.run_pipeline(cfg)
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need)
+    assert pipeline.run_pipeline(cfg).p_sim == res.p_sim
 
 
 def test_single_row_runs_and_ragged_input_is_rejected_before_the_state(monkeypatch):

@@ -9,19 +9,24 @@ from qsvt import pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
-from gates import bitwise_conditional_evolution, hadamard, pauli_x, ry, u_pairs
+from gates import (bitwise_conditional_evolution, dense_phase_estimate, from_eigenpairs,
+                   hadamard, pauli_x, ry, u_pairs)
 
 
 def reference_setup(m_bits=1, t_bits=3):
+    """The paper's spectrum with B its Schmidt index, one qubit, and A's
+    eigenvalues there, as the run has them."""
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
-    layout = sim.RegisterLayout(m_bits, t_bits, 3)
-    return data, layout, u_pairs(data)
+    layout = sim.RegisterLayout(m_bits, t_bits, 1)
+    return data, layout, spectral.gram(data)
 
 
 def loaded_state(data, layout, weights=None):
+    """B loaded as the run loads it: sum_k w_k |k> / |w|, w = sigma by default."""
     state = sim.new_state(layout)
-    w = data.sigma if weights is None else weights
-    sim.load_register(state, layout.reg_B, spectral.to_state(data, w))
+    w = np.zeros(1 << layout.b_bits)
+    w[: data.rank] = data.sigma if weights is None else weights
+    sim.load_register(state, layout.reg_B, w / np.linalg.norm(w))
     return state
 
 
@@ -206,16 +211,17 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     check = sim._check_unitary
     monkeypatch.setattr(sim, "_check_unitary", lambda m: checked.append(m.shape) or check(m))
     monkeypatch.setattr(sim, "_dft", [None, None, None])  # nothing held: this test sees every build
+    eight, four, two = (8, 8), (4, 4), (2, 2)
     state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
     for _ in range(3):
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
     # one build and one check of the DFT for the width; the gate never checks the held pair
-    assert checked == [(1, 8, 8)]
+    assert checked == [eight]
     for _ in range(3):
         qpe.iqft(qpe.qft(state, [1, 2]), [1, 2])
         qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
     # one pair is held, so each change of width builds and checks once more
-    assert checked == [(1, 8, 8)] + [(1, 4, 4), (1, 8, 8)] * 3
+    assert checked == [eight] + [four, eight] * 3
     assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
     # one build makes both: each shared and read-only, the inverse the DFT's conjugate
     dft, idft = sim.dft_matrix(3), sim.dft_matrix(3, -1)
@@ -226,14 +232,14 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     # a writable matrix, such as a user gate, is checked on every call
     for _ in range(2):
         sim.apply_unitary(state, hadamard(), [0])
-    assert checked == [(1, 2, 2)] * 2
+    assert checked == [two] * 2
     # a read-only copy of a held DFT is checked on every call, not taken for it
     for held in (dft, idft):
         copy = held.copy()
         copy.flags.writeable = False
         for _ in range(2):
             sim.apply_unitary(state, copy, [0, 1, 2])
-    assert checked == [(1, 2, 2)] * 2 + [(1, 8, 8)] * 4
+    assert checked == [two] * 2 + [eight] * 4
     # and one with an entry changed is rejected, the state unchanged
     bad = dft.copy()
     bad[0, 0] = 2.0
@@ -246,7 +252,7 @@ def test_dft_pair_is_checked_once_per_width(monkeypatch):
     sim.dft_matrix(2)
     del checked[:]
     sim.apply_unitary(state, dft, [0, 1, 2])
-    assert checked == [(1, 8, 8)]
+    assert checked == [eight]
 
 
 def test_dft_pair_of_the_last_width_alone_is_held_and_within_the_budget():
@@ -279,7 +285,7 @@ def test_conditional_evolution_tiny_t0_is_identity():
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -291,9 +297,9 @@ def test_conditional_evolution_phases_on_label_one():
     last_c = list(layout.reg_C)[-1]
     sim.apply_unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     for k, lam in enumerate((4.0, 1.0)):
-        basis = spectral.to_state(data, np.eye(2)[k])
+        basis = np.eye(2)[k]  # |k> on the Schmidt index
         full_before = before.norm()  # keep norm sanity
         amp_before = np.vdot(
             _embed(layout, 1, basis), before.amplitudes
@@ -321,7 +327,7 @@ def test_conditional_evolution_eigencomponent_pure_phase():
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
-    qpe.conditional_evolution(state, cfg, layout.reg_C, list(layout.reg_B)[:1], pairs)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
 
 
@@ -332,7 +338,7 @@ def test_phase_estimate_reference_superposition():
     qpe.phase_estimate(state, cfg, layout, pairs)
     expected = np.zeros(1 << layout.n_qubits, dtype=complex)
     for k, (sig, label) in enumerate(zip((2.0, 1.0), (4, 1))):
-        expected += sig / np.sqrt(5) * _embed(layout, label, spectral.to_state(data, np.eye(2)[k]))
+        expected += sig / np.sqrt(5) * _embed(layout, label, np.eye(2)[k])
     assert np.abs(state.amplitudes - expected).max() < 1e-9
 
 
@@ -404,32 +410,41 @@ def test_exact_encoding_mass_sits_on_labels():
 
 
 def test_c_distribution_independent_of_v_factor():
+    # on the full data register B_u (x) B_v, loaded with the input and E a
+    # dense gate on B_u, C's masses do not depend on the right vectors, and
+    # they are those of the run's phase estimation on the Schmidt index
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
-    masses = []
+    state = loaded_state(data, layout)
+    qpe.phase_estimate(state, cfg, layout, pairs)
+    masses = [sim.register_mass(state, layout.reg_C)]
+    full = sim.RegisterLayout(layout.m_bits, layout.t_bits, 3)  # B_u 1 qubit, B_v 2
     for seed in (7, 77):
         other = spectral.decompose(random_lowrank(2, 3, 2, seed=seed, sigma=(2.0, 1.0)))
         # same u/sigma structure, different right vectors
         hybrid = spectral.SpectralData(
             sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q
         )
-        state = loaded_state(hybrid, layout)
-        qpe.phase_estimate(state, cfg, layout, pairs)
-        masses.append(sim.register_mass(state, layout.reg_C))
+        state = sim.new_state(full)
+        sim.load_register(state, full.reg_B, spectral.to_state(hybrid, hybrid.sigma))
+        a = from_eigenpairs(u_pairs(hybrid))
+        dense_phase_estimate(state, cfg, full, a, list(full.reg_B)[:1])
+        masses.append(sim.register_mass(state, full.reg_C))
+    assert np.abs(masses[1] - masses[2]).max() < 1e-12
     assert np.abs(masses[0] - masses[1]).max() < 1e-12
 
 
 def test_conditional_evolution_matches_the_bitwise_controlled_gates():
-    # one gate on all of C, a factor per C qubit, against one gate per C
-    # qubit, A exponentiated by eigh, both directions, on random states
+    # one diagonal gate on all of C, a row of phases per C qubit, against
+    # one dense gate per C qubit, A exponentiated by eigh, both directions,
+    # on random states
     _, _, pairs = reference_setup()
     rng = np.random.default_rng(24)
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for a in (pairs, np.linalg.eigh(z + z.conj().T)):
+    for a in (pairs, rng.normal(size=4) * 3.0):
         for t_bits in range(1, 7):
-            layout = sim.RegisterLayout(1, t_bits, 3)
+            layout = sim.RegisterLayout(1, t_bits, len(a).bit_length() - 1)
             cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
-            reg_b = qpe._u_factor_qubits(layout, a)
+            reg_b = layout.reg_B
             for inverse in (False, True):
                 state = _random_state(rng, layout, clear_c=False)
                 reference = bitwise_conditional_evolution(
@@ -440,11 +455,10 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
 
 
 def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
-    # an 8x8 u-factor: E is one controlled gate of t factors per pass, and
-    # it matches one controlled power per C qubit
+    # A diagonal on 3 qubits: E is one controlled gate of t rows of phases
+    # per pass, and it matches one dense controlled power per C qubit
     rng = np.random.default_rng(25)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    a = np.linalg.eigh(z + z.conj().T)
+    a = rng.normal(size=8) * 3.0
     apply_controlled, calls = sim.apply_controlled, []
 
     def spy(state, factors, control, targets):
@@ -465,13 +479,14 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
                 qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
             assert calls == [t_bits]
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
-        # a u-factor register that does not fit A is rejected by the gate
+        # a register that does not fit A is rejected by the gate
         before = state.amplitudes.copy()
-        with pytest.raises(ValidationError, match="does not match"):
+        match = rf"^a {t_bits}-qubit control on 2 targets takes {t_bits} rows of 4 phases"
+        with pytest.raises(ValidationError, match=rf"{match}, got \({t_bits}, 8\)$"):
             qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B[:2], a)
         # each exponential is checked before the state is touched
         with monkeypatch.context() as patch:
-            patch.setattr(qpe, "herm_exp", lambda a, t: 1.5 * np.eye(len(a[1])))
+            patch.setattr(qpe, "herm_exp", lambda a, t: np.full(len(a), 1.5 + 0j))
             with pytest.raises(ValidationError, match="unitary"):
                 qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
         assert np.array_equal(state.amplitudes, before)
@@ -481,7 +496,7 @@ def hadamard_phase_estimate(state, cfg, layout, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
-    qpe.conditional_evolution(state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a)
+    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
     qpe.iqft(state, layout.reg_C)
     return state
 
@@ -489,9 +504,7 @@ def hadamard_phase_estimate(state, cfg, layout, a):
 def hadamard_phase_estimate_inverse(state, cfg, layout, a):
     """Adjoint of :func:`hadamard_phase_estimate`: QFT, E^-1, Hadamards."""
     qpe.qft(state, layout.reg_C)
-    qpe.conditional_evolution(
-        state, cfg, layout.reg_C, qpe._u_factor_qubits(layout, a), a, inverse=True
-    )
+    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse=True)
     for q in layout.reg_C:
         sim.apply_unitary(state, hadamard(), [q])
     return state
@@ -511,8 +524,8 @@ def _random_state(rng, layout, clear_c):
 
 
 def test_qft_phase_estimation_matches_the_hadamard_layer():
-    _, _, pairs = reference_setup()
     rng = np.random.default_rng(23)
+    pairs = rng.uniform(0.0, 5.0, size=8)  # A's eigenvalues on a 3-qubit B
     for t_bits in range(1, 6):
         layout = sim.RegisterLayout(2, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)

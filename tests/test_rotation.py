@@ -13,7 +13,7 @@ from qsvt.errors import (
 )
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, pauli_x, ry, u_pairs, whole_state
+from gates import bitwise_ry_cascade, controlled, pauli_x, ry, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -452,7 +452,7 @@ def test_ry_cascade_is_exact_beyond_single_lobe():
 def _controlled_ry_product(alpha, d):
     """Full (d+1)-qubit matrix of the cascade's gate sequence on L (qubits
     0..d-1) and the ancilla (qubit d), built column by column through the
-    simulator."""
+    tests' dense controlled gate."""
     n = d + 1
     dim = 1 << n
     op = np.eye(dim, dtype=complex)
@@ -460,7 +460,7 @@ def _controlled_ry_product(alpha, d):
         gate = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
             st = sim.QuantumState(n, np.eye(dim, dtype=complex)[col])
-            sim.apply_controlled(st, [ry(2.0 ** (1 - j) * alpha)], [j - 1], [d])
+            controlled(st, [ry(2.0 ** (1 - j) * alpha)], [j - 1], [d])
             gate[:, col] = st.amplitudes
         op = gate @ op
     return op
@@ -513,10 +513,10 @@ def reference_forward_state():
     data = spectral.decompose(random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0)))
     pe_cfg = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, 2, 0.5)
-    layout = sim.RegisterLayout(2, 3, 3)
-    pairs = u_pairs(data)
+    layout = sim.RegisterLayout(2, 3, 1)  # B: the Schmidt index of rank 2
+    pairs = spectral.gram(data)
     state = sim.new_state(layout)
-    sim.load_register(state, layout.reg_B, spectral.to_state(data, data.sigma))
+    sim.load_register(state, layout.reg_B, data.sigma / np.linalg.norm(data.sigma))
     qpe.phase_estimate(state, pe_cfg, layout, pairs)
     oracle.apply(state, layout)
     alpha = np.pi / (2 * 0.75)
@@ -544,7 +544,7 @@ def test_uncompute_leaves_ancilla_entangled_with_b_only():
     expected = np.zeros_like(state.amplitudes)
     b = len(layout.reg_B)
     for k, y in enumerate((0.75, 0.5)):
-        triple = spectral.to_state(data, np.eye(2)[k])
+        triple = np.eye(2)[k]  # |k> on the Schmidt index
         weight = data.sigma[k] / np.sqrt(n1)
         # L = C = 0, and the ancilla, directly ahead of B, reads 0 or 1
         expected[0 : 1 << b] += weight * np.cos(y * alpha) * triple

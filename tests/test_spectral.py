@@ -116,39 +116,40 @@ def test_decompose_computes_single_precision_input_in_double(dtype, phase):
 
 def test_gram_eigenvalues_of_reference_instance():
     a0 = random_lowrank(2, 3, 2, seed=7, sigma=(2.0, 1.0))
-    a = from_eigenpairs(spectral.gram(spectral.decompose(a0)))
-    eigvals = np.sort(np.linalg.eigvalsh(a))
-    assert np.allclose(eigvals, [1.0, 4.0], atol=1e-9)
+    values = spectral.gram(spectral.decompose(a0))
+    assert values.shape == (2,) and values.dtype == float
+    assert np.allclose(values, [4.0, 1.0], atol=1e-9)
 
 
 def test_gram_rank_one():
+    # rank one, padded to a qubit: A = diag(4, 0)
     data = spectral.decompose(np.outer([1.0, 0.0], [0.0, 2.0]))
-    a = from_eigenpairs(spectral.gram(data))
-    assert np.allclose(a, [[4.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(spectral.gram(data), [4.0, 0.0])
 
 
 def test_gram_trace_equals_n1():
     a0 = random_lowrank(5, 4, 3, seed=3)
     data = spectral.decompose(a0)
-    assert np.trace(from_eigenpairs(spectral.gram(data))) == pytest.approx(np.sum(data.sigma**2))
+    assert np.sum(spectral.gram(data)) == pytest.approx(np.sum(data.sigma**2))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
 def test_gram_on_the_schmidt_index_is_what_the_isometry_carries_to_b(r):
-    # A's pairs on the index k are sigma_k^2 and e_k, d = pad(max(r, 2)), so
-    # E is diag(exp(i sigma^2 t)) padded with 1; |k> -> u_k (x) conj(v_k)
-    # carries it to E on B_u beside the identity on B_v
+    # A on the index k is diagonal: sigma_k^2, and 0 on the padding to
+    # d = pad(max(r, 2)), so E is diag(exp(i sigma^2 t)) padded with 1;
+    # |k> -> u_k (x) conj(v_k) carries it to E on B_u beside the identity
+    # on B_v, E on B_u exponentiated densely by eigh
     spec = spectral.decompose(random_lowrank(6, 5, r, seed=r, sigma=(6.0, 4.0, 3.0, 2.0, 1.0)[:r]))
-    values, vectors = spectral.gram(spec)
+    values = spectral.gram(spec)
     d = spectral.pad_dim(max(r, 2))
-    assert np.array_equal(values, spec.sigma**2) and np.array_equal(vectors, np.eye(d, r))
+    assert np.array_equal(values, np.r_[spec.sigma**2, np.zeros(d - r)])
     iso = np.stack([spectral.embed(spec, row) for row in np.eye(r)], axis=1)
+    a_u = from_eigenpairs(u_pairs(spec))
     for t in (0.7, -2.0):
-        e = spectral.herm_exp((values, vectors), t)
-        diag = np.r_[np.exp(1j * t * spec.sigma**2), np.ones(d - r)]
-        assert np.abs(e - np.diag(diag)).max() <= 1e-15
-        e_b = np.kron(spectral.herm_exp(u_pairs(spec), t), np.eye(spectral.pad_dim(spec.q)))
-        assert np.abs(e_b @ iso - iso @ e[:r, :r]).max() <= 1e-12
+        e = spectral.herm_exp(values, t)
+        assert np.abs(e - np.r_[np.exp(1j * t * spec.sigma**2), np.ones(d - r)]).max() <= 1e-15
+        e_b = np.kron(eigh_exp(a_u, t), np.eye(spectral.pad_dim(spec.q)))
+        assert np.abs(e_b @ iso - iso * e[:r]).max() <= 1e-12
 
 
 def test_classical_svt_shrinks_singular_values():
@@ -308,26 +309,25 @@ def test_partial_trace_roundtrip_reproduces_gram():
 
 
 def test_herm_exp_zero_time_identity():
-    a = np.array([[2.0, 1.0], [1.0, -1.0]])
-    assert np.allclose(spectral.herm_exp(np.linalg.eigh(a), 0.0), np.eye(2), atol=1e-12)
+    e = spectral.herm_exp([2.0, -1.0, 0.0], 0.0)
+    assert e.dtype == complex and np.array_equal(e, np.ones(3))
 
 
 def test_herm_exp_integer_phases():
-    u = spectral.herm_exp(([4.0, 1.0], np.eye(2)), 2 * np.pi)
-    assert np.allclose(u, np.eye(2), atol=1e-10)
+    u = spectral.herm_exp([4.0, 1.0], 2 * np.pi)
+    assert np.allclose(u, np.ones(2), atol=1e-10)
 
 
 def test_herm_exp_scalar_phases():
-    u = spectral.herm_exp(([4.0, 1.0], np.eye(2)), 2 * np.pi / 8)
-    assert np.allclose(np.diag(u), [np.exp(1j * np.pi), np.exp(1j * np.pi / 4)])
+    u = spectral.herm_exp([4.0, 1.0], 2 * np.pi / 8)
+    assert np.allclose(u, [np.exp(1j * np.pi), np.exp(1j * np.pi / 4)])
 
 
 def test_herm_exp_group_property():
     rng = np.random.default_rng(15)
-    a = rng.normal(size=(3, 3))
-    pairs = np.linalg.eigh(a + a.T)
-    left = spectral.herm_exp(pairs, 0.7) @ spectral.herm_exp(pairs, 0.4)
-    right = spectral.herm_exp(pairs, 1.1)
+    lam = rng.normal(size=3)
+    left = spectral.herm_exp(lam, 0.7) * spectral.herm_exp(lam, 0.4)
+    right = spectral.herm_exp(lam, 1.1)
     assert np.abs(left - right).max() < 1e-9
 
 
@@ -344,23 +344,29 @@ def test_herm_exp_group_property():
     ids=["square", "wide", "tall-16x2", "tall-64x1", "rank-deficient", "p-not-power-of-two"],
 )
 def test_herm_exp_of_gram_matches_the_eigh_exponential_of_a0_a0_dagger(a0):
-    # the reference exponentiates the padded matrix A0 A0^dagger by eigh
+    # the reference exponentiates the padded matrix A0 A0^dagger by eigh;
+    # the phases on the Schmidt index, carried by the padded u, give it as
+    # I + U diag(phase - 1) U^dagger
     spec = spectral.decompose(a0)
     du = spectral.pad_dim(spec.p)
     a = np.zeros((du, du))
     a[: spec.p, : spec.p] = a0 @ a0.T
-    pairs = u_pairs(spec)
+    u = np.zeros((du, spec.rank))
+    u[: spec.p] = spec.u
     for t in (0.3, 1.0, 2.0 * np.pi / 8, 5.0):
         for sign in (1.0, -1.0):
-            u = spectral.herm_exp(pairs, sign * t)
-            assert u.shape == (du, du)
-            assert np.abs(u - eigh_exp(a, sign * t)).max() <= 1e-12
+            phases = spectral.herm_exp(spectral.gram(spec), sign * t)
+            assert phases.shape == (spectral.pad_dim(max(spec.rank, 2)),)
+            assert np.array_equal(phases[spec.rank :], np.ones(len(phases) - spec.rank))
+            e = np.eye(du) + (u * (phases[: spec.rank] - 1.0)) @ u.T
+            assert np.abs(e - eigh_exp(a, sign * t)).max() <= 1e-12
 
 
-def test_herm_exp_rejects_mismatched_eigenpairs():
-    for values, vectors in (([1.0], np.eye(2)), ([1.0, 2.0], np.eye(2)[0]), ([[1.0]], np.eye(1))):
-        with pytest.raises(ValidationError, match="eigenvalues for eigenvectors"):
-            spectral.herm_exp((values, vectors), 1.0)
+def test_herm_exp_rejects_eigenvalues_that_are_not_a_vector():
+    # the eigenpairs (values, vectors) of a dense A, a matrix, a string
+    for values in (([1.0], np.eye(2)), [[1.0]], np.eye(2), "a", ["a"]):
+        with pytest.raises(ValidationError, match="^eigenvalues must be a vector of real numbers"):
+            spectral.herm_exp(values, 1.0)
 
 
 def test_pad_dim():
