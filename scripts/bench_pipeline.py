@@ -1,6 +1,10 @@
 """Append one entry to BENCH_pipeline.json: the wall time and peak memory
 of ``run_pipeline`` at fixed qubit counts, and of the default analytic
-sweep.
+sweep.  A case's name starts with the qubits of the state that its run
+makes: m + t + 1 + log2 pad(max(r, 2)), the registers L, C, the ancilla
+and B, which holds the input's Schmidt index; then the input's shape and
+rank and the widths t (and m where it is not 8).  The 256 x 256 cases at
+t 8 and m 8 make states of 19, 21, 23 and 25 qubits, one per rank.
 
     python3 scripts/bench_pipeline.py --label TEXT [--out FILE]
 
@@ -44,19 +48,28 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 
 # name: (p, q, rank, t_bits, m_bits); random_lowrank(p, q, rank, [3, 1]),
-# tau = 0.3 sigma_1, intuitive alpha; a name gives the qubits of the
-# circuit on the full data register B_u (x) B_v, and state_mib the size of
-# the state that the run makes
+# tau = 0.3 sigma_1, intuitive alpha
 CIRCUITS = {
-    "19q 4x4 r2 t6": (4, 4, 2, 6, 8),
-    "21q 8x8 r3 t6": (8, 8, 3, 6, 8),
-    "23q 8x8 r3 t8": (8, 8, 3, 8, 8),
-    "25q 16x16 r4 t8": (16, 16, 4, 8, 8),
-    "tall 21q 1024x1 r1 t8 m2": (1024, 1, 1, 8, 2),
+    "16q 4x4 r2 t6": (4, 4, 2, 6, 8),
+    "17q 8x8 r3 t6": (8, 8, 3, 6, 8),
+    "19q 8x8 r3 t8": (8, 8, 3, 8, 8),
+    "19q 16x16 r4 t8": (16, 16, 4, 8, 8),
+    "tall 12q 1024x1 r1 t8 m2": (1024, 1, 1, 8, 2),
 }
+# name: (rank, t_bits, m_bits); random_lowrank(256, 256, rank, [3, 1]) with
+# SIGMA_ABOVE above tau = 1 and the rest of its sigma spread evenly over
+# 0.9 ... 0.01, intuitive alpha
+SCHMIDT = {
+    "19q 256x256 r4 t8": (4, 8, 8),
+    "21q 256x256 r16 t8": (16, 8, 8),
+    "23q 256x256 r64 t8": (64, 8, 8),
+    "25q 256x256 r256 t8": (256, 8, 8),
+    "25q 256x256 r256 t12 m4": (256, 12, 4),
+}
+SIGMA_ABOVE = (4.0, 3.3, 2.6, 1.9)
 # the paper's instance: sigma = (2, 1), tau = 0.5; fixed per-call costs
 # dominate its runs, as in perfbench's paper_example
-PAPER = "paper 9q 2x3 r2 t3 m2"
+PAPER = "paper 7q 2x3 r2 t3 m2"
 SWEEP = "sweep 120 analytic"
 RUNS = 3
 PAPER_RUNS = 3000
@@ -105,6 +118,7 @@ def _stages(work, cfg) -> tuple[dict, int]:
 def _case(name: str) -> dict:
     """Run one case in this process; its wall times and peak RSS."""
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
     from qsvt import harness, pipeline, spectral
 
     runs = RUNS
@@ -116,9 +130,14 @@ def _case(name: str) -> dict:
         work, runs = pipeline.run_pipeline, PAPER_RUNS
         cfg = pipeline.PipelineConfig(a0=a0, tau=0.5, t_bits=3, m_bits=2)
     else:
-        p, q, r, t_bits, m_bits = CIRCUITS[name]
-        a0 = harness.random_lowrank(p, q, r, [3, 1])
-        tau = 0.3 * float(spectral.decompose(a0).sigma[0])
+        if name in SCHMIDT:
+            r, t_bits, m_bits = SCHMIDT[name]
+            sigma = np.r_[SIGMA_ABOVE, np.linspace(0.9, 0.01, r - len(SIGMA_ABOVE))]
+            a0, tau = harness.random_lowrank(256, 256, r, [3, 1], sigma=sigma), 1.0
+        else:
+            p, q, r, t_bits, m_bits = CIRCUITS[name]
+            a0 = harness.random_lowrank(p, q, r, [3, 1])
+            tau = 0.3 * float(spectral.decompose(a0).sigma[0])
         work = pipeline.run_pipeline
         cfg = pipeline.PipelineConfig(a0=a0, tau=tau, t_bits=t_bits, m_bits=m_bits)
     setup = time.perf_counter() - start
@@ -168,7 +187,7 @@ def main() -> None:
     import envinfo
 
     cases = {}
-    for name in [PAPER, *CIRCUITS, SWEEP]:
+    for name in [PAPER, *CIRCUITS, *SCHMIDT, SWEEP]:
         done = subprocess.run([sys.executable, __file__, "--label", args.label, "--case", name],
                               capture_output=True, text=True, check=True, cwd=ROOT)
         cases[name] = json.loads(done.stdout)

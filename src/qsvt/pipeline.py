@@ -79,7 +79,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
-    memory that the state, phase estimation's DFT pair and E's phases take.
+    memory that the state and phase estimation's rows of E's phases take.
     Data register B holds the input's Schmidt index k, log2 pad_dim(r)
     qubits but at least one, on which A = A0 A0^dagger is
     diag(sigma_k^2) (:func:`spectral.gram`); ``b_state`` is written back
@@ -128,8 +128,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     b_bits = d.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
-                     f" with the 2^{pe_cfg.t_bits}-point DFT pair on C and E's"
-                     f" {pe_cfg.t_bits} rows of {d} phases on the Schmidt index")
+                     f" with E's {pe_cfg.t_bits} rows of {d} phases on the Schmidt index")
 
     state = sim.new_state(layout)
     load = np.zeros(d)

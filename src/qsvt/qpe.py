@@ -12,9 +12,9 @@ the C qubit of bit weight 2^w: one controlled gate on all of C and all
 of B, which holds the input's Schmidt index.  There A is diagonal, given
 as its eigenvalues (:func:`spectral.gram`), so each factor is a row of
 phases exp(i lam 2^w t0) that the gate multiplies in place: no matrix A,
-no dense factor and no eigendecomposition is made.  The DFT pair on C
-comes from :func:`sim.dft_matrix`, which holds the pair of one width,
-checked once; the gate applies it unchecked.
+no dense factor and no eigendecomposition is made.  The QFT on C is
+the DFT on amplitudes, which :func:`sim.apply_unitary` computes in place
+by FFT: no T x T matrix is made either.
 
 Rank-sized work (the eigenvalues, their labels and the checks on them)
 runs on Python floats and ints, converted once with ``tolist()``; the
@@ -113,22 +113,20 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
 
 def qft(state: QuantumState, qubits) -> QuantumState:
     """Forward transform: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
-    return sim.apply_unitary(state, sim.dft_matrix(len(qubits)), qubits)
+    return sim.apply_unitary(state, qubits)
 
 
 def iqft(state: QuantumState, qubits) -> QuantumState:
-    return sim.apply_unitary(state, sim.dft_matrix(len(qubits), -1), qubits)
+    return sim.apply_unitary(state, qubits, inverse=True)
 
 
 def matrix_bytes(t_bits: int, e_bits: int) -> int:
     """Bytes that bound the arrays phase estimation makes beside the
-    state: the DFT pair on C, which ``sim`` holds, and the larger of two
-    more DFTs (the pair's build peaks at three) and E's t rows of phases
-    on ``e_bits`` qubits, the run's Schmidt index, with the stack that the
-    gate makes of them and its unit check's two real temporaries: three
-    complex copies of the rows."""
-    dft = 16 << 2 * t_bits  # complex128
-    return 2 * dft + max(2 * dft, 3 * t_bits * 16 << e_bits)
+    state: E's t rows of phases on ``e_bits`` qubits, the run's Schmidt
+    index, with the stack that the gate makes of them and its unit
+    check's two real temporaries, three complex copies of the rows.  The
+    in-place FFT on C makes nothing of the state's size."""
+    return 3 * t_bits * 16 << e_bits  # complex128
 
 
 def conditional_evolution(

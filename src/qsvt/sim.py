@@ -9,37 +9,30 @@ Conventions used throughout the package:
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes, complex128, in place through
   reshape views split at register edges: a gate on qubits lo..lo+k-1
-  sees ``(2**lo, 2**k, rest)``.  An uncontrolled gate is one matrix,
-  written back as ``matrix @ block`` in place, block by block, in blocks
-  of about ``BLOCK_AMPLITUDES`` cut along the view's first leading axis
-  longer than one, and along the rest axis where that axis is short or
-  absent, so no temporary outgrows a block; a state that fits one block
-  is one block.  A controlled gate is diagonal, as phase estimation's E
-  is on the Schmidt index: its control is one more split axis per
+  sees ``(2**lo, 2**k, rest)``.  Phase estimation's two gates take the
+  forms of its stages; neither is a matrix.  Its QFT is the DFT on
+  amplitudes, :func:`apply_unitary`, an FFT along the targets' axis of
+  that view.  Its E is diagonal on the Schmidt index,
+  :func:`apply_controlled`: the control is one more split axis per
   control qubit, and one row of phases per qubit multiplies the targets'
-  amplitudes in place where that qubit reads 1: no copy of the state,
-  only NumPy's iterator buffers, a few hundred KiB at any size.
-  Every gate is complex128.  Targets, controls and registers are
-  non-empty, disjoint, contiguous ascending integer qubits of the state,
-  or ``ValidationError`` is raised before the state is touched.  One
-  cached function, ``_split``, checks them, once per distinct register
-  set rather than per call (``_qubits`` checks per call that they are
-  integers, which its keys cannot tell), and ``_gate_view`` plans the
-  view and the blocks once per register set.  A state has a single
-  writer at a time.
-* Gates reject a non-unitary matrix and a phase off the unit circle, one
-  check of the whole gate per call, except the DFT pair of one width
-  that :func:`dft_matrix` holds, checked once and immutable, which
-  :func:`apply_unitary` knows by identity.  Any other array, read-only or
-  not, is checked on every call, as a read-only view can change through
-  a writable base.  Gates do not check the norm: every read of the
-  state, the register masses of :func:`register_mass` and
-  :func:`post_select`, checks that they sum to 1 within ``NORM_TOL`` or
-  raises ``NormalizationError``, so no stage reads a state off unit norm
-  and no pass is made for the norm alone.  Post-selection is such a read
-  and writes nothing: the caller divides the amplitudes it keeps by the
-  square root of the probability that it returns.  Every guard is
-  written so that NaN fails.
+  amplitudes where that qubit reads 1.  Neither copies the state, only
+  NumPy's buffers, a few hundred KiB at any size.  Targets, controls and
+  registers are non-empty, disjoint, contiguous ascending integer qubits
+  of the state, or ``ValidationError`` is raised before the state is
+  touched.  One cached function, ``_split``, checks them, once per
+  distinct register set rather than per call (``_qubits`` checks per
+  call that they are integers, which its keys cannot tell), and
+  ``_gate_view`` plans the controlled gate's view once per register set.
+  A state has a single writer at a time.
+* The DFT is unitary by construction; the controlled gate rejects a
+  phase off the unit circle, one check of its rows per call.  Gates do
+  not check the norm: every read of the state, the register masses of
+  :func:`register_mass` and :func:`post_select`, checks that they sum to
+  1 within ``NORM_TOL`` or raises ``NormalizationError``, so no stage
+  reads a state off unit norm and no pass is made for the norm alone.
+  Post-selection is such a read and writes nothing: the caller divides
+  the amplitudes it keeps by the square root of the probability that it
+  returns.  Every guard is written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
   :func:`check_positive` (real numbers); register qubits and oracle maps
@@ -64,7 +57,6 @@ NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 POST_SELECT_FLOOR = 1e-12
 CLEARED_TOL = 1e-12
-BLOCK_AMPLITUDES = 1 << 18  # 4 MiB of complex128
 
 
 def _is_int(x) -> bool:
@@ -258,69 +250,20 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _gate_view(n: int, registers: tuple) -> tuple[tuple, tuple, tuple, tuple]:
+def _gate_view(n: int, targets: tuple, control: tuple) -> tuple[tuple, tuple, tuple]:
     """The shape and axis order that view the amplitudes as (..., control
     qubits, targets, rest), one axis per control qubit, a reshape of the
-    flat amplitudes that never copies; the blocks of that view that
-    :func:`apply_unitary` writes one at a time; and the index of each
-    control qubit's half of the view, where it reads 1.  ``registers`` is
-    ``(targets,)`` or ``(targets, control)``.  The blocks are index tuples
-    of about ``BLOCK_AMPLITUDES`` amplitudes that cut the first leading
-    axis longer than one (else rest) and, where one index of that axis
-    holds more, rest as well; a state that fits one block is one block."""
-    _split(n, registers)  # the register check
-    shape, axes = _split(n, registers[:1] + tuple((q,) for r in registers[1:] for q in r))
-    # a leading unit axis is the matmul's column axis (rest) when the
-    # targets hold every qubit, as in a QFT of the whole state
+    flat amplitudes that never copies, and the index of each control
+    qubit's half of the view, where it reads 1."""
+    _split(n, (targets, control))  # the register check
+    shape, axes = _split(n, (targets,) + tuple((q,) for q in control))
+    # a leading unit axis is rest when the targets and control hold every qubit
     shape, axes = (1,) + shape, [a + 1 for a in axes]
     rest = [a for a in range(len(shape)) if a not in axes]
     order = tuple(rest[:-1] + axes[1:] + axes[:1] + rest[-1:])
-    dims, last = [shape[a] for a in order], len(order) - 1
-
-    def chunks(axis: int, per: int) -> list[slice]:
-        """Slices of ``axis`` of about BLOCK_AMPLITUDES amplitudes at
-        ``per`` amplitudes an index.  Along rest, the matmul's columns, a
-        slice keeps at least four: OpenBLAS rounds a one- or two-column
-        product differently from a wide one, four and more bit for bit."""
-        step = max(4 if axis == last else 1, BLOCK_AMPLITUDES // per)
-        return [slice(i, i + step) for i in range(0, dims[axis], step)]
-
-    cut = next((a for a, d in enumerate(dims[: last - len(axes)]) if d > 1), last)
-    per = (1 << n) // dims[cut]  # amplitudes under one index of the cut axis
-    blocks = [(slice(None),) * cut + (s,) for s in chunks(cut, per)]
-    if per > BLOCK_AMPLITUDES and cut < last:  # a short leading axis: cut rest too
-        blocks = [b + (..., s) for b in blocks for s in chunks(last, per // dims[last])]
     # the half where control qubit j reads 1 (its axis is -3 - j)
-    halves = tuple((..., 1) + (slice(None),) * (j + 2) for j in range(len(axes) - 1))
-    return shape, order, tuple(blocks), halves
-
-
-def _check_unitary(matrix: np.ndarray) -> None:
-    """Reject a non-unitary square matrix."""
-    dev = matrix.conj().T @ matrix
-    dev.reshape(-1)[:: len(dev) + 1] -= 1.0
-    err = np.abs(dev).max()
-    if not err <= UNITARY_TOL:  # NaN fails too
-        raise ValidationError(f"matrix is not unitary (deviation {err:.3e})")
-
-
-_dft = [None, None, None]  # width, DFT, inverse: views of bytes, which no flag makes writable
-
-
-def dft_matrix(width: int, sign: int = 1) -> np.ndarray:
-    """The 2^width-point DFT, or with ``sign`` -1 its inverse, immutable:
-    the one matrix :func:`apply_unitary` applies unchecked.  A new width
-    releases the held pair, checks its DFT once and holds it and its
-    conjugate, the inverse of a symmetric unitary; the build peaks at
-    three matrices."""
-    if width != _dft[0]:
-        _dft[:] = None, None, None
-        j = np.arange(1 << width)
-        dft = np.exp(2j * np.pi / len(j) * np.outer(j, j)) / np.sqrt(len(j))
-        _check_unitary(dft)
-        pair = dft.tobytes(), np.conjugate(dft, out=dft).tobytes()
-        _dft[:] = width, *(np.frombuffer(b, complex).reshape(dft.shape) for b in pair)
-    return _dft[1] if sign == 1 else _dft[2]
+    halves = tuple((..., 1) + (slice(None),) * (j + 2) for j in range(len(control)))
+    return shape, order, halves
 
 
 def _complex(name: str, values) -> np.ndarray:
@@ -331,22 +274,15 @@ def _complex(name: str, values) -> np.ndarray:
         raise ValidationError(f"gate {name} must hold numbers: {exc}") from None
 
 
-def apply_unitary(state: QuantumState, matrix, targets) -> QuantumState:
-    """Apply ``matrix`` on ``targets`` (first target = most significant
-    bit of the gate's label) and identity elsewhere, as ``matrix @ block``
-    written back in place, one block of :func:`_gate_view` at a time.  The
-    matrix is checked for unitarity first, unless it is the held DFT pair."""
-    targets = _qubits(targets)
-    shape, order, blocks, _ = _gate_view(state.n_qubits, (targets,))
-    u, dim = _complex("matrix", matrix), 1 << len(targets)
-    if u.shape != (dim, dim):
-        raise ValidationError(f"{len(targets)} targets take a {dim}x{dim} matrix, got {u.shape}")
-    if u is not _dft[1] and u is not _dft[2]:  # the held pair was checked when built
-        _check_unitary(u)
-    view = state.amplitudes.reshape(shape).transpose(order)
-    for block in blocks:
-        part = view[block]
-        part[...] = u @ part
+def apply_unitary(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
+    """The 2^k-point DFT on the k ``targets`` (first target = most
+    significant bit of the label), |c> -> 2^(-k/2) sum_j exp(2 pi i c j /
+    2^k)|j>, or with ``inverse`` its inverse, and identity elsewhere:
+    ``np.fft.ifft`` (``fft``) along the targets' axis of the
+    :func:`_split` view, written in place."""
+    shape, (axis,) = _split(state.n_qubits, (_qubits(targets),))
+    view = state.amplitudes.reshape(shape)
+    (np.fft.fft if inverse else np.fft.ifft)(view, axis=axis, norm="ortho", out=view)
     return state
 
 
@@ -360,7 +296,7 @@ def apply_controlled(state: QuantumState, phases, control, targets) -> QuantumSt
     one qubit.  Every phase must lie within ``UNITARY_TOL`` of the unit
     circle, checked first."""
     targets, control = _qubits(targets), _qubits(control)
-    shape, order, _, halves = _gate_view(state.n_qubits, (targets, control))
+    shape, order, halves = _gate_view(state.n_qubits, targets, control)
     stack, (w, dim) = _complex("phases", phases), (len(control), 1 << len(targets))
     if stack.shape != (w, dim):
         raise ValidationError(f"a {w}-qubit control on {len(targets)} targets takes {w} rows"

@@ -1,7 +1,8 @@
 """Gates and gate-level circuits that the package does not need, kept as
 references for the tests: one-qubit gates, exp(i A t) from an
-eigendecomposition of the matrix A, a dense controlled gate written on
-NumPy alone (the package's controlled gate is diagonal), the circuit's
+eigendecomposition of the matrix A, a general matrix gate and a dense
+controlled gate written on NumPy alone (the package's one uncontrolled
+gate is the DFT and its controlled gate is diagonal), the circuit's
 controlled stages spelled as one single-qubit-controlled dense gate per
 control bit, phase estimation on the whole state rather than its L = 0
 block, the circuit on the full data register B = B_u (x) B_v rather than
@@ -32,6 +33,18 @@ def eigh_exp(a, t) -> np.ndarray:
     """exp(i A t) of a Hermitian matrix A from ``np.linalg.eigh``."""
     w, v = np.linalg.eigh(a)
     return (v * np.exp(1j * w * t)) @ v.conj().T
+
+
+def unitary(state, matrix, targets):
+    """A general matrix gate on NumPy alone, which prepares the tests'
+    states: ``matrix`` acts on ``targets``, the first target the most
+    significant bit of its label, and identity elsewhere.  Qubits may sit
+    anywhere and in any order; nothing is checked."""
+    k = len(targets)
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    moved = np.moveaxis(psi, list(targets), range(k))  # a view
+    moved[...] = (np.asarray(matrix) @ moved.reshape(1 << k, -1)).reshape(moved.shape)
+    return state
 
 
 def controlled(state, factors, control, targets):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import harness, pipeline, rotation, sim, spectral
+from qsvt import harness, pipeline, qpe, rotation, sim, spectral
 from qsvt.errors import DegenerateSpectrumError, ValidationError
 
 from gates import full_qr_lowrank
@@ -172,21 +172,36 @@ def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: memory budget exceeded: a {n}-qubit state")
 
 
-def test_cmd_example_whose_dft_pair_is_over_the_memory_budget_exits_2(monkeypatch, capsys):
-    # t 16: a state of at most 64 MiB and DFTs of 64 GiB each; the run made
-    # the state, then died on a bare 32 GiB int64 allocation in dft_matrix
-    def no_state(*args, **kwargs):
-        raise AssertionError("state allocated for a run whose DFT pair does not fit")
+def test_cmd_example_at_t_16_runs_within_a_budget_of_the_state_and_e_rows(monkeypatch):
+    # t 16 exited 2: the budget counted DFTs of 64 GiB each beside a state
+    # of at most 64 MiB; the FFT on C makes no matrix, so the budget sees
+    # the state and E's 16 rows of phases alone
+    extras = []
+    check_budget = sim.check_budget
+    monkeypatch.setattr(sim, "check_budget", lambda layout, extra=0, what="":
+                        extras.append((layout, extra)) or check_budget(layout, extra, what))
+    assert harness.main(["example", "--t-bits", "16"]) == 0
+    [(layout, extra), in_new_state] = extras
+    assert in_new_state == (layout, 0)  # new_state checks the state alone
+    assert layout.t_bits == 16 and extra == qpe.matrix_bytes(16, layout.b_bits) == 3 * 16 * 32
 
-    monkeypatch.setattr(sim, "new_state", no_state)
-    monkeypatch.setattr(sim, "MEMORY_BYTES", 8 << 30)
+
+def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys):
+    # a budget a byte short of the state and E's rows is refused before the state
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated for a run over its budget")
+
     seen = budget_layouts(monkeypatch)
+    assert harness.main(["example", "--t-bits", "16"]) == 0
+    layout = seen[0]
+    need = (16 << layout.n_qubits) + qpe.matrix_bytes(16, layout.b_bits)
+    monkeypatch.setattr(sim, "new_state", no_state)
+    monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
+    capsys.readouterr()
     assert harness.main(["example", "--t-bits", "16"]) == 2
-    [layout] = seen
-    assert layout.t_bits == 16 and (16 << layout.n_qubits) < 8 << 30
-    assert capsys.readouterr().err.startswith(f"error: memory budget exceeded:"
-                                              f" a {layout.n_qubits}-qubit state with the"
-                                              f" 2^16-point DFT pair on C")
+    assert capsys.readouterr().err == (
+        f"error: memory budget exceeded: a {layout.n_qubits}-qubit state with E's 16 rows"
+        f" of 2 phases on the Schmidt index takes {need} bytes, the machine has {need - 1}\n")
 
 
 def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):

@@ -672,31 +672,27 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
     assert run_reference(alpha=4.18).alpha == 4.18
 
 
-def test_memory_budget_counts_the_dense_matrices_before_the_state(monkeypatch):
-    # the state fits and the matrices do not: a DFT pair of 2^t points is
-    # refused before the state is made (t 16 died on a bare 32 GiB int64
-    # allocation in dft_matrix); E is counted as its t rows of phases
+def test_memory_budget_counts_e_rows_before_the_state(monkeypatch):
+    # the state and E's t rows of phases are counted before the state is
+    # made; the FFT on C makes no matrix (a DFT pair of 2^t points was
+    # counted, and t 16 died on a bare 32 GiB int64 allocation in building it)
     def no_state(*args, **kwargs):
-        raise AssertionError("state allocated for a run whose matrices do not fit")
+        raise AssertionError("state allocated for a run that does not fit")
 
-    # t 8: the state, and DFTs of 1 MiB, the pair held and the second built
-    # beside two temporaries of its size
     layouts, check_budget = [], sim.check_budget
     monkeypatch.setattr(sim, "check_budget",
                         lambda layout, *args: layouts.append(layout) or check_budget(layout, *args))
     monkeypatch.setattr(sim, "new_state", no_state)
-    monkeypatch.setattr(sim, "MEMORY_BYTES", 1 << 20)
-    with pytest.raises(ValidationError, match="^memory budget exceeded"):
-        run_reference(t_bits=8)
-    n = layouts[0].n_qubits
-    need = (16 << n) + 4 * (16 << 16)
-    for budget in (1 << 20, need - 1):
+    n = 2 + 8 + 1 + 1  # L, C, the ancilla and B
+    need = (16 << n) + 3 * 8 * (16 << 1)  # E's 8 rows of 2 phases, three copies
+    assert need == (16 << n) + qpe.matrix_bytes(8, 1)
+    for budget in (16 << n, need - 1):  # the state alone fits
         monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
         with pytest.raises(ValidationError, match=(
-                rf"^memory budget exceeded: a {n}-qubit state with the 2\^8-point DFT pair on C"
-                rf" and E's 8 rows of 2 phases on the Schmidt index takes {need} bytes,"
-                rf" the machine has {budget}$")):
+                rf"^memory budget exceeded: a {n}-qubit state with E's 8 rows of 2 phases"
+                rf" on the Schmidt index takes {need} bytes, the machine has {budget}$")):
             run_reference(t_bits=8)
+    assert [layout.n_qubits for layout in layouts] == [n, n]
     monkeypatch.undo()  # the run that fits its budget exactly is made
     monkeypatch.setattr(sim, "MEMORY_BYTES", need)
     assert run_reference(t_bits=8).t_bits == 8
@@ -782,7 +778,7 @@ def test_a_high_rank_input_counts_and_makes_e_as_rows_of_phases(monkeypatch):
     sigma = np.r_[10.0, np.linspace(4.9, 0.1, 199)]
     a0 = random_lowrank(256, 256, 200, 0, sigma=sigma)
     cfg = pipeline.PipelineConfig(a0=a0, tau=5.0, t_bits=3, m_bits=2)
-    pipeline.run_pipeline(cfg)  # the DFT pair of the width, held
+    pipeline.run_pipeline(cfg)  # a warm run: the register checks cached
     tracemalloc.start()
     try:
         res = pipeline.run_pipeline(cfg)
@@ -793,12 +789,12 @@ def test_a_high_rank_input_counts_and_makes_e_as_rows_of_phases(monkeypatch):
     assert pipeline.verify_against_classical(res, res.spec, 5.0).delta <= 1e-12
     # the budget counts the state and E's rows, three complex copies of them
     n = 2 + 3 + 1 + 8
-    need = (16 << n) + 2 * (16 << 6) + 3 * 3 * (16 << 8)
+    need = (16 << n) + 3 * 3 * (16 << 8)
     assert need == (16 << n) + qpe.matrix_bytes(3, 8)
     monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
     with pytest.raises(ValidationError, match=(
-            rf"^memory budget exceeded: a {n}-qubit state with the 2\^3-point DFT pair on C"
-            rf" and E's 3 rows of 256 phases on the Schmidt index takes {need} bytes")):
+            rf"^memory budget exceeded: a {n}-qubit state with E's 3 rows of 256 phases"
+            rf" on the Schmidt index takes {need} bytes")):
         pipeline.run_pipeline(cfg)
     monkeypatch.setattr(sim, "MEMORY_BYTES", need)
     assert pipeline.run_pipeline(cfg).p_sim == res.p_sim

@@ -10,7 +10,7 @@ from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
 from gates import (bitwise_conditional_evolution, dense_phase_estimate, from_eigenpairs,
-                   hadamard, pauli_x, ry, u_pairs)
+                   hadamard, pauli_x, ry, u_pairs, unitary)
 
 
 def reference_setup(m_bits=1, t_bits=3):
@@ -191,91 +191,24 @@ def test_iqft_inverts_qft_on_random_states():
         assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
-def test_dft_matrix_is_shared_and_read_only():
-    dft = sim.dft_matrix(3)
-    assert sim.dft_matrix(3) is dft
-    assert not dft.flags.writeable
-    with pytest.raises(ValueError):
-        dft[0, 0] = 0.0
-    # nor can it or its base be made writable again: the kernel trusts its content
-    for array in (dft, dft.base):
-        with pytest.raises(ValueError):
-            array.flags.writeable = True
-    state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
-    qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
-    assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
-
-
-def test_dft_pair_is_checked_once_per_width(monkeypatch):
-    checked = []
-    check = sim._check_unitary
-    monkeypatch.setattr(sim, "_check_unitary", lambda m: checked.append(m.shape) or check(m))
-    monkeypatch.setattr(sim, "_dft", [None, None, None])  # nothing held: this test sees every build
-    eight, four, two = (8, 8), (4, 4), (2, 2)
-    state = sim.QuantumState(3, np.eye(8, dtype=complex)[5])
-    for _ in range(3):
-        qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
-    # one build and one check of the DFT for the width; the gate never checks the held pair
-    assert checked == [eight]
-    for _ in range(3):
-        qpe.iqft(qpe.qft(state, [1, 2]), [1, 2])
-        qpe.iqft(qpe.qft(state, [0, 1, 2]), [0, 1, 2])
-    # one pair is held, so each change of width builds and checks once more
-    assert checked == [eight] + [four, eight] * 3
-    assert np.abs(state.amplitudes - np.eye(8)[5]).max() < 1e-12
-    # one build makes both: each shared and read-only, the inverse the DFT's conjugate
-    dft, idft = sim.dft_matrix(3), sim.dft_matrix(3, -1)
-    assert sim.dft_matrix(3) is dft and sim.dft_matrix(3, -1) is idft
-    assert not (dft.flags.writeable or idft.flags.writeable)
-    assert np.array_equal(idft, dft.conj().T) and idft.tobytes() == dft.conj().tobytes()
-    del checked[:]
-    # a writable matrix, such as a user gate, is checked on every call
-    for _ in range(2):
-        sim.apply_unitary(state, hadamard(), [0])
-    assert checked == [two] * 2
-    # a read-only copy of a held DFT is checked on every call, not taken for it
-    for held in (dft, idft):
-        copy = held.copy()
-        copy.flags.writeable = False
-        for _ in range(2):
-            sim.apply_unitary(state, copy, [0, 1, 2])
-    assert checked == [two] * 2 + [eight] * 4
-    # and one with an entry changed is rejected, the state unchanged
-    bad = dft.copy()
-    bad[0, 0] = 2.0
-    bad.flags.writeable = False
-    before = state.amplitudes.copy()
-    with pytest.raises(ValidationError, match="unitary"):
-        sim.apply_unitary(state, bad, [0, 1, 2])
-    assert np.array_equal(state.amplitudes, before)
-    # a pair no longer held is an array like any other: checked on every call
-    sim.dft_matrix(2)
-    del checked[:]
-    sim.apply_unitary(state, dft, [0, 1, 2])
-    assert checked == [eight]
-
-
-def test_dft_pair_of_the_last_width_alone_is_held_and_within_the_budget():
-    # every width's pair was held for the life of the process: 32 MiB stayed
-    # after a run at t 10, and building its inverse beside the DFT peaked at
-    # 65 MiB, over the 64 MiB of matrices that the budget counted
+def test_a_cold_run_at_t_10_peaks_within_twice_its_state():
+    # the DFT pair of a new width was built, checked and held: a cold run
+    # at t 10 peaked at 49 MiB and held 32 MiB after it, for a state of
+    # 0.25 MiB; the in-place FFT makes and holds nothing of that size
     def run(t_bits):
         return pipeline.run_pipeline(
             pipeline.PipelineConfig(a0=example_matrix(), tau=0.5, t_bits=t_bits, m_bits=2))
 
-    sim.dft_matrix(3)  # a held pair of another width, so the t 10 run builds its own
+    run(3)  # NumPy's lazy imports, so the t 10 run traces the run alone
+    n = 2 + 10 + 1 + 1  # L, C, the ancilla and B
     tracemalloc.start()
     try:
         run(10)
-        peak = tracemalloc.get_traced_memory()[1]
-        run(3)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 1 << 20  # the t 3 pair is 2 KiB; the t 10 pair, 32 MiB, is gone
-    # the run's whole peak, its 1 MiB state too, fits in what the budget counts
-    # for the matrices alone (the build peaks at three 16 MiB matrices)
-    assert peak <= qpe.matrix_bytes(10, 1)
+    assert peak <= 2 * (16 << n)
+    assert held < 1 << 16
 
 
 def test_conditional_evolution_tiny_t0_is_identity():
@@ -283,7 +216,7 @@ def test_conditional_evolution_tiny_t0_is_identity():
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)
     state = loaded_state(data, layout)
     for q in layout.reg_C:
-        sim.apply_unitary(state, hadamard(), [q])
+        unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
     qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     assert np.abs(state.amplitudes - before).max() < 1e-10
@@ -295,7 +228,7 @@ def test_conditional_evolution_phases_on_label_one():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
     last_c = list(layout.reg_C)[-1]
-    sim.apply_unitary(state, pauli_x(), [last_c])  # C = 001
+    unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
     qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     for k, lam in enumerate((4.0, 1.0)):
@@ -325,7 +258,7 @@ def test_conditional_evolution_eigencomponent_pure_phase():
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout, weights=[1.0, 0.0])  # u_1 x v_1 only
     for q in layout.reg_C:
-        sim.apply_unitary(state, hadamard(), [q])
+        unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
     qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
@@ -355,7 +288,7 @@ def test_phase_estimate_requires_cleared_c():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
+    unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     with pytest.raises(ValidationError, match="not cleared"):
         qpe.phase_estimate(state, cfg, layout, pairs)
 
@@ -389,9 +322,9 @@ def test_phase_estimate_then_inverse_is_identity():
         vec = rng.normal(size=b_dim) + 1j * rng.normal(size=b_dim)
         vec /= np.linalg.norm(vec)
         sim.load_register(state, layout.reg_B, vec)
-        sim.apply_unitary(state, ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
+        unitary(state, ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
         for q in layout.reg_L:
-            sim.apply_unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
+            unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
         before = state.amplitudes.copy()
         qpe.phase_estimate(state, cfg, layout, pairs)
         qpe.phase_estimate_inverse(state, cfg, layout, pairs)
@@ -495,7 +428,7 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
 def hadamard_phase_estimate(state, cfg, layout, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
     for q in layout.reg_C:
-        sim.apply_unitary(state, hadamard(), [q])
+        unitary(state, hadamard(), [q])
     qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
     qpe.iqft(state, layout.reg_C)
     return state
@@ -506,7 +439,7 @@ def hadamard_phase_estimate_inverse(state, cfg, layout, a):
     qpe.qft(state, layout.reg_C)
     qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse=True)
     for q in layout.reg_C:
-        sim.apply_unitary(state, hadamard(), [q])
+        unitary(state, hadamard(), [q])
     return state
 
 

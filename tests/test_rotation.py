@@ -13,7 +13,7 @@ from qsvt.errors import (
 )
 from qsvt.harness import random_lowrank
 
-from gates import bitwise_ry_cascade, controlled, pauli_x, ry, whole_state
+from gates import bitwise_ry_cascade, controlled, pauli_x, ry, unitary, whole_state
 
 
 def step(raw, m, tau, sigma_sq):
@@ -273,7 +273,7 @@ def test_oracle_writes_codes_into_register_l():
     layout = sim.RegisterLayout(3, 3, 1)
     state = sim.new_state(layout)
     # occupy C = 100 (label 4) with B = |0>
-    sim.apply_unitary(state, pauli_x(), [list(layout.reg_C)[0]])
+    unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     oracle.apply(state, layout)
     mass_l = sim.register_mass(state, layout.reg_L)
     assert mass_l[6] == pytest.approx(1.0)
@@ -400,7 +400,7 @@ def _state_with_l_code(layout, raw):
     state = sim.new_state(layout)
     for i, q in enumerate(layout.reg_L):
         if (raw >> (len(layout.reg_L) - 1 - i)) & 1:
-            sim.apply_unitary(state, pauli_x(), [q])
+            unitary(state, pauli_x(), [q])
     return state
 
 
@@ -424,7 +424,7 @@ def test_ry_cascade_requires_cleared_ancilla():
     # is rejected before the state is touched
     layout = sim.RegisterLayout(2, 1, 1)
     flipped = sim.new_state(layout)
-    sim.apply_unitary(flipped, pauli_x(), [layout.ancilla])
+    unitary(flipped, pauli_x(), [layout.ancilla])
     tiny = sim.new_state(layout)
     tiny.amplitudes.reshape(8, 2, 2)[0, 1, 0] = 1e-10  # mass 1e-20 on ancilla 1
     nan = sim.new_state(layout)
