@@ -10,12 +10,14 @@ t 8 and m 8 make states of 19, 21, 23 and 25 qubits, one per rank.
 
 Run from the root of a source checkout; qsvt is imported from its src/.
 Each case runs in a fresh process with one BLAS thread, pinned to the
-last CPU this process may use.  A case records the median and the lower
-and upper quartiles of the wall times of its runs (RUNS, or PAPER_RUNS
-for the paper's instance, whose runs take about half a millisecond) and
-the process's ``ru_maxrss``, which includes the interpreter and NumPy
-(about 40 MiB).  It also records as ``setup_s`` the seconds that making
-its input takes: ``random_lowrank`` and the ``decompose`` that sets tau.
+last CPU this process may use.  A case records the median, the lower
+and upper quartiles and the minimum of the wall times of its runs (RUNS,
+or PAPER_RUNS for the paper's instance, whose runs take about half a
+millisecond); on a shared box the minimum is the least disturbed run.
+It also records the process's ``ru_maxrss``, which includes the
+interpreter and NumPy (about 40 MiB), and as ``setup_s`` the seconds that
+making its input takes: ``random_lowrank`` and the ``decompose`` that
+sets tau.
 A circuit case then times one more warm run through perfbench's span
 tracer (``perfbench/spans.py``, used as it is) and records under
 ``stages_s`` the inclusive seconds of each stage (STAGES), and under
@@ -71,7 +73,7 @@ SIGMA_ABOVE = (4.0, 3.3, 2.6, 1.9)
 # dominate its runs, as in perfbench's paper_example
 PAPER = "paper 7q 2x3 r2 t3 m2"
 SWEEP = "sweep 120 analytic"
-RUNS = 3
+RUNS = 7
 PAPER_RUNS = 3000
 
 # the stages of a run, in run order, by the spans each sums; the oracle
@@ -151,6 +153,7 @@ def _case(name: str) -> dict:
         "setup_s": setup,
         "wall_s_median": statistics.median(walls),
         "wall_s_quartiles": statistics.quantiles(walls, n=4)[::2],
+        "wall_min_s": min(walls),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if name != SWEEP:  # after the peak RSS: the tracer and tracemalloc are not the run's

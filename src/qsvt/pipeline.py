@@ -128,7 +128,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     b_bits = d.bit_length() - 1
     layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
-                     f" with E's {pe_cfg.t_bits} rows of {d} phases on the Schmidt index")
+                     f" with E's {pe_cfg.t_bits} rows of {d} phases on the Schmidt index"
+                     f" and their {1 << pe_cfg.t_bits} x {d} table")
 
     state = sim.new_state(layout)
     load = np.zeros(d)

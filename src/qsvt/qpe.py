@@ -11,8 +11,10 @@ register C holds ``c``, as U^(2^w) = ``exp(i A 2^w t0)`` controlled on
 the C qubit of bit weight 2^w: one controlled gate on all of C and all
 of B, which holds the input's Schmidt index.  There A is diagonal, given
 as its eigenvalues (:func:`spectral.gram`), so each factor is a row of
-phases exp(i lam 2^w t0) that the gate multiplies in place: no matrix A,
-no dense factor and no eigendecomposition is made.  The QFT on C is
+phases exp(i lam 2^w t0).  The gate folds the t rows into the T rows
+exp(i lam c t0) of U^c, one per label c, a T x d table, and multiplies
+the state by it in place, one pass: no matrix A, no dense factor and no
+eigendecomposition is made.  The QFT on C is
 the DFT on amplitudes, which :func:`sim.apply_unitary` computes in place
 by FFT: no T x T matrix is made either.
 
@@ -124,9 +126,11 @@ def matrix_bytes(t_bits: int, e_bits: int) -> int:
     """Bytes that bound the arrays phase estimation makes beside the
     state: E's t rows of phases on ``e_bits`` qubits, the run's Schmidt
     index, with the stack that the gate makes of them and its unit
-    check's two real temporaries, three complex copies of the rows.  The
-    in-place FFT on C makes nothing of the state's size."""
-    return 3 * t_bits * 16 << e_bits  # complex128
+    check's two real temporaries, three complex copies of the rows; and
+    the 2^t x 2^e_bits table of their label products that the gate
+    multiplies the state by.  The in-place FFT on C makes nothing of the
+    state's size."""
+    return (3 * t_bits + (1 << t_bits)) * 16 << e_bits  # complex128
 
 
 def conditional_evolution(

@@ -13,17 +13,17 @@ Conventions used throughout the package:
   forms of its stages; neither is a matrix.  Its QFT is the DFT on
   amplitudes, :func:`apply_unitary`, an FFT along the targets' axis of
   that view.  Its E is diagonal on the Schmidt index,
-  :func:`apply_controlled`: the control is one more split axis per
-  control qubit, and one row of phases per qubit multiplies the targets'
-  amplitudes where that qubit reads 1.  Neither copies the state, only
-  NumPy's buffers, a few hundred KiB at any size.  Targets, controls and
+  :func:`apply_controlled`: one multiply of the view of (control,
+  targets) by the table of every control label's phases.  Neither copies
+  the state; the FFT makes only NumPy's buffers, a few hundred KiB at any
+  size, and E its table, one entry per label of its control and targets.
+  Targets, controls and
   registers are non-empty, disjoint, contiguous ascending integer qubits
   of the state, or ``ValidationError`` is raised before the state is
-  touched.  One cached function, ``_split``, checks them, once per
-  distinct register set rather than per call (``_qubits`` checks per
-  call that they are integers, which its keys cannot tell), and
-  ``_gate_view`` plans the controlled gate's view once per register set.
-  A state has a single writer at a time.
+  touched.  One cached function, ``_split``, checks them and plans every
+  view, once per distinct register set rather than per call
+  (``_qubits`` checks per call that they are integers, which its keys
+  cannot tell).  A state has a single writer at a time.
 * The DFT is unitary by construction; the controlled gate rejects a
   phase off the unit circle, one check of its rows per call.  Gates do
   not check the norm: every read of the state, the register masses of
@@ -46,7 +46,7 @@ import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,35 +113,26 @@ class RegisterLayout:
     data register B (``b_bits``).  The amplitudes whose L reads 0 are the
     first 2**(n - m_bits), the state of :func:`l_zero_block`, and each half
     of the ancilla is contiguous runs of 2**b_bits amplitudes.  L and C may
-    be empty; B may not."""
+    be empty; B may not.  The registers and the qubit count are set once,
+    from the widths; equality, hashing and repr see the widths alone."""
 
     m_bits: int
     t_bits: int
     b_bits: int
+    ancilla: int = field(init=False, repr=False, compare=False)
+    n_qubits: int = field(init=False, repr=False, compare=False)
+    reg_L: range = field(init=False, repr=False, compare=False)
+    reg_C: range = field(init=False, repr=False, compare=False)
+    reg_B: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, least in (("m_bits", 0), ("t_bits", 0), ("b_bits", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), least))
-
-    @property
-    def ancilla(self) -> int:
-        return self.m_bits + self.t_bits
-
-    @property
-    def reg_L(self) -> range:
-        return range(self.m_bits)
-
-    @property
-    def reg_C(self) -> range:
-        return range(self.m_bits, self.ancilla)
-
-    @property
-    def reg_B(self) -> range:
-        return range(self.ancilla + 1, self.n_qubits)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.ancilla + 1 + self.b_bits
+        m, ancilla = self.m_bits, self.m_bits + self.t_bits
+        n = ancilla + 1 + self.b_bits
+        for name, value in (("ancilla", ancilla), ("n_qubits", n), ("reg_L", range(m)),
+                            ("reg_C", range(m, ancilla)), ("reg_B", range(ancilla + 1, n))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -175,8 +166,13 @@ def l_zero_block(
     and B maps each L block to itself, so on the block it does what it
     does on the state wherever L reads 0."""
     n = state.n_qubits - layout.m_bits
-    block_layout = RegisterLayout(0, layout.t_bits, layout.b_bits)
+    block_layout = _block_layout(layout.t_bits, layout.b_bits)
     return QuantumState(n, state.amplitudes[: 1 << n]), block_layout
+
+
+@functools.lru_cache(maxsize=16)
+def _block_layout(t_bits: int, b_bits: int) -> RegisterLayout:
+    return RegisterLayout(0, t_bits, b_bits)
 
 
 def _physical_memory() -> int | None:
@@ -224,7 +220,10 @@ def new_state(layout: RegisterLayout) -> QuantumState:
 def _qubits(reg) -> tuple:
     """A register argument as a tuple of integer qubits, checked on every
     call: as keys of the :func:`_split` cache, 1.0 and True equal 1.
-    Python ints pass on their type alone."""
+    A range holds ints and Python ints pass on their type alone; a
+    range's step, bounds and emptiness are :func:`_split`'s to check."""
+    if type(reg) is range:
+        return tuple(reg)
     reg = tuple(reg)
     if not ({int}.issuperset(map(type, reg)) or all(map(_is_int, reg))):
         raise ValidationError(f"register {reg} must hold integer qubits")
@@ -247,23 +246,6 @@ def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     edges = sorted({0, n}.union(*((r[0], r[-1] + 1) for r in registers)))
     shape = tuple(1 << (b - a) for a, b in zip(edges, edges[1:]))
     return shape, tuple(edges.index(r[0]) for r in registers)
-
-
-@functools.lru_cache(maxsize=256)
-def _gate_view(n: int, targets: tuple, control: tuple) -> tuple[tuple, tuple, tuple]:
-    """The shape and axis order that view the amplitudes as (..., control
-    qubits, targets, rest), one axis per control qubit, a reshape of the
-    flat amplitudes that never copies, and the index of each control
-    qubit's half of the view, where it reads 1."""
-    _split(n, (targets, control))  # the register check
-    shape, axes = _split(n, (targets,) + tuple((q,) for q in control))
-    # a leading unit axis is rest when the targets and control hold every qubit
-    shape, axes = (1,) + shape, [a + 1 for a in axes]
-    rest = [a for a in range(len(shape)) if a not in axes]
-    order = tuple(rest[:-1] + axes[1:] + axes[:1] + rest[-1:])
-    # the half where control qubit j reads 1 (its axis is -3 - j)
-    halves = tuple((..., 1) + (slice(None),) * (j + 2) for j in range(len(control)))
-    return shape, order, halves
 
 
 def _complex(name: str, values) -> np.ndarray:
@@ -292,11 +274,16 @@ def apply_controlled(state: QuantumState, phases, control, targets) -> QuantumSt
     wherever the control qubit of bit weight 2^j, counted from the
     control's last qubit, reads 1, in place.  Label x gets the product of
     the rows its bits select, as the powers U^(2^j) of phase estimation
-    make U^x, and label 0 is left alone; ``[u]`` is diag(u) controlled on
-    one qubit.  Every phase must lie within ``UNITARY_TOL`` of the unit
-    circle, checked first."""
+    make U^x; ``[u]`` is diag(u) controlled on one qubit.  Every phase must
+    lie within ``UNITARY_TOL`` of the unit circle, checked first.  The
+    rows fold into a table of the 2^w label products by doubling, row j
+    times the first 2^j products giving the next 2^j, from label 0's
+    product, exactly 1.  One broadcast multiply of the :func:`_split` view
+    of (control, targets) by the table applies them all, label 0 included
+    (times 1, which leaves it as it is), so even a one-qubit control is
+    one pass over the whole view."""
     targets, control = _qubits(targets), _qubits(control)
-    shape, order, halves = _gate_view(state.n_qubits, targets, control)
+    shape, (t_axis, c_axis) = _split(state.n_qubits, (targets, control))
     stack, (w, dim) = _complex("phases", phases), (len(control), 1 << len(targets))
     if stack.shape != (w, dim):
         raise ValidationError(f"a {w}-qubit control on {len(targets)} targets takes {w} rows"
@@ -304,10 +291,14 @@ def apply_controlled(state: QuantumState, phases, control, targets) -> QuantumSt
     err = np.abs(np.abs(stack) - 1.0).max()
     if not err <= UNITARY_TOL:  # NaN fails too
         raise ValidationError(f"phases are not unitary (deviation {err:.3e})")
-    view = state.amplitudes.reshape(shape).transpose(order)
-    for row, half in zip(stack, halves):
-        part = view[half]
-        part *= row[:, None]
+    table = np.empty((1 << w, dim), dtype=complex)
+    table[0] = 1.0
+    for j, row in enumerate(stack):
+        np.multiply(table[: 1 << j], row, out=table[1 << j : 2 << j])
+    table_shape = [1] * len(shape)
+    table_shape[c_axis], table_shape[t_axis] = 1 << w, dim
+    view = state.amplitudes.reshape(shape)
+    view *= (table.T if c_axis > t_axis else table).reshape(table_shape)
     return state
 
 

@@ -175,7 +175,8 @@ def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
 def test_cmd_example_at_t_16_runs_within_a_budget_of_the_state_and_e_rows(monkeypatch):
     # t 16 exited 2: the budget counted DFTs of 64 GiB each beside a state
     # of at most 64 MiB; the FFT on C makes no matrix, so the budget sees
-    # the state and E's 16 rows of phases alone
+    # the state, E's 16 rows of phases and the 2^16 x 2 table of their
+    # label products alone
     extras = []
     check_budget = sim.check_budget
     monkeypatch.setattr(sim, "check_budget", lambda layout, extra=0, what="":
@@ -183,11 +184,14 @@ def test_cmd_example_at_t_16_runs_within_a_budget_of_the_state_and_e_rows(monkey
     assert harness.main(["example", "--t-bits", "16"]) == 0
     [(layout, extra), in_new_state] = extras
     assert in_new_state == (layout, 0)  # new_state checks the state alone
-    assert layout.t_bits == 16 and extra == qpe.matrix_bytes(16, layout.b_bits) == 3 * 16 * 32
+    assert layout.t_bits == 16
+    assert extra == qpe.matrix_bytes(16, layout.b_bits) == 3 * 16 * 32 + (1 << 16) * 32
 
 
 def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys):
-    # a budget a byte short of the state and E's rows is refused before the state
+    # a budget a byte short of the state, E's rows and their table, or one
+    # that holds the state and the rows but not the table, is refused
+    # before the state
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run over its budget")
 
@@ -196,12 +200,14 @@ def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys)
     layout = seen[0]
     need = (16 << layout.n_qubits) + qpe.matrix_bytes(16, layout.b_bits)
     monkeypatch.setattr(sim, "new_state", no_state)
-    monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
-    capsys.readouterr()
-    assert harness.main(["example", "--t-bits", "16"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: memory budget exceeded: a {layout.n_qubits}-qubit state with E's 16 rows"
-        f" of 2 phases on the Schmidt index takes {need} bytes, the machine has {need - 1}\n")
+    for budget in (need - 1, (16 << layout.n_qubits) + 3 * 16 * (16 << layout.b_bits)):
+        monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
+        capsys.readouterr()
+        assert harness.main(["example", "--t-bits", "16"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: memory budget exceeded: a {layout.n_qubits}-qubit state with E's 16 rows"
+            f" of 2 phases on the Schmidt index and their 65536 x 2 table takes {need} bytes,"
+            f" the machine has {budget}\n")
 
 
 def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):

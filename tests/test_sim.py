@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -90,6 +91,28 @@ def test_layout_is_three_integer_widths_in_one_order():
                  (2, 3, 0), (2, 3, np.float64(2))):
         with pytest.raises(ValidationError, match="_bits must be an integer >= "):
             sim.RegisterLayout(*args)
+
+
+def test_layout_sets_its_registers_from_the_widths_alone():
+    # the registers and the qubit count are set once, in __post_init__:
+    # replace recomputes them, and equality, hashing and repr see the widths
+    layout = sim.RegisterLayout(2, 3, 2)
+    wider = dataclasses.replace(layout, t_bits=4)
+    assert (wider.reg_L, wider.reg_C, wider.ancilla, wider.reg_B, wider.n_qubits) == (
+        range(0, 2), range(2, 6), 6, range(7, 9), 9)
+    assert dataclasses.replace(wider, t_bits=3) == layout
+    assert repr(layout) == "RegisterLayout(m_bits=2, t_bits=3, b_bits=2)"
+    assert hash(layout) == hash((2, 3, 2))
+    tampered = sim.RegisterLayout(2, 3, 2)
+    object.__setattr__(tampered, "n_qubits", 99)
+    object.__setattr__(tampered, "reg_B", range(0))
+    assert tampered == layout and hash(tampered) == hash(layout)
+    assert repr(tampered) == repr(layout)
+    for name in ("ancilla", "n_qubits", "reg_L", "reg_C", "reg_B"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layout, name, getattr(wider, name))
+    with pytest.raises(TypeError):
+        sim.RegisterLayout(2, 3, 2, 5)  # the derived fields take no argument
 
 
 def test_load_register_identity_case():
@@ -544,6 +567,12 @@ REGISTER_CASES = [
      lambda s: sim.apply_controlled(s, [np.ones(4)] * 2, [1, 2], [2, 3]), "overlap"),
     ("apply_basis_oracle / overlap",
      lambda s: sim.apply_basis_oracle(s, [1, 2], [2, 3], {}), "overlap"),
+] + [  # a range skips the per-qubit type test, not the register check
+    (f"{entry} / {kind} range", call, match)
+    for kind, reg, match in (("stepped", range(0, 4, 2), "contiguous"),
+                             ("empty", range(2, 2), "non-empty"))
+    for entry, call in _calls_on(reg).items()
+    if entry.startswith(("apply_unitary", "apply_controlled", "register_mass"))
 ]
 
 
@@ -825,11 +854,11 @@ def test_dft_gate_runs_in_place():
 
 
 def test_controlled_gate_multiplies_in_place():
-    # the diagonal gate multiplies each control qubit's half of the view by
-    # its row in place, at any placement of the control: it allocates
-    # NumPy's iterator buffers, a fixed few hundred KiB, and no copy of the
-    # state (a 4 MiB one here); it matches the dense reference, one dense
-    # gate per control qubit for the powers of phase estimation
+    # the diagonal gate multiplies the view by the table of its label
+    # products in place, at any placement of the control: it allocates the
+    # table and NumPy's iterator buffers, a few hundred KiB, and no copy of
+    # the state (a 4 MiB one here); it matches the dense reference, one
+    # dense gate per control qubit for the powers of phase estimation
     rng = np.random.default_rng(43)
     rows = np.stack([random_phases(2, rng) for _ in range(2)])
     u = random_phases(2, rng)
