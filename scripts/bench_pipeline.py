@@ -6,9 +6,18 @@ and B, which holds the input's Schmidt index; then the input's shape and
 rank and the widths t (and m where it is not 8).  The 256 x 256 cases at
 t 8 and m 8 make states of 19, 21, 23 and 25 qubits, one per rank.
 
-    python3 scripts/bench_pipeline.py --label TEXT [--out FILE]
+    python3 scripts/bench_pipeline.py --label TEXT [--out FILE] [--parent DIR]
+    python3 scripts/bench_pipeline.py --label TEXT --case NAME
 
 Run from the root of a source checkout; qsvt is imported from its src/.
+With ``--parent DIR``, a checkout of the commit to compare against (a
+``git clone`` or a ``git archive`` of it), each case runs on DIR's src/
+and on this checkout's back to back, which side goes first alternating
+from case to case, so the box's drift over minutes falls on both sides
+alike; the run appends two entries, DIR's and then this checkout's.
+``--case NAME`` runs one case and prints its record as JSON, appending
+nothing; it exits 1 when a stage of ``stages_s`` reads 0 s, which is
+how a renamed or re-signed stage function that no span matches shows.
 Each case runs in a fresh process with one BLAS thread, pinned to the
 last CPU this process may use.  A case records the median, the lower
 and upper quartiles and the minimum of the wall times of its runs (RUNS,
@@ -19,7 +28,8 @@ interpreter and NumPy (about 40 MiB), and as ``setup_s`` the seconds that
 making its input takes: ``random_lowrank`` and the ``decompose`` that
 sets tau.
 A circuit case then times one more warm run through perfbench's span
-tracer (``perfbench/spans.py``, used as it is) and records under
+tracer (this checkout's ``perfbench/spans.py``, used as it is, on either
+side of a ``--parent`` run) and records under
 ``stages_s`` the inclusive seconds of each stage (STAGES), and under
 ``state_mib`` the size of the state the tracer saw made; then, as
 ``peak_traced_mib``, the ``tracemalloc`` peak of one more warm run, and as
@@ -27,8 +37,8 @@ tracer (``perfbench/spans.py``, used as it is) and records under
 "peak memory is about one state" as a number.  The state holds the
 input's Schmidt index, so where it is small the ratio mostly reads the
 arrays beside it, and the peak in MiB tells the two apart.
-The entry records the git SHA of the checkout, whether its src/ differs
-from that commit, and the box.
+An entry records the git SHA of its checkout, whether its src/ differs
+from that commit (null outside a git checkout), and the box.
 """
 from __future__ import annotations
 
@@ -117,12 +127,15 @@ def _stages(work, cfg) -> tuple[dict, int]:
     return stages, tracer.state_bytes
 
 
-def _case(name: str) -> dict:
-    """Run one case in this process; its wall times and peak RSS."""
-    sys.path.insert(0, str(ROOT / "src"))
+def _case(name: str, src: Path) -> dict:
+    """Run one case in this process on qsvt from ``src``; its wall times
+    and peak RSS."""
+    sys.path.insert(0, str(src))
     import numpy as np
     from qsvt import harness, pipeline, spectral
 
+    if Path(pipeline.__file__).parent != src / "qsvt":
+        raise ImportError(f"qsvt imported from {pipeline.__file__}, not from {src}")
     runs = RUNS
     start = time.perf_counter()
     if name == SWEEP:
@@ -168,43 +181,62 @@ def _case(name: str) -> dict:
     return out
 
 
-def _src_differs() -> bool:
-    done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
-                          capture_output=True, text=True, check=True)
-    return bool(done.stdout.strip())
+def _src_differs(root: Path) -> bool | None:
+    done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                          capture_output=True, text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def _run_case(name: str, label: str, root: Path) -> dict:
+    """One case in a fresh process, on ``root``'s src/."""
+    done = subprocess.run([sys.executable, __file__, "--label", label, "--case", name,
+                           "--src", str(root / "src")],
+                          stdout=subprocess.PIPE, text=True, check=True, cwd=ROOT)
+    return json.loads(done.stdout)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="what the entry measures")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
-    parser.add_argument("--case", help=argparse.SUPPRESS)  # a child's one case
+    parser.add_argument("--parent", type=Path,
+                        help="a checkout to run case by case beside this one")
+    parser.add_argument("--case", help="run this one case alone and print its record")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     args = parser.parse_args()
     cpu = max(os.sched_getaffinity(0))
     if args.case:
         os.sched_setaffinity(0, {cpu})
-        print(json.dumps(_case(args.case)))
+        out = _case(args.case, args.src.resolve())
+        print(json.dumps(out))
+        idle = [stage for stage, secs in out.get("stages_s", {}).items() if not secs > 0]
+        if idle:
+            sys.exit(f"no span matched the stages {idle} of {args.case!r}")
         return
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import envinfo
 
-    cases = {}
-    for name in [PAPER, *CIRCUITS, *SCHMIDT, SWEEP]:
-        done = subprocess.run([sys.executable, __file__, "--label", args.label, "--case", name],
-                              capture_output=True, text=True, check=True, cwd=ROOT)
-        cases[name] = json.loads(done.stdout)
-        print(f"{name:28s} {cases[name]['setup_s']:9.6f} s {cases[name]['wall_s_median']:11.6f} s"
-              f" {cases[name]['peak_rss_mib']:7.1f} MiB", flush=True)
-    entry = {
-        "label": args.label,
-        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "src_differs_from_sha": _src_differs(),
-        "box": envinfo.environment(ROOT, 1, cpu),
-        "cases": cases,
-    }
+    sides = [(args.label, ROOT)]
+    if args.parent:
+        sides.insert(0, (f"parent, case by case beside the next entry: {args.label}",
+                         args.parent.resolve()))
+    cases: list[dict] = [{} for _ in sides]
+    for i, name in enumerate([PAPER, *CIRCUITS, *SCHMIDT, SWEEP]):
+        for side in (range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))):
+            out = cases[side][name] = _run_case(name, args.label, sides[side][1])
+            tag = "parent " if args.parent and side == 0 else ""
+            print(f"{tag}{name:28s} {out['setup_s']:9.6f} s {out['wall_s_median']:11.6f} s"
+                  f" {out['peak_rss_mib']:7.1f} MiB", flush=True)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
-    bench["entries"].append(entry)
+    for (label, root), side_cases in zip(sides, cases):
+        bench["entries"].append({
+            "label": label,
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "src_differs_from_sha": _src_differs(root),
+            "box": envinfo.environment(root, 1, cpu),
+            "cases": side_cases,
+        })
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
 

@@ -134,7 +134,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     state = sim.new_state(layout)
     load = np.zeros(d)
     load[: spec.rank] = spec.sigma / sim._norm(spec.sigma)
-    sim.load_register(state, layout.reg_B, load)
+    sim.load_register(state, layout, load)
     block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
     qpe.phase_estimate(block, pe_cfg, block_layout, eigenvalues)
     oracle.apply(state, layout)

@@ -26,7 +26,9 @@ rounds half to even, as ``np.rint`` does, so the labels are the same.
 Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
 E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
 on a cleared C, QFT|0> = H^t|0>, and <0|QFT^-1 = <0|H^t on the C = 0
-projection, the only part of the state that the run reads.
+projection, the only part of the state that the run reads.  A stage
+takes the run's :class:`sim.RegisterLayout`, checked where it is made,
+and a C as wide as the config's ``t_bits``.
 
 The norm is checked where the state is read, by :func:`sim.register_mass`:
 the forward estimation's read of C checks the incoming state, and the
@@ -113,13 +115,13 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 
-def qft(state: QuantumState, qubits) -> QuantumState:
-    """Forward transform: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
-    return sim.apply_unitary(state, qubits)
+def qft(state: QuantumState, layout: RegisterLayout) -> QuantumState:
+    """Forward transform on C: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
+    return sim.apply_unitary(state, layout)
 
 
-def iqft(state: QuantumState, qubits) -> QuantumState:
-    return sim.apply_unitary(state, qubits, inverse=True)
+def iqft(state: QuantumState, layout: RegisterLayout) -> QuantumState:
+    return sim.apply_unitary(state, layout, inverse=True)
 
 
 def matrix_bytes(t_bits: int, e_bits: int) -> int:
@@ -133,26 +135,30 @@ def matrix_bytes(t_bits: int, e_bits: int) -> int:
     return (3 * t_bits + (1 << t_bits)) * 16 << e_bits  # complex128
 
 
+def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout) -> None:
+    """The layout fits the state, and its C the config's width."""
+    sim._check_layout(state, layout)
+    if cfg.t_bits != layout.t_bits:
+        raise ValidationError(f"a {cfg.t_bits}-bit estimation on a {layout.t_bits}-qubit C")
+
+
 def conditional_evolution(
-    state: QuantumState,
-    cfg: PhaseEstimationConfig,
-    reg_C,
-    reg_B,
-    eigenvalues,
+    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues,
     inverse: bool = False,
 ) -> QuantumState:
     """For each C label c, evolve B by exp(i A c t0), A diagonal on B and
     given as its eigenvalues: the phases of U^(2^w) = exp(i A 2^w t0)
     controlled on the C qubit of bit weight 2^w, one gate on all of C."""
+    _check_config(state, cfg, layout)
     t0 = -cfg.t0 if inverse else cfg.t0
-    phases = [herm_exp(eigenvalues, (1 << w) * t0) for w in range(len(reg_C))]
-    return sim.apply_controlled(state, phases, reg_C, reg_B)
+    phases = [herm_exp(eigenvalues, (1 << w) * t0) for w in range(cfg.t_bits)]
+    return sim.apply_controlled(state, layout, phases)
 
 
 def _phase_estimate(state, cfg, layout, eigenvalues, inverse: bool) -> QuantumState:
-    qft(state, layout.reg_C)
-    conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, eigenvalues, inverse)
-    iqft(state, layout.reg_C)
+    qft(state, layout)
+    conditional_evolution(state, cfg, layout, eigenvalues, inverse)
+    iqft(state, layout)
     return state
 
 
@@ -163,6 +169,7 @@ def phase_estimate(
     them, into C as QFT, E, QFT^-1; C must be cleared, where the QFT
     equals the circuit's Hadamard layer.  The read of C's masses checks
     the norm."""
+    _check_config(state, cfg, layout)
     mass = sim.register_mass(state, layout.reg_C)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
@@ -173,4 +180,5 @@ def phase_estimate_inverse(
     state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
+    _check_config(state, cfg, layout)
     return _phase_estimate(state, cfg, layout, eigenvalues, inverse=True)

@@ -7,7 +7,8 @@ XOR-written so the oracle is self-inverse), and a Y rotation controlled
 by L that turns the L content theta = 0.t1...td into an ancilla
 amplitude sin(theta * alpha).  The rotation takes an ancilla whose |1>
 half is exactly zero, as nothing before it in a run writes that half, and
-writes both halves in place rather than as a gate.
+writes both halves in place rather than as a gate.  Both take the run's
+:class:`sim.RegisterLayout`, checked where it is made.
 
 :func:`build_sigma_tau_oracle` is the one Newton entry point.  A code
 is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw;
@@ -86,10 +87,11 @@ class SigmaTauOracle:
         return self.y_codes.get(label, 0)
 
     def apply(self, state: QuantumState, layout: RegisterLayout) -> QuantumState:
+        sim._check_layout(state, layout)
         if (layout.m_bits, layout.t_bits) != (self.m_bits, self.t_bits):
             raise ValidationError("oracle widths do not match layout")
         # a permutation of the amplitudes: the norm is as it was
-        return sim.apply_basis_oracle(state, layout.reg_L, layout.reg_C, self.y_codes)
+        return sim.apply_basis_oracle(state, layout, self.y_codes)
 
 
 def build_sigma_tau_oracle(
@@ -139,9 +141,8 @@ def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> Qua
     half is written as sin(theta a) times the |0> half, then the |0> half
     is scaled by cos(theta a), in place.  The read of the ancilla's masses,
     :func:`sim.register_mass`, also checks the incoming state's norm."""
-    if state.n_qubits != layout.n_qubits:
-        raise ValidationError(f"{layout.n_qubits}-qubit layout for {state.n_qubits} qubits")
-    anc_mass = sim.register_mass(state, [layout.ancilla])
+    sim._check_layout(state, layout)
+    anc_mass = sim.register_mass(state, range(layout.ancilla, layout.ancilla + 1))
     if not anc_mass[1] == 0:  # NaN fails too
         raise ValidationError(f"ancilla not cleared: its |1> half holds mass {anc_mass[1]:.3e}")
     labels = 1 << layout.m_bits
@@ -189,6 +190,7 @@ def uncompute(
 def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:
     """Probability mass with L or C off |0>; the read of L and C,
     :func:`sim.register_mass`, also checks the state's norm."""
+    sim._check_layout(state, layout)
     if not layout.ancilla:  # L and C are qubits 0..ancilla-1
         return 0.0
     mass = sim.register_mass(state, range(layout.ancilla))

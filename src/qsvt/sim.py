@@ -8,22 +8,16 @@ Conventions used throughout the package:
 * Within a register (a ``range`` of qubit indices) the first qubit is
   the most significant bit of the register's value.
 * Operations mutate the flat amplitudes, complex128, in place through
-  reshape views split at register edges: a gate on qubits lo..lo+k-1
-  sees ``(2**lo, 2**k, rest)``.  Phase estimation's two gates take the
-  forms of its stages; neither is a matrix.  Its QFT is the DFT on
-  amplitudes, :func:`apply_unitary`, an FFT along the targets' axis of
-  that view.  Its E is diagonal on the Schmidt index,
-  :func:`apply_controlled`: one multiply of the view of (control,
-  targets) by the table of every control label's phases.  Neither copies
-  the state; the FFT makes only NumPy's buffers, a few hundred KiB at any
-  size, and E its table, one entry per label of its control and targets.
-  Targets, controls and
-  registers are non-empty, disjoint, contiguous ascending integer qubits
-  of the state, or ``ValidationError`` is raised before the state is
-  touched.  One cached function, ``_split``, checks them and plans every
-  view, once per distinct register set rather than per call
-  (``_qubits`` checks per call that they are integers, which its keys
-  cannot tell).  A state has a single writer at a time.
+  reshape views in the one qubit order, L, C, the ancilla, then B: a
+  gate takes the run's :class:`RegisterLayout`, checked where it is
+  made, and reaches its registers by one reshape.  Its QFT is the DFT on
+  amplitudes, :func:`apply_unitary`, an FFT along C's axis; its E,
+  :func:`apply_controlled`, one multiply of the view of (C, B) by the
+  table of every C label's phases.  Neither copies the state; the FFT
+  makes only NumPy's buffers, a few hundred KiB at any size, and E its
+  table, one entry per label of C and B.  A layout of another qubit
+  count than the state's raises ``ValidationError`` before the state is
+  touched.  A state has a single writer at a time.
 * The DFT is unitary by construction; the controlled gate rejects a
   phase off the unit circle, one check of its rows per call.  Gates do
   not check the norm: every read of the state, the register masses of
@@ -35,8 +29,8 @@ Conventions used throughout the package:
   returns.  Every guard is written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
-  :func:`check_positive` (real numbers); register qubits and oracle maps
-  are checked whole, by ``_is_int``, before any amplitude moves.  What
+  :func:`check_positive` (real numbers); oracle maps are checked whole,
+  by ``_is_int``, before any amplitude moves.  What
   an input would allocate is checked against ``MEMORY_BYTES`` first, by
   :func:`check_memory`.
 """
@@ -146,9 +140,9 @@ class QuantumState:
             raise ValidationError(f"{n} qubits need 2**n amplitudes: {np.shape(self.amplitudes)}")
         amp = self.amplitudes  # the kernels write complex results through views of it
         if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
-                and amp.flags.c_contiguous):
-            raise ValidationError(f"amplitudes must be a C-contiguous complex128 array:"
-                                  f" {getattr(amp, 'dtype', type(amp))}")
+                and amp.flags.c_contiguous and amp.flags.writeable):
+            raise ValidationError(f"amplitudes must be a writable C-contiguous complex128"
+                                  f" array: {getattr(amp, 'dtype', type(amp))}")
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.n_qubits, self.amplitudes.copy())
@@ -217,126 +211,77 @@ def new_state(layout: RegisterLayout) -> QuantumState:
     return QuantumState(n, amp)
 
 
-def _qubits(reg) -> tuple:
-    """A register argument as a tuple of integer qubits, checked on every
-    call: as keys of the :func:`_split` cache, 1.0 and True equal 1.
-    A range holds ints and Python ints pass on their type alone; a
-    range's step, bounds and emptiness are :func:`_split`'s to check."""
-    if type(reg) is range:
-        return tuple(reg)
-    reg = tuple(reg)
-    if not ({int}.issuperset(map(type, reg)) or all(map(_is_int, reg))):
-        raise ValidationError(f"register {reg} must hold integer qubits")
-    return reg
+def _check_layout(state: QuantumState, layout) -> None:
+    """The one layout check, first in every gate and stage."""
+    if not (isinstance(layout, RegisterLayout) and layout.n_qubits == state.n_qubits):
+        raise ValidationError(f"{layout!r} is not a RegisterLayout of {state.n_qubits} qubits")
 
 
-@functools.lru_cache(maxsize=256)
-def _split(n: int, registers: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The one register check: each register, as :func:`_qubits` gives it, is
-    non-empty, distinct, contiguous ascending and in 0..n-1, and no two
-    share a qubit.  Returns the shape that cuts qubits 0..n-1 at the
-    registers' edges and the axis of each register.  Cached, so a
-    register set is checked once; a failed check is not cached."""
-    for reg in registers:
-        if not (reg and reg == tuple(range(reg[0], reg[-1] + 1)) and 0 <= reg[0] <= reg[-1] < n):
-            raise ValidationError(f"register {reg} must be non-empty, distinct, contiguous"
-                                  f" ascending qubits in 0..{n - 1}")
-    if len(set().union(*registers)) != sum(map(len, registers)):
-        raise ValidationError(f"registers overlap: {registers}")
-    edges = sorted({0, n}.union(*((r[0], r[-1] + 1) for r in registers)))
-    shape = tuple(1 << (b - a) for a, b in zip(edges, edges[1:]))
-    return shape, tuple(edges.index(r[0]) for r in registers)
-
-
-def _complex(name: str, values) -> np.ndarray:
-    """A gate's entries as a complex128 array."""
-    try:
-        return np.asarray(values, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"gate {name} must hold numbers: {exc}") from None
-
-
-def apply_unitary(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
-    """The 2^k-point DFT on the k ``targets`` (first target = most
-    significant bit of the label), |c> -> 2^(-k/2) sum_j exp(2 pi i c j /
-    2^k)|j>, or with ``inverse`` its inverse, and identity elsewhere:
-    ``np.fft.ifft`` (``fft``) along the targets' axis of the
-    :func:`_split` view, written in place."""
-    shape, (axis,) = _split(state.n_qubits, (_qubits(targets),))
-    view = state.amplitudes.reshape(shape)
-    (np.fft.fft if inverse else np.fft.ifft)(view, axis=axis, norm="ortho", out=view)
+def apply_unitary(state: QuantumState, layout: RegisterLayout,
+                  inverse: bool = False) -> QuantumState:
+    """The 2^t-point DFT on C, |c> -> 2^(-t/2) sum_j exp(2 pi i c j / 2^t)|j>,
+    or with ``inverse`` its inverse: ``np.fft.ifft`` (``fft``) along C's
+    axis of the view (L, C, rest), written in place."""
+    _check_layout(state, layout)
+    view = state.amplitudes.reshape(1 << layout.m_bits, 1 << layout.t_bits, -1)
+    (np.fft.fft if inverse else np.fft.ifft)(view, axis=1, norm="ortho", out=view)
     return state
 
 
-def apply_controlled(state: QuantumState, phases, control, targets) -> QuantumState:
-    """Controlled diagonal gate, one row of phases per control qubit: row j
-    multiplies the amplitude of each label of ``targets`` by its phase
-    wherever the control qubit of bit weight 2^j, counted from the
-    control's last qubit, reads 1, in place.  Label x gets the product of
-    the rows its bits select, as the powers U^(2^j) of phase estimation
-    make U^x; ``[u]`` is diag(u) controlled on one qubit.  Every phase must
-    lie within ``UNITARY_TOL`` of the unit circle, checked first.  The
-    rows fold into a table of the 2^w label products by doubling, row j
-    times the first 2^j products giving the next 2^j, from label 0's
-    product, exactly 1.  One broadcast multiply of the :func:`_split` view
-    of (control, targets) by the table applies them all, label 0 included
-    (times 1, which leaves it as it is), so even a one-qubit control is
-    one pass over the whole view."""
-    targets, control = _qubits(targets), _qubits(control)
-    shape, (t_axis, c_axis) = _split(state.n_qubits, (targets, control))
-    stack, (w, dim) = _complex("phases", phases), (len(control), 1 << len(targets))
-    if stack.shape != (w, dim):
-        raise ValidationError(f"a {w}-qubit control on {len(targets)} targets takes {w} rows"
+def apply_controlled(state: QuantumState, layout: RegisterLayout, phases) -> QuantumState:
+    """E, diagonal on B and controlled by C, one row of 2^b phases per C
+    qubit: label c of C gets the product of the rows its bits select, row
+    j for the bit of weight 2^j, as the powers U^(2^j) of phase estimation
+    make U^c.  Every phase must lie within ``UNITARY_TOL`` of the unit
+    circle, checked first.  The rows fold into the table of the 2^t label
+    products by doubling (row j times the first 2^j products gives the
+    next 2^j, from label 0's, exactly 1), and one broadcast multiply of
+    the view (L, C, ancilla, B) by the table applies them all, in place."""
+    _check_layout(state, layout)
+    try:
+        stack = np.asarray(phases, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"phases must hold numbers: {exc}") from None
+    t, dim = layout.t_bits, 1 << layout.b_bits
+    if stack.shape != (t, dim):
+        raise ValidationError(f"a {t}-qubit C on {layout.b_bits} B qubits takes {t} rows"
                               f" of {dim} phases, got {stack.shape}")
-    err = np.abs(np.abs(stack) - 1.0).max()
+    err = np.abs(np.abs(stack) - 1.0).max(initial=0.0)
     if not err <= UNITARY_TOL:  # NaN fails too
         raise ValidationError(f"phases are not unitary (deviation {err:.3e})")
-    table = np.empty((1 << w, dim), dtype=complex)
+    table = np.empty((1 << t, 1, dim), dtype=complex)
     table[0] = 1.0
     for j, row in enumerate(stack):
         np.multiply(table[: 1 << j], row, out=table[1 << j : 2 << j])
-    table_shape = [1] * len(shape)
-    table_shape[c_axis], table_shape[t_axis] = 1 << w, dim
-    view = state.amplitudes.reshape(shape)
-    view *= (table.T if c_axis > t_axis else table).reshape(table_shape)
+    view = state.amplitudes.reshape(1 << layout.m_bits, 1 << t, 2, dim)
+    view *= table
     return state
 
 
-def _register(state: QuantumState, reg) -> tuple[int, int]:
-    """(first qubit, width) of a register that passes :func:`_split`."""
-    reg = _qubits(reg)
-    _split(state.n_qubits, (reg,))
-    return reg[0], len(reg)
-
-
-def apply_basis_oracle(state: QuantumState, reg_L, reg_C, codes) -> QuantumState:
-    """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on registers L and C.
-
-    ``codes`` maps C labels to L codes, integers and not bools, all
-    checked before any amplitude moves; labels it omits leave L as it
-    is.  The oracle is self-inverse.  Each nonzero code is one gather
-    along the L axis of the slice C = c, so nothing the size of the
-    state is allocated.
-    """
-    shape, (l_axis, c_axis) = _split(state.n_qubits, (_qubits(reg_L), _qubits(reg_C)))
-    m, t = len(reg_L), len(reg_C)
+def apply_basis_oracle(state: QuantumState, layout: RegisterLayout, codes) -> QuantumState:
+    """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on L and C, self-inverse.
+    ``codes`` maps C labels to L codes, integers and not bools, all checked
+    before any amplitude moves; labels it omits leave L as it is.  Each
+    nonzero code is one gather along L's axis of the slice C = c, so
+    nothing the size of the state is allocated."""
+    _check_layout(state, layout)
+    m, t = layout.m_bits, layout.t_bits
     bad = [(c, y) for c, y in codes.items()
            if not (_is_int(c) and _is_int(y) and 0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
         raise ValidationError(f"oracle label/code not an integer or out of range: {bad}")
-    view = state.amplitudes.reshape(shape)
-    index = [slice(None)] * len(shape)
+    view = state.amplitudes.reshape(1 << m, 1 << t, -1)
     for c, y in codes.items():
         if y:
-            index[c_axis] = c
-            block = view[tuple(index)]
-            block[...] = block.take(np.arange(1 << m) ^ y, axis=l_axis - (c_axis < l_axis))
+            block = view[:, c]
+            block[...] = block.take(np.arange(1 << m) ^ y, axis=0)
     return state
 
 
-def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
-    """Load a unit vector into one register; all other qubits must be 0."""
-    lo, w = _register(state, reg)
+def load_register(state: QuantumState, layout: RegisterLayout, amplitudes) -> QuantumState:
+    """Load a unit vector into B; all other qubits must be 0."""
+    _check_layout(state, layout)
+    w = layout.b_bits
     try:
         vec = np.asarray(amplitudes, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -345,12 +290,11 @@ def load_register(state: QuantumState, reg, amplitudes) -> QuantumState:
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
     if not abs(_norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValidationError("register content must have unit norm")
-    view = state.amplitudes.reshape(1 << lo, 1 << w, -1)
-    on = view[0, :, 0]
+    on = state.amplitudes[: 1 << w]  # B is the last register: L, C and the ancilla read 0
     if not state.norm() ** 2 - np.vdot(on, on).real <= CLEARED_TOL:
         raise ValidationError("other registers are not in |0>")
     state.amplitudes.fill(0.0)
-    view[0, :, 0] = vec  # the only amplitudes: the state's norm is vec's
+    on[:] = vec  # the only amplitudes: the state's norm is vec's
     return state
 
 
@@ -367,19 +311,25 @@ def _mass(amps: np.ndarray, lo: int, w: int) -> np.ndarray:
     return mass
 
 
-def register_mass(state: QuantumState, qubits) -> np.ndarray:
-    """Probability of each label of a contiguous ascending register; a
-    state off unit norm raises ``NormalizationError``."""
-    return _mass(state.amplitudes, *_register(state, qubits))
+def register_mass(state: QuantumState, register: range) -> np.ndarray:
+    """Probability of each label of a register in the form a layout holds
+    it: a non-empty ``range`` of step 1 within the state.  A state off
+    unit norm raises ``NormalizationError``."""
+    if not (type(register) is range and register.step == 1
+            and 0 <= register.start < register.stop <= state.n_qubits):
+        raise ValidationError(f"register {register!r} must be a non-empty range of step 1"
+                              f" in 0..{state.n_qubits - 1}")
+    return _mass(state.amplitudes, register.start, len(register))
 
 
 def post_select(state: QuantumState, qubit: int, value: int) -> float:
-    """Probability that ``qubit`` reads ``value``, an integer 0 or 1, from
-    one read that also checks the norm; the state is left as it is.  A
-    probability below ``POST_SELECT_FLOOR`` signals a fully thresholded
-    spectrum and raises."""
+    """Probability that ``qubit``, an integer in 0..n-1, reads ``value``,
+    an integer 0 or 1, from one read that also checks the norm; the state
+    is left as it is.  A probability below ``POST_SELECT_FLOOR`` signals a
+    fully thresholded spectrum and raises."""
+    qubit = check_int("qubit", qubit, 0, state.n_qubits - 1)
     value = check_int("measurement value", value, 0, 1)
-    prob = float(_mass(state.amplitudes, *_register(state, [qubit]))[value])
+    prob = float(_mass(state.amplitudes, qubit, 1)[value])
     if not prob >= POST_SELECT_FLOOR:  # NaN fails too
         raise FullyThresholdedError(
             f"outcome probability {prob:.3e} below floor {POST_SELECT_FLOOR:.3e}"

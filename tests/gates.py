@@ -63,16 +63,18 @@ def controlled(state, factors, control, targets):
     return state
 
 
-def bitwise_conditional_evolution(state, cfg, reg_C, reg_B, a, inverse=False):
+def bitwise_conditional_evolution(state, cfg, layout, a, inverse=False, reg_B=None):
     """exp(i A c t0) for C label c as exp(i A 2^w t0) controlled on the C
     qubit of bit weight 2^w, one dense gate per qubit (:func:`controlled`),
-    A a Hermitian matrix or the vector of a diagonal one, exponentiated by
-    :func:`eigh_exp`."""
+    on ``reg_B``, all of B by default, A a Hermitian matrix or the vector
+    of a diagonal one, exponentiated by :func:`eigh_exp`.  It takes
+    ``qpe.conditional_evolution``'s arguments, so it can stand in for it."""
     a = np.asarray(a)
     a = np.diag(a) if a.ndim == 1 else a
+    reg_B = layout.reg_B if reg_B is None else reg_B
     sign = -1.0 if inverse else 1.0
-    t = len(reg_C)
-    for i, q in enumerate(reg_C):
+    t = layout.t_bits
+    for i, q in enumerate(layout.reg_C):
         u = eigh_exp(a, sign * (1 << (t - 1 - i)) * cfg.t0)
         controlled(state, [u], [q], reg_B)
     return state
@@ -82,9 +84,9 @@ def dense_phase_estimate(state, cfg, layout, a, reg, inverse=False):
     """Phase estimation, or its inverse, with E the dense
     :func:`bitwise_conditional_evolution` of the Hermitian matrix ``a`` on
     the qubits ``reg``: QFT, E, QFT^-1 on C."""
-    qpe.qft(state, layout.reg_C)
-    bitwise_conditional_evolution(state, cfg, layout.reg_C, reg, a, inverse)
-    return qpe.iqft(state, layout.reg_C)
+    qpe.qft(state, layout)
+    bitwise_conditional_evolution(state, cfg, layout, a, inverse, reg)
+    return qpe.iqft(state, layout)
 
 
 def u_pairs(spec):
@@ -112,7 +114,7 @@ def full_register_run(cfg, alpha):
     state = sim.new_state(layout)
     grid = np.zeros((du, dv), dtype=complex)
     grid[:dp] = spectral.to_state(spec, spec.sigma).reshape(dp, dv)
-    sim.load_register(state, layout.reg_B, grid.reshape(-1))
+    sim.load_register(state, layout, grid.reshape(-1))
     reg_u = list(layout.reg_B)[: du.bit_length() - 1]
     dense_phase_estimate(state, pe_cfg, layout, a, reg_u)
     oracle.apply(state, layout)

@@ -26,7 +26,7 @@ def loaded_state(data, layout, weights=None):
     state = sim.new_state(layout)
     w = np.zeros(1 << layout.b_bits)
     w[: data.rank] = data.sigma if weights is None else weights
-    sim.load_register(state, layout.reg_B, w / np.linalg.norm(w))
+    sim.load_register(state, layout, w / np.linalg.norm(w))
     return state
 
 
@@ -169,25 +169,33 @@ def test_choose_t0_labels_on_the_circuit_large_spectrum():
 
 
 def test_qft_zero_state_uniform():
-    state = sim.QuantumState(3, np.eye(8, dtype=complex)[0])
-    qpe.qft(state, [0, 1, 2])
-    assert np.allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)))
+    # C of 3 qubits ahead of the ancilla and B, both at 0
+    layout = sim.RegisterLayout(0, 3, 1)
+    state = sim.new_state(layout)
+    qpe.qft(state, layout)
+    by_c = state.amplitudes.reshape(8, 4)
+    assert np.allclose(by_c[:, 0], np.full(8, 1 / np.sqrt(8)))
+    assert not by_c[:, 1:].any()
 
 
 def test_qft_basis_state_01():
-    state = sim.QuantumState(2, np.eye(4, dtype=complex)[1])
-    qpe.qft(state, [0, 1])
-    assert np.allclose(state.amplitudes, np.array([1, 1j, -1, -1j]) / 2, atol=1e-12)
+    layout = sim.RegisterLayout(0, 2, 1)
+    state = sim.QuantumState(4, np.eye(16, dtype=complex)[1 << 2])  # C = 01
+    qpe.qft(state, layout)
+    by_c = state.amplitudes.reshape(4, 4)
+    assert np.allclose(by_c[:, 0], np.array([1, 1j, -1, -1j]) / 2, atol=1e-12)
+    assert not by_c[:, 1:].any()
 
 
 def test_iqft_inverts_qft_on_random_states():
     rng = np.random.default_rng(21)
+    layout = sim.RegisterLayout(1, 3, 1)
     for _ in range(5):
-        amp = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amp = rng.normal(size=64) + 1j * rng.normal(size=64)
         amp /= np.linalg.norm(amp)
-        state = sim.QuantumState(4, amp.copy())
-        qpe.qft(state, [0, 1, 2, 3])
-        qpe.iqft(state, [0, 1, 2, 3])
+        state = sim.QuantumState(6, amp.copy())
+        qpe.qft(state, layout)
+        qpe.iqft(state, layout)
         assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
@@ -218,7 +226,7 @@ def test_conditional_evolution_tiny_t0_is_identity():
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
+    qpe.conditional_evolution(state, cfg, layout, pairs)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -230,7 +238,7 @@ def test_conditional_evolution_phases_on_label_one():
     last_c = list(layout.reg_C)[-1]
     unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
-    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
+    qpe.conditional_evolution(state, cfg, layout, pairs)
     for k, lam in enumerate((4.0, 1.0)):
         basis = np.eye(2)[k]  # |k> on the Schmidt index
         full_before = before.norm()  # keep norm sanity
@@ -260,7 +268,7 @@ def test_conditional_evolution_eigencomponent_pure_phase():
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
-    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, pairs)
+    qpe.conditional_evolution(state, cfg, layout, pairs)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
 
 
@@ -293,6 +301,29 @@ def test_phase_estimate_requires_cleared_c():
         qpe.phase_estimate(state, cfg, layout, pairs)
 
 
+@pytest.mark.parametrize("cfg_bits, c_bits", [(3, 4), (4, 3)],
+                         ids=["config narrower than C", "config wider than C"])
+def test_phase_estimation_checks_its_config_against_c(cfg_bits, c_bits):
+    # a 3-bit config for sigma^2 = (4, 1) run on a 4-bit C completed and
+    # put its mass on labels 2 and 8: each stage rejects a C of another
+    # width than the config's before any amplitude moves
+    data, layout, pairs = reference_setup(t_bits=c_bits)
+    cfg = qpe.choose_t0([4.0, 1.0], cfg_bits)
+    state = loaded_state(data, layout)
+    before = state.amplitudes.tobytes()
+    for stage in (qpe.phase_estimate, qpe.phase_estimate_inverse, qpe.conditional_evolution):
+        with pytest.raises(ValidationError,
+                           match=f"^a {cfg_bits}-bit estimation on a {c_bits}-qubit C$"):
+            stage(state, cfg, layout, pairs)
+        assert state.amplitudes.tobytes() == before, stage
+    # at the config's width the labels are the encoding's
+    _, layout, _ = reference_setup(t_bits=cfg_bits)
+    state = loaded_state(data, layout)
+    qpe.phase_estimate(state, cfg, layout, pairs)
+    mass = sim.register_mass(state, layout.reg_C)
+    assert mass[list(cfg.labels)].sum() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
     # the load leaves the norm to the next stage's read, and so do phase
     # estimation and the cascade: each stage that reads the state checks
@@ -321,7 +352,7 @@ def test_phase_estimate_then_inverse_is_identity():
         b_dim = 1 << len(layout.reg_B)
         vec = rng.normal(size=b_dim) + 1j * rng.normal(size=b_dim)
         vec /= np.linalg.norm(vec)
-        sim.load_register(state, layout.reg_B, vec)
+        sim.load_register(state, layout, vec)
         unitary(state, ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
         for q in layout.reg_L:
             unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
@@ -359,7 +390,7 @@ def test_c_distribution_independent_of_v_factor():
             sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q
         )
         state = sim.new_state(full)
-        sim.load_register(state, full.reg_B, spectral.to_state(hybrid, hybrid.sigma))
+        sim.load_register(state, full, spectral.to_state(hybrid, hybrid.sigma))
         a = from_eigenpairs(u_pairs(hybrid))
         dense_phase_estimate(state, cfg, full, a, list(full.reg_B)[:1])
         masses.append(sim.register_mass(state, full.reg_C))
@@ -377,13 +408,10 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
         for t_bits in range(1, 7):
             layout = sim.RegisterLayout(1, t_bits, len(a).bit_length() - 1)
             cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
-            reg_b = layout.reg_B
             for inverse in (False, True):
                 state = _random_state(rng, layout, clear_c=False)
-                reference = bitwise_conditional_evolution(
-                    state.copy(), cfg, layout.reg_C, reg_b, a, inverse
-                )
-                qpe.conditional_evolution(state, cfg, layout.reg_C, reg_b, a, inverse)
+                reference = bitwise_conditional_evolution(state.copy(), cfg, layout, a, inverse)
+                qpe.conditional_evolution(state, cfg, layout, a, inverse)
                 assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
@@ -394,34 +422,37 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
     a = rng.normal(size=8) * 3.0
     apply_controlled, calls = sim.apply_controlled, []
 
-    def spy(state, factors, control, targets):
-        calls.append(len(control))
-        return apply_controlled(state, factors, control, targets)
+    def spy(state, layout, phases):
+        calls.append(len(phases))
+        return apply_controlled(state, layout, phases)
 
     for t_bits in (1, 3, 8):
         layout = sim.RegisterLayout(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
         for inverse in (False, True):
             state = _random_state(rng, layout, clear_c=False)
-            reference = bitwise_conditional_evolution(
-                state.copy(), cfg, layout.reg_C, layout.reg_B, a, inverse
-            )
+            reference = bitwise_conditional_evolution(state.copy(), cfg, layout, a, inverse)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "apply_controlled", spy)
-                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse)
+                qpe.conditional_evolution(state, cfg, layout, a, inverse)
             assert calls == [t_bits]
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
-        # a register that does not fit A is rejected by the gate
+        # a B that does not fit A is rejected by the gate
+        narrow = sim.RegisterLayout(1, t_bits, 2)
+        state = _random_state(rng, narrow, clear_c=False)
         before = state.amplitudes.copy()
-        match = rf"^a {t_bits}-qubit control on 2 targets takes {t_bits} rows of 4 phases"
+        match = rf"^a {t_bits}-qubit C on 2 B qubits takes {t_bits} rows of 4 phases"
         with pytest.raises(ValidationError, match=rf"{match}, got \({t_bits}, 8\)$"):
-            qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B[:2], a)
+            qpe.conditional_evolution(state, cfg, narrow, a)
+        assert np.array_equal(state.amplitudes, before)
         # each exponential is checked before the state is touched
+        state = _random_state(rng, layout, clear_c=False)
+        before = state.amplitudes.copy()
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "herm_exp", lambda a, t: np.full(len(a), 1.5 + 0j))
             with pytest.raises(ValidationError, match="unitary"):
-                qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
+                qpe.conditional_evolution(state, cfg, layout, a)
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -429,15 +460,15 @@ def hadamard_phase_estimate(state, cfg, layout, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
-    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a)
-    qpe.iqft(state, layout.reg_C)
+    qpe.conditional_evolution(state, cfg, layout, a)
+    qpe.iqft(state, layout)
     return state
 
 
 def hadamard_phase_estimate_inverse(state, cfg, layout, a):
     """Adjoint of :func:`hadamard_phase_estimate`: QFT, E^-1, Hadamards."""
-    qpe.qft(state, layout.reg_C)
-    qpe.conditional_evolution(state, cfg, layout.reg_C, layout.reg_B, a, inverse=True)
+    qpe.qft(state, layout)
+    qpe.conditional_evolution(state, cfg, layout, a, inverse=True)
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
     return state

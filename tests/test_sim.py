@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsvt import sim
+from qsvt import qpe, rotation, sim
 from qsvt.errors import FullyThresholdedError, NormalizationError, ValidationError
 
 from gates import controlled, hadamard, pauli_x, ry, unitary
@@ -120,14 +120,14 @@ def test_load_register_identity_case():
     state = sim.new_state(layout)
     vec = np.zeros(4)
     vec[0] = 1.0
-    sim.load_register(state, layout.reg_B, vec)
+    sim.load_register(state, layout, vec)
     assert state.amplitudes[0] == 1.0
 
 
 def test_load_register_uniform_two_qubits():
     layout = sim.RegisterLayout(1, 1, 2)
     state = sim.new_state(layout)
-    sim.load_register(state, layout.reg_B, np.full(4, 0.5))
+    sim.load_register(state, layout, np.full(4, 0.5))
     mass = sim.register_mass(state, layout.reg_B)
     assert np.allclose(mass, 0.25)
 
@@ -136,12 +136,12 @@ def test_load_register_rejects_bad_input():
     layout = sim.RegisterLayout(1, 1, 2)
     state = sim.new_state(layout)
     with pytest.raises(ValidationError, match="unit norm"):
-        sim.load_register(state, layout.reg_B, np.full(4, 0.4))
+        sim.load_register(state, layout, np.full(4, 0.4))
     with pytest.raises(ValidationError, match="4 amplitudes"):
-        sim.load_register(state, layout.reg_B, np.full(8, 1 / np.sqrt(8)))
+        sim.load_register(state, layout, np.full(8, 1 / np.sqrt(8)))
     for bad in (["a", "b", "c", "d"], [[1.0], [0.0, 0.0], [0.0], [0.0]]):  # not numbers, ragged
         with pytest.raises(ValidationError, match="must hold numbers"):
-            sim.load_register(state, layout.reg_B, bad)
+            sim.load_register(state, layout, bad)
 
 
 def test_load_register_requires_other_registers_cleared():
@@ -151,14 +151,14 @@ def test_load_register_requires_other_registers_cleared():
     vec = np.zeros(4)
     vec[0] = 1.0
     with pytest.raises(ValidationError, match=r"not in \|0>"):
-        sim.load_register(state, layout.reg_B, vec)
+        sim.load_register(state, layout, vec)
 
 
 def test_load_register_rejects_nan_content():
     layout = sim.RegisterLayout(1, 1, 1)
     state = sim.new_state(layout)
     with pytest.raises(ValidationError, match="unit norm"):
-        sim.load_register(state, layout.reg_B, [np.nan, 0])
+        sim.load_register(state, layout, [np.nan, 0])
     assert np.array_equal(state.amplitudes, sim.new_state(layout).amplitudes)
 
 
@@ -168,7 +168,7 @@ def test_register_reads_reject_a_state_off_unit_norm():
     layout = sim.RegisterLayout(1, 2, 1)
     reads = (
         lambda state: sim.register_mass(state, layout.reg_C),
-        lambda state: sim.register_mass(state, [layout.ancilla]),
+        lambda state: sim.register_mass(state, range(layout.ancilla, layout.ancilla + 1)),
         lambda state: sim.post_select(state, layout.ancilla, 0),
     )
     unit = random_state(layout.n_qubits, 5)
@@ -181,13 +181,21 @@ def test_register_reads_reject_a_state_off_unit_norm():
                 read(state)
 
 
-def test_state_requires_contiguous_complex128_amplitudes():
+def test_state_requires_writable_contiguous_complex128_amplitudes():
     # real storage would drop the imaginary part of every gate's output:
-    # Y on a real |0> left [0, 0]
+    # Y on a real |0> left [0, 0]; a read-only array failed at the first
+    # in-place gate with NumPy's bare "output array is read-only"
+    read_only = np.eye(8, dtype=complex)[0]
+    read_only.flags.writeable = False
     for amp in (np.array([1.0, 0.0]), [1.0, 0.0], np.array([1, 0], dtype=np.complex64),
-                np.eye(4, dtype=complex)[0, ::2]):
-        with pytest.raises(ValidationError, match="C-contiguous complex128"):
-            sim.QuantumState(1, amp)
+                np.eye(4, dtype=complex)[0, ::2], read_only):
+        with pytest.raises(ValidationError, match="^amplitudes must be a writable C-contiguous"
+                                                  " complex128 array"):
+            sim.QuantumState(int(np.size(amp)).bit_length() - 1, amp)
+    # the same array, writable, is a state the gates write in place
+    state = sim.QuantumState(3, read_only.copy())
+    sim.apply_unitary(state, sim.RegisterLayout(0, 1, 1))
+    assert np.allclose(state.amplitudes[[0, 4]], 1 / np.sqrt(2))
 
 
 def dft(k: int, inverse: bool = False) -> np.ndarray:
@@ -199,58 +207,53 @@ def dft(k: int, inverse: bool = False) -> np.ndarray:
 
 
 def test_apply_unitary_then_its_inverse_is_identity():
-    state = random_state(4, 1)
+    layout = sim.RegisterLayout(1, 2, 1)
+    state = random_state(layout.n_qubits, 1)
     before = state.amplitudes.copy()
-    sim.apply_unitary(state, [1, 2])
-    sim.apply_unitary(state, [1, 2], inverse=True)
+    sim.apply_unitary(state, layout)
+    sim.apply_unitary(state, layout, inverse=True)
     assert np.allclose(state.amplitudes, before, atol=1e-14)
-    with pytest.raises(ValidationError, match="contiguous"):
-        sim.apply_unitary(state, [1, 3])
 
 
 def test_apply_unitary_single_qubit_is_the_most_significant_bit():
-    # qubit 0 is the most significant bit: the one-qubit DFT on it takes
-    # |01> to |+1>, indices 1 and 3, and on qubit 1 takes |10> to |1+>
-    state = sim.QuantumState(2, np.array([0, 1, 0, 0], dtype=complex))
-    sim.apply_unitary(state, [0])
-    assert np.allclose(state.amplitudes, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
-    state = sim.QuantumState(2, np.array([0, 0, 1, 0], dtype=complex))
-    sim.apply_unitary(state, [1], inverse=True)
-    assert np.allclose(state.amplitudes, [0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2)])
+    # qubit 0 is the most significant bit: the one-qubit DFT on C, qubit 0
+    # of the layout (0, 1, 1), takes |001> to |+01>, indices 1 and 5, and
+    # on C, qubit 1 of (1, 1, 1), takes |1000> to |1+00>, indices 8 and 12
+    state = sim.QuantumState(3, np.eye(8, dtype=complex)[1])
+    sim.apply_unitary(state, sim.RegisterLayout(0, 1, 1))
+    assert np.allclose(state.amplitudes, np.eye(8)[[1, 5]].sum(axis=0) / np.sqrt(2))
+    state = sim.QuantumState(4, np.eye(16, dtype=complex)[8])
+    sim.apply_unitary(state, sim.RegisterLayout(1, 1, 1), inverse=True)
+    assert np.allclose(state.amplitudes, np.eye(16)[[8, 12]].sum(axis=0) / np.sqrt(2))
 
 
 def test_apply_unitary_on_one_qubit_is_the_hadamard():
-    state = sim.QuantumState(1, np.array([1.0, 0.0], dtype=complex))
-    sim.apply_unitary(state, [0])
-    assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    # |1> goes to |->, in either direction
+    # a one-qubit C, qubit 0: |000> goes to |+00>, and |100> to |-00> in
+    # either direction, as the Hadamard on qubit 0 takes them
+    layout = sim.RegisterLayout(0, 1, 1)
+    state = sim.new_state(layout)
+    sim.apply_unitary(state, layout)
+    assert np.allclose(state.amplitudes, np.eye(8)[[0, 4]].sum(axis=0) / np.sqrt(2))
     for inverse in (False, True):
-        state = sim.QuantumState(1, np.array([0.0, 1.0], dtype=complex))
-        sim.apply_unitary(state, [0], inverse=inverse)
-        assert np.allclose(state.amplitudes, hadamard() @ [0, 1])
-
-
-def test_apply_unitary_rejects_bad_targets():
-    state = random_state(2, 2)
-    before = state.amplitudes.copy()
-    with pytest.raises(ValidationError, match="distinct"):
-        sim.apply_unitary(state, [1, 1])
-    with pytest.raises(ValidationError, match="non-empty"):
-        sim.apply_unitary(state, [], inverse=True)
-    assert np.array_equal(state.amplitudes, before)
+        state = sim.QuantumState(3, np.eye(8, dtype=complex)[4])
+        expected = unitary(state.copy(), hadamard(), [0]).amplitudes
+        sim.apply_unitary(state, layout, inverse=inverse)
+        assert np.allclose(state.amplitudes, expected)
+        assert np.allclose(state.amplitudes[[0, 4]], hadamard() @ [0, 1])
 
 
 def test_read_only_non_unitary_is_rejected_on_every_call():
-    state = random_state(3, 2)
+    layout = sim.RegisterLayout(0, 2, 1)
+    state = random_state(layout.n_qubits, 2)
     before = state.amplitudes.copy()
     for row in (np.array([1, 2], dtype=complex), np.full(2, np.nan + 0j)):  # off the unit circle
         stack = np.stack([np.ones(2, dtype=complex), row])
         stack.flags.writeable = False
-        for _ in range(2):  # a failed check is not cached
+        for _ in range(2):
             with pytest.raises(ValidationError, match="unitary"):
-                sim.apply_controlled(state, stack, [0, 1], [2])
+                sim.apply_controlled(state, layout, stack)
         with pytest.raises(ValidationError, match="unitary"):
-            sim.apply_controlled(state, stack.copy(), [0, 1], [2])  # writable
+            sim.apply_controlled(state, layout, stack.copy())  # writable
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -259,40 +262,44 @@ def test_read_only_view_of_a_changed_base_is_rejected():
     phases = np.ones((2, 2), dtype=complex)
     phases_view = phases.view()
     phases_view.flags.writeable = False
-    state = random_state(3, 4)
-    sim.apply_controlled(state, phases_view, [0, 1], [2])
+    layout = sim.RegisterLayout(0, 2, 1)
+    state = random_state(layout.n_qubits, 4)
+    sim.apply_controlled(state, layout, phases_view)
     phases[1, 0] = 5.0
     before = state.amplitudes.copy()
     with pytest.raises(ValidationError, match="unitary"):
-        sim.apply_controlled(state, phases_view, [0, 1], [2])
+        sim.apply_controlled(state, layout, phases_view)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_every_factor_of_a_control_is_checked():
     z, five = np.array([1, -1], dtype=complex), np.full(2, 5.0)
-    state = random_state(3, 18)
+    layout = sim.RegisterLayout(0, 2, 1)
+    state = random_state(layout.n_qubits, 18)
     before = state.amplitudes.copy()
-    # a 2-qubit control takes two rows of phases, U and U^2, and checks both
+    # a 2-qubit C takes two rows of phases, U and U^2, and checks both
     with pytest.raises(ValidationError, match=r"takes 2 rows of 2 phases, got \(3, 2\)"):
-        sim.apply_controlled(state, [z, z, five], [0, 1], [2])
+        sim.apply_controlled(state, layout, [z, z, five])
     with pytest.raises(ValidationError, match="unitary"):
-        sim.apply_controlled(state, [z, five], [0, 1], [2])
+        sim.apply_controlled(state, layout, [z, five])
+    assert np.array_equal(state.amplitudes, before)
     # a phase off the unit circle by more than UNITARY_TOL, or NaN, is
     # rejected wherever it sits, in every row and at every label
-    wide = random_state(5, 19)
-    kept = wide.amplitudes.copy()
     for w in (1, 2, 3):
+        wide_layout = sim.RegisterLayout(1, w, 2)
+        wide = random_state(wide_layout.n_qubits, 19)
+        kept = wide.amplitudes.copy()
         for j, x in itertools.product(range(w), range(4)):
             for bad in (1.0 + 2 * sim.UNITARY_TOL, 1.0 - 2 * sim.UNITARY_TOL, np.nan):
                 rows = np.exp(1j * np.arange(4 * w).reshape(w, 4))
                 rows[j, x] *= bad
                 with pytest.raises(ValidationError, match="^phases are not unitary"):
-                    sim.apply_controlled(wide, rows, range(w), [w, w + 1])
-    assert np.array_equal(wide.amplitudes, kept)
+                    sim.apply_controlled(wide, wide_layout, rows)
+        assert np.array_equal(wide.amplitudes, kept)
     # within the tolerance a phase passes
     rows = np.exp(1j * np.arange(4)).reshape(1, 4) * (1.0 + sim.UNITARY_TOL / 2)
-    sim.apply_controlled(state.copy(), rows, [0], [1, 2])
-    assert np.array_equal(state.amplitudes, before)
+    passing = sim.RegisterLayout(0, 1, 2)
+    sim.apply_controlled(random_state(passing.n_qubits, 18), passing, rows)
 
 
 def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
@@ -307,22 +314,28 @@ def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
 
 
 def test_apply_controlled_inactive_control():
-    state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
-    sim.apply_controlled(state, [[1j, -1]], [0], [1])
-    assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+    # C reads 0: E leaves the state as it is, bit for bit
+    layout = sim.RegisterLayout(0, 1, 1)
+    state = sim.new_state(layout)
+    sim.apply_controlled(state, layout, [[1j, -1]])
+    assert np.array_equal(state.amplitudes, np.eye(8)[0])
     # the dense reference leaves it too
-    controlled(state, [pauli_x()], [0], [1])
-    assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+    controlled(state, [pauli_x()], [0], [2])
+    assert np.array_equal(state.amplitudes, np.eye(8)[0])
 
 
 def test_apply_controlled_controlled_phase():
-    # controlled-Z on |+>|+> writes a minus sign on |11> alone, bit for bit
-    state = sim.QuantumState(2, np.full(4, 0.5, dtype=complex))
-    sim.apply_controlled(state, [[1, -1]], [0], [1])
-    assert np.array_equal(state.amplitudes, [0.5, 0.5, 0.5, -0.5])
-    # a control after the targets: diag(1, i) on qubit 0 where qubit 1 reads 1
-    sim.apply_controlled(state, [[1, 1j]], [1], [0])
-    assert np.array_equal(state.amplitudes, [0.5, 0.5, 0.5, -0.5j])
+    # controlled-Z from C on B, |+>|0>|+> with the ancilla between them:
+    # a minus sign on C = 1, B = 1 alone, bit for bit
+    layout = sim.RegisterLayout(0, 1, 1)
+    amp = np.zeros(8, dtype=complex)
+    amp[[0, 1, 4, 5]] = 0.5
+    state = sim.QuantumState(3, amp)
+    sim.apply_controlled(state, layout, [[1, -1]])
+    assert np.array_equal(state.amplitudes, [0.5, 0.5, 0, 0, 0.5, -0.5, 0, 0])
+    # diag(1, i) on B where C reads 1
+    sim.apply_controlled(state, layout, [[1, 1j]])
+    assert np.array_equal(state.amplitudes, [0.5, 0.5, 0, 0, 0.5, -0.5j, 0, 0])
 
 
 def test_reference_controlled_cnot():
@@ -339,32 +352,28 @@ def test_reference_controlled_ry_pi_makes_bell_state():
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
 
-def test_apply_controlled_rejects_overlap():
-    state = random_state(2, 3)
-    with pytest.raises(ValidationError, match="overlap"):
-        sim.apply_controlled(state, [[1, -1]], [1], [1])
-
-
 def test_basis_oracle_identity():
     # zero codes, and no codes at all, leave every amplitude as it is
-    state = random_state(5, 4)
+    layout = sim.RegisterLayout(2, 2, 1)
+    state = random_state(layout.n_qubits, 4)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, [1, 2], [3, 4], {c: 0 for c in range(4)})
-    sim.apply_basis_oracle(state, [1, 2], [3, 4], {})
+    sim.apply_basis_oracle(state, layout, {c: 0 for c in range(4)})
+    sim.apply_basis_oracle(state, layout, {})
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_partial_map_on_register_c():
-    # L = qubits 0-1, C = qubit 2, code 10 on C = 1:
+    # L = qubits 0-1, C = qubit 2, the ancilla and B at 0; code 10 on C = 1:
     # (2|01>|1> + |01>|0>)/sqrt(5) -> (2|11>|1> + |01>|0>)/sqrt(5)
-    amp = np.zeros(8, dtype=complex)
-    amp[0b011] = 2 / np.sqrt(5)
-    amp[0b010] = 1 / np.sqrt(5)
-    state = sim.QuantumState(3, amp)
-    sim.apply_basis_oracle(state, [0, 1], [2], {1: 0b10})
-    expected = np.zeros(8, dtype=complex)
-    expected[0b111] = 2 / np.sqrt(5)
-    expected[0b010] = 1 / np.sqrt(5)
+    layout = sim.RegisterLayout(2, 1, 1)
+    amp = np.zeros(32, dtype=complex)
+    amp[0b011 << 2] = 2 / np.sqrt(5)
+    amp[0b010 << 2] = 1 / np.sqrt(5)
+    state = sim.QuantumState(5, amp)
+    sim.apply_basis_oracle(state, layout, {1: 0b10})
+    expected = np.zeros(32, dtype=complex)
+    expected[0b111 << 2] = 2 / np.sqrt(5)
+    expected[0b010 << 2] = 1 / np.sqrt(5)
     assert np.array_equal(state.amplitudes, expected)
 
 
@@ -372,56 +381,41 @@ def test_basis_oracle_inverse_composition():
     # XOR of a function of C is its own inverse, bit for bit
     rng = np.random.default_rng(5)
     codes = {c: int(rng.integers(8)) for c in range(8)}
-    state = random_state(7, 6)
+    layout = sim.RegisterLayout(3, 3, 1)
+    state = random_state(layout.n_qubits, 6)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, [1, 2, 3], [4, 5, 6], codes)
+    sim.apply_basis_oracle(state, layout, codes)
     assert not np.array_equal(state.amplitudes, before)
-    sim.apply_basis_oracle(state, [1, 2, 3], [4, 5, 6], codes)
+    sim.apply_basis_oracle(state, layout, codes)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_rejects_out_of_range_code():
-    state = random_state(4, 7)
+    layout = sim.RegisterLayout(2, 2, 1)
+    state = random_state(layout.n_qubits, 7)
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, [0, 1], [2, 3], {0: 4})  # code wider than L
+        sim.apply_basis_oracle(state, layout, {0: 4})  # code wider than L
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, [0, 1], [2, 3], {4: 1})  # label wider than C
+        sim.apply_basis_oracle(state, layout, {4: 1})  # label wider than C
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, [0, 1], [2, 3], {1: -1})
+        sim.apply_basis_oracle(state, layout, {1: -1})
     # labels and codes are integers, not bools, all checked before a label moves
     before = state.amplitudes.copy()
     for codes in ({1.5: 1}, {1: 1.0}, {True: 1}, {1: True}, {1: 1, 2: 1.0}, {1: 1, 2: 1.5}):
         with pytest.raises(ValidationError, match="not an integer or out of range"):
-            sim.apply_basis_oracle(state, [0, 1], [2, 3], codes)
+            sim.apply_basis_oracle(state, layout, codes)
         assert np.array_equal(state.amplitudes, before)
-    with pytest.raises(ValidationError, match="contiguous"):
-        sim.apply_basis_oracle(state, [0, 2], [3], {1: 1})
-
-
-def test_basis_oracle_on_register_subset():
-    # C = qubits 0-1 ahead of L = qubits 3-4, spectators 2 and 5: only L
-    # moves, within each C slice
-    state = random_state(6, 8)
-    before = state.amplitudes.reshape(4, 2, 4, 2).copy()
-    codes = {0: 3, 2: 1, 3: 2}
-    sim.apply_basis_oracle(state, [3, 4], [0, 1], codes)
-    after = state.amplitudes.reshape(4, 2, 4, 2)
-    for c in range(4):
-        moved = np.arange(4) ^ codes.get(c, 0)
-        assert np.array_equal(after[c], before[c][:, moved])
-    assert np.allclose(np.sum(np.abs(after) ** 2, axis=2).reshape(-1),
-                       np.sum(np.abs(before) ** 2, axis=2).reshape(-1))
-    with pytest.raises(ValidationError, match="contiguous"):
-        sim.register_mass(state, [0, 1, 2, 5])
 
 
 def test_basis_oracle_unlisted_labels_keep_l():
-    state = random_state(5, 9)
-    before = state.amplitudes.reshape(2, 4, 4).copy()  # (a, L, C)
-    sim.apply_basis_oracle(state, [1, 2], [3, 4], {1: 2})
-    after = state.amplitudes.reshape(2, 4, 4)
-    assert np.array_equal(after[:, :, [0, 2, 3]], before[:, :, [0, 2, 3]])
-    assert np.array_equal(after[:, :, 1], before[:, [2, 3, 0, 1], 1])
+    # (L, C, the ancilla and B): only L moves, within the slice C = 1
+    layout = sim.RegisterLayout(2, 2, 1)
+    state = random_state(layout.n_qubits, 9)
+    before = state.amplitudes.reshape(4, 4, 4).copy()
+    sim.apply_basis_oracle(state, layout, {1: 2})
+    after = state.amplitudes.reshape(4, 4, 4)
+    assert np.array_equal(after[:, [0, 2, 3]], before[:, [0, 2, 3]])
+    assert np.array_equal(after[:, 1], before[[2, 3, 0, 1], 1])
 
 
 def test_post_select_deterministic_outcome():
@@ -447,7 +441,7 @@ def test_post_select_half_probability():
 
 def test_post_select_probability_matches_mass():
     state = random_state(4, 9)
-    mass = sim.register_mass(state, [2])
+    mass = sim.register_mass(state, range(2, 3))
     p = sim.post_select(state.copy(), 2, 0)
     assert p == pytest.approx(mass[0], abs=1e-12)
 
@@ -514,7 +508,7 @@ def test_l_zero_block_is_a_view_with_l_removed():
     assert block_layout == sim.RegisterLayout(0, 3, 2)
     assert block.n_qubits == 6 and np.shares_memory(block.amplitudes, state.amplitudes)
     assert np.array_equal(block.amplitudes, state.amplitudes[:64])
-    sim.apply_unitary(block, block_layout.reg_C)
+    sim.apply_unitary(block, block_layout)
     assert np.array_equal(state.amplitudes[:64], block.amplitudes)
     # no L: the block is the state
     no_l = sim.RegisterLayout(0, 5, 2)
@@ -529,129 +523,132 @@ def test_post_select_floor_error():
         sim.post_select(state, 0, 1)
 
 
-# registers that no entry point takes on a 6-qubit state
-BAD_REGISTERS = {
-    "duplicate": [1, 1],
-    "negative": [-1, 0],
-    "beyond n": [5, 6],
-    "gap": [1, 3],
-    "descending": [2, 1],
-    "empty": [],
-}
-
-
-def _calls_on(reg):
-    """Each entry point with ``reg`` in one register argument; the other
-    register, where there is one, is qubit 4, which no bad register uses."""
-    dim = 1 << len(reg)
+def _layout_calls():
+    """Every entry point that takes the run's layout, as a call on a state
+    and a layout, with arguments that fit the layout (2, 2, 1)."""
+    cfg, eigenvalues = qpe.PhaseEstimationConfig(2, 1.0, False), [1.0, 2.0]
+    oracle = rotation.SigmaTauOracle(2, 2, {1: 1}, {1: 1})
     return {
-        "apply_unitary": lambda s: sim.apply_unitary(s, reg),
-        "apply_controlled targets": lambda s: sim.apply_controlled(s, [np.ones(dim)], [4], reg),
-        "apply_controlled control":
-            lambda s: sim.apply_controlled(s, [np.ones(2)] * len(reg), reg, [4]),
-        "apply_basis_oracle L": lambda s: sim.apply_basis_oracle(s, reg, [4], {}),
-        "apply_basis_oracle C": lambda s: sim.apply_basis_oracle(s, [4], reg, {}),
-        "register_mass": lambda s: sim.register_mass(s, reg),
-        "load_register": lambda s: sim.load_register(s, reg, np.eye(dim)[0]),
+        "apply_unitary": sim.apply_unitary,
+        "apply_controlled": lambda s, lay: sim.apply_controlled(s, lay, np.ones((2, 2))),
+        "apply_basis_oracle": lambda s, lay: sim.apply_basis_oracle(s, lay, {1: 1}),
+        "load_register": lambda s, lay: sim.load_register(s, lay, [1.0, 0.0]),
+        "qft": qpe.qft,
+        "iqft": qpe.iqft,
+        "conditional_evolution":
+            lambda s, lay: qpe.conditional_evolution(s, cfg, lay, eigenvalues),
+        "phase_estimate": lambda s, lay: qpe.phase_estimate(s, cfg, lay, eigenvalues),
+        "phase_estimate_inverse":
+            lambda s, lay: qpe.phase_estimate_inverse(s, cfg, lay, eigenvalues),
+        "ry_cascade": lambda s, lay: rotation.ry_cascade(s, lay, 1.0),
+        "SigmaTauOracle.apply": oracle.apply,
+        "uncompute_residual": rotation.uncompute_residual,
     }
 
 
-REGISTER_CASES = [
-    (f"{entry} / {kind}", call, "non-empty, distinct, contiguous")
-    for kind, reg in BAD_REGISTERS.items()
-    for entry, call in _calls_on(reg).items()
-] + [
-    ("post_select / negative", lambda s: sim.post_select(s, -1, 1), "in 0..5"),
-    ("post_select / beyond n", lambda s: sim.post_select(s, 6, 1), "in 0..5"),
-    ("apply_controlled / overlap",
-     lambda s: sim.apply_controlled(s, [np.ones(4)] * 2, [1, 2], [2, 3]), "overlap"),
-    ("apply_basis_oracle / overlap",
-     lambda s: sim.apply_basis_oracle(s, [1, 2], [2, 3], {}), "overlap"),
-] + [  # a range skips the per-qubit type test, not the register check
-    (f"{entry} / {kind} range", call, match)
-    for kind, reg, match in (("stepped", range(0, 4, 2), "contiguous"),
-                             ("empty", range(2, 2), "non-empty"))
-    for entry, call in _calls_on(reg).items()
-    if entry.startswith(("apply_unitary", "apply_controlled", "register_mass"))
-]
+LAYOUT_CALLS = _layout_calls()
 
 
-@pytest.mark.parametrize("call, match", [c[1:] for c in REGISTER_CASES],
-                         ids=[c[0] for c in REGISTER_CASES])
-def test_register_check_rejects_bad_registers_at_every_entry_point(call, match):
-    # the one register check raises before the state is touched, and a
-    # failed check is not cached: the same bad call raises again
-    state = random_state(6, 40)
+# what no entry point takes as the layout of a 6-qubit state
+BAD_LAYOUTS = {
+    "a register": range(2, 4),
+    "a tuple of widths": (2, 2, 1),
+    "a smaller layout": sim.RegisterLayout(1, 2, 1),
+    "a larger layout": sim.RegisterLayout(2, 2, 2),
+}
+
+
+LAYOUT_CASES = list(itertools.product(LAYOUT_CALLS, BAD_LAYOUTS))
+
+
+@pytest.mark.parametrize("entry, bad", LAYOUT_CASES, ids=[f"{e} / {b}" for e, b in LAYOUT_CASES])
+def test_every_gate_and_stage_takes_the_layout_of_its_state(entry, bad):
+    # the one layout check runs first: anything but a layout of the state's
+    # qubit count raises before the state is touched, on every call
+    call, layout = LAYOUT_CALLS[entry], sim.RegisterLayout(2, 2, 1)
+    state = random_state(layout.n_qubits, 40)
     before = state.amplitudes.tobytes()
     for _ in range(2):
-        with pytest.raises(ValidationError, match=match):
-            call(state)
+        with pytest.raises(ValidationError, match=" is not a RegisterLayout of 6 qubits$"):
+            call(state, BAD_LAYOUTS[bad])
         assert state.amplitudes.tobytes() == before
+    # the state's own layout runs, on a cleared state
+    call(sim.new_state(layout), layout)
 
 
-def test_register_check_takes_integer_qubits_only():
-    # 1.0 and True equal 1 and hash as 1, so a cached check of the int
-    # register would pass them: each entry point runs the int register
-    # first, then rejects the other forms before it touches the state; a
-    # NumPy integer runs as the int
-    zero = sim.new_state(sim.RegisterLayout(0, 0, 5))
+@pytest.mark.parametrize("register", [[2, 3], (2, 3), range(0, 4, 2), range(3, 1, -1),
+                                      range(2, 2), range(4, 7), range(-1, 1)],
+                         ids=["list", "tuple", "stepped range", "descending range",
+                              "empty range", "range beyond n", "negative range"])
+def test_register_mass_takes_a_range_of_the_state(register):
+    # a register in the form a layout holds it: a non-empty range of step
+    # 1 within the state; anything else is rejected before the state is read
+    state = random_state(6, 41)
+    before = state.amplitudes.tobytes()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"^register .* must be a non-empty range"
+                                                  r" of step 1 in 0\.\.5$"):
+            sim.register_mass(state, register)
+    assert state.amplitudes.tobytes() == before
+    by_label = np.abs(state.amplitudes.reshape(4, 4, 4)) ** 2
+    assert np.allclose(sim.register_mass(state, range(2, 4)), by_label.sum(axis=(0, 2)))
+    assert np.allclose(sim.register_mass(state, range(6)), np.abs(state.amplitudes) ** 2)
 
-    def calls(qubit):
-        return {**_calls_on([qubit]), "post_select": lambda s: sim.post_select(s, qubit, 0)}
 
-    for entry in calls(1):
-        state, wide = zero.copy(), zero.copy()
-        out, wide_out = calls(1)[entry](state), calls(np.int64(1))[entry](wide)
-        assert np.array_equal(wide.amplitudes, state.amplitudes), entry
-        assert np.array_equal(getattr(wide_out, "amplitudes", wide_out),
-                              getattr(out, "amplitudes", out)), entry
-        for bad in (1.0, np.float64(1.0), True):
-            state = zero.copy()
-            with pytest.raises(ValidationError, match="must hold integer qubits"):
-                calls(bad)[entry](state)
-            assert np.array_equal(state.amplitudes, zero.amplitudes), (entry, bad)
+@pytest.mark.parametrize("qubit", [True, 1.0, np.float64(1.0), np.bool_(True), -1, 6, "1", None],
+                         ids=repr)
+def test_post_select_takes_an_integer_qubit_of_the_state(qubit):
+    # True and 1.0 equal 1, but a qubit is an integer, and -1 and n lie
+    # outside the state; a NumPy integer reads as the int
+    state = random_state(6, 42)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(ValidationError, match="^qubit must lie in 0..5, an integer, got "):
+        sim.post_select(state, qubit, 0)
+    assert state.amplitudes.tobytes() == before
+    assert sim.post_select(state, np.int64(1), 0) == sim.post_select(state, 1, 0)
 
 
 def test_norm_preserved_over_random_gate_sequences():
     rng = np.random.default_rng(13)
-    state = random_state(5, 13)
+    layout = sim.RegisterLayout(2, 3, 1)
+    state = random_state(layout.n_qubits, 13)
     for _ in range(30):
         kind = rng.integers(3)
         if kind == 0:
-            lo = int(rng.integers(5))
-            targets = range(lo, int(rng.integers(lo, 5)) + 1)
-            sim.apply_unitary(state, targets, inverse=bool(rng.integers(2)))
+            sim.apply_unitary(state, layout, inverse=bool(rng.integers(2)))
         elif kind == 1:
-            c, t = rng.choice(5, size=2, replace=False)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(1, 2)))
-            sim.apply_controlled(state, phases, [int(c)], [int(t)])
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 2)))
+            sim.apply_controlled(state, layout, phases)
         else:
             codes = {c: int(rng.integers(4)) for c in range(8)}
-            sim.apply_basis_oracle(state, [0, 1], [2, 3, 4], codes)
+            sim.apply_basis_oracle(state, layout, codes)
     assert abs(state.norm() - 1.0) < 1e-10
 
 
 def test_gate_linearity_on_superpositions():
     rng = np.random.default_rng(14)
+    layout = sim.RegisterLayout(1, 2, 1)
+    n = layout.n_qubits
     for trial in range(5):
-        a = random_state(4, 100 + trial)
-        b = random_state(4, 200 + trial)
+        a = random_state(n, 100 + trial)
+        b = random_state(n, 200 + trial)
         c1, c2 = rng.normal(size=2)
-        combo = sim.QuantumState(4, c1 * a.amplitudes + c2 * b.amplitudes)
+        combo = sim.QuantumState(n, c1 * a.amplitudes + c2 * b.amplitudes)
         norm = np.linalg.norm(combo.amplitudes)
         combo.amplitudes /= norm
-        sim.apply_unitary(combo, [1, 2])
-        sim.apply_unitary(a, [1, 2])
-        sim.apply_unitary(b, [1, 2])
+        sim.apply_unitary(combo, layout)
+        sim.apply_unitary(a, layout)
+        sim.apply_unitary(b, layout)
         expected = (c1 * a.amplitudes + c2 * b.amplitudes) / norm
         assert np.abs(combo.amplitudes - expected).max() < 1e-12
 
 
 def test_controlled_identity_is_noop():
+    layout = sim.RegisterLayout(0, 1, 2)
     for seed in range(3):
-        state = random_state(4, 300 + seed)
+        state = random_state(layout.n_qubits, 300 + seed)
         before = state.amplitudes.copy()
-        sim.apply_controlled(state, [np.ones(2)], [0], [3])
+        sim.apply_controlled(state, layout, [np.ones(4)])
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -714,65 +711,53 @@ def _placement(n, k, w, rng):
     return picked[:k], picked[k:]
 
 
-def test_gate_kernel_matches_dense_kronecker_reference():
+def _layouts(max_qubits):
+    """Every layout of at most ``max_qubits`` qubits with C and B not empty."""
+    return [sim.RegisterLayout(m, t, b) for m in range(max_qubits) for t in range(1, max_qubits)
+            for b in range(1, max_qubits) if m + t + 1 + b <= max_qubits]
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_gates_match_the_dense_references_at_every_layout(inverse):
+    # the DFT on C against the dense DFT of gates.unitary, and E against
+    # gates.controlled, one dense gate per C qubit, its rows random or the
+    # powers u^(2^j) of phase estimation (conjugated for E^-1): at every
+    # layout of up to 6 qubits, on the whole state and on its L = 0 block,
+    # which takes what the whole state takes there and leaves the rest
     rng = np.random.default_rng(15)
-    seen = set()
-    for trial in range(600):
-        n = int(rng.integers(1, 8))
-        w = int(rng.integers(min(3, n - 1) + 1))  # control width; 0 is the DFT
-        k = int(rng.integers(1, min(3, n - w) + 1))
-        targets, control = _placement(n, k, w, rng)
-        kind = "powers" if w > 0 and rng.integers(2) else "factors"
-        if w == 0:
-            kind = "inverse" if rng.integers(2) else "forward"
-            stack = [dft(k, inverse=kind == "inverse")]
-        elif kind == "powers":
-            # the phases u^(2^j) of one diagonal unitary: label x gets u^x,
-            # as in phase estimation
-            u = random_phases(k, rng)
-            factors = [u ** (1 << j) for j in range(w)]
-            stack = [np.diag(u**x) for x in range(1 << w)]
-        else:
-            # a row of phases per control qubit: label x gets the product of its rows
-            factors = [random_phases(k, rng) for _ in range(w)]
-            stack = label_products([np.diag(f) for f in factors])
-        state = random_state(n, 1000 + trial)
-        before = state.amplitudes.copy()
-        contiguous = all(r == list(range(r[0], r[0] + len(r))) for r in (targets, control) if r)
-        if w == 0:
-            apply = functools.partial(sim.apply_unitary, state, targets, kind == "inverse")
-        else:
-            apply = functools.partial(sim.apply_controlled, state, factors, control, targets)
-        case = (n, targets, control, kind)
-        if contiguous:
-            apply()
-            expected = dense_reference(n, stack, targets, control) @ before
-            assert np.abs(state.amplitudes - expected).max() < 1e-12, case
-        else:
-            # the gates take contiguous ascending registers only
-            with pytest.raises(ValidationError, match="contiguous"):
-                apply()
-            assert np.array_equal(state.amplitudes, before), case
-        where = (None if w == 0 else "before" if max(control) < min(targets) else
-                 "after" if min(control) > max(targets) else "between")
-        seen.add((contiguous, w, where))
-        if contiguous and targets[-1] == n - 1:
-            seen.add(("ends at the last qubit", w > 0))
-        if contiguous:
-            seen.add((kind, w, where))
-    wanted = {(c, 0, None) for c in (True, False)}
-    wanted |= {(False, w, p) for w in (1, 2) for p in ("before", "between", "after")}
-    wanted |= {("ends at the last qubit", c) for c in (True, False)}
-    wanted |= {(k, 0, None) for k in ("forward", "inverse")}
-    wanted |= {(k, w, p) for k in ("powers", "factors") for w in (1, 2, 3)
-               for p in ("before", "after")}
-    assert wanted <= seen, wanted - seen
+    layouts = _layouts(6)
+    assert len(layouts) == 20
+    for i, layout in enumerate(layouts):
+        n, t, b = layout.n_qubits, layout.t_bits, layout.b_bits
+        u = random_phases(b, rng)
+        rows = {"factors": np.stack([random_phases(b, rng) for _ in range(t)]),
+                "powers": np.stack([u ** (1 << j) for j in range(t)])}
+        cases = {"dft": (functools.partial(sim.apply_unitary, inverse=inverse),
+                         lambda s: unitary(s, dft(t, inverse), layout.reg_C))}
+        for kind, phases in rows.items():
+            phases = phases.conj() if inverse else phases
+            cases[kind] = (
+                lambda s, lay, p=phases: sim.apply_controlled(s, lay, p),
+                lambda s, p=phases: controlled(s, [np.diag(r) for r in p], layout.reg_C,
+                                               layout.reg_B))
+        for kind, (gate, reference) in cases.items():
+            state = random_state(n, 1000 + i)
+            before = state.amplitudes.copy()
+            expected = reference(state.copy()).amplitudes
+            gate(state, layout)
+            assert np.abs(state.amplitudes - expected).max() < 1e-12, (layout, kind)
+            state = sim.QuantumState(n, before.copy())
+            gate(*sim.l_zero_block(state, layout))
+            size = 1 << (n - layout.m_bits)
+            assert np.abs(state.amplitudes[:size] - expected[:size]).max() < 1e-12, (layout, kind)
+            assert np.array_equal(state.amplitudes[size:], before[size:]), (layout, kind)
 
 
-def test_reference_controlled_gate_matches_dense_kronecker_reference():
-    # the tests' dense controlled gate, on NumPy alone, takes factors that
-    # need not commute and registers in any order: label x gets the
-    # factors its bits select, factor 0 first
+def test_reference_gates_match_dense_kronecker_reference():
+    # the tests' dense gates, on NumPy alone, take registers in any order:
+    # the controlled gate takes factors that need not commute, label x
+    # getting the factors its bits select, factor 0 first, and the matrix
+    # gate the DFT on its targets
     rng = np.random.default_rng(17)
     for trial in range(200):
         n = int(rng.integers(2, 8))
@@ -785,103 +770,86 @@ def test_reference_controlled_gate_matches_dense_kronecker_reference():
         controlled(state, factors, control, targets)
         expected = dense_reference(n, label_products(factors), targets, control) @ before
         assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, targets, control)
+        inverse = bool(rng.integers(2))
+        state = unitary(sim.QuantumState(n, before.copy()), dft(k, inverse), targets)
+        expected = dense_reference(n, [dft(k, inverse)], targets) @ before
+        assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, targets, inverse)
 
 
-def test_controlled_gate_rejects_bad_stacks_and_controls():
+def test_controlled_gate_rejects_bad_rows():
     rng = np.random.default_rng(16)
     rows = [random_phases(1, rng) for _ in range(3)]
+    wide_c, one, wide_b = (sim.RegisterLayout(0, 2, 1), sim.RegisterLayout(1, 1, 1),
+                           sim.RegisterLayout(0, 1, 2))
     bad = [
-        ((rows, [0, 1], [2]), r"^a 2-qubit control on 1 targets takes 2 rows of 2 phases"),
-        ((rows[:2], [0], [2]), r"^a 1-qubit control on 1 targets takes 1 rows of 2 phases"),
-        (([rows[0], [1, 2]], [0, 1], [2]), "unitary"),  # each row
-        ((rows[:2], [1, 2], [2]), "overlap"),
-        ((rows[:2], [0, 2], [3]), "contiguous"),
-        ((rows[:2], [1, 0], [3]), "contiguous"),
-        ((rows[0], [0], [2]), r"got \(2,\)$"),
-        (([pauli_x()], [0], [2]), r"got \(1, 2, 2\)$"),  # a dense matrix is no row of phases
-        ((rows[:1], [0], [2, 3]), r"^a 1-qubit control on 2 targets takes 1 rows of 4 phases"),
-        (([["a", "b"]], [0], [2]), "must hold numbers"),
+        ((wide_c, rows), r"^a 2-qubit C on 1 B qubits takes 2 rows of 2 phases, got \(3, 2\)$"),
+        ((one, rows[:2]), r"^a 1-qubit C on 1 B qubits takes 1 rows of 2 phases"),
+        ((wide_c, [rows[0], [1, 2]]), "unitary"),  # each row
+        ((one, rows[0]), r"got \(2,\)$"),
+        ((one, [pauli_x()]), r"got \(1, 2, 2\)$"),  # a dense matrix is no row of phases
+        ((wide_b, rows[:1]), r"^a 1-qubit C on 2 B qubits takes 1 rows of 4 phases"),
+        ((one, [["a", "b"]]), "^phases must hold numbers"),
     ]
-    for args, match in bad:
+    for (layout, phases), match in bad:
         state = random_state(4, 17)
         before = state.amplitudes.copy()
         with pytest.raises(ValidationError, match=match):
-            sim.apply_controlled(state, *args)
+            sim.apply_controlled(state, layout, phases)
         assert np.array_equal(state.amplitudes, before), match
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-def test_dft_gate_matches_dense_kronecker_reference(inverse):
-    # 1 to 5 targets at every placement, the whole state among them, in
-    # each direction, against the dense DFT in a Kronecker product
-    for n in (5, 6):
-        for k in range(1, 6):
-            for lo in range(n - k + 1):
-                targets = list(range(lo, lo + k))
-                state = random_state(n, 100 * n + 10 * k + lo)
-                expected = dense_reference(n, [dft(k, inverse)], targets) @ state.amplitudes
-                sim.apply_unitary(state, targets, inverse=inverse)
-                case = (n, targets, inverse)
-                assert np.abs(state.amplitudes - expected).max() < 1e-12, case
-
-
 def test_dft_gate_runs_in_place():
-    # an FFT along the targets' axis, written back into the state: it
-    # allocates NumPy's buffers and no copy of the state (a 4 MiB one
-    # here), at any placement and in both directions; it matches the
-    # reference matrix gate where the dense DFT is small, and the other
-    # direction takes it back
-    n = 18
-    placements = {"top qubits": range(8), "middle": [6, 7, 8], "last qubits": [15, 16, 17],
-                  "one qubit": [9], "the whole state": range(n)}
-    for (name, targets), inverse in itertools.product(placements.items(), (False, True)):
-        state = random_state(n, 54)
+    # an FFT along C's axis, written back into the state: it allocates
+    # NumPy's buffers and no copy of the state (a 4 MiB one here), wherever
+    # C sits and in both directions; it matches the reference matrix gate
+    # where the dense DFT is small, and the other direction takes it back
+    layouts = {"C at the top": (0, 8, 9), "C after L": (6, 3, 8), "B one qubit": (14, 2, 1),
+               "C one qubit": (9, 1, 7), "C all but two qubits": (0, 16, 1)}
+    for (name, widths), inverse in itertools.product(layouts.items(), (False, True)):
+        layout = sim.RegisterLayout(*widths)
+        state = random_state(layout.n_qubits, 54)
         before = state.amplitudes.copy()
-        sim.apply_unitary(state.copy(), targets, inverse=inverse)  # the register check, cached
+        sim.apply_unitary(state.copy(), layout, inverse=inverse)  # NumPy's lazy set-up
         tracemalloc.start()
         try:
-            sim.apply_unitary(state, targets, inverse=inverse)
+            sim.apply_unitary(state, layout, inverse=inverse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < state.amplitudes.nbytes / 8, (name, inverse)
-        if len(targets) <= 8:
-            expected = unitary(sim.QuantumState(n, before.copy()), dft(len(targets), inverse),
-                               targets)
+        if layout.t_bits <= 8:
+            expected = unitary(sim.QuantumState(layout.n_qubits, before.copy()),
+                               dft(layout.t_bits, inverse), layout.reg_C)
             assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-12, (name, inverse)
-        sim.apply_unitary(state, targets, inverse=not inverse)
+        sim.apply_unitary(state, layout, inverse=not inverse)
         assert np.abs(state.amplitudes - before).max() < 1e-12, (name, inverse)
 
 
 def test_controlled_gate_multiplies_in_place():
     # the diagonal gate multiplies the view by the table of its label
-    # products in place, at any placement of the control: it allocates the
-    # table and NumPy's iterator buffers, a few hundred KiB, and no copy of
-    # the state (a 4 MiB one here); it matches the dense reference, one
-    # dense gate per control qubit for the powers of phase estimation
+    # products in place, whatever the widths: it allocates the table and
+    # NumPy's iterator buffers, a few hundred KiB, and no copy of the
+    # state (a 4 MiB one here); it matches the dense reference, one dense
+    # gate per C qubit for the powers of phase estimation
     rng = np.random.default_rng(43)
-    rows = np.stack([random_phases(2, rng) for _ in range(2)])
     u = random_phases(2, rng)
-    powers = np.stack([u ** (1 << j) for j in range(3)])
-    n = 18
-    cases = {  # name: rows, control, targets, the reference's factors and controls
-        "control ahead of the targets": (rows, [2, 3], [6, 7], [(list(rows), [2, 3])]),
-        "control after the targets": (rows, [9, 10], [2, 3], [(list(rows), [9, 10])]),
-        "control beside the targets": (rows, [4, 5], [6, 7], [(list(rows), [4, 5])]),
-        "targets at the last qubit": (rows, [0, 1], [16, 17], [(list(rows), [0, 1])]),
-        "powers, one control qubit each": (
-            powers, [3, 4, 5], [6, 7], [([p], [q]) for p, q in zip(powers, [5, 4, 3])]),
+    cases = {  # name: widths, rows
+        "C after a wide L": ((13, 2, 2), np.stack([random_phases(2, rng) for _ in range(2)])),
+        "powers, one C qubit each": ((12, 3, 2), np.stack([u ** (1 << j) for j in range(3)])),
+        "B wide": ((8, 1, 8), random_phases(8, rng)[None]),
+        "C wide": ((8, 8, 1), np.stack([random_phases(1, rng) for _ in range(8)])),
     }
-    for name, (phases, control, targets, reference) in cases.items():
-        state = random_state(n, 53)
+    for name, (widths, phases) in cases.items():
+        layout = sim.RegisterLayout(*widths)
+        state = random_state(layout.n_qubits, 53)
         expected = state.copy()
-        for factors, qubits in reference:
-            controlled(expected, [np.diag(f) for f in factors], qubits, targets)
-        sim.apply_controlled(state, phases, control, targets)  # the plan, cached
-        state = random_state(n, 53)
+        for q, row in zip(reversed(layout.reg_C), phases):
+            controlled(expected, [np.diag(row)], [q], layout.reg_B)
+        sim.apply_controlled(state, layout, phases)  # NumPy's lazy set-up
+        state = random_state(layout.n_qubits, 53)
         tracemalloc.start()
         try:
-            sim.apply_controlled(state, phases, control, targets)
+            sim.apply_controlled(state, layout, phases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
