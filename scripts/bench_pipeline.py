@@ -1,9 +1,10 @@
 """Append one entry to BENCH_pipeline.json: the wall time and peak memory
 of ``run_pipeline`` at fixed qubit counts, and of the default analytic
-sweep.  A case's name starts with the qubits of the state that its run
-makes: m + t + 1 + log2 pad(max(r, 2)), the registers L, C, the ancilla
-and B, which holds the input's Schmidt index; then the input's shape and
-rank and the widths t (and m where it is not 8).  The 256 x 256 cases at
+sweep with all four alpha rules, as perfbench's analytic_sweep runs it.
+A case's name starts with the qubits of the state that its run makes:
+m + t + 1 + log2 pad(max(r, 2)), the registers L, C, the ancilla and B,
+which holds the input's Schmidt index; then the input's shape and rank
+and the widths t (and m where it is not 8).  The 256 x 256 cases at
 t 8 and m 8 make states of 19, 21, 23 and 25 qubits, one per rank.
 
     python3 scripts/bench_pipeline.py --label TEXT [--out FILE] [--parent DIR]
@@ -11,10 +12,13 @@ t 8 and m 8 make states of 19, 21, 23 and 25 qubits, one per rank.
 
 Run from the root of a source checkout; qsvt is imported from its src/.
 With ``--parent DIR``, a checkout of the commit to compare against (a
-``git clone`` or a ``git archive`` of it), each case runs on DIR's src/
-and on this checkout's back to back, which side goes first alternating
-from case to case, so the box's drift over minutes falls on both sides
-alike; the run appends two entries, DIR's and then this checkout's.
+``git clone`` or a ``git archive`` of it), each case runs REPEATS times
+on DIR's src/ and on this checkout's, each time in a fresh process per
+side, back to back, which side goes first alternating from run to run,
+so the box's drift over minutes falls on both sides alike; a side's
+record of the case is the repeat whose median wall time is the median
+of its repeats, and it keeps every repeat's record under ``repeats``.
+The run appends two entries, DIR's and then this checkout's.
 ``--case NAME`` runs one case and prints its record as JSON, appending
 nothing; it exits 1 when a stage of ``stages_s`` reads 0 s, which is
 how a renamed or re-signed stage function that no span matches shows.
@@ -85,6 +89,7 @@ PAPER = "paper 7q 2x3 r2 t3 m2"
 SWEEP = "sweep 120 analytic"
 RUNS = 7
 PAPER_RUNS = 3000
+REPEATS = 3  # processes per case and side with --parent
 
 # the stages of a run, in run order, by the spans each sums; the oracle
 # and its inverse are the first and second SigmaTauOracle.apply spans
@@ -132,14 +137,14 @@ def _case(name: str, src: Path) -> dict:
     and peak RSS."""
     sys.path.insert(0, str(src))
     import numpy as np
-    from qsvt import harness, pipeline, spectral
+    from qsvt import alpha, harness, pipeline, spectral
 
     if Path(pipeline.__file__).parent != src / "qsvt":
         raise ImportError(f"qsvt imported from {pipeline.__file__}, not from {src}")
     runs = RUNS
     start = time.perf_counter()
     if name == SWEEP:
-        work, cfg = harness.run_sweep, harness.SweepConfig()
+        work, cfg = harness.run_sweep, harness.SweepConfig(methods=alpha.METHODS)
     elif name == PAPER:
         a0 = harness.random_lowrank(2, 3, 2, [3, 1], sigma=(2.0, 1.0))
         work, runs = pipeline.run_pipeline, PAPER_RUNS
@@ -222,12 +227,22 @@ def main() -> None:
         sides.insert(0, (f"parent, case by case beside the next entry: {args.label}",
                          args.parent.resolve()))
     cases: list[dict] = [{} for _ in sides]
-    for i, name in enumerate([PAPER, *CIRCUITS, *SCHMIDT, SWEEP]):
-        for side in (range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))):
-            out = cases[side][name] = _run_case(name, args.label, sides[side][1])
-            tag = "parent " if args.parent and side == 0 else ""
-            print(f"{tag}{name:28s} {out['setup_s']:9.6f} s {out['wall_s_median']:11.6f} s"
-                  f" {out['peak_rss_mib']:7.1f} MiB", flush=True)
+    repeats = REPEATS if args.parent else 1
+    turn = 0  # which side goes first flips at every run of a case
+    for name in [PAPER, *CIRCUITS, *SCHMIDT, SWEEP]:
+        runs: list[list[dict]] = [[] for _ in sides]
+        for _ in range(repeats):
+            order = range(len(sides)) if turn % 2 == 0 else reversed(range(len(sides)))
+            turn += 1
+            for side in order:
+                out = _run_case(name, args.label, sides[side][1])
+                runs[side].append(out)
+                tag = "parent " if args.parent and side == 0 else ""
+                print(f"{tag}{name:28s} {out['setup_s']:9.6f} s {out['wall_s_median']:11.6f} s"
+                      f" {out['peak_rss_mib']:7.1f} MiB", flush=True)
+        for side, outs in enumerate(runs):
+            median = sorted(outs, key=lambda out: out["wall_s_median"])[len(outs) // 2]
+            cases[side][name] = {**median, "repeats": outs} if args.parent else median
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
     for (label, root), side_cases in zip(sides, cases):
         bench["entries"].append({

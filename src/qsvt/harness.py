@@ -49,6 +49,8 @@ CSV_CORPUS_NOTE = "#corpus=synthetic-lowrank-seeded"
 # the default sweep corpus: p, q and the rank are drawn from these, ends included
 SWEEP_DIM_RANGE = (2, 6)
 SWEEP_RANK_RANGE = (1, 4)
+# the ends of random_lowrank's log-uniform sigma range, [0.1, 10]
+_LOG_SIGMA_LO, _LOG_SIGMA_HI = float(np.log(0.1)), float(np.log(10.0))
 
 # the variables that set a BLAS's thread count: OpenBLAS, OpenMP, MKL
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -63,9 +65,12 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     Each factor is the Q of the first r columns of a p x p (q x q)
     Gaussian draw, sign-fixed so R has a non-negative diagonal: the first
     r columns of the draw's Haar orthogonal matrix.  Both come from one
-    batched QR.  Singular values are log-uniform in [0.1, 10] unless
-    injected, sorted descending with near-ties pushed apart so the
-    decomposition stays non-degenerate.
+    batched QR, and the two frames' sign fixes fold into sigma, where a
+    sign flip is exact, so no pass over the frames is made for them.
+    Singular values are log-uniform in [0.1, 10] unless injected, sorted
+    descending with near-ties pushed apart so the decomposition stays
+    non-degenerate; they are drawn, separated and checked on Python
+    floats.
     """
     p, q = sim.check_int("p", p, 1), sim.check_int("q", q, 1)
     r = sim.check_int("rank", r, 1, min(p, q))
@@ -74,21 +79,21 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
             else sim.check_int("seed", seed, 0))
     rng = np.random.default_rng(seed)
     if sigma is None:
-        values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
-        values = _separate(values)
+        drawn = np.exp(rng.uniform(_LOG_SIGMA_LO, _LOG_SIGMA_HI, r)).tolist()
+        values = _separate(sorted(drawn, reverse=True))
     else:
-        values = spectral.real_vector("sigma", sigma)
-        if values.shape != (r,):
-            raise ValidationError(f"{values.size} injected sigma values for rank {r}")
-        spectral.check_sigma(values.tolist())
+        values = spectral.real_vector("sigma", sigma).tolist()
+        if len(values) != r:
+            raise ValidationError(f"{len(values)} injected sigma values for rank {r}")
+        spectral.check_sigma(values)
     # the whole n x n draws keep the stream; zero rows under the shorter
     # factor stay zero in Q, so each frame's Q is its draw's reduced Q
     draws = np.zeros((2, max(p, q), r))
     draws[0, :p] = rng.normal(size=(p, p))[:, :r]
     draws[1, :q] = rng.normal(size=(q, q))[:, :r]
     qs, rs = np.linalg.qr(draws)
-    qs *= np.sign(np.diagonal(rs, axis1=1, axis2=2))[:, None, :]
-    return (qs[0, :p] * values) @ qs[1, :q].T
+    s_u, s_v = np.sign(np.diagonal(rs, axis1=1, axis2=2))
+    return (qs[0, :p] * (s_u * s_v * values)) @ qs[1, :q].T
 
 
 def _check_draws(p: int, q: int) -> None:
@@ -97,8 +102,10 @@ def _check_draws(p: int, q: int) -> None:
     sim.check_memory(8 * (p * p + q * q), f"drawing a {p}x{q} input")
 
 
-def _separate(values: np.ndarray, min_gap: float = 1e-6) -> np.ndarray:
-    out = values.copy()
+def _separate(values: list[float], min_gap: float = 1e-6) -> list[float]:
+    """Descending ``values`` with each near-tie, a value within
+    ``min_gap`` of the one before it, pushed to 1e-4 below that one."""
+    out = list(values)
     for i in range(1, len(out)):
         if out[i] > out[i - 1] * (1.0 - min_gap):
             out[i] = out[i - 1] * (1.0 - 1e-4)

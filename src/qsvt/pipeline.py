@@ -98,7 +98,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         if note:
             warnings.warn(note, stacklevel=2)
 
-    pe_cfg = qpe.choose_t0(spec.sigma.astype(float) ** 2, cfg.t_bits)
+    # s * s has the bits of NumPy's sigma**2, which squares as x * x
+    pe_cfg = qpe.choose_t0([s * s for s in profile.sigma], cfg.t_bits)
     # label 0 decodes to 0, whose code 0 is the thresholded branch's, and a
     # label that only thresholded eigenvalues share gets the code each gets alone
     for s, c in zip(profile.sigma, pe_cfg.labels):
@@ -126,7 +127,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     eigenvalues = spectral.gram(spec)
     d = len(eigenvalues)
     b_bits = d.bit_length() - 1
-    layout = sim.RegisterLayout(m_bits, pe_cfg.t_bits, b_bits)
+    layout = sim.cached_layout(m_bits, pe_cfg.t_bits, b_bits)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
                      f" with E's {pe_cfg.t_bits} rows of {d} phases on the Schmidt index"
                      f" and their {1 << pe_cfg.t_bits} x {d} table")

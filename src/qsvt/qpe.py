@@ -23,12 +23,16 @@ runs on Python floats and ints, converted once with ``tolist()``; the
 DFTs, the exponentials and the state stay in NumPy.  ``round``
 rounds half to even, as ``np.rint`` does, so the labels are the same.
 
-Phase estimation is QFT, E, QFT^-1 on C; its exact adjoint is QFT,
-E^-1, QFT^-1.  The paper's Hadamard layers on C give the same numbers:
-on a cleared C, QFT|0> = H^t|0>, and <0|QFT^-1 = <0|H^t on the C = 0
-projection, the only part of the state that the run reads.  A stage
-takes the run's :class:`sim.RegisterLayout`, checked where it is made,
-and a C as wide as the config's ``t_bits``.
+Forward phase estimation is the paper's Hadamard layer on C, then E,
+then QFT^-1.  The layer is written, not applied: its precondition is a
+cleared C, which the read of C's masses checks first, and there H^t|0>
+gives every C label C = 0's amplitudes times 2^(-t/2), a copy per L
+value and one in-place scale, with the factor that ``np.fft`` scales by,
+so the numbers are the QFT's (Cleve et al., arXiv:quant-ph/9708016).
+The exact adjoint is QFT, E^-1, QFT^-1; <0|QFT^-1 = <0|H^t on the C = 0
+projection, the only part of the state that the run reads.  A run makes
+three FFTs.  A stage takes the run's :class:`sim.RegisterLayout`,
+checked where it is made, and a C as wide as the config's ``t_bits``.
 
 The norm is checked where the state is read, by :func:`sim.register_mass`:
 the forward estimation's read of C checks the incoming state, and the
@@ -130,8 +134,8 @@ def matrix_bytes(t_bits: int, e_bits: int) -> int:
     index, with the stack that the gate makes of them and its unit
     check's two real temporaries, three complex copies of the rows; and
     the 2^t x 2^e_bits table of their label products that the gate
-    multiplies the state by.  The in-place FFT on C makes nothing of the
-    state's size."""
+    multiplies the state by.  Neither the in-place FFT on C nor the
+    Hadamard write makes anything of the state's size."""
     return (3 * t_bits + (1 << t_bits)) * 16 << e_bits  # complex128
 
 
@@ -155,25 +159,30 @@ def conditional_evolution(
     return sim.apply_controlled(state, layout, phases)
 
 
-def _phase_estimate(state, cfg, layout, eigenvalues, inverse: bool) -> QuantumState:
-    qft(state, layout)
-    conditional_evolution(state, cfg, layout, eigenvalues, inverse)
-    iqft(state, layout)
-    return state
-
-
 def phase_estimate(
     state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
 ) -> QuantumState:
     """Write the labels of A's eigenvalues, A diagonal on B and given as
-    them, into C as QFT, E, QFT^-1; C must be cleared, where the QFT
-    equals the circuit's Hadamard layer.  The read of C's masses checks
-    the norm."""
+    them, into C as the circuit's Hadamard layer, E, QFT^-1.  The read of
+    C's masses, which also checks the norm, is the layer's precondition:
+    C must be cleared, or ``ValidationError`` is raised with the state
+    untouched.  On a cleared C the layer sets every C label to C = 0's
+    amplitudes times 2^(-t/2): a copy per L value, then an in-place scale.
+    Within one L value the C = 0 slice lies before the rest of C, so the
+    copy needs no buffer; across L values the two interleave, and NumPy
+    would copy through a temporary of the destination's size, as it
+    would for a one-call multiply from C = 0 into the whole view."""
     _check_config(state, cfg, layout)
     mass = sim.register_mass(state, layout.reg_C)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
-    return _phase_estimate(state, cfg, layout, eigenvalues, inverse=False)
+    T = 1 << layout.t_bits
+    view = state.amplitudes.reshape(1 << layout.m_bits, T, -1)
+    for block in view:
+        block[1:] = block[:1]
+    view *= 1.0 / math.sqrt(T)  # np.fft's ortho factor: the same two rounded operations
+    conditional_evolution(state, cfg, layout, eigenvalues)
+    return iqft(state, layout)
 
 
 def phase_estimate_inverse(
@@ -181,4 +190,6 @@ def phase_estimate_inverse(
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
     _check_config(state, cfg, layout)
-    return _phase_estimate(state, cfg, layout, eigenvalues, inverse=True)
+    qft(state, layout)
+    conditional_evolution(state, cfg, layout, eigenvalues, inverse=True)
+    return iqft(state, layout)

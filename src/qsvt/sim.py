@@ -159,14 +159,18 @@ def l_zero_block(
     leads, they are the state's first 2**(n - m) amplitudes.  A gate on C
     and B maps each L block to itself, so on the block it does what it
     does on the state wherever L reads 0."""
+    _check_layout(state, layout)
     n = state.n_qubits - layout.m_bits
-    block_layout = _block_layout(layout.t_bits, layout.b_bits)
-    return QuantumState(n, state.amplitudes[: 1 << n]), block_layout
+    return QuantumState(n, state.amplitudes[: 1 << n]), cached_layout(0, layout.t_bits,
+                                                                      layout.b_bits)
 
 
-@functools.lru_cache(maxsize=16)
-def _block_layout(t_bits: int, b_bits: int) -> RegisterLayout:
-    return RegisterLayout(0, t_bits, b_bits)
+@functools.lru_cache(maxsize=16, typed=True)
+def cached_layout(m_bits: int, t_bits: int, b_bits: int) -> RegisterLayout:
+    """``RegisterLayout(m_bits, t_bits, b_bits)``, made and checked once
+    per widths; keyed on their types too, so a bool or a NumPy integer
+    width is checked as it would be on its own."""
+    return RegisterLayout(m_bits, t_bits, b_bits)
 
 
 def _physical_memory() -> int | None:
@@ -194,7 +198,10 @@ def check_memory(need: int, what: str) -> None:
 def check_budget(layout: RegisterLayout, extra: int = 0, what: str = "") -> None:
     """Refuse, before anything is allocated, a state of more than
     ``MAX_QUBITS`` qubits, or one that with ``extra`` bytes of other
-    arrays (``what``, which the message names) exceeds ``MEMORY_BYTES``."""
+    arrays (``what``, which the message names) exceeds ``MEMORY_BYTES``.
+    ``layout`` must be a :class:`RegisterLayout`."""
+    if not isinstance(layout, RegisterLayout):
+        raise ValidationError(f"a state's budget takes a RegisterLayout, got {layout!r}")
     n = layout.n_qubits
     if n > MAX_QUBITS:
         raise ValidationError(f"qubit budget exceeded: {n} > {MAX_QUBITS}")
@@ -202,8 +209,8 @@ def check_budget(layout: RegisterLayout, extra: int = 0, what: str = "") -> None
 
 
 def new_state(layout: RegisterLayout) -> QuantumState:
-    """All-zeros basis state for the given layout, within
-    :func:`check_budget`, checked before it is allocated."""
+    """All-zeros basis state for the given :class:`RegisterLayout`,
+    within :func:`check_budget`, checked before it is allocated."""
     check_budget(layout)
     n = layout.n_qubits
     amp = np.zeros(1 << n, dtype=complex)

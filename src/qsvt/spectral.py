@@ -12,6 +12,7 @@ results are bit-identical to the NumPy forms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,15 +43,30 @@ class SpectralData:
         r = len(self.sigma)
         if self.u.shape != (self.p, r) or self.v.shape != (self.q, r):
             raise ValidationError("u/v shapes do not match (p, q, rank)")
-        eye = np.eye(r)
+        eye = _identity(r)
         for name, m in (("u", self.u), ("v", self.v)):
-            err = np.abs(m.conj().T @ m - eye).max()
+            err = np.abs(_adjoint(m) @ m - eye).max()
             if not err <= ORTHO_TOL:  # NaN fails too
                 raise ValidationError(f"{name} columns not orthonormal ({err:.3e})")
 
     @property
     def rank(self) -> int:
         return len(self.sigma)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(r: int) -> np.ndarray:
+    """The r x r identity, read-only, made once per rank for the frames'
+    orthonormality checks."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix: of a real one its transpose,
+    a view; only a complex one is conjugated, which copies."""
+    return m.conj().T if m.dtype.kind == "c" else m.T
 
 
 def real_vector(name: str, values) -> np.ndarray:
@@ -97,7 +113,7 @@ def decompose(a0) -> SpectralData:
         raise ValidationError(f"input matrix must be rectangular: {exc}") from None
     if a.dtype.kind not in "biufc":  # strings, objects: not numbers to decompose
         raise ValidationError(f"input matrix must hold numbers, got dtype {a.dtype}")
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    a = a.astype(np.promote_types(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
         raise ValidationError("input must be a non-empty 2-D matrix")
     top = float(np.abs(a).max())  # NaN if any entry is NaN
@@ -110,16 +126,17 @@ def decompose(a0) -> SpectralData:
     cut = RANK_TOL * values[0]
     r = sum(v > cut for v in values)
     check_gaps(values[:r])
+    vt = vh[:r].T  # v, one copy in row order: conjugated on the way if complex
     data = SpectralData(
         sigma=s[:r].copy(),
         u=u[:, :r].copy(),
-        v=vh[:r].conj().T.copy(),
+        v=np.conjugate(vt, order="C") if vt.dtype.kind == "c" else vt.copy(),
         p=a.shape[0],
         q=a.shape[1],
     )
     # both sides over the largest entry, so no square leaves the float
     # range at any scale of the input; NaN fails
-    recon = (data.u * data.sigma) @ data.v.conj().T
+    recon = (data.u * data.sigma) @ _adjoint(data.v)
     if not _norm((a - recon) / top) <= RANK_TOL * _norm(a / top):
         raise ValidationError("rank-truncated reconstruction out of tolerance")
     return data
@@ -157,7 +174,7 @@ def gram(spec: SpectralData) -> np.ndarray:
 def classical_svt(spec: SpectralData, tau: float) -> np.ndarray:
     """Threshold operator: S = sum (sigma_k - tau)_+ u_k v_k^dagger."""
     tau = check_threshold(tau, float(spec.sigma[0]))
-    return (spec.u * shrunk_values(spec, tau)) @ spec.v.conj().T
+    return (spec.u * shrunk_values(spec, tau)) @ _adjoint(spec.v)
 
 
 def pad_dim(d: int) -> int:
@@ -171,7 +188,7 @@ def embed(spec: SpectralData, weights) -> np.ndarray:
     (log2 pad(p) + log2 pad(q))-qubit register; padded amplitudes are
     exactly zero.  Not normalized, and ``weights`` is not checked."""
     grid = np.zeros((pad_dim(spec.p), pad_dim(spec.q)), dtype=complex)
-    grid[: spec.p, : spec.q] = (spec.u * weights) @ spec.v.conj().T
+    grid[: spec.p, : spec.q] = (spec.u * weights) @ _adjoint(spec.v)
     return grid.reshape(-1)
 
 

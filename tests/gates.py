@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qsvt import harness, qpe, rotation, sim, spectral
+from qsvt import qpe, rotation, sim, spectral
 
 
 def hadamard() -> np.ndarray:
@@ -168,11 +168,15 @@ def bitwise_ry_cascade(state, layout, alpha):
 def full_qr_lowrank(p, q, r, seed, sigma=None) -> np.ndarray:
     """``harness.random_lowrank`` with each factor the first r columns of
     the sign-fixed Q of a whole p x p (q x q) draw, one QR per draw;
-    ``sigma``, when given, is taken as valid."""
+    ``sigma``, when given, is taken as valid.  A drawn sigma is separated
+    here on its own array: a value within 1e-6 of the one before it is
+    set 1e-4 below that one."""
     rng = np.random.default_rng(seed)
     if sigma is None:
-        values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1]
-        values = harness._separate(values)
+        values = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(10.0), r)))[::-1].copy()
+        for i in range(1, r):
+            if values[i] > values[i - 1] * (1.0 - 1e-6):
+                values[i] = values[i - 1] * (1.0 - 1e-4)
     else:
         values = np.asarray(sigma, dtype=float)
 

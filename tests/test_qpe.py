@@ -506,6 +506,61 @@ def test_qft_phase_estimation_matches_the_hadamard_layer():
             assert np.abs(diff[:, 0, :]).max() < 1e-12
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_forward_estimation_is_the_qft_circuit_bit_for_bit(real):
+    # the Hadamard write puts C = 0's amplitudes times np.fft's ortho
+    # factor on every label, the numbers the QFT makes of a cleared C, so
+    # the estimation that follows matches QFT, E, QFT^-1 in every bit
+    rng = np.random.default_rng(29)
+    for m, t, b in itertools.product(range(5), range(1, 6), range(1, 6)):
+        if m + t + 1 + b > 7:
+            continue
+        layout = sim.RegisterLayout(m, t, b)
+        cfg = qpe.PhaseEstimationConfig(t, 0.7, False)
+        eigenvalues = rng.uniform(0.0, 5.0, size=1 << b)
+        n = layout.n_qubits
+        amp = rng.normal(size=1 << n).astype(complex)
+        if not real:
+            amp += 1j * rng.normal(size=1 << n)
+        _by_c(amp, layout)[:, 1:, :] = 0.0
+        state = sim.QuantumState(n, amp / np.linalg.norm(amp))
+        reference = state.copy()
+        qpe.qft(reference, layout)
+        qpe.conditional_evolution(reference, cfg, layout, eigenvalues)
+        qpe.iqft(reference, layout)
+        qpe.phase_estimate(state, cfg, layout, eigenvalues)
+        assert state.amplitudes.tobytes() == reference.amplitudes.tobytes(), (m, t, b)
+
+
+def test_the_hadamard_write_makes_no_temporary_under_a_non_empty_l():
+    # one copy from C = 0 into the rest of C across all L values goes
+    # through a buffer the size of its destination, 7/8 of this state
+    layout = sim.RegisterLayout(3, 3, 10)
+    state = sim.new_state(layout)
+    cfg = qpe.PhaseEstimationConfig(3, 0.7, False)
+    eigenvalues = np.linspace(0.0, 5.0, 1 << 10)
+    tracemalloc.start()
+    try:
+        qpe.phase_estimate(state, cfg, layout, eigenvalues)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amplitudes.nbytes / 4
+
+
+def test_phase_estimate_leaves_a_c_that_is_not_cleared_as_it_is():
+    # the C read is the Hadamard write's precondition: it runs first, and
+    # a C with mass off label 0 is refused before any amplitude is written
+    rng = np.random.default_rng(30)
+    layout = sim.RegisterLayout(1, 3, 2)
+    cfg = qpe.PhaseEstimationConfig(3, 0.7, False)
+    state = _random_state(rng, layout, clear_c=False)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(ValidationError, match="^register C not cleared$"):
+        qpe.phase_estimate(state, cfg, layout, rng.uniform(0.0, 5.0, size=4))
+    assert state.amplitudes.tobytes() == before
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -543,6 +543,7 @@ def _layout_calls():
         "ry_cascade": lambda s, lay: rotation.ry_cascade(s, lay, 1.0),
         "SigmaTauOracle.apply": oracle.apply,
         "uncompute_residual": rotation.uncompute_residual,
+        "l_zero_block": sim.l_zero_block,
     }
 
 
@@ -574,6 +575,33 @@ def test_every_gate_and_stage_takes_the_layout_of_its_state(entry, bad):
         assert state.amplitudes.tobytes() == before
     # the state's own layout runs, on a cleared state
     call(sim.new_state(layout), layout)
+
+
+@pytest.mark.parametrize("layout", [(2, 3, 1), sim.RegisterLayout(9, 3, 1)],
+                         ids=["a tuple of widths", "a layout wider than the state"])
+def test_l_zero_block_checks_the_layout_of_its_state(layout):
+    # on a 7-qubit state a tuple raised a bare AttributeError and a layout
+    # of more L qubits than the state has a bare ValueError, a negative shift
+    state = random_state(7, 41)
+    with pytest.raises(ValidationError, match=" is not a RegisterLayout of 7 qubits$"):
+        sim.l_zero_block(state, layout)
+
+
+@pytest.mark.parametrize("entry", [sim.new_state, sim.check_budget],
+                         ids=["new_state", "check_budget"])
+def test_the_budget_takes_a_register_layout(entry):
+    # a tuple of widths raised a bare AttributeError
+    with pytest.raises(ValidationError,
+                       match=r"^a state's budget takes a RegisterLayout, got \(2, 3, 1\)$"):
+        entry((2, 3, 1))
+
+
+def test_cached_layout_is_made_once_per_widths_and_checks_their_types():
+    layout = sim.cached_layout(2, 3, 1)
+    assert layout == sim.RegisterLayout(2, 3, 1) and sim.cached_layout(2, 3, 1) is layout
+    for bad in (True, 2.0):
+        with pytest.raises(ValidationError, match="^m_bits must be an integer >= 0"):
+            sim.cached_layout(bad, 3, 1)
 
 
 @pytest.mark.parametrize("register", [[2, 3], (2, 3), range(0, 4, 2), range(3, 1, -1),

@@ -79,6 +79,45 @@ def test_spectral_data_rejects_columns_that_are_not_orthonormal():
             spectral.SpectralData(**fields)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_spectral_data_rejects_a_frame_off_orthonormal_at_every_rank(r, kind):
+    # each frame's Gram matrix, adjoint times frame, against the identity
+    # of its rank: a real frame's adjoint is its transpose, a complex
+    # frame's its conjugate transpose
+    a0 = random_lowrank(5, 6, r, [r, 4])
+    if kind == "complex":  # unit phases on the columns keep the singular values
+        a0 = a0 * np.exp(1j * np.linspace(0.3, 2.9, 6))
+    data = spectral.decompose(a0)
+    assert data.u.dtype.kind == data.v.dtype.kind == {"real": "f", "complex": "c"}[kind]
+    for name in ("u", "v"):
+        frame = getattr(data, name)
+        with_nan = frame.copy()
+        with_nan[-1, -1] = math.nan
+        for bad in (frame * (1.0 + 1e-6), with_nan):
+            fields = {"sigma": data.sigma, "u": data.u, "v": data.v, "p": 5, "q": 6, name: bad}
+            with pytest.raises(ValidationError, match=f"^{name} columns not orthonormal"):
+                spectral.SpectralData(**fields)
+    spectral.SpectralData(data.sigma, data.u, data.v, 5, 6)
+
+
+def test_the_orthonormality_identity_is_read_only_and_made_once_per_rank():
+    eye = spectral._identity(3)
+    assert spectral._identity(3) is eye and np.array_equal(eye, np.eye(3))
+    with pytest.raises(ValueError, match="read-only"):
+        eye[0, 1] = 1.0
+
+
+def test_the_adjoint_of_a_real_frame_is_its_transpose_view():
+    frame = spectral.decompose(example_matrix()).v
+    assert np.shares_memory(spectral._adjoint(frame), frame)
+    assert np.array_equal(spectral._adjoint(frame), frame.T)
+    complex_frame = frame * 1j
+    adjoint = spectral._adjoint(complex_frame)
+    assert not np.shares_memory(adjoint, complex_frame)
+    assert np.array_equal(adjoint, complex_frame.conj().T)
+
+
 def test_spectral_data_rejects_factors_whose_shapes_do_not_match():
     data = spectral.decompose(example_matrix())
     for fields in ({"p": 3}, {"q": 2}, {"u": data.u[:, :1]}, {"v": data.v.T}):
