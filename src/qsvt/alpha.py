@@ -13,6 +13,13 @@ rule's search.
 the taylor4 rule or its solution (a negative discriminant) gives
 taylor2's solution and a note; other failures propagate.
 
+A profile keeps a memo that the rules fill as they ask: the moments
+sum s^2 y^4 and sum s^2 y^6 under their powers, and under each rule's
+name its solution or the type and message of its failure, raised as a
+fresh exception on each call.  So the four rules compute each moment,
+closed form and closed-form G once; ``solution`` at an explicit alpha
+keeps nothing, so the memo holds at most six entries.
+
 For a spectrum sigma_1 > ... > sigma_r > 0 with shrinkage fractions
 y_k = (1 - tau/sigma_k)_+:
 
@@ -53,7 +60,9 @@ class SpectrumProfile:
 
     N1, N2, scale = sqrt(N1 * N2) and ``terms``, the coefficients
     (y, s^2, s^2 y, s^2 y^2) of each component with y > 0, are derived
-    once at construction, and each must be finite and positive."""
+    once at construction, and each must be finite and positive; the
+    rules fill ``memo`` (see the module docstring).  None of these
+    enters equality, hash or repr."""
 
     sigma: tuple[float, ...]
     y: tuple[float, ...]
@@ -63,6 +72,7 @@ class SpectrumProfile:
     terms: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
@@ -85,7 +95,7 @@ class SpectrumProfile:
                 f"sums of sigma^2 leave the float range (N1 = {n1:.3g}, N2 = {n2:.3g},"
                 f" sqrt(N1 * N2) = {scale:.3g}): rescale A and tau"
             )
-        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms}
+        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms, "memo": {}}
         for name, value in derived.items():  # frozen: set once, here
             object.__setattr__(self, name, value)
 
@@ -93,7 +103,14 @@ class SpectrumProfile:
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
         sig = tuple(real_vector("sigma", sigma).tolist())
         tau = check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
-        return cls(sig, tuple(max(1.0 - tau / s, 0.0) for s in sig))
+        y = tuple(max(1.0 - tau / s, 0.0) for s in sig)
+        if 1.0 in y:  # 1 - tau / sigma_k rounded to 1
+            check_sigma(sig)  # first, as in __post_init__; then y_1 is the 1
+            raise ValidationError(
+                f"tau / sigma_1 = {tau / sig[0]:.3g} is below float resolution:"
+                " y_1 = 1 - tau / sigma_1 rounds to 1"
+            )
+        return cls(sig, y)
 
 
 def g_objective(profile: SpectrumProfile, alpha: float) -> float:
@@ -136,7 +153,11 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
 
 
 def _moment(profile: SpectrumProfile, power: int) -> float:
-    return math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
+    """sum s^2 y^power, kept in the profile's memo under ``power``."""
+    memo = profile.memo
+    if power not in memo:
+        memo[power] = math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
+    return memo[power]
 
 
 def _intuitive(profile: SpectrumProfile) -> float:
@@ -205,20 +226,40 @@ def _numeric(profile: SpectrumProfile) -> float:
 
     There G''(alpha) = -sum s^2 y^3 sin(y alpha) / sqrt(N1 N2) < 0, as every
     y alpha lies in (0, pi]: G is strictly concave and, with G'(0) > 0,
-    peaks at pi / y_1 or at the one root of G'.  The closed forms are scored
-    by the same ``g_objective``, so the result never scores below them.
+    peaks at pi / y_1 or at the one root of G'.  Each closed form that did
+    not fail is scored by its solution's G, which is ``g_objective``'s in
+    every bit, so the result never scores below them.
     """
-    candidates = [_peak(profile)]
-    for closed in (_intuitive, _taylor2, _taylor4):
+    peak = _peak(profile)
+    candidates = [(peak, g_objective(profile, peak))]
+    for closed in ("intuitive", "taylor2", "taylor4"):
         try:
-            candidates.append(closed(profile))
+            sol = _resolved(profile, closed)
         except (ValidationError, FullyThresholdedError):
             continue
-    return max(candidates, key=lambda alpha: g_objective(profile, alpha))
+        candidates.append((sol.alpha, sol.G))
+    return max(candidates, key=lambda candidate: candidate[1])[0]
 
 
 _RULES = {"intuitive": _intuitive, "taylor2": _taylor2, "taylor4": _taylor4, "numeric": _numeric}
 METHODS = tuple(_RULES)
+
+
+def _resolved(profile: SpectrumProfile, method: str) -> AlphaSolution:
+    """The solution of rule ``method``, made once per profile.  A
+    ValidationError from the rule or its solution is kept as its type and
+    message, and raised afresh on every call."""
+    memo = profile.memo
+    if method not in memo:
+        try:
+            memo[method] = solution(profile, method, _RULES[method](profile))
+        except ValidationError as exc:
+            memo[method] = (type(exc), exc.args)
+    kept = memo[method]
+    if type(kept) is tuple:
+        kind, args = kept
+        raise kind(*args)
+    return kept
 
 
 def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution, str]:
@@ -227,9 +268,8 @@ def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution,
     if method not in _RULES:
         raise ValidationError(f"unknown alpha method {method!r}")
     try:
-        return solution(profile, method, _RULES[method](profile)), ""
+        return _resolved(profile, method), ""
     except ValidationError:
         if method != "taylor4":
             raise
-    note = "taylor4 discriminant negative; used taylor2"
-    return solution(profile, "taylor2", _taylor2(profile)), note
+    return _resolved(profile, "taylor2"), "taylor4 discriminant negative; used taylor2"

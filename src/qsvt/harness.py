@@ -65,8 +65,9 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     Each factor is the Q of the first r columns of a p x p (q x q)
     Gaussian draw, sign-fixed so R has a non-negative diagonal: the first
     r columns of the draw's Haar orthogonal matrix.  Both come from one
-    batched QR, and the two frames' sign fixes fold into sigma, where a
-    sign flip is exact, so no pass over the frames is made for them.
+    batched QR, and the two frames' sign fixes, the signs of R's diagonal
+    taken on Python floats, fold into sigma, where a sign flip is exact,
+    so no pass over the frames is made for them.
     Singular values are log-uniform in [0.1, 10] unless injected, sorted
     descending with near-ties pushed apart so the decomposition stays
     non-degenerate; they are drawn, separated and checked on Python
@@ -92,8 +93,15 @@ def random_lowrank(p: int, q: int, r: int, seed, sigma=None) -> np.ndarray:
     draws[0, :p] = rng.normal(size=(p, p))[:, :r]
     draws[1, :q] = rng.normal(size=(q, q))[:, :r]
     qs, rs = np.linalg.qr(draws)
-    s_u, s_v = np.sign(np.diagonal(rs, axis1=1, axis2=2))
-    return (qs[0, :p] * (s_u * s_v * values)) @ qs[1, :q].T
+    d_u, d_v = rs.diagonal(0, 1, 2).tolist()
+    signed = [_sign(a) * _sign(b) * s for a, b, s in zip(d_u, d_v, values)]
+    return (qs[0, :p] * signed) @ qs[1, :q].T
+
+
+def _sign(x: float) -> float:
+    """``np.sign`` of a Python float that is not NaN: 1.0, -1.0, or 0.0
+    for a zero of either sign."""
+    return 1.0 if x > 0 else -1.0 if x < 0 else 0.0
 
 
 def _check_draws(p: int, q: int) -> None:
@@ -258,7 +266,7 @@ def run_sweep_instance(cfg: SweepConfig, index: int) -> list[ExperimentRecord]:
         ]
     for method in cfg.methods:
         rec = ExperimentRecord(index, iseed, p, q, spec.rank, tau, method)
-        start = time.perf_counter()
+        start = time.perf_counter() if cfg.timings else 0.0
         try:
             solution, note = alpha_mod.resolve_alpha(profile, method)
             if note:

@@ -126,10 +126,12 @@ def decompose(a0) -> SpectralData:
     cut = RANK_TOL * values[0]
     r = sum(v > cut for v in values)
     check_gaps(values[:r])
+    if r < len(values):  # else s and u are the SVD's fresh C-ordered arrays, kept as they are
+        s, u = s[:r].copy(), u[:, :r].copy()
     vt = vh[:r].T  # v, one copy in row order: conjugated on the way if complex
     data = SpectralData(
-        sigma=s[:r].copy(),
-        u=u[:, :r].copy(),
+        sigma=s,
+        u=u,
         v=np.conjugate(vt, order="C") if vt.dtype.kind == "c" else vt.copy(),
         p=a.shape[0],
         q=a.shape[1],

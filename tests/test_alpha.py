@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_profile_rejects_empty_or_non_finite_sigma(sigma):
 def test_profile_rejects_fractions_outside_0_1_or_a_first_gap_that_is_not_strict(y, match):
     with pytest.raises(ValidationError, match=match):
         alpha_mod.SpectrumProfile(sigma=(2.0, 1.0), y=y)
+
+
+def test_profile_names_tau_over_sigma_when_y_rounds_to_one():
+    # y_1 = 1 - 1e-17 is 1.0: named as a fraction outside [0, 1) that the
+    # caller never gave
+    with pytest.raises(ValidationError, match=(
+            r"^tau / sigma_1 = 1e-17 is below float resolution:"
+            r" y_1 = 1 - tau / sigma_1 rounds to 1$")):
+        alpha_mod.SpectrumProfile.from_sigma_tau([1.0, 0.5], 1e-17)
+    # the sigma checks come first, as they do in the constructor
+    with pytest.raises(ValidationError, match="^sigma must be strictly descending"):
+        alpha_mod.SpectrumProfile.from_sigma_tau([1.0, 2.0], 1e-17)
+    with pytest.raises(ValidationError, match=r"^shrinkage fractions must lie in \[0, 1\)$"):
+        alpha_mod.SpectrumProfile(sigma=(1.0, 0.5), y=(1.0, 0.5))
 
 
 def at(profile, a):
@@ -576,3 +591,87 @@ def test_solution_checks_the_divisor_it_uses():
     with pytest.raises(ValidationError, match="^zero post-selection probability at this alpha"):
         alpha_mod.solution(profile, "explicit", 1e-80)
     assert alpha_mod.solution(profile, "explicit", 1.0).F == 1.0
+
+
+def fresh(profile):
+    """A profile equal to ``profile`` whose memo is empty."""
+    return alpha_mod.SpectrumProfile(profile.sigma, profile.y)
+
+
+def degenerate_taylor2_profile():
+    """y_1^4 underflows to 0, so taylor2 fails; numeric does not."""
+    return alpha_mod.SpectrumProfile(sigma=(1.0,), y=(1e-90,))
+
+
+def resolved_repr(profile, method):
+    """The repr of every field of the rule's solution and its note, or
+    the failure's type and message."""
+    try:
+        sol, note = alpha_mod.resolve_alpha(profile, method)
+    except ValidationError as exc:
+        return (type(exc), str(exc))
+    return tuple(repr(getattr(sol, f)) for f in ("method", "alpha", "P", "F", "G")) + (note,)
+
+
+def test_memo_never_changes_a_result_in_any_order():
+    profiles = reference_profiles()[::6] + sweep_corpus_profiles(3)[:10]
+    profiles += [negative_discriminant_profile(), degenerate_taylor2_profile()]
+    for profile in profiles:
+        want = {m: resolved_repr(fresh(profile), m) for m in alpha_mod.METHODS}
+        for order in itertools.permutations(alpha_mod.METHODS):
+            shared = fresh(profile)
+            for method in order + order + order[::-1]:
+                assert resolved_repr(shared, method) == want[method], (profile, order, method)
+            assert len(shared.memo) <= 6
+
+
+def test_memoised_g_is_g_objective_bit_for_bit():
+    for profile in reference_profiles()[::10] + [negative_discriminant_profile()]:
+        for method in alpha_mod.METHODS:
+            alpha_mod.resolve_alpha(profile, method)
+        kept = [v for v in profile.memo.values() if isinstance(v, alpha_mod.AlphaSolution)]
+        assert {sol.method for sol in kept} >= {"intuitive", "taylor2", "numeric"}
+        for sol in kept:
+            assert repr(sol.G) == repr(alpha_mod.g_objective(profile, sol.alpha)), profile
+
+
+def test_used_profile_keeps_equality_hash_and_repr():
+    for profile in (fresh(REFERENCE), negative_discriminant_profile()):
+        new = fresh(profile)
+        for method in alpha_mod.METHODS:
+            alpha_mod.resolve_alpha(profile, method)
+        assert profile.memo and not new.memo
+        assert profile == new and hash(profile) == hash(new) and repr(profile) == repr(new)
+        assert "memo" not in repr(profile)
+
+
+def test_kept_failure_falls_back_the_same_way_and_raises_afresh():
+    profile = negative_discriminant_profile()
+    first = alpha_mod.resolve_alpha(profile, "taylor4")
+    for _ in range(3):
+        assert alpha_mod.resolve_alpha(profile, "taylor4") == first
+    assert first[0] == alpha_mod.resolve_alpha(profile, "taylor2")[0]
+    assert first[1] == "taylor4 discriminant negative; used taylor2"
+    # a rule that fails without a fallback raises a new exception each call
+    profile = degenerate_taylor2_profile()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="^degenerate denominator") as info:
+            alpha_mod.resolve_alpha(profile, "taylor2")
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 3
+    assert all(type(exc) is ValidationError for exc in raised)
+    assert alpha_mod.resolve_alpha(profile, "numeric")[0].method == "numeric"
+
+
+def test_memo_stays_bounded_under_an_alpha_scan():
+    profile = fresh(REFERENCE)
+    for a in np.linspace(1e-3, 4.0, 10_000).tolist():
+        alpha_mod.solution(profile, "explicit", a)
+    assert profile.memo == {}
+    for method in alpha_mod.METHODS:
+        alpha_mod.resolve_alpha(profile, method)
+    size = len(profile.memo)
+    for a in np.linspace(1e-3, 4.0, 10_000).tolist():
+        alpha_mod.solution(profile, "explicit", a)
+    assert len(profile.memo) == size <= 6

@@ -56,6 +56,32 @@ def test_random_lowrank_matches_the_full_qr_reference():
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("d_u, d_v", [
+    ((-2.0, 1.5, 0.0), (0.5, -3.0, -1.0)),
+    ((0.0, -0.0, 2.0), (-0.0, 0.0, -2.0)),
+    ((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),
+])
+def test_random_lowrank_folds_the_signs_of_r_as_np_sign_does(monkeypatch, d_u, d_v):
+    # R's diagonal is positive for a Gaussian draw; these are set by hand
+    real_qr, seen = np.linalg.qr, []
+
+    def qr_with_diagonals(draws):
+        qs, rs = real_qr(draws)
+        rs[0][np.diag_indices(3)], rs[1][np.diag_indices(3)] = d_u, d_v
+        seen.append(qs)
+        return qs, rs
+
+    monkeypatch.setattr(np.linalg, "qr", qr_with_diagonals)
+    values = (3.0, 2.0, 1.0)
+    got = harness.random_lowrank(4, 5, 3, [1, 1], sigma=values)
+    [qs] = seen
+    folded = np.sign(np.array(d_u)) * np.sign(np.array(d_v)) * np.array(values)
+    want = (qs[0, :4] * folded) @ qs[1, :5].T
+    assert got.tobytes() == want.tobytes()
+    for x in d_u + d_v + (5e-324, -5e-324, math.inf, -math.inf):
+        assert repr(harness._sign(x)) == repr(float(np.sign(x)))
+
+
 def test_random_lowrank_refuses_draws_over_the_memory_budget_before_drawing(monkeypatch):
     # 200000 x 2 died on a bare 298 GiB _ArrayMemoryError in the p x p draw
     need = 8 * (100 * 100 + 3 * 3)  # the 100 x 100 and 3 x 3 Gaussian draws
@@ -378,6 +404,14 @@ def test_alpha_takes_no_seed(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+def test_alpha_names_tau_over_sigma_when_y_rounds_to_one(capsys):
+    # y_1 = 1 - 1e-50 is 1.0, which was reported as a fraction outside [0, 1)
+    assert harness.main(["alpha", "--sigma", "1e200,1e199", "--tau", "1e150"]) == 2
+    assert capsys.readouterr().err == (
+        "error: tau / sigma_1 = 1e-50 is below float resolution:"
+        " y_1 = 1 - tau / sigma_1 rounds to 1\n")
+
+
 def test_sweep_config_accepts_the_largest_rank_an_instance_can_hold():
     harness.SweepConfig(rank=harness.SWEEP_DIM_RANGE[1])
     harness.SweepConfig(shape=(2, 3), rank=2, sigma=(2.0, 1.0), tau=1.5)
@@ -621,6 +655,16 @@ def test_sweep_warns_with_the_taylor4_fallback_note(monkeypatch):
         taylor2, taylor4 = harness.run_sweep_instance(cfg, 0)
     assert (taylor4.alpha_method, taylor4.error) == ("taylor4", "")
     assert (taylor4.alpha, taylor4.p_analytic) == (taylor2.alpha, taylor2.p_analytic)
+
+
+def test_sweep_record_of_a_method_does_not_depend_on_the_others():
+    # the rules of one instance share its profile's memo
+    both = harness.SweepConfig(methods=alpha_mod.METHODS)
+    for index in range(both.n_instances):
+        records = harness.run_sweep_instance(both, index)
+        for method, rec in zip(alpha_mod.METHODS, records):
+            alone = harness.SweepConfig(methods=(method,))
+            assert repr(harness.run_sweep_instance(alone, index)) == repr([rec]), (index, method)
 
 
 def test_run_sweep_caps_workers_at_instances_and_cpus(monkeypatch):
