@@ -30,7 +30,9 @@ millisecond); on a shared box the minimum is the least disturbed run.
 It also records the process's ``ru_maxrss``, which includes the
 interpreter and NumPy (about 40 MiB), and as ``setup_s`` the seconds that
 making its input takes: ``random_lowrank`` and the ``decompose`` that
-sets tau.
+sets tau.  A circuit case records the probability and fidelity its last
+timed run reached, simulated and analytic, and the mass left on L and C
+after uncomputation (FIDELITY), so an entry shows what its times bought.
 A circuit case then times one more warm run through perfbench's span
 tracer (this checkout's ``perfbench/spans.py``, used as it is, on either
 side of a ``--parent`` run) and records under
@@ -90,6 +92,8 @@ SWEEP = "sweep 120 analytic"
 RUNS = 7
 PAPER_RUNS = 3000
 REPEATS = 3  # processes per case and side with --parent
+# the fields of a circuit case's SimulationResult that its record keeps
+FIDELITY = ("p_sim", "p_analytic", "f_sim", "f_analytic", "residual_mass")
 
 # the stages of a run, in run order, by the spans each sums; the oracle
 # and its inverse are the first and second SigmaTauOracle.apply spans
@@ -164,7 +168,7 @@ def _case(name: str, src: Path) -> dict:
     walls = []
     for _ in range(runs):
         start = time.perf_counter()
-        work(cfg)
+        result = work(cfg)
         walls.append(time.perf_counter() - start)
     out = {
         "runs": runs,
@@ -175,6 +179,7 @@ def _case(name: str, src: Path) -> dict:
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if name != SWEEP:  # after the peak RSS: the tracer and tracemalloc are not the run's
+        out.update({key: float(getattr(result, key)) for key in FIDELITY})
         out["stages_s"], state_bytes = _stages(work, cfg)
         out["state_mib"] = state_bytes / 2**20
         tracemalloc.start()

@@ -5,20 +5,19 @@ objective G = sqrt(P) * F, and four rules that choose alpha.
 ``solution(profile, method, alpha)`` checks alpha (``sim.check_positive``:
 a real number, not a bool, finite and positive) and is the one evaluator
 of P, F and G at a chosen alpha; an explicit alpha and every rule's
-alpha reach it.  ``g_objective`` and ``g_derivative`` serve the numeric
-rule's search.
+alpha reach it.  ``g_objective`` is G alone at an alpha, and
+``g_derivative`` serves the numeric rule's search.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
 the taylor4 rule or its solution (a negative discriminant) gives
 taylor2's solution and a note; other failures propagate.
 
-A profile keeps a memo that the rules fill as they ask: the moments
-sum s^2 y^4 and sum s^2 y^6 under their powers, and under each rule's
-name its solution or the type and message of its failure, raised as a
-fresh exception on each call.  So the four rules compute each moment,
-closed form and closed-form G once; ``solution`` at an explicit alpha
-keeps nothing, so the memo holds at most six entries.
+Each rule returns the solution of the alpha it picks, and a profile's
+memo keeps it under the rule's name the first time the rule is asked
+for, so it holds at most four solutions.  A rule that raises keeps
+nothing and runs again when asked again; ``solution`` at an explicit
+alpha keeps nothing.
 
 For a spectrum sigma_1 > ... > sigma_r > 0 with shrinkage fractions
 y_k = (1 - tau/sigma_k)_+:
@@ -42,7 +41,7 @@ skipped, as they add exact zeros to every sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import FullyThresholdedError, ValidationError
 from .sim import check_positive
@@ -72,7 +71,7 @@ class SpectrumProfile:
     terms: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
-    memo: dict = field(init=False, repr=False, compare=False)
+    memo: dict[str, AlphaSolution] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
@@ -153,28 +152,25 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
 
 
 def _moment(profile: SpectrumProfile, power: int) -> float:
-    """sum s^2 y^power, kept in the profile's memo under ``power``."""
-    memo = profile.memo
-    if power not in memo:
-        memo[power] = math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
-    return memo[power]
+    """sum s^2 y^power."""
+    return math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
 
 
-def _intuitive(profile: SpectrumProfile) -> float:
+def _intuitive(profile: SpectrumProfile) -> AlphaSolution:
     """Closed form pi / (2 y_1): puts the dominant component on the
     sine peak.  Needs only the largest singular value."""
-    return math.pi / (2.0 * profile.y[0])
+    return solution(profile, "intuitive", math.pi / (2.0 * profile.y[0]))
 
 
-def _taylor2(profile: SpectrumProfile) -> float:
+def _taylor2(profile: SpectrumProfile) -> AlphaSolution:
     """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
     denom = _moment(profile, 4)
     if denom <= 0:
         raise ValidationError("degenerate denominator in the order-2 solution")
-    return math.sqrt(2.0 * profile.n2 / denom)
+    return solution(profile, "taylor2", math.sqrt(2.0 * profile.n2 / denom))
 
 
-def _taylor4(profile: SpectrumProfile) -> float:
+def _taylor4(profile: SpectrumProfile) -> AlphaSolution:
     """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
     with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
     a = _moment(profile, 6) / 24.0
@@ -186,7 +182,7 @@ def _taylor4(profile: SpectrumProfile) -> float:
         raise ValidationError(
             "negative discriminant in the order-4 solution; fall back to taylor2"
         )
-    return math.sqrt((b - math.sqrt(disc)) / (2.0 * a))
+    return solution(profile, "taylor4", math.sqrt((b - math.sqrt(disc)) / (2.0 * a)))
 
 
 def _g_curvature(profile: SpectrumProfile, alpha: float) -> float:
@@ -201,7 +197,7 @@ def _peak(profile: SpectrumProfile) -> float:
     lo, up = 0.0, math.pi / profile.y[0]
     if g_derivative(profile, up) >= 0:
         return up
-    alpha = _intuitive(profile)
+    alpha = math.pi / (2.0 * profile.y[0])
     while True:
         slope = g_derivative(profile, alpha)
         step = slope / -_g_curvature(profile, alpha)
@@ -221,24 +217,24 @@ def _peak(profile: SpectrumProfile) -> float:
             return alpha
 
 
-def _numeric(profile: SpectrumProfile) -> float:
+def _numeric(profile: SpectrumProfile) -> AlphaSolution:
     """Maximizer of G over (0, pi / y_1], or a closed form that scores higher.
 
     There G''(alpha) = -sum s^2 y^3 sin(y alpha) / sqrt(N1 N2) < 0, as every
     y alpha lies in (0, pi]: G is strictly concave and, with G'(0) > 0,
-    peaks at pi / y_1 or at the one root of G'.  Each closed form that did
-    not fail is scored by its solution's G, which is ``g_objective``'s in
-    every bit, so the result never scores below them.
+    peaks at pi / y_1 or at the one root of G'.  A closed form that did not
+    fail wins only with a strictly larger G, and its solution is returned
+    under this rule's name, so the result never scores below them.
     """
-    peak = _peak(profile)
-    candidates = [(peak, g_objective(profile, peak))]
+    best = solution(profile, "numeric", _peak(profile))
     for closed in ("intuitive", "taylor2", "taylor4"):
         try:
             sol = _resolved(profile, closed)
         except (ValidationError, FullyThresholdedError):
             continue
-        candidates.append((sol.alpha, sol.G))
-    return max(candidates, key=lambda candidate: candidate[1])[0]
+        if sol.G > best.G:
+            best = replace(sol, method="numeric")
+    return best
 
 
 _RULES = {"intuitive": _intuitive, "taylor2": _taylor2, "taylor4": _taylor4, "numeric": _numeric}
@@ -246,20 +242,12 @@ METHODS = tuple(_RULES)
 
 
 def _resolved(profile: SpectrumProfile, method: str) -> AlphaSolution:
-    """The solution of rule ``method``, made once per profile.  A
-    ValidationError from the rule or its solution is kept as its type and
-    message, and raised afresh on every call."""
+    """The solution of rule ``method``, kept in the profile's memo the
+    first time the rule returns it; a rule that raises keeps nothing."""
     memo = profile.memo
     if method not in memo:
-        try:
-            memo[method] = solution(profile, method, _RULES[method](profile))
-        except ValidationError as exc:
-            memo[method] = (type(exc), exc.args)
-    kept = memo[method]
-    if type(kept) is tuple:
-        kind, args = kept
-        raise kind(*args)
-    return kept
+        memo[method] = _RULES[method](profile)
+    return memo[method]
 
 
 def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution, str]:

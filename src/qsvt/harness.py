@@ -184,6 +184,11 @@ class SweepConfig:
             self.sigma, self.rank = tuple(s), len(s)
         if self.simulate and (self.t_bits > 8 or (self.rank or 0) > 8):
             raise ValidationError("simulate mode is capped at t_bits <= 8, rank <= 8")
+        n = self.m_bits + self.t_bits + 2  # L, C, the ancilla and at least one qubit of B
+        if self.simulate and n > sim.MAX_QUBITS:
+            raise ValidationError(f"simulate mode needs m_bits + t_bits + 2 <= {sim.MAX_QUBITS}"
+                                  f" qubits, got m_bits {self.m_bits} + t_bits {self.t_bits}"
+                                  f" + 2 = {n}")
         if self.tau is not None:
             sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
             self.tau = spectral.check_threshold(self.tau, sigma_max)

@@ -109,8 +109,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
                                   f" t_bits={pe_cfg.t_bits}, which {why}: raise --t-bits")
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
     m_bits = oracle.m_bits  # the width as the oracle checked it: a Python int
-    # sigma_1 has the largest code and its label always holds mass
-    top_code = max(oracle.y_codes.values())
+    # sigma_1's code: the largest an occupied label gets, and its label always holds mass
+    top_code = oracle.code_for(pe_cfg.labels[0])
     if top_code == 0:  # post-select would read probability 0
         raise FullyThresholdedError(
             f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="

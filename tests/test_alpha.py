@@ -479,6 +479,13 @@ RULES = {
 }
 
 
+SOLUTION_FIELDS = ("method", "alpha", "P", "F", "G")
+
+
+def field_reprs(sol, fields=SOLUTION_FIELDS):
+    return [repr(getattr(sol, f)) for f in fields]
+
+
 def test_resolve_alpha_is_solution_of_the_rule():
     assert alpha_mod.METHODS == tuple(RULES)  # the order of the `qsvt alpha` table
     fallbacks = 0
@@ -486,19 +493,52 @@ def test_resolve_alpha_is_solution_of_the_rule():
         for method, rule in RULES.items():
             sol, note = alpha_mod.resolve_alpha(profile, method)
             try:
-                want = alpha_mod.solution(profile, method, rule(profile))
+                want = rule(fresh(profile))
             except ValidationError:
                 assert method == "taylor4"
                 fallbacks += 1
-                want = alpha_mod.solution(profile, "taylor2", alpha_mod._taylor2(profile))
+                want = alpha_mod._taylor2(fresh(profile))
                 assert note == "taylor4 discriminant negative; used taylor2"
             else:
-                assert note == ""
-            fields = ("method", "alpha", "P", "F", "G")
-            assert [repr(getattr(sol, f)) for f in fields] == [
-                repr(getattr(want, f)) for f in fields
-            ], (profile, method)
+                assert want.method == method and note == ""
+            # each rule returns the one constructor's solution at its alpha
+            at_alpha = alpha_mod.solution(profile, want.method, want.alpha)
+            assert field_reprs(want) == field_reprs(at_alpha), (profile, method)
+            assert field_reprs(sol) == field_reprs(want), (profile, method)
     assert fallbacks == 1
+
+
+def closed_form_solutions(profile):
+    """The solutions of the closed forms that do not fail, in rule order."""
+    out = []
+    for method in ("intuitive", "taylor2", "taylor4"):
+        try:
+            out.append(RULES[method](profile))
+        except ValidationError:
+            pass
+    return out
+
+
+def test_numeric_returns_a_closed_form_that_strictly_beats_the_peak():
+    # Newton's peak is never beaten on these profiles, so it is moved off
+    # the maximum: the closed form of largest G (the first of equals) wins
+    profiles = reference_profiles()[::5] + [negative_discriminant_profile()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alpha_mod, "_peak", lambda profile: 0.1 / profile.y[0])
+        for profile in profiles:
+            closed = closed_form_solutions(fresh(profile))
+            want = max(closed, key=lambda sol: sol.G)
+            sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
+            assert sol.method == "numeric"
+            assert field_reprs(sol, SOLUTION_FIELDS[1:]) == field_reprs(want, SOLUTION_FIELDS[1:])
+
+
+def test_numeric_returns_the_peaks_solution_when_the_peak_wins():
+    for profile in [REFERENCE] + reference_profiles()[::5]:
+        sol = alpha_mod.resolve_alpha(fresh(profile), "numeric")[0]
+        want = alpha_mod.solution(profile, "numeric", alpha_mod._peak(profile))
+        assert all(closed.G <= want.G for closed in closed_form_solutions(profile))
+        assert field_reprs(sol) == field_reprs(want), profile
 
 
 def test_unknown_alpha_method_rejected():
@@ -622,16 +662,17 @@ def test_memo_never_changes_a_result_in_any_order():
             shared = fresh(profile)
             for method in order + order + order[::-1]:
                 assert resolved_repr(shared, method) == want[method], (profile, order, method)
-            assert len(shared.memo) <= 6
+            assert len(shared.memo) <= 4
+            assert all(type(sol) is alpha_mod.AlphaSolution and sol.method == name
+                       for name, sol in shared.memo.items())
 
 
 def test_memoised_g_is_g_objective_bit_for_bit():
     for profile in reference_profiles()[::10] + [negative_discriminant_profile()]:
         for method in alpha_mod.METHODS:
             alpha_mod.resolve_alpha(profile, method)
-        kept = [v for v in profile.memo.values() if isinstance(v, alpha_mod.AlphaSolution)]
-        assert {sol.method for sol in kept} >= {"intuitive", "taylor2", "numeric"}
-        for sol in kept:
+        assert {sol.method for sol in profile.memo.values()} >= {"intuitive", "taylor2", "numeric"}
+        for sol in profile.memo.values():
             assert repr(sol.G) == repr(alpha_mod.g_objective(profile, sol.alpha)), profile
 
 
@@ -674,4 +715,17 @@ def test_memo_stays_bounded_under_an_alpha_scan():
     size = len(profile.memo)
     for a in np.linspace(1e-3, 4.0, 10_000).tolist():
         alpha_mod.solution(profile, "explicit", a)
-    assert len(profile.memo) == size <= 6
+    assert len(profile.memo) == size <= 4
+
+
+def test_a_failing_rule_keeps_nothing_and_raises_afresh():
+    profile = negative_discriminant_profile()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="negative discriminant") as info:
+            alpha_mod._resolved(profile, "taylor4")
+        raised.append(info.value)
+        assert "taylor4" not in profile.memo
+    assert len({id(exc) for exc in raised}) == 3
+    alpha_mod.resolve_alpha(profile, "taylor4")  # falls back: taylor2's solution is kept
+    assert list(profile.memo) == ["taylor2"]

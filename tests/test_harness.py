@@ -833,6 +833,23 @@ def test_sweep_full_comparison_medians():
     assert medians["intuitive"]["P"] >= medians["taylor2"]["P"]
 
 
+def test_sweep_simulate_refuses_widths_that_no_instance_can_run(tmp_path, capsys):
+    # a run's state has m + t + 2 qubits at least, as B has one: every
+    # record read "qubit budget exceeded: 36 > 26" and the sweep exited 0
+    out = tmp_path / "s.csv"
+    assert harness.main(["sweep", "--n", "2", "--methods", "numeric", "--simulate",
+                         "--t-bits", "8", "--m-bits", "26", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: simulate mode needs m_bits + t_bits + 2 <= {sim.MAX_QUBITS} qubits,"
+        " got m_bits 26 + t_bits 8 + 2 = 36\n")
+    assert not out.exists()
+    # the widest widths still run, and without --simulate the widths are free
+    assert harness.SweepConfig(simulate=True, t_bits=8, m_bits=sim.MAX_QUBITS - 10).simulate
+    with pytest.raises(ValidationError, match=r"^simulate mode needs m_bits \+ t_bits \+ 2"):
+        harness.SweepConfig(simulate=True, t_bits=8, m_bits=sim.MAX_QUBITS - 9)
+    assert harness.SweepConfig(t_bits=8, m_bits=sim.MAX_QUBITS).m_bits == sim.MAX_QUBITS
+
+
 def test_sweep_simulate_respects_fixed_point_bound():
     cfg = harness.SweepConfig(
         n_instances=4,

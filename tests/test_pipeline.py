@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -485,6 +486,29 @@ def test_all_zero_oracle_codes_rejected_before_the_state(monkeypatch):
     for cfg in ({}, {"alpha_method": "numeric"}, {"alpha": 1.9403}):
         with pytest.raises(FullyThresholdedError, match=message):
             run_reference(tau=1.7, **cfg)
+
+
+def test_set_up_rules_read_sigma_1s_code_not_the_largest_code(monkeypatch):
+    # tau 1.5: y_1 = 0.25 is exact at m 2 and alpha = 2 pi; a code of
+    # 2^m - 1 on a label that holds no eigenvalue is 3/4 * 2 pi past pi,
+    # but no amplitude sits there, so neither set-up rule may read it
+    want = run_reference(tau=1.5)
+    assert want.alpha == pytest.approx(2 * math.pi, rel=1e-12) and want.exact
+    build = rotation.build_sigma_tau_oracle
+    spares = []
+
+    def with_a_spare_code(pe_cfg, m_bits, tau):
+        oracle = build(pe_cfg, m_bits, tau)
+        spare = max(set(range(1 << pe_cfg.t_bits)) - set(pe_cfg.labels))
+        spares.append(spare)
+        return dataclasses.replace(oracle, y_codes={**oracle.y_codes, spare: (1 << m_bits) - 1})
+
+    monkeypatch.setattr(rotation, "build_sigma_tau_oracle", with_a_spare_code)
+    got = run_reference(tau=1.5)
+    assert len(spares) == 1 and spares[0] not in got.labels
+    for name in ("p_sim", "f_sim", "n_alpha", "p_analytic", "f_analytic", "alpha",
+                 "residual_mass", "triple_amplitudes", "b_state", "y_codes"):
+        assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12), name
 
 
 def test_tau_of_any_real_type_runs_as_the_python_float():
