@@ -13,11 +13,8 @@ alpha reach it.  ``g_objective`` is G alone at an alpha, and
 the taylor4 rule or its solution (a negative discriminant) gives
 taylor2's solution and a note; other failures propagate.
 
-Each rule returns the solution of the alpha it picks, and a profile's
-memo keeps it under the rule's name the first time the rule is asked
-for, so it holds at most four solutions.  A rule that raises keeps
-nothing and runs again when asked again; ``solution`` at an explicit
-alpha keeps nothing.
+Each rule returns the solution of the alpha it picks, and no rule reads
+another's.
 
 For a spectrum sigma_1 > ... > sigma_r > 0 with shrinkage fractions
 y_k = (1 - tau/sigma_k)_+:
@@ -31,7 +28,9 @@ y_k = (1 - tau/sigma_k)_+:
 
 On (0, pi / y_1] every y_k a lies in (0, pi], so G'' < 0: G is strictly
 concave there and, as G'(0) > 0, peaks at pi / y_1 or at the root of G',
-which the numeric rule finds by safeguarded Newton steps.
+which the numeric rule finds by safeguarded Newton steps.  It looks no
+further: past pi / y_1, sin(y_1 a) leaves its first lobe, which this
+theory and the circuit's set-up rule both assume.
 
 Sums use compensated (fsum) accumulation so large-rank profiles do not
 lose precision.  N1, N2, sqrt(N1 * N2) and the per-component
@@ -41,7 +40,7 @@ skipped, as they add exact zeros to every sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import FullyThresholdedError, ValidationError
 from .sim import check_positive
@@ -59,9 +58,8 @@ class SpectrumProfile:
 
     N1, N2, scale = sqrt(N1 * N2) and ``terms``, the coefficients
     (y, s^2, s^2 y, s^2 y^2) of each component with y > 0, are derived
-    once at construction, and each must be finite and positive; the
-    rules fill ``memo`` (see the module docstring).  None of these
-    enters equality, hash or repr."""
+    once at construction, and each must be finite and positive.  None
+    of these enters equality, hash or repr."""
 
     sigma: tuple[float, ...]
     y: tuple[float, ...]
@@ -71,7 +69,6 @@ class SpectrumProfile:
     terms: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
-    memo: dict[str, AlphaSolution] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
@@ -94,7 +91,7 @@ class SpectrumProfile:
                 f"sums of sigma^2 leave the float range (N1 = {n1:.3g}, N2 = {n2:.3g},"
                 f" sqrt(N1 * N2) = {scale:.3g}): rescale A and tau"
             )
-        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms, "memo": {}}
+        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms}
         for name, value in derived.items():  # frozen: set once, here
             object.__setattr__(self, name, value)
 
@@ -218,36 +215,13 @@ def _peak(profile: SpectrumProfile) -> float:
 
 
 def _numeric(profile: SpectrumProfile) -> AlphaSolution:
-    """Maximizer of G over (0, pi / y_1], or a closed form that scores higher.
-
-    There G''(alpha) = -sum s^2 y^3 sin(y alpha) / sqrt(N1 N2) < 0, as every
-    y alpha lies in (0, pi]: G is strictly concave and, with G'(0) > 0,
-    peaks at pi / y_1 or at the one root of G'.  A closed form that did not
-    fail wins only with a strictly larger G, and its solution is returned
-    under this rule's name, so the result never scores below them.
-    """
-    best = solution(profile, "numeric", _peak(profile))
-    for closed in ("intuitive", "taylor2", "taylor4"):
-        try:
-            sol = _resolved(profile, closed)
-        except (ValidationError, FullyThresholdedError):
-            continue
-        if sol.G > best.G:
-            best = replace(sol, method="numeric")
-    return best
+    """Maximizer of G over (0, pi / y_1], where G is strictly concave
+    (see the module docstring): no alpha there scores higher."""
+    return solution(profile, "numeric", _peak(profile))
 
 
 _RULES = {"intuitive": _intuitive, "taylor2": _taylor2, "taylor4": _taylor4, "numeric": _numeric}
 METHODS = tuple(_RULES)
-
-
-def _resolved(profile: SpectrumProfile, method: str) -> AlphaSolution:
-    """The solution of rule ``method``, kept in the profile's memo the
-    first time the rule returns it; a rule that raises keeps nothing."""
-    memo = profile.memo
-    if method not in memo:
-        memo[method] = _RULES[method](profile)
-    return memo[method]
 
 
 def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution, str]:
@@ -256,8 +230,8 @@ def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution,
     if method not in _RULES:
         raise ValidationError(f"unknown alpha method {method!r}")
     try:
-        return _resolved(profile, method), ""
+        return _RULES[method](profile), ""
     except ValidationError:
         if method != "taylor4":
             raise
-    return _resolved(profile, "taylor2"), "taylor4 discriminant negative; used taylor2"
+    return _taylor2(profile), "taylor4 discriminant negative; used taylor2"

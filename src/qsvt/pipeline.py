@@ -112,9 +112,13 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     # sigma_1's code: the largest an occupied label gets, and its label always holds mass
     top_code = oracle.code_for(pe_cfg.labels[0])
     if top_code == 0:  # post-select would read probability 0
+        # the least wider m with 2^-m <= y_1 (labels round sigma_1 too)
+        need = max(1 - math.frexp(profile.y[0])[1], m_bits + 1)
+        hint = (f"raise --m-bits to at least {need}, where 2^-m <= y_1" if need <= sim.MAX_QUBITS
+                else f"no --m-bits up to {sim.MAX_QUBITS} gives sigma_1 a code: lower tau")
         raise FullyThresholdedError(
             f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="
-            f" {2.0 ** -m_bits:.4g}): no L value rotates the ancilla; raise --m-bits"
+            f" {2.0 ** -m_bits:.4g}): no L value rotates the ancilla; {hint}"
         )
     # the alpha theory assumes theta * alpha <= pi on every occupied L value
     if top_code / (1 << m_bits) * solution.alpha > np.pi + 1e-9:

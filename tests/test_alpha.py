@@ -332,8 +332,8 @@ def sweep_corpus_profiles(seed):
 
 
 def test_numeric_dominates_closed_forms():
-    # exact: the closed forms are seeded into the search and scored by
-    # the same g_objective that scores every other candidate
+    # every closed form here lies in (0, pi / y_1], where G is strictly
+    # concave and numeric's Newton search ends at its maximum
     profiles = [random_profile(4000 + seed) for seed in range(25)]
     profiles += sweep_corpus_profiles(0) + sweep_corpus_profiles(5)
     for i, profile in enumerate(profiles):
@@ -482,8 +482,8 @@ RULES = {
 SOLUTION_FIELDS = ("method", "alpha", "P", "F", "G")
 
 
-def field_reprs(sol, fields=SOLUTION_FIELDS):
-    return [repr(getattr(sol, f)) for f in fields]
+def field_reprs(sol):
+    return [repr(getattr(sol, f)) for f in SOLUTION_FIELDS]
 
 
 def test_resolve_alpha_is_solution_of_the_rule():
@@ -493,11 +493,11 @@ def test_resolve_alpha_is_solution_of_the_rule():
         for method, rule in RULES.items():
             sol, note = alpha_mod.resolve_alpha(profile, method)
             try:
-                want = rule(fresh(profile))
+                want = rule(profile)
             except ValidationError:
                 assert method == "taylor4"
                 fallbacks += 1
-                want = alpha_mod._taylor2(fresh(profile))
+                want = alpha_mod._taylor2(profile)
                 assert note == "taylor4 discriminant negative; used taylor2"
             else:
                 assert want.method == method and note == ""
@@ -519,23 +519,50 @@ def closed_form_solutions(profile):
     return out
 
 
-def test_numeric_returns_a_closed_form_that_strictly_beats_the_peak():
-    # Newton's peak is never beaten on these profiles, so it is moved off
-    # the maximum: the closed form of largest G (the first of equals) wins
+def test_lone_numeric_calls_no_closed_form():
     profiles = reference_profiles()[::5] + [negative_discriminant_profile()]
+    want = [field_reprs(alpha_mod.resolve_alpha(p, "numeric")[0]) for p in profiles]
+
+    def closed_form(profile):
+        raise AssertionError("numeric called a closed-form rule")
+
+    closed = dict.fromkeys(("intuitive", "taylor2", "taylor4"), closed_form)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(alpha_mod, "_peak", lambda profile: 0.1 / profile.y[0])
-        for profile in profiles:
-            closed = closed_form_solutions(fresh(profile))
-            want = max(closed, key=lambda sol: sol.G)
-            sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
-            assert sol.method == "numeric"
-            assert field_reprs(sol, SOLUTION_FIELDS[1:]) == field_reprs(want, SOLUTION_FIELDS[1:])
+        mp.setattr(alpha_mod, "_RULES", {**alpha_mod._RULES, **closed})
+        for m in ("_intuitive", "_taylor2", "_taylor4"):
+            mp.setattr(alpha_mod, m, closed_form)
+        # equal new profiles: nothing an earlier call left on one answers
+        again = [alpha_mod.SpectrumProfile(p.sigma, p.y) for p in profiles]
+        got = [field_reprs(alpha_mod.resolve_alpha(p, "numeric")[0]) for p in again]
+    assert got == want
+
+
+def beyond_the_lobe_profile():
+    """tau = 1, y_1 = 0.3 and 199 fractions just below 0.1: taylor2's
+    alpha, 11.3358, lies past pi / y_1 = 10.4720 and scores a higher G."""
+    y = [0.3] + [0.1 * (1 - 1e-6 * k) for k in range(199)]
+    return alpha_mod.SpectrumProfile.from_sigma_tau([1 / (1 - v) for v in y], 1.0)
+
+
+def test_numeric_stays_in_the_first_lobe_where_taylor2_leaves_it():
+    profile = beyond_the_lobe_profile()
+    edge = math.pi / profile.y[0]
+    taylor2 = alpha_mod.resolve_alpha(profile, "taylor2")[0]
+    sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
+    assert taylor2.alpha == pytest.approx(11.3358, abs=1e-4) and taylor2.alpha > edge
+    assert taylor2.G == pytest.approx(0.86406, abs=1e-5)
+    assert sol.alpha == edge and sol.G == pytest.approx(0.83186, abs=1e-5)
+
+    def single_lobed(alpha, m):  # run_pipeline's rule on sigma_1's code, floor(y_1 2^m)
+        return math.floor(profile.y[0] * 2**m) / 2**m * alpha <= math.pi + 1e-9
+
+    assert single_lobed(sol.alpha, 8)
+    assert not any(single_lobed(taylor2.alpha, m) for m in range(5, 27))
 
 
 def test_numeric_returns_the_peaks_solution_when_the_peak_wins():
     for profile in [REFERENCE] + reference_profiles()[::5]:
-        sol = alpha_mod.resolve_alpha(fresh(profile), "numeric")[0]
+        sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
         want = alpha_mod.solution(profile, "numeric", alpha_mod._peak(profile))
         assert all(closed.G <= want.G for closed in closed_form_solutions(profile))
         assert field_reprs(sol) == field_reprs(want), profile
@@ -633,11 +660,6 @@ def test_solution_checks_the_divisor_it_uses():
     assert alpha_mod.solution(profile, "explicit", 1.0).F == 1.0
 
 
-def fresh(profile):
-    """A profile equal to ``profile`` whose memo is empty."""
-    return alpha_mod.SpectrumProfile(profile.sigma, profile.y)
-
-
 def degenerate_taylor2_profile():
     """y_1^4 underflows to 0, so taylor2 fails; numeric does not."""
     return alpha_mod.SpectrumProfile(sigma=(1.0,), y=(1e-90,))
@@ -653,37 +675,29 @@ def resolved_repr(profile, method):
     return tuple(repr(getattr(sol, f)) for f in ("method", "alpha", "P", "F", "G")) + (note,)
 
 
-def test_memo_never_changes_a_result_in_any_order():
+def test_rule_order_never_changes_a_result():
     profiles = reference_profiles()[::6] + sweep_corpus_profiles(3)[:10]
     profiles += [negative_discriminant_profile(), degenerate_taylor2_profile()]
     for profile in profiles:
-        want = {m: resolved_repr(fresh(profile), m) for m in alpha_mod.METHODS}
+        want = {m: resolved_repr(profile, m) for m in alpha_mod.METHODS}
         for order in itertools.permutations(alpha_mod.METHODS):
-            shared = fresh(profile)
             for method in order + order + order[::-1]:
-                assert resolved_repr(shared, method) == want[method], (profile, order, method)
-            assert len(shared.memo) <= 4
-            assert all(type(sol) is alpha_mod.AlphaSolution and sol.method == name
-                       for name, sol in shared.memo.items())
+                assert resolved_repr(profile, method) == want[method], (profile, order, method)
 
 
-def test_memoised_g_is_g_objective_bit_for_bit():
+def test_each_rules_g_is_g_objective_bit_for_bit():
     for profile in reference_profiles()[::10] + [negative_discriminant_profile()]:
         for method in alpha_mod.METHODS:
-            alpha_mod.resolve_alpha(profile, method)
-        assert {sol.method for sol in profile.memo.values()} >= {"intuitive", "taylor2", "numeric"}
-        for sol in profile.memo.values():
+            sol = alpha_mod.resolve_alpha(profile, method)[0]
             assert repr(sol.G) == repr(alpha_mod.g_objective(profile, sol.alpha)), profile
 
 
 def test_used_profile_keeps_equality_hash_and_repr():
-    for profile in (fresh(REFERENCE), negative_discriminant_profile()):
-        new = fresh(profile)
+    for profile in (REFERENCE, negative_discriminant_profile()):
+        new = alpha_mod.SpectrumProfile(profile.sigma, profile.y)
         for method in alpha_mod.METHODS:
             alpha_mod.resolve_alpha(profile, method)
-        assert profile.memo and not new.memo
         assert profile == new and hash(profile) == hash(new) and repr(profile) == repr(new)
-        assert "memo" not in repr(profile)
 
 
 def test_kept_failure_falls_back_the_same_way_and_raises_afresh():
@@ -703,29 +717,3 @@ def test_kept_failure_falls_back_the_same_way_and_raises_afresh():
     assert len({id(exc) for exc in raised}) == 3
     assert all(type(exc) is ValidationError for exc in raised)
     assert alpha_mod.resolve_alpha(profile, "numeric")[0].method == "numeric"
-
-
-def test_memo_stays_bounded_under_an_alpha_scan():
-    profile = fresh(REFERENCE)
-    for a in np.linspace(1e-3, 4.0, 10_000).tolist():
-        alpha_mod.solution(profile, "explicit", a)
-    assert profile.memo == {}
-    for method in alpha_mod.METHODS:
-        alpha_mod.resolve_alpha(profile, method)
-    size = len(profile.memo)
-    for a in np.linspace(1e-3, 4.0, 10_000).tolist():
-        alpha_mod.solution(profile, "explicit", a)
-    assert len(profile.memo) == size <= 4
-
-
-def test_a_failing_rule_keeps_nothing_and_raises_afresh():
-    profile = negative_discriminant_profile()
-    raised = []
-    for _ in range(3):
-        with pytest.raises(ValidationError, match="negative discriminant") as info:
-            alpha_mod._resolved(profile, "taylor4")
-        raised.append(info.value)
-        assert "taylor4" not in profile.memo
-    assert len({id(exc) for exc in raised}) == 3
-    alpha_mod.resolve_alpha(profile, "taylor4")  # falls back: taylor2's solution is kept
-    assert list(profile.memo) == ["taylor2"]

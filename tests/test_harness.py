@@ -241,8 +241,13 @@ def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
     rc = harness.main(["example", "--tau", "1.7"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: every L code is 0") and "--m-bits" in err
+    assert err.startswith("error: every L code is 0") and "--m-bits to at least 3" in err
     assert harness.main(["example", "--tau", "1.7", "--m-bits", "3"]) == 0
+    # y_1 = 1 - 2/2 rounds to 2.2e-16: no width in the qubit budget helps
+    assert harness.main(["example", "--tau", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every L code is 0 (y_1 = 1 - tau/sigma_1 = 2.22e-16")
+    assert err.endswith("; no --m-bits up to 26 gives sigma_1 a code: lower tau\n")
 
 
 def test_sweep_all_zero_code_records_carry_the_set_up_error():
@@ -658,7 +663,7 @@ def test_sweep_warns_with_the_taylor4_fallback_note(monkeypatch):
 
 
 def test_sweep_record_of_a_method_does_not_depend_on_the_others():
-    # the rules of one instance share its profile's memo
+    # the rules of one instance share its profile
     both = harness.SweepConfig(methods=alpha_mod.METHODS)
     for index in range(both.n_instances):
         records = harness.run_sweep_instance(both, index)

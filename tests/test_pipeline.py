@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -486,6 +487,21 @@ def test_all_zero_oracle_codes_rejected_before_the_state(monkeypatch):
     for cfg in ({}, {"alpha_method": "numeric"}, {"alpha": 1.9403}):
         with pytest.raises(FullyThresholdedError, match=message):
             run_reference(tau=1.7, **cfg)
+
+
+def test_all_zero_code_hint_names_a_width_that_can_help(monkeypatch):
+    # y_1 = 0.15 first reaches 2^-m at m 3; y_1 = 2.2e-16 at m 53, past the
+    # qubit budget; where codes are 0 at m 8 anyway, only a wider m can help
+    for tau, hint in ((1.7, "raise --m-bits to at least 3, where 2^-m <= y_1"),
+                      (2.0, f"no --m-bits up to {sim.MAX_QUBITS} gives sigma_1 a code: lower tau")):
+        with pytest.raises(FullyThresholdedError, match=f"; {re.escape(hint)}$"):
+            run_reference(tau=tau)
+    assert run_reference(tau=1.7, m_bits=3).p_sim > 0
+    build = rotation.build_sigma_tau_oracle
+    monkeypatch.setattr(rotation, "build_sigma_tau_oracle",
+                        lambda *args: dataclasses.replace(build(*args), y_codes={}))
+    with pytest.raises(FullyThresholdedError, match="; raise --m-bits to at least 9, "):
+        run_reference(tau=1.7, m_bits=8)
 
 
 def test_set_up_rules_read_sigma_1s_code_not_the_largest_code(monkeypatch):
