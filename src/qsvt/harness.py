@@ -545,7 +545,8 @@ def cmd_sweep(args) -> int:
         try:
             emit_plot(records, plot_path)
         except ValidationError as exc:  # the sweep itself finished: exit 0
-            os.remove(plot_path)
+            if plot_path in made:  # a file that was there stays as it was
+                os.remove(plot_path)
             print(f"{exc}: no plot written")
         else:
             print(f"wrote plot to {plot_path}")

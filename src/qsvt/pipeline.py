@@ -48,7 +48,6 @@ class SimulationResult:
     f_analytic: float
     alpha: float
     alpha_method: str
-    n1: float
     n_alpha: float
     spec: spectral.SpectralData  # the decomposition the run used
     y_exact: np.ndarray
@@ -173,7 +172,6 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         f_analytic=solution.F,
         alpha=solution.alpha,
         alpha_method=solution.method,
-        n1=n1,
         n_alpha=n1 * p_sim,
         spec=spec,
         y_exact=np.asarray(profile.y),

@@ -11,16 +11,16 @@ register C holds ``c``, as U^(2^w) = ``exp(i A 2^w t0)`` controlled on
 the C qubit of bit weight 2^w: one controlled gate on all of C and all
 of B, which holds the input's Schmidt index.  There A is diagonal, given
 as its eigenvalues (:func:`spectral.gram`), so each factor is a row of
-phases exp(i lam 2^w t0).  The gate folds the t rows into the T rows
-exp(i lam c t0) of U^c, one per label c, a T x d table, and multiplies
-the state by it in place, one pass: no matrix A, no dense factor and no
-eigendecomposition is made.  The QFT on C is
-the DFT on amplitudes, which :func:`sim.apply_unitary` computes in place
-by FFT: no T x T matrix is made either.
+phases exp(i lam 2^w t0).  :func:`conditional_evolution` folds the t rows
+into the T rows exp(i lam c t0) of U^c, one per label c, a T x d table,
+and :func:`sim.apply_controlled` multiplies the state by it in place, one
+pass: no matrix A, no dense factor and no eigendecomposition is made.  The
+QFT on C is the DFT on amplitudes, which :func:`sim.apply_unitary`
+computes in place by FFT: no T x T matrix is made either.
 
-Rank-sized work (the eigenvalues, their labels and the checks on them)
-runs on Python floats and ints, converted once with ``tolist()``; the
-DFTs, the exponentials and the state stay in NumPy.  ``round``
+Rank-sized work in :func:`choose_t0` (the eigenvalues, their labels and
+the checks on them) runs on Python floats and ints, converted once with
+``tolist()``; the DFTs, the exponentials and the state stay in NumPy.  ``round``
 rounds half to even, as ``np.rint`` does, so the labels are the same.
 
 Forward phase estimation is the paper's Hadamard layer on C, then E,
@@ -32,7 +32,9 @@ so the numbers are the QFT's (Cleve et al., arXiv:quant-ph/9708016).
 The exact adjoint is QFT, E^-1, QFT^-1; <0|QFT^-1 = <0|H^t on the C = 0
 projection, the only part of the state that the run reads.  A run makes
 three FFTs.  A stage takes the run's :class:`sim.RegisterLayout`,
-checked where it is made, and a C as wide as the config's ``t_bits``.
+checked where it is made, a C as wide as the config's ``t_bits`` and
+B's 2^b eigenvalues, whose largest angle in E must be finite, so each of
+E's phases is exp(i theta) of a finite real theta, on the unit circle.
 
 The norm is checked where the state is read, by :func:`sim.register_mass`:
 the forward estimation's read of C checks the incoming state, and the
@@ -130,20 +132,30 @@ def iqft(state: QuantumState, layout: RegisterLayout) -> QuantumState:
 
 def matrix_bytes(t_bits: int, e_bits: int) -> int:
     """Bytes that bound the arrays phase estimation makes beside the
-    state: E's t rows of phases on ``e_bits`` qubits, the run's Schmidt
-    index, with the stack that the gate makes of them and its unit
-    check's two real temporaries, three complex copies of the rows; and
-    the 2^t x 2^e_bits table of their label products that the gate
-    multiplies the state by.  Neither the in-place FFT on C nor the
-    Hadamard write makes anything of the state's size."""
-    return (3 * t_bits + (1 << t_bits)) * 16 << e_bits  # complex128
+    state: E's 2^t x 2^e_bits table of label products on ``e_bits``
+    qubits, the run's Schmidt index, with the row being folded into it and
+    :func:`herm_exp`'s temporary, its angles, beside NumPy's buffers, at
+    most 128 KiB.  Neither the in-place FFT on C nor the Hadamard write
+    makes anything of the state's size."""
+    return ((1 << t_bits) + 2) * 16 << e_bits  # complex128
 
 
-def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout) -> None:
-    """The layout fits the state, and its C the config's width."""
+def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout,
+                  eigenvalues) -> np.ndarray:
+    """The layout fits the state, its C the config's width, its B the
+    eigenvalues' count, and E's largest angle, max|lam| 2^(t-1) t0, is
+    finite: the eigenvalues as a float vector, before any amplitude moves."""
     sim._check_layout(state, layout)
     if cfg.t_bits != layout.t_bits:
         raise ValidationError(f"a {cfg.t_bits}-bit estimation on a {layout.t_bits}-qubit C")
+    lam, t, b = real_vector("eigenvalues", eigenvalues), cfg.t_bits, layout.b_bits
+    if len(lam) != 1 << b:
+        raise ValidationError(f"a {t}-qubit C on {b} B qubits takes {1 << b} eigenvalues,"
+                              f" got {len(lam)}")
+    angle = float(np.abs(lam).max()) * (1 << (t - 1)) * cfg.t0
+    if not math.isfinite(angle):  # NaN fails too
+        raise ValidationError(f"the largest angle, max|eigenvalue| 2^{t - 1} t0, is {angle!r}")
+    return lam
 
 
 def conditional_evolution(
@@ -151,12 +163,16 @@ def conditional_evolution(
     inverse: bool = False,
 ) -> QuantumState:
     """For each C label c, evolve B by exp(i A c t0), A diagonal on B and
-    given as its eigenvalues: the phases of U^(2^w) = exp(i A 2^w t0)
-    controlled on the C qubit of bit weight 2^w, one gate on all of C."""
-    _check_config(state, cfg, layout)
+    given as its eigenvalues: one gate on all of C by the table of the 2^t
+    label products, folded by doubling from the rows exp(i A 2^w t0) of
+    U^(2^w), row w times the first 2^w products giving the next 2^w."""
+    lam, t = _check_config(state, cfg, layout, eigenvalues), cfg.t_bits
     t0 = -cfg.t0 if inverse else cfg.t0
-    phases = [herm_exp(eigenvalues, (1 << w) * t0) for w in range(cfg.t_bits)]
-    return sim.apply_controlled(state, layout, phases)
+    table = np.empty((1 << t, 1, len(lam)), dtype=complex)
+    table[0] = 1.0
+    for w in range(t):
+        np.multiply(table[: 1 << w], herm_exp(lam, (1 << w) * t0), out=table[1 << w : 2 << w])
+    return sim.apply_controlled(state, layout, table)
 
 
 def phase_estimate(
@@ -172,7 +188,7 @@ def phase_estimate(
     copy needs no buffer; across L values the two interleave, and NumPy
     would copy through a temporary of the destination's size, as it
     would for a one-call multiply from C = 0 into the whole view."""
-    _check_config(state, cfg, layout)
+    lam = _check_config(state, cfg, layout, eigenvalues)
     mass = sim.register_mass(state, layout.reg_C)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
@@ -181,7 +197,7 @@ def phase_estimate(
     for block in view:
         block[1:] = block[:1]
     view *= 1.0 / math.sqrt(T)  # np.fft's ortho factor: the same two rounded operations
-    conditional_evolution(state, cfg, layout, eigenvalues)
+    conditional_evolution(state, cfg, layout, lam)
     return iqft(state, layout)
 
 
@@ -189,7 +205,7 @@ def phase_estimate_inverse(
     state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
-    _check_config(state, cfg, layout)
+    lam = _check_config(state, cfg, layout, eigenvalues)
     qft(state, layout)
-    conditional_evolution(state, cfg, layout, eigenvalues, inverse=True)
+    conditional_evolution(state, cfg, layout, lam, inverse=True)
     return iqft(state, layout)

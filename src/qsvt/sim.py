@@ -14,13 +14,12 @@ Conventions used throughout the package:
   amplitudes, :func:`apply_unitary`, an FFT along C's axis; its E,
   :func:`apply_controlled`, one multiply of the view of (C, B) by the
   table of every C label's phases.  Neither copies the state; the FFT
-  makes only NumPy's buffers, a few hundred KiB at any size, and E its
-  table, one entry per label of C and B.  A layout of another qubit
-  count than the state's raises ``ValidationError`` before the state is
-  touched.  A state has a single writer at a time.
-* The DFT is unitary by construction; the controlled gate rejects a
-  phase off the unit circle, one check of its rows per call.  Gates do
-  not check the norm: every read of the state, the register masses of
+  makes only NumPy's buffers, a few hundred KiB at any size.  A layout
+  of another qubit count than the state's raises ``ValidationError``
+  before the state is touched.  A state has a single writer at a time.
+* The DFT is unitary by construction, and so is E's table, where
+  :func:`qpe.conditional_evolution` makes it.  Gates do not check the
+  norm: every read of the state, the register masses of
   :func:`register_mass` and :func:`post_select`, checks that they sum to
   1 within ``NORM_TOL`` or raises ``NormalizationError``, so no stage
   reads a state off unit norm and no pass is made for the norm alone.
@@ -48,7 +47,6 @@ from .errors import FullyThresholdedError, NormalizationError, ValidationError
 
 MAX_QUBITS = 26
 NORM_TOL = 1e-10
-UNITARY_TOL = 1e-10
 POST_SELECT_FLOOR = 1e-12
 CLEARED_TOL = 1e-12
 
@@ -235,32 +233,18 @@ def apply_unitary(state: QuantumState, layout: RegisterLayout,
     return state
 
 
-def apply_controlled(state: QuantumState, layout: RegisterLayout, phases) -> QuantumState:
-    """E, diagonal on B and controlled by C, one row of 2^b phases per C
-    qubit: label c of C gets the product of the rows its bits select, row
-    j for the bit of weight 2^j, as the powers U^(2^j) of phase estimation
-    make U^c.  Every phase must lie within ``UNITARY_TOL`` of the unit
-    circle, checked first.  The rows fold into the table of the 2^t label
-    products by doubling (row j times the first 2^j products gives the
-    next 2^j, from label 0's, exactly 1), and one broadcast multiply of
-    the view (L, C, ancilla, B) by the table applies them all, in place."""
+def apply_controlled(state: QuantumState, layout: RegisterLayout, table) -> QuantumState:
+    """E, diagonal on B and controlled by C: one multiply, in place, of the
+    view (L, C, ancilla, B) by ``table``, row c on B where C reads c.  Its
+    maker, :func:`qpe.conditional_evolution`, vouches for its entries; a
+    complex128 ndarray of shape (2^t, 1, 2^b) is checked here."""
     _check_layout(state, layout)
-    try:
-        stack = np.asarray(phases, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"phases must hold numbers: {exc}") from None
-    t, dim = layout.t_bits, 1 << layout.b_bits
-    if stack.shape != (t, dim):
-        raise ValidationError(f"a {t}-qubit C on {layout.b_bits} B qubits takes {t} rows"
-                              f" of {dim} phases, got {stack.shape}")
-    err = np.abs(np.abs(stack) - 1.0).max(initial=0.0)
-    if not err <= UNITARY_TOL:  # NaN fails too
-        raise ValidationError(f"phases are not unitary (deviation {err:.3e})")
-    table = np.empty((1 << t, 1, dim), dtype=complex)
-    table[0] = 1.0
-    for j, row in enumerate(stack):
-        np.multiply(table[: 1 << j], row, out=table[1 << j : 2 << j])
-    view = state.amplitudes.reshape(1 << layout.m_bits, 1 << t, 2, dim)
+    shape = (1 << layout.t_bits, 1, 1 << layout.b_bits)
+    if not (isinstance(table, np.ndarray) and table.dtype == np.complex128
+            and table.shape == shape):
+        raise ValidationError(f"E's table must be a complex128 array of shape {shape}, got"
+                              f" {getattr(table, 'dtype', type(table))} {getattr(table, 'shape', ())}")
+    view = state.amplitudes.reshape(1 << layout.m_bits, shape[0], 2, shape[2])
     view *= table
     return state
 

@@ -217,7 +217,7 @@ def herm_exp(eigenvalues, t: float) -> np.ndarray:
     """exp(i A t) of an A that is diagonal on its register, given as its
     eigenvalues ``lam`` in label order, as :func:`gram` returns them: the
     phases exp(i lam t), the diagonal of the unitary.  No matrix is made;
-    the gate checks the phases."""
+    phase estimation checks the angles."""
     return np.exp(1j * t * real_vector("eigenvalues", eigenvalues))
 
 

@@ -2,9 +2,10 @@
 references for the tests: one-qubit gates, exp(i A t) from an
 eigendecomposition of the matrix A, a general matrix gate and a dense
 controlled gate written on NumPy alone (the package's one uncontrolled
-gate is the DFT and its controlled gate is diagonal), the circuit's
-controlled stages spelled as one single-qubit-controlled dense gate per
-control bit, phase estimation on the whole state rather than its L = 0
+gate is the DFT and its controlled gate is diagonal), E's label table
+folded one label at a time from one row of phases per C qubit, the
+circuit's controlled stages spelled as one single-qubit-controlled dense
+gate per control bit, phase estimation on the whole state rather than its L = 0
 block, the circuit on the full data register B = B_u (x) B_v rather than
 the input's Schmidt index, and the random low-rank input built from full
 QRs of its draws."""
@@ -61,6 +62,20 @@ def controlled(state, factors, control, targets):
         half = moved[1]  # a view: the control qubit reads 1
         half[...] = (np.asarray(factor) @ half.reshape(1 << k, -1)).reshape(half.shape)
     return state
+
+
+def label_table(rows) -> np.ndarray:
+    """E's table of one row of phases per C qubit, the argument of
+    ``sim.apply_controlled``: label c gets the product of the rows its
+    bits select, row j for the bit of weight 2^j, in ascending j, one
+    label at a time; shape (2^t, 1, d), complex128."""
+    rows = np.asarray(rows, dtype=complex)
+    table = np.ones((1 << len(rows), 1, rows.shape[-1]), dtype=complex)
+    for c in range(len(table)):
+        for j, row in enumerate(rows):
+            if c >> j & 1:
+                table[c, 0] *= row
+    return table
 
 
 def bitwise_conditional_evolution(state, cfg, layout, a, inverse=False, reg_B=None):

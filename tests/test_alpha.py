@@ -1,5 +1,7 @@
 import itertools
+import linecache
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -566,6 +568,34 @@ def test_numeric_returns_the_peaks_solution_when_the_peak_wins():
         want = alpha_mod.solution(profile, "numeric", alpha_mod._peak(profile))
         assert all(closed.G <= want.G for closed in closed_form_solutions(profile))
         assert field_reprs(sol) == field_reprs(want), profile
+
+
+def test_peak_bisects_when_a_newton_step_leaves_the_bracket(monkeypatch):
+    # G'' scaled by 1e-3 makes each Newton step a thousand times too long:
+    # every step leaves (lo, up), the bracket is bisected, and the search
+    # ends on the bracket's width, not on a short step, at the same peak
+    want = alpha_mod._peak(REFERENCE)
+    assert want == 2.16399217782823
+    curvature, code = alpha_mod._g_curvature, alpha_mod._peak.__code__
+    monkeypatch.setattr(alpha_mod, "_g_curvature", lambda p, a: 1e-3 * curvature(p, a))
+    ran = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is code:
+            if event in ("line", "return"):
+                ran.append((event, linecache.getline(code.co_filename, frame.f_lineno).strip()))
+            return trace
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        got = alpha_mod._peak(REFERENCE)
+    finally:
+        sys.settrace(outer)
+    assert got == want
+    assert ("line", "alpha = 0.5 * (lo + up)") in ran
+    assert ran[-1] == ("return", "return alpha")
 
 
 def test_unknown_alpha_method_rejected():

@@ -29,6 +29,14 @@ def test_random_lowrank_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_separate_pushes_a_near_tie_below_the_value_before_it():
+    # a value within 1e-6 of the one before it goes 1e-4 below that one;
+    # values already apart come back as they were
+    assert harness._separate([2.0, 2.0 * (1 - 1e-7), 1.0]) == [2.0, 2.0 * (1 - 1e-4), 1.0]
+    for apart in ([2.0, 1.0, 0.5], [2.0, 2.0 * (1 - 1e-5)], [3.0]):
+        assert harness._separate(apart) == apart
+
+
 def test_random_lowrank_rank_one():
     a = harness.random_lowrank(4, 4, 1, seed=1)
     data = spectral.decompose(a)
@@ -201,8 +209,8 @@ def test_cmd_example_over_the_memory_budget_exits_2(monkeypatch, capsys):
 def test_cmd_example_at_t_16_runs_within_a_budget_of_the_state_and_e_rows(monkeypatch):
     # t 16 exited 2: the budget counted DFTs of 64 GiB each beside a state
     # of at most 64 MiB; the FFT on C makes no matrix, so the budget sees
-    # the state, E's 16 rows of phases and the 2^16 x 2 table of their
-    # label products alone
+    # the state and the 2^16 x 2 table of E's label products, with the row
+    # being folded into it and its exponential's temporary, alone
     extras = []
     check_budget = sim.check_budget
     monkeypatch.setattr(sim, "check_budget", lambda layout, extra=0, what="":
@@ -211,13 +219,13 @@ def test_cmd_example_at_t_16_runs_within_a_budget_of_the_state_and_e_rows(monkey
     [(layout, extra), in_new_state] = extras
     assert in_new_state == (layout, 0)  # new_state checks the state alone
     assert layout.t_bits == 16
-    assert extra == qpe.matrix_bytes(16, layout.b_bits) == 3 * 16 * 32 + (1 << 16) * 32
+    assert extra == qpe.matrix_bytes(16, layout.b_bits) == ((1 << 16) + 2) * 32
 
 
 def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys):
-    # a budget a byte short of the state, E's rows and their table, or one
-    # that holds the state and the rows but not the table, is refused
-    # before the state
+    # a budget a byte short of the state, E's table, the row folded into it
+    # and its temporary, or one that holds the state and the two rows but
+    # not the table, is refused before the state
     def no_state(*args, **kwargs):
         raise AssertionError("state allocated for a run over its budget")
 
@@ -226,7 +234,7 @@ def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys)
     layout = seen[0]
     need = (16 << layout.n_qubits) + qpe.matrix_bytes(16, layout.b_bits)
     monkeypatch.setattr(sim, "new_state", no_state)
-    for budget in (need - 1, (16 << layout.n_qubits) + 3 * 16 * (16 << layout.b_bits)):
+    for budget in (need - 1, (16 << layout.n_qubits) + 2 * (16 << layout.b_bits)):
         monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
         capsys.readouterr()
         assert harness.main(["example", "--t-bits", "16"]) == 2
@@ -767,6 +775,20 @@ def test_cmd_sweep_plot_next_to_a_non_csv_out(tmp_path, monkeypatch, capsys):
     assert all(errors) and any("," in e for e in errors)
     assert [len(row) for row in rows[2:]] == [len(harness.CSV_COLUMNS)] * (1 + len(errors))
     assert [row[-1] for row in rows[3:]] == errors
+
+
+def test_cmd_sweep_without_a_plot_keeps_a_plot_file_it_did_not_make(tmp_path, monkeypatch,
+                                                                    capsys):
+    # tau lies above every sigma_1, so every record errors and no plot is
+    # written: the sweep removed the named plot file, though its pre-open
+    # had promised to truncate neither file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mine.svg").write_text("<svg/>\n")
+    argv = ["sweep", "--n", "2", "--shape", "2,2", "--tau", "50", "--plot", "mine.svg",
+            "--out", "out.csv"]
+    assert harness.main(argv) == 0
+    assert "no plottable records: no plot written" in capsys.readouterr().out
+    assert (tmp_path / "mine.svg").read_text() == "<svg/>\n"
 
 
 def test_cmd_sweep_reference_spectrum_matches_example(tmp_path, capsys):

@@ -714,8 +714,9 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
 
 
 def test_memory_budget_counts_e_rows_before_the_state(monkeypatch):
-    # the state, E's t rows of phases and the table of their products are
-    # counted before the state is made; the FFT on C makes no matrix (a DFT
+    # the state and the table of E's label products, with the row being
+    # folded into it and its exponential's temporary, are counted before
+    # the state is made; the FFT on C makes no matrix (a DFT
     # pair of 2^t points was counted, and t 16 died on a bare 32 GiB int64
     # allocation in building it)
     def no_state(*args, **kwargs):
@@ -726,8 +727,8 @@ def test_memory_budget_counts_e_rows_before_the_state(monkeypatch):
                         lambda layout, *args: layouts.append(layout) or check_budget(layout, *args))
     monkeypatch.setattr(sim, "new_state", no_state)
     n = 2 + 8 + 1 + 1  # L, C, the ancilla and B
-    # E's 8 rows of 2 phases, three copies, and the 256 x 2 table of their products
-    need = (16 << n) + 3 * 8 * (16 << 1) + 256 * (16 << 1)
+    # the 256 x 2 table of E's label products and two rows of 2 phases
+    need = (16 << n) + (256 + 2) * (16 << 1)
     assert need == (16 << n) + qpe.matrix_bytes(8, 1)
     for budget in (16 << n, need - 1):  # the state alone fits
         monkeypatch.setattr(sim, "MEMORY_BYTES", budget)
@@ -831,10 +832,10 @@ def test_a_high_rank_input_counts_and_makes_e_as_rows_of_phases(monkeypatch):
         tracemalloc.stop()
     assert peak < 6 << 20
     assert pipeline.verify_against_classical(res, res.spec, 5.0).delta <= 1e-12
-    # the budget counts the state, E's rows, three complex copies of them,
-    # and the 8 x 256 table of their products
+    # the budget counts the state, the 8 x 256 table of E's label products
+    # and two rows of 256 phases, the row being folded and its temporary
     n = 2 + 3 + 1 + 8
-    need = (16 << n) + 3 * 3 * (16 << 8) + 8 * (16 << 8)
+    need = (16 << n) + (8 + 2) * (16 << 8)
     assert need == (16 << n) + qpe.matrix_bytes(3, 8)
     monkeypatch.setattr(sim, "MEMORY_BYTES", need - 1)
     with pytest.raises(ValidationError, match=(

@@ -10,7 +10,7 @@ from qsvt.errors import NormalizationError, ValidationError
 from qsvt.harness import example_matrix, random_lowrank
 
 from gates import (bitwise_conditional_evolution, dense_phase_estimate, from_eigenpairs,
-                   hadamard, pauli_x, ry, u_pairs, unitary)
+                   hadamard, label_table, pauli_x, ry, u_pairs, unitary)
 
 
 def reference_setup(m_bits=1, t_bits=3):
@@ -219,6 +219,28 @@ def test_a_cold_run_at_t_10_peaks_within_twice_its_state():
     assert held < 1 << 16
 
 
+def test_matrix_bytes_is_what_conditional_evolution_allocates():
+    # E's table, the row being folded into it and herm_exp's temporary, its
+    # angles: the stage's traced peak lies within a row below the count and
+    # at most NumPy's 128 KiB iterator buffer, which a fold whose source
+    # and destination share the table may use, and a few KiB above it
+    for t_bits, b_bits in ((3, 14), (1, 15), (6, 10)):
+        layout = sim.RegisterLayout(0, t_bits, b_bits)
+        cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
+        eigenvalues = np.random.default_rng(30).uniform(0.0, 5.0, size=1 << b_bits)
+        state = sim.new_state(layout)
+        qpe.conditional_evolution(state, cfg, layout, eigenvalues)  # NumPy's lazy set-up
+        tracemalloc.start()
+        try:
+            qpe.conditional_evolution(state, cfg, layout, eigenvalues)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = qpe.matrix_bytes(t_bits, b_bits)
+        assert need - (16 << b_bits) < peak <= need + (136 << 10), (t_bits, b_bits)
+        assert held < 1 << 12
+
+
 def test_conditional_evolution_tiny_t0_is_identity():
     data, layout, pairs = reference_setup()
     cfg = qpe.PhaseEstimationConfig(3, 1e-14, False)
@@ -416,15 +438,16 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
 
 
 def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
-    # A diagonal on 3 qubits: E is one controlled gate of t rows of phases
-    # per pass, and it matches one dense controlled power per C qubit
+    # A diagonal on 3 qubits: E is one controlled gate per pass, by the
+    # table of the 2^t label products, and it matches one dense controlled
+    # power per C qubit
     rng = np.random.default_rng(25)
     a = rng.normal(size=8) * 3.0
     apply_controlled, calls = sim.apply_controlled, []
 
-    def spy(state, layout, phases):
-        calls.append(len(phases))
-        return apply_controlled(state, layout, phases)
+    def spy(state, layout, table):
+        calls.append(table.shape)
+        return apply_controlled(state, layout, table)
 
     for t_bits in (1, 3, 8):
         layout = sim.RegisterLayout(1, t_bits, 3)
@@ -436,24 +459,80 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "apply_controlled", spy)
                 qpe.conditional_evolution(state, cfg, layout, a, inverse)
-            assert calls == [t_bits]
+            assert calls == [(1 << t_bits, 1, 8)]
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
-        # a B that does not fit A is rejected by the gate
+        # a B that does not fit A is rejected before the state is touched
         narrow = sim.RegisterLayout(1, t_bits, 2)
         state = _random_state(rng, narrow, clear_c=False)
         before = state.amplitudes.copy()
-        match = rf"^a {t_bits}-qubit C on 2 B qubits takes {t_bits} rows of 4 phases"
-        with pytest.raises(ValidationError, match=rf"{match}, got \({t_bits}, 8\)$"):
+        with pytest.raises(ValidationError,
+                           match=rf"^a {t_bits}-qubit C on 2 B qubits takes 4 eigenvalues, got 8$"):
             qpe.conditional_evolution(state, cfg, narrow, a)
         assert np.array_equal(state.amplitudes, before)
-        # each exponential is checked before the state is touched
-        state = _random_state(rng, layout, clear_c=False)
-        before = state.amplitudes.copy()
+
+
+def test_the_table_is_the_reference_fold_of_the_rows_bit_for_bit(monkeypatch):
+    # the stage's doubling fold multiplies the rows in ascending bit order,
+    # as the reference fold does one label at a time, so every entry has
+    # the same bits; herm_exp runs once per C qubit
+    rng = np.random.default_rng(26)
+    apply_controlled, herm_exp, tables, exps = sim.apply_controlled, qpe.herm_exp, [], []
+
+    def spy(state, layout, table):
+        tables.append(table.copy())
+        return apply_controlled(state, layout, table)
+
+    for t_bits, b_bits, inverse in itertools.product((1, 2, 5), (1, 3), (False, True)):
+        layout = sim.RegisterLayout(0, t_bits, b_bits)
+        cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
+        a = rng.uniform(0.0, 5.0, size=1 << b_bits)
+        t0 = -cfg.t0 if inverse else cfg.t0
+        rows = [spectral.herm_exp(a, (1 << w) * t0) for w in range(t_bits)]
+        tables.clear()
+        exps.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(qpe, "herm_exp", lambda a, t: np.full(len(a), 1.5 + 0j))
-            with pytest.raises(ValidationError, match="unitary"):
-                qpe.conditional_evolution(state, cfg, layout, a)
-        assert np.array_equal(state.amplitudes, before)
+            patch.setattr(sim, "apply_controlled", spy)
+            patch.setattr(qpe, "herm_exp", lambda *args: exps.append(args) or herm_exp(*args))
+            qpe.conditional_evolution(_random_state(rng, layout, False), cfg, layout, a,
+                                      inverse)
+        assert len(exps) == t_bits
+        assert tables[0].tobytes() == label_table(rows).tobytes()
+
+
+STAGES = {
+    "conditional_evolution": qpe.conditional_evolution,
+    "phase_estimate": qpe.phase_estimate,
+    "phase_estimate_inverse": qpe.phase_estimate_inverse,
+}
+COUNT, ANGLE = ("^a 3-qubit C on 1 B qubits takes 2 eigenvalues, got ",
+                r"^the largest angle, max\|eigenvalue\| 2\^2 t0, is ")
+BAD_INPUTS = {  # eigenvalues, t0, the message
+    "a NaN eigenvalue": ([4.0, np.nan], 0.7, ANGLE + "nan$"),
+    "an infinite eigenvalue": ([np.inf, 1.0], 0.7, ANGLE + "inf$"),
+    "a negative infinite eigenvalue": ([4.0, -np.inf], 0.7, ANGLE + "inf$"),
+    "too few eigenvalues": ([4.0], 0.7, COUNT + "1$"),
+    "too many eigenvalues": ([4.0, 1.0, 0.5], 0.7, COUNT + "3$"),
+    "a largest angle that overflows": ([4.0, 1.0], 1e308, ANGLE + "inf$"),
+}
+STAGE_INPUTS = list(itertools.product(STAGES, BAD_INPUTS))
+
+
+@pytest.mark.parametrize("stage, bad", STAGE_INPUTS, ids=[f"{s} / {b}" for s, b in STAGE_INPUTS])
+def test_each_stage_checks_its_eigenvalues_before_any_amplitude_moves(stage, bad):
+    # every phase of E is exp(i theta) of a finite real theta, so the gate
+    # checks no phase: each stage takes 2^b eigenvalues whose largest angle,
+    # max|lam| 2^(t-1) t0, is finite, NaN failing, or raises with the state
+    # as it was, on a cleared C too, where the Hadamard write comes first
+    eigenvalues, t0, match = BAD_INPUTS[bad]
+    data, layout, _ = reference_setup()
+    cfg = qpe.PhaseEstimationConfig(3, t0, False)
+    state = loaded_state(data, layout)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(ValidationError, match=match):
+        STAGES[stage](state, cfg, layout, eigenvalues)
+    assert state.amplitudes.tobytes() == before
+    # at t0 1e307 the largest angle, 4 x 4 x 1e307, is finite, and E runs
+    STAGES[stage](state, qpe.PhaseEstimationConfig(3, 1e307, False), layout, [4.0, 1.0])
 
 
 def hadamard_phase_estimate(state, cfg, layout, a):
