@@ -78,7 +78,8 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     """Execute the full circuit on the simulator and post-select the
     ancilla on 1.  Every input-derived record (spectrum, alpha, labels,
     oracle, layout) is built and checked before the state, and so is the
-    memory that the state and phase estimation's rows of E's phases take.
+    memory that the state and phase estimation's arrays take: E's T x d
+    table, the row being folded into it and ``herm_exp``'s temporary.
     Data register B holds the input's Schmidt index k, log2 pad_dim(r)
     qubits but at least one, on which A = A0 A0^dagger is
     diag(sigma_k^2) (:func:`spectral.gram`); ``b_state`` is written back
@@ -132,23 +133,22 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     b_bits = d.bit_length() - 1
     layout = sim.cached_layout(m_bits, pe_cfg.t_bits, b_bits)
     sim.check_budget(layout, qpe.matrix_bytes(pe_cfg.t_bits, b_bits),
-                     f" with E's {pe_cfg.t_bits} rows of {d} phases on the Schmidt index"
-                     f" and their {1 << pe_cfg.t_bits} x {d} table")
+                     f" with E's {1 << pe_cfg.t_bits} x {d} table on the Schmidt index,"
+                     f" the row being folded into it and herm_exp's temporary")
 
     state = sim.new_state(layout)
     load = np.zeros(d)
     load[: spec.rank] = spec.sigma / sim._norm(spec.sigma)
-    sim.load_register(state, layout, load)
-    block, block_layout = sim.l_zero_block(state, layout)  # all of the state until the oracle
-    qpe.phase_estimate(block, pe_cfg, block_layout, eigenvalues)
-    oracle.apply(state, layout)
-    rotation.ry_cascade(state, layout, solution.alpha)
-    _, residual = rotation.uncompute(state, layout, oracle, pe_cfg, eigenvalues)
+    sim.load_register(state, load)
+    # the L = 0 block is all of the state until the oracle
+    qpe.phase_estimate(sim.l_zero_block(state), pe_cfg, eigenvalues)
+    oracle.apply(state)
+    rotation.ry_cascade(state, solution.alpha)
+    residual = rotation.uncompute(state, oracle, pe_cfg, eigenvalues)
     p_sim = sim.post_select(state, layout.ancilla, 1)
 
-    # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B, and
-    # overlap k, <u_k (x) conj(v_k)|b>, is the amplitude of |k>
-    overlaps = state.amplitudes[1 << b_bits : (1 << b_bits) + spec.rank] / math.sqrt(p_sim)
+    # L = 0, C = 0, ancilla = 1: overlap k, <u_k (x) conj(v_k)|b>, is the amplitude of |k>
+    overlaps = state.registers[0, 0, 1, : spec.rank] / math.sqrt(p_sim)
     # the target sum_k s_k (u_k (x) conj(v_k)) / |s| lies in their span;
     # s is non-zero, since sigma_1 > tau
     shrunk = spectral.shrunk_values(spec, cfg.tau)
@@ -202,7 +202,11 @@ def verify_against_classical(
     S = sum_k (sigma_k - tau)_+ u_k v_k^dagger written as B's amplitudes,
     the unit vector that :func:`spectral.to_state` builds from the shrunk
     values: its overlap with ``result.b_state``, independent of the
-    per-triple overlaps that ``f_sim`` is read from."""
+    per-triple overlaps that ``f_sim`` is read from.  ``spec`` must be of
+    an input of the run's shape."""
+    if (spec.p, spec.q) != (result.spec.p, result.spec.q):
+        raise ValidationError(f"a {spec.p} x {spec.q} spectrum cannot recheck the run of a"
+                              f" {result.spec.p} x {result.spec.q} input")
     tau = spectral.check_threshold(tau, float(spec.sigma[0]))
     target = spectral.to_state(spec, spectral.shrunk_values(spec, tau))
     f_recomputed = float(abs(np.vdot(target, result.b_state)))

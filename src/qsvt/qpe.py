@@ -31,10 +31,10 @@ value and one in-place scale, with the factor that ``np.fft`` scales by,
 so the numbers are the QFT's (Cleve et al., arXiv:quant-ph/9708016).
 The exact adjoint is QFT, E^-1, QFT^-1; <0|QFT^-1 = <0|H^t on the C = 0
 projection, the only part of the state that the run reads.  A run makes
-three FFTs.  A stage takes the run's :class:`sim.RegisterLayout`,
-checked where it is made, a C as wide as the config's ``t_bits`` and
-B's 2^b eigenvalues, whose largest angle in E must be finite, so each of
-E's phases is exp(i theta) of a finite real theta, on the unit circle.
+three FFTs.  A stage takes a state whose C is as wide as the config's
+``t_bits`` and B's 2^b eigenvalues, whose largest angle in E must be
+finite, so each of E's phases is exp(i theta) of a finite real theta, on
+the unit circle.
 
 The norm is checked where the state is read, by :func:`sim.register_mass`:
 the forward estimation's read of C checks the incoming state, and the
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import sim
 from .errors import ValidationError
-from .sim import QuantumState, RegisterLayout
+from .sim import QuantumState
 from .spectral import herm_exp, real_vector
 
 ENCODING_TOL = 1e-9
@@ -121,13 +121,13 @@ def choose_t0(eigenvalues, t_bits: int | None = None) -> PhaseEstimationConfig:
     return PhaseEstimationConfig(t_bits, t0, exact, tuple(labels))
 
 
-def qft(state: QuantumState, layout: RegisterLayout) -> QuantumState:
+def qft(state: QuantumState) -> QuantumState:
     """Forward transform on C: |c> -> (1/sqrt T) sum_j exp(2 pi i c j / T)|j>."""
-    return sim.apply_unitary(state, layout)
+    return sim.apply_unitary(state)
 
 
-def iqft(state: QuantumState, layout: RegisterLayout) -> QuantumState:
-    return sim.apply_unitary(state, layout, inverse=True)
+def iqft(state: QuantumState) -> QuantumState:
+    return sim.apply_unitary(state, inverse=True)
 
 
 def matrix_bytes(t_bits: int, e_bits: int) -> int:
@@ -140,15 +140,13 @@ def matrix_bytes(t_bits: int, e_bits: int) -> int:
     return ((1 << t_bits) + 2) * 16 << e_bits  # complex128
 
 
-def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout,
-                  eigenvalues) -> np.ndarray:
-    """The layout fits the state, its C the config's width, its B the
-    eigenvalues' count, and E's largest angle, max|lam| 2^(t-1) t0, is
-    finite: the eigenvalues as a float vector, before any amplitude moves."""
-    sim._check_layout(state, layout)
-    if cfg.t_bits != layout.t_bits:
-        raise ValidationError(f"a {cfg.t_bits}-bit estimation on a {layout.t_bits}-qubit C")
-    lam, t, b = real_vector("eigenvalues", eigenvalues), cfg.t_bits, layout.b_bits
+def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues) -> np.ndarray:
+    """The state's C has the config's width, its B the eigenvalues' count,
+    and E's largest angle, max|lam| 2^(t-1) t0, is finite: the eigenvalues
+    as a float vector, before any amplitude moves."""
+    if cfg.t_bits != state.layout.t_bits:
+        raise ValidationError(f"a {cfg.t_bits}-bit estimation on a {state.layout.t_bits}-qubit C")
+    lam, t, b = real_vector("eigenvalues", eigenvalues), cfg.t_bits, state.layout.b_bits
     if len(lam) != 1 << b:
         raise ValidationError(f"a {t}-qubit C on {b} B qubits takes {1 << b} eigenvalues,"
                               f" got {len(lam)}")
@@ -159,25 +157,22 @@ def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, layout: Regis
 
 
 def conditional_evolution(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues,
-    inverse: bool = False,
+    state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues, inverse: bool = False
 ) -> QuantumState:
     """For each C label c, evolve B by exp(i A c t0), A diagonal on B and
     given as its eigenvalues: one gate on all of C by the table of the 2^t
     label products, folded by doubling from the rows exp(i A 2^w t0) of
     U^(2^w), row w times the first 2^w products giving the next 2^w."""
-    lam, t = _check_config(state, cfg, layout, eigenvalues), cfg.t_bits
+    lam, t = _check_config(state, cfg, eigenvalues), cfg.t_bits
     t0 = -cfg.t0 if inverse else cfg.t0
     table = np.empty((1 << t, 1, len(lam)), dtype=complex)
     table[0] = 1.0
     for w in range(t):
         np.multiply(table[: 1 << w], herm_exp(lam, (1 << w) * t0), out=table[1 << w : 2 << w])
-    return sim.apply_controlled(state, layout, table)
+    return sim.apply_controlled(state, table)
 
 
-def phase_estimate(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
-) -> QuantumState:
+def phase_estimate(state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues) -> QuantumState:
     """Write the labels of A's eigenvalues, A diagonal on B and given as
     them, into C as the circuit's Hadamard layer, E, QFT^-1.  The read of
     C's masses, which also checks the norm, is the layer's precondition:
@@ -188,24 +183,23 @@ def phase_estimate(
     copy needs no buffer; across L values the two interleave, and NumPy
     would copy through a temporary of the destination's size, as it
     would for a one-call multiply from C = 0 into the whole view."""
-    lam = _check_config(state, cfg, layout, eigenvalues)
-    mass = sim.register_mass(state, layout.reg_C)
+    lam = _check_config(state, cfg, eigenvalues)
+    mass = sim.register_mass(state, state.layout.reg_C)
     if not mass[1:].sum() <= sim.CLEARED_TOL:  # NaN fails too
         raise ValidationError("register C not cleared")
-    T = 1 << layout.t_bits
-    view = state.amplitudes.reshape(1 << layout.m_bits, T, -1)
+    view = state.registers
     for block in view:
         block[1:] = block[:1]
-    view *= 1.0 / math.sqrt(T)  # np.fft's ortho factor: the same two rounded operations
-    conditional_evolution(state, cfg, layout, lam)
-    return iqft(state, layout)
+    view *= 1.0 / math.sqrt(len(mass))  # np.fft's ortho factor: the same two rounded operations
+    conditional_evolution(state, cfg, lam)
+    return iqft(state)
 
 
 def phase_estimate_inverse(
-    state: QuantumState, cfg: PhaseEstimationConfig, layout: RegisterLayout, eigenvalues
+    state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues
 ) -> QuantumState:
     """Exact adjoint of :func:`phase_estimate`: QFT, E^-1, QFT^-1."""
-    lam = _check_config(state, cfg, layout, eigenvalues)
-    qft(state, layout)
-    conditional_evolution(state, cfg, layout, lam, inverse=True)
-    return iqft(state, layout)
+    lam = _check_config(state, cfg, eigenvalues)
+    qft(state)
+    conditional_evolution(state, cfg, lam, inverse=True)
+    return iqft(state)

@@ -7,8 +7,7 @@ XOR-written so the oracle is self-inverse), and a Y rotation controlled
 by L that turns the L content theta = 0.t1...td into an ancilla
 amplitude sin(theta * alpha).  The rotation takes an ancilla whose |1>
 half is exactly zero, as nothing before it in a run writes that half, and
-writes both halves in place rather than as a gate.  Both take the run's
-:class:`sim.RegisterLayout`, checked where it is made.
+writes both halves in place rather than as a gate.
 
 :func:`build_sigma_tau_oracle` is the one Newton entry point.  A code
 is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw;
@@ -33,7 +32,7 @@ import numpy as np
 from . import sim
 from .errors import ConvergenceError, UncomputeResidualError, ValidationError
 from .qpe import PhaseEstimationConfig, phase_estimate_inverse
-from .sim import QuantumState, RegisterLayout
+from .sim import QuantumState
 
 UNCOMPUTE_TOL = 1e-9
 MAX_ITERATIONS = 64
@@ -86,12 +85,11 @@ class SigmaTauOracle:
     def code_for(self, label: int) -> int:
         return self.y_codes.get(label, 0)
 
-    def apply(self, state: QuantumState, layout: RegisterLayout) -> QuantumState:
-        sim._check_layout(state, layout)
-        if (layout.m_bits, layout.t_bits) != (self.m_bits, self.t_bits):
+    def apply(self, state: QuantumState) -> QuantumState:
+        if (state.layout.m_bits, state.layout.t_bits) != (self.m_bits, self.t_bits):
             raise ValidationError("oracle widths do not match layout")
         # a permutation of the amplitudes: the norm is as it was
-        return sim.apply_basis_oracle(state, layout, self.y_codes)
+        return sim.apply_basis_oracle(state, self.y_codes)
 
 
 def build_sigma_tau_oracle(
@@ -130,7 +128,7 @@ def build_sigma_tau_oracle(
     return SigmaTauOracle(m_bits, pe_cfg.t_bits, codes, iters)
 
 
-def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> QuantumState:
+def ry_cascade(state: QuantumState, alpha: float) -> QuantumState:
     """Rotate the ancilla by the L-register fraction: for L holding
     theta = 0.t1...td the ancilla's |0> becomes cos(theta a)|0> +
     sin(theta a)|1>, ry(2 theta a) per L label (the product of the paper's
@@ -141,26 +139,21 @@ def ry_cascade(state: QuantumState, layout: RegisterLayout, alpha: float) -> Qua
     half is written as sin(theta a) times the |0> half, then the |0> half
     is scaled by cos(theta a), in place.  The read of the ancilla's masses,
     :func:`sim.register_mass`, also checks the incoming state's norm."""
-    sim._check_layout(state, layout)
-    anc_mass = sim.register_mass(state, range(layout.ancilla, layout.ancilla + 1))
+    ancilla = state.layout.ancilla
+    anc_mass = sim.register_mass(state, range(ancilla, ancilla + 1))
     if not anc_mass[1] == 0:  # NaN fails too
         raise ValidationError(f"ancilla not cleared: its |1> half holds mass {anc_mass[1]:.3e}")
-    labels = 1 << layout.m_bits
+    labels = 1 << state.layout.m_bits
     half = np.arange(labels) * (alpha / labels)  # theta a, the bits of ry's angle / 2
-    # L, C, the ancilla, then B's amplitudes as float pairs
-    x = state.amplitudes.view(np.float64).reshape(labels, -1, 2, 2 << layout.b_bits)
+    x = state.registers.view(np.float64)  # (L, C, ancilla, B), B as float pairs
     np.multiply(x[:, :, 0], np.sin(half)[:, None, None], out=x[:, :, 1])
     x[:, :, 0] *= np.cos(half)[:, None, None]
     return state
 
 
 def uncompute(
-    state: QuantumState,
-    layout: RegisterLayout,
-    oracle: SigmaTauOracle,
-    pe_cfg: PhaseEstimationConfig,
-    eigenvalues,
-) -> tuple[QuantumState, float]:
+    state: QuantumState, oracle: SigmaTauOracle, pe_cfg: PhaseEstimationConfig, eigenvalues
+) -> float:
     """Reverse the oracle and phase estimation of A's ``eigenvalues``,
     restoring L and C to 0.
 
@@ -170,28 +163,26 @@ def uncompute(
     maps each L block to itself, so that mass, the residual and the
     ancilla's masses are what the estimation of the whole state leaves.
 
-    Returns the state and the residual mass on L/C (uncompute_residual).
+    Returns the residual mass on L/C (uncompute_residual).
     With an exact encoding, residual above UNCOMPUTE_TOL signals a config
     mismatch between the forward and reverse passes and raises; an
     inexact one leaves genuine residual (the rotation entangles leaked
     labels), which is returned, not raised.
     """
-    oracle.apply(state, layout)
-    block, block_layout = sim.l_zero_block(state, layout)
-    phase_estimate_inverse(block, pe_cfg, block_layout, eigenvalues)
-    residual = uncompute_residual(state, layout)
+    oracle.apply(state)
+    phase_estimate_inverse(sim.l_zero_block(state), pe_cfg, eigenvalues)
+    residual = uncompute_residual(state)
     if not residual <= (UNCOMPUTE_TOL if pe_cfg.exact else math.inf):  # NaN fails too
         raise UncomputeResidualError(
             f"registers L/C hold residual mass {residual:.3e} after uncompute"
         )
-    return state, residual
+    return residual
 
 
-def uncompute_residual(state: QuantumState, layout: RegisterLayout) -> float:
+def uncompute_residual(state: QuantumState) -> float:
     """Probability mass with L or C off |0>; the read of L and C,
     :func:`sim.register_mass`, also checks the state's norm."""
-    sim._check_layout(state, layout)
-    if not layout.ancilla:  # L and C are qubits 0..ancilla-1
+    if not state.layout.ancilla:  # L and C are qubits 0..ancilla-1
         return 0.0
-    mass = sim.register_mass(state, range(layout.ancilla))
+    mass = sim.register_mass(state, range(state.layout.ancilla))
     return float(mass[1:].sum())

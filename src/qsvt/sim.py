@@ -7,16 +7,16 @@ Conventions used throughout the package:
   ``(x >> (n - 1 - q)) & 1``.
 * Within a register (a ``range`` of qubit indices) the first qubit is
   the most significant bit of the register's value.
-* Operations mutate the flat amplitudes, complex128, in place through
-  reshape views in the one qubit order, L, C, the ancilla, then B: a
-  gate takes the run's :class:`RegisterLayout`, checked where it is
-  made, and reaches its registers by one reshape.  Its QFT is the DFT on
-  amplitudes, :func:`apply_unitary`, an FFT along C's axis; its E,
-  :func:`apply_controlled`, one multiply of the view of (C, B) by the
-  table of every C label's phases.  Neither copies the state; the FFT
-  makes only NumPy's buffers, a few hundred KiB at any size.  A layout
-  of another qubit count than the state's raises ``ValidationError``
-  before the state is touched.  A state has a single writer at a time.
+* A state carries its :class:`RegisterLayout`, checked against its
+  amplitudes once, when it is made; operations mutate the flat
+  amplitudes, complex128, in place through
+  :attr:`QuantumState.registers`, the one view of them in the qubit
+  order L, C, the ancilla, then B.  A gate takes the state alone.  Its
+  QFT is the DFT on amplitudes, :func:`apply_unitary`, an FFT along C's
+  axis; its E, :func:`apply_controlled`, one multiply of that view by
+  the table of every C label's phases.  Neither copies the state; the
+  FFT makes only NumPy's buffers, a few hundred KiB at any size.  A
+  state has a single writer at a time.
 * The DFT is unitary by construction, and so is E's table, where
   :func:`qpe.conditional_evolution` makes it.  Gates do not check the
   norm: every read of the state, the register masses of
@@ -103,64 +103,77 @@ class RegisterLayout:
     """Register widths in the one qubit order: threshold register L
     (``m_bits``), eigenvalue register C (``t_bits``), the ancilla, then
     data register B (``b_bits``).  The amplitudes whose L reads 0 are the
-    first 2**(n - m_bits), the state of :func:`l_zero_block`, and each half
-    of the ancilla is contiguous runs of 2**b_bits amplitudes.  L and C may
-    be empty; B may not.  The registers and the qubit count are set once,
-    from the widths; equality, hashing and repr see the widths alone."""
+    first 2**(n - m_bits), the state of :func:`l_zero_block`.  L and C may
+    be empty; B may not.  C's qubits, the ancilla and the qubit count are
+    set once, from the widths; equality, hashing and repr see the widths
+    alone."""
 
     m_bits: int
     t_bits: int
     b_bits: int
     ancilla: int = field(init=False, repr=False, compare=False)
     n_qubits: int = field(init=False, repr=False, compare=False)
-    reg_L: range = field(init=False, repr=False, compare=False)
     reg_C: range = field(init=False, repr=False, compare=False)
-    reg_B: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, least in (("m_bits", 0), ("t_bits", 0), ("b_bits", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         m, ancilla = self.m_bits, self.m_bits + self.t_bits
-        n = ancilla + 1 + self.b_bits
-        for name, value in (("ancilla", ancilla), ("n_qubits", n), ("reg_L", range(m)),
-                            ("reg_C", range(m, ancilla)), ("reg_B", range(ancilla + 1, n))):
+        for name, value in (("ancilla", ancilla), ("n_qubits", ancilla + 1 + self.b_bits),
+                            ("reg_C", range(m, ancilla))):
             object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumState:
-    n_qubits: int
+    """The amplitudes of a state on the registers of ``layout``, checked
+    against it once, here: a layout of at most ``MAX_QUBITS`` qubits and
+    one writable C-contiguous complex128 amplitude per basis state."""
+
+    layout: RegisterLayout
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_qubits = check_int("n_qubits", self.n_qubits, 0, MAX_QUBITS)
-        if np.shape(self.amplitudes) != (1 << n,):
-            raise ValidationError(f"{n} qubits need 2**n amplitudes: {np.shape(self.amplitudes)}")
+        if not isinstance(self.layout, RegisterLayout):
+            raise ValidationError(f"a state's layout must be a RegisterLayout, got {self.layout!r}")
+        n = check_int("n_qubits", self.layout.n_qubits, 1, MAX_QUBITS)
         amp = self.amplitudes  # the kernels write complex results through views of it
+        if np.shape(amp) != (1 << n,):
+            raise ValidationError(f"{self.layout!r} of {n} qubits needs 2**{n} amplitudes:"
+                                  f" {np.shape(amp)}")
         if not (isinstance(amp, np.ndarray) and amp.dtype == np.complex128
                 and amp.flags.c_contiguous and amp.flags.writeable):
             raise ValidationError(f"amplitudes must be a writable C-contiguous complex128"
                                   f" array: {getattr(amp, 'dtype', type(amp))}")
 
+    @property
+    def n_qubits(self) -> int:
+        return self.layout.n_qubits
+
+    @property
+    def registers(self) -> np.ndarray:
+        """The amplitudes as (L, C, ancilla, B), of shape
+        (2^m, 2^t, 2, 2^b): a view, so a write to it writes the state."""
+        layout = self.layout
+        return self.amplitudes.reshape(1 << layout.m_bits, 1 << layout.t_bits, 2,
+                                       1 << layout.b_bits)
+
     def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy())
+        return QuantumState(self.layout, self.amplitudes.copy())
 
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-def l_zero_block(
-    state: QuantumState, layout: RegisterLayout
-) -> tuple[QuantumState, RegisterLayout]:
-    """The amplitudes whose L register reads 0, as a state of their own
-    that shares them (a view, not a copy), and its layout, L empty: as L
-    leads, they are the state's first 2**(n - m) amplitudes.  A gate on C
-    and B maps each L block to itself, so on the block it does what it
-    does on the state wherever L reads 0."""
-    _check_layout(state, layout)
-    n = state.n_qubits - layout.m_bits
-    return QuantumState(n, state.amplitudes[: 1 << n]), cached_layout(0, layout.t_bits,
-                                                                      layout.b_bits)
+def l_zero_block(state: QuantumState) -> QuantumState:
+    """The amplitudes whose L register reads 0, as a state of their own,
+    L empty, that shares them (a view, not a copy): as L leads, they are
+    the state's first 2**(n - m) amplitudes.  A gate on C and B maps each
+    L block to itself, so on the block it does what it does on the state
+    wherever L reads 0."""
+    layout = state.layout
+    return QuantumState(cached_layout(0, layout.t_bits, layout.b_bits),
+                        state.amplitudes[: 1 << (layout.n_qubits - layout.m_bits)])
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -210,58 +223,47 @@ def new_state(layout: RegisterLayout) -> QuantumState:
     """All-zeros basis state for the given :class:`RegisterLayout`,
     within :func:`check_budget`, checked before it is allocated."""
     check_budget(layout)
-    n = layout.n_qubits
-    amp = np.zeros(1 << n, dtype=complex)
+    amp = np.zeros(1 << layout.n_qubits, dtype=complex)
     amp[0] = 1.0
-    return QuantumState(n, amp)
+    return QuantumState(layout, amp)
 
 
-def _check_layout(state: QuantumState, layout) -> None:
-    """The one layout check, first in every gate and stage."""
-    if not (isinstance(layout, RegisterLayout) and layout.n_qubits == state.n_qubits):
-        raise ValidationError(f"{layout!r} is not a RegisterLayout of {state.n_qubits} qubits")
-
-
-def apply_unitary(state: QuantumState, layout: RegisterLayout,
-                  inverse: bool = False) -> QuantumState:
+def apply_unitary(state: QuantumState, inverse: bool = False) -> QuantumState:
     """The 2^t-point DFT on C, |c> -> 2^(-t/2) sum_j exp(2 pi i c j / 2^t)|j>,
     or with ``inverse`` its inverse: ``np.fft.ifft`` (``fft``) along C's
-    axis of the view (L, C, rest), written in place."""
-    _check_layout(state, layout)
-    view = state.amplitudes.reshape(1 << layout.m_bits, 1 << layout.t_bits, -1)
+    axis of :attr:`QuantumState.registers`, written in place."""
+    view = state.registers
     (np.fft.fft if inverse else np.fft.ifft)(view, axis=1, norm="ortho", out=view)
     return state
 
 
-def apply_controlled(state: QuantumState, layout: RegisterLayout, table) -> QuantumState:
-    """E, diagonal on B and controlled by C: one multiply, in place, of the
-    view (L, C, ancilla, B) by ``table``, row c on B where C reads c.  Its
-    maker, :func:`qpe.conditional_evolution`, vouches for its entries; a
-    complex128 ndarray of shape (2^t, 1, 2^b) is checked here."""
-    _check_layout(state, layout)
-    shape = (1 << layout.t_bits, 1, 1 << layout.b_bits)
+def apply_controlled(state: QuantumState, table) -> QuantumState:
+    """E, diagonal on B and controlled by C: one multiply, in place, of
+    :attr:`QuantumState.registers` by ``table``, row c on B where C reads
+    c.  Its maker, :func:`qpe.conditional_evolution`, vouches for its
+    entries; a complex128 ndarray of shape (2^t, 1, 2^b) is checked here."""
+    shape = (1 << state.layout.t_bits, 1, 1 << state.layout.b_bits)
     if not (isinstance(table, np.ndarray) and table.dtype == np.complex128
             and table.shape == shape):
         raise ValidationError(f"E's table must be a complex128 array of shape {shape}, got"
                               f" {getattr(table, 'dtype', type(table))} {getattr(table, 'shape', ())}")
-    view = state.amplitudes.reshape(1 << layout.m_bits, shape[0], 2, shape[2])
+    view = state.registers
     view *= table
     return state
 
 
-def apply_basis_oracle(state: QuantumState, layout: RegisterLayout, codes) -> QuantumState:
+def apply_basis_oracle(state: QuantumState, codes) -> QuantumState:
     """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on L and C, self-inverse.
     ``codes`` maps C labels to L codes, integers and not bools, all checked
     before any amplitude moves; labels it omits leave L as it is.  Each
     nonzero code is one gather along L's axis of the slice C = c, so
     nothing the size of the state is allocated."""
-    _check_layout(state, layout)
-    m, t = layout.m_bits, layout.t_bits
+    m, t = state.layout.m_bits, state.layout.t_bits
     bad = [(c, y) for c, y in codes.items()
            if not (_is_int(c) and _is_int(y) and 0 <= c < 1 << t and 0 <= y < 1 << m)]
     if bad:
         raise ValidationError(f"oracle label/code not an integer or out of range: {bad}")
-    view = state.amplitudes.reshape(1 << m, 1 << t, -1)
+    view = state.registers
     for c, y in codes.items():
         if y:
             block = view[:, c]
@@ -269,10 +271,9 @@ def apply_basis_oracle(state: QuantumState, layout: RegisterLayout, codes) -> Qu
     return state
 
 
-def load_register(state: QuantumState, layout: RegisterLayout, amplitudes) -> QuantumState:
+def load_register(state: QuantumState, amplitudes) -> QuantumState:
     """Load a unit vector into B; all other qubits must be 0."""
-    _check_layout(state, layout)
-    w = layout.b_bits
+    w = state.layout.b_bits
     try:
         vec = np.asarray(amplitudes, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -281,7 +282,7 @@ def load_register(state: QuantumState, layout: RegisterLayout, amplitudes) -> Qu
         raise ValidationError(f"expected {1 << w} amplitudes, got {vec.shape}")
     if not abs(_norm(vec) - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValidationError("register content must have unit norm")
-    on = state.amplitudes[: 1 << w]  # B is the last register: L, C and the ancilla read 0
+    on = state.registers[0, 0, 0]  # B where L, C and the ancilla read 0
     if not state.norm() ** 2 - np.vdot(on, on).real <= CLEARED_TOL:
         raise ValidationError("other registers are not in |0>")
     state.amplitudes.fill(0.0)

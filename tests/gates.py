@@ -78,7 +78,7 @@ def label_table(rows) -> np.ndarray:
     return table
 
 
-def bitwise_conditional_evolution(state, cfg, layout, a, inverse=False, reg_B=None):
+def bitwise_conditional_evolution(state, cfg, a, inverse=False, reg_B=None):
     """exp(i A c t0) for C label c as exp(i A 2^w t0) controlled on the C
     qubit of bit weight 2^w, one dense gate per qubit (:func:`controlled`),
     on ``reg_B``, all of B by default, A a Hermitian matrix or the vector
@@ -86,7 +86,8 @@ def bitwise_conditional_evolution(state, cfg, layout, a, inverse=False, reg_B=No
     ``qpe.conditional_evolution``'s arguments, so it can stand in for it."""
     a = np.asarray(a)
     a = np.diag(a) if a.ndim == 1 else a
-    reg_B = layout.reg_B if reg_B is None else reg_B
+    layout = state.layout
+    reg_B = range(layout.ancilla + 1, layout.n_qubits) if reg_B is None else reg_B
     sign = -1.0 if inverse else 1.0
     t = layout.t_bits
     for i, q in enumerate(layout.reg_C):
@@ -95,13 +96,13 @@ def bitwise_conditional_evolution(state, cfg, layout, a, inverse=False, reg_B=No
     return state
 
 
-def dense_phase_estimate(state, cfg, layout, a, reg, inverse=False):
+def dense_phase_estimate(state, cfg, a, reg, inverse=False):
     """Phase estimation, or its inverse, with E the dense
     :func:`bitwise_conditional_evolution` of the Hermitian matrix ``a`` on
     the qubits ``reg``: QFT, E, QFT^-1 on C."""
-    qpe.qft(state, layout)
-    bitwise_conditional_evolution(state, cfg, layout, a, inverse, reg)
-    return qpe.iqft(state, layout)
+    qpe.qft(state)
+    bitwise_conditional_evolution(state, cfg, a, inverse, reg)
+    return qpe.iqft(state)
 
 
 def u_pairs(spec):
@@ -129,14 +130,14 @@ def full_register_run(cfg, alpha):
     state = sim.new_state(layout)
     grid = np.zeros((du, dv), dtype=complex)
     grid[:dp] = spectral.to_state(spec, spec.sigma).reshape(dp, dv)
-    sim.load_register(state, layout, grid.reshape(-1))
-    reg_u = list(layout.reg_B)[: du.bit_length() - 1]
-    dense_phase_estimate(state, pe_cfg, layout, a, reg_u)
-    oracle.apply(state, layout)
-    rotation.ry_cascade(state, layout, alpha)
-    oracle.apply(state, layout)
-    dense_phase_estimate(state, pe_cfg, layout, a, reg_u, inverse=True)
-    residual = rotation.uncompute_residual(state, layout)
+    sim.load_register(state, grid.reshape(-1))
+    reg_u = range(layout.ancilla + 1, layout.ancilla + du.bit_length())  # B_u leads B
+    dense_phase_estimate(state, pe_cfg, a, reg_u)
+    oracle.apply(state)
+    rotation.ry_cascade(state, alpha)
+    oracle.apply(state)
+    dense_phase_estimate(state, pe_cfg, a, reg_u, inverse=True)
+    residual = rotation.uncompute_residual(state)
     p_sim = sim.post_select(state, layout.ancilla, 1)
     # L = 0, C = 0, ancilla = 1: the ancilla sits directly ahead of B
     b = state.amplitudes[1 << b_bits : 2 << b_bits].reshape(du, dv) / math.sqrt(p_sim)
@@ -155,10 +156,10 @@ def full_register_run(cfg, alpha):
     }
 
 
-def whole_state(state, layout):
-    """Stands in for ``sim.l_zero_block``: the state and layout as they
-    are, so phase estimation and its inverse run on every L block."""
-    return state, layout
+def whole_state(state):
+    """Stands in for ``sim.l_zero_block``: the state as it is, so phase
+    estimation and its inverse run on every L block."""
+    return state
 
 
 def ry(angle) -> np.ndarray:
@@ -172,10 +173,11 @@ def ry(angle) -> np.ndarray:
     return gate
 
 
-def bitwise_ry_cascade(state, layout, alpha):
+def bitwise_ry_cascade(state, alpha):
     """The paper's cascade: ry(2^(1-j) alpha) on the ancilla controlled on
     the j-th qubit of L, one dense gate per qubit (:func:`controlled`)."""
-    for j, q in enumerate(layout.reg_L, start=1):
+    layout = state.layout
+    for j, q in enumerate(range(layout.m_bits), start=1):
         controlled(state, [ry(2.0 ** (1 - j) * alpha)], [q], [layout.ancilla])
     return state
 

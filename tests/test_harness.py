@@ -167,6 +167,38 @@ def test_cmd_example_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_cmd_example_that_misses_the_paper_exits_1(monkeypatch, capsys):
+    # the documented exit 1: a value off its reference by more than the
+    # tolerance fails its check, and the others still run
+    monkeypatch.setitem(harness.EXAMPLE_EXPECTED, "F", 0.5)
+    assert harness.main(["example"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 2
+    assert "check F: got 0.996228, expected 0.5 +/- 0.001: FAIL\n" in out
+
+
+def test_cmd_example_prints_its_shots_line_and_runs_the_checks(capsys):
+    assert harness.main(["example", "--shots", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == "P (1000 shots) = 0.942000"  # at the default seed, 7
+    assert [line.split(":")[0] for line in lines[6:]] == ["check P", "check F", "check N_alpha"]
+    assert all(line.endswith(": PASS") for line in lines[6:])
+
+
+def test_cmd_pipeline_prints_its_shots_line_after_the_recheck(tmp_path, capsys):
+    path = tmp_path / "a0.txt"
+    a = harness.example_matrix()
+    np.savetxt(path, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
+    argv = ["pipeline", "--matrix", str(path), "--tau", "0.5"]
+    assert harness.main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert harness.main([*argv, "--shots", "1000", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert plain[4].startswith("fidelity recheck via threshold matrix: ")
+    assert plain[5].split() == ["k", "sigma", "y", "y_code", "target", "sim_amp", "analytic"]
+    assert lines == [*plain[:5], "P (1000 shots) = 0.942000", *plain[5:]]
+
+
 def test_cmd_example_alpha_override_reports_only(capsys):
     rc = harness.main(["example", "--alpha", "1.9403"])
     out = capsys.readouterr().out
@@ -239,8 +271,9 @@ def test_cmd_example_at_t_16_over_the_memory_budget_exits_2(monkeypatch, capsys)
         capsys.readouterr()
         assert harness.main(["example", "--t-bits", "16"]) == 2
         assert capsys.readouterr().err == (
-            f"error: memory budget exceeded: a {layout.n_qubits}-qubit state with E's 16 rows"
-            f" of 2 phases on the Schmidt index and their 65536 x 2 table takes {need} bytes,"
+            f"error: memory budget exceeded: a {layout.n_qubits}-qubit state with E's 65536 x 2"
+            f" table on the Schmidt index, the row being folded into it and herm_exp's temporary"
+            f" takes {need} bytes,"
             f" the machine has {budget}\n")
 
 

@@ -26,7 +26,7 @@ def loaded_state(data, layout, weights=None):
     state = sim.new_state(layout)
     w = np.zeros(1 << layout.b_bits)
     w[: data.rank] = data.sigma if weights is None else weights
-    sim.load_register(state, layout, w / np.linalg.norm(w))
+    sim.load_register(state, w / np.linalg.norm(w))
     return state
 
 
@@ -172,7 +172,7 @@ def test_qft_zero_state_uniform():
     # C of 3 qubits ahead of the ancilla and B, both at 0
     layout = sim.RegisterLayout(0, 3, 1)
     state = sim.new_state(layout)
-    qpe.qft(state, layout)
+    qpe.qft(state)
     by_c = state.amplitudes.reshape(8, 4)
     assert np.allclose(by_c[:, 0], np.full(8, 1 / np.sqrt(8)))
     assert not by_c[:, 1:].any()
@@ -180,8 +180,8 @@ def test_qft_zero_state_uniform():
 
 def test_qft_basis_state_01():
     layout = sim.RegisterLayout(0, 2, 1)
-    state = sim.QuantumState(4, np.eye(16, dtype=complex)[1 << 2])  # C = 01
-    qpe.qft(state, layout)
+    state = sim.QuantumState(layout, np.eye(16, dtype=complex)[1 << 2])  # C = 01
+    qpe.qft(state)
     by_c = state.amplitudes.reshape(4, 4)
     assert np.allclose(by_c[:, 0], np.array([1, 1j, -1, -1j]) / 2, atol=1e-12)
     assert not by_c[:, 1:].any()
@@ -193,9 +193,9 @@ def test_iqft_inverts_qft_on_random_states():
     for _ in range(5):
         amp = rng.normal(size=64) + 1j * rng.normal(size=64)
         amp /= np.linalg.norm(amp)
-        state = sim.QuantumState(6, amp.copy())
-        qpe.qft(state, layout)
-        qpe.iqft(state, layout)
+        state = sim.QuantumState(layout, amp.copy())
+        qpe.qft(state)
+        qpe.iqft(state)
         assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
@@ -229,10 +229,10 @@ def test_matrix_bytes_is_what_conditional_evolution_allocates():
         cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
         eigenvalues = np.random.default_rng(30).uniform(0.0, 5.0, size=1 << b_bits)
         state = sim.new_state(layout)
-        qpe.conditional_evolution(state, cfg, layout, eigenvalues)  # NumPy's lazy set-up
+        qpe.conditional_evolution(state, cfg, eigenvalues)  # NumPy's lazy set-up
         tracemalloc.start()
         try:
-            qpe.conditional_evolution(state, cfg, layout, eigenvalues)
+            qpe.conditional_evolution(state, cfg, eigenvalues)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,7 +248,7 @@ def test_conditional_evolution_tiny_t0_is_identity():
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
     before = state.amplitudes.copy()
-    qpe.conditional_evolution(state, cfg, layout, pairs)
+    qpe.conditional_evolution(state, cfg, pairs)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -260,7 +260,7 @@ def test_conditional_evolution_phases_on_label_one():
     last_c = list(layout.reg_C)[-1]
     unitary(state, pauli_x(), [last_c])  # C = 001
     before = state.copy()
-    qpe.conditional_evolution(state, cfg, layout, pairs)
+    qpe.conditional_evolution(state, cfg, pairs)
     for k, lam in enumerate((4.0, 1.0)):
         basis = np.eye(2)[k]  # |k> on the Schmidt index
         full_before = before.norm()  # keep norm sanity
@@ -275,8 +275,7 @@ def test_conditional_evolution_phases_on_label_one():
 def _embed(layout, c_label, b_vec):
     """Full-state vector with L=0, C=c_label, the ancilla at 0 and B=b_vec:
     the ancilla sits directly ahead of B, so B is one run."""
-    n = layout.n_qubits
-    b = len(layout.reg_B)
+    n, b = layout.n_qubits, layout.b_bits
     full = np.zeros(1 << n, dtype=complex)
     base = c_label << (b + 1)
     full[base : base + (1 << b)] = b_vec
@@ -290,7 +289,7 @@ def test_conditional_evolution_eigencomponent_pure_phase():
     for q in layout.reg_C:
         unitary(state, hadamard(), [q])
     probs_before = np.abs(state.amplitudes) ** 2
-    qpe.conditional_evolution(state, cfg, layout, pairs)
+    qpe.conditional_evolution(state, cfg, pairs)
     assert np.abs(np.abs(state.amplitudes) ** 2 - probs_before).max() < 1e-12
 
 
@@ -298,7 +297,7 @@ def test_phase_estimate_reference_superposition():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, pairs)
+    qpe.phase_estimate(state, cfg, pairs)
     expected = np.zeros(1 << layout.n_qubits, dtype=complex)
     for k, (sig, label) in enumerate(zip((2.0, 1.0), (4, 1))):
         expected += sig / np.sqrt(5) * _embed(layout, label, np.eye(2)[k])
@@ -309,7 +308,7 @@ def test_phase_estimate_single_eigenvector_deterministic_label():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout, weights=[1.0, 0.0])
-    qpe.phase_estimate(state, cfg, layout, pairs)
+    qpe.phase_estimate(state, cfg, pairs)
     mass = sim.register_mass(state, layout.reg_C)
     assert mass[4] == pytest.approx(1.0, abs=1e-12)
 
@@ -320,7 +319,7 @@ def test_phase_estimate_requires_cleared_c():
     state = loaded_state(data, layout)
     unitary(state, pauli_x(), [list(layout.reg_C)[0]])
     with pytest.raises(ValidationError, match="not cleared"):
-        qpe.phase_estimate(state, cfg, layout, pairs)
+        qpe.phase_estimate(state, cfg, pairs)
 
 
 @pytest.mark.parametrize("cfg_bits, c_bits", [(3, 4), (4, 3)],
@@ -336,12 +335,12 @@ def test_phase_estimation_checks_its_config_against_c(cfg_bits, c_bits):
     for stage in (qpe.phase_estimate, qpe.phase_estimate_inverse, qpe.conditional_evolution):
         with pytest.raises(ValidationError,
                            match=f"^a {cfg_bits}-bit estimation on a {c_bits}-qubit C$"):
-            stage(state, cfg, layout, pairs)
+            stage(state, cfg, pairs)
         assert state.amplitudes.tobytes() == before, stage
     # at the config's width the labels are the encoding's
     _, layout, _ = reference_setup(t_bits=cfg_bits)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, pairs)
+    qpe.phase_estimate(state, cfg, pairs)
     mass = sim.register_mass(state, layout.reg_C)
     assert mass[list(cfg.labels)].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -353,13 +352,13 @@ def test_phase_estimate_checks_the_incoming_norm_from_its_c_read():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     stages = [
-        lambda state: qpe.phase_estimate(state, cfg, layout, pairs),
-        lambda state: rotation.ry_cascade(state, layout, 1.0),
-        lambda state: rotation.uncompute_residual(state, layout),
+        lambda state: qpe.phase_estimate(state, cfg, pairs),
+        lambda state: rotation.ry_cascade(state, 1.0),
+        lambda state: rotation.uncompute_residual(state),
     ]
     for stage, drift in itertools.product(stages, (1.001, np.nan)):
         state = loaded_state(data, layout)
-        state.amplitudes *= drift
+        state.amplitudes[:] *= drift
         with pytest.raises(NormalizationError, match="drifted"):
             stage(state)
 
@@ -371,16 +370,16 @@ def test_phase_estimate_then_inverse_is_identity():
     for trial in range(20):
         state = sim.new_state(layout)
         # random content on (a, L, B) with C cleared
-        b_dim = 1 << len(layout.reg_B)
+        b_dim = 1 << layout.b_bits
         vec = rng.normal(size=b_dim) + 1j * rng.normal(size=b_dim)
         vec /= np.linalg.norm(vec)
-        sim.load_register(state, layout, vec)
+        sim.load_register(state, vec)
         unitary(state, ry(float(rng.uniform(0, np.pi))), [layout.ancilla])
-        for q in layout.reg_L:
+        for q in range(layout.m_bits):
             unitary(state, ry(float(rng.uniform(0, np.pi))), [q])
         before = state.amplitudes.copy()
-        qpe.phase_estimate(state, cfg, layout, pairs)
-        qpe.phase_estimate_inverse(state, cfg, layout, pairs)
+        qpe.phase_estimate(state, cfg, pairs)
+        qpe.phase_estimate_inverse(state, cfg, pairs)
         assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -388,7 +387,7 @@ def test_exact_encoding_mass_sits_on_labels():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, pairs)
+    qpe.phase_estimate(state, cfg, pairs)
     mass = sim.register_mass(state, layout.reg_C)
     assert mass[4] + mass[1] == pytest.approx(1.0, abs=1e-9)
     others = np.delete(mass, [1, 4])
@@ -402,7 +401,7 @@ def test_c_distribution_independent_of_v_factor():
     data, layout, pairs = reference_setup()
     cfg = qpe.choose_t0([4.0, 1.0], 3)
     state = loaded_state(data, layout)
-    qpe.phase_estimate(state, cfg, layout, pairs)
+    qpe.phase_estimate(state, cfg, pairs)
     masses = [sim.register_mass(state, layout.reg_C)]
     full = sim.RegisterLayout(layout.m_bits, layout.t_bits, 3)  # B_u 1 qubit, B_v 2
     for seed in (7, 77):
@@ -412,9 +411,9 @@ def test_c_distribution_independent_of_v_factor():
             sigma=data.sigma, u=data.u, v=other.v, p=data.p, q=data.q
         )
         state = sim.new_state(full)
-        sim.load_register(state, full, spectral.to_state(hybrid, hybrid.sigma))
+        sim.load_register(state, spectral.to_state(hybrid, hybrid.sigma))
         a = from_eigenpairs(u_pairs(hybrid))
-        dense_phase_estimate(state, cfg, full, a, list(full.reg_B)[:1])
+        dense_phase_estimate(state, cfg, a, [full.ancilla + 1])  # B_u leads B
         masses.append(sim.register_mass(state, full.reg_C))
     assert np.abs(masses[1] - masses[2]).max() < 1e-12
     assert np.abs(masses[0] - masses[1]).max() < 1e-12
@@ -432,8 +431,8 @@ def test_conditional_evolution_matches_the_bitwise_controlled_gates():
             cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
             for inverse in (False, True):
                 state = _random_state(rng, layout, clear_c=False)
-                reference = bitwise_conditional_evolution(state.copy(), cfg, layout, a, inverse)
-                qpe.conditional_evolution(state, cfg, layout, a, inverse)
+                reference = bitwise_conditional_evolution(state.copy(), cfg, a, inverse)
+                qpe.conditional_evolution(state, cfg, a, inverse)
                 assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
@@ -445,20 +444,20 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
     a = rng.normal(size=8) * 3.0
     apply_controlled, calls = sim.apply_controlled, []
 
-    def spy(state, layout, table):
+    def spy(state, table):
         calls.append(table.shape)
-        return apply_controlled(state, layout, table)
+        return apply_controlled(state, table)
 
     for t_bits in (1, 3, 8):
         layout = sim.RegisterLayout(1, t_bits, 3)
         cfg = qpe.PhaseEstimationConfig(t_bits, float(rng.uniform(0.1, 1.0)), False)
         for inverse in (False, True):
             state = _random_state(rng, layout, clear_c=False)
-            reference = bitwise_conditional_evolution(state.copy(), cfg, layout, a, inverse)
+            reference = bitwise_conditional_evolution(state.copy(), cfg, a, inverse)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "apply_controlled", spy)
-                qpe.conditional_evolution(state, cfg, layout, a, inverse)
+                qpe.conditional_evolution(state, cfg, a, inverse)
             assert calls == [(1 << t_bits, 1, 8)]
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
         # a B that does not fit A is rejected before the state is touched
@@ -467,7 +466,7 @@ def test_conditional_evolution_is_one_gate_on_all_of_c(monkeypatch):
         before = state.amplitudes.copy()
         with pytest.raises(ValidationError,
                            match=rf"^a {t_bits}-qubit C on 2 B qubits takes 4 eigenvalues, got 8$"):
-            qpe.conditional_evolution(state, cfg, narrow, a)
+            qpe.conditional_evolution(state, cfg, a)
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -478,9 +477,9 @@ def test_the_table_is_the_reference_fold_of_the_rows_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(26)
     apply_controlled, herm_exp, tables, exps = sim.apply_controlled, qpe.herm_exp, [], []
 
-    def spy(state, layout, table):
+    def spy(state, table):
         tables.append(table.copy())
-        return apply_controlled(state, layout, table)
+        return apply_controlled(state, table)
 
     for t_bits, b_bits, inverse in itertools.product((1, 2, 5), (1, 3), (False, True)):
         layout = sim.RegisterLayout(0, t_bits, b_bits)
@@ -493,8 +492,7 @@ def test_the_table_is_the_reference_fold_of_the_rows_bit_for_bit(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sim, "apply_controlled", spy)
             patch.setattr(qpe, "herm_exp", lambda *args: exps.append(args) or herm_exp(*args))
-            qpe.conditional_evolution(_random_state(rng, layout, False), cfg, layout, a,
-                                      inverse)
+            qpe.conditional_evolution(_random_state(rng, layout, False), cfg, a, inverse)
         assert len(exps) == t_bits
         assert tables[0].tobytes() == label_table(rows).tobytes()
 
@@ -529,33 +527,33 @@ def test_each_stage_checks_its_eigenvalues_before_any_amplitude_moves(stage, bad
     state = loaded_state(data, layout)
     before = state.amplitudes.tobytes()
     with pytest.raises(ValidationError, match=match):
-        STAGES[stage](state, cfg, layout, eigenvalues)
+        STAGES[stage](state, cfg, eigenvalues)
     assert state.amplitudes.tobytes() == before
     # at t0 1e307 the largest angle, 4 x 4 x 1e307, is finite, and E runs
-    STAGES[stage](state, qpe.PhaseEstimationConfig(3, 1e307, False), layout, [4.0, 1.0])
+    STAGES[stage](state, qpe.PhaseEstimationConfig(3, 1e307, False), [4.0, 1.0])
 
 
-def hadamard_phase_estimate(state, cfg, layout, a):
+def hadamard_phase_estimate(state, cfg, a):
     """The paper's gate sequence: a Hadamard on each C qubit, E, QFT^-1."""
-    for q in layout.reg_C:
+    for q in state.layout.reg_C:
         unitary(state, hadamard(), [q])
-    qpe.conditional_evolution(state, cfg, layout, a)
-    qpe.iqft(state, layout)
+    qpe.conditional_evolution(state, cfg, a)
+    qpe.iqft(state)
     return state
 
 
-def hadamard_phase_estimate_inverse(state, cfg, layout, a):
+def hadamard_phase_estimate_inverse(state, cfg, a):
     """Adjoint of :func:`hadamard_phase_estimate`: QFT, E^-1, Hadamards."""
-    qpe.qft(state, layout)
-    qpe.conditional_evolution(state, cfg, layout, a, inverse=True)
-    for q in layout.reg_C:
+    qpe.qft(state)
+    qpe.conditional_evolution(state, cfg, a, inverse=True)
+    for q in state.layout.reg_C:
         unitary(state, hadamard(), [q])
     return state
 
 
 def _by_c(amplitudes, layout):
     """View indexed (L, C, the ancilla and B); qubit 0 is the top bit."""
-    return amplitudes.reshape(1 << len(layout.reg_L), 1 << len(layout.reg_C), -1)
+    return amplitudes.reshape(1 << layout.m_bits, 1 << layout.t_bits, -1)
 
 
 def _random_state(rng, layout, clear_c):
@@ -563,7 +561,7 @@ def _random_state(rng, layout, clear_c):
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     if clear_c:
         _by_c(amp, layout)[:, 1:, :] = 0.0
-    return sim.QuantumState(n, amp / np.linalg.norm(amp))
+    return sim.QuantumState(layout, amp / np.linalg.norm(amp))
 
 
 def test_qft_phase_estimation_matches_the_hadamard_layer():
@@ -574,13 +572,13 @@ def test_qft_phase_estimation_matches_the_hadamard_layer():
         cfg = qpe.PhaseEstimationConfig(t_bits, 0.7, False)
         for _ in range(3):
             state = _random_state(rng, layout, clear_c=True)
-            reference = hadamard_phase_estimate(state.copy(), cfg, layout, pairs)
-            qpe.phase_estimate(state, cfg, layout, pairs)
+            reference = hadamard_phase_estimate(state.copy(), cfg, pairs)
+            qpe.phase_estimate(state, cfg, pairs)
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
             # the adjoints agree on C = 0 for any input, cleared or not
             state = _random_state(rng, layout, clear_c=False)
-            reference = hadamard_phase_estimate_inverse(state.copy(), cfg, layout, pairs)
-            qpe.phase_estimate_inverse(state, cfg, layout, pairs)
+            reference = hadamard_phase_estimate_inverse(state.copy(), cfg, pairs)
+            qpe.phase_estimate_inverse(state, cfg, pairs)
             diff = _by_c(state.amplitudes - reference.amplitudes, layout)
             assert np.abs(diff[:, 0, :]).max() < 1e-12
 
@@ -602,12 +600,12 @@ def test_forward_estimation_is_the_qft_circuit_bit_for_bit(real):
         if not real:
             amp += 1j * rng.normal(size=1 << n)
         _by_c(amp, layout)[:, 1:, :] = 0.0
-        state = sim.QuantumState(n, amp / np.linalg.norm(amp))
+        state = sim.QuantumState(layout, amp / np.linalg.norm(amp))
         reference = state.copy()
-        qpe.qft(reference, layout)
-        qpe.conditional_evolution(reference, cfg, layout, eigenvalues)
-        qpe.iqft(reference, layout)
-        qpe.phase_estimate(state, cfg, layout, eigenvalues)
+        qpe.qft(reference)
+        qpe.conditional_evolution(reference, cfg, eigenvalues)
+        qpe.iqft(reference)
+        qpe.phase_estimate(state, cfg, eigenvalues)
         assert state.amplitudes.tobytes() == reference.amplitudes.tobytes(), (m, t, b)
 
 
@@ -620,7 +618,7 @@ def test_the_hadamard_write_makes_no_temporary_under_a_non_empty_l():
     eigenvalues = np.linspace(0.0, 5.0, 1 << 10)
     tracemalloc.start()
     try:
-        qpe.phase_estimate(state, cfg, layout, eigenvalues)
+        qpe.phase_estimate(state, cfg, eigenvalues)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -636,7 +634,7 @@ def test_phase_estimate_leaves_a_c_that_is_not_cleared_as_it_is():
     state = _random_state(rng, layout, clear_c=False)
     before = state.amplitudes.tobytes()
     with pytest.raises(ValidationError, match="^register C not cleared$"):
-        qpe.phase_estimate(state, cfg, layout, rng.uniform(0.0, 5.0, size=4))
+        qpe.phase_estimate(state, cfg, rng.uniform(0.0, 5.0, size=4))
     assert state.amplitudes.tobytes() == before
 
 

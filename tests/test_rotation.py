@@ -274,8 +274,8 @@ def test_oracle_writes_codes_into_register_l():
     state = sim.new_state(layout)
     # occupy C = 100 (label 4) with B = |0>
     unitary(state, pauli_x(), [list(layout.reg_C)[0]])
-    oracle.apply(state, layout)
-    mass_l = sim.register_mass(state, layout.reg_L)
+    oracle.apply(state)
+    mass_l = sim.register_mass(state, range(layout.m_bits))
     assert mass_l[6] == pytest.approx(1.0)
     mass_c = sim.register_mass(state, layout.reg_C)
     assert mass_c[4] == pytest.approx(1.0)  # C untouched
@@ -295,9 +295,9 @@ def test_oracle_self_inverse():
     rng = np.random.default_rng(31)
     amp = rng.normal(size=1 << layout.n_qubits) + 1j * rng.normal(size=1 << layout.n_qubits)
     amp /= np.linalg.norm(amp)
-    state = sim.QuantumState(layout.n_qubits, amp.copy())
-    oracle.apply(state, layout)
-    oracle.apply(state, layout)
+    state = sim.QuantumState(layout, amp.copy())
+    oracle.apply(state)
+    oracle.apply(state)
     assert np.abs(state.amplitudes - amp).max() < 1e-12
 
 
@@ -311,7 +311,7 @@ def permutation_reference(state, layout, oracle):
     labels = np.arange(1 << (m + t), dtype=np.int64)
     c_part = labels & ((1 << t) - 1)
     perm = (((labels >> t) ^ y[c_part]) << t) | c_part
-    qubits = [*layout.reg_L, *layout.reg_C]
+    qubits = range(layout.ancilla)  # L, then C
     w = len(qubits)
     idx = np.arange(1 << n, dtype=np.int64)
     label = np.zeros_like(idx)
@@ -338,9 +338,9 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
         for _ in range(3):
             size = 1 << layout.n_qubits
             amp = rng.normal(size=size) + 1j * rng.normal(size=size)
-            state = sim.QuantumState(layout.n_qubits, amp / np.linalg.norm(amp))
+            state = sim.QuantumState(layout, amp / np.linalg.norm(amp))
             expected = permutation_reference(state, layout, oracle)
-            oracle.apply(state, layout)
+            oracle.apply(state)
             assert np.array_equal(state.amplitudes, expected)
 
 
@@ -386,7 +386,7 @@ def test_oracle_rejects_a_layout_of_other_widths(widths):
     oracle = rotation.build_sigma_tau_oracle(reference_encoding(), 3, 0.5)
     layout = sim.RegisterLayout(*widths, 1)
     with pytest.raises(ValidationError, match="^oracle widths do not match layout$"):
-        oracle.apply(sim.new_state(layout), layout)
+        oracle.apply(sim.new_state(layout))
 
 
 def ancilla_mass(state, layout):
@@ -396,14 +396,14 @@ def ancilla_mass(state, layout):
 def test_ry_cascade_zero_register_keeps_ancilla_zero():
     layout = sim.RegisterLayout(3, 1, 1)
     state = sim.new_state(layout)
-    rotation.ry_cascade(state, layout, 2.0944)
+    rotation.ry_cascade(state, 2.0944)
     assert ancilla_mass(state, layout)[1] == 0.0
 
 
 def _state_with_l_code(layout, raw):
     state = sim.new_state(layout)
-    for i, q in enumerate(layout.reg_L):
-        if (raw >> (len(layout.reg_L) - 1 - i)) & 1:
+    for q in range(layout.m_bits):
+        if (raw >> (layout.m_bits - 1 - q)) & 1:
             unitary(state, pauli_x(), [q])
     return state
 
@@ -412,12 +412,12 @@ def test_ry_cascade_reference_amplitudes():
     alpha = 2.0944
     layout = sim.RegisterLayout(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75
-    rotation.ry_cascade(state, layout, alpha)
+    rotation.ry_cascade(state, alpha)
     anc = ancilla_mass(state, layout)
     assert np.sqrt(anc[1]) == pytest.approx(np.sin(0.75 * alpha), abs=1e-12)
 
     state = _state_with_l_code(layout, 2)  # theta = 0.5
-    rotation.ry_cascade(state, layout, alpha)
+    rotation.ry_cascade(state, alpha)
     anc = ancilla_mass(state, layout)
     assert np.sqrt(anc[1]) == pytest.approx(0.8660, abs=1e-4)
 
@@ -438,17 +438,15 @@ def test_ry_cascade_requires_cleared_ancilla():
                                 (nan, NormalizationError, "norm drifted to nan")):
         before = state.amplitudes.tobytes()
         with pytest.raises(error, match=match):
-            rotation.ry_cascade(state, layout, 1.0)
+            rotation.ry_cascade(state, 1.0)
         assert state.amplitudes.tobytes() == before
-    with pytest.raises(ValidationError, match=r"^RegisterLayout\(.*\) is not a RegisterLayout of 6"):
-        rotation.ry_cascade(sim.QuantumState(6, np.eye(64, dtype=complex)[0]), layout, 1.0)
 
 
 def test_ry_cascade_is_exact_beyond_single_lobe():
     # the single-lobe rule is a set-up check of the run, not of the cascade
     layout = sim.RegisterLayout(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
-    rotation.ry_cascade(state, layout, 4.4)
+    rotation.ry_cascade(state, 4.4)
     amp = state.amplitudes.reshape(4, 2, 2, 2)[3, 0, 1, 0]  # L = 11, C = 0, ancilla 1, B = 0
     assert amp == pytest.approx(np.sin(0.75 * 4.4), abs=1e-12)
 
@@ -463,7 +461,7 @@ def _controlled_ry_product(alpha, d):
     for j in range(1, d + 1):
         gate = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
-            st = sim.QuantumState(n, np.eye(dim, dtype=complex)[col])
+            st = sim.QuantumState(sim.RegisterLayout(0, 0, d), np.eye(dim, dtype=complex)[col])
             controlled(st, [ry(2.0 ** (1 - j) * alpha)], [j - 1], [d])
             gate[:, col] = st.amplitudes
         op = gate @ op
@@ -491,8 +489,8 @@ def test_ry_cascade_matches_gate_product_on_cleared_ancilla():
     for label in range(1 << d):
         amp = np.zeros(1 << layout.n_qubits, dtype=complex)
         amp[label << 2] = 1.0  # ancilla 0, B fixed at |0>
-        state = sim.QuantumState(layout.n_qubits, amp)
-        rotation.ry_cascade(state, layout, alpha)
+        state = sim.QuantumState(layout, amp)
+        rotation.ry_cascade(state, alpha)
         assert np.abs(state.amplitudes[::2] - op[:, label << 1]).max() < 1e-12
         assert not state.amplitudes[1::2].any()  # B stays |0>
 
@@ -507,9 +505,9 @@ def test_ry_cascade_matches_the_bitwise_controlled_rotations():
         for alpha in rng.uniform(0.5, 4.4, size=3):
             amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             amp.reshape(1 << (m_bits + 2), 2, -1)[:, 1] = 0.0  # the ancilla reads 0
-            state = sim.QuantumState(n, amp / np.linalg.norm(amp))
-            reference = bitwise_ry_cascade(state.copy(), layout, alpha)
-            rotation.ry_cascade(state, layout, alpha)
+            state = sim.QuantumState(layout, amp / np.linalg.norm(amp))
+            reference = bitwise_ry_cascade(state.copy(), alpha)
+            rotation.ry_cascade(state, alpha)
             assert np.abs(state.amplitudes - reference.amplitudes).max() < 1e-12
 
 
@@ -520,33 +518,32 @@ def reference_forward_state():
     layout = sim.RegisterLayout(2, 3, 1)  # B: the Schmidt index of rank 2
     pairs = spectral.gram(data)
     state = sim.new_state(layout)
-    sim.load_register(state, layout, data.sigma / np.linalg.norm(data.sigma))
-    qpe.phase_estimate(state, pe_cfg, layout, pairs)
-    oracle.apply(state, layout)
+    sim.load_register(state, data.sigma / np.linalg.norm(data.sigma))
+    qpe.phase_estimate(state, pe_cfg, pairs)
+    oracle.apply(state)
     alpha = np.pi / (2 * 0.75)
-    rotation.ry_cascade(state, layout, alpha)
+    rotation.ry_cascade(state, alpha)
     return data, layout, state, oracle, pe_cfg, pairs, alpha
 
 
 def test_uncompute_clears_l_and_c():
     _, layout, state, oracle, pe_cfg, pairs, _ = reference_forward_state()
-    out, residual = rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
-    assert out is state
-    assert residual == rotation.uncompute_residual(state, layout)
+    residual = rotation.uncompute(state, oracle, pe_cfg, pairs)
+    assert residual == rotation.uncompute_residual(state)
     assert residual < 1e-9
 
 
 def test_uncompute_residual_of_a_layout_without_l_and_c_is_0():
     layout = sim.RegisterLayout(0, 0, 2)
-    assert rotation.uncompute_residual(sim.new_state(layout), layout) == 0.0
+    assert rotation.uncompute_residual(sim.new_state(layout)) == 0.0
 
 
 def test_uncompute_leaves_ancilla_entangled_with_b_only():
     data, layout, state, oracle, pe_cfg, pairs, alpha = reference_forward_state()
-    rotation.uncompute(state, layout, oracle, pe_cfg, pairs)
+    rotation.uncompute(state, oracle, pe_cfg, pairs)
     n1 = float(np.sum(data.sigma**2))
     expected = np.zeros_like(state.amplitudes)
-    b = len(layout.reg_B)
+    b = layout.b_bits
     for k, y in enumerate((0.75, 0.5)):
         triple = np.eye(2)[k]  # |k> on the Schmidt index
         weight = data.sigma[k] / np.sqrt(n1)
@@ -562,9 +559,9 @@ def test_uncompute_detects_mismatched_tau():
     _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
     wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     with pytest.raises(UncomputeResidualError):
-        rotation.uncompute(state, layout, wrong, pe_cfg, pairs)
+        rotation.uncompute(state, wrong, pe_cfg, pairs)
     # the raise comes after the reverse pass: the mass off |0> is left on L/C
-    assert rotation.uncompute_residual(state, layout) > 1e-3
+    assert rotation.uncompute_residual(state) > 1e-3
 
 
 def test_uncompute_on_the_l_zero_block_matches_the_whole_state(monkeypatch):
@@ -576,8 +573,8 @@ def test_uncompute_on_the_l_zero_block_matches_the_whole_state(monkeypatch):
     for block in (sim.l_zero_block, whole_state):
         _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
         monkeypatch.setattr(sim, "l_zero_block", block)
-        _, residual = rotation.uncompute(
-            state, layout, wrong, dataclasses.replace(pe_cfg, exact=False), pairs
+        residual = rotation.uncompute(
+            state, wrong, dataclasses.replace(pe_cfg, exact=False), pairs
         )
         runs.append((state, residual))
     (state, residual), (reference, reference_residual) = runs
@@ -585,7 +582,7 @@ def test_uncompute_on_the_l_zero_block_matches_the_whole_state(monkeypatch):
     assert abs(residual - reference_residual) <= 1e-12
     anc = [ancilla_mass(s, layout) for s in (state, reference)]
     assert np.abs(anc[0] - anc[1]).max() <= 1e-12
-    block = 1 << (layout.n_qubits - len(layout.reg_L))
+    block = 1 << (layout.n_qubits - layout.m_bits)
     assert np.abs(state.amplitudes[:block] - reference.amplitudes[:block]).max() <= 1e-12
 
 
@@ -607,6 +604,6 @@ def test_uncompute_reports_inexact_residual():
     _, layout, state, _, pe_cfg, pairs, _ = reference_forward_state()
     wrong = rotation.build_sigma_tau_oracle(reference_encoding(), 2, 0.25)
     inexact = dataclasses.replace(pe_cfg, exact=False)
-    _, residual = rotation.uncompute(state, layout, wrong, inexact, pairs)
+    residual = rotation.uncompute(state, wrong, inexact, pairs)
     assert residual > 1e-3
-    assert residual == rotation.uncompute_residual(state, layout)
+    assert residual == rotation.uncompute_residual(state)

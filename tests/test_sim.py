@@ -15,10 +15,16 @@ from qsvt.errors import FullyThresholdedError, NormalizationError, ValidationErr
 from gates import controlled, hadamard, label_table, pauli_x, ry, unitary
 
 
-def random_state(n, seed):
+def random_state(layout, seed):
     rng = np.random.default_rng(seed)
+    n = layout.n_qubits
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return sim.QuantumState(n, amp / np.linalg.norm(amp))
+    return sim.QuantumState(layout, amp / np.linalg.norm(amp))
+
+
+def flat(n):
+    """A layout of ``n`` qubits with L and C empty: the ancilla, then B."""
+    return sim.RegisterLayout(0, 0, n - 1)
 
 
 def test_new_state_two_qubits_all_zeros():
@@ -85,8 +91,7 @@ def test_physical_memory_is_page_size_times_pages_where_sysconf_tells(monkeypatc
 
 def test_layout_is_three_integer_widths_in_one_order():
     layout = sim.RegisterLayout(2, 3, np.int64(2))
-    assert (layout.reg_L, layout.reg_C, layout.ancilla, layout.reg_B, layout.n_qubits) == (
-        range(0, 2), range(2, 5), 5, range(6, 8), 8)
+    assert (layout.reg_C, layout.ancilla, layout.n_qubits) == (range(2, 5), 5, 8)
     for args in ((2.0, 3, 2), (2, True, 2), (2, 3, np.bool_(True)), (-1, 3, 2), (2, -1, 2),
                  (2, 3, 0), (2, 3, np.float64(2))):
         with pytest.raises(ValidationError, match="_bits must be an integer >= "):
@@ -94,21 +99,20 @@ def test_layout_is_three_integer_widths_in_one_order():
 
 
 def test_layout_sets_its_registers_from_the_widths_alone():
-    # the registers and the qubit count are set once, in __post_init__:
+    # C, the ancilla and the qubit count are set once, in __post_init__:
     # replace recomputes them, and equality, hashing and repr see the widths
     layout = sim.RegisterLayout(2, 3, 2)
     wider = dataclasses.replace(layout, t_bits=4)
-    assert (wider.reg_L, wider.reg_C, wider.ancilla, wider.reg_B, wider.n_qubits) == (
-        range(0, 2), range(2, 6), 6, range(7, 9), 9)
+    assert (wider.reg_C, wider.ancilla, wider.n_qubits) == (range(2, 6), 6, 9)
     assert dataclasses.replace(wider, t_bits=3) == layout
     assert repr(layout) == "RegisterLayout(m_bits=2, t_bits=3, b_bits=2)"
     assert hash(layout) == hash((2, 3, 2))
     tampered = sim.RegisterLayout(2, 3, 2)
     object.__setattr__(tampered, "n_qubits", 99)
-    object.__setattr__(tampered, "reg_B", range(0))
+    object.__setattr__(tampered, "reg_C", range(0))
     assert tampered == layout and hash(tampered) == hash(layout)
     assert repr(tampered) == repr(layout)
-    for name in ("ancilla", "n_qubits", "reg_L", "reg_C", "reg_B"):
+    for name in ("ancilla", "n_qubits", "reg_C"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(layout, name, getattr(wider, name))
     with pytest.raises(TypeError):
@@ -120,15 +124,15 @@ def test_load_register_identity_case():
     state = sim.new_state(layout)
     vec = np.zeros(4)
     vec[0] = 1.0
-    sim.load_register(state, layout, vec)
+    sim.load_register(state, vec)
     assert state.amplitudes[0] == 1.0
 
 
 def test_load_register_uniform_two_qubits():
     layout = sim.RegisterLayout(1, 1, 2)
     state = sim.new_state(layout)
-    sim.load_register(state, layout, np.full(4, 0.5))
-    mass = sim.register_mass(state, layout.reg_B)
+    sim.load_register(state, np.full(4, 0.5))
+    mass = sim.register_mass(state, range(layout.ancilla + 1, layout.n_qubits))
     assert np.allclose(mass, 0.25)
 
 
@@ -136,12 +140,12 @@ def test_load_register_rejects_bad_input():
     layout = sim.RegisterLayout(1, 1, 2)
     state = sim.new_state(layout)
     with pytest.raises(ValidationError, match="unit norm"):
-        sim.load_register(state, layout, np.full(4, 0.4))
+        sim.load_register(state, np.full(4, 0.4))
     with pytest.raises(ValidationError, match="4 amplitudes"):
-        sim.load_register(state, layout, np.full(8, 1 / np.sqrt(8)))
+        sim.load_register(state, np.full(8, 1 / np.sqrt(8)))
     for bad in (["a", "b", "c", "d"], [[1.0], [0.0, 0.0], [0.0], [0.0]]):  # not numbers, ragged
         with pytest.raises(ValidationError, match="must hold numbers"):
-            sim.load_register(state, layout, bad)
+            sim.load_register(state, bad)
 
 
 def test_load_register_requires_other_registers_cleared():
@@ -151,14 +155,14 @@ def test_load_register_requires_other_registers_cleared():
     vec = np.zeros(4)
     vec[0] = 1.0
     with pytest.raises(ValidationError, match=r"not in \|0>"):
-        sim.load_register(state, layout, vec)
+        sim.load_register(state, vec)
 
 
 def test_load_register_rejects_nan_content():
     layout = sim.RegisterLayout(1, 1, 1)
     state = sim.new_state(layout)
     with pytest.raises(ValidationError, match="unit norm"):
-        sim.load_register(state, layout, [np.nan, 0])
+        sim.load_register(state, [np.nan, 0])
     assert np.array_equal(state.amplitudes, sim.new_state(layout).amplitudes)
 
 
@@ -171,12 +175,12 @@ def test_register_reads_reject_a_state_off_unit_norm():
         lambda state: sim.register_mass(state, range(layout.ancilla, layout.ancilla + 1)),
         lambda state: sim.post_select(state, layout.ancilla, 0),
     )
-    unit = random_state(layout.n_qubits, 5)
+    unit = random_state(layout, 5)
     for read in reads:
         read(unit.copy())
         for drift, match in ((np.nan, "nan"), (1 + 1e-9, "drifted")):
             state = unit.copy()
-            state.amplitudes *= drift
+            state.amplitudes[:] *= drift
             with pytest.raises(NormalizationError, match=match):
                 read(state)
 
@@ -187,14 +191,15 @@ def test_state_requires_writable_contiguous_complex128_amplitudes():
     # in-place gate with NumPy's bare "output array is read-only"
     read_only = np.eye(8, dtype=complex)[0]
     read_only.flags.writeable = False
-    for amp in (np.array([1.0, 0.0]), [1.0, 0.0], np.array([1, 0], dtype=np.complex64),
-                np.eye(4, dtype=complex)[0, ::2], read_only):
+    for amp in (np.array([1.0, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0],
+                np.array([1, 0, 0, 0], dtype=np.complex64), np.eye(8, dtype=complex)[0, ::2],
+                read_only):
         with pytest.raises(ValidationError, match="^amplitudes must be a writable C-contiguous"
                                                   " complex128 array"):
-            sim.QuantumState(int(np.size(amp)).bit_length() - 1, amp)
+            sim.QuantumState(flat(int(np.size(amp)).bit_length() - 1), amp)
     # the same array, writable, is a state the gates write in place
-    state = sim.QuantumState(3, read_only.copy())
-    sim.apply_unitary(state, sim.RegisterLayout(0, 1, 1))
+    state = sim.QuantumState(sim.RegisterLayout(0, 1, 1), read_only.copy())
+    sim.apply_unitary(state)
     assert np.allclose(state.amplitudes[[0, 4]], 1 / np.sqrt(2))
 
 
@@ -208,10 +213,10 @@ def dft(k: int, inverse: bool = False) -> np.ndarray:
 
 def test_apply_unitary_then_its_inverse_is_identity():
     layout = sim.RegisterLayout(1, 2, 1)
-    state = random_state(layout.n_qubits, 1)
+    state = random_state(layout, 1)
     before = state.amplitudes.copy()
-    sim.apply_unitary(state, layout)
-    sim.apply_unitary(state, layout, inverse=True)
+    sim.apply_unitary(state)
+    sim.apply_unitary(state, inverse=True)
     assert np.allclose(state.amplitudes, before, atol=1e-14)
 
 
@@ -219,11 +224,11 @@ def test_apply_unitary_single_qubit_is_the_most_significant_bit():
     # qubit 0 is the most significant bit: the one-qubit DFT on C, qubit 0
     # of the layout (0, 1, 1), takes |001> to |+01>, indices 1 and 5, and
     # on C, qubit 1 of (1, 1, 1), takes |1000> to |1+00>, indices 8 and 12
-    state = sim.QuantumState(3, np.eye(8, dtype=complex)[1])
-    sim.apply_unitary(state, sim.RegisterLayout(0, 1, 1))
+    state = sim.QuantumState(sim.RegisterLayout(0, 1, 1), np.eye(8, dtype=complex)[1])
+    sim.apply_unitary(state)
     assert np.allclose(state.amplitudes, np.eye(8)[[1, 5]].sum(axis=0) / np.sqrt(2))
-    state = sim.QuantumState(4, np.eye(16, dtype=complex)[8])
-    sim.apply_unitary(state, sim.RegisterLayout(1, 1, 1), inverse=True)
+    state = sim.QuantumState(sim.RegisterLayout(1, 1, 1), np.eye(16, dtype=complex)[8])
+    sim.apply_unitary(state, inverse=True)
     assert np.allclose(state.amplitudes, np.eye(16)[[8, 12]].sum(axis=0) / np.sqrt(2))
 
 
@@ -232,12 +237,12 @@ def test_apply_unitary_on_one_qubit_is_the_hadamard():
     # either direction, as the Hadamard on qubit 0 takes them
     layout = sim.RegisterLayout(0, 1, 1)
     state = sim.new_state(layout)
-    sim.apply_unitary(state, layout)
+    sim.apply_unitary(state)
     assert np.allclose(state.amplitudes, np.eye(8)[[0, 4]].sum(axis=0) / np.sqrt(2))
     for inverse in (False, True):
-        state = sim.QuantumState(3, np.eye(8, dtype=complex)[4])
+        state = sim.QuantumState(layout, np.eye(8, dtype=complex)[4])
         expected = unitary(state.copy(), hadamard(), [0]).amplitudes
-        sim.apply_unitary(state, layout, inverse=inverse)
+        sim.apply_unitary(state, inverse=inverse)
         assert np.allclose(state.amplitudes, expected)
         assert np.allclose(state.amplitudes[[0, 4]], hadamard() @ [0, 1])
 
@@ -249,35 +254,60 @@ def test_every_factor_of_a_control_is_checked():
     # qpe.conditional_evolution checks its angles
     z = np.array([1, -1], dtype=complex)
     layout = sim.RegisterLayout(0, 2, 1)
-    state = random_state(layout.n_qubits, 18)
+    state = random_state(layout, 18)
     before = state.amplitudes.copy()
     for rows in ([z, z, z], [z]):
         with pytest.raises(ValidationError, match=r"^E's table must be a complex128 array of"
                            rf" shape \(4, 1, 2\), got complex128 \({1 << len(rows)}, 1, 2\)$"):
-            sim.apply_controlled(state, layout, label_table(rows))
+            sim.apply_controlled(state, label_table(rows))
     assert np.array_equal(state.amplitudes, before)
-    sim.apply_controlled(state, layout, label_table([z, z]))
-    expected = controlled(sim.QuantumState(4, before), [np.diag(z)] * 2, layout.reg_C,
-                          layout.reg_B)
+    sim.apply_controlled(state, label_table([z, z]))
+    expected = controlled(sim.QuantumState(layout, before), [np.diag(z)] * 2, layout.reg_C,
+                          range(layout.ancilla + 1, layout.n_qubits))
     assert np.array_equal(state.amplitudes, expected.amplitudes)
 
 
 def test_state_rejects_amplitudes_that_do_not_fit_its_qubits():
     for n, shape in ((3, (16,)), (3, (4,)), (2, (2, 2))):
-        with pytest.raises(ValidationError, match="need 2\\*\\*n amplitudes"):
-            sim.QuantumState(n, np.zeros(shape, dtype=complex))
-    for n, shape in ((-1, (1,)), (sim.MAX_QUBITS + 1, (1,)), (2.0, (4,)), (True, (2,)),
-                     (np.bool_(True), (2,))):
-        with pytest.raises(ValidationError, match="^n_qubits must lie in 0..26, an integer"):
-            sim.QuantumState(n, np.zeros(shape, dtype=complex))
-    assert sim.QuantumState(0, np.ones(1, dtype=complex)).norm() == 1.0
+        with pytest.raises(ValidationError, match=rf"of {n} qubits needs 2\*\*{n} amplitudes"):
+            sim.QuantumState(flat(n), np.zeros(shape, dtype=complex))
+
+
+# what no state takes as the layout of 2^6 amplitudes
+BAD_LAYOUTS = {
+    "a register": range(2, 4),
+    "a tuple of widths": (2, 2, 1),
+    "a smaller layout": sim.RegisterLayout(1, 2, 1),
+    "a larger layout": sim.RegisterLayout(2, 2, 2),
+}
+
+
+def test_a_state_is_made_on_the_register_layout_of_its_amplitudes():
+    # the state's one layout check, where it is made: anything but a layout
+    # of its amplitudes' qubit count, or one of more than MAX_QUBITS qubits
+    # (checked before the amplitudes), raises; the state stays frozen, and
+    # the gates and stages read the layout from it
+    amp = random_state(sim.RegisterLayout(2, 2, 1), 40).amplitudes
+    for bad in BAD_LAYOUTS.values():
+        match = (r" amplitudes: \(64,\)$" if isinstance(bad, sim.RegisterLayout)
+                 else "^a state's layout must be a RegisterLayout, got ")
+        with pytest.raises(ValidationError, match=match):
+            sim.QuantumState(bad, amp)
+    with pytest.raises(ValidationError, match="^n_qubits must lie in 1..26, an integer, got 27$"):
+        sim.QuantumState(sim.RegisterLayout(0, 17, 9), np.zeros(1, dtype=complex))
+    state = sim.QuantumState(sim.RegisterLayout(2, 2, 1), amp)
+    assert state.n_qubits == 6 and state.registers.shape == (4, 4, 2, 2)
+    assert np.shares_memory(state.registers, amp) and state.copy().layout is state.layout
+    for name in ("layout", "amplitudes", "n_qubits"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, getattr(state, name))
 
 
 def test_apply_controlled_inactive_control():
     # C reads 0: E leaves the state as it is, bit for bit
     layout = sim.RegisterLayout(0, 1, 1)
     state = sim.new_state(layout)
-    sim.apply_controlled(state, layout, label_table([[1j, -1]]))
+    sim.apply_controlled(state, label_table([[1j, -1]]))
     assert np.array_equal(state.amplitudes, np.eye(8)[0])
     # the dense reference leaves it too
     controlled(state, [pauli_x()], [0], [2])
@@ -290,22 +320,22 @@ def test_apply_controlled_controlled_phase():
     layout = sim.RegisterLayout(0, 1, 1)
     amp = np.zeros(8, dtype=complex)
     amp[[0, 1, 4, 5]] = 0.5
-    state = sim.QuantumState(3, amp)
-    sim.apply_controlled(state, layout, label_table([[1, -1]]))
+    state = sim.QuantumState(layout, amp)
+    sim.apply_controlled(state, label_table([[1, -1]]))
     assert np.array_equal(state.amplitudes, [0.5, 0.5, 0, 0, 0.5, -0.5, 0, 0])
     # diag(1, i) on B where C reads 1
-    sim.apply_controlled(state, layout, label_table([[1, 1j]]))
+    sim.apply_controlled(state, label_table([[1, 1j]]))
     assert np.array_equal(state.amplitudes, [0.5, 0.5, 0, 0, 0.5, -0.5j, 0, 0])
 
 
 def test_reference_controlled_cnot():
-    state = sim.QuantumState(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
+    state = sim.QuantumState(flat(2), np.array([0, 0, 1, 0], dtype=complex))  # |10>
     controlled(state, [pauli_x()], [0], [1])
     assert np.allclose(state.amplitudes, [0, 0, 0, 1])  # |11>
 
 
 def test_reference_controlled_ry_pi_makes_bell_state():
-    state = sim.QuantumState(2, np.array([1, 0, 0, 0], dtype=complex))
+    state = sim.QuantumState(flat(2), np.array([1, 0, 0, 0], dtype=complex))
     unitary(state, hadamard(), [0])
     controlled(state, [ry(np.pi)], [0], [1])
     expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -315,10 +345,10 @@ def test_reference_controlled_ry_pi_makes_bell_state():
 def test_basis_oracle_identity():
     # zero codes, and no codes at all, leave every amplitude as it is
     layout = sim.RegisterLayout(2, 2, 1)
-    state = random_state(layout.n_qubits, 4)
+    state = random_state(layout, 4)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, layout, {c: 0 for c in range(4)})
-    sim.apply_basis_oracle(state, layout, {})
+    sim.apply_basis_oracle(state, {c: 0 for c in range(4)})
+    sim.apply_basis_oracle(state, {})
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -329,8 +359,8 @@ def test_basis_oracle_partial_map_on_register_c():
     amp = np.zeros(32, dtype=complex)
     amp[0b011 << 2] = 2 / np.sqrt(5)
     amp[0b010 << 2] = 1 / np.sqrt(5)
-    state = sim.QuantumState(5, amp)
-    sim.apply_basis_oracle(state, layout, {1: 0b10})
+    state = sim.QuantumState(layout, amp)
+    sim.apply_basis_oracle(state, {1: 0b10})
     expected = np.zeros(32, dtype=complex)
     expected[0b111 << 2] = 2 / np.sqrt(5)
     expected[0b010 << 2] = 1 / np.sqrt(5)
@@ -342,37 +372,37 @@ def test_basis_oracle_inverse_composition():
     rng = np.random.default_rng(5)
     codes = {c: int(rng.integers(8)) for c in range(8)}
     layout = sim.RegisterLayout(3, 3, 1)
-    state = random_state(layout.n_qubits, 6)
+    state = random_state(layout, 6)
     before = state.amplitudes.copy()
-    sim.apply_basis_oracle(state, layout, codes)
+    sim.apply_basis_oracle(state, codes)
     assert not np.array_equal(state.amplitudes, before)
-    sim.apply_basis_oracle(state, layout, codes)
+    sim.apply_basis_oracle(state, codes)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_rejects_out_of_range_code():
     layout = sim.RegisterLayout(2, 2, 1)
-    state = random_state(layout.n_qubits, 7)
+    state = random_state(layout, 7)
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, layout, {0: 4})  # code wider than L
+        sim.apply_basis_oracle(state, {0: 4})  # code wider than L
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, layout, {4: 1})  # label wider than C
+        sim.apply_basis_oracle(state, {4: 1})  # label wider than C
     with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, layout, {1: -1})
+        sim.apply_basis_oracle(state, {1: -1})
     # labels and codes are integers, not bools, all checked before a label moves
     before = state.amplitudes.copy()
     for codes in ({1.5: 1}, {1: 1.0}, {True: 1}, {1: True}, {1: 1, 2: 1.0}, {1: 1, 2: 1.5}):
         with pytest.raises(ValidationError, match="not an integer or out of range"):
-            sim.apply_basis_oracle(state, layout, codes)
+            sim.apply_basis_oracle(state, codes)
         assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_unlisted_labels_keep_l():
     # (L, C, the ancilla and B): only L moves, within the slice C = 1
     layout = sim.RegisterLayout(2, 2, 1)
-    state = random_state(layout.n_qubits, 9)
+    state = random_state(layout, 9)
     before = state.amplitudes.reshape(4, 4, 4).copy()
-    sim.apply_basis_oracle(state, layout, {1: 2})
+    sim.apply_basis_oracle(state, {1: 2})
     after = state.amplitudes.reshape(4, 4, 4)
     assert np.array_equal(after[:, [0, 2, 3]], before[:, [0, 2, 3]])
     assert np.array_equal(after[:, 1], before[[2, 3, 0, 1], 1])
@@ -382,7 +412,7 @@ def test_post_select_deterministic_outcome():
     # post-selection is a read: it gives the probability and writes nothing
     amp = np.zeros(4, dtype=complex)
     amp[2] = 1.0  # |10>
-    state = sim.QuantumState(2, amp.copy())
+    state = sim.QuantumState(flat(2), amp.copy())
     assert sim.post_select(state, 0, 1) == 1.0
     assert state.amplitudes.tobytes() == amp.tobytes()
 
@@ -390,7 +420,7 @@ def test_post_select_deterministic_outcome():
 def test_post_select_half_probability():
     phi = np.array([0.6, 0.8])
     amp = np.kron(np.array([1, 1]) / np.sqrt(2), phi)
-    state = sim.QuantumState(2, amp.astype(complex))
+    state = sim.QuantumState(flat(2), amp.astype(complex))
     before = state.amplitudes.tobytes()
     p = sim.post_select(state, 0, 1)
     assert type(p) is float and p == pytest.approx(0.5)
@@ -400,7 +430,7 @@ def test_post_select_half_probability():
 
 
 def test_post_select_probability_matches_mass():
-    state = random_state(4, 9)
+    state = random_state(flat(4), 9)
     mass = sim.register_mass(state, range(2, 3))
     p = sim.post_select(state.copy(), 2, 0)
     assert p == pytest.approx(mass[0], abs=1e-12)
@@ -408,8 +438,9 @@ def test_post_select_probability_matches_mass():
 
 def test_post_select_checks_the_norm_from_its_one_read():
     # a drifted or NaN state fails before it is conditioned
-    for amp in (np.array([0.6, 0.8001], dtype=complex), np.array([np.nan, 1.0], dtype=complex)):
-        state = sim.QuantumState(1, amp.copy())
+    for amp in (np.array([0.6, 0, 0.8001, 0], dtype=complex),
+                np.array([np.nan, 0, 1.0, 0], dtype=complex)):
+        state = sim.QuantumState(sim.RegisterLayout(0, 0, 1), amp.copy())
         with pytest.raises(NormalizationError, match="drifted"):
             sim.post_select(state, 0, 1)
         assert np.array_equal(state.amplitudes, amp, equal_nan=True)
@@ -418,13 +449,13 @@ def test_post_select_checks_the_norm_from_its_one_read():
 def test_post_select_takes_the_integer_zero_or_one():
     # 1.0 indexed the masses with a float, True with a bool
     for value in (1.0, True, np.bool_(True), 2, -1, "1", None):
-        state = random_state(3, 10)
+        state = random_state(flat(3), 10)
         before = state.amplitudes.copy()
         with pytest.raises(ValidationError, match="^measurement value must lie in 0..1, an integer,"):
             sim.post_select(state, 2, value)
         assert np.array_equal(state.amplitudes, before)
-    p = sim.post_select(random_state(3, 10), 2, np.int64(1))
-    assert p == sim.post_select(random_state(3, 10), 2, 1)
+    p = sim.post_select(random_state(flat(3), 10), 2, np.int64(1))
+    assert p == sim.post_select(random_state(flat(3), 10), 2, 1)
 
 
 def test_norm_is_numpy_norm_bit_for_bit():
@@ -463,89 +494,24 @@ def test_width_check_takes_integers_only():
 
 def test_l_zero_block_is_a_view_with_l_removed():
     layout = sim.RegisterLayout(2, 3, 2)  # L 0-1, C 2-4, ancilla 5, B 6-7
-    state = random_state(layout.n_qubits, 52)
-    block, block_layout = sim.l_zero_block(state, layout)
-    assert block_layout == sim.RegisterLayout(0, 3, 2)
+    state = random_state(layout, 52)
+    block = sim.l_zero_block(state)
+    assert block.layout == sim.RegisterLayout(0, 3, 2)
     assert block.n_qubits == 6 and np.shares_memory(block.amplitudes, state.amplitudes)
     assert np.array_equal(block.amplitudes, state.amplitudes[:64])
-    sim.apply_unitary(block, block_layout)
+    sim.apply_unitary(block)
     assert np.array_equal(state.amplitudes[:64], block.amplitudes)
     # no L: the block is the state
-    no_l = sim.RegisterLayout(0, 5, 2)
-    assert sim.l_zero_block(state, no_l)[0].amplitudes.size == 256
+    no_l = sim.QuantumState(sim.RegisterLayout(0, 5, 2), state.amplitudes)
+    assert sim.l_zero_block(no_l).amplitudes.size == 256
 
 
 def test_post_select_floor_error():
-    amp = np.zeros(2, dtype=complex)
+    amp = np.zeros(4, dtype=complex)
     amp[0] = 1.0
-    state = sim.QuantumState(1, amp)
+    state = sim.QuantumState(sim.RegisterLayout(0, 0, 1), amp)
     with pytest.raises(FullyThresholdedError):
         sim.post_select(state, 0, 1)
-
-
-def _layout_calls():
-    """Every entry point that takes the run's layout, as a call on a state
-    and a layout, with arguments that fit the layout (2, 2, 1)."""
-    cfg, eigenvalues = qpe.PhaseEstimationConfig(2, 1.0, False), [1.0, 2.0]
-    oracle = rotation.SigmaTauOracle(2, 2, {1: 1}, {1: 1})
-    return {
-        "apply_unitary": sim.apply_unitary,
-        "apply_controlled":
-            lambda s, lay: sim.apply_controlled(s, lay, np.ones((4, 1, 2), dtype=complex)),
-        "apply_basis_oracle": lambda s, lay: sim.apply_basis_oracle(s, lay, {1: 1}),
-        "load_register": lambda s, lay: sim.load_register(s, lay, [1.0, 0.0]),
-        "qft": qpe.qft,
-        "iqft": qpe.iqft,
-        "conditional_evolution":
-            lambda s, lay: qpe.conditional_evolution(s, cfg, lay, eigenvalues),
-        "phase_estimate": lambda s, lay: qpe.phase_estimate(s, cfg, lay, eigenvalues),
-        "phase_estimate_inverse":
-            lambda s, lay: qpe.phase_estimate_inverse(s, cfg, lay, eigenvalues),
-        "ry_cascade": lambda s, lay: rotation.ry_cascade(s, lay, 1.0),
-        "SigmaTauOracle.apply": oracle.apply,
-        "uncompute_residual": rotation.uncompute_residual,
-        "l_zero_block": sim.l_zero_block,
-    }
-
-
-LAYOUT_CALLS = _layout_calls()
-
-
-# what no entry point takes as the layout of a 6-qubit state
-BAD_LAYOUTS = {
-    "a register": range(2, 4),
-    "a tuple of widths": (2, 2, 1),
-    "a smaller layout": sim.RegisterLayout(1, 2, 1),
-    "a larger layout": sim.RegisterLayout(2, 2, 2),
-}
-
-
-LAYOUT_CASES = list(itertools.product(LAYOUT_CALLS, BAD_LAYOUTS))
-
-
-@pytest.mark.parametrize("entry, bad", LAYOUT_CASES, ids=[f"{e} / {b}" for e, b in LAYOUT_CASES])
-def test_every_gate_and_stage_takes_the_layout_of_its_state(entry, bad):
-    # the one layout check runs first: anything but a layout of the state's
-    # qubit count raises before the state is touched, on every call
-    call, layout = LAYOUT_CALLS[entry], sim.RegisterLayout(2, 2, 1)
-    state = random_state(layout.n_qubits, 40)
-    before = state.amplitudes.tobytes()
-    for _ in range(2):
-        with pytest.raises(ValidationError, match=" is not a RegisterLayout of 6 qubits$"):
-            call(state, BAD_LAYOUTS[bad])
-        assert state.amplitudes.tobytes() == before
-    # the state's own layout runs, on a cleared state
-    call(sim.new_state(layout), layout)
-
-
-@pytest.mark.parametrize("layout", [(2, 3, 1), sim.RegisterLayout(9, 3, 1)],
-                         ids=["a tuple of widths", "a layout wider than the state"])
-def test_l_zero_block_checks_the_layout_of_its_state(layout):
-    # on a 7-qubit state a tuple raised a bare AttributeError and a layout
-    # of more L qubits than the state has a bare ValueError, a negative shift
-    state = random_state(7, 41)
-    with pytest.raises(ValidationError, match=" is not a RegisterLayout of 7 qubits$"):
-        sim.l_zero_block(state, layout)
 
 
 @pytest.mark.parametrize("entry", [sim.new_state, sim.check_budget],
@@ -572,7 +538,7 @@ def test_cached_layout_is_made_once_per_widths_and_checks_their_types():
 def test_register_mass_takes_a_range_of_the_state(register):
     # a register in the form a layout holds it: a non-empty range of step
     # 1 within the state; anything else is rejected before the state is read
-    state = random_state(6, 41)
+    state = random_state(flat(6), 41)
     before = state.amplitudes.tobytes()
     for _ in range(2):
         with pytest.raises(ValidationError, match=r"^register .* must be a non-empty range"
@@ -589,7 +555,7 @@ def test_register_mass_takes_a_range_of_the_state(register):
 def test_post_select_takes_an_integer_qubit_of_the_state(qubit):
     # True and 1.0 equal 1, but a qubit is an integer, and -1 and n lie
     # outside the state; a NumPy integer reads as the int
-    state = random_state(6, 42)
+    state = random_state(flat(6), 42)
     before = state.amplitudes.tobytes()
     with pytest.raises(ValidationError, match="^qubit must lie in 0..5, an integer, got "):
         sim.post_select(state, qubit, 0)
@@ -600,34 +566,33 @@ def test_post_select_takes_an_integer_qubit_of_the_state(qubit):
 def test_norm_preserved_over_random_gate_sequences():
     rng = np.random.default_rng(13)
     layout = sim.RegisterLayout(2, 3, 1)
-    state = random_state(layout.n_qubits, 13)
+    state = random_state(layout, 13)
     for _ in range(30):
         kind = rng.integers(3)
         if kind == 0:
-            sim.apply_unitary(state, layout, inverse=bool(rng.integers(2)))
+            sim.apply_unitary(state, inverse=bool(rng.integers(2)))
         elif kind == 1:
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 2)))
-            sim.apply_controlled(state, layout, label_table(phases))
+            sim.apply_controlled(state, label_table(phases))
         else:
             codes = {c: int(rng.integers(4)) for c in range(8)}
-            sim.apply_basis_oracle(state, layout, codes)
+            sim.apply_basis_oracle(state, codes)
     assert abs(state.norm() - 1.0) < 1e-10
 
 
 def test_gate_linearity_on_superpositions():
     rng = np.random.default_rng(14)
     layout = sim.RegisterLayout(1, 2, 1)
-    n = layout.n_qubits
     for trial in range(5):
-        a = random_state(n, 100 + trial)
-        b = random_state(n, 200 + trial)
+        a = random_state(layout, 100 + trial)
+        b = random_state(layout, 200 + trial)
         c1, c2 = rng.normal(size=2)
-        combo = sim.QuantumState(n, c1 * a.amplitudes + c2 * b.amplitudes)
-        norm = np.linalg.norm(combo.amplitudes)
-        combo.amplitudes /= norm
-        sim.apply_unitary(combo, layout)
-        sim.apply_unitary(a, layout)
-        sim.apply_unitary(b, layout)
+        combo = c1 * a.amplitudes + c2 * b.amplitudes
+        norm = np.linalg.norm(combo)
+        combo = sim.QuantumState(layout, combo / norm)
+        sim.apply_unitary(combo)
+        sim.apply_unitary(a)
+        sim.apply_unitary(b)
         expected = (c1 * a.amplitudes + c2 * b.amplitudes) / norm
         assert np.abs(combo.amplitudes - expected).max() < 1e-12
 
@@ -635,9 +600,9 @@ def test_gate_linearity_on_superpositions():
 def test_controlled_identity_is_noop():
     layout = sim.RegisterLayout(0, 1, 2)
     for seed in range(3):
-        state = random_state(layout.n_qubits, 300 + seed)
+        state = random_state(layout, 300 + seed)
         before = state.amplitudes.copy()
-        sim.apply_controlled(state, layout, label_table([np.ones(4)]))
+        sim.apply_controlled(state, label_table([np.ones(4)]))
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -726,17 +691,17 @@ def test_gates_match_the_dense_references_at_every_layout(inverse):
         for kind, phases in rows.items():
             phases = phases.conj() if inverse else phases
             cases[kind] = (
-                lambda s, lay, p=label_table(phases): sim.apply_controlled(s, lay, p),
+                lambda s, p=label_table(phases): sim.apply_controlled(s, p),
                 lambda s, p=phases: controlled(s, [np.diag(r) for r in p], layout.reg_C,
-                                               layout.reg_B))
+                                               range(layout.ancilla + 1, layout.n_qubits)))
         for kind, (gate, reference) in cases.items():
-            state = random_state(n, 1000 + i)
+            state = random_state(layout, 1000 + i)
             before = state.amplitudes.copy()
             expected = reference(state.copy()).amplitudes
-            gate(state, layout)
+            gate(state)
             assert np.abs(state.amplitudes - expected).max() < 1e-12, (layout, kind)
-            state = sim.QuantumState(n, before.copy())
-            gate(*sim.l_zero_block(state, layout))
+            state = sim.QuantumState(layout, before.copy())
+            gate(sim.l_zero_block(state))
             size = 1 << (n - layout.m_bits)
             assert np.abs(state.amplitudes[:size] - expected[:size]).max() < 1e-12, (layout, kind)
             assert np.array_equal(state.amplitudes[size:], before[size:]), (layout, kind)
@@ -754,13 +719,13 @@ def test_reference_gates_match_dense_kronecker_reference():
         k = int(rng.integers(1, min(3, n - w) + 1))
         targets, control = _placement(n, k, w, rng)
         factors = [random_unitary(k, rng) for _ in range(w)]
-        state = random_state(n, 2000 + trial)
+        state = random_state(flat(n), 2000 + trial)
         before = state.amplitudes.copy()
         controlled(state, factors, control, targets)
         expected = dense_reference(n, label_products(factors), targets, control) @ before
         assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, targets, control)
         inverse = bool(rng.integers(2))
-        state = unitary(sim.QuantumState(n, before.copy()), dft(k, inverse), targets)
+        state = unitary(sim.QuantumState(flat(n), before.copy()), dft(k, inverse), targets)
         expected = dense_reference(n, [dft(k, inverse)], targets) @ before
         assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, targets, inverse)
 
@@ -787,10 +752,10 @@ def test_controlled_gate_rejects_bad_rows():
         ((wide_b, label_table(rows[:1])), r"shape \(2, 1, 4\), got complex128 \(2, 1, 2\)$"),
     ]
     for (layout, phases), match in bad:
-        state = random_state(4, 17)
+        state = random_state(layout, 17)
         before = state.amplitudes.copy()
         with pytest.raises(ValidationError, match=match):
-            sim.apply_controlled(state, layout, phases)
+            sim.apply_controlled(state, phases)
         assert np.array_equal(state.amplitudes, before), match
 
 
@@ -803,21 +768,21 @@ def test_dft_gate_runs_in_place():
                "C one qubit": (9, 1, 7), "C all but two qubits": (0, 16, 1)}
     for (name, widths), inverse in itertools.product(layouts.items(), (False, True)):
         layout = sim.RegisterLayout(*widths)
-        state = random_state(layout.n_qubits, 54)
+        state = random_state(layout, 54)
         before = state.amplitudes.copy()
-        sim.apply_unitary(state.copy(), layout, inverse=inverse)  # NumPy's lazy set-up
+        sim.apply_unitary(state.copy(), inverse=inverse)  # NumPy's lazy set-up
         tracemalloc.start()
         try:
-            sim.apply_unitary(state, layout, inverse=inverse)
+            sim.apply_unitary(state, inverse=inverse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < state.amplitudes.nbytes / 8, (name, inverse)
         if layout.t_bits <= 8:
-            expected = unitary(sim.QuantumState(layout.n_qubits, before.copy()),
+            expected = unitary(sim.QuantumState(layout, before.copy()),
                                dft(layout.t_bits, inverse), layout.reg_C)
             assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-12, (name, inverse)
-        sim.apply_unitary(state, layout, inverse=not inverse)
+        sim.apply_unitary(state, inverse=not inverse)
         assert np.abs(state.amplitudes - before).max() < 1e-12, (name, inverse)
 
 
@@ -837,16 +802,16 @@ def test_controlled_gate_multiplies_in_place():
     }
     for name, (widths, phases) in cases.items():
         layout = sim.RegisterLayout(*widths)
-        state = random_state(layout.n_qubits, 53)
+        state = random_state(layout, 53)
         expected = state.copy()
         for q, row in zip(reversed(layout.reg_C), phases):
-            controlled(expected, [np.diag(row)], [q], layout.reg_B)
+            controlled(expected, [np.diag(row)], [q], range(layout.ancilla + 1, layout.n_qubits))
         table = label_table(phases)
-        sim.apply_controlled(state, layout, table)  # NumPy's lazy set-up
-        state = random_state(layout.n_qubits, 53)
+        sim.apply_controlled(state, table)  # NumPy's lazy set-up
+        state = random_state(layout, 53)
         tracemalloc.start()
         try:
-            sim.apply_controlled(state, layout, table)
+            sim.apply_controlled(state, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
