@@ -671,6 +671,108 @@ def _layouts(max_qubits):
             for b in range(1, max_qubits) if m + t + 1 + b <= max_qubits]
 
 
+def _cleared(state, *index):
+    """``state`` with its registers' slice ``index`` set to 0, renormalized."""
+    state.registers[index] = 0.0
+    amp = state.amplitudes
+    amp /= np.linalg.norm(amp)
+    return state
+
+
+def _layout_calls(layout, rng):
+    """Every gate and stage, as a call on a state of ``layout`` with
+    arguments that fit it, beside the state it takes (from a random state)
+    and the dense reference of what it does, written on the qubits that
+    the widths alone give: L 0..m-1, C m..m+t-1, the ancilla m+t, B the
+    rest.  A reference returns what the call's result is compared with."""
+    m, t, b = layout.m_bits, layout.t_bits, layout.b_bits
+    n = m + t + 1 + b
+    reg_L, reg_C, ancilla, reg_B = range(m), range(m, m + t), m + t, range(m + t + 1, n)
+    table = np.stack([random_phases(b, rng) for _ in range(t)])
+    codes = {c: int(rng.integers(1, 1 << m)) for c in range(1 << t) if c % 2 == 0}
+    xor = np.zeros((1 << (m + t),) * 2)  # |l>|c> -> |l ^ codes[c]>|c> on L, C
+    for y, c in itertools.product(range(1 << m), range(1 << t)):
+        xor[(y ^ codes.get(c, 0)) << t | c, y << t | c] = 1.0
+    cfg, lam = qpe.PhaseEstimationConfig(t, 0.7, False), list(rng.uniform(0.5, 3.0, 1 << b))
+
+    def evolution(s, sign=1.0):  # exp(i lam c t0) as one phase factor per C qubit
+        return controlled(s, [np.diag(np.exp(sign * 1j * np.multiply(lam, (1 << j) * cfg.t0)))
+                              for j in range(t)], reg_C, reg_B)
+
+    def estimation(s, sign=1.0):  # on a cleared C the DFT is the Hadamard layer
+        return unitary(evolution(unitary(s, dft(t), reg_C), sign), dft(t, True), reg_C)
+
+    def cascade(s):  # ry(2^(1-j) alpha), alpha 1, on the ancilla for the j-th qubit of L
+        for j, q in enumerate(reg_L, start=1):
+            controlled(s, [ry(2.0 ** (1 - j))], [q], [ancilla])
+        return s
+
+    vec = rng.normal(size=1 << b) + 1j * rng.normal(size=1 << b)
+    vec /= np.linalg.norm(vec)
+    x = np.arange(1 << n)
+    l_zero = x[[all((v >> (n - 1 - q)) & 1 == 0 for q in reg_L) for v in x]]
+    lc_zero = x[[all((v >> (n - 1 - q)) & 1 == 0 for q in [*reg_L, *reg_C]) for v in x]]
+    oracle = rotation.SigmaTauOracle(m, t, codes, {})
+    def same(s):  # a random state as it is
+        return s
+
+    return {
+        "apply_unitary": (same, sim.apply_unitary,
+                          lambda s: unitary(s, dft(t), reg_C).amplitudes),
+        "apply_controlled": (same, lambda s: sim.apply_controlled(s, label_table(table)),
+                             lambda s: controlled(s, [np.diag(r) for r in table], reg_C,
+                                                  reg_B).amplitudes),
+        "apply_basis_oracle": (same, lambda s: sim.apply_basis_oracle(s, codes),
+                               lambda s: unitary(s, xor, [*reg_L, *reg_C]).amplitudes),
+        "load_register": (lambda s: sim.new_state(layout), lambda s: sim.load_register(s, vec),
+                          lambda s: np.kron(np.eye(1 << (n - b))[0], vec)),
+        "qft": (same, qpe.qft, lambda s: unitary(s, dft(t), reg_C).amplitudes),
+        "iqft": (same, qpe.iqft, lambda s: unitary(s, dft(t, True), reg_C).amplitudes),
+        "conditional_evolution": (same, lambda s: qpe.conditional_evolution(s, cfg, lam),
+                                  lambda s: evolution(s).amplitudes),
+        "phase_estimate": (lambda s: _cleared(s, slice(None), slice(1, None)),
+                           lambda s: qpe.phase_estimate(s, cfg, lam),
+                           lambda s: estimation(s).amplitudes),
+        "phase_estimate_inverse": (same, lambda s: qpe.phase_estimate_inverse(s, cfg, lam),
+                                   lambda s: estimation(s, -1.0).amplitudes),
+        "ry_cascade": (lambda s: _cleared(s, slice(None), slice(None), 1),
+                       lambda s: rotation.ry_cascade(s, 1.0), lambda s: cascade(s).amplitudes),
+        "SigmaTauOracle.apply": (same, oracle.apply,
+                                 lambda s: unitary(s, xor, [*reg_L, *reg_C]).amplitudes),
+        "uncompute_residual": (same, rotation.uncompute_residual,
+                               lambda s: 1.0 - np.sum(np.abs(s.amplitudes[lc_zero]) ** 2)),
+        "l_zero_block": (same, lambda s: sim.l_zero_block(s).amplitudes,
+                         lambda s: s.amplitudes[l_zero]),
+    }
+
+
+# four of the five 6-qubit layouts with L and C not empty and B of at most two qubits
+SIX_QUBIT_LAYOUTS = [sim.RegisterLayout(*w) for w in ((2, 2, 1), (1, 3, 1), (1, 2, 2), (3, 1, 1))]
+LAYOUT_CASES = list(itertools.product(_layout_calls(SIX_QUBIT_LAYOUTS[0], np.random.default_rng(0)),
+                                      range(len(SIX_QUBIT_LAYOUTS))))
+
+
+@pytest.mark.parametrize("entry, k", LAYOUT_CASES, ids=[
+    f"{e} / m{SIX_QUBIT_LAYOUTS[k].m_bits} t{SIX_QUBIT_LAYOUTS[k].t_bits}"
+    f" b{SIX_QUBIT_LAYOUTS[k].b_bits}" for e, k in LAYOUT_CASES])
+def test_every_gate_and_stage_takes_the_layout_of_its_state(entry, k):
+    # one 6-qubit amplitude vector read under four layouts: each gate and
+    # stage reads its registers from the layout its state carries, so on
+    # each layout it does what the dense reference on that layout's qubits
+    # does, in place where it writes the state, and a layout is passed
+    # nowhere beside the state
+    layout = SIX_QUBIT_LAYOUTS[k]
+    prepare, call, reference = _layout_calls(layout, np.random.default_rng(60 + k))[entry]
+    state = prepare(sim.QuantumState(layout, random_state(SIX_QUBIT_LAYOUTS[0], 40).amplitudes))
+    expected = reference(state.copy())
+    amplitudes = state.amplitudes
+    got = call(state)
+    if isinstance(got, sim.QuantumState):
+        assert got is state and state.amplitudes is amplitudes and state.layout is layout
+        got = state.amplitudes
+    assert np.abs(np.asarray(got) - expected).max() < 1e-12
+
+
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_gates_match_the_dense_references_at_every_layout(inverse):
     # the DFT on C against the dense DFT of gates.unitary, and E against
