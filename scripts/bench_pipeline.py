@@ -33,11 +33,12 @@ making its input takes: ``random_lowrank`` and the ``decompose`` that
 sets tau.  A circuit case records the probability and fidelity its last
 timed run reached, simulated and analytic, and the mass left on L and C
 after uncomputation (FIDELITY), so an entry shows what its times bought.
-A circuit case then times one more warm run through perfbench's span
-tracer (this checkout's ``perfbench/spans.py``, used as it is, on either
-side of a ``--parent`` run) and records under
-``stages_s`` the inclusive seconds of each stage (STAGES), and under
-``state_mib`` the size of the state the tracer saw made; then, as
+A case then times one more warm run through perfbench's span tracer
+(this checkout's ``perfbench/spans.py``, used as it is, on either side
+of a ``--parent`` run) and records under ``stages_s`` the inclusive
+seconds of each stage: the sweep's draw, decompose and each alpha rule
+(SWEEP_STAGES), or a circuit's stages (STAGES).  A circuit case also
+records under ``state_mib`` the size of the state the tracer saw made; then, as
 ``peak_traced_mib``, the ``tracemalloc`` peak of one more warm run, and as
 ``peak_over_state`` that peak over the state's size: the north star's
 "peak memory is about one state" as a number.  The state holds the
@@ -95,10 +96,13 @@ REPEATS = 3  # processes per case and side with --parent
 # the fields of a circuit case's SimulationResult that its record keeps
 FIDELITY = ("p_sim", "p_analytic", "f_sim", "f_analytic", "residual_mass")
 
+# alpha.resolve_alpha's spans, one name per rule of alpha.METHODS
+RESOLVE = tuple(f"alpha.resolve_alpha.{rule}"
+                for rule in ("intuitive", "taylor2", "taylor4", "numeric"))
 # the stages of a run, in run order, by the spans each sums; the oracle
 # and its inverse are the first and second SigmaTauOracle.apply spans
 STAGES = {
-    "setup": ("spectral.decompose", "alpha.resolve_alpha", "qpe.choose_t0",
+    "setup": ("spectral.decompose", *RESOLVE, "qpe.choose_t0",
               "rotation.build_sigma_tau_oracle"),
     "prep": ("sim.new_state", "sim.load_register"),
     "qpe": ("qpe.phase_estimate",),
@@ -110,11 +114,15 @@ STAGES = {
     "post_select": ("sim.post_select",),
 }
 ORACLE = "rotation.SigmaTauOracle.apply"
+# the stages of the analytic sweep, summed over its instances: each draw,
+# each SVD and each rule
+SWEEP_STAGES = {"draw": ("harness.random_lowrank",), "decompose": ("spectral.decompose",),
+                **{name: (name,) for name in RESOLVE}}
 
 
-def _stages(work, cfg) -> tuple[dict, int]:
-    """Inclusive seconds of each stage of one traced run of ``work(cfg)``,
-    and the bytes of the state it made."""
+def _stages(work, cfg, stages: dict) -> tuple[dict, int]:
+    """Inclusive seconds of each of ``stages``, by the spans each sums, in
+    one traced run of ``work(cfg)``, and the bytes of the state it made."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import spans
 
@@ -124,16 +132,14 @@ def _stages(work, cfg) -> tuple[dict, int]:
         work(cfg)
     finally:
         tracer.uninstall()
-    stage_of = {name: stage for stage, names in STAGES.items() for name in names}
+    stage_of = {name: stage for stage, names in stages.items() for name in names}
     oracles = iter(("oracle", "oracle_inverse"))
-    stages = dict.fromkeys(STAGES, 0.0)
+    seconds = dict.fromkeys(stages, 0.0)
     for name, start, end, _parent, _op in tracer.spans:
-        if name.startswith("alpha.resolve_alpha."):  # the span names the rule
-            name = "alpha.resolve_alpha"
         stage = next(oracles) if name == ORACLE else stage_of.get(name)
         if stage:
-            stages[stage] += end - start
-    return stages, tracer.state_bytes
+            seconds[stage] += end - start
+    return seconds, tracer.state_bytes
 
 
 def _case(name: str, src: Path) -> dict:
@@ -178,16 +184,19 @@ def _case(name: str, src: Path) -> dict:
         "wall_min_s": min(walls),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    if name != SWEEP:  # after the peak RSS: the tracer and tracemalloc are not the run's
-        out.update({key: float(getattr(result, key)) for key in FIDELITY})
-        out["stages_s"], state_bytes = _stages(work, cfg)
-        out["state_mib"] = state_bytes / 2**20
-        tracemalloc.start()
-        work(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        out["peak_traced_mib"] = peak / 2**20
-        out["peak_over_state"] = peak / state_bytes
+    # after the peak RSS: the tracer and tracemalloc are not the run's
+    if name == SWEEP:  # no state: no state size or tracemalloc peak
+        out["stages_s"] = _stages(work, cfg, SWEEP_STAGES)[0]
+        return out
+    out.update({key: float(getattr(result, key)) for key in FIDELITY})
+    out["stages_s"], state_bytes = _stages(work, cfg, STAGES)
+    out["state_mib"] = state_bytes / 2**20
+    tracemalloc.start()
+    work(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out["peak_traced_mib"] = peak / 2**20
+    out["peak_over_state"] = peak / state_bytes
     return out
 
 

@@ -6,12 +6,14 @@ objective G = sqrt(P) * F, and four rules that choose alpha.
 a real number, not a bool, finite and positive) and is the one evaluator
 of P, F and G at a chosen alpha; an explicit alpha and every rule's
 alpha reach it.  ``g_objective`` is G alone at an alpha, and
-``g_derivative`` serves the numeric rule's search.
+``g_derivative`` is G' alone, which the numeric rule's edge test at
+pi / y_1 reads; each of its Newton steps takes G' and G'' in one pass.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
-the taylor4 rule or its solution (a negative discriminant) gives
-taylor2's solution and a note; other failures propagate.
+the taylor4 rule or its solution (a negative discriminant, or a leading
+coefficient that underflows to 0) gives taylor2's solution and a note
+that names the failure; other failures propagate.
 
 Each rule returns the solution of the alpha it picks, and no rule reads
 another's.
@@ -74,32 +76,34 @@ class SpectrumProfile:
         if len(self.sigma) == 0 or len(self.sigma) != len(self.y):
             raise ValidationError("sigma and y must be equal-length and non-empty")
         check_sigma(self.sigma)
-        if any(not 0 <= v < 1 for v in self.y):
-            raise ValidationError("shrinkage fractions must lie in [0, 1)")
+        for v in self.y:  # the first failure decides: a non-number past it is not read
+            if not 0 <= v < 1:
+                raise ValidationError("shrinkage fractions must lie in [0, 1)")
         if self.y[0] <= 0:
             raise FullyThresholdedError("largest singular value is thresholded out")
         if len(self.y) > 1 and self.y[0] <= self.y[1]:
             raise ValidationError("first shrinkage gap must be strict")
-        pairs = zip(self.sigma, self.y)
-        terms = tuple((v, s * s, s * s * v, s * s * v * v) for s, v in pairs if v > 0)
-        n1 = math.fsum(s * s for s in self.sigma)
-        n2 = math.fsum(s2y2 for _, _, _, s2y2 in terms)
+        squares = [s * s for s in self.sigma]
+        terms = tuple([(v, s2, s2 * v, s2 * v * v) for s2, v in zip(squares, self.y) if v > 0])
+        n1 = math.fsum(squares)
+        n2 = math.fsum([s2y2 for _, _, _, s2y2 in terms])
         scale = math.sqrt(n1 * n2)
         # sigma^2 or N1 * N2 can leave the float range; written so that NaN fails
-        if not all(0 < x < math.inf for x in (n1, n2, scale)):
+        if not (0 < n1 < math.inf and 0 < n2 < math.inf and 0 < scale < math.inf):
             raise ValidationError(
                 f"sums of sigma^2 leave the float range (N1 = {n1:.3g}, N2 = {n2:.3g},"
                 f" sqrt(N1 * N2) = {scale:.3g}): rescale A and tau"
             )
-        derived = {"n1": n1, "n2": n2, "scale": scale, "terms": terms}
-        for name, value in derived.items():  # frozen: set once, here
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n1", n1)  # frozen: set once, here
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_sigma_tau(cls, sigma, tau: float) -> "SpectrumProfile":
         sig = tuple(real_vector("sigma", sigma).tolist())
         tau = check_threshold(tau, sig[0] if sig else math.inf)  # empty: rejected below
-        y = tuple(max(1.0 - tau / s, 0.0) for s in sig)
+        y = tuple([max(1.0 - tau / s, 0.0) for s in sig])
         if 1.0 in y:  # 1 - tau / sigma_k rounded to 1
             check_sigma(sig)  # first, as in __post_init__; then y_1 is the 1
             raise ValidationError(
@@ -138,19 +142,18 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     Alpha is checked before any sine, and taken as a Python float; each
     component takes one sine."""
     alpha = check_positive("alpha", alpha)
-    sines = [(s2, c, math.sin(v * alpha)) for v, s2, c, _ in profile.terms]
-    nalpha = math.fsum([s2 * sn**2 for s2, _, sn in sines])
+    weights, parts = [], []
+    for v, s2, c, _ in profile.terms:
+        sn = math.sin(v * alpha)
+        weights.append(s2 * sn**2)
+        parts.append(c * sn)
+    nalpha = math.fsum(weights)
     root = math.sqrt(profile.n2 * nalpha)
     if not root > 0:  # N_alpha = 0, or N2 * N_alpha underflows
         raise ValidationError("zero post-selection probability at this alpha")
-    num = math.fsum([c * sn for _, c, sn in sines])
+    num = math.fsum(parts)
     f = num / root
     return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
-
-
-def _moment(profile: SpectrumProfile, power: int) -> float:
-    """sum s^2 y^power."""
-    return math.fsum([s2 * v**power for v, s2, _, _ in profile.terms])
 
 
 def _intuitive(profile: SpectrumProfile) -> AlphaSolution:
@@ -161,7 +164,7 @@ def _intuitive(profile: SpectrumProfile) -> AlphaSolution:
 
 def _taylor2(profile: SpectrumProfile) -> AlphaSolution:
     """Second-order series solution sqrt(2 sum s^2 y^2 / sum s^2 y^4)."""
-    denom = _moment(profile, 4)
+    denom = math.fsum([s2 * v**4 for v, s2, _, _ in profile.terms])
     if denom <= 0:
         raise ValidationError("degenerate denominator in the order-2 solution")
     return solution(profile, "taylor2", math.sqrt(2.0 * profile.n2 / denom))
@@ -170,8 +173,12 @@ def _taylor2(profile: SpectrumProfile) -> AlphaSolution:
 def _taylor4(profile: SpectrumProfile) -> AlphaSolution:
     """Fourth-order series solution sqrt((b - sqrt(b^2 - 4ac)) / (2a))
     with a = sum s^2 y^6 / 24, b = sum s^2 y^4 / 2, c = sum s^2 y^2."""
-    a = _moment(profile, 6) / 24.0
-    b = _moment(profile, 4) / 2.0
+    fourth, sixth = [], []
+    for v, s2, _, _ in profile.terms:
+        fourth.append(s2 * v**4)
+        sixth.append(s2 * v**6)
+    a = math.fsum(sixth) / 24.0
+    b = math.fsum(fourth) / 2.0
     if a <= 0:
         raise ValidationError("degenerate leading coefficient in the order-4 solution")
     disc = b * b - 4.0 * a * profile.n2
@@ -182,9 +189,13 @@ def _taylor4(profile: SpectrumProfile) -> AlphaSolution:
     return solution(profile, "taylor4", math.sqrt((b - math.sqrt(disc)) / (2.0 * a)))
 
 
-def _g_curvature(profile: SpectrumProfile, alpha: float) -> float:
-    num = math.fsum([-(c * v) * math.sin(v * alpha) for v, _, _, c in profile.terms])
-    return num / profile.scale
+def _slope_and_curvature(profile: SpectrumProfile, alpha: float) -> tuple[float, float]:
+    """G' and G'' at alpha in one pass: one cos and one sin per component."""
+    slopes, curvatures = [], []
+    for v, _, _, c in profile.terms:
+        slopes.append(c * math.cos(v * alpha))
+        curvatures.append(-(c * v) * math.sin(v * alpha))
+    return math.fsum(slopes) / profile.scale, math.fsum(curvatures) / profile.scale
 
 
 def _peak(profile: SpectrumProfile) -> float:
@@ -196,8 +207,8 @@ def _peak(profile: SpectrumProfile) -> float:
         return up
     alpha = math.pi / (2.0 * profile.y[0])
     while True:
-        slope = g_derivative(profile, alpha)
-        step = slope / -_g_curvature(profile, alpha)
+        slope, curvature = _slope_and_curvature(profile, alpha)
+        step = slope / -curvature
         tol = _STEP_ULPS * math.ulp(alpha)
         # tested before the bracket: at the root a zero step would leave
         # the open bracket and bisect down to the ulp
@@ -226,12 +237,13 @@ METHODS = tuple(_RULES)
 
 def resolve_alpha(profile: SpectrumProfile, method: str) -> tuple[AlphaSolution, str]:
     """The solution of rule ``method`` and a note, empty unless taylor4
-    fell back to taylor2.  ``_RULES`` is the only list of rules."""
+    fell back to taylor2, naming why.  ``_RULES`` is the only list of rules."""
     if method not in _RULES:
         raise ValidationError(f"unknown alpha method {method!r}")
     try:
         return _RULES[method](profile), ""
-    except ValidationError:
+    except ValidationError as exc:
         if method != "taylor4":
             raise
-    return _taylor2(profile), "taylor4 discriminant negative; used taylor2"
+        cause = "discriminant negative" if "discriminant" in str(exc) else f"failed ({exc})"
+    return _taylor2(profile), f"taylor4 {cause}; used taylor2"

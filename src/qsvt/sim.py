@@ -124,7 +124,7 @@ class RegisterLayout:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a mutable buffer: equality and hash by identity
 class QuantumState:
     """The amplitudes of a state on the registers of ``layout``, checked
     against it once, here: a layout of at most ``MAX_QUBITS`` qubits and

@@ -5,8 +5,9 @@ of that diagonal.
 
 Work whose size is the rank r (singular values, weights and the checks
 on them) runs on Python floats, each array converted once with
-``tolist()``: for a handful of values a NumPy call costs more in
-dispatch than in arithmetic.  Matrices and states stay in NumPy.  The
+``tolist()``, in lists or loops: for a handful of values a NumPy call
+costs more in dispatch than in arithmetic, and so does a generator
+expression's frame per element.  Matrices and states stay in NumPy.  The
 Python expressions do the same IEEE operations in the same order, so
 results are bit-identical to the NumPy forms.
 """
@@ -84,17 +85,19 @@ def real_vector(name: str, values) -> np.ndarray:
 def check_sigma(sigma: Sequence[float]) -> None:
     """Singular-value contract on Python floats: non-empty, finite,
     positive and strictly descending.  Written so that NaN fails."""
-    if not sigma or not all(math.isfinite(s) and s > 0 for s in sigma):
-        raise ValidationError(f"sigma must be non-empty, finite and positive, got {sigma}")
-    if not all(a > b for a, b in zip(sigma, sigma[1:])):
-        raise ValidationError(f"sigma must be strictly descending, got {sigma}")
+    for s in sigma or (math.nan,):  # empty fails as NaN does; no value past a failure is read
+        if not (math.isfinite(s) and s > 0):
+            raise ValidationError(f"sigma must be non-empty, finite and positive, got {sigma}")
+    for hi, lo in zip(sigma, sigma[1:]):
+        if not hi > lo:
+            raise ValidationError(f"sigma must be strictly descending, got {sigma}")
 
 
 def check_gaps(sigma: Sequence[float]) -> None:
     """Near-equal singular values, a gap below ``DEGENERACY_TOL`` relative
     to sigma_1, are rejected: the alpha theory assumes a strict spectrum
     and singular bases are non-unique under degeneracy."""
-    gap = min(((hi - lo) / sigma[0] for hi, lo in zip(sigma, sigma[1:])), default=math.inf)
+    gap = min([(hi - lo) / sigma[0] for hi, lo in zip(sigma, sigma[1:])], default=math.inf)
     if gap < DEGENERACY_TOL:
         raise DegenerateSpectrumError(f"near-equal singular values (min relative gap {gap:.3e})")
 
@@ -124,7 +127,7 @@ def decompose(a0) -> SpectralData:
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     values = s.tolist()
     cut = RANK_TOL * values[0]
-    r = sum(v > cut for v in values)
+    r = len([v for v in values if v > cut])
     check_gaps(values[:r])
     if r < len(values):  # else s and u are the SVD's fresh C-ordered arrays, kept as they are
         s, u = s[:r].copy(), u[:, :r].copy()

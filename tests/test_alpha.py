@@ -52,12 +52,22 @@ def test_profile_rejects_empty_or_non_finite_sigma(sigma):
     ((1.0, 0.5), r"must lie in \[0, 1\)"),
     ((0.5, -0.25), r"must lie in \[0, 1\)"),
     ((math.nan, 0.5), r"must lie in \[0, 1\)"),
+    ((1.5, "a"), r"must lie in \[0, 1\)"),  # the first failure decides: "a" is not read
     ((0.5, 0.5), "first shrinkage gap must be strict"),
     ((0.25, 0.5), "first shrinkage gap must be strict"),
 ])
 def test_profile_rejects_fractions_outside_0_1_or_a_first_gap_that_is_not_strict(y, match):
     with pytest.raises(ValidationError, match=match):
         alpha_mod.SpectrumProfile(sigma=(2.0, 1.0), y=y)
+
+
+def test_profile_rejects_unequal_lengths_and_stops_at_the_first_bad_sigma():
+    with pytest.raises(ValidationError, match="^sigma and y must be equal-length and non-empty$"):
+        alpha_mod.SpectrumProfile(sigma=(2.0, 1.0), y=(0.5,))
+    # the NaN fails first, so the string past it is never read: the
+    # check's ValidationError, not a TypeError
+    with pytest.raises(ValidationError, match="^sigma must be non-empty, finite and positive"):
+        alpha_mod.SpectrumProfile(sigma=(math.nan, "a"), y=(0.5, 0.25))
 
 
 def test_profile_names_tau_over_sigma_when_y_rounds_to_one():
@@ -576,8 +586,13 @@ def test_peak_bisects_when_a_newton_step_leaves_the_bracket(monkeypatch):
     # ends on the bracket's width, not on a short step, at the same peak
     want = alpha_mod._peak(REFERENCE)
     assert want == 2.16399217782823
-    curvature, code = alpha_mod._g_curvature, alpha_mod._peak.__code__
-    monkeypatch.setattr(alpha_mod, "_g_curvature", lambda p, a: 1e-3 * curvature(p, a))
+    fused, code = alpha_mod._slope_and_curvature, alpha_mod._peak.__code__
+
+    def long_steps(profile, alpha):
+        slope, curvature = fused(profile, alpha)
+        return slope, 1e-3 * curvature
+
+    monkeypatch.setattr(alpha_mod, "_slope_and_curvature", long_steps)
     ran = []
 
     def trace(frame, event, arg):
@@ -615,17 +630,20 @@ def test_numeric_meets_the_grid_and_golden_bar():
 
 
 def test_numeric_cost_is_a_few_derivative_evaluations():
-    # no grid, no bisection loop: the edge test plus a handful of Newton steps
+    # no grid, no bisection loop: the edge test's G' plus a handful of
+    # Newton steps, each one fused G' and G'' evaluation
     calls = []
-    real = alpha_mod.g_derivative
 
-    def counting(profile, alpha):
-        calls.append(alpha)
-        return real(profile, alpha)
+    def counting(real):
+        def count(profile, alpha):
+            calls.append(alpha)
+            return real(profile, alpha)
+        return count
 
     profiles = reference_profiles() + sweep_corpus_profiles(5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(alpha_mod, "g_derivative", counting)
+        for name in ("g_derivative", "_slope_and_curvature"):
+            mp.setattr(alpha_mod, name, counting(getattr(alpha_mod, name)))
         for profile in profiles:
             calls.clear()
             alpha_mod.resolve_alpha(profile, "numeric")
@@ -728,6 +746,23 @@ def test_used_profile_keeps_equality_hash_and_repr():
         for method in alpha_mod.METHODS:
             alpha_mod.resolve_alpha(profile, method)
         assert profile == new and hash(profile) == hash(new) and repr(profile) == repr(new)
+
+
+def test_taylor4_falls_back_naming_an_underflowing_leading_coefficient():
+    # sum s^2 y^6 underflows to 0 where sum s^2 y^4 does not: the fallback
+    # note names that failure, not a negative discriminant
+    profile = alpha_mod.SpectrumProfile(sigma=(1.0,), y=(1e-55,))
+    with pytest.raises(ValidationError, match="^degenerate leading coefficient"):
+        alpha_mod._taylor4(profile)
+    sol, note = alpha_mod.resolve_alpha(profile, "taylor4")
+    assert sol == alpha_mod.resolve_alpha(profile, "taylor2")[0]
+    # taylor2's sqrt(2 N2 / sum s^2 y^4) = sqrt(2) / y, where sin(y alpha) = sin(sqrt(2))
+    peak = math.sin(math.sqrt(2.0))
+    assert sol.method == "taylor2"
+    assert sol.alpha == pytest.approx(math.sqrt(2.0) * 1e55, rel=1e-15)
+    assert (sol.P, sol.F, sol.G) == pytest.approx((peak**2, 1.0, peak), rel=1e-15)
+    assert note == ("taylor4 failed (degenerate leading coefficient in the order-4 solution);"
+                    " used taylor2")
 
 
 def test_kept_failure_falls_back_the_same_way_and_raises_afresh():

@@ -203,6 +203,15 @@ def test_state_requires_writable_contiguous_complex128_amplitudes():
     assert np.allclose(state.amplitudes[[0, 4]], 1 / np.sqrt(2))
 
 
+def test_states_compare_and_hash_by_identity():
+    # a state is a mutable buffer: the generated field-wise equality asked
+    # NumPy for the truth of an array, and the generated hash hashed one
+    state = sim.new_state(sim.RegisterLayout(0, 1, 1))
+    twin = state.copy()
+    assert state == state and not state == twin and state != twin
+    assert len({state, twin}) == 2 and hash(state) == hash(state)
+
+
 def dft(k: int, inverse: bool = False) -> np.ndarray:
     """The 2^k-point DFT, |c> -> 2^(-k/2) sum_j exp(2 pi i c j / 2^k)|j>,
     or its inverse, as a dense matrix."""

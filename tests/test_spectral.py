@@ -323,6 +323,14 @@ def test_non_finite_sigma_and_weights_are_rejected(values):
         spectral.to_state(data, values)
 
 
+def test_check_sigma_stops_at_the_first_failure():
+    # the NaN fails the first check, so the string past it is never read:
+    # the failure is the check's ValidationError, not math.isfinite's TypeError
+    with pytest.raises(ValidationError, match=r"^sigma must be non-empty, finite and positive,"
+                                              r" got \(nan, 'a'\)$"):
+        spectral.check_sigma((math.nan, "a"))
+
+
 @pytest.mark.parametrize("weights", [["a", "b"], [1 + 1j, 2]])
 def test_to_state_rejects_weights_that_are_not_real_numbers(weights):
     # NumPy's bare ValueError and TypeError reached the caller
