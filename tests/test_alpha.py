@@ -437,19 +437,26 @@ def reference_numeric(profile):
     return best[0]
 
 
-def reference_profiles():
-    """Rank 1-6 profiles, many with thresholded-out (y = 0) components,
-    plus the default sweep corpus at seed 0."""
+def reference_spectra():
+    """(sigma, tau) of rank 1-6 spectra, many with thresholded-out (y = 0)
+    components, plus the default sweep corpus at seed 0, whose tau is the
+    corpus's fraction of sigma_1."""
     rng = np.random.default_rng(43)
-    profiles = []
+    spectra = []
     for _ in range(150):
         r = int(rng.integers(1, 7))
         sigma = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(20.0), r)))[::-1]
         for i in range(1, r):
             sigma[i] = min(sigma[i], sigma[i - 1] * (1 - 1e-3))
-        tau = float(rng.uniform(0.02, 0.95) * sigma[0])
-        profiles.append(alpha_mod.SpectrumProfile.from_sigma_tau(sigma, tau))
-    profiles += sweep_corpus_profiles(0)
+        spectra.append((tuple(sigma.tolist()), float(rng.uniform(0.02, 0.95) * sigma[0])))
+    frac = harness.SweepConfig.tau_frac
+    spectra += [(p.sigma, frac * p.sigma[0]) for p in sweep_corpus_profiles(0)]
+    return spectra
+
+
+def reference_profiles():
+    """The profiles of :func:`reference_spectra`."""
+    profiles = [alpha_mod.SpectrumProfile.from_sigma_tau(s, t) for s, t in reference_spectra()]
     ranks = {len(p.sigma) for p in profiles}
     n_cut = sum(0.0 in p.y for p in profiles)
     assert ranks == set(range(1, 7)) and 100 <= n_cut <= len(profiles) - 50
