@@ -3,11 +3,14 @@ fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
 ``solution(profile, method, alpha)`` checks alpha (``sim.check_positive``:
-a real number, not a bool, finite and positive) and is the one evaluator
-of P, F and G at a chosen alpha; an explicit alpha and every rule's
-alpha reach it.  ``g_objective`` is G alone at an alpha, and
-``g_derivative`` is G' alone, which the numeric rule's edge test at
-pi / y_1 reads; each of its Newton steps takes G' and G'' in one pass.
+a real number, not a bool, finite and positive; then y_1 alpha <= pi) and
+is the one evaluator of P, F and G at a chosen alpha.  An explicit alpha
+and every rule's alpha reach it, so the run, both sweeps and the
+``qsvt alpha`` table apply its single-lobe rule and no other.
+``g_objective`` is G alone at an alpha, and ``g_derivative`` is G'
+alone, which the numeric rule's edge test at pi / y_1 reads; both are
+defined past pi / y_1 too.  Each Newton step of numeric takes G' and G''
+in one pass.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
@@ -32,7 +35,7 @@ On (0, pi / y_1] every y_k a lies in (0, pi], so G'' < 0: G is strictly
 concave there and, as G'(0) > 0, peaks at pi / y_1 or at the root of G',
 which the numeric rule finds by safeguarded Newton steps.  It looks no
 further: past pi / y_1, sin(y_1 a) leaves its first lobe, which this
-theory and the circuit's set-up rule both assume.
+theory assumes and ``solution`` refuses to leave.
 
 Sums use compensated (fsum) accumulation so large-rank profiles do not
 lose precision.  N1, N2, sqrt(N1 * N2) and the per-component
@@ -139,9 +142,14 @@ class AlphaSolution:
 def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSolution:
     """P, F and G at ``alpha``, recorded under ``method``: the one
     constructor of a solution, for the four rules and an explicit alpha.
-    Alpha is checked before any sine, and taken as a Python float; each
-    component takes one sine."""
+    Alpha is checked before any sine, and taken as a Python float; an
+    alpha past pi / y_1, where sin(y_1 alpha) leaves its first lobe and F
+    can go negative, is refused (with 1e-9 of slack, so numeric's edge
+    passes).  Each component takes one sine."""
     alpha = check_positive("alpha", alpha)
+    if not alpha * profile.y[0] <= math.pi + 1e-9:
+        raise ValidationError(f"alpha * y_1 = {alpha * profile.y[0]:.6g} exceeds pi"
+                              " (sine no longer single-lobed)")
     weights, parts = [], []
     for v, s2, c, _ in profile.terms:
         sn = math.sin(v * alpha)

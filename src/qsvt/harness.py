@@ -565,7 +565,11 @@ def cmd_alpha(args) -> int:
     print(f"sigma = {np.array2string(np.asarray(sigma), precision=6)}  tau = {tau}")
     print(f"{'method':<10} {'alpha':>12} {'P':>10} {'F':>10} {'G':>10}")
     for method in alpha_mod.METHODS:
-        solution, note = alpha_mod.resolve_alpha(profile, method)
+        try:
+            solution, note = alpha_mod.resolve_alpha(profile, method)
+        except ValidationError as exc:  # a refused rule keeps its row
+            print(f"{method:<10} {'-':>12} {'-':>10} {'-':>10} {'-':>10}  [{exc}]")
+            continue
         suffix = f"  [{note}]" if note else ""
         print(
             f"{method:<10} {solution.alpha:>12.6f} {solution.P:>10.6f}"

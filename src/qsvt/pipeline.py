@@ -85,9 +85,11 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     diag(sigma_k^2) (:func:`spectral.gram`); ``b_state`` is written back
     in the input's pad(p) x pad(q) layout, as sum_k beta_k u_k (x) conj(v_k).
 
-    The label rule lives here, as it needs tau: a singular value above tau
-    needs a label that is not 0 and holds no other eigenvalue.  Singular
-    values at or below tau may sit on label 0 or share a label."""
+    Alpha's rules, the single-lobe one y_1 alpha <= pi among them, are
+    :func:`alpha.solution`'s, checked first.  The label rule lives here, as
+    it needs tau: a singular value above tau needs a label that is not 0
+    and holds no other eigenvalue.  Singular values at or below tau may sit
+    on label 0 or share a label.  Then sigma_1's L code must not be 0."""
     spec = spectral.decompose(cfg.a0)
     profile = alpha_mod.SpectrumProfile.from_sigma_tau(spec.sigma, cfg.tau)
 
@@ -119,11 +121,6 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         raise FullyThresholdedError(
             f"every L code is 0 (y_1 = 1 - tau/sigma_1 = {profile.y[0]:.4g}, 2^-m ="
             f" {2.0 ** -m_bits:.4g}): no L value rotates the ancilla; {hint}"
-        )
-    # the alpha theory assumes theta * alpha <= pi on every occupied L value
-    if top_code / (1 << m_bits) * solution.alpha > np.pi + 1e-9:
-        raise ValidationError(
-            "alpha * theta exceeds pi on an occupied L value (sine no longer single-lobed)"
         )
 
     # B is the input's Schmidt index k: the load sum_k sigma_k |k> stands for

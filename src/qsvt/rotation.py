@@ -133,11 +133,11 @@ def ry_cascade(state: QuantumState, alpha: float) -> QuantumState:
     theta = 0.t1...td the ancilla's |0> becomes cos(theta a)|0> +
     sin(theta a)|1>, ry(2 theta a) per L label (the product of the paper's
     ry(2^(1-j) a) on each L qubit j).  ``alpha`` is the ``alpha`` of an
-    AlphaSolution, which checked it.  Exact for every theta; the
-    single-lobe rule is a set-up check.  The ancilla's |1> half must hold
-    mass exactly 0, as nothing before the cascade in a run writes it: that
-    half is written as sin(theta a) times the |0> half, then the |0> half
-    is scaled by cos(theta a), in place.  The read of the ancilla's masses,
+    AlphaSolution, which checked it, the single-lobe rule included.  Exact
+    for every theta.  The ancilla's |1> half must hold mass exactly 0, as
+    nothing before the cascade in a run writes it: that half is written as
+    sin(theta a) times the |0> half, then the |0> half is scaled by
+    cos(theta a), in place.  The read of the ancilla's masses,
     :func:`sim.register_mass`, also checks the incoming state's norm."""
     ancilla = state.layout.ancilla
     anc_mass = sim.register_mass(state, range(ancilla, ancilla + 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsvt import alpha as alpha_mod
-from qsvt import harness
+from qsvt import harness, pipeline, sim, spectral
 from qsvt.errors import FullyThresholdedError, ValidationError
 
 REFERENCE = alpha_mod.SpectrumProfile.from_sigma_tau([2.0, 1.0], 0.5)
@@ -467,15 +467,32 @@ def test_theory_matches_zip_fsum_reference_bit_for_bit():
     rng = np.random.default_rng(44)
     for profile in reference_profiles():
         assert (profile.n1, profile.n2) == reference_sums(profile, 0.0)[:2]
-        for a in map(float, rng.uniform(1e-3, 2 * math.pi / profile.y[0], 3)):
+        edge = math.pi / profile.y[0]
+        # G and G' are defined past the first lobe, where solution refuses alpha
+        for a in map(float, rng.uniform(1e-3, 2 * edge, 3)):
+            got = alpha_mod.g_objective(profile, a), alpha_mod.g_derivative(profile, a)
+            assert got == reference_pfg(profile, a)[2:], (profile, a)
+        for a in [*map(float, rng.uniform(1e-3, edge, 3)), edge]:
             sol = at(profile, a)
-            got = (
-                sol.P,
-                sol.F,
-                alpha_mod.g_objective(profile, a),
-                alpha_mod.g_derivative(profile, a),
-            )
-            assert got == reference_pfg(profile, a), (profile, a)
+            assert (sol.P, sol.F, sol.G) == reference_pfg(profile, a)[:3], (profile, a)
+
+
+def test_theory_stays_in_range_inside_the_lobe():
+    # every sine in (0, pi]: no component's F term is negative
+    rng = np.random.default_rng(45)
+    for profile in reference_profiles():
+        edge = math.pi / profile.y[0]
+        for a in map(float, edge - rng.uniform(0.0, edge, 5)):  # in (0, edge]
+            sol = at(profile, a)
+            assert 0 < sol.P <= 1 + 1e-12 and 0 <= sol.F <= 1 + 1e-12 and sol.G >= 0, (profile, a)
+
+
+def test_solution_refuses_an_alpha_past_the_lobe_and_takes_its_edge():
+    for profile in reference_profiles() + [beyond_the_lobe_profile()]:
+        edge = math.pi / profile.y[0]
+        assert at(profile, edge).alpha == edge
+        with pytest.raises(ValidationError, match=r"exceeds pi \(sine no longer single-lobed\)$"):
+            at(profile, (math.pi + 2e-9) / profile.y[0])
 
 
 def test_resolve_alpha_matches_reference_bit_for_bit():
@@ -558,25 +575,65 @@ def test_lone_numeric_calls_no_closed_form():
 
 def beyond_the_lobe_profile():
     """tau = 1, y_1 = 0.3 and 199 fractions just below 0.1: taylor2's
-    alpha, 11.3358, lies past pi / y_1 = 10.4720 and scores a higher G."""
+    alpha, 11.3358, lies past pi / y_1 = 10.4720, where G reads higher."""
     y = [0.3] + [0.1 * (1 - 1e-6 * k) for k in range(199)]
     return alpha_mod.SpectrumProfile.from_sigma_tau([1 / (1 - v) for v in y], 1.0)
+
+
+BEYOND_THE_LOBE = r"^alpha \* y_1 = 3\.40074 exceeds pi \(sine no longer single-lobed\)$"
 
 
 def test_numeric_stays_in_the_first_lobe_where_taylor2_leaves_it():
     profile = beyond_the_lobe_profile()
     edge = math.pi / profile.y[0]
-    taylor2 = alpha_mod.resolve_alpha(profile, "taylor2")[0]
+    beyond = reference_closed_forms(profile)["taylor2"]
+    assert beyond == pytest.approx(11.3358, abs=1e-4) and beyond > edge
+    assert alpha_mod.g_objective(profile, beyond) == pytest.approx(0.86406, abs=1e-5)
+    # taylor2's alpha times y_1 is 3.40074; taylor4 falls back to it
+    for method in ("taylor2", "taylor4"):
+        with pytest.raises(ValidationError, match=BEYOND_THE_LOBE):
+            alpha_mod.resolve_alpha(profile, method)
     sol = alpha_mod.resolve_alpha(profile, "numeric")[0]
-    assert taylor2.alpha == pytest.approx(11.3358, abs=1e-4) and taylor2.alpha > edge
-    assert taylor2.G == pytest.approx(0.86406, abs=1e-5)
     assert sol.alpha == edge and sol.G == pytest.approx(0.83186, abs=1e-5)
 
-    def single_lobed(alpha, m):  # run_pipeline's rule on sigma_1's code, floor(y_1 2^m)
-        return math.floor(profile.y[0] * 2**m) / 2**m * alpha <= math.pi + 1e-9
 
-    assert single_lobed(sol.alpha, 8)
-    assert not any(single_lobed(taylor2.alpha, m) for m in range(5, 27))
+def test_the_sweep_and_the_run_refuse_the_rules_past_the_lobe(monkeypatch):
+    sigma = beyond_the_lobe_profile().sigma
+    cfg = harness.SweepConfig(n_instances=1, shape=(200, 200), sigma=sigma, tau=1.0,
+                              methods=alpha_mod.METHODS)
+    records = {rec.alpha_method: rec for rec in harness.run_sweep(cfg)}
+    for method in ("taylor2", "taylor4"):
+        rec = records[method]
+        assert "single-lobed" in rec.error and (rec.alpha, rec.p_analytic, rec.f_analytic) == (
+            None, None, None)
+    # the rules inside the lobe keep their records: the fields of their
+    # solutions on the spectrum of instance 0's draw, and the values they had
+    a0 = harness.random_lowrank(200, 200, 200, [0, 1], sigma=sigma)
+    profile = alpha_mod.SpectrumProfile.from_sigma_tau(spectral.decompose(a0).sigma, 1.0)
+    had = {"intuitive": (5.235987755982993, 0.25613441913883406, 0.9962518704217138),
+           "numeric": (10.471975511965987, 0.7437320114342052, 0.9645852426029485)}
+    for method, values in had.items():
+        rec, sol = records[method], alpha_mod.resolve_alpha(profile, method)[0]
+        got = (rec.alpha, rec.p_analytic, rec.f_analytic)
+        assert list(map(repr, got)) == list(map(repr, (sol.alpha, sol.P, sol.F))) and not rec.error
+        assert got == pytest.approx(values, rel=1e-13, abs=0)
+    # a run on either rule is refused by the same check, before its state
+    monkeypatch.setattr(sim, "new_state", lambda *args: pytest.fail("state made"))
+    for method in ("taylor2", "taylor4"):
+        with pytest.raises(ValidationError, match=BEYOND_THE_LOBE):
+            pipeline.run_pipeline(pipeline.PipelineConfig(a0=a0, tau=1.0, alpha_method=method))
+
+
+def test_alpha_table_shows_a_refused_rules_row(capsys):
+    sigma = ",".join(map(repr, beyond_the_lobe_profile().sigma))
+    assert harness.main(["alpha", "--sigma", sigma, "--tau", "1.0"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] and line.split()[0] in alpha_mod.METHODS]
+    assert [row.split()[0] for row in rows] == list(alpha_mod.METHODS)
+    reason = "[alpha * y_1 = 3.40074 exceeds pi (sine no longer single-lobed)]"
+    for row in rows[1:3]:  # taylor2, taylor4
+        assert row.split()[1:5] == ["-"] * 4 and row.endswith("  " + reason)
+    assert float(rows[3].split()[4]) >= float(rows[0].split()[4])
 
 
 def test_numeric_returns_the_peaks_solution_when_the_peak_wins():

@@ -291,6 +291,18 @@ def test_cmd_example_all_zero_codes_fail_in_set_up(capsys):
     assert err.endswith("; no --m-bits up to 26 gives sigma_1 a code: lower tau\n")
 
 
+def test_cmd_example_refuses_an_explicit_alpha_past_the_lobe(capsys, monkeypatch):
+    # y_1 = 1 - 0.6/2 = 0.7 and 0.7 * 5 > pi; sigma_1's code at m 2 is 0.5,
+    # on which the run once took alpha 5, printing F (analytic) = -0.369852
+    monkeypatch.setattr(sim, "new_state", lambda *args: pytest.fail("state made"))
+    assert harness.main(["example", "--tau", "0.6", "--alpha", "5.0"]) == 2
+    lobe = "error: alpha * y_1 = {} exceeds pi (sine no longer single-lobed)\n"
+    assert capsys.readouterr() == ("", lobe.format(3.5))
+    # y_1 = 0.15 has code 0 at m 2 too: the lobe, alpha's rule, is named first
+    assert harness.main(["example", "--tau", "1.7", "--alpha", "30"]) == 2
+    assert capsys.readouterr() == ("", lobe.format(4.5))
+
+
 def test_sweep_all_zero_code_records_carry_the_set_up_error():
     # instances 1 and 4 carried "rounds to label 0 ... raise --t-bits" for a
     # thresholded eigenvalue; now every record meets the all-zero codes

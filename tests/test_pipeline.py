@@ -712,8 +712,8 @@ def test_bad_alpha_and_shots_rejected_before_the_state(monkeypatch):
         raise AssertionError("state allocated before the input check")
 
     monkeypatch.setattr(sim, "new_state", no_state)
-    # alpha = 100 puts sigma_1's code 0.75 far past the first sine lobe;
-    # 4.2 just past it (0.75 * 4.2 > pi), while 4.18 stays inside and runs
+    # alpha = 100 puts y_1 = 0.75 far past the first sine lobe; 4.2 just
+    # past it (0.75 * 4.2 > pi), while 4.18 stays inside and runs
     for alpha, match in ((-1.0, "positive"), (0.0, "positive"), (np.nan, "finite"),
                          (np.inf, "finite"), (-np.inf, "finite"), (100.0, "single-lobed"),
                          (4.2, "single-lobed"), (True, "real number"), ("1.2", "real number")):

@@ -443,7 +443,7 @@ def test_ry_cascade_requires_cleared_ancilla():
 
 
 def test_ry_cascade_is_exact_beyond_single_lobe():
-    # the single-lobe rule is a set-up check of the run, not of the cascade
+    # the single-lobe rule is alpha.solution's, not the cascade's
     layout = sim.RegisterLayout(2, 1, 1)
     state = _state_with_l_code(layout, 3)  # theta = 0.75, theta * alpha > pi
     rotation.ry_cascade(state, 4.4)
