@@ -3,12 +3,12 @@ fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
 ``solution(profile, method, alpha)`` checks alpha (``sim.check_positive``:
-a real number, not a bool, finite and positive; then y_1 alpha <= pi) and
-is the one evaluator of P, F and G at a chosen alpha.  An explicit alpha
-and every rule's alpha reach it, so the run, both sweeps and the
-``qsvt alpha`` table apply its single-lobe rule and no other.
-``g_objective`` is G alone at an alpha, and ``g_derivative`` is G'
-alone, which the numeric rule's edge test at pi / y_1 reads; both are
+a real number, not a bool, finite and positive; then alpha <= pi / y_1,
+with no slack) and is the one evaluator of P, F and G at a chosen alpha.
+An explicit alpha and every rule's alpha reach it, so the run, both
+sweeps and the ``qsvt alpha`` table apply its single-lobe rule and no
+other.  ``g_objective`` is G alone at an alpha, and ``g_derivative`` is
+G' alone, which the numeric rule's edge test at pi / y_1 reads; both are
 defined past pi / y_1 too.  Each Newton step of numeric takes G' and G''
 in one pass.
 
@@ -144,10 +144,10 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     constructor of a solution, for the four rules and an explicit alpha.
     Alpha is checked before any sine, and taken as a Python float; an
     alpha past pi / y_1, where sin(y_1 alpha) leaves its first lobe and F
-    can go negative, is refused (with 1e-9 of slack, so numeric's edge
-    passes).  Each component takes one sine."""
+    can go negative, is refused.  Numeric's edge is that same quotient,
+    so it passes.  Each component takes one sine."""
     alpha = check_positive("alpha", alpha)
-    if not alpha * profile.y[0] <= math.pi + 1e-9:
+    if not alpha <= math.pi / profile.y[0]:
         raise ValidationError(f"alpha * y_1 = {alpha * profile.y[0]:.6g} exceeds pi"
                               " (sine no longer single-lobed)")
     weights, parts = [], []

@@ -189,9 +189,8 @@ class SweepConfig:
             raise ValidationError(f"simulate mode needs m_bits + t_bits + 2 <= {sim.MAX_QUBITS}"
                                   f" qubits, got m_bits {self.m_bits} + t_bits {self.t_bits}"
                                   f" + 2 = {n}")
-        if self.tau is not None:
-            sigma_max = self.sigma[0] if self.sigma is not None else np.inf  # non-empty: checked above
-            self.tau = spectral.check_threshold(self.tau, sigma_max)
+        if self.tau is not None:  # against sigma_1 in the profile below, or in each instance's
+            self.tau = sim.check_positive("threshold", self.tau)
         if self.sigma is not None:  # the profile that every instance builds from them
             tau = self.tau if self.tau is not None else self.tau_frac * self.sigma[0]
             alpha_mod.SpectrumProfile.from_sigma_tau(self.sigma, tau)

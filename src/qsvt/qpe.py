@@ -31,10 +31,11 @@ value and one in-place scale, with the factor that ``np.fft`` scales by,
 so the numbers are the QFT's (Cleve et al., arXiv:quant-ph/9708016).
 The exact adjoint is QFT, E^-1, QFT^-1; <0|QFT^-1 = <0|H^t on the C = 0
 projection, the only part of the state that the run reads.  A run makes
-three FFTs.  A stage takes a state whose C is as wide as the config's
-``t_bits`` and B's 2^b eigenvalues, whose largest angle in E must be
-finite, so each of E's phases is exp(i theta) of a finite real theta, on
-the unit circle.
+three FFTs.  Each direction checks once, before any amplitude moves, that
+its state's C is as wide as the config's ``t_bits`` and that B's 2^b
+eigenvalues give E a finite largest angle, so each of E's phases is
+exp(i theta) of a finite real theta, on the unit circle; E itself,
+:func:`conditional_evolution`, checks none of its arguments.
 
 The norm is checked where the state is read, by :func:`sim.register_mass`:
 the forward estimation's read of C checks the incoming state, and the
@@ -157,17 +158,17 @@ def _check_config(state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues) 
 
 
 def conditional_evolution(
-    state: QuantumState, cfg: PhaseEstimationConfig, eigenvalues, inverse: bool = False
+    state: QuantumState, cfg: PhaseEstimationConfig, lam: np.ndarray, inverse: bool = False
 ) -> QuantumState:
     """For each C label c, evolve B by exp(i A c t0), A diagonal on B and
-    given as its eigenvalues: one gate on all of C by the table of the 2^t
-    label products, folded by doubling from the rows exp(i A 2^w t0) of
-    U^(2^w), row w times the first 2^w products giving the next 2^w."""
-    lam, t = _check_config(state, cfg, eigenvalues), cfg.t_bits
+    given as its eigenvalues ``lam``, as :func:`_check_config` returned
+    them: one gate on all of C by the table of the 2^t label products,
+    folded by doubling from the rows exp(i A 2^w t0) of U^(2^w), row w
+    times the first 2^w products giving the next 2^w."""
     t0 = -cfg.t0 if inverse else cfg.t0
-    table = np.empty((1 << t, 1, len(lam)), dtype=complex)
+    table = np.empty((1 << cfg.t_bits, 1, len(lam)), dtype=complex)
     table[0] = 1.0
-    for w in range(t):
+    for w in range(cfg.t_bits):
         np.multiply(table[: 1 << w], herm_exp(lam, (1 << w) * t0), out=table[1 << w : 2 << w])
     return sim.apply_controlled(state, table)
 

@@ -13,7 +13,8 @@ writes both halves in place rather than as a gate.
 is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw;
 each step is truncated toward zero and clamped into [0, 2**m).  With
 exact integer arithmetic over a power-of-two denominator, two runs agree
-bit for bit.
+bit for bit.  A :class:`SigmaTauOracle` checks its labels and codes once,
+when it is made; its gate, :func:`sim.apply_basis_oracle`, checks none.
 
 Every label ends at its floor code s* = floor(2**m y*), y* = 1 - tau/sigma,
 from any start.  The map is convex below 1 and flat at y*, so no step
@@ -81,6 +82,11 @@ class SigmaTauOracle:
     t_bits: int
     y_codes: dict[int, int]
     iterations: dict[int, int]
+
+    def __post_init__(self) -> None:  # the one check: sim.apply_basis_oracle makes none
+        for c, y in self.y_codes.items():
+            sim.check_int("oracle label", c, 0, (1 << self.t_bits) - 1)
+            sim.check_int("oracle code", y, 0, (1 << self.m_bits) - 1)
 
     def code_for(self, label: int) -> int:
         return self.y_codes.get(label, 0)

@@ -28,10 +28,11 @@ Conventions used throughout the package:
   returns.  Every guard is written so that NaN fails.
 * An input is checked where it enters and made a Python number, by
   :func:`check_int` (widths, counts, seeds, shapes, ranks, labels) or
-  :func:`check_positive` (real numbers); oracle maps are checked whole,
-  by ``_is_int``, before any amplitude moves.  What
-  an input would allocate is checked against ``MEMORY_BYTES`` first, by
-  :func:`check_memory`.
+  :func:`check_positive` (real numbers), and a gate's arguments once, by
+  their owner: E's eigenvalues by each direction of phase estimation, the
+  oracle's codes where a :class:`rotation.SigmaTauOracle` is made, so E
+  and the oracle check none.  What an input would allocate is checked
+  against ``MEMORY_BYTES`` first, by :func:`check_memory`.
 """
 from __future__ import annotations
 
@@ -240,13 +241,8 @@ def apply_unitary(state: QuantumState, inverse: bool = False) -> QuantumState:
 def apply_controlled(state: QuantumState, table) -> QuantumState:
     """E, diagonal on B and controlled by C: one multiply, in place, of
     :attr:`QuantumState.registers` by ``table``, row c on B where C reads
-    c.  Its maker, :func:`qpe.conditional_evolution`, vouches for its
-    entries; a complex128 ndarray of shape (2^t, 1, 2^b) is checked here."""
-    shape = (1 << state.layout.t_bits, 1, 1 << state.layout.b_bits)
-    if not (isinstance(table, np.ndarray) and table.dtype == np.complex128
-            and table.shape == shape):
-        raise ValidationError(f"E's table must be a complex128 array of shape {shape}, got"
-                              f" {getattr(table, 'dtype', type(table))} {getattr(table, 'shape', ())}")
+    c: the complex128 (2^t, 1, 2^b) table that its one maker,
+    :func:`qpe.conditional_evolution`, folds at the widths its stage checked."""
     view = state.registers
     view *= table
     return state
@@ -254,20 +250,15 @@ def apply_controlled(state: QuantumState, table) -> QuantumState:
 
 def apply_basis_oracle(state: QuantumState, codes) -> QuantumState:
     """XOR oracle |l>|c> -> |l XOR codes[c]>|c> on L and C, self-inverse.
-    ``codes`` maps C labels to L codes, integers and not bools, all checked
-    before any amplitude moves; labels it omits leave L as it is.  Each
-    nonzero code is one gather along L's axis of the slice C = c, so
-    nothing the size of the state is allocated."""
-    m, t = state.layout.m_bits, state.layout.t_bits
-    bad = [(c, y) for c, y in codes.items()
-           if not (_is_int(c) and _is_int(y) and 0 <= c < 1 << t and 0 <= y < 1 << m)]
-    if bad:
-        raise ValidationError(f"oracle label/code not an integer or out of range: {bad}")
+    ``codes`` maps C labels to L codes, as a :class:`rotation.SigmaTauOracle`
+    checked them; labels it omits leave L as it is.  Each nonzero code is
+    one gather along L's axis of the slice C = c, so nothing the size of
+    the state is allocated."""
     view = state.registers
     for c, y in codes.items():
         if y:
             block = view[:, c]
-            block[...] = block.take(np.arange(1 << m) ^ y, axis=0)
+            block[...] = block.take(np.arange(len(view)) ^ y, axis=0)
     return state
 
 

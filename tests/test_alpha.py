@@ -488,11 +488,21 @@ def test_theory_stays_in_range_inside_the_lobe():
 
 
 def test_solution_refuses_an_alpha_past_the_lobe_and_takes_its_edge():
-    for profile in reference_profiles() + [beyond_the_lobe_profile()]:
+    # the edge pi / y_1 is the last alpha taken, with no slack past it:
+    # on one sigma above tau, sin(y_1 alpha) is negative just past it, and
+    # an alpha within 1e-9 / y_1 of the edge read F = -1
+    lone = [alpha_mod.SpectrumProfile.from_sigma_tau(s, tau) for s, tau in (((3.0,), 1.0),
+                                                                          ((2.0, 1.0), 1.5))]
+    for profile in reference_profiles() + [beyond_the_lobe_profile()] + lone:
         edge = math.pi / profile.y[0]
         assert at(profile, edge).alpha == edge
-        with pytest.raises(ValidationError, match=r"exceeds pi \(sine no longer single-lobed\)$"):
-            at(profile, (math.pi + 2e-9) / profile.y[0])
+        past = [(math.pi + 2e-9) / profile.y[0], math.nextafter(edge, math.inf)]
+        if profile in lone:
+            past.append((math.pi + 1e-10) / profile.y[0])
+        for a in past:
+            with pytest.raises(ValidationError,
+                               match=r"exceeds pi \(sine no longer single-lobed\)$"):
+                at(profile, a)
 
 
 def test_resolve_alpha_matches_reference_bit_for_bit():

@@ -84,6 +84,39 @@ def test_reference_run_passes_over_the_state(monkeypatch):
                       "apply_basis_oracle": 2, "ry_cascade": 1, "norm": 1}
 
 
+def test_reference_run_checks_e_and_the_oracle_codes_once(monkeypatch):
+    # each fact is checked by the stage or record that owns it: E's
+    # eigenvalues and widths once per estimation direction, by the stage,
+    # and the oracle's labels and codes once, where the oracle is made; E
+    # and the oracle's gate check no argument
+    inside, checks = [], collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            if name in ("_check_config", "_is_int"):
+                checks[name, tuple(inside)] += 1
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((qpe, "_check_config"), (sim, "_is_int"), (qpe, "phase_estimate"),
+                         (rotation, "phase_estimate_inverse"), (sim, "apply_controlled"),
+                         (sim, "apply_basis_oracle"), (rotation, "SigmaTauOracle")):
+        spy(module, name)
+    run_reference()
+    assert {k: n for k, n in checks.items() if k[0] == "_check_config"} == {
+        ("_check_config", ("phase_estimate",)): 1,
+        ("_check_config", ("phase_estimate_inverse",)): 1}
+    # labels 4 and 1 and their codes, each once
+    assert checks["_is_int", ("SigmaTauOracle",)] == 4
+    assert not [k for k in checks if {"apply_controlled", "apply_basis_oracle"} & set(k[1])]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

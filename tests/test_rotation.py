@@ -344,6 +344,33 @@ def test_oracle_matches_permutation_reference_bit_for_bit():
             assert np.array_equal(state.amplitudes, expected)
 
 
+# what no oracle on a 2-bit L and a 2-bit C takes as its code map
+BAD_CODE_MAPS = {
+    "a code wider than L": ({0: 4}, "oracle code must lie in 0..3, an integer, got 4"),
+    "a label wider than C": ({4: 1}, "oracle label must lie in 0..3, an integer, got 4"),
+    "a negative code": ({1: -1}, "oracle code must lie in 0..3, an integer, got -1"),
+    "a float label": ({1.5: 1}, "oracle label must lie in 0..3, an integer, got 1.5"),
+    "a float code": ({1: 1.0}, "oracle code must lie in 0..3, an integer, got 1.0"),
+    "a bool label": ({True: 1}, "oracle label must lie in 0..3, an integer, got True"),
+    "a bool code": ({1: True}, "oracle code must lie in 0..3, an integer, got True"),
+    "a float code after a good one": ({1: 1, 2: 1.0},
+                                      "oracle code must lie in 0..3, an integer, got 1.0"),
+    "a fraction after a good one": ({1: 1, 2: 1.5},
+                                    "oracle code must lie in 0..3, an integer, got 1.5"),
+}
+
+
+def test_oracle_checks_its_labels_and_codes_where_it_is_made():
+    # the code map is checked once, when the oracle is made, before any
+    # state exists: labels and codes are integers, not bools, in range;
+    # the gate that applies it, sim.apply_basis_oracle, checks none
+    for codes, message in BAD_CODE_MAPS.values():
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rotation.SigmaTauOracle(2, 2, codes, {})
+    # the range's ends and NumPy integers pass
+    rotation.SigmaTauOracle(2, 2, {0: 3, np.int64(3): np.int64(0)}, {})
+
+
 def test_oracle_codes_on_the_circuit_large_spectrum():
     lam = [3.1**2, 2.2**2, 1.3**2]
     enc = qpe.choose_t0(lam, 8)

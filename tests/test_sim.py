@@ -258,18 +258,14 @@ def test_apply_unitary_on_one_qubit_is_the_hadamard():
 
 def test_every_factor_of_a_control_is_checked():
     # a 2-qubit C takes the table of its 4 labels, folded from 2 rows of
-    # phases, U and U^2; one folded from 3 rows or from 1 is refused before
-    # the state moves.  Its entries are its maker's to check, as
-    # qpe.conditional_evolution checks its angles
+    # phases, U and U^2, each factor applied where its C qubit reads 1, as
+    # the dense reference applies them.  The table is its maker's to
+    # check: the stages of qpe check the eigenvalues and widths it is
+    # folded at
     z = np.array([1, -1], dtype=complex)
     layout = sim.RegisterLayout(0, 2, 1)
     state = random_state(layout, 18)
     before = state.amplitudes.copy()
-    for rows in ([z, z, z], [z]):
-        with pytest.raises(ValidationError, match=r"^E's table must be a complex128 array of"
-                           rf" shape \(4, 1, 2\), got complex128 \({1 << len(rows)}, 1, 2\)$"):
-            sim.apply_controlled(state, label_table(rows))
-    assert np.array_equal(state.amplitudes, before)
     sim.apply_controlled(state, label_table([z, z]))
     expected = controlled(sim.QuantumState(layout, before), [np.diag(z)] * 2, layout.reg_C,
                           range(layout.ancilla + 1, layout.n_qubits))
@@ -387,23 +383,6 @@ def test_basis_oracle_inverse_composition():
     assert not np.array_equal(state.amplitudes, before)
     sim.apply_basis_oracle(state, codes)
     assert np.array_equal(state.amplitudes, before)
-
-
-def test_basis_oracle_rejects_out_of_range_code():
-    layout = sim.RegisterLayout(2, 2, 1)
-    state = random_state(layout, 7)
-    with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, {0: 4})  # code wider than L
-    with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, {4: 1})  # label wider than C
-    with pytest.raises(ValidationError, match="out of range"):
-        sim.apply_basis_oracle(state, {1: -1})
-    # labels and codes are integers, not bools, all checked before a label moves
-    before = state.amplitudes.copy()
-    for codes in ({1.5: 1}, {1: 1.0}, {True: 1}, {1: True}, {1: 1, 2: 1.0}, {1: 1, 2: 1.5}):
-        with pytest.raises(ValidationError, match="not an integer or out of range"):
-            sim.apply_basis_oracle(state, codes)
-        assert np.array_equal(state.amplitudes, before)
 
 
 def test_basis_oracle_unlisted_labels_keep_l():
@@ -839,35 +818,6 @@ def test_reference_gates_match_dense_kronecker_reference():
         state = unitary(sim.QuantumState(flat(n), before.copy()), dft(k, inverse), targets)
         expected = dense_reference(n, [dft(k, inverse)], targets) @ before
         assert np.abs(state.amplitudes - expected).max() < 1e-12, (n, targets, inverse)
-
-
-def test_controlled_gate_rejects_bad_rows():
-    # the gate takes E's table, a complex128 array of shape (2^t, 1, 2^b),
-    # and nothing else: not the rows it is folded from, nor a list, another
-    # dtype or the table of another C or B
-    rng = np.random.default_rng(16)
-    rows = [random_phases(1, rng) for _ in range(3)]
-    wide_c, one, wide_b = (sim.RegisterLayout(0, 2, 1), sim.RegisterLayout(1, 1, 1),
-                           sim.RegisterLayout(0, 1, 2))
-    table = label_table(rows[:2])
-    bad = [
-        ((wide_c, label_table(rows)), r"^E's table must be a complex128 array of shape"
-                                      r" \(4, 1, 2\), got complex128 \(8, 1, 2\)$"),
-        ((one, table), r"shape \(2, 1, 2\), got complex128 \(4, 1, 2\)$"),
-        ((wide_c, np.stack(rows[:2])), r"got complex128 \(2, 2\)$"),  # rows, not their table
-        ((wide_c, table.reshape(4, 2)), r"got complex128 \(4, 2\)$"),
-        ((wide_c, table.tolist()), r"got <class 'list'> \(\)$"),
-        ((wide_c, [[1], [1, 2]]), r"got <class 'list'> \(\)$"),  # ragged
-        ((wide_c, table.real.copy()), r"got float64 \(4, 1, 2\)$"),
-        ((wide_c, table.astype(np.complex64)), r"got complex64 \(4, 1, 2\)$"),
-        ((wide_b, label_table(rows[:1])), r"shape \(2, 1, 4\), got complex128 \(2, 1, 2\)$"),
-    ]
-    for (layout, phases), match in bad:
-        state = random_state(layout, 17)
-        before = state.amplitudes.copy()
-        with pytest.raises(ValidationError, match=match):
-            sim.apply_controlled(state, phases)
-        assert np.array_equal(state.amplitudes, before), match
 
 
 def test_dft_gate_runs_in_place():
