@@ -360,15 +360,19 @@ BAD_CODE_MAPS = {
 }
 
 
-def test_oracle_checks_its_labels_and_codes_where_it_is_made():
+@pytest.mark.parametrize("codes, message", BAD_CODE_MAPS.values(), ids=BAD_CODE_MAPS.keys())
+def test_oracle_refuses_a_bad_code_map_where_it_is_made(codes, message):
     # the code map is checked once, when the oracle is made, before any
     # state exists: labels and codes are integers, not bools, in range;
     # the gate that applies it, sim.apply_basis_oracle, checks none
-    for codes, message in BAD_CODE_MAPS.values():
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            rotation.SigmaTauOracle(2, 2, codes, {})
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        rotation.SigmaTauOracle(2, 2, codes, {})
+
+
+def test_oracle_checks_its_labels_and_codes_where_it_is_made():
     # the range's ends and NumPy integers pass
-    rotation.SigmaTauOracle(2, 2, {0: 3, np.int64(3): np.int64(0)}, {})
+    oracle = rotation.SigmaTauOracle(2, 2, {0: 3, np.int64(3): np.int64(0)}, {})
+    assert oracle.y_codes == {0: 3, 3: 0}
 
 
 def test_oracle_codes_on_the_circuit_large_spectrum():
