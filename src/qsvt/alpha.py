@@ -2,15 +2,16 @@
 fidelity F(alpha) against the exact threshold target, their combined
 objective G = sqrt(P) * F, and four rules that choose alpha.
 
-``solution(profile, method, alpha)`` checks alpha (``sim.check_positive``:
-a real number, not a bool, finite and positive; then alpha <= pi / y_1,
-with no slack) and is the one evaluator of P, F and G at a chosen alpha.
-An explicit alpha and every rule's alpha reach it, so the run, both
-sweeps and the ``qsvt alpha`` table apply its single-lobe rule and no
-other.  ``g_objective`` is G alone at an alpha, and ``g_derivative`` is
-G' alone, which the numeric rule's edge test at pi / y_1 reads; both are
-defined past pi / y_1 too.  Each Newton step of numeric takes G' and G''
-in one pass.
+``solution(profile, method, alpha)`` is the one evaluator of P, F and G at
+a chosen alpha.  It checks alpha (``sim.check_positive``: a real number,
+not a bool, finite and positive; then alpha <= pi / y_1, with no slack)
+and refuses a P below ``sim.POST_SELECT_FLOOR``, as the run's post-select
+would: at pi / y_1 on one sigma above tau, P is round-off.  Every alpha,
+explicit or a rule's, reaches it, so the run, both sweeps and the ``qsvt
+alpha`` table apply its lobe rule and P floor and no others.  ``g_objective``
+is G alone at an alpha, and ``g_derivative`` is G' alone, which the numeric
+rule's edge test at pi / y_1 reads; both are defined past pi / y_1 too.
+Each Newton step of numeric takes G' and G'' in one pass.
 
 ``resolve_alpha(profile, method)`` is the one way to apply a rule, and
 ``METHODS`` names the rules.  Its one fallback: a ValidationError from
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FullyThresholdedError, ValidationError
-from .sim import check_positive
+from .sim import POST_SELECT_FLOOR, check_positive
 from .spectral import check_sigma, check_threshold, real_vector
 
 # Newton on G' stops once its step is this many ulps of alpha or fewer
@@ -144,8 +145,8 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     constructor of a solution, for the four rules and an explicit alpha.
     Alpha is checked before any sine, and taken as a Python float; an
     alpha past pi / y_1, where sin(y_1 alpha) leaves its first lobe and F
-    can go negative, is refused.  Numeric's edge is that same quotient,
-    so it passes.  Each component takes one sine."""
+    can go negative, is refused, and so is a P below the floor.  Numeric's
+    edge is that same quotient, so it passes.  Each component takes one sine."""
     alpha = check_positive("alpha", alpha)
     if not alpha <= math.pi / profile.y[0]:
         raise ValidationError(f"alpha * y_1 = {alpha * profile.y[0]:.6g} exceeds pi"
@@ -159,9 +160,12 @@ def solution(profile: SpectrumProfile, method: str, alpha: float) -> AlphaSoluti
     root = math.sqrt(profile.n2 * nalpha)
     if not root > 0:  # N_alpha = 0, or N2 * N_alpha underflows
         raise ValidationError("zero post-selection probability at this alpha")
+    p = nalpha / profile.n1
+    if not p >= POST_SELECT_FLOOR:  # post-select's floor; at pi / y_1 on one term P is round-off
+        raise ValidationError(f"post-selection probability {p:.3e} below floor"
+                              f" {POST_SELECT_FLOOR:.3e} at this alpha")
     num = math.fsum(parts)
-    f = num / root
-    return AlphaSolution(method, alpha, nalpha / profile.n1, f, num / profile.scale)
+    return AlphaSolution(method, alpha, p, num / root, num / profile.scale)
 
 
 def _intuitive(profile: SpectrumProfile) -> AlphaSolution:

@@ -57,17 +57,11 @@ class SimulationResult:
     b_state: np.ndarray
     residual_mass: float
     pe_exact: bool
-    y_repr_exact: bool
+    exact: bool  # integer labels and exactly representable shrinkage fractions
     newton_iterations: int
     t_bits: int
     m_bits: int
     p_shots: float | None = None
-
-    @property
-    def exact(self) -> bool:
-        """Exact-encoding regime: integer labels and exactly
-        representable shrinkage fractions."""
-        return self.pe_exact and self.y_repr_exact
 
     @property
     def sigma(self) -> np.ndarray:
@@ -111,9 +105,9 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
                                   f" t_bits={pe_cfg.t_bits}, which {why}: raise --t-bits")
     oracle = rotation.build_sigma_tau_oracle(pe_cfg, cfg.m_bits, cfg.tau)
     m_bits = oracle.m_bits  # the width as the oracle checked it: a Python int
+    codes = [oracle.y_codes.get(c, 0) for c in pe_cfg.labels]
     # sigma_1's code: the largest an occupied label gets, and its label always holds mass
-    top_code = oracle.code_for(pe_cfg.labels[0])
-    if top_code == 0:  # post-select would read probability 0
+    if codes[0] == 0:  # post-select would read probability 0
         # the least wider m with 2^-m <= y_1 (labels round sigma_1 too)
         need = max(1 - math.frexp(profile.y[0])[1], m_bits + 1)
         hint = (f"raise --m-bits to at least {need}, where 2^-m <= y_1" if need <= sim.MAX_QUBITS
@@ -152,8 +146,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
     f_sim = float(abs(shrunk @ overlaps) / sim._norm(shrunk))
 
     n1 = float(np.sum(spec.sigma**2))
-    scale = 1 << m_bits
-    y_codes = [oracle.code_for(c) / scale for c in pe_cfg.labels]
+    y_codes = [c / (1 << m_bits) for c in codes]
     triple_amps = overlaps * math.sqrt(n1 * p_sim)
 
     p_shots = None
@@ -178,7 +171,7 @@ def run_pipeline(cfg: PipelineConfig) -> SimulationResult:
         b_state=spectral.embed(spec, overlaps),
         residual_mass=residual,
         pe_exact=pe_cfg.exact,
-        y_repr_exact=all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),
+        exact=pe_cfg.exact and all(abs(c - y) <= EXACT_Y_TOL for c, y in zip(y_codes, profile.y)),
         newton_iterations=max(oracle.iterations.values(), default=0),
         t_bits=pe_cfg.t_bits,
         m_bits=m_bits,

@@ -13,8 +13,8 @@ writes both halves in place rather than as a gate.
 is an m-bit binary fraction raw / 2**m in [0, 1), held as the int raw;
 each step is truncated toward zero and clamped into [0, 2**m).  With
 exact integer arithmetic over a power-of-two denominator, two runs agree
-bit for bit.  A :class:`SigmaTauOracle` checks its labels and codes once,
-when it is made; its gate, :func:`sim.apply_basis_oracle`, checks none.
+bit for bit.  A :class:`SigmaTauOracle` checks its labels and codes when
+it is made and holds them read-only; its gate checks none.
 
 Every label ends at its floor code s* = floor(2**m y*), y* = 1 - tau/sigma,
 from any start.  The map is convex below 1 and flat at y*, so no step
@@ -26,7 +26,9 @@ sigma/tau > 0.56 * 2**m, and then s* is one of the top two codes.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,21 +77,21 @@ class SigmaTauOracle:
     """XOR oracle on (L, C): |l>|c> -> |l XOR y(lam(c))>|c>.
 
     Labels outside the encoding are untouched (y = 0).  XOR of a
-    function of C makes the oracle self-inverse.
+    function of C makes the oracle self-inverse.  The codes are checked
+    here, and both maps are held as read-only copies.
     """
 
     m_bits: int
     t_bits: int
-    y_codes: dict[int, int]
-    iterations: dict[int, int]
+    y_codes: Mapping[int, int]
+    iterations: Mapping[int, int]
 
     def __post_init__(self) -> None:  # the one check: sim.apply_basis_oracle makes none
         for c, y in self.y_codes.items():
             sim.check_int("oracle label", c, 0, (1 << self.t_bits) - 1)
             sim.check_int("oracle code", y, 0, (1 << self.m_bits) - 1)
-
-    def code_for(self, label: int) -> int:
-        return self.y_codes.get(label, 0)
+        for name in ("y_codes", "iterations"):  # frozen: set once, here
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def apply(self, state: QuantumState) -> QuantumState:
         if (state.layout.m_bits, state.layout.t_bits) != (self.m_bits, self.t_bits):

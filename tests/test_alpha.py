@@ -138,7 +138,11 @@ def test_fidelity_single_component_is_one():
 
 
 def test_fidelity_small_alpha_limit():
-    assert at(REFERENCE, 1e-6).F == pytest.approx(1.0, abs=1e-6)
+    assert at(REFERENCE, 1e-5).F == pytest.approx(1.0, abs=1e-6)
+    # one decade lower P = 5e-13 is below the run's post-selection floor
+    with pytest.raises(ValidationError, match=r"^post-selection probability 5\.000e-13 below"
+                                              r" floor 1\.000e-12 at this alpha$"):
+        at(REFERENCE, 1e-6)
 
 
 def test_g_at_zero():
@@ -473,8 +477,13 @@ def test_theory_matches_zip_fsum_reference_bit_for_bit():
             got = alpha_mod.g_objective(profile, a), alpha_mod.g_derivative(profile, a)
             assert got == reference_pfg(profile, a)[2:], (profile, a)
         for a in [*map(float, rng.uniform(1e-3, edge, 3)), edge]:
+            want = reference_pfg(profile, a)[:3]
+            if want[0] < sim.POST_SELECT_FLOOR:  # the edge of one sigma above tau
+                with pytest.raises(ValidationError, match=FLOOR):
+                    at(profile, a)
+                continue
             sol = at(profile, a)
-            assert (sol.P, sol.F, sol.G) == reference_pfg(profile, a)[:3], (profile, a)
+            assert (sol.P, sol.F, sol.G) == want, (profile, a)
 
 
 def test_theory_stays_in_range_inside_the_lobe():
@@ -487,15 +496,29 @@ def test_theory_stays_in_range_inside_the_lobe():
             assert 0 < sol.P <= 1 + 1e-12 and 0 <= sol.F <= 1 + 1e-12 and sol.G >= 0, (profile, a)
 
 
+FLOOR = r"^post-selection probability \S+ below floor 1\.000e-12 at this alpha$"
+
+
 def test_solution_refuses_an_alpha_past_the_lobe_and_takes_its_edge():
     # the edge pi / y_1 is the last alpha taken, with no slack past it:
     # on one sigma above tau, sin(y_1 alpha) is negative just past it, and
-    # an alpha within 1e-9 / y_1 of the edge read F = -1
+    # an alpha within 1e-9 / y_1 of the edge read F = -1.  At the edge
+    # itself that sine is round-off, P about 1e-31 and F = +-1 by its sign:
+    # the edge is taken where P reaches the post-selection floor, with F > 0
     lone = [alpha_mod.SpectrumProfile.from_sigma_tau(s, tau) for s, tau in (((3.0,), 1.0),
                                                                           ((2.0, 1.0), 1.5))]
+    refused = 0
     for profile in reference_profiles() + [beyond_the_lobe_profile()] + lone:
         edge = math.pi / profile.y[0]
-        assert at(profile, edge).alpha == edge
+        # with a second sine, which is not at a root, P is far above the floor
+        if reference_pfg(profile, edge)[0] < sim.POST_SELECT_FLOOR:
+            assert len(profile.terms) == 1, profile
+            with pytest.raises(ValidationError, match=FLOOR):
+                at(profile, edge)
+            refused += 1
+        else:
+            sol = at(profile, edge)
+            assert len(profile.terms) > 1 and sol.alpha == edge and sol.F > 0, profile
         past = [(math.pi + 2e-9) / profile.y[0], math.nextafter(edge, math.inf)]
         if profile in lone:
             past.append((math.pi + 1e-10) / profile.y[0])
@@ -503,6 +526,7 @@ def test_solution_refuses_an_alpha_past_the_lobe_and_takes_its_edge():
             with pytest.raises(ValidationError,
                                match=r"exceeds pi \(sine no longer single-lobed\)$"):
                 at(profile, a)
+    assert refused == 185 + len(lone)  # of 273: every profile with one sigma above tau
 
 
 def test_resolve_alpha_matches_reference_bit_for_bit():

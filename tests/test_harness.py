@@ -303,6 +303,14 @@ def test_cmd_example_refuses_an_explicit_alpha_past_the_lobe(capsys, monkeypatch
     assert capsys.readouterr() == ("", lobe.format(4.5))
 
 
+def test_cmd_example_refuses_an_alpha_below_the_post_selection_floor(capsys, monkeypatch):
+    # P = 5e-15: the run once made the state and was refused at post-select
+    monkeypatch.setattr(sim, "new_state", lambda *args: pytest.fail("state made"))
+    assert harness.main(["example", "--alpha", "1e-7"]) == 2
+    assert capsys.readouterr() == ("", "error: post-selection probability 5.000e-15 below"
+                                       " floor 1.000e-12 at this alpha\n")
+
+
 def test_sweep_all_zero_code_records_carry_the_set_up_error():
     # instances 1 and 4 carried "rounds to label 0 ... raise --t-bits" for a
     # thresholded eigenvalue; now every record meets the all-zero codes

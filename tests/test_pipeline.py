@@ -49,7 +49,7 @@ def test_reference_instance_triple_amplitudes():
     unnorm = np.abs(res.triple_amplitudes)
     assert abs(unnorm[0] - 1.9999) <= 1e-3
     assert abs(unnorm[1] - 0.8660) <= 1e-3
-    assert res.exact and res.pe_exact and res.y_repr_exact
+    assert res.exact and res.pe_exact
     assert res.labels.tolist() == [4, 1]
 
 

@@ -108,7 +108,7 @@ def test_t0_whose_top_label_decodes_to_inf_is_rejected():
         with pytest.raises(ValidationError, match="^t0 1e-308 too small: label [17] decodes to"):
             qpe.PhaseEstimationConfig(*args)
     cfg = qpe.PhaseEstimationConfig(1, 1e-300, True, (1,))
-    assert rotation.build_sigma_tau_oracle(cfg, 2, 0.5).code_for(1) == 3
+    assert rotation.build_sigma_tau_oracle(cfg, 2, 0.5).y_codes[1] == 3
 
 
 def test_t0_is_kept_as_a_python_float():

@@ -200,7 +200,7 @@ def test_newton_iterate_converges_above_ratio_four():
         for ratio in (4.2, 5.0, 8.0, 10.0, 100.0):
             enc = qpe.choose_t0([(ratio * tau) ** 2])
             (label,) = enc.labels
-            code = rotation.build_sigma_tau_oracle(enc, m, tau).code_for(label)
+            code = rotation.build_sigma_tau_oracle(enc, m, tau).y_codes[label]
             assert code == floor_code(m, tau, enc.decode(label)), (m, ratio)
     # exactly ratio 4 (dyadic) converges at its own code
     assert rotation.build_sigma_tau_oracle(qpe.choose_t0([4.0]), 8, tau).y_codes == {4: 192}
@@ -263,8 +263,8 @@ def reference_encoding(t_bits=3):
 def test_oracle_reference_codes():
     enc = reference_encoding()
     oracle = rotation.build_sigma_tau_oracle(enc, 3, 0.5)
-    assert oracle.code_for(4) == 6  # |110> in register L
-    assert oracle.code_for(1) == 4  # |100>
+    assert oracle.y_codes[4] == 6  # |110> in register L
+    assert oracle.y_codes[1] == 4  # |100>
 
 
 def test_oracle_writes_codes_into_register_l():
@@ -284,8 +284,8 @@ def test_oracle_writes_codes_into_register_l():
 def test_oracle_thresholded_label_leaves_l_zero():
     enc = qpe.choose_t0([4.0, 1.0], 3)
     oracle = rotation.build_sigma_tau_oracle(enc, 3, 1.5)
-    assert oracle.code_for(1) == 0  # sigma = 1 <= tau = 1.5
-    assert oracle.code_for(4) == 2  # 2^3 (1 - 1.5/2) = 2
+    assert oracle.y_codes[1] == 0  # sigma = 1 <= tau = 1.5
+    assert oracle.y_codes[4] == 2  # 2^3 (1 - 1.5/2) = 2
 
 
 def test_oracle_self_inverse():
@@ -364,15 +364,37 @@ BAD_CODE_MAPS = {
 def test_oracle_refuses_a_bad_code_map_where_it_is_made(codes, message):
     # the code map is checked once, when the oracle is made, before any
     # state exists: labels and codes are integers, not bools, in range;
-    # the gate that applies it, sim.apply_basis_oracle, checks none
+    # the gate that applies it, sim.apply_basis_oracle, checks none;
+    # dataclasses.replace makes a new oracle, so it is checked too
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         rotation.SigmaTauOracle(2, 2, codes, {})
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(rotation.SigmaTauOracle(2, 2, {1: 2}, {}), y_codes=codes)
 
 
 def test_oracle_checks_its_labels_and_codes_where_it_is_made():
     # the range's ends and NumPy integers pass
     oracle = rotation.SigmaTauOracle(2, 2, {0: 3, np.int64(3): np.int64(0)}, {})
     assert oracle.y_codes == {0: 3, 3: 0}
+
+
+def test_oracle_maps_are_read_only():
+    # a code written after the check moved L = 0 to L = 3 on C = 1 (take
+    # wraps a negative index): both maps refuse writes, and a map given to
+    # the oracle is copied, so changing it later leaves the oracle as it was
+    codes, iterations = {1: 2}, {1: 5}
+    oracle = rotation.SigmaTauOracle(2, 2, codes, iterations)
+    for held in (oracle.y_codes, oracle.iterations):
+        with pytest.raises(TypeError):
+            held[1] = -1
+        with pytest.raises(TypeError):
+            del held[1]
+    codes[1], iterations[1] = -1, 6
+    assert (oracle.y_codes, oracle.iterations) == ({1: 2}, {1: 5})
+    state = sim.new_state(sim.RegisterLayout(2, 2, 1))
+    unitary(state, pauli_x(), [3])  # C = 1
+    oracle.apply(state)
+    assert sim.register_mass(state, range(2))[2] == 1.0  # L = 0 XOR 2
 
 
 def test_oracle_codes_on_the_circuit_large_spectrum():
